@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix bench vet lint allocgate servegate obsgate all
+.PHONY: build test race race-matrix bench benchtest vet lint allocgate servegate obsgate all
 
 all: build lint test
 
@@ -24,8 +24,8 @@ vet:
 	$(GO) vet ./...
 
 # xprsvet: the repo-specific determinism analyzers (vclockpurity,
-# obsnoclock, maporder, atomicmix, poollifetime, lockorder,
-# policypurity, tracegate, allowaudit). Runs in both standalone and
+# obsnoclock, maporder, atomicmix, poollifetime, policypurity,
+# tracegate, allowaudit). Runs in both standalone and
 # vet-tool modes, matching CI. See DESIGN.md §11/§16.
 lint: vet
 	$(GO) run ./cmd/xprsvet ./...
@@ -36,6 +36,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineThroughput|BenchmarkBufferPoolParallel' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerSubmit' -benchmem ./internal/exec
 	$(GO) run ./cmd/xprsbench -fig pipeline
+
+# The nested benchmark module (bench/, its own go.mod) is invisible to
+# the root `go build ./...`; its tests are what catch a root API change
+# that breaks it.
+benchtest:
+	cd bench && $(GO) test ./...
 
 # Allocation gate: the executor hot path must stay under the committed
 # allocs/op budget (see TestPipelineAllocGate in bench_test.go).

@@ -308,8 +308,8 @@ func TestPipelineAllocGate(t *testing.T) {
 }
 
 // BenchmarkBufferPoolParallel hammers the buffer pool from all procs,
-// the access pattern of parallel scan slaves. Before the pool was
-// sharded this serialized on one mutex.
+// the access pattern of parallel scan slaves: what the pool's single
+// mutex costs under concurrent callers.
 func BenchmarkBufferPoolParallel(b *testing.B) {
 	bp := storage.NewBufferPool(4096)
 	b.ReportAllocs()

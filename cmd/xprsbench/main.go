@@ -49,7 +49,6 @@ func main() {
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output file for the serving benchmark")
 	serveSessions := flag.String("servesessions", "", "comma-separated session counts for the serving grid (default 1000,10000,100000)")
 	serveProcs := flag.String("serveprocs", "", "comma-separated GOMAXPROCS values for the serving benchmark (default 1,4,8)")
-	intakeOps := flag.Int("intakeops", 0, "Submits per intake-ablation measurement (0 = default)")
 	flag.Parse()
 
 	cfg := xprs.DefaultConfig()
@@ -177,16 +176,8 @@ func main() {
 			return err
 		}
 		snap := osys.Observer().Metrics.Snapshot()
-		// The tuple-at-a-time executor's numbers on the same canonical
-		// query (recorded before the batch pipeline landed), kept in the
-		// file so regressions are visible without digging through git.
 		payload := struct {
 			*xprs.PipelineBenchResult
-			Baseline struct {
-				NsPerOp     float64 `json:"ns_per_op"`
-				AllocsPerOp float64 `json:"allocs_per_op"`
-				BytesPerOp  float64 `json:"bytes_per_op"`
-			} `json:"tuple_at_a_time_baseline"`
 			Ablation struct {
 				Columnar *xprs.PipelineBenchResult `json:"columnar"`
 				Row      *xprs.PipelineBenchResult `json:"row"`
@@ -196,9 +187,6 @@ func main() {
 			Repartitions  int64                `json:"repartitions"`
 			Metrics       xprs.MetricsSnapshot `json:"metrics"`
 		}{PipelineBenchResult: res, Metrics: snap}
-		payload.Baseline.NsPerOp = 17108129
-		payload.Baseline.AllocsPerOp = 128017
-		payload.Baseline.BytesPerOp = 10026465
 		payload.Ablation.Columnar = res
 		payload.Ablation.Row = rowRes
 		if res.NsPerOp > 0 {
@@ -260,7 +248,7 @@ func main() {
 		return nil
 	})
 	run("serve", func() error {
-		opts := xprs.ServeBenchOptions{IntakeOps: *intakeOps}
+		var opts xprs.ServeBenchOptions
 		var err error
 		if opts.SessionCounts, err = parseInts(*serveSessions); err != nil {
 			return fmt.Errorf("-servesessions: %w", err)
@@ -272,36 +260,31 @@ func main() {
 		if err != nil {
 			return err
 		}
-		data, err := json.MarshalIndent(res, "", "  ")
+		// Tab indent: the timeline nests eight levels deep, and two-space
+		// indentation alone was a third of the committed file's bytes.
+		data, err := json.MarshalIndent(res, "", "\t")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*serveOut, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
+		// Only the first GOMAXPROCS row of a session count carries the
+		// (identical) stats; stats tracks the latest such row.
+		var stats *xprs.ServeStats
 		for _, row := range res.Grid {
+			if row.Stats != nil {
+				stats = row.Stats
+			}
 			fmt.Printf("serve: %7d sessions @ GOMAXPROCS %d: %8.1f ms wall (%8.0f sessions/s), virtual p95 response %.2fs, shed %d\n",
 				row.Sessions, row.Procs, row.WallMs, row.WallQPS,
-				row.Stats.Response.P95.Seconds(), row.Stats.Shed)
-		}
-		for _, row := range res.Intake {
-			kind := "sharded"
-			if row.Serial {
-				kind = "serial "
-			}
-			fmt.Printf("serve: intake %s @ GOMAXPROCS %d: %6.0f ns/op, %9.0f submits/s\n",
-				kind, row.Procs, row.NsPerOp, row.QPS)
+				stats.Response.P95.Seconds(), stats.Shed)
 		}
 		if ob := res.Observed; ob != nil {
 			fmt.Printf("serve: observed %d sessions (1-in-%d sampling, %d-span budget): %d spans kept, %d dropped, stats match: %v\n",
 				ob.Sessions, ob.SampleOneIn, ob.SpanBudget, ob.SpansKept, ob.SpansDropped, ob.StatsMatch)
 		}
-		if res.IntakeSpeedup4 > 0 {
-			fmt.Printf("serve: sharded intake speedup GOMAXPROCS 4 vs 1: %.2fx -> %s\n",
-				res.IntakeSpeedup4, *serveOut)
-		} else {
-			fmt.Printf("serve: wrote %s (speedup needs GOMAXPROCS 1 and 4 in -serveprocs)\n", *serveOut)
-		}
+		fmt.Printf("serve: wrote %s\n", *serveOut)
 		if res.PolicyAblation != nil {
 			fmt.Print(xprs.FormatPolicyAblation(res.PolicyAblation))
 		}
@@ -312,7 +295,7 @@ func main() {
 			fmt.Print(xprs.FormatServe(xprs.ServeOptions{
 				Sessions: last.Sessions, Tenants: res.Tenants,
 				Templates: res.Templates, Rate: res.Rate,
-			}, last.Stats))
+			}, stats))
 		}
 		return nil
 	})

@@ -98,9 +98,18 @@ func realMain(in string, run bool, sessions, tenants int, rate float64, seed int
 		if len(res.Grid) == 0 {
 			return fmt.Errorf("%s: no serving grid rows", in)
 		}
-		// The grid repeats each session count per GOMAXPROCS with
-		// identical stats; render the largest run once.
-		row := res.Grid[len(res.Grid)-1]
+		// The grid repeats each session count per GOMAXPROCS; only the
+		// first row of each carries the (identical) stats. Render the
+		// largest run: the last row that has them.
+		var row xprs.ServeGridRow
+		for _, r := range res.Grid {
+			if r.Stats != nil {
+				row = r
+			}
+		}
+		if row.Stats == nil {
+			return fmt.Errorf("%s: no grid row carries stats", in)
+		}
 		stats = row.Stats
 		abl = res.PolicyAblation
 		title = fmt.Sprintf("%s: %d sessions, %d tenants, %.1f q/s",

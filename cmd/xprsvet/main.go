@@ -1,6 +1,6 @@
 // Command xprsvet runs the repo's determinism analyzer suite
 // (internal/lint): vclockpurity, obsnoclock, maporder, atomicmix,
-// poollifetime, lockorder, policypurity, tracegate and allowaudit.
+// poollifetime, policypurity, tracegate and allowaudit.
 // It supports two modes:
 //
 // Standalone (what `make lint` runs):

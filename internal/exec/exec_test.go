@@ -364,6 +364,18 @@ func TestRunValidation(t *testing.T) {
 		if _, err := eng.Run([]TaskSpec{bad}, core.InterAdj, core.Options{}); err == nil {
 			t.Error("unknown dependency accepted")
 		}
+		// Two specs with a bad dependency each: the error names the first
+		// in slice order, every time.
+		bad2 := specs[0]
+		bad2.Task = &core.Task{ID: 1}
+		bad2.DependsOn = []int{43}
+		for i := 0; i < 20; i++ {
+			_, err := eng.Run([]TaskSpec{bad, bad2}, core.InterAdj, core.Options{})
+			if err == nil || !strings.Contains(err.Error(), "task 0 depends on unknown 42") {
+				t.Errorf("two bad dependencies: err = %v, want the first spec's", err)
+				break
+			}
+		}
 	})
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,38 +82,9 @@ func TestHashProbeBeforeBuildFails(t *testing.T) {
 // 10000x) to verify the engine is clock-agnostic: the identical code
 // path the virtual-time experiments use also executes in real time.
 func TestEngineOnRealClock(t *testing.T) {
-	clock := vclock.NewReal(100000)
-	disks := diskmodel.New(clock, diskmodel.DefaultConfig())
-	store := storage.NewStore(clock, disks, 0)
-	eng := New(clock, store, cost.DefaultParams(diskmodel.DefaultConfig(), 8))
-
-	b := storage.NewBuilder(store.NextID(), "r", storage.NewSchema(
-		storage.Column{Name: "a", Typ: storage.Int4},
-		storage.Column{Name: "b", Typ: storage.Text},
-	))
-	for i := 0; i < 500; i++ {
-		if err := b.Append(storage.NewTuple(storage.IntVal(int32(i)), storage.TextVal("real-clock-row"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rel := b.Finalize()
-	if err := store.Add(rel); err != nil {
-		t.Fatal(err)
-	}
-	g, err := plan.Decompose(&plan.SeqScan{Rel: rel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ests, err := cost.EstimateGraph(eng.Params, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := QueryTasks(g, ests, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, queries := realEngine(t, vclock.NewReal(100000), 1)
 	start := time.Now()
-	rep, err := eng.Run(specs, core.InterAdj, core.Options{})
+	rep, err := eng.Run(queries[0], core.InterAdj, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +93,160 @@ func TestEngineOnRealClock(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Fatalf("real-clock run took %v", wall)
+	}
+}
+
+// realEngine builds an engine on the given clock (a wall clock or a
+// wrapper around one) with one 500-row relation, and n single-fragment
+// scan queries over it with task IDs 0..n-1.
+func realEngine(t *testing.T, clock vclock.Clock, n int) (*Engine, [][]TaskSpec) {
+	t.Helper()
+	disks := diskmodel.New(clock, diskmodel.DefaultConfig())
+	store := storage.NewStore(clock, disks, 0)
+	eng := New(clock, store, cost.DefaultParams(diskmodel.DefaultConfig(), 8))
+	rel := buildRel(t, store, "r", 500, 500, 14)
+	queries := make([][]TaskSpec, n)
+	for i := range queries {
+		queries[i], _ = specFor(t, eng, &plan.SeqScan{Rel: rel}, i)
+	}
+	return eng, queries
+}
+
+// gatedClock is a wall clock whose Sleep parks until the gate closes. A
+// task with a positive Arrival sleeps on the clock before it can start,
+// so its query stays live — deterministically, no timing — until the
+// test closes the gate.
+type gatedClock struct {
+	*vclock.Real
+	gate chan struct{}
+}
+
+func (c gatedClock) Sleep(time.Duration) { <-c.gate }
+
+// TestSubmitCollisionConcurrent pins check-and-claim atomicity under the
+// single intake lock: of 8 goroutines submitting queries that share one
+// task ID, exactly one is accepted while it is live, the rest are told
+// so, and the ID is claimable again once the winner settles.
+func TestSubmitCollisionConcurrent(t *testing.T) {
+	const contenders = 8
+	clock := gatedClock{Real: vclock.NewReal(100000), gate: make(chan struct{})}
+	eng, queries := realEngine(t, clock, 1)
+	specs := queries[0]
+	specs[0].Arrival = time.Nanosecond // the winner parks on the gate
+	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
+
+	handles := make([]*QueryHandle, contenders)
+	errs := make([]error, contenders)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < contenders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			handles[i], errs[i] = sched.Submit(specs)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	var winner *QueryHandle
+	for i := range handles {
+		switch {
+		case errs[i] == nil && winner == nil:
+			winner = handles[i]
+		case errs[i] == nil:
+			t.Errorf("contender %d also accepted: two live queries claim task %d", i, specs[0].Task.ID)
+		case !strings.Contains(errs[i].Error(), "already live"):
+			t.Errorf("contender %d: err = %v, want already-live", i, errs[i])
+		}
+	}
+	if winner == nil {
+		t.Fatal("no contender was accepted")
+	}
+	close(clock.gate)
+	if rep, err := winner.Wait(); err != nil || rep.Results[0].Len() != 500 {
+		t.Fatalf("winner: rep=%v err=%v", rep, err)
+	}
+	again, err := sched.Submit(specs)
+	if err != nil {
+		t.Fatalf("task ID not claimable after the winner settled: %v", err)
+	}
+	if _, err := again.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitRacesDrain races submitters against Drain. The intake
+// protocol promises that every Submit either returns a handle that
+// settles or the drained error, and that Drain leaves nothing stranded:
+// an accepted query whose doorbell fell behind drainMsg would hang its
+// Wait (and this test), one left in the queue or live table would show
+// up in the parked session.
+func TestSubmitRacesDrain(t *testing.T) {
+	const submitters, perSubmitter, drainAfter = 4, 128, 200
+	eng, queries := realEngine(t, vclock.NewReal(100000), submitters*perSubmitter)
+	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
+
+	// The submitter whose accepted query is the drainAfter-th calls Drain
+	// inline, so Drain always runs while the others are mid-loop.
+	var accepted, settled atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(mine [][]TaskSpec) {
+			defer wg.Done()
+			<-start
+			var handles []*QueryHandle
+			for _, specs := range mine {
+				h, err := sched.Submit(specs)
+				if err != nil {
+					if !strings.Contains(err.Error(), "scheduler is drained") {
+						t.Errorf("Submit: %v", err)
+					}
+					break
+				}
+				handles = append(handles, h)
+				if accepted.Add(1) == drainAfter {
+					if err := sched.Drain(); err != nil {
+						t.Errorf("Drain: %v", err)
+					}
+				}
+			}
+			for _, h := range handles {
+				if rep, err := h.Wait(); err != nil || len(rep.Results) != 1 {
+					t.Errorf("query %d: rep=%v err=%v", h.ID(), rep, err)
+					continue
+				}
+				settled.Add(1)
+			}
+		}(queries[w*perSubmitter : (w+1)*perSubmitter])
+	}
+	close(start)
+	wg.Wait()
+	a, s := accepted.Load(), settled.Load()
+	t.Logf("%d of %d submissions accepted before Drain closed intake", a, submitters*perSubmitter)
+	if a != s || a < drainAfter {
+		t.Fatalf("accepted %d queries (Drain after %d), %d settled", a, drainAfter, s)
+	}
+	// Drain parked the session; nothing may be left behind in it.
+	if len(sched.queue) != 0 || len(sched.live) != 0 || sched.inflight != 0 {
+		t.Fatalf("drained session kept %d queued, %d live task IDs, %d in flight",
+			len(sched.queue), len(sched.live), sched.inflight)
+	}
+	// The engine is free again: a fresh session on it serves normally.
+	next := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
+	h, err := next.Submit(queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }

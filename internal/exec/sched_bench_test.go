@@ -2,7 +2,7 @@ package exec
 
 // Microbenchmarks of the scheduler's Submit→admission fast path, on a
 // real clock so the numbers are host time. Degenerate empty queries
-// keep every op inside the intake machinery: shard push, doorbell,
+// keep every op inside the intake machinery: queue push, doorbell,
 // master drain-and-decide, settle. The windowed Wait (every 64 ops)
 // bounds outstanding handles without rendezvousing each op — the
 // master settles in intake order, so a settled recent handle means the
@@ -21,13 +21,13 @@ import (
 	"xprs/internal/vclock"
 )
 
-func benchScheduler(b *testing.B, shards int) *Scheduler {
+func benchScheduler(b *testing.B) *Scheduler {
 	b.Helper()
 	clk := vclock.NewReal(1)
 	dcfg := diskmodel.DefaultConfig()
 	st := storage.NewStore(clk, diskmodel.New(clk, dcfg), 0)
 	eng := New(clk, st, cost.DefaultParams(dcfg, runtime.GOMAXPROCS(0)))
-	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{IntakeShards: shards})
+	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
 	b.Cleanup(func() {
 		if err := sched.Drain(); err != nil {
 			b.Fatal(err)
@@ -65,17 +65,16 @@ func submitLoop(b *testing.B, sched *Scheduler, n int) {
 // ns/op is the full client+master round trip and allocs/op is the
 // per-query allocation floor the allocation gate watches.
 func BenchmarkSchedulerSubmit(b *testing.B) {
-	sched := benchScheduler(b, 0)
+	sched := benchScheduler(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	submitLoop(b, sched, b.N)
 }
 
 // BenchmarkSchedulerSubmitParallel hammers Submit from every proc at
-// once: the number that must scale with GOMAXPROCS, and the one the
-// sharded-vs-serial ablation compares.
+// once: what the single intake lock costs under concurrent callers.
 func BenchmarkSchedulerSubmitParallel(b *testing.B) {
-	sched := benchScheduler(b, 0)
+	sched := benchScheduler(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -184,36 +183,4 @@ func TestObsAllocGate(t *testing.T) {
 		t.Fatalf("observed Submit fast path allocates %d allocs/op, budget is %d — sampled tracing or telemetry started allocating per submit",
 			r.AllocsPerOp(), obsAllocBudget)
 	}
-}
-
-// BenchmarkSchedulerSubmitSerialIntake is the ablation partner of the
-// parallel benchmark: identical load through a single intake shard.
-func BenchmarkSchedulerSubmitSerialIntake(b *testing.B) {
-	sched := benchScheduler(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var last *QueryHandle
-		i := 0
-		for pb.Next() {
-			h, err := sched.Submit(nil)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			last = h
-			if i%64 == 63 {
-				if _, err := last.Wait(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			i++
-		}
-		if last != nil {
-			if _, err := last.Wait(); err != nil {
-				b.Error(err)
-			}
-		}
-	})
 }

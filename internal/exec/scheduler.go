@@ -2,10 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xprs/internal/core"
@@ -27,15 +25,14 @@ import (
 // reported as Report.QueueWait and as instants on the scheduler's trace
 // lane.
 //
-// Intake is sharded. Submit never serializes on a global lock: a query
-// claims its task IDs in per-shard live tables, takes a sequence number
-// from one atomic counter, and appends itself to one of several
-// mutex-guarded intake queues. The master loop stays the single
-// decision maker — it drains every shard into one batch, sorts the
-// batch by sequence number, and runs the same per-query admission logic
-// as before — so shard count and batch boundaries are invisible in the
-// results: admission order is intake-sequence order, full stop. See
-// DESIGN.md §13 for the determinism argument.
+// Intake is one mutex. Submit claims its task IDs in the live table,
+// stamps the next query ID and appends to the intake queue in a single
+// critical section, so the queue is born in query-ID order. The master
+// loop stays the single decision maker: it takes the whole queue as one
+// batch and runs per-query admission over it, so batch boundaries are
+// invisible in the results — admission order is query-ID order, full
+// stop. A striped form of this intake lost its own ablation and was
+// removed; DESIGN.md §13 keeps the numbers.
 
 // AdmissionConfig gates whole queries before their tasks reach the
 // controller's S_io/S_cpu queues. This is coarser than — and composes
@@ -61,11 +58,6 @@ type AdmissionConfig struct {
 	// a fair-share scan: a tenant at its quota cannot block other
 	// tenants' queries queued behind it. 0 disables per-tenant caps.
 	TenantMaxQueries int
-	// IntakeShards overrides the number of intake shards (rounded up to
-	// a power of two, clamped to [1,64]); 0 means GOMAXPROCS. Shard
-	// count is a pure contention knob: results are byte-identical at
-	// any value, including 1 (the serial-intake ablation).
-	IntakeShards int
 	// TraceSampleOneIn enables head-based trace sampling on an observed
 	// session: one in N queries (decided at submission from a seeded
 	// hash of tenant and query ID, see obs.Sampler) carries spans,
@@ -295,9 +287,9 @@ func putQuery(q *query) {
 
 // Events posted to the scheduler's mailbox (taskDone, posted by slave
 // exits, is declared next to the running-task machinery in engine.go).
-// intakeNote is the sharded-intake doorbell: posted only on the
-// empty→non-empty transition of the global pending count, so a burst of
-// Submits costs one mailbox wakeup, not one per query.
+// intakeNote is the intake doorbell: posted only when a Submit finds the
+// intake queue empty, so a burst of Submits costs one mailbox wakeup,
+// not one per query.
 type intakeNote struct{}
 
 type drainMsg struct{ ack chan struct{} }
@@ -307,24 +299,6 @@ type drainMsg struct{ ack chan struct{} }
 // a recycled session must not mistake such a stale tick (same mailbox,
 // possibly a reused query ID) for its own.
 type arrivalTick struct{ gen, qid, id int }
-
-// intakeShard is one stripe of the Submit fast path: a slice of the
-// live task-ID table and an intake queue, under a shard-private mutex.
-// The atomic counters are contention-free bookkeeping the master (and
-// the metrics snapshotter) reconcile at decision points; the trailing
-// pad keeps neighbouring shards off one cache line.
-type intakeShard struct {
-	mu     sync.Mutex
-	queue  []*query
-	live   map[int]int // task ID -> query ID, for cross-query collisions
-	closed bool
-
-	queued  atomic.Int64 // accepted, not yet admitted or shed
-	submits atomic.Int64 // accepted submissions this session
-	contend atomic.Int64 // lock acquisitions that had to wait
-
-	_ [64]byte
-}
 
 // Scheduler is the persistent scheduling service. Create one with
 // NewScheduler (which spawns the master backend on a clock-registered
@@ -343,18 +317,16 @@ type Scheduler struct {
 	gen    int
 	loopFn func()
 
-	// Sharded client-facing state. submitSeq allocates query IDs, which
-	// double as the global intake order; intakeCount is the pending-
-	// entry count behind the intakeNote doorbell; closedFlag makes
-	// Drain idempotent.
-	shards     []intakeShard
-	shardMask  uint32
-	submitSeq  atomic.Int64
-	intakeLive atomic.Int64
-	closedFlag atomic.Bool
+	// Client-facing intake state, all under mu. nextID allocates query
+	// IDs, which are the intake order; closed is set by the first Drain.
+	mu     sync.Mutex
+	queue  []*query    // accepted, not yet seen by the master
+	live   map[int]int // task ID -> query ID, for cross-query collisions
+	nextID int
+	closed bool
 
 	// Master-owned state (touched only by the loop goroutine).
-	intakeBatch []*query // drain-and-decide scratch
+	intakeBatch []*query // the queue buffer drainIntake swapped out last
 	queries     map[int]*query
 	byTask      map[int]*query
 	tenants     map[string]*tenantState
@@ -472,6 +444,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 		s = &Scheduler{
 			eng:       e,
 			events:    vclock.NewMailbox(e.Clock),
+			live:      make(map[int]int),
 			queries:   make(map[int]*query),
 			byTask:    make(map[int]*query),
 			tenants:   make(map[string]*tenantState),
@@ -492,7 +465,6 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 		panic(err.Error()) // facades validate names up front
 	}
 	s.admPol = pol
-	s.ensureShards(adm.IntakeShards)
 	// Serving telemetry. The series' now-func is a pure clock read —
 	// reads never advance the virtual clock (obsnoclock allows them) —
 	// so the timeline buckets on virtual time without perturbing it. The
@@ -535,58 +507,8 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	s.hWaitUs = e.Metrics.Histogram("sched.queue_wait_micros")
 	s.mShed = e.Metrics.Counter("sched.shed_total")
 	s.mAging = e.Metrics.Counter("sched.aging_promoted")
-	if e.Metrics != nil {
-		// Intake health, sampled straight off the per-shard atomics at
-		// snapshot time (no clock interaction: obsnoclock-clean).
-		e.Metrics.RegisterFunc("sched.intake_queued", func() int64 { return s.sumShards(func(sh *intakeShard) int64 { return sh.queued.Load() }) })
-		e.Metrics.RegisterFunc("sched.intake_submits", func() int64 { return s.sumShards(func(sh *intakeShard) int64 { return sh.submits.Load() }) })
-		e.Metrics.RegisterFunc("sched.intake_contention", func() int64 { return s.sumShards(func(sh *intakeShard) int64 { return sh.contend.Load() }) })
-	}
 	e.Clock.Go(s.loopFn)
 	return s
-}
-
-// ensureShards sizes the intake shard array: an explicit override, or
-// GOMAXPROCS, rounded up to a power of two in [1,64]. The count only
-// moves lock contention around — drained batches are sorted by intake
-// sequence, so results do not depend on it.
-func (s *Scheduler) ensureShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := 1
-	for p < n && p < 64 {
-		p <<= 1
-	}
-	if len(s.shards) == p {
-		return
-	}
-	s.shards = make([]intakeShard, p)
-	for i := range s.shards {
-		s.shards[i].live = make(map[int]int)
-	}
-	s.shardMask = uint32(p - 1)
-}
-
-// sumShards folds one per-shard atomic across the shard array.
-func (s *Scheduler) sumShards(f func(*intakeShard) int64) int64 {
-	var total int64
-	for i := range s.shards {
-		total += f(&s.shards[i])
-	}
-	return total
-}
-
-// intakeShardOf maps a query (by its intake sequence) to a shard.
-// Consecutive sequences land on consecutive shards, so a burst of
-// parallel Submits naturally stripes across every intake lock.
-func (s *Scheduler) intakeShardOf(qid int) *intakeShard {
-	return &s.shards[uint32(qid)&s.shardMask]
-}
-
-// liveIndex maps a task ID to the shard holding its live-table slice.
-func (s *Scheduler) liveIndex(id int) uint32 {
-	return (uint32(id) * 0x9e3779b9 >> 16) & s.shardMask
 }
 
 // resetSession readies a drained scheduler for another session. Every
@@ -594,20 +516,12 @@ func (s *Scheduler) liveIndex(id int) uint32 {
 // with no queries in flight); the clears are insurance against a
 // poisoned session leaving residue, and keep map capacity either way.
 func (s *Scheduler) resetSession() {
-	s.submitSeq.Store(0)
-	s.intakeLive.Store(0)
-	s.closedFlag.Store(false)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.queue = sh.queue[:0]
-		clear(sh.live)
-		sh.closed = false
-		sh.mu.Unlock()
-		sh.queued.Store(0)
-		sh.submits.Store(0)
-		sh.contend.Store(0)
-	}
+	s.mu.Lock()
+	s.queue = s.queue[:0]
+	clear(s.live)
+	s.nextID = 0
+	s.closed = false
+	s.mu.Unlock()
 	clear(s.queries)
 	clear(s.byTask)
 	clear(s.tenants)
@@ -659,9 +573,9 @@ type SubmitOptions struct {
 // query's admission instant (zero, the common case for online
 // submission, means "run as soon as admitted").
 //
-// The fast path is sharded: concurrent callers contend only on their
-// task-ID and intake shards plus two atomic increments, never on a
-// global lock or on the master loop.
+// The fast path is one short critical section: stamp the query ID, claim
+// the task IDs, append to the intake queue, ring the doorbell if the
+// queue was empty. The master loop is never waited on.
 func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle, error) {
 	tenant := o.Tenant
 	q := getQuery()
@@ -682,11 +596,13 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 		ids = append(ids, sp.Task.ID)
 		mem += sp.Task.MemBytes
 	}
-	for _, sp := range byID {
-		for _, dep := range sp.DependsOn {
+	// Slice order, not map order: a query with several bad dependencies
+	// reports the same one every run.
+	for i := range specs {
+		for _, dep := range specs[i].DependsOn {
 			if _, ok := byID[dep]; !ok {
 				putQuery(q)
-				return nil, fmt.Errorf("exec: task %d depends on unknown %d", sp.Task.ID, dep)
+				return nil, fmt.Errorf("exec: task %d depends on unknown %d", specs[i].Task.ID, dep)
 			}
 		}
 	}
@@ -696,23 +612,40 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	q.mem = mem
 	q.tenant = tenant
 	q.deadline = o.Deadline
-	// The query ID doubles as the global intake sequence number: the
-	// master sorts every drained batch by it, so admission order is
-	// exactly the order of these Add calls no matter how entries spread
-	// across shards or batches. A rejected submission leaves a hole in
-	// the sequence, which nothing downstream minds.
-	q.id = int(s.submitSeq.Add(1) - 1)
-	if err := s.registerIDs(q); err != nil {
-		putQuery(q)
-		return nil, err
-	}
 	// The report and handle escape to the caller, so they are the one
-	// per-query allocation that cannot recycle.
+	// per-query allocation that cannot recycle. They are built before the
+	// lock; only the ID is filled in under it.
 	q.rep = &Report{
 		Finish:  make(map[int]time.Duration),
 		Results: make(map[int]*Temp),
 		Frags:   make(map[int]FragStat),
 	}
+	// Keep a local reference to the handle: once the query is published to
+	// the intake queue the master may shed, finish and recycle it
+	// (putQuery nils q.handle) before this goroutine returns.
+	h := &QueryHandle{sched: s}
+	q.handle = h
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		putQuery(q)
+		return nil, fmt.Errorf("exec: scheduler is drained")
+	}
+	// The query ID is the intake order: stamped and appended in one
+	// critical section, so the queue is always ID-sorted and admission
+	// order is exactly lock-acquisition order. A rejected submission
+	// burns its ID: nothing downstream minds the hole, and the head
+	// sampler hashes the ID, so reusing it would change which queries
+	// are traced.
+	q.id = s.nextID
+	s.nextID++
+	if err := s.claimIDs(q); err != nil {
+		s.mu.Unlock()
+		putQuery(q)
+		return nil, err
+	}
+	h.id = q.id
 	// The head-based sampling decision is made here, once, from the
 	// intake sequence: every span site downstream checks q.traced, so an
 	// unsampled query emits nothing and captures no per-query snapshot —
@@ -721,95 +654,43 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	if q.traced {
 		q.traceMark = s.eng.Trace.Mark()
 	}
-	q.handle = &QueryHandle{id: q.id, sched: s}
-	// Keep a local reference: once the query is published to its shard
-	// the master may shed, finish and recycle it (putQuery nils
-	// q.handle) before this goroutine returns.
-	h := q.handle
-
-	sh := s.intakeShardOf(q.id)
-	if !sh.mu.TryLock() {
-		sh.contend.Add(1)
-		sh.mu.Lock()
-	}
-	if sh.closed {
-		sh.mu.Unlock()
-		s.deregisterIDs(q)
-		putQuery(q)
-		return nil, fmt.Errorf("exec: scheduler is drained")
-	}
-	sh.queue = append(sh.queue, q)
-	sh.queued.Add(1)
-	sh.submits.Add(1)
-	// Doorbell on the empty→non-empty transition only. The count moves
-	// inside the shard critical section, so Drain's closed sweep (which
-	// takes every shard lock) strictly follows every accepted entry's
-	// push and notification — no straggler can ring after drainMsg.
-	// Posting under the shard lock is therefore deliberate, and safe:
-	// Post is a buffered append + Signal, never a Wait, so the holder
-	// cannot stall on the consumer.
-	if s.intakeLive.Add(1) == 1 {
-		//lint:allow lockorder — doorbell Post is ordered by design (above)
+	// Doorbell only when the queue was empty: a non-empty queue already
+	// has a doorbell in the mailbox that the master has not swept for
+	// yet. The Post stays inside the critical section — it is a buffered
+	// append + Signal, never a wait — so that Drain, which sets closed
+	// under this lock before posting drainMsg, is ordered after every
+	// accepted query's doorbell; the loop needs no extra sweep on
+	// drainMsg.
+	if len(s.queue) == 0 {
 		s.events.Post(intakeNote{})
 	}
-	sh.mu.Unlock()
+	s.queue = append(s.queue, q)
+	s.mu.Unlock()
 	return h, nil
 }
 
-// registerIDs claims the query's task IDs in the sharded live tables,
-// rejecting cross-query collisions. The shards involved are locked in
-// ascending index order, so concurrent multi-shard registrations cannot
-// deadlock; queries wider than the scratch array fall back to locking
-// every shard (still ascending).
-func (s *Scheduler) registerIDs(q *query) error {
-	if len(q.ids) == 0 {
-		return nil
-	}
-	var scratch [16]uint32
-	idxs := scratch[:0]
+// claimIDs claims the query's task IDs in the live table, rejecting
+// cross-query collisions; nothing is claimed on rejection. The caller
+// holds s.mu.
+func (s *Scheduler) claimIDs(q *query) error {
 	for _, id := range q.ids {
-		ix := s.liveIndex(id)
-		if !slices.Contains(idxs, ix) {
-			if len(idxs) == cap(idxs) {
-				idxs = idxs[:0]
-				for i := range s.shards {
-					idxs = append(idxs, uint32(i))
-				}
-				break
-			}
-			idxs = append(idxs, ix)
+		if qid, live := s.live[id]; live {
+			return fmt.Errorf("exec: task ID %d already live in query %d", id, qid)
 		}
 	}
-	slices.Sort(idxs)
-	for _, ix := range idxs {
-		s.shards[ix].mu.Lock()
-	}
-	var err error
 	for _, id := range q.ids {
-		if qid, live := s.shards[s.liveIndex(id)].live[id]; live {
-			err = fmt.Errorf("exec: task ID %d already live in query %d", id, qid)
-			break
-		}
+		s.live[id] = q.id
 	}
-	if err == nil {
-		for _, id := range q.ids {
-			s.shards[s.liveIndex(id)].live[id] = q.id
-		}
-	}
-	for _, ix := range idxs {
-		s.shards[ix].mu.Unlock()
-	}
-	return err
+	return nil
 }
 
 // deregisterIDs releases the query's task-ID claims.
 func (s *Scheduler) deregisterIDs(q *query) {
+	s.mu.Lock()
 	for _, id := range q.ids {
-		sh := &s.shards[s.liveIndex(id)]
-		sh.mu.Lock()
-		delete(sh.live, id)
-		sh.mu.Unlock()
+		delete(s.live, id)
 	}
+	s.mu.Unlock()
 }
 
 // Drain blocks until every submitted query has completed, then stops the
@@ -817,25 +698,23 @@ func (s *Scheduler) deregisterIDs(q *query) {
 // scheduler accepts no submissions afterwards; calls after the first
 // return immediately.
 func (s *Scheduler) Drain() error {
-	if s.closedFlag.Swap(true) {
+	// A Submit that passed its closed check held the lock first, so its
+	// query is queued and its doorbell (if any) posted before closed is
+	// set — the drainMsg below therefore follows the last intake event
+	// in the mailbox.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	// Close every shard. A Submit that passed its closed check held the
-	// shard lock first, so by the end of this sweep every accepted query
-	// is pushed and its doorbell (if any) posted — the drainMsg below is
-	// therefore ordered after the last intake event in the mailbox.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-	}
+	s.closed = true
+	s.mu.Unlock()
 	ack := make(chan struct{}, 1)
 	s.events.Post(drainMsg{ack: ack})
 	s.eng.Clock.WaitSignal(ack)
 	s.eng.sched = nil
-	// The loop goroutine has exited; park the session (maps, shards,
-	// mailbox, admission queue keep their capacity) for the next
+	// The loop goroutine has exited; park the session (maps, mailbox,
+	// intake and admission queues keep their capacity) for the next
 	// NewScheduler.
 	s.eng.schedFree = s
 	return nil
@@ -862,10 +741,8 @@ func (s *Scheduler) loop() {
 		case taskDone:
 			s.onTaskDone(ev)
 		case drainMsg:
-			// Belt and braces: every accepted query's doorbell precedes
-			// drainMsg in the mailbox, so the queues are normally empty
-			// here, but one extra sweep makes the invariant local.
-			s.drainIntake()
+			// Every accepted query's doorbell precedes drainMsg in the
+			// mailbox (see SubmitWith), so the intake queue is empty here.
 			s.draining = true
 			s.drainAck = ev.ack
 		default:
@@ -877,33 +754,18 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// drainIntake is the drain-and-decide step: sweep every shard into one
-// batch, order the batch by intake sequence, and run per-query
-// admission. The pending counter bounds the work: a positive read
-// guarantees the next sweep collects something (entries are pushed
-// before the counter moves, inside the same critical section), and
-// entries pushed after the final zero read ring their own doorbell —
-// the first of any concurrent group sees the empty→non-empty
-// transition. Checking the counter instead of sweeping-until-empty
-// saves a full lock sweep per drain and makes stale doorbells free.
+// drainIntake is the drain-and-decide step: take the whole intake queue
+// as one batch (swapping in the previous batch's buffer, so the hand-off
+// copies nothing) and run per-query admission over it in query-ID order,
+// which is the order the queue was built in. One sweep per doorbell is
+// enough: a Submit that finds the queue empty after this swap rings its
+// own.
 func (s *Scheduler) drainIntake() {
-	for s.intakeLive.Load() > 0 {
-		batch := s.intakeBatch[:0]
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			batch = append(batch, sh.queue...)
-			for j := range sh.queue {
-				sh.queue[j] = nil
-			}
-			sh.queue = sh.queue[:0]
-			sh.mu.Unlock()
-		}
-		s.intakeBatch = batch[:0]
-		if len(batch) == 0 {
-			continue
-		}
-		slices.SortFunc(batch, func(a, b *query) int { return a.id - b.id })
+	s.mu.Lock()
+	batch := s.queue
+	s.queue = s.intakeBatch
+	s.mu.Unlock()
+	if len(batch) > 0 {
 		// One clock read per batch: the master never blocks while
 		// processing it, so under the virtual clock every entry sees this
 		// instant anyway; on a real clock it drops two clock reads from
@@ -912,8 +774,9 @@ func (s *Scheduler) drainIntake() {
 		for _, q := range batch {
 			s.onSubmit(q, now)
 		}
-		s.intakeLive.Add(-int64(len(batch)))
+		clear(batch)
 	}
+	s.intakeBatch = batch[:0]
 }
 
 // tenant returns (creating on first sight) the master's bookkeeping for
@@ -1007,7 +870,7 @@ func (s *Scheduler) enqueueWaiter(q *query) {
 // deregistering the tenant from waitTenants when it empties (swap with
 // the last entry; waitTenants order is never observable). The caller
 // decides the query's fate — admission or a policy shed — and performs
-// the matching bookkeeping (intake-shard queued counts move there).
+// the matching bookkeeping.
 func (s *Scheduler) takeWaiter(ts *tenantState, i int) *query {
 	q := ts.waitq.removeAt(i)
 	s.nWaiting--
@@ -1100,7 +963,6 @@ func (s *Scheduler) shedWith(q *query, err error) {
 	s.tenant(q.tenant).cShed.Inc()
 	s.series.Count("shed", 1)
 	s.slo.RecordShed(q.tenant)
-	s.intakeShardOf(q.id).queued.Add(-1)
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("shed", fmt.Sprintf("query %d shed: %v", q.id, err))
 	}
@@ -1148,7 +1010,6 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 	ts := s.tenant(q.tenant)
 	ts.admitted++
 	ts.gRun.Set(int64(ts.admitted))
-	s.intakeShardOf(q.id).queued.Add(-1)
 	wait := q.admitRel - q.submitRel
 	s.hWaitUs.Observe(int64(wait / time.Microsecond))
 	s.series.Count("admitted", 1)

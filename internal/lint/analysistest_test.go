@@ -189,11 +189,6 @@ func TestPoolLifetimeGolden(t *testing.T) {
 	runGolden(t, PoolLifetime, "poollife/pl")
 }
 
-func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, LockOrder,
-		"lockorder/internal/exec", "lockorder/internal/vclock")
-}
-
 func TestPolicyPurityGolden(t *testing.T) {
 	runGolden(t, PolicyPurity, "policypurity/internal/core")
 }

@@ -8,7 +8,7 @@ import (
 // CallGraph indexes the functions declared in one package and resolves
 // static call (and function-value reference) edges between them. It is
 // the shared interprocedural substrate of the suite: obsnoclock,
-// poollifetime, lockorder, policypurity and tracegate all walk it
+// poollifetime, policypurity and tracegate all walk it
 // rather than re-deriving receiver-method resolution per analyzer
 // (DESIGN.md §16). One graph is built lazily per analyzed package and
 // shared across passes.

@@ -15,7 +15,6 @@ var Suite = []*Analyzer{
 	MapOrder,
 	AtomicMix,
 	PoolLifetime,
-	LockOrder,
 	PolicyPurity,
 	TraceGate,
 	AllowAudit,

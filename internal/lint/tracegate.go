@@ -255,3 +255,32 @@ func hasGuardToken(e ast.Expr) bool {
 	})
 	return found
 }
+
+// blockTerminates reports whether control cannot fall out of the end of
+// b: its last statement returns, branches away or panics.
+func blockTerminates(b *ast.BlockStmt) bool {
+	if b == nil || len(b.List) == 0 {
+		return false
+	}
+	return stmtTerminates(b.List[len(b.List)-1])
+}
+
+func stmtTerminates(stmt ast.Stmt) bool {
+	switch s := stmt.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	case *ast.BlockStmt:
+		return blockTerminates(s)
+	case *ast.IfStmt:
+		return blockTerminates(s.Body) && s.Else != nil && stmtTerminates(s.Else)
+	}
+	return false
+}

@@ -40,8 +40,8 @@ const (
 
 // Sample reports whether the query identified by (tenant, qid) is
 // traced. The decision is a pure function of the sampler seed and the
-// identity — no allocation, no state — so it can sit on the sharded
-// submit fast path.
+// identity — no allocation, no state — so it can sit inside the submit
+// fast path's critical section.
 func (s *Sampler) Sample(tenant string, qid int) bool {
 	if s == nil {
 		return true

@@ -413,6 +413,31 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	if !bp.touch(k(2)) {
 		t.Fatal("recent page missed")
 	}
+
+	// Exact global LRU at a larger capacity: victims leave in
+	// least-recent-access order whatever their keys hash to.
+	const n = 16
+	bp = NewBufferPool(n)
+	for p := int64(0); p < n; p++ {
+		bp.touch(k(p))
+	}
+	for p := int64(0); p < n; p += 2 { // refresh the evens: recency is 1,3,..,15,0,2,..,14
+		if !bp.touch(k(p)) {
+			t.Fatalf("page %d missed in a pool that was never over capacity", p)
+		}
+	}
+	victims := []int64{1, 3, 5, 7, 9, 11, 13, 15, 0, 2, 4, 6, 8, 10, 12, 14}
+	for i, v := range victims {
+		bp.touch(k(100 + int64(i))) // evicts v
+		for _, later := range victims[i+1:] {
+			if _, ok := bp.pages[k(later)]; !ok {
+				t.Fatalf("insert %d evicted page %d before its turn (victim should be %d)", i, later, v)
+			}
+		}
+		if _, ok := bp.pages[k(v)]; ok {
+			t.Fatalf("insert %d left LRU victim %d resident", i, v)
+		}
+	}
 }
 
 func TestBufferPoolNegativeCapacity(t *testing.T) {

@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,34 +13,25 @@ import (
 	"xprs/internal/vclock"
 )
 
-// BufferPool tracks page residency with LRU replacement, sharded by
-// page-key hash so parallel scan slaves do not serialize on a single
-// mutex. Page contents always live in the Relation (this is a simulation
-// of IO, not of memory pressure on data); the pool decides whether a
-// read is charged to the disk model. A zero-capacity pool disables
-// caching, which is how the §3 experiments run so that every scan pays
-// its IO.
+// BufferPool tracks page residency under one mutex with exact global LRU
+// replacement. Page contents always live in the Relation (this is a
+// simulation of IO, not of memory pressure on data); the pool decides
+// whether a read is charged to the disk model. A zero-capacity pool
+// disables caching, which is how the §3 experiments run so that every
+// scan pays its IO.
 //
-// Each shard runs an independent LRU over its slice of the capacity,
-// which approximates global LRU under hashing. Small pools stay at one
-// shard so eviction order is exactly global LRU (tests and experiments
-// with tiny capacities depend on that); sharding kicks in only when the
-// per-shard capacity stays meaningful.
+// The LRU is deliberately not striped: which reads hit decides each
+// fragment's IO rate, so the victim order must depend on the access
+// sequence alone — never on the host's GOMAXPROCS, which a per-stripe
+// LRU sized from it would leak into virtual time (DESIGN.md §6).
 type BufferPool struct {
-	shards []poolShard
-	mask   uint64
+	cap int // immutable after NewBufferPool
 
-	hits, misses atomic.Int64
-}
-
-// poolShard is one independently locked LRU. The trailing pad keeps
-// adjacent shards off one cache line.
-type poolShard struct {
 	mu    sync.Mutex
-	cap   int
 	lru   *list.List // front = most recent; values are pageKey
 	pages map[pageKey]*list.Element
-	_     [64]byte
+
+	hits, misses atomic.Int64
 }
 
 type pageKey struct {
@@ -49,82 +39,40 @@ type pageKey struct {
 	page int64
 }
 
-// minShardCapacity is the smallest per-shard capacity worth splitting
-// into: below it, hash imbalance would make eviction behavior diverge
-// too far from global LRU.
-const minShardCapacity = 8
-
-// poolShardCount picks the shard count: the largest power of two that
-// is at most GOMAXPROCS and leaves every shard at least
-// minShardCapacity pages.
-func poolShardCount(capacity int) int {
-	n := 1
-	for n*2 <= runtime.GOMAXPROCS(0) && capacity/(n*2) >= minShardCapacity {
-		n *= 2
-	}
-	return n
-}
-
 // NewBufferPool creates a pool holding up to capacity pages.
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	n := 1
-	if capacity > 0 {
-		n = poolShardCount(capacity)
-	}
-	bp := &BufferPool{shards: make([]poolShard, n), mask: uint64(n - 1)}
-	for i := range bp.shards {
-		sh := &bp.shards[i]
-		sh.cap = capacity / n
-		if i < capacity%n {
-			sh.cap++
-		}
-		sh.lru = list.New()
-		sh.pages = make(map[pageKey]*list.Element)
-	}
-	return bp
-}
-
-// hash mixes a page key into a shard index (splitmix64-style finalizer;
-// rel and page alone are both sequential, so raw bits would pile onto a
-// few shards).
-func (k pageKey) hash() uint64 {
-	x := uint64(k.page)*0x9E3779B97F4A7C15 ^ uint64(uint32(k.rel))*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return &BufferPool{cap: capacity, lru: list.New(), pages: make(map[pageKey]*list.Element)}
 }
 
 // touch records an access; it returns true on a hit.
 func (bp *BufferPool) touch(k pageKey) bool {
-	sh := &bp.shards[k.hash()&bp.mask]
-	if sh.cap == 0 {
+	if bp.cap == 0 {
 		// Caching disabled: count the miss without taking any lock.
 		bp.misses.Add(1)
 		return false
 	}
-	sh.mu.Lock()
-	if el, ok := sh.pages[k]; ok {
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+	bp.mu.Lock()
+	if el, ok := bp.pages[k]; ok {
+		bp.lru.MoveToFront(el)
+		bp.mu.Unlock()
 		bp.hits.Add(1)
 		return true
 	}
-	if sh.lru.Len() >= sh.cap {
+	if bp.lru.Len() >= bp.cap {
 		// Recycle the evicted element so steady-state misses allocate
 		// nothing.
-		el := sh.lru.Back()
-		delete(sh.pages, el.Value.(pageKey))
+		el := bp.lru.Back()
+		delete(bp.pages, el.Value.(pageKey))
 		el.Value = k
-		sh.lru.MoveToFront(el)
-		sh.pages[k] = el
+		bp.lru.MoveToFront(el)
+		bp.pages[k] = el
 	} else {
-		sh.pages[k] = sh.lru.PushFront(k)
+		bp.pages[k] = bp.lru.PushFront(k)
 	}
-	sh.mu.Unlock()
+	bp.mu.Unlock()
 	bp.misses.Add(1)
 	return false
 }
@@ -151,13 +99,10 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
 
 // Invalidate drops all cached residency (e.g. between experiments).
 func (bp *BufferPool) Invalidate() {
-	for i := range bp.shards {
-		sh := &bp.shards[i]
-		sh.mu.Lock()
-		sh.lru.Init()
-		sh.pages = make(map[pageKey]*list.Element)
-		sh.mu.Unlock()
-	}
+	bp.mu.Lock()
+	bp.lru.Init()
+	bp.pages = make(map[pageKey]*list.Element)
+	bp.mu.Unlock()
 }
 
 // Store is the shared storage manager: the catalog of relations plus the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -110,7 +111,7 @@ func TestBurstyArrivals(t *testing.T) {
 
 // openLoopRun is one fully self-contained serving session for tests:
 // its own virtual clock, store, engine, catalog, and scheduler.
-func openLoopRun(t *testing.T, shards int, adm exec.AdmissionConfig, sessions int, rate float64) *ServeStats {
+func openLoopRun(t *testing.T, adm exec.AdmissionConfig, sessions int, rate float64) *ServeStats {
 	t.Helper()
 	v := vclock.NewVirtual()
 	disks := diskmodel.New(v, diskmodel.DefaultConfig())
@@ -121,7 +122,6 @@ func openLoopRun(t *testing.T, shards int, adm exec.AdmissionConfig, sessions in
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm.IntakeShards = shards
 	var stats *ServeStats
 	v.Run(func() {
 		sched := exec.NewScheduler(eng, core.InterAdj, core.Options{}, adm)
@@ -135,7 +135,7 @@ func openLoopRun(t *testing.T, shards int, adm exec.AdmissionConfig, sessions in
 }
 
 func TestRunOpenLoopSmoke(t *testing.T) {
-	stats := openLoopRun(t, 0, exec.AdmissionConfig{}, 40, 2)
+	stats := openLoopRun(t, exec.AdmissionConfig{}, 40, 2)
 	if stats.Submitted != 40 || stats.Completed != 40 || stats.Shed != 0 {
 		t.Fatalf("stats %+v", stats)
 	}
@@ -146,18 +146,19 @@ func TestRunOpenLoopSmoke(t *testing.T) {
 
 // TestRunOpenLoopDeterministic is the serving determinism invariant:
 // identical seeds give byte-identical virtual stats run to run, and the
-// intake shard count — including the serial-intake ablation at 1 — is
-// result-transparent.
+// host's GOMAXPROCS is result-transparent.
 func TestRunOpenLoopDeterministic(t *testing.T) {
-	base := openLoopRun(t, 0, exec.AdmissionConfig{}, 60, 4)
-	again := openLoopRun(t, 0, exec.AdmissionConfig{}, 60, 4)
+	base := openLoopRun(t, exec.AdmissionConfig{}, 60, 4)
+	again := openLoopRun(t, exec.AdmissionConfig{}, 60, 4)
 	if !reflect.DeepEqual(base, again) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", base, again)
 	}
-	serial := openLoopRun(t, 1, exec.AdmissionConfig{}, 60, 4)
-	wide := openLoopRun(t, 16, exec.AdmissionConfig{}, 60, 4)
-	if !reflect.DeepEqual(base, serial) || !reflect.DeepEqual(base, wide) {
-		t.Fatalf("shard count visible in results:\nauto:   %+v\nserial: %+v\nwide:   %+v", base, serial, wide)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := openLoopRun(t, exec.AdmissionConfig{}, 60, 4); !reflect.DeepEqual(base, got) {
+			t.Fatalf("GOMAXPROCS %d visible in results:\nbase: %+v\ngot:  %+v", procs, base, got)
+		}
 	}
 }
 
@@ -166,7 +167,7 @@ func TestRunOpenLoopDeterministic(t *testing.T) {
 // session survives to serve the full arrival schedule.
 func TestRunOpenLoopSheds(t *testing.T) {
 	adm := exec.AdmissionConfig{MaxQueries: 2, MaxQueued: 3}
-	stats := openLoopRun(t, 0, adm, 80, 50)
+	stats := openLoopRun(t, adm, 80, 50)
 	if stats.Submitted != 80 {
 		t.Fatalf("submitted %d", stats.Submitted)
 	}

@@ -78,10 +78,10 @@ func (o ServeOptions) withDefaults() ServeOptions {
 // RunServe builds the tenant catalog on a fresh system and drives the
 // open-loop arrival schedule through one scheduler session. All
 // reported statistics are virtual time, so for a fixed cfg and options
-// the result is byte-identical at any GOMAXPROCS and any intake shard
-// count — including with Config.Observe on, with or without trace
-// sampling (Admission.TraceSampleOneIn): instrumentation is invisible
-// in the stats.
+// the result is byte-identical at any GOMAXPROCS — including with
+// Config.Observe on, with or without trace sampling
+// (Admission.TraceSampleOneIn): instrumentation is invisible in the
+// stats.
 func RunServe(cfg Config, o ServeOptions) (*ServeStats, error) {
 	stats, _, err := RunServeSystem(cfg, o)
 	return stats, err

@@ -1,6 +1,6 @@
 package xprs
 
-// Serving-path tests: concurrent submission through the sharded intake,
+// Serving-path tests: concurrent submission through the intake lock,
 // load shedding at the backpressure threshold, per-tenant fair-share
 // admission, and determinism of the open-loop harness.
 
@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// TestConcurrentSubmitRace hammers the sharded intake from many
+// TestConcurrentSubmitRace hammers the intake from many
 // clock-registered goroutines at the same virtual instant. Run under
 // -race (the race matrix covers GOMAXPROCS 1 and 4) it exercises the
-// shard locks, the doorbell counter, and handle settling cross-thread;
+// intake lock, the doorbell, and handle settling cross-thread;
 // functionally it checks that every submission gets a distinct query ID
 // and a clean report.
 func TestConcurrentSubmitRace(t *testing.T) {

@@ -1,49 +1,25 @@
 package xprs
 
 // The wall-clock serving benchmark behind `xprsbench -fig serve` and
-// BENCH_serve.json. Two measurements:
-//
-//   - The grid: the open-loop serving harness (serve.go) at several
-//     session counts, repeated at several GOMAXPROCS values. The
-//     virtual statistics must come out byte-identical at every
-//     GOMAXPROCS — MeasureServe fails if they do not — while the wall
-//     clock shows how fast the host chews through the same virtual
-//     schedule.
-//
-//   - The intake ablation: a Real-clock microbenchmark of the
-//     Submit→admission fast path alone (degenerate empty queries, so no
-//     fragment ever executes), with parallel submitters, sharded intake
-//     versus the serial single-shard configuration. This isolates the
-//     sharding win: Submit throughput should scale with GOMAXPROCS,
-//     which is the PR's regression gate (>1.5× at 4 procs vs 1).
+// BENCH_serve.json: the open-loop serving harness (serve.go) at several
+// session counts, repeated at several GOMAXPROCS values. The virtual
+// statistics must come out byte-identical at every GOMAXPROCS —
+// MeasureServe fails if they do not — while the wall clock shows how
+// fast the host chews through the same virtual schedule.
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"time"
-
-	"xprs/internal/core"
-	"xprs/internal/cost"
-	"xprs/internal/diskmodel"
-	"xprs/internal/exec"
-	"xprs/internal/storage"
-	"xprs/internal/vclock"
 )
 
 // ServeBenchOptions sizes MeasureServe.
 type ServeBenchOptions struct {
 	// SessionCounts are the grid's session counts (default 1k/10k/100k).
 	SessionCounts []int
-	// Procs are the GOMAXPROCS values for both the grid and the
-	// ablation (default 1/4/8).
+	// Procs are the grid's GOMAXPROCS values (default 1/4/8).
 	Procs []int
-	// IntakeOps is the number of Submits per intake measurement
-	// (default 60000); IntakeRounds repeats each measurement and keeps
-	// the best round (default 3).
-	IntakeOps    int
-	IntakeRounds int
 }
 
 func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
@@ -52,12 +28,6 @@ func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
 	}
 	if len(o.Procs) == 0 {
 		o.Procs = []int{1, 4, 8}
-	}
-	if o.IntakeOps <= 0 {
-		o.IntakeOps = 60000
-	}
-	if o.IntakeRounds <= 0 {
-		o.IntakeRounds = 3
 	}
 	return o
 }
@@ -71,17 +41,12 @@ type ServeGridRow struct {
 	// drives the whole virtual serving schedule.
 	WallQPS float64 `json:"wall_qps"`
 	// Stats are the run's virtual-time statistics — identical across
-	// every Procs value by construction.
-	Stats *ServeStats `json:"stats"`
-}
-
-// IntakeRow is one intake-microbenchmark measurement.
-type IntakeRow struct {
-	Procs   int     `json:"gomaxprocs"`
-	Shards  int     `json:"intake_shards"`
-	Serial  bool    `json:"serial_intake"`
-	NsPerOp float64 `json:"ns_per_op"`
-	QPS     float64 `json:"submits_per_sec"`
+	// every Procs value by construction, so only the first Procs row of
+	// each session count carries them; the others carry StatsMatch, the
+	// DeepEqual cross-check against that row (MeasureServe fails rather
+	// than emit false).
+	Stats      *ServeStats `json:"stats,omitempty"`
+	StatsMatch bool        `json:"stats_match,omitempty"`
 }
 
 // ServeBenchResult is the BENCH_serve.json payload.
@@ -90,8 +55,7 @@ type ServeBenchResult struct {
 	Procs         []int `json:"gomaxprocs"`
 	// HostCPUs is runtime.NumCPU() on the measuring host. GOMAXPROCS
 	// values above it cannot show wall-clock scaling — on a single-CPU
-	// host the speedup field is capped at ~1.0 by physics, and the
-	// like-for-like comparison is sharded vs serial at equal procs.
+	// host the wall numbers are flat by physics.
 	HostCPUs int `json:"host_cpus"`
 	// Serving workload shape (echoed ServeOptions).
 	Tenants    int     `json:"tenants"`
@@ -101,15 +65,11 @@ type ServeBenchResult struct {
 	TenantMax  int     `json:"admission_tenant_max_queries"`
 	MaxQueued  int     `json:"admission_max_queued"`
 
-	Grid   []ServeGridRow `json:"grid"`
-	Intake []IntakeRow    `json:"intake_ablation"`
+	Grid []ServeGridRow `json:"grid"`
 	// PolicyAblation compares the admission policies (fifo,
 	// predicted-SJF with and without aging, deadline) on the shared
 	// skewed long/short mix — all in virtual time; see RunPolicyAblation.
 	PolicyAblation *PolicyAblation `json:"policy_ablation"`
-	// IntakeSpeedup4 is sharded-intake Submit throughput at GOMAXPROCS
-	// 4 over GOMAXPROCS 1 — the PR's scaling gate (want > 1.5).
-	IntakeSpeedup4 float64 `json:"intake_speedup_p4_vs_p1"`
 	// Observed is the sampled-tracing ablation: the largest grid run
 	// repeated with the observer on, a bounded span store and 1-in-N
 	// head sampling. StatsMatch asserts its virtual stats are
@@ -159,8 +119,8 @@ func serveBenchOpts(sessions int) ServeOptions {
 	}
 }
 
-// MeasureServe runs the serving grid and the intake ablation and
-// reports the BENCH_serve.json payload. It temporarily adjusts
+// MeasureServe runs the serving grid, the observed-run ablation and the
+// admission-policy ablation, and reports the BENCH_serve.json payload. It temporarily adjusts
 // GOMAXPROCS; the prior value is restored before returning.
 //
 //lint:allow vclockpurity — host-timing serving benchmark
@@ -192,20 +152,23 @@ func MeasureServe(cfg Config, o ServeBenchOptions) (*ServeBenchResult, error) {
 				return nil, fmt.Errorf("serve %d sessions at %d procs: %w", n, procs, err)
 			}
 			wall := time.Since(start)
-			if base == nil {
-				base = stats
-			} else if !reflect.DeepEqual(base, stats) {
-				return nil, fmt.Errorf(
-					"determinism violation: %d-session stats at GOMAXPROCS %d differ from GOMAXPROCS %d",
-					n, procs, o.Procs[0])
-			}
-			res.Grid = append(res.Grid, ServeGridRow{
+			row := ServeGridRow{
 				Sessions: n,
 				Procs:    procs,
 				WallMs:   float64(wall.Nanoseconds()) / 1e6,
 				WallQPS:  float64(n) / wall.Seconds(),
-				Stats:    stats,
-			})
+			}
+			switch {
+			case base == nil:
+				base, row.Stats = stats, stats
+			case reflect.DeepEqual(base, stats):
+				row.StatsMatch = true
+			default:
+				return nil, fmt.Errorf(
+					"determinism violation: %d-session stats at GOMAXPROCS %d differ from GOMAXPROCS %d",
+					n, procs, o.Procs[0])
+			}
+			res.Grid = append(res.Grid, row)
 		}
 	}
 
@@ -248,32 +211,6 @@ func MeasureServe(cfg Config, o ServeBenchOptions) (*ServeBenchResult, error) {
 		}
 	}
 
-	var qps1, qps4 float64
-	for _, procs := range o.Procs {
-		for _, serial := range []bool{false, true} {
-			shards := 0
-			if serial {
-				shards = 1
-			}
-			row, err := measureIntake(procs, shards, o.IntakeOps, o.IntakeRounds)
-			if err != nil {
-				return nil, err
-			}
-			res.Intake = append(res.Intake, row)
-			if !serial {
-				switch procs {
-				case 1:
-					qps1 = row.QPS
-				case 4:
-					qps4 = row.QPS
-				}
-			}
-		}
-	}
-	if qps1 > 0 && qps4 > 0 {
-		res.IntakeSpeedup4 = qps4 / qps1
-	}
-
 	// Admission-policy ablation: virtual-time rows, so GOMAXPROCS is
 	// irrelevant; run at the host default.
 	runtime.GOMAXPROCS(prev)
@@ -283,87 +220,4 @@ func MeasureServe(cfg Config, o ServeBenchOptions) (*ServeBenchResult, error) {
 	}
 	res.PolicyAblation = abl
 	return res, nil
-}
-
-// intakeSession builds a Real-clock engine and scheduler for the intake
-// microbenchmark. Nothing in the session ever executes a fragment —
-// the benchmark submits degenerate empty queries — so the store stays
-// empty and the disk model idle.
-func intakeSession(procs, shards int) (*exec.Scheduler, func() error) {
-	clk := vclock.NewReal(1)
-	dcfg := diskmodel.DefaultConfig()
-	disks := diskmodel.New(clk, dcfg)
-	st := storage.NewStore(clk, disks, 0)
-	eng := exec.New(clk, st, cost.DefaultParams(dcfg, procs))
-	sched := exec.NewScheduler(eng, core.InterAdj, core.Options{}, exec.AdmissionConfig{IntakeShards: shards})
-	return sched, sched.Drain
-}
-
-// measureIntake times ops Submits of empty queries through the
-// scheduler's fast path. Above one proc, one proc is left to the
-// master loop — the serial decision maker — and the rest run submitter
-// goroutines. Each submitter waits on its latest handle every 64 ops:
-// the master settles queries in intake order, so a settled recent
-// handle bounds the global number of outstanding queries without
-// rendezvousing every op.
-//
-//lint:allow vclockpurity — host-timing intake microbenchmark
-func measureIntake(procs, shards, ops, rounds int) (IntakeRow, error) {
-	runtime.GOMAXPROCS(procs)
-	row := IntakeRow{Procs: procs, Shards: shards, Serial: shards == 1}
-	workers := procs - 1
-	if workers < 1 {
-		workers = 1
-	}
-	best := time.Duration(1 << 62)
-	for r := 0; r < rounds; r++ {
-		sched, drain := intakeSession(procs, shards)
-		per := ops / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var last *exec.QueryHandle
-				for i := 0; i < per; i++ {
-					h, err := sched.Submit(nil)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					last = h
-					if i%64 == 63 {
-						if _, err := last.Wait(); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-				if last != nil {
-					if _, err := last.Wait(); err != nil {
-						errs[w] = err
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if err := drain(); err != nil {
-			return row, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return row, fmt.Errorf("intake bench (%d procs, %d shards): %w", procs, shards, err)
-			}
-		}
-		if elapsed < best {
-			best = elapsed
-		}
-	}
-	n := (ops / workers) * workers // what the workers actually submitted
-	row.NsPerOp = float64(best.Nanoseconds()) / float64(n)
-	row.QPS = float64(n) / best.Seconds()
-	return row, nil
 }

@@ -2,6 +2,8 @@ package xprs
 
 import (
 	"maps"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +86,70 @@ func TestSubmitMatchesBatch(t *testing.T) {
 		}
 		if makespan != brep.Elapsed {
 			t.Fatalf("procs=%d: online makespan %v != batch elapsed %v", procs, makespan, brep.Elapsed)
+		}
+	}
+}
+
+// TestBufferPoolGOMAXPROCSInvariant pins that a pooled run's virtual
+// time is a function of the plan and the data, never of the host: which
+// reads hit the buffer pool decides a fragment's IO rate, so the pool's
+// victim order must not depend on GOMAXPROCS. An unclustered index range
+// scan over a relation larger than the pool, repeated so later runs
+// depend on what earlier ones left resident, must report identical
+// Elapsed, Finish and pool hit/miss counts at every setting.
+func TestBufferPoolGOMAXPROCSInvariant(t *testing.T) {
+	const nRows, poolPages, runs = 8000, 64, 3
+	type outcome struct {
+		elapsed      [runs]time.Duration
+		finish       [runs]time.Duration
+		hits, misses int64
+	}
+	rows := make([]struct {
+		A int32
+		B string
+	}, nRows)
+	for i, k := range rand.New(rand.NewSource(1992)).Perm(nRows) {
+		rows[i].A = int32(k)
+		rows[i].B = strings.Repeat("x", 60)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var base outcome
+	for i, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		cfg.BufferPoolPages = poolPages
+		sys := New(cfg)
+		rel, err := sys.LoadRelation("r", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.NPages() <= poolPages {
+			t.Fatalf("relation has %d pages; the test needs more than the %d-page pool", rel.NPages(), poolPages)
+		}
+		ix, err := sys.BuildIndex("r", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sys.IndexSelectTask(0, ix, 2000, 2000+nRows/10-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got outcome
+		for r := 0; r < runs; r++ {
+			rep, err := sys.Run([]TaskSpec{spec}, InterAdj, SchedOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.elapsed[r], got.finish[r] = rep.Elapsed, rep.Finish[0]
+		}
+		got.hits, got.misses = sys.Store().Pool.Stats()
+		if got.hits == 0 || got.misses == 0 {
+			t.Fatalf("GOMAXPROCS %d: pool hits/misses %d/%d; the scan must both hit and evict", procs, got.hits, got.misses)
+		}
+		if i == 0 {
+			base = got
+		} else if got != base {
+			t.Fatalf("GOMAXPROCS %d visible in a pooled run:\nGOMAXPROCS 1: %+v\nGOMAXPROCS %d: %+v", procs, base, procs, got)
 		}
 	}
 }
