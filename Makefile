@@ -32,10 +32,10 @@ lint: vet
 	$(GO) build -o /tmp/xprsvet ./cmd/xprsvet
 	$(GO) vet -vettool=/tmp/xprsvet ./...
 
+# The one wall-clock measurement system: five workloads, nine bounded
+# end-to-end metrics, an oracle on every op (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineThroughput|BenchmarkBufferPoolParallel' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerSubmit' -benchmem ./internal/exec
-	$(GO) run ./cmd/xprsbench -fig pipeline
+	bash bench/run.sh
 
 # The nested benchmark module (bench/, its own go.mod) is invisible to
 # the root `go build ./...`; its tests are what catch a root API change

@@ -12,6 +12,7 @@ package xprs
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -253,31 +254,59 @@ func shortPolicy(p Policy) string {
 	}
 }
 
+// The canonical pipeline query: bl (30 000 probe rows) joined to br
+// (5 000 build rows) on keys i mod 9 000 and aggregated — scan, filter,
+// hash build, hash probe and two-phase aggregation, the full batch hot
+// path. bench/'s join_agg workload runs the same SQL on the same shapes.
+const (
+	pipelineLeftRows  = 30000
+	pipelineRightRows = 5000
+	pipelineSQL       = "select bl.a, count(*) from bl, br where bl.a = br.a and bl.a between 0 and 4499 group by bl.a"
+)
+
+// newPipelineRun loads bl and br into a fresh system and returns a
+// function that executes the canonical query once. It is shared by
+// BenchmarkPipelineThroughput and TestPipelineAllocGate.
+func newPipelineRun(tb testing.TB) func() {
+	tb.Helper()
+	s := New(DefaultConfig())
+	load := func(name, prefix string, n int) {
+		rows := make([]struct {
+			A int32
+			B string
+		}, n)
+		for i := range rows {
+			rows[i].A = int32(i) % 9000
+			rows[i].B = fmt.Sprintf("%s-%05d", prefix, i)
+		}
+		if _, err := s.LoadRelation(name, rows); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	load("bl", "probe", pipelineLeftRows)
+	load("br", "build", pipelineRightRows)
+	return func() {
+		if _, _, err := s.ExecSQL(pipelineSQL, InterAdj); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipelineThroughput prices the executor hot path itself: one
 // scan -> hash-join -> aggregate query over 35k tuples. Wall-clock
 // ns/op and allocs/op here measure the pipeline interpreter, the
-// quantity the batch-at-a-time executor optimizes; BENCH_pipeline.json
-// (xprsbench -fig pipeline) tracks the same numbers across PRs.
+// quantity the batch-at-a-time executor optimizes; for numbers that are
+// comparable across commits use bench/'s join_agg workload.
 func BenchmarkPipelineThroughput(b *testing.B) {
-	s, err := NewPipelineBenchSystem(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	run := newPipelineRun(b)
 	// Warm-up run so one-time setup is off the clock.
-	if _, _, err := RunPipelineBenchQuery(s); err != nil {
-		b.Fatal(err)
-	}
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var tuples int64
 	for i := 0; i < b.N; i++ {
-		n, _, err := RunPipelineBenchQuery(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuples += n
+		run()
 	}
-	b.ReportMetric(float64(tuples)/b.Elapsed().Seconds(), "tuples/s")
+	b.ReportMetric(float64(b.N)*(pipelineLeftRows+pipelineRightRows)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 // pipelineAllocBudget is the CI allocation gate for the executor hot
@@ -295,15 +324,21 @@ func TestPipelineAllocGate(t *testing.T) {
 	if os.Getenv("XPRS_ALLOC_GATE") == "" {
 		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
 	}
-	res, err := MeasurePipeline(DefaultConfig(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("pipeline: %.1f allocs/op, %.0f B/op, %.0f ns/op (budget %d allocs/op)",
-		res.AllocsPerOp, res.BytesPerOp, res.NsPerOp, pipelineAllocBudget)
-	if res.AllocsPerOp > pipelineAllocBudget {
+	run := newPipelineRun(t)
+	// Warm up after the GC, not before: the collector tears down pool
+	// contents, so a pre-GC warm-up would leave the first measured op
+	// re-filling every batch and session pool and the alloc figure
+	// would track pool construction instead of the steady-state path.
+	runtime.GC()
+	run()
+	// 30 runs: enough ops that a stray mid-run GC emptying a sync.Pool
+	// does not dominate allocs/op. AllocsPerRun pins GOMAXPROCS to 1
+	// while it measures, as bench/ does.
+	allocs := testing.AllocsPerRun(30, run)
+	t.Logf("pipeline: %.1f allocs/op (budget %d allocs/op)", allocs, pipelineAllocBudget)
+	if allocs > pipelineAllocBudget {
 		t.Fatalf("pipeline hot path allocates %.1f allocs/op, budget is %d — an allocation regression crept into the executor",
-			res.AllocsPerOp, pipelineAllocBudget)
+			allocs, pipelineAllocBudget)
 	}
 }
 

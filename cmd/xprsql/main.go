@@ -21,6 +21,11 @@
 // selection-vector density (the fraction of scanned rows that survive
 // residual predicate chains). The -row flag forces the executor onto
 // row-at-a-time batches for comparison.
+//
+// The -trace FILE flag writes a Chrome trace-event JSON (load it at
+// ui.perfetto.dev) of everything the statements ran — query, fragment,
+// slave, IO and scheduler-decision spans in virtual time — once they
+// have finished.
 package main
 
 import (
@@ -37,6 +42,7 @@ import (
 
 func main() {
 	rowMode := flag.Bool("row", false, "force row-at-a-time batches (default columnar)")
+	trace := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the executed statements to this file")
 	flag.Parse()
 	cfg := xprs.DefaultConfig()
 	cfg.Observe = true // enables EXPLAIN ANALYZE metrics; results unchanged
@@ -57,12 +63,22 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		return
+	} else {
+		prompt(sys)
 	}
+	if *trace != "" {
+		if err := writeTrace(sys, *trace); err != nil {
+			fmt.Fprintln(os.Stderr, "xprsql:", err)
+			os.Exit(1)
+		}
+	}
+}
 
+// prompt runs the interactive read-eval-print loop until EOF or quit.
+func prompt(sys *xprs.System) {
 	fmt.Println("xprsql — tables: orders(a,b) [indexed], items(a,b), customers(a,b)")
 	fmt.Println(`try: select * from orders, items where orders.a = items.a and orders.a < 50`)
-	fmt.Println(`     select items.a, count(*) from items group by a`)
+	fmt.Println(`     select items.a, count(*) from items group by items.a`)
 	fmt.Println(`     explain analyze select * from customers, items where customers.a = items.a`)
 	fmt.Println(`     batches select * from orders, items where orders.a = items.a and items.a < 500`)
 	sc := bufio.NewScanner(os.Stdin)
@@ -81,6 +97,19 @@ func main() {
 		}
 		fmt.Print("xprs> ")
 	}
+}
+
+// writeTrace exports the observer's spans as Chrome trace-event JSON.
+func writeTrace(sys *xprs.System, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := sys.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func loadDemo(sys *xprs.System) error {

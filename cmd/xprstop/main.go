@@ -1,22 +1,19 @@
 // Command xprstop renders the serving telemetry — the windowed
 // timeline and the per-tenant SLO table — the way top renders a
-// process table. It reads the exported BENCH_serve.json by default, or
-// drives a fresh live serving run with -run.
+// process table. It drives a fresh live serving run and renders it.
 //
 // Usage:
 //
-//	xprstop                          # render BENCH_serve.json
-//	xprstop -in other.json           # render another export
-//	xprstop -run -sessions 5000      # drive a live run and render it
-//	xprstop -run -ops :8089          # ...then serve /metrics and pprof
+//	xprstop                     # drive the default 2000-session run
+//	xprstop -sessions 5000      # ...a larger one
+//	xprstop -ops :8089          # ...then serve /metrics and pprof
 //
-// With -run the system is built observed (sampled tracing under a
-// bounded span budget), so -ops can expose the OpenMetrics registry
-// and the Go profiles of the process afterwards.
+// The system is built observed (sampled tracing under a bounded span
+// budget), so -ops can expose the OpenMetrics registry and the Go
+// profiles of the process afterwards.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,107 +24,60 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "BENCH_serve.json", "exported serving benchmark to render")
-	run := flag.Bool("run", false, "drive a fresh live serving run instead of reading -in")
-	sessions := flag.Int("sessions", 2000, "sessions for -run")
-	tenants := flag.Int("tenants", 6, "tenants for -run")
-	rate := flag.Float64("rate", 6, "arrival rate (queries per virtual second) for -run")
-	seed := flag.Int64("seed", 1992, "seed for -run")
-	sloMs := flag.Int("slo", 2000, "per-tenant response SLO target in milliseconds for -run (0 = none)")
-	sample := flag.Int("sample", 16, "trace 1 in N queries for -run (<=1 = all)")
-	budget := flag.Int("budget", 4096, "span-store budget for -run (0 = unbounded)")
+	sessions := flag.Int("sessions", 2000, "sessions to serve")
+	tenants := flag.Int("tenants", 6, "tenants")
+	rate := flag.Float64("rate", 6, "arrival rate (queries per virtual second)")
+	seed := flag.Int64("seed", 1992, "workload seed")
+	sloMs := flag.Int("slo", 2000, "per-tenant response SLO target in milliseconds (0 = none)")
+	sample := flag.Int("sample", 16, "trace 1 in N queries (<=1 = all)")
+	budget := flag.Int("budget", 4096, "span-store budget (0 = unbounded)")
 	windows := flag.Int("windows", 0, "max timeline rows to print (0 = all)")
-	ops := flag.String("ops", "", "after -run, serve /metrics (OpenMetrics) and /debug/pprof on this address until interrupted")
+	ops := flag.String("ops", "", "after the run, serve /metrics (OpenMetrics) and /debug/pprof on this address until interrupted")
 	flag.Parse()
 
-	if err := realMain(*in, *run, *sessions, *tenants, *rate, *seed, *sloMs, *sample, *budget, *windows, *ops); err != nil {
+	if err := realMain(*sessions, *tenants, *rate, *seed, *sloMs, *sample, *budget, *windows, *ops); err != nil {
 		fmt.Fprintf(os.Stderr, "xprstop: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(in string, run bool, sessions, tenants int, rate float64, seed int64, sloMs, sample, budget, windows int, ops string) error {
-	var stats *xprs.ServeStats
-	var abl *xprs.PolicyAblation
-	var title string
-
-	if run {
-		cfg := xprs.DefaultConfig()
-		cfg.Observe = true
-		cfg.TraceBudget = budget
-		opts := xprs.ServeOptions{
-			Sessions: sessions,
-			Tenants:  tenants,
-			Rate:     rate,
-			Seed:     seed,
-			Adm: xprs.Admission{
-				MaxQueries:       16,
-				TenantMaxQueries: 8,
-				MaxQueued:        1000,
-				SLOTarget:        time.Duration(sloMs) * time.Millisecond,
-				TraceSampleOneIn: sample,
-			},
-		}
-		st, sys, err := xprs.RunServeSystem(cfg, opts)
-		if err != nil {
-			return err
-		}
-		stats = st
-		title = fmt.Sprintf("live run: %d sessions, %d tenants, %.1f q/s (seed %d)",
-			sessions, tenants, rate, seed)
-		tr := sys.Observer().Trace
-		defer func() {
-			fmt.Printf("\nspans: %d kept, %d dropped (1-in-%d sampling, budget %d)\n",
-				tr.Len(), tr.Dropped(), sample, budget)
-			if ops != "" {
-				fmt.Printf("ops surface on %s (/metrics, /healthz, /debug/pprof) — ctrl-C to stop\n", ops)
-				if err := sys.ServeOps(ops); err != nil {
-					fmt.Fprintf(os.Stderr, "xprstop: ops listener: %v\n", err)
-				}
-			}
-		}()
-	} else {
-		data, err := os.ReadFile(in)
-		if err != nil {
-			return err
-		}
-		var res xprs.ServeBenchResult
-		if err := json.Unmarshal(data, &res); err != nil {
-			return fmt.Errorf("%s: %w", in, err)
-		}
-		if len(res.Grid) == 0 {
-			return fmt.Errorf("%s: no serving grid rows", in)
-		}
-		// The grid repeats each session count per GOMAXPROCS; only the
-		// first row of each carries the (identical) stats. Render the
-		// largest run: the last row that has them.
-		var row xprs.ServeGridRow
-		for _, r := range res.Grid {
-			if r.Stats != nil {
-				row = r
-			}
-		}
-		if row.Stats == nil {
-			return fmt.Errorf("%s: no grid row carries stats", in)
-		}
-		stats = row.Stats
-		abl = res.PolicyAblation
-		title = fmt.Sprintf("%s: %d sessions, %d tenants, %.1f q/s",
-			in, row.Sessions, res.Tenants, res.Rate)
-		if ob := res.Observed; ob != nil {
-			defer fmt.Printf("\nobserved ablation: %d sessions, 1-in-%d sampling, %d/%d spans kept (%d dropped), stats match: %v\n",
-				ob.Sessions, ob.SampleOneIn, ob.SpansKept, ob.SpanBudget, ob.SpansDropped, ob.StatsMatch)
-		}
+func realMain(sessions, tenants int, rate float64, seed int64, sloMs, sample, budget, windows int, ops string) error {
+	cfg := xprs.DefaultConfig()
+	cfg.Observe = true
+	cfg.TraceBudget = budget
+	opts := xprs.ServeOptions{
+		Sessions: sessions,
+		Tenants:  tenants,
+		Rate:     rate,
+		Seed:     seed,
+		Adm: xprs.Admission{
+			MaxQueries:       16,
+			TenantMaxQueries: 8,
+			MaxQueued:        1000,
+			SLOTarget:        time.Duration(sloMs) * time.Millisecond,
+			TraceSampleOneIn: sample,
+		},
+	}
+	stats, sys, err := xprs.RunServeSystem(cfg, opts)
+	if err != nil {
+		return err
 	}
 
-	fmt.Println(title)
+	fmt.Printf("live run: %d sessions, %d tenants, %.1f q/s (seed %d)\n",
+		sessions, tenants, rate, seed)
 	fmt.Printf("completed %d  shed %d  throughput %.2f q/s  makespan %.1fs\n\n",
 		stats.Completed, stats.Shed, stats.Throughput, stats.Makespan.Seconds())
 	renderTimeline(stats.Timeline, windows)
 	renderTenants(stats.TenantSLO)
-	if abl != nil {
-		fmt.Println()
-		fmt.Print(xprs.FormatPolicyAblation(abl))
+
+	tr := sys.Observer().Trace
+	fmt.Printf("\nspans: %d kept, %d dropped (1-in-%d sampling, budget %d)\n",
+		tr.Len(), tr.Dropped(), sample, budget)
+	if ops != "" {
+		fmt.Printf("ops surface on %s (/metrics, /healthz, /debug/pprof) — ctrl-C to stop\n", ops)
+		if err := sys.ServeOps(ops); err != nil {
+			return fmt.Errorf("ops listener: %w", err)
+		}
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 
 // Wall-clock microbenchmarks for the executor kernels, on the pipeline
 // benchmark's data shape (5 000-row build side, 30 000-row probe side,
-// keys i mod 9 000). `xprsbench -fig join` measures the same kernels
-// against replicas of their predecessors; these benchmarks track the
-// kernels alone so `go test -bench` catches regressions in isolation.
+// keys i mod 9 000). They track the kernels alone so `go test -bench`
+// catches regressions in isolation; bench/'s exec.*_ns_per_tuple probes
+// are the numbers comparable across commits.
 
 const (
 	benchBuildRows = 5000

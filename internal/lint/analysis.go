@@ -9,8 +9,9 @@
 // Suppression: a finding is dropped when the offending line, the line
 // above it, or the doc comment of the enclosing function declaration
 // carries `//lint:allow <analyzer>`. The escape is for code that is
-// deliberately host-timed (benchmark calibration such as joinbench.go)
-// — never for engine code on the virtual clock.
+// deliberately host-timed — never for engine code on the virtual
+// clock. Nothing in the module uses it today: host-timed benchmarks
+// live in the separate bench/ module.
 package lint
 
 import (

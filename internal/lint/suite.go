@@ -34,8 +34,7 @@ var governedSuffixes = []string{
 }
 
 // moduleRoot is the import path of the facade package, which is also
-// governed (stream.go drives deterministic workload sweeps). Benchmark
-// calibration code there escapes with //lint:allow vclockpurity.
+// governed (stream.go drives deterministic workload sweeps).
 const moduleRoot = "xprs"
 
 // governedPackage reports whether pkgPath is subject to the

@@ -1,6 +1,6 @@
 package xprs
 
-// The admission-policy ablation behind `xprsbench -fig stream/serve`:
+// The admission-policy ablation behind `xprsbench -fig stream`:
 // one skewed long/short query mix replayed under each admission policy
 // on identical machines, so the rows differ only in wake order. The
 // workload is built to make ordering matter — a burst of long scans

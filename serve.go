@@ -1,18 +1,12 @@
 package xprs
 
-// The production-serving experiment behind `xprsbench -fig serve`: an
-// open-loop tenant mix (internal/workload) driven through a live
-// scheduler session with per-tenant quotas and load shedding. This file
-// is the virtual-time harness; servebench.go wraps it in wall-clock
-// measurement for BENCH_serve.json.
+// The production-serving experiment: an open-loop tenant mix
+// (internal/workload) driven through a live scheduler session with
+// per-tenant quotas and load shedding. This file is the virtual-time
+// harness; cmd/xprstop renders a run of it, and bench/'s serve_steady
+// and serve_backlog workloads measure the host's wall clock replaying it.
 
-import (
-	"fmt"
-	"strings"
-	"time"
-
-	"xprs/internal/workload"
-)
+import "xprs/internal/workload"
 
 // Serving result types, re-exported from the workload package so
 // callers of the facade never import internals.
@@ -118,48 +112,4 @@ func RunServeSystem(cfg Config, o ServeOptions) (*ServeStats, *System, error) {
 		return nil, nil, err
 	}
 	return stats, s, nil
-}
-
-// FormatServe renders one serving run.
-func FormatServe(o ServeOptions, st *ServeStats) string {
-	o = o.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Open-loop serving: %d sessions, %d tenants × %d templates, %.1f q/s",
-		o.Sessions, o.Tenants, o.Templates, o.Rate)
-	if o.Bursty {
-		b.WriteString(" (bursty)")
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "  completed %d, shed %d", st.Completed, st.Shed)
-	if st.DeadlineShed > 0 {
-		fmt.Fprintf(&b, " (%d hopeless-deadline)", st.DeadlineShed)
-	}
-	fmt.Fprintf(&b, "; virtual throughput %.2f q/s over %.1fs makespan\n",
-		st.Throughput, st.Makespan.Seconds())
-	fmt.Fprintf(&b, "  response  mean %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
-		st.Response.Mean.Seconds(), st.Response.P50.Seconds(),
-		st.Response.P95.Seconds(), st.Response.Max.Seconds())
-	fmt.Fprintf(&b, "  queue wait mean %.2fs  p95 %.2fs\n",
-		st.QueueWait.Mean.Seconds(), st.QueueWait.P95.Seconds())
-	if n := len(st.Timeline.Windows); n > 0 {
-		fmt.Fprintf(&b, "  timeline  %d windows × %.1fs (%d evicted)\n",
-			n, (time.Duration(st.Timeline.WindowNs)).Seconds(), st.Timeline.Evicted)
-	}
-	for _, t := range st.TenantSLO {
-		name := t.Tenant
-		if name == "" {
-			name = "default"
-		}
-		fmt.Fprintf(&b, "  slo %-8s completed %4d shed %3d  p50 %6.2fs p95 %6.2fs p99 %6.2fs",
-			name, t.Completed, t.Shed,
-			(time.Duration(t.RespP50Ns)).Seconds(),
-			(time.Duration(t.RespP95Ns)).Seconds(),
-			(time.Duration(t.RespP99Ns)).Seconds())
-		if t.TargetNs > 0 {
-			fmt.Fprintf(&b, "  target %.2fs breached %d (%.1f%%)",
-				(time.Duration(t.TargetNs)).Seconds(), t.Breached, float64(t.BurnPermille)/10)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -7,6 +7,7 @@ package xprs
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -240,33 +241,45 @@ func TestTenantFairShare(t *testing.T) {
 	}
 }
 
-// TestRunServeDeterministic runs the full facade harness twice with the
-// same options — including bursty arrivals and live admission limits —
-// and demands byte-identical stats. This is the property the serving
-// benchmark's GOMAXPROCS grid relies on.
+// TestRunServeDeterministic pins the facade-level determinism claim:
+// the whole ServeStats — Timeline and TenantSLO included — is a pure
+// function of the options, at any GOMAXPROCS. The steady case has the
+// shape of the serve_steady benchmark workload (tenant quotas, shedding
+// and a per-tenant SLO target all live); the bursty case keeps the MMPP
+// arrivals and a tight queue covered.
 func TestRunServeDeterministic(t *testing.T) {
-	o := ServeOptions{
-		Sessions: 80,
-		Rate:     12,
-		Bursty:   true,
-		Adm:      Admission{MaxQueries: 4, TenantMaxQueries: 2, MaxQueued: 6},
+	cases := map[string]ServeOptions{
+		"steady": {
+			Sessions: 300, Tenants: 6, Templates: 2, Tuples: 120, Rate: 6,
+			Adm: Admission{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second},
+		},
+		"bursty": {
+			Sessions: 80, Rate: 12, Bursty: true,
+			Adm: Admission{MaxQueries: 4, TenantMaxQueries: 2, MaxQueued: 6},
+		},
 	}
-	a, err := RunServe(DefaultConfig(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunServe(DefaultConfig(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same options diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Completed+a.Shed != a.Submitted || a.Submitted != 80 {
-		t.Fatalf("accounting broken: %+v", a)
-	}
-	out := FormatServe(o, a)
-	if !strings.Contains(out, "bursty") || !strings.Contains(out, "p95") {
-		t.Fatalf("FormatServe output missing fields:\n%s", out)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for name, o := range cases {
+		var base *ServeStats
+		// 1 twice: a rerun on the same schedule must match too.
+		for _, procs := range []int{1, 1, 4} {
+			runtime.GOMAXPROCS(procs)
+			st, err := RunServe(DefaultConfig(), o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if base == nil {
+				base = st
+			} else if !reflect.DeepEqual(base, st) {
+				t.Fatalf("%s: GOMAXPROCS %d diverged from the first run:\n%+v\n%+v", name, procs, base, st)
+			}
+		}
+		if base.Completed+base.Shed != base.Submitted || base.Submitted != o.Sessions {
+			t.Fatalf("%s: accounting broken: %+v", name, base)
+		}
+		if len(base.Timeline.Windows) == 0 || len(base.TenantSLO) == 0 {
+			t.Fatalf("%s: DeepEqual compared empty telemetry: %+v", name, base)
+		}
 	}
 }

@@ -80,6 +80,9 @@ func TestServeTimelineAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.Completed+stats.Shed != stats.Submitted || stats.Response.P95 <= 0 || stats.Throughput <= 0 {
+		t.Fatalf("run totals broken: %+v", stats)
+	}
 	tl := stats.Timeline
 	if len(tl.Windows) == 0 {
 		t.Fatal("no timeline windows")
