@@ -15,10 +15,11 @@ race:
 
 # The determinism invariants demand identical results at any processor
 # count; racing at 1 and 4 gives the detector two very different
-# schedules to work with (see DESIGN.md §11).
+# schedules to work with (see DESIGN.md §11). GOMAXPROCS is not a test
+# cache key, so without -count=1 the second leg replays the first.
 race-matrix:
-	GOMAXPROCS=1 $(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./...
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -300,11 +301,7 @@ func (s *Scheduler) predictCompletion(q *query) time.Duration {
 // predictAlone is the best-case variant: the candidate simulated alone
 // on an idle machine, the most optimistic schedule the model admits.
 func (s *Scheduler) predictAlone(q *query) time.Duration {
-	sims := make([]core.SimTask, 0, len(q.ids))
-	for _, id := range q.ids {
-		sims = append(sims, simSpec(q, id))
-	}
-	return s.predictSim(q, sims)
+	return s.predictSim(q, appendSims(make([]core.SimTask, 0, len(q.tasks)), q))
 }
 
 // predictSim runs the simulation and extracts the candidate's finish.
@@ -320,8 +317,8 @@ func (s *Scheduler) predictSim(q *query, sims []core.SimTask) time.Duration {
 		return time.Duration(math.MaxInt64)
 	}
 	var worst float64
-	for _, id := range q.ids {
-		if f, ok := res.Finish[id]; ok && f > worst {
+	for i := range q.tasks {
+		if f, ok := res.Finish[q.tasks[i].spec.Task.ID]; ok && f > worst {
 			worst = f
 		}
 	}
@@ -331,36 +328,36 @@ func (s *Scheduler) predictSim(q *query, sims []core.SimTask) time.Duration {
 // simMix builds the simulation input: every admitted query's
 // not-yet-done tasks (dependencies filtered to the not-yet-done set),
 // in global task-ID order for determinism, plus the candidate's tasks.
+// byTask holds admitted queries only, so the walk and the sort are
+// bounded by the admission caps, not by the backlog.
 func (s *Scheduler) simMix(q *query) []core.SimTask {
-	ids := make([]int, 0, len(s.byTask))
-	for id := range s.byTask {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	sims := make([]core.SimTask, 0, len(ids)+len(q.ids))
-	for _, id := range ids {
-		oq := s.byTask[id]
-		if !oq.admitted || oq.done[id] {
-			continue
+	sims := make([]core.SimTask, 0, len(s.byTask)+len(q.tasks))
+	for id, oq := range s.byTask {
+		if t := oq.task(id); !t.done {
+			sims = append(sims, simSpec(oq, t))
 		}
-		sims = append(sims, simSpec(oq, id))
 	}
-	for _, id := range q.ids {
-		sims = append(sims, simSpec(q, id))
+	slices.SortFunc(sims, func(a, b core.SimTask) int { return cmp.Compare(a.Task.ID, b.Task.ID) })
+	return appendSims(sims, q)
+}
+
+// appendSims appends every task of a waiting query in simulation form.
+func appendSims(sims []core.SimTask, q *query) []core.SimTask {
+	for i := range q.tasks {
+		sims = append(sims, simSpec(q, &q.tasks[i]))
 	}
 	return sims
 }
 
-// simSpec converts one task spec into its simulation form, dropping
+// simSpec converts one task into its simulation form, dropping
 // dependencies on already-done tasks (they would reference IDs absent
 // from the simulation set).
-func simSpec(q *query, id int) core.SimTask {
-	sp := q.specs[id]
+func simSpec(q *query, t *taskState) core.SimTask {
 	var deps []int
-	for _, dep := range sp.DependsOn {
-		if !q.done[dep] {
+	for _, dep := range t.spec.DependsOn {
+		if !q.task(dep).done {
 			deps = append(deps, dep)
 		}
 	}
-	return core.SimTask{Task: sp.Task, DependsOn: deps}
+	return core.SimTask{Task: t.spec.Task, DependsOn: deps}
 }

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +15,7 @@ import (
 	"xprs/internal/core"
 	"xprs/internal/cost"
 	"xprs/internal/diskmodel"
+	"xprs/internal/obs"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
 	"xprs/internal/vclock"
@@ -65,10 +70,6 @@ func TestHashProbeBeforeBuildFails(t *testing.T) {
 	// force the probe first by reversing IDs.)
 	if runErr == nil {
 		specs[0].Task.ID, specs[1].Task.ID = 7, 3 // probe (root) gets the lower ID
-		v2 := vclock.NewVirtual()
-		disks := diskmodel.New(v2, diskmodel.DefaultConfig())
-		store := storage.NewStore(v2, disks, 0)
-		_ = store
 		v.Run(func() {
 			_, runErr = eng.Run(specs, core.IntraOnly, core.Options{})
 		})
@@ -233,9 +234,8 @@ func TestSubmitRacesDrain(t *testing.T) {
 		t.Fatalf("accepted %d queries (Drain after %d), %d settled", a, drainAfter, s)
 	}
 	// Drain parked the session; nothing may be left behind in it.
-	if len(sched.queue) != 0 || len(sched.live) != 0 || sched.inflight != 0 {
-		t.Fatalf("drained session kept %d queued, %d live task IDs, %d in flight",
-			len(sched.queue), len(sched.live), sched.inflight)
+	if left := sessionResidue(sched); left != "" {
+		t.Fatalf("drained session kept %s", left)
 	}
 	// The engine is free again: a fresh session on it serves normally.
 	next := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
@@ -248,5 +248,263 @@ func TestSubmitRacesDrain(t *testing.T) {
 	}
 	if err := next.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sessionResidue describes whatever a drained session left behind in the
+// scheduler's tables; empty means nothing.
+func sessionResidue(s *Scheduler) string {
+	if len(s.byTask) == 0 && len(s.live) == 0 && len(s.queue) == 0 && s.inflight == 0 &&
+		s.nAdmitted == 0 && s.nWaiting == 0 && s.memInUse == 0 &&
+		len(s.temps) == 0 && len(s.hashes) == 0 && len(s.colHashes) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d admitted task IDs, %d live task IDs, %d queued, %d in flight, %d admitted, %d waiting, %d B charged, %d/%d/%d outputs",
+		len(s.byTask), len(s.live), len(s.queue), s.inflight, s.nAdmitted, s.nWaiting, s.memInUse,
+		len(s.temps), len(s.hashes), len(s.colHashes))
+}
+
+// uncompilable is a fragment getFragRun rejects ("Sort below fragment
+// root"): a task carrying it is started by the controller and fails
+// before it launches a slave.
+func uncompilable(rel *storage.Relation) *plan.Fragment {
+	return &plan.Fragment{Root: &plan.Sort{Child: &plan.Sort{Child: &plan.SeqScan{Rel: rel}}}}
+}
+
+// TestAbortedStartDuringCompletion pins that a fragment failing to start
+// costs its own query and nothing else. The failing start happens inside
+// the completion of a sibling task (IntraOnly starts task 11 when task
+// 10 finishes), so the query settles deep inside apply while onTaskDone
+// still holds it; a second query is live throughout. When queries were
+// recycled through a pool, onTaskDone went on to settle the zeroed
+// struct as query 0 and the master loop died on its nil report.
+func TestAbortedStartDuringCompletion(t *testing.T) {
+	v, eng := testEngine(0)
+	rel := buildRel(t, eng.Store, "r", 200, 200, 24)
+	scan := func(id int) TaskSpec {
+		specs, _ := specFor(t, eng, &plan.SeqScan{Rel: rel}, id)
+		return specs[0]
+	}
+	late := scan(1)
+	late.Arrival = 1000 * time.Second // keeps query 0 live
+	bad := scan(11)
+	bad.Frag = uncompilable(rel)
+	var sched *Scheduler
+	v.Run(func() {
+		sched = NewScheduler(eng, core.IntraOnly, core.Options{}, AdmissionConfig{})
+		h0, err := sched.Submit([]TaskSpec{scan(0), late})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h1, err := sched.Submit([]TaskSpec{scan(10), bad})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := h1.Wait(); err == nil || !strings.Contains(err.Error(), "Sort below fragment root") {
+			t.Errorf("query 1: err = %v, want the start error", err)
+		}
+		if rep, err := h0.Wait(); err != nil || rep.Results[0].Len() != 200 || rep.Results[1].Len() != 200 {
+			t.Errorf("query 0: rep=%v err=%v", rep, err)
+		}
+		if err := sched.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
+	if left := sessionResidue(sched); left != "" {
+		t.Fatalf("drained session kept %s", left)
+	}
+}
+
+// randomSession drives one seeded session of random DAG queries,
+// submitted online at random virtual instants under random admission
+// caps, checks its invariants, and returns a transcript of everything
+// observable for the cross-GOMAXPROCS comparison.
+func randomSession(t *testing.T, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	v, eng := testEngine(0)
+	eng.Trace = obs.NewTracer()
+	rel := buildRel(t, eng.Store, "r", 120, 120, 24)
+	proto, _ := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
+	arrivals := []time.Duration{0, 0, 0, time.Millisecond, time.Millisecond, 40 * time.Millisecond}
+	gaps := []time.Duration{0, 0, 2 * time.Millisecond, 30 * time.Millisecond, 300 * time.Millisecond}
+
+	type sessionQuery struct {
+		tenant string
+		specs  []TaskSpec
+		bad    int // ID of the task that cannot start, -1 for a healthy query
+		gap    time.Duration
+		h      *QueryHandle
+	}
+	queries := make([]*sessionQuery, 4+rng.Intn(10))
+	for k := range queries {
+		sq := &sessionQuery{tenant: fmt.Sprintf("t%d", rng.Intn(3)), bad: -1, gap: gaps[rng.Intn(len(gaps))]}
+		sq.specs = make([]TaskSpec, 1+rng.Intn(6))
+		for i := range sq.specs {
+			task := *proto[0].Task
+			task.ID = 8*k + i
+			task.Name = fmt.Sprintf("q%d.%d", k, i)
+			task.MemBytes = int64(rng.Intn(3)) << 19
+			sp := TaskSpec{Task: &task, Frag: proto[0].Frag, Arrival: arrivals[rng.Intn(len(arrivals))]}
+			for j := 0; j < i; j++ {
+				if rng.Intn(3) == 0 {
+					sp.DependsOn = append(sp.DependsOn, 8*k+j)
+				}
+			}
+			sq.specs[i] = sp
+		}
+		if rng.Intn(10) == 0 {
+			i := rng.Intn(len(sq.specs))
+			sq.specs[i].Frag = uncompilable(rel)
+			sq.bad = 8*k + i
+		}
+		// Submission order is not ID order.
+		rng.Shuffle(len(sq.specs), func(i, j int) { sq.specs[i], sq.specs[j] = sq.specs[j], sq.specs[i] })
+		queries[k] = sq
+	}
+	adm := AdmissionConfig{
+		MaxQueries:       []int{0, 1, 3}[rng.Intn(3)],
+		TenantMaxQueries: rng.Intn(3),
+		MemoryBudget:     int64(rng.Intn(2)) << 21,
+	}
+	policy := []core.Policy{core.IntraOnly, core.InterNoAdj, core.InterAdj}[rng.Intn(3)]
+
+	var sched *Scheduler
+	var out strings.Builder
+	v.Run(func() {
+		sched = NewScheduler(eng, policy, core.Options{}, adm)
+		for _, sq := range queries {
+			v.Sleep(sq.gap)
+			h, err := sched.SubmitTenant(sq.tenant, sq.specs)
+			if err != nil {
+				t.Errorf("seed %d: Submit: %v", seed, err)
+				return
+			}
+			sq.h = h
+		}
+		for k, sq := range queries {
+			rep, err := sq.h.Wait()
+			if rep2, err2 := sq.h.Wait(); rep2 != rep || err2 != err || !sq.h.Done() {
+				t.Errorf("seed %d query %d: second Wait disagrees with the first", seed, k)
+			}
+			if sq.bad >= 0 {
+				if err == nil || !strings.Contains(err.Error(), "Sort below fragment root") {
+					t.Errorf("seed %d query %d: err = %v, want the start error", seed, k, err)
+				}
+				fmt.Fprintf(&out, "q%d failed: %v\n", k, err)
+				continue
+			}
+			if err != nil {
+				t.Errorf("seed %d query %d: %v", seed, k, err)
+				continue
+			}
+			starts, completes := map[int]time.Duration{}, map[int]time.Duration{}
+			for _, ev := range rep.Trace {
+				switch ev.Kind {
+				case "start":
+					if _, twice := starts[ev.TaskID]; twice {
+						t.Errorf("seed %d: task %d started twice", seed, ev.TaskID)
+					}
+					starts[ev.TaskID] = ev.Time
+				case "complete":
+					if _, twice := completes[ev.TaskID]; twice {
+						t.Errorf("seed %d: task %d completed twice", seed, ev.TaskID)
+					}
+					completes[ev.TaskID] = ev.Time
+				}
+			}
+			for _, sp := range sq.specs {
+				id := sp.Task.ID
+				st, started := starts[id]
+				done, completed := completes[id]
+				if !started || !completed || rep.Finish[id] != done || st > done {
+					t.Errorf("seed %d: task %d: started=%v completed=%v at %v..%v, Finish %v",
+						seed, id, started, completed, st, done, rep.Finish[id])
+					continue
+				}
+				if st < rep.AdmittedAt+sp.Arrival {
+					t.Errorf("seed %d: task %d started at %v, before admission %v + arrival %v",
+						seed, id, st, rep.AdmittedAt, sp.Arrival)
+				}
+				for _, dep := range sp.DependsOn {
+					if st < completes[dep] {
+						t.Errorf("seed %d: task %d started at %v, before dependency %d completed at %v",
+							seed, id, st, dep, completes[dep])
+					}
+				}
+			}
+			fmt.Fprintf(&out, "q%d submitted %v admitted %v elapsed %v: %v\n",
+				k, rep.SubmittedAt, rep.AdmittedAt, rep.Elapsed, rep.Trace)
+		}
+		if err := sched.Drain(); err != nil {
+			t.Errorf("seed %d: Drain: %v", seed, err)
+		}
+	})
+	if left := sessionResidue(sched); left != "" {
+		t.Errorf("seed %d: drained session kept %s", seed, left)
+	}
+	// The master's own count of settlements: each query exactly once.
+	var submitted, settled int64
+	tl := sched.Timeline()
+	for _, w := range tl.Windows {
+		submitted += w.Counter("submitted")
+		settled += w.Counter("completed") + w.Counter("failed") + w.Counter("shed")
+	}
+	if tl.Evicted == 0 && (submitted != int64(len(queries)) || settled != submitted) {
+		t.Errorf("seed %d: %d queries, master counted %d submitted and %d settled", seed, len(queries), submitted, settled)
+	}
+	// A failed query's report is withheld, so its starts are read off the
+	// scheduler lane: the task that cannot start never gets one (it is
+	// marked done to keep the controller consistent), and neither may
+	// anything downstream of it — those were never handed to the
+	// controller before the failure.
+	started := map[int]bool{}
+	for _, ev := range eng.Trace.Events() {
+		var id int
+		if ev.Cat == "sched" && ev.Name == "start" {
+			if _, err := fmt.Sscanf(ev.Detail, "task %d", &id); err != nil {
+				t.Fatalf("seed %d: unparsable start event %q", seed, ev.Detail)
+			}
+			started[id] = true
+			fmt.Fprintf(&out, "%v start %d\n", ev.Ts, id)
+		}
+	}
+	for _, sq := range queries {
+		if sq.bad < 0 {
+			continue
+		}
+		tainted := map[int]bool{sq.bad: true}
+		specs := slices.Clone(sq.specs)
+		slices.SortFunc(specs, func(a, b TaskSpec) int { return a.Task.ID - b.Task.ID })
+		for _, sp := range specs { // dependencies point at lower IDs
+			for _, dep := range sp.DependsOn {
+				tainted[sp.Task.ID] = tainted[sp.Task.ID] || tainted[dep]
+			}
+			if tainted[sp.Task.ID] && started[sp.Task.ID] {
+				t.Errorf("seed %d: task %d started although task %d could not", seed, sp.Task.ID, sq.bad)
+			}
+		}
+	}
+	return out.String()
+}
+
+// TestRandomSessionsInvariants is the differential cover for per-query
+// ready tracking: fifty seeded sessions, each checked against the
+// scheduler's contract from the outside (every task of a healthy query
+// starts once, after its arrival and its dependencies, and completes
+// once; a failed query stops handing out work; every handle settles
+// once; a drained session is empty) and replayed at GOMAXPROCS 1 and 4
+// to an identical transcript.
+func TestRandomSessionsInvariants(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for seed := int64(1); seed <= 50; seed++ {
+		runtime.GOMAXPROCS(1)
+		one := randomSession(t, seed)
+		runtime.GOMAXPROCS(4)
+		if four := randomSession(t, seed); four != one {
+			t.Fatalf("seed %d: transcript differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", seed, one, four)
+		}
 	}
 }

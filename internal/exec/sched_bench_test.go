@@ -17,6 +17,7 @@ import (
 	"xprs/internal/cost"
 	"xprs/internal/diskmodel"
 	"xprs/internal/obs"
+	"xprs/internal/plan"
 	"xprs/internal/storage"
 	"xprs/internal/vclock"
 )
@@ -105,11 +106,10 @@ func BenchmarkSchedulerSubmitParallel(b *testing.B) {
 
 // intakeAllocBudget is the CI allocation gate for the Submit fast
 // path. The steady state is 5 allocs/op — the report, its three maps,
-// and the handle, all of which escape to the caller; the query
-// bookkeeping itself recycles through a pool. The budget leaves a
-// little headroom while catching any regression toward per-submit
-// rebuilding of the bookkeeping maps (which alone would roughly double
-// it).
+// and the query with its handle embedded; a query with tasks adds its
+// task table. The budget leaves a little headroom while catching any
+// regression toward per-task bookkeeping allocations (a map per query
+// alone would roughly double it).
 const intakeAllocBudget = 8
 
 // TestIntakeAllocGate enforces intakeAllocBudget. Skipped unless
@@ -140,10 +140,7 @@ func benchSchedulerObserved(b *testing.B) *Scheduler {
 	eng := New(clk, st, cost.DefaultParams(dcfg, runtime.GOMAXPROCS(0)))
 	eng.Trace = obs.NewTracerBudget(4096)
 	eng.Metrics = obs.NewRegistry()
-	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{
-		TraceSampleOneIn: 16,
-		TraceSampleSeed:  1992,
-	})
+	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{TraceSampleOneIn: 16})
 	b.Cleanup(func() {
 		if err := sched.Drain(); err != nil {
 			b.Fatal(err)
@@ -182,5 +179,64 @@ func TestObsAllocGate(t *testing.T) {
 	if r.AllocsPerOp() > obsAllocBudget {
 		t.Fatalf("observed Submit fast path allocates %d allocs/op, budget is %d — sampled tracing or telemetry started allocating per submit",
 			r.AllocsPerOp(), obsAllocBudget)
+	}
+}
+
+// backlogBytesPerSession replays the serve_backlog admission shape — 4
+// admission slots, 2 per tenant, unbounded queue — with every session
+// arriving in one burst, so all but four of them wait, and returns the
+// bytes allocated per session. Engine, relation and specs are built by
+// the caller: the measured region is the scheduler session alone.
+func backlogBytesPerSession(t *testing.T, v *vclock.Virtual, eng *Engine, queries [][]TaskSpec) float64 {
+	tenants := [...]string{"t0", "t1", "t2", "t3", "t4", "t5"}
+	handles := make([]*QueryHandle, len(queries))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v.Run(func() {
+		sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{MaxQueries: 4, TenantMaxQueries: 2})
+		for i, specs := range queries {
+			h, err := sched.SubmitTenant(tenants[i%len(tenants)], specs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			handles[i] = h
+		}
+		for _, h := range handles {
+			if _, err := h.Wait(); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := sched.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(queries))
+}
+
+// TestBacklogAllocFlat is the depth-independence gate: what the master
+// loop allocates per session must not grow with the number of sessions
+// waiting for admission. It needs no wall clock — a per-event snapshot
+// of the backlog shows up as bytes (the per-event copy of every known
+// task ID this gate was written against read 9.9 KB per session at 250
+// and 25.1 KB at 2 000, a ratio of 2.55; without it the ratio is 1.06).
+func TestBacklogAllocFlat(t *testing.T) {
+	const shallow, deep = 250, 2000
+	v, eng := testEngine(0)
+	rel := buildRel(t, eng.Store, "r", 120, 120, 24)
+	queries := make([][]TaskSpec, deep)
+	for i := range queries {
+		queries[i], _ = specFor(t, eng, &plan.SeqScan{Rel: rel}, i)
+	}
+	backlogBytesPerSession(t, v, eng, queries[:shallow]) // warm the pools
+	at250 := backlogBytesPerSession(t, v, eng, queries[:shallow])
+	at2000 := backlogBytesPerSession(t, v, eng, queries)
+	t.Logf("%.0f B/session at %d waiting, %.0f B/session at %d (ratio %.2f)",
+		at250, shallow, at2000, deep, at2000/at250)
+	if at2000 > 1.25*at250 {
+		t.Fatalf("master loop allocates %.0f B/session with %d waiting against %.0f with %d (ratio %.2f, limit 1.25): per-event work grows with the backlog",
+			at2000, deep, at250, shallow, at2000/at250)
 	}
 }

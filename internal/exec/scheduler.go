@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -66,8 +67,6 @@ type AdmissionConfig struct {
 	// deterministic: qids are intake order, so the sampled set is
 	// byte-identical across reruns and GOMAXPROCS.
 	TraceSampleOneIn int
-	// TraceSampleSeed seeds the sampling hash; 0 is a fixed default.
-	TraceSampleSeed int64
 	// SLOTarget is the default per-tenant response-time target: a
 	// completed query whose response (submit to finish) exceeds it
 	// counts as an SLO breach for its tenant. 0 disables breach
@@ -75,13 +74,6 @@ type AdmissionConfig struct {
 	SLOTarget time.Duration
 	// TenantSLOTargets overrides SLOTarget per tenant name.
 	TenantSLOTargets map[string]time.Duration
-	// TelemetryWindow is the width of one windowed-telemetry bucket
-	// (admission/shed/latency timeline and the SLO percentile horizon);
-	// 0 means one second of virtual time.
-	TelemetryWindow time.Duration
-	// TelemetryWindows is the number of windows the timeline ring
-	// retains; 0 means 240.
-	TelemetryWindows int
 	// Policy names the admission policy that orders the wait queue:
 	// "fifo" (or empty, the identity default — strict head-of-line,
 	// fair-share scan under TenantMaxQueries), "pred-sjf" (admit the
@@ -97,6 +89,14 @@ type AdmissionConfig struct {
 	// count on the sched.aging_promoted metric.
 	AgingMaxWait time.Duration
 }
+
+// The windowed telemetry (admission/shed/latency timeline and the SLO
+// percentile horizon) keeps telemetryWindows buckets of telemetryWindow
+// virtual time each.
+const (
+	telemetryWindow  = time.Second
+	telemetryWindows = 240
+)
 
 // ShedError is the typed rejection a query receives when it cannot be
 // admitted and the admission queue already holds MaxQueued waiters. A
@@ -197,18 +197,28 @@ func (h *QueryHandle) settle(rep *Report, err error) {
 	}
 }
 
-// query is the master-side state of one submitted query.
+// taskState is the one record of a task: its spec and how far it has
+// come. Every field but spec is written by the master loop only.
+type taskState struct {
+	spec      *TaskSpec
+	arrived   bool
+	submitted bool         // handed to the controller
+	done      bool         // completion observed (real or synthesized)
+	rt        *runningTask // non-nil between launch and completion
+}
+
+// query is the master-side state of one submitted query. It is allocated
+// per Submit together with the handle the caller keeps and is never
+// recycled, so a stale reference sees a settled query, not another one.
 type query struct {
 	id     int
 	tenant string
-	handle *QueryHandle
-	specs  map[int]*TaskSpec
-	ids    []int // task IDs in ascending order
-	mem    int64 // sum of task MemBytes, the admission charge
+	handle QueryHandle
+	tasks  []taskState // ascending task ID
+	mem    int64       // sum of task MemBytes, the admission charge
 
 	submitRel time.Duration // session-relative submission instant
 	admitRel  time.Duration
-	admitted  bool
 	traced    bool // head-based sampling decision, made at Submit
 	traceMark int
 	// deadline is the query's response-time target relative to its
@@ -223,12 +233,10 @@ type query struct {
 	bestCase    time.Duration
 	bestCaseSet bool
 
-	arrived   map[int]bool
-	submitted map[int]bool // handed to the controller
-	done      map[int]bool
-	started   int // tasks handed to the controller
-	finished  int // completions observed (real or synthesized)
-	failed    error
+	started  int // tasks handed to the controller
+	finished int // completions observed (real or synthesized)
+	failed   error
+	settled  bool // finishQuery ran; master-owned, unlike handle.settled
 
 	// frs are the fragment runtimes this query started; they return to
 	// the engine's compiled-runtime pool when the query settles (every
@@ -236,6 +244,30 @@ type query struct {
 	frs []*fragRun
 
 	rep *Report
+}
+
+// find returns the position of task id in q.tasks (or where it would
+// insert) and whether it is there.
+func (q *query) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(q.tasks, id, func(t taskState, id int) int {
+		return cmp.Compare(t.spec.Task.ID, id)
+	})
+}
+
+// task returns the record of a task the query is known to hold.
+func (q *query) task(id int) *taskState {
+	i, _ := q.find(id)
+	return &q.tasks[i]
+}
+
+// depsDone reports whether every dependency of the spec has completed.
+func (q *query) depsDone(sp *TaskSpec) bool {
+	for _, dep := range sp.DependsOn {
+		if !q.task(dep).done {
+			return false
+		}
+	}
+	return true
 }
 
 // complete reports whether nothing the controller owns is still pending.
@@ -246,43 +278,7 @@ func (q *query) complete() bool {
 	if q.failed != nil {
 		return q.finished == q.started
 	}
-	return q.finished == len(q.specs)
-}
-
-// queryPool recycles query bookkeeping (spec/arrival/completion maps)
-// across queries and schedulers. Submit runs on client goroutines while
-// finishQuery recycles on the master loop; sync.Pool replaces the
-// mutex-guarded free list the intake path used to serialize on.
-var queryPool = sync.Pool{New: func() any { return &query{specs: make(map[int]*TaskSpec)} }}
-
-func getQuery() *query { return queryPool.Get().(*query) }
-
-// putQuery clears and reclaims query bookkeeping. A query recycles when
-// it settles — its handle and report have escaped to the caller by then
-// and are detached first — or when Submit rejects it before intake.
-func putQuery(q *query) {
-	clear(q.specs)
-	q.ids = q.ids[:0]
-	q.mem = 0
-	q.tenant = ""
-	q.submitRel, q.admitRel = 0, 0
-	q.admitted = false
-	q.traced = false
-	q.traceMark = 0
-	q.deadline = 0
-	q.promoted = false
-	q.bestCase = 0
-	q.bestCaseSet = false
-	clear(q.arrived)
-	clear(q.submitted)
-	clear(q.done)
-	q.started, q.finished = 0, 0
-	q.failed = nil
-	q.frs = nil
-	q.rep = nil
-	q.handle = nil
-	q.id = 0
-	queryPool.Put(q)
+	return q.finished == len(q.tasks)
 }
 
 // Events posted to the scheduler's mailbox (taskDone, posted by slave
@@ -297,7 +293,8 @@ type drainMsg struct{ ack chan struct{} }
 // arrivalTick carries the session generation that scheduled it: a
 // poisoned query can settle with its arrival timers still pending, and
 // a recycled session must not mistake such a stale tick (same mailbox,
-// possibly a reused query ID) for its own.
+// possibly a reused query ID) for its own. Within a session a tick is
+// stale when its task is no longer admitted under that query ID.
 type arrivalTick struct{ gen, qid, id int }
 
 // Scheduler is the persistent scheduling service. Create one with
@@ -327,10 +324,12 @@ type Scheduler struct {
 
 	// Master-owned state (touched only by the loop goroutine).
 	intakeBatch []*query // the queue buffer drainIntake swapped out last
-	queries     map[int]*query
-	byTask      map[int]*query
-	tenants     map[string]*tenantState
-	defTenant   *tenantState // cached s.tenants[""]
+	// byTask maps the task IDs of admitted, unsettled queries — the only
+	// tasks the controller can name — to their query; waiters are not in
+	// it, so it never grows with the backlog.
+	byTask    map[int]*query
+	tenants   map[string]*tenantState
+	defTenant *tenantState // cached s.tenants[""]
 	// Admission waiters live in per-tenant FIFO deques (tenantState.waitq)
 	// so the fair-share wake skips a quota-blocked tenant in O(1) instead
 	// of rescanning its queued queries — the old single FIFO slice made
@@ -347,7 +346,6 @@ type Scheduler struct {
 	nAdmitted   int
 	memInUse    int64
 	inflight    int
-	running     map[int]*runningTask
 	temps       map[*plan.Fragment]*Temp
 	hashes      map[*plan.Fragment]*HashTable
 	colHashes   map[*plan.Fragment]*ColHashTable
@@ -445,10 +443,8 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 			eng:       e,
 			events:    vclock.NewMailbox(e.Clock),
 			live:      make(map[int]int),
-			queries:   make(map[int]*query),
 			byTask:    make(map[int]*query),
 			tenants:   make(map[string]*tenantState),
-			running:   make(map[int]*runningTask),
 			temps:     make(map[*plan.Fragment]*Temp),
 			hashes:    make(map[*plan.Fragment]*HashTable),
 			colHashes: make(map[*plan.Fragment]*ColHashTable),
@@ -469,21 +465,13 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	// reads never advance the virtual clock (obsnoclock allows them) —
 	// so the timeline buckets on virtual time without perturbing it. The
 	// SLO percentile horizon is the full timeline span.
-	window := adm.TelemetryWindow
-	if window <= 0 {
-		window = time.Second
-	}
-	nwin := adm.TelemetryWindows
-	if nwin <= 0 {
-		nwin = 240
-	}
-	s.series = obs.NewSeries(window, nwin, s.now)
+	s.series = obs.NewSeries(telemetryWindow, telemetryWindows, s.now)
 	targets := map[string]time.Duration{"": adm.SLOTarget}
 	for name, d := range adm.TenantSLOTargets {
 		targets[name] = d
 	}
-	s.slo = obs.NewSLO(window*time.Duration(nwin), 0, targets)
-	s.sampler = obs.NewSampler(adm.TraceSampleSeed, adm.TraceSampleOneIn)
+	s.slo = obs.NewSLO(telemetryWindow*telemetryWindows, 0, targets)
+	s.sampler = obs.NewSampler(0, adm.TraceSampleOneIn)
 	e.sched = s
 	e.events = s.events
 	e.Store.Disks.ResetStats()
@@ -522,7 +510,6 @@ func (s *Scheduler) resetSession() {
 	s.nextID = 0
 	s.closed = false
 	s.mu.Unlock()
-	clear(s.queries)
 	clear(s.byTask)
 	clear(s.tenants)
 	s.defTenant = nil
@@ -532,7 +519,6 @@ func (s *Scheduler) resetSession() {
 	s.nAdmitted = 0
 	s.memInUse = 0
 	s.inflight = 0
-	clear(s.running)
 	clear(s.temps)
 	clear(s.hashes)
 	clear(s.colHashes)
@@ -577,59 +563,43 @@ type SubmitOptions struct {
 // the task IDs, append to the intake queue, ring the doorbell if the
 // queue was empty. The master loop is never waited on.
 func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle, error) {
-	tenant := o.Tenant
-	q := getQuery()
-	byID := q.specs
-	ids := q.ids[:0]
-	var mem int64
+	// The query — handle included — and its task table are the two
+	// bookkeeping allocations of a Submit; the report and its maps escape
+	// to the caller. All are built before the lock; only the ID is filled
+	// in under it.
+	q := &query{tenant: o.Tenant, deadline: o.Deadline, tasks: make([]taskState, 0, len(specs))}
 	for i := range specs {
 		sp := &specs[i]
 		if sp.Task == nil || sp.Frag == nil {
-			putQuery(q)
 			return nil, fmt.Errorf("exec: spec %d missing task or fragment", i)
 		}
-		if _, dup := byID[sp.Task.ID]; dup {
-			putQuery(q)
+		at, dup := q.find(sp.Task.ID)
+		if dup {
 			return nil, fmt.Errorf("exec: duplicate task ID %d", sp.Task.ID)
 		}
-		byID[sp.Task.ID] = sp
-		ids = append(ids, sp.Task.ID)
-		mem += sp.Task.MemBytes
+		// Specs usually come in ascending ID order, so this is an append.
+		q.tasks = slices.Insert(q.tasks, at, taskState{spec: sp})
+		q.mem += sp.Task.MemBytes
 	}
-	// Slice order, not map order: a query with several bad dependencies
+	// Slice order, not ID order: a query with several bad dependencies
 	// reports the same one every run.
 	for i := range specs {
 		for _, dep := range specs[i].DependsOn {
-			if _, ok := byID[dep]; !ok {
-				putQuery(q)
+			if _, ok := q.find(dep); !ok {
 				return nil, fmt.Errorf("exec: task %d depends on unknown %d", specs[i].Task.ID, dep)
 			}
 		}
 	}
-	slices.Sort(ids)
-
-	q.ids = ids
-	q.mem = mem
-	q.tenant = tenant
-	q.deadline = o.Deadline
-	// The report and handle escape to the caller, so they are the one
-	// per-query allocation that cannot recycle. They are built before the
-	// lock; only the ID is filled in under it.
 	q.rep = &Report{
 		Finish:  make(map[int]time.Duration),
 		Results: make(map[int]*Temp),
 		Frags:   make(map[int]FragStat),
 	}
-	// Keep a local reference to the handle: once the query is published to
-	// the intake queue the master may shed, finish and recycle it
-	// (putQuery nils q.handle) before this goroutine returns.
-	h := &QueryHandle{sched: s}
-	q.handle = h
+	q.handle.sched = s
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		putQuery(q)
 		return nil, fmt.Errorf("exec: scheduler is drained")
 	}
 	// The query ID is the intake order: stamped and appended in one
@@ -642,15 +612,14 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	s.nextID++
 	if err := s.claimIDs(q); err != nil {
 		s.mu.Unlock()
-		putQuery(q)
 		return nil, err
 	}
-	h.id = q.id
+	q.handle.id = q.id
 	// The head-based sampling decision is made here, once, from the
 	// intake sequence: every span site downstream checks q.traced, so an
 	// unsampled query emits nothing and captures no per-query snapshot —
 	// the O(budget) guarantee for serving-scale observed runs.
-	q.traced = s.sampler.Sample(tenant, q.id)
+	q.traced = s.sampler.Sample(q.tenant, q.id)
 	if q.traced {
 		q.traceMark = s.eng.Trace.Mark()
 	}
@@ -666,20 +635,21 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	}
 	s.queue = append(s.queue, q)
 	s.mu.Unlock()
-	return h, nil
+	return &q.handle, nil
 }
 
 // claimIDs claims the query's task IDs in the live table, rejecting
 // cross-query collisions; nothing is claimed on rejection. The caller
 // holds s.mu.
 func (s *Scheduler) claimIDs(q *query) error {
-	for _, id := range q.ids {
+	for i := range q.tasks {
+		id := q.tasks[i].spec.Task.ID
 		if qid, live := s.live[id]; live {
 			return fmt.Errorf("exec: task ID %d already live in query %d", id, qid)
 		}
 	}
-	for _, id := range q.ids {
-		s.live[id] = q.id
+	for i := range q.tasks {
+		s.live[q.tasks[i].spec.Task.ID] = q.id
 	}
 	return nil
 }
@@ -687,8 +657,8 @@ func (s *Scheduler) claimIDs(q *query) error {
 // deregisterIDs releases the query's task-ID claims.
 func (s *Scheduler) deregisterIDs(q *query) {
 	s.mu.Lock()
-	for _, id := range q.ids {
-		delete(s.live, id)
+	for i := range q.tasks {
+		delete(s.live, q.tasks[i].spec.Task.ID)
 	}
 	s.mu.Unlock()
 }
@@ -734,9 +704,9 @@ func (s *Scheduler) loop() {
 			if ev.gen != s.gen {
 				break // stale timer from a drained session
 			}
-			if q, ok := s.queries[ev.qid]; ok {
-				q.arrived[ev.id] = true
-				s.submitReady()
+			if q := s.byTask[ev.id]; q != nil && q.id == ev.qid {
+				q.task(ev.id).arrived = true
+				s.submitReady(q)
 			}
 		case taskDone:
 			s.onTaskDone(ev)
@@ -811,21 +781,12 @@ func (s *Scheduler) tenant(name string) *tenantState {
 // sheds it.
 func (s *Scheduler) onSubmit(q *query, now time.Duration) {
 	q.submitRel = now
-	if q.arrived == nil {
-		q.arrived = make(map[int]bool, len(q.ids))
-		q.submitted = make(map[int]bool, len(q.ids))
-		q.done = make(map[int]bool, len(q.ids))
-	}
-	s.queries[q.id] = q
-	for _, id := range q.ids {
-		s.byTask[id] = q
-	}
 	s.inflight++
 	s.gInflight.Set(int64(s.inflight))
 	s.series.Count("submitted", 1)
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("submit", fmt.Sprintf(
-			"query %d: %d tasks, %d B working set", q.id, len(q.ids), q.mem))
+			"query %d: %d tasks, %d B working set", q.id, len(q.tasks), q.mem))
 	}
 	// Policies with a submission screen (deadline) can reject a query
 	// before it ever waits: a provably-hopeless query sheds immediately.
@@ -966,15 +927,10 @@ func (s *Scheduler) shedWith(q *query, err error) {
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("shed", fmt.Sprintf("query %d shed: %v", q.id, err))
 	}
-	delete(s.queries, q.id)
-	for _, id := range q.ids {
-		delete(s.byTask, id)
-	}
 	s.deregisterIDs(q)
 	s.inflight--
 	s.gInflight.Set(int64(s.inflight))
 	q.handle.settle(nil, err)
-	putQuery(q)
 }
 
 // admits reports whether the query fits the admission budget right now.
@@ -999,10 +955,10 @@ func (s *Scheduler) admits(q *query) bool {
 }
 
 // admit moves a query past the admission controller: stamps its
-// queue-wait, registers its arrival timers, and hands its ready tasks to
-// the controller. now is the caller's already-read clock.
+// queue-wait, enters its tasks in byTask, registers its arrival timers,
+// and hands its ready tasks to the controller. now is the caller's
+// already-read clock.
 func (s *Scheduler) admit(q *query, now time.Duration) {
-	q.admitted = true
 	q.admitRel = now
 	s.admEpoch++ // the admitted mix changed; cached predictions are stale
 	s.nAdmitted++
@@ -1024,18 +980,23 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 		}
 	}
 	// Arrival timers post ticks through the mailbox, exactly as the
-	// one-shot batch path registered them. Iterate in ID order so timer
-	// registration order — and therefore equal-instant tie-breaking in
-	// the virtual clock's timer heap — is deterministic.
-	for _, id := range q.ids {
-		sp := q.specs[id]
-		if sp.Arrival <= 0 {
-			q.arrived[id] = true
+	// one-shot batch path registered them. Each timer goroutine first
+	// yields under a key built from its task ID: the goroutines of one
+	// admission instant then register their timers one at a time in ID
+	// order, whatever order the host ran them in, so equal-instant
+	// arrivals tick in ID order at any GOMAXPROCS.
+	for i := range q.tasks {
+		t := &q.tasks[i]
+		id := t.spec.Task.ID
+		s.byTask[id] = q
+		if t.spec.Arrival <= 0 {
+			t.arrived = true
 			continue
 		}
-		at := s.eng.Clock.Now() + sp.Arrival
+		at := s.eng.Clock.Now() + t.spec.Arrival
 		gen, qid, tid := s.gen, q.id, id
 		s.eng.Clock.Go(func() {
+			s.eng.Clock.YieldOrdered(arrivalKey(tid))
 			if v, ok := s.eng.Clock.(*vclock.Virtual); ok {
 				v.SleepUntil(at)
 			} else {
@@ -1044,48 +1005,36 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 			s.events.Post(arrivalTick{gen: gen, qid: qid, id: tid})
 		})
 	}
-	if len(q.specs) == 0 {
+	if len(q.tasks) == 0 {
 		// Degenerate empty query: complete on the spot.
 		s.finishQuery(q)
 		return
 	}
-	s.submitReady()
+	s.submitReady(q)
 }
 
-// ready reports whether a task can be handed to the controller.
-func (s *Scheduler) ready(q *query, sp *TaskSpec) bool {
-	if q.failed != nil || !q.admitted {
-		return false
-	}
-	id := sp.Task.ID
-	if q.submitted[id] || !q.arrived[id] {
-		return false
-	}
-	for _, dep := range sp.DependsOn {
-		if !q.done[dep] {
-			return false
-		}
-	}
-	return true
-}
+// arrivalKey is the YieldOrdered identity of a task's arrival timer:
+// ascending in task ID and below every slaveKey, so the two never tie.
+func arrivalKey(taskID int) int64 { return int64(taskID) - 1<<62 }
 
-// submitReady hands every newly ready task — across all admitted
-// queries, in global task-ID order — to the controller in one batch and
-// applies the resulting decision.
-func (s *Scheduler) submitReady() {
-	ids := make([]int, 0, len(s.byTask))
-	for id := range s.byTask {
-		ids = append(ids, id)
+// submitReady hands the query's newly ready tasks to the controller in
+// one batch, in task-ID order, and applies the resulting decision. A
+// task becomes ready only through an event of its own query — its
+// admission, its arrival tick, a dependency finishing — so the event's
+// query is the whole candidate set.
+func (s *Scheduler) submitReady(q *query) {
+	if q.failed != nil {
+		return
 	}
-	slices.Sort(ids)
 	var batch []*core.Task
-	for _, id := range ids {
-		q := s.byTask[id]
-		if sp := q.specs[id]; s.ready(q, sp) {
-			q.submitted[id] = true
-			q.started++
-			batch = append(batch, sp.Task)
+	for i := range q.tasks {
+		t := &q.tasks[i]
+		if t.submitted || !t.arrived || !q.depsDone(t.spec) {
+			continue
 		}
+		t.submitted = true
+		q.started++
+		batch = append(batch, t.spec.Task)
 	}
 	if len(batch) == 0 {
 		return
@@ -1119,12 +1068,12 @@ func (s *Scheduler) apply(d core.Decision) {
 		}
 	}
 	for _, a := range d.Adjusts {
-		rt := s.running[a.Task.ID]
-		if rt == nil {
-			s.poison(s.byTask[a.Task.ID], fmt.Errorf("exec: adjust for task %d which is not running", a.Task.ID))
+		q := s.byTask[a.Task.ID]
+		if q == nil || q.task(a.Task.ID).rt == nil {
+			s.poison(q, fmt.Errorf("exec: adjust for task %d which is not running", a.Task.ID))
 			continue
 		}
-		q := s.byTask[a.Task.ID]
+		rt := q.task(a.Task.ID).rt
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "adjust", TaskID: a.Task.ID, Degree: a.Degree, Reason: a.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("adjust", fmt.Sprintf("task %d to degree %d: %s", a.Task.ID, a.Degree, a.Reason))
@@ -1137,8 +1086,8 @@ func (s *Scheduler) apply(d core.Decision) {
 	}
 	for _, st := range d.Starts {
 		q := s.byTask[st.Task.ID]
-		spec := q.specs[st.Task.ID]
-		fr, err := e.getFragRun(spec.Frag, s.temps, s.hashes, s.colHashes)
+		t := q.task(st.Task.ID)
+		fr, err := e.getFragRun(t.spec.Frag, s.temps, s.hashes, s.colHashes)
 		if err != nil {
 			s.abortStart(q, st.Task, err)
 			continue
@@ -1156,7 +1105,7 @@ func (s *Scheduler) apply(d core.Decision) {
 			fr.obsTid = 0
 		}
 		rt := &runningTask{eng: e, task: st.Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState), startAt: e.now()}
-		s.running[st.Task.ID] = rt
+		t.rt = rt
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "start", TaskID: st.Task.ID, Degree: st.Degree, Reason: st.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("start", fmt.Sprintf("task %d (%s) at degree %d: %s", st.Task.ID, st.Task.Name, st.Degree, st.Reason))
@@ -1164,7 +1113,7 @@ func (s *Scheduler) apply(d core.Decision) {
 		if err := rt.launch(st.Degree); err != nil {
 			// launch only fails before any slave spawns, so no completion
 			// will ever be posted for this task.
-			delete(s.running, st.Task.ID)
+			t.rt = nil
 			s.abortStart(q, st.Task, err)
 		}
 	}
@@ -1185,7 +1134,7 @@ func (s *Scheduler) poison(q *query, err error) {
 // the query's drain accounting) consistent.
 func (s *Scheduler) abortStart(q *query, t *core.Task, err error) {
 	s.poison(q, err)
-	q.done[t.ID] = true
+	q.task(t.ID).done = true
 	q.finished++
 	s.apply(s.ctl.Complete(t))
 	s.settleIfComplete(q)
@@ -1198,15 +1147,19 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 	e := s.eng
 	id := ev.task.ID
 	q := s.byTask[id]
-	if q == nil || q.done[id] {
+	if q == nil {
+		return
+	}
+	t := q.task(id)
+	if t.done {
 		return
 	}
 	if ev.err != nil {
 		s.poison(q, fmt.Errorf("exec: task %d failed: %w", id, ev.err))
 	}
-	q.done[id] = true
+	t.done = true
+	t.rt = nil
 	q.finished++
-	delete(s.running, id)
 	s.admEpoch++ // remaining admitted work changed; predictions are stale
 	now := s.now()
 	if ev.err == nil {
@@ -1223,7 +1176,7 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 			e.schedEvent("complete", fmt.Sprintf("task %d (%s): %s", id, ev.task.Name, detail))
 		}
 		// Publish the fragment's output for consumers.
-		frag := q.specs[id].Frag
+		frag := t.spec.Frag
 		switch frag.Out {
 		case plan.HashOut:
 			if ev.rt.fr.outColHash != nil {
@@ -1243,13 +1196,14 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 	// consistent.
 	s.apply(s.ctl.Complete(ev.task))
 	s.settleIfComplete(q)
-	s.submitReady()
+	s.submitReady(q)
 }
 
 // settleIfComplete finalizes a query whose controller-owned work has
-// fully drained.
+// fully drained. An aborted start can settle a query deep inside apply,
+// under a caller that still holds it; settled keeps that exactly-once.
 func (s *Scheduler) settleIfComplete(q *query) {
-	if q.complete() && s.queries[q.id] != nil {
+	if q.complete() && !q.settled {
 		s.finishQuery(q)
 	}
 }
@@ -1258,6 +1212,7 @@ func (s *Scheduler) settleIfComplete(q *query) {
 // wakes its waiter, and admits queued queries that now fit.
 func (s *Scheduler) finishQuery(q *query) {
 	e := s.eng
+	q.settled = true
 	now := s.now()
 	rep := q.rep
 	rep.SubmittedAt = q.submitRel
@@ -1283,14 +1238,14 @@ func (s *Scheduler) finishQuery(q *query) {
 	s.slo.Record(q.tenant, now, rep.Elapsed, rep.QueueWait)
 
 	// Release master-side state.
-	delete(s.queries, q.id)
-	for _, id := range q.ids {
-		delete(s.byTask, id)
-		delete(s.temps, q.specs[id].Frag)
-		delete(s.hashes, q.specs[id].Frag)
-		if cht := s.colHashes[q.specs[id].Frag]; cht != nil {
+	for i := range q.tasks {
+		sp := q.tasks[i].spec
+		delete(s.byTask, sp.Task.ID)
+		delete(s.temps, sp.Frag)
+		delete(s.hashes, sp.Frag)
+		if cht := s.colHashes[sp.Frag]; cht != nil {
 			cht.release()
-			delete(s.colHashes, q.specs[id].Frag)
+			delete(s.colHashes, sp.Frag)
 		}
 	}
 	for _, fr := range q.frs {
@@ -1309,7 +1264,7 @@ func (s *Scheduler) finishQuery(q *query) {
 	s.deregisterIDs(q)
 	if e.Trace != nil && q.traced {
 		e.schedEvent("query-done", fmt.Sprintf(
-			"query %d: %d tasks in %v (queue wait %v)", q.id, len(q.ids), rep.Elapsed, rep.QueueWait))
+			"query %d: %d tasks in %v (queue wait %v)", q.id, len(q.tasks), rep.Elapsed, rep.QueueWait))
 	}
 
 	if q.failed != nil {
@@ -1319,7 +1274,6 @@ func (s *Scheduler) finishQuery(q *query) {
 	}
 
 	s.wakeAdmitQ()
-	putQuery(q)
 }
 
 // wakeAdmitQ admits waiting queries that now fit, in the order the

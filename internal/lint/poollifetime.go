@@ -8,12 +8,12 @@ import (
 )
 
 // PoolLifetime enforces the pooled-object lifetime discipline around
-// the engine's ~8 sync.Pools (batch, column-batch, hash-vector, seal
-// scratch, slave context, query, wake channel, go-runner pools): a
-// value obtained from a pool must not outlive its recycle point. Three
+// the engine's ~7 sync.Pools (batch, column-batch, hash-vector, seal
+// scratch, slave context, wake channel, go-runner pools): a value
+// obtained from a pool must not outlive its recycle point. Three
 // rules, checked per function over the shared call graph (getters and
-// putters are classified transitively, so `q := getQuery()` and
-// `s.finishQuery(q)` count the same as direct Pool.Get/Put):
+// putters are classified transitively, so `sc := e.getSlaveCtx()` and
+// `e.putSlaveCtx(sc)` count the same as direct Pool.Get/Put):
 //
 //  1. use-after-recycle — once a pooled value is handed back (Put, or
 //     any call that transitively recycles it), no later statement on
@@ -25,7 +25,7 @@ import (
 //  3. publish-then-read — a pooled value published into shared state
 //     under a mutex must not be read after the lock is released; the
 //     new owner may recycle it concurrently. Capture what you need
-//     (`h := q.handle`) before publishing.
+//     in a local before publishing.
 //
 // Only locals bound directly from a getter call are tracked, so
 // ownership handoffs through parameters (the master loop's recycling)
@@ -59,7 +59,7 @@ func classifyPools(g *CallGraph) *poolClassify {
 		putters: make(map[*types.Func]map[int]bool),
 	}
 	// Fixpoint: getter/putter-ness flows through in-package wrappers
-	// (getQuery -> queryPool.Get, finishQuery -> putQuery -> Put). The
+	// (getSlaveCtx -> scPool.Get, putSlaveCtx -> scPool.Put). The
 	// wrapper depth bounds the iteration count.
 	for changed := true; changed; {
 		changed = false
