@@ -16,11 +16,10 @@
 // disk/buffer profile instead of the result rows.
 //
 // Prefixing a statement with "batches" executes it and prints batch
-// diagnostics: the batch layout and size, the per-column on-page widths
-// of every base relation the plan reads, and the observed
-// selection-vector density (the fraction of scanned rows that survive
-// residual predicate chains). The -row flag forces the executor onto
-// row-at-a-time batches for comparison.
+// diagnostics: the batch size, the per-column on-page widths of every
+// base relation the plan reads, and the observed selection-vector
+// density (the fraction of scanned rows that survive residual predicate
+// chains).
 //
 // The -trace FILE flag writes a Chrome trace-event JSON (load it at
 // ui.perfetto.dev) of everything the statements ran — query, fragment,
@@ -41,15 +40,10 @@ import (
 )
 
 func main() {
-	rowMode := flag.Bool("row", false, "force row-at-a-time batches (default columnar)")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the executed statements to this file")
 	flag.Parse()
 	cfg := xprs.DefaultConfig()
 	cfg.Observe = true // enables EXPLAIN ANALYZE metrics; results unchanged
-	cfg.RowBatches = *rowMode
-	if *rowMode {
-		layoutName = "row"
-	}
 	sys := xprs.New(cfg)
 	if err := loadDemo(sys); err != nil {
 		fmt.Fprintln(os.Stderr, "xprsql:", err)
@@ -144,10 +138,6 @@ func loadDemo(sys *xprs.System) error {
 	return err
 }
 
-// layoutName names the batch layout the shell was started with; set
-// once in main from the -row flag.
-var layoutName = "columnar"
-
 func run(sys *xprs.System, stmt string) error {
 	if rest, ok := cutAnalyze(stmt); ok {
 		_, pl, rep, err := sys.ExecSQLReport(rest, xprs.InterAdj)
@@ -183,7 +173,7 @@ func run(sys *xprs.System, stmt string) error {
 }
 
 // runBatches executes the statement and prints batch diagnostics
-// instead of result rows: the layout and batch size, the per-column
+// instead of result rows: the batch size, the per-column
 // on-page widths of every base relation the plan scans, and the
 // observed selection-vector density across residual predicate chains
 // (from the exec.sel_rows_* counters, diffed around the run so earlier
@@ -195,8 +185,7 @@ func runBatches(sys *xprs.System, stmt string) error {
 		return err
 	}
 	after := sys.Observer().Metrics.Snapshot()
-	fmt.Printf("-- batch diagnostics (layout %s, batch %d, %d result rows)\n",
-		layoutName, sys.BatchSize(), res.Len())
+	fmt.Printf("-- batch diagnostics (batch %d, %d result rows)\n", sys.BatchSize(), res.Len())
 	seen := make(map[*storage.Relation]bool)
 	plan.Walk(pl.Plan, func(n plan.Node) {
 		var rel *storage.Relation
@@ -227,7 +216,7 @@ func runBatches(sys *xprs.System, stmt string) error {
 		fmt.Printf("--  selection vectors: %d of %d rows pass residual predicates (density %.1f%%)\n",
 			out, in, 100*float64(out)/float64(in))
 	} else {
-		fmt.Println("--  selection vectors: no residual predicate chains (filters pushed into scans, or row layout)")
+		fmt.Println("--  selection vectors: no residual predicate chains (filters pushed into index ranges)")
 	}
 	return nil
 }

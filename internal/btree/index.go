@@ -30,13 +30,17 @@ func BuildIndex(name string, rel *storage.Relation, col int, clustered bool) (*I
 			rel.Schema.Cols[col].Name, rel.Schema.Cols[col].Typ)
 	}
 	idx := &Index{Name: name, Rel: rel, Col: col, Clustered: clustered, Tree: New()}
+	// Only generator-backed pages materialize into scratch; physical
+	// pages come back as the relation's shared columnar cache.
+	scratch := storage.NewColBatch(rel.Schema, 0)
 	for p := int64(0); p < rel.NPages(); p++ {
-		tuples, err := rel.PageTuples(p)
+		scratch.Reset()
+		page, err := rel.PageColsInto(p, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("btree: building %q: %w", name, err)
 		}
-		for s, t := range tuples {
-			idx.Tree.Insert(t.Vals[col].Int, storage.TID{Page: p, Slot: int32(s)})
+		for s, k := range page.Vecs[col].Ints {
+			idx.Tree.Insert(k, storage.TID{Page: p, Slot: int32(s)})
 		}
 	}
 	return idx, nil

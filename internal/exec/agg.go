@@ -63,40 +63,6 @@ func (d *denseScratch) popSeen() int {
 	return n
 }
 
-// initAccum returns the identity accumulator for the function list.
-func initAccum(funcs []plan.AggFunc) []int64 {
-	acc := make([]int64, len(funcs))
-	for i, f := range funcs {
-		switch f.Kind {
-		case plan.Min:
-			acc[i] = math.MaxInt64
-		case plan.Max:
-			acc[i] = math.MinInt64
-		}
-	}
-	return acc
-}
-
-// fold adds one input tuple into an accumulator.
-func fold(acc []int64, funcs []plan.AggFunc, t storage.Tuple) {
-	for i, f := range funcs {
-		switch f.Kind {
-		case plan.CountAll:
-			acc[i]++
-		case plan.Sum:
-			acc[i] += int64(t.Vals[f.Col].Int)
-		case plan.Min:
-			if v := int64(t.Vals[f.Col].Int); v < acc[i] {
-				acc[i] = v
-			}
-		case plan.Max:
-			if v := int64(t.Vals[f.Col].Int); v > acc[i] {
-				acc[i] = v
-			}
-		}
-	}
-}
-
 // mergeAcc folds src into dst under the function list.
 func mergeAcc(dst, src []int64, funcs []plan.AggFunc) {
 	for i, f := range funcs {
@@ -308,40 +274,10 @@ func (st *aggState) emit(out *Temp) int {
 	return n
 }
 
-// accumulateBatch folds one batch into the slave's private accumulator
-// table. Consecutive tuples of one group (the common case when the
-// input arrives ordered) reuse the last looked-up accumulator.
-func (sc *slaveCtx) accumulateBatch(st *aggState, ts []storage.Tuple) {
-	if sc.aggLocal == nil {
-		sc.aggLocal = make(map[int32][]int64)
-	}
-	funcs := st.funcs
-	gc := st.groupCol
-	var lastKey int32
-	var lastAcc []int64
-	for i := range ts {
-		key := int32(0)
-		if gc >= 0 {
-			key = ts[i].Vals[gc].Int
-		}
-		acc := lastAcc
-		if acc == nil || key != lastKey {
-			var ok bool
-			acc, ok = sc.aggLocal[key]
-			if !ok {
-				acc = sc.newAccum(funcs)
-				sc.aggLocal[key] = acc
-			}
-			lastKey, lastAcc = key, acc
-		}
-		fold(acc, funcs, ts[i])
-	}
-}
-
 // accumulateBatchCols folds the live rows of a columnar batch into the
 // slave's private accumulators. Keys inside a 64K window anchored at the
 // first key seen fold into a flat array — one bounds check and no
-// hashing per row; outliers fall back to the row path's map + slab, so
+// hashing per row; outliers fall back to the map + slab, so
 // any key distribution stays correct. Accumulator cells initialize on
 // first touch via the seen bitmap, which is what lets recycled scratch
 // skip a 512KB zeroing pass per slave.
@@ -441,7 +377,7 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 
 // accumulateColsViaMap is the cold columnar fallback: global groups and
 // degenerate key vectors fold through the map path per row, reading
-// values the way the row path's zero Value.Int would.
+// values the way a zero Value.Int would.
 func (sc *slaveCtx) accumulateColsViaMap(st *aggState, b *storage.ColBatch) {
 	if sc.aggLocal == nil {
 		sc.aggLocal = make(map[int32][]int64)

@@ -2,14 +2,18 @@ package exec
 
 import (
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xprs/internal/btree"
 	"xprs/internal/core"
+	"xprs/internal/diskmodel"
 	"xprs/internal/expr"
 	"xprs/internal/plan"
+	"xprs/internal/storage"
 )
 
 // The batch-at-a-time pipeline must be a pure wall-clock optimization:
@@ -24,8 +28,13 @@ var sweepSizes = []int{1, 7, 256, 1 << 20}
 
 // canonTuples renders a temp as a sorted multiset of rows.
 func canonTuples(temp *Temp) []string {
-	rows := make([]string, 0, temp.Len())
-	for _, tp := range temp.Tuples() {
+	return canonRows(temp.Tuples())
+}
+
+// canonRows renders tuples as a sorted multiset of rows.
+func canonRows(ts []storage.Tuple) []string {
+	rows := make([]string, 0, len(ts))
+	for _, tp := range ts {
 		var b strings.Builder
 		for i, v := range tp.Vals {
 			if i > 0 {
@@ -39,71 +48,79 @@ func canonTuples(temp *Temp) []string {
 	return rows
 }
 
-// sweepOutcome is everything that must not depend on the batch size.
-type sweepOutcome struct {
-	rows    []string
-	elapsed string
-	finish  string
-	disk    string
+// outcomeOf renders everything about a run that must not depend on the
+// batch size, the partition count or the host: the virtual-time
+// trajectory (makespan, per-task finish instants, disk statistics) and
+// the result multiset (row count plus FNV-1a of the canonical rows).
+func outcomeOf(elapsed time.Duration, finish map[int]time.Duration, disk diskmodel.Stats, res *Temp) string {
+	fin := make([]string, 0, len(finish))
+	for id, at := range finish {
+		fin = append(fin, fmt.Sprintf("%d@%v", id, at))
+	}
+	slices.Sort(fin)
+	h := fnv.New64a()
+	rows := canonTuples(res)
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("elapsed=%v finish=[%s] disk=%+v rows=%d fnv=%016x",
+		elapsed, strings.Join(fin, " "), disk, len(rows), h.Sum64())
 }
 
-// runSweep executes the plan built by mk at every sweep size, in both
-// batch layouts (columnar and forced row-at-a-time), and asserts
-// identical outcomes across the whole grid: the layout, like the batch
-// size, must be a pure wall-clock knob. mk receives a fresh engine per
-// run (batch size and layout are set after construction) and returns
-// the plan root.
+// reportOutcome is outcomeOf over a Report and its root task.
+func reportOutcome(rep *Report, root int) string {
+	return outcomeOf(rep.Elapsed, rep.Finish, rep.Disk, rep.Results[root])
+}
+
+// checkGolden compares an outcome with the constant recorded for key in
+// golden_test.go. The constants were recorded on the row-at-a-time
+// engine before it was deleted (and matched the columnar one wherever
+// both ran), so they pin the virtual-time behaviour of every operator
+// against its first implementation.
+func checkGolden(t *testing.T, key, label, got string) {
+	t.Helper()
+	want, ok := golden[key]
+	if !ok {
+		t.Errorf("no golden outcome for %q; got\n\t%q: %q,", key, key, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s:\n got %s\nwant %s", label, got, want)
+	}
+}
+
+// checkOracle asserts that got holds exactly the rows the oracle
+// computes for the plan rooted at root.
+func checkOracle(t *testing.T, label string, root plan.Node, got *Temp) {
+	t.Helper()
+	want := canonRows(refEval(t, root))
+	rows := canonTuples(got)
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d rows, oracle says %d", label, len(rows), len(want))
+	}
+	for i := range rows {
+		if rows[i] != want[i] {
+			t.Fatalf("%s: row %d = %s, oracle says %s", label, i, rows[i], want[i])
+		}
+	}
+}
+
+// runSweep executes the plan built by mk at every sweep size and asserts
+// the golden outcome at each, plus the oracle's result. mk receives a
+// fresh engine per run (the batch size is set after construction) and
+// returns the plan root.
 func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(eng *Engine) plan.Node) {
 	t.Helper()
-	var base *sweepOutcome
-	for _, rowMode := range []bool{false, true} {
-		layout := "columnar"
-		if rowMode {
-			layout = "row"
-		}
-		for _, bs := range sweepSizes {
-			v, eng := testEngine(poolPages)
-			eng.BatchSize = bs
-			eng.RowBatches = rowMode
-			root := mk(eng)
-			specs, g := specFor(t, eng, root, 0)
-			rep := runOne(t, v, eng, specs, policy)
-			finish := make([]string, 0, len(rep.Finish))
-			for id, at := range rep.Finish {
-				finish = append(finish, fmt.Sprintf("%d@%v", id, at))
-			}
-			slices.Sort(finish)
-			got := &sweepOutcome{
-				rows:    canonTuples(rep.Results[g.Root.ID]),
-				elapsed: rep.Elapsed.String(),
-				finish:  strings.Join(finish, " "),
-				disk:    fmt.Sprintf("%+v", rep.Disk),
-			}
-			if base == nil {
-				base = got
-				if len(got.rows) == 0 {
-					t.Fatalf("%s batch=%d produced no rows; sweep is vacuous", layout, bs)
-				}
-				continue
-			}
-			if len(got.rows) != len(base.rows) {
-				t.Fatalf("%s batch=%d rows = %d, want %d", layout, bs, len(got.rows), len(base.rows))
-			}
-			for i := range got.rows {
-				if got.rows[i] != base.rows[i] {
-					t.Fatalf("%s batch=%d row %d = %s, want %s", layout, bs, i, got.rows[i], base.rows[i])
-				}
-			}
-			if got.elapsed != base.elapsed {
-				t.Errorf("%s batch=%d elapsed = %s, want %s", layout, bs, got.elapsed, base.elapsed)
-			}
-			if got.finish != base.finish {
-				t.Errorf("%s batch=%d finish times = %s, want %s", layout, bs, got.finish, base.finish)
-			}
-			if got.disk != base.disk {
-				t.Errorf("%s batch=%d disk stats = %s, want %s", layout, bs, got.disk, base.disk)
-			}
-		}
+	for _, bs := range sweepSizes {
+		v, eng := testEngine(poolPages)
+		eng.BatchSize = bs
+		root := mk(eng)
+		specs, g := specFor(t, eng, root, 0)
+		rep := runOne(t, v, eng, specs, policy)
+		label := fmt.Sprintf("batch=%d", bs)
+		checkGolden(t, t.Name(), label, reportOutcome(rep, g.Root.ID))
+		checkOracle(t, label, root, rep.Results[g.Root.ID])
 	}
 }
 

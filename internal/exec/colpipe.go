@@ -2,30 +2,32 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"xprs/internal/expr"
+	"xprs/internal/obs"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
 )
 
-// The columnar pipeline is the default execution path: drivers decode
-// pages straight into column vectors, filters produce selection vectors
-// instead of copying survivors, hash joins emit by appending column
-// values, and aggregation folds through a dense accumulator window. The
-// row pipeline (pipeline.go) remains fully supported — Engine.RowBatches
-// forces it, and any fragment shape the columnar compiler does not cover
-// (nestloops, index scans, merge joins) falls back to it per fragment.
+// Fragments execute batch-at-a-time over columnar batches: a fragment
+// compiles to a chain of colProc closures, drivers decode pages straight
+// into column vectors, filters produce selection vectors instead of
+// copying survivors, joins emit by appending column values, and
+// aggregation folds through a dense accumulator window — so interpreter
+// overhead (closure calls, lock round-trips, clock events) is paid per
+// batch instead of per tuple.
 //
-// Both layouts charge the identical per-tuple CPU at the identical
-// points (probe per live tuple, emit per match, fold per live tuple,
-// insert per built row), so the virtual clock cannot tell them apart:
-// switching layouts moves wall-clock time and allocations only.
+// Two invariants keep virtual time independent of the batch size:
 //
-// A query can mix layouts per fragment, so a hash join must be able to
-// probe whichever table kind its build fragment produced: the columnar
-// probe bridges to a row HashTable by materializing match tuples, and
-// the row probe bridges to a ColHashTable the same way. The bridges
-// charge exactly what the native paths charge.
+//  1. CPU is charged when the simulated work happens (cheap integer adds
+//     into the slave's debt counter), at page/group granularity for
+//     scans and per emission for joins, never lazily per batch of some
+//     other granularity.
+//  2. Before every blocking disk wait, all pending work is flushed: the
+//     operator's buffered output batch (so downstream charges land) and
+//     then the slave's CPU debt. The clock value at every IO point is
+//     therefore a pure function of the work preceding that IO.
 
 // colProc consumes one columnar batch inside a slave. Batches are
 // read-only apart from Sel, which filter stages swap and restore; rows
@@ -33,55 +35,86 @@ import (
 // scratch or shared page-cache views).
 type colProc func(sc *slaveCtx, b *storage.ColBatch) error
 
-// colConsumer is a compiled columnar stage. Columnar chains never
-// contain blocking operators (nestloops compile to the row path), so
-// unlike consumer there are no retains/blocking facts to carry.
+// colConsumer is a compiled stage plus the one fact its producer needs:
+// whether feeding it can block on IO (a nestloop rescan, or a stage that
+// emits into one). Producers hand rows one at a time to blocking
+// consumers so clock positions at IO points stay batch-independent.
 type colConsumer struct {
-	proc colProc
+	proc     colProc
+	blocking bool
 }
 
-// colSupported reports whether the fragment can run on the columnar
-// pipeline: a page-partitioned driver and a tree of the vectorized
-// operators only.
-func (fr *fragRun) colSupported() bool {
-	if _, kind := fr.frag.Driver(); kind != plan.PageDriver {
-		return false
-	}
-	return colNodeSupported(fr.frag.Root, true)
+// fragRun is the runtime of one fragment: the compiled pipeline plus its
+// input temps/hash tables and its output.
+type fragRun struct {
+	eng  *Engine
+	frag *plan.Fragment
+
+	// inputs, resolved from the engine's run context at launch
+	temps     map[*plan.Fragment]*Temp
+	colHashes map[*plan.Fragment]*ColHashTable
+
+	outTemp    *Temp         // for RootOut / TempOut / SortedOut
+	outColHash *ColHashTable // for HashOut
+	agg        *aggState     // non-nil when the fragment root is an Agg
+
+	// Rebind ingredients, fixed at compile time: pooled runtimes recreate
+	// the per-run outputs above from these without recompiling (see
+	// rebind). aggNode remembers the root Agg so a fresh accumulator state
+	// can be built per run.
+	outSchema storage.Schema
+	hashParts int
+	aggNode   *plan.Agg
+
+	// colRoot is the compiled pipeline the drivers feed batches into.
+	colRoot colConsumer
+
+	// nColOuts, nSels and nLoops count the per-slave output-batch,
+	// selection-scratch and nestloop-scratch slots handed out to
+	// operators at compile time. Compiled closures are shared by every
+	// slave of the fragment, so their mutable scratch lives in the slave
+	// context under these slot numbers.
+	nColOuts int
+	nSels    int
+	nLoops   int
+
+	// obsTid is the fragment's trace lane (0 when tracing is off).
+	obsTid int
+	// traced carries the owning query's head-based sampling decision:
+	// false suppresses every span and protocol event this fragment (and
+	// its slaves) would emit. Set by the scheduler at task start.
+	traced bool
+	// Always-on execution counters behind FragStat: pure atomic adds
+	// that never touch the clock, so they cannot perturb determinism.
+	statTuplesIn  atomic.Int64
+	statTuplesOut atomic.Int64
+	statBatches   atomic.Int64
 }
 
-func colNodeSupported(n plan.Node, atRoot bool) bool {
-	switch x := n.(type) {
-	case *plan.SeqScan:
-		return true
-	case *plan.FragScan:
-		return true
-	case *plan.Sort:
-		return atRoot && colNodeSupported(x.Child, false)
-	case *plan.Agg:
-		return atRoot && colNodeSupported(x.Child, false)
-	case *plan.HashJoin:
-		if _, ok := x.Right.(*plan.FragScan); !ok {
-			return false
-		}
-		return colNodeSupported(x.Left, false)
-	default:
-		return false
-	}
+// tracing reports whether this fragment's events should be emitted:
+// tracing is on and the owning query was sampled.
+func (fr *fragRun) tracing() bool {
+	return fr.eng.Trace != nil && fr.traced
 }
 
-// processColBatch feeds one driver batch through the columnar pipeline,
-// keeping the same stat totals the row path records.
+// traceInstant records a protocol event on the fragment's lane; callers
+// guard with `if fr.tracing()` to skip detail formatting when tracing
+// is off or the query is unsampled.
+func (fr *fragRun) traceInstant(cat, name, detail string) {
+	fr.eng.Trace.Instant(fr.eng.now(), obs.PidTasks, fr.obsTid, cat, name, detail)
+}
+
+// processColBatch feeds one batch of driver tuples through the pipeline.
 func (fr *fragRun) processColBatch(sc *slaveCtx, b *storage.ColBatch) error {
 	fr.statBatches.Add(1)
 	fr.statTuplesIn.Add(int64(b.N))
 	fr.eng.mBatches.Add(1)
 	fr.eng.mTuples.Add(int64(b.N))
-	return fr.colRoot(sc, b)
+	return fr.colRoot.proc(sc, b)
 }
 
 // newColOut reserves a per-slave output-batch slot for one emitting
-// operator (the columnar analogue of newArena).
+// operator.
 func (fr *fragRun) newColOut() int {
 	s := fr.nColOuts
 	fr.nColOuts++
@@ -89,18 +122,102 @@ func (fr *fragRun) newColOut() int {
 }
 
 // newSel reserves a per-slave selection-scratch slot (a ping-pong buffer
-// pair) for one filter stage.
+// pair) for one predicate chain.
 func (fr *fragRun) newSel() int {
 	s := fr.nSels
 	fr.nSels++
 	return s
 }
 
-// compileColSink builds the terminal columnar consumer: batches append
-// into the output temp under one lock round-trip, or partition into the
-// slave's private columnar hash builder.
-func (fr *fragRun) compileColSink() colConsumer {
+// emitLimit is the batch size an emitting operator flushes at: one for
+// blocking consumers (see colConsumer), the engine batch size otherwise.
+func (fr *fragRun) emitLimit(cons colConsumer) int {
+	if cons.blocking {
+		return 1
+	}
+	return fr.eng.batchSize()
+}
+
+// newFragRun wires a fragment to its materialized inputs and compiles
+// the pipeline.
+func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
+	fr := &fragRun{eng: eng, frag: frag, outSchema: frag.Root.OutSchema()}
+	if frag.Out == plan.HashOut {
+		fr.hashParts = eng.HashPartitions
+		if fr.hashParts <= 0 {
+			fr.hashParts = frag.HashParts
+		}
+		if fr.hashParts <= 0 {
+			fr.hashParts = DefaultHashPartitions
+		}
+	}
+	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true, nil)
+	if err != nil {
+		return nil, err
+	}
+	fr.colRoot = root
+	fr.rebind(temps, colHashes)
+	return fr, nil
+}
+
+// rebind readies a runtime for an execution of its fragment: fresh
+// outputs (a pooled runtime's previous ones escaped into its Report or
+// were released with its query), this run's input maps, and zeroed
+// counters. The compiled closures need no attention — they read all of
+// this through the fragRun pointer at call time.
+func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) {
+	fr.temps, fr.colHashes = temps, colHashes
+	if fr.frag.Out == plan.HashOut {
+		fr.outColHash = NewColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
+	} else {
+		fr.outTemp = NewTemp(fr.outSchema)
+		fr.outTemp.sortProcs = fr.eng.Env.NProcs
+	}
+	if fr.aggNode != nil {
+		fr.agg = newAggState(fr.aggNode)
+		fr.agg.eng = fr.eng
+	}
+	fr.statTuplesIn.Store(0)
+	fr.statTuplesOut.Store(0)
+	fr.statBatches.Store(0)
+}
+
+// finalize seals the fragment output after all slaves finished, charging
+// any residual CPU (the master's k-way merge of a sorted temp) to the
+// calling goroutine's clock.
+func (fr *fragRun) finalize() {
+	if fr.agg != nil {
+		groups := fr.agg.emit(fr.outTemp)
+		fr.statTuplesOut.Add(int64(groups))
+		fr.eng.chargeMasterCPU(float64(groups) * fr.eng.Params.EmitCPU)
+	}
+	if fr.frag.Out == plan.SortedOut {
+		cmps := fr.outTemp.Finalize(fr.frag.SortCol)
+		fr.eng.chargeMasterCPU(float64(cmps) * fr.eng.Params.SortCmpCPU)
+	}
 	if fr.outColHash != nil {
+		// Seal before publication so every probe runs lock-free against
+		// immutable partitions. The insert CPU was already charged per
+		// batch; sealing is wall-clock-only work and leaves the virtual
+		// clock untouched.
+		fr.outColHash.Seal()
+	}
+}
+
+// tempOf returns the materialized temp behind a FragScan.
+func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
+	t := fr.temps[fs.Frag]
+	if t == nil {
+		return nil, fmt.Errorf("exec: temp for fragment f%d not materialized", fs.Frag.ID)
+	}
+	return t, nil
+}
+
+// compileColSink builds the terminal consumer: batches append into the
+// output temp under one lock round-trip, or partition into the slave's
+// private hash builder.
+func (fr *fragRun) compileColSink() colConsumer {
+	if fr.frag.Out == plan.HashOut {
 		insertCPU := fr.eng.Params.HashInsertCPU
 		return colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
@@ -109,6 +226,9 @@ func (fr *fragRun) compileColSink() colConsumer {
 			}
 			sc.chargeCPUPer(insertCPU, live)
 			fr.statTuplesOut.Add(int64(live))
+			// Each slave partitions into a private builder — no lock per
+			// batch; flushAll hands the buffers to the shared table once at
+			// slave exit.
 			if sc.colHb == nil {
 				sc.colHb = fr.outColHash.builderIn(&sc.colHbScratch)
 			}
@@ -126,23 +246,37 @@ func (fr *fragRun) compileColSink() colConsumer {
 	}}
 }
 
-// compileCol builds the columnar chain for the subtree rooted at n,
-// feeding cons. need, when non-nil, lists the joined-output columns the
-// consumer actually reads (a root aggregate's group and argument
-// columns); emitting joins prune the rest so dead text columns are
-// never copied.
+// compileCol builds the chain for the subtree rooted at n, feeding cons.
+// The returned consumer is invoked with the batches the subtree's driver
+// leaf produces; atRoot marks the fragment root (where Sort is absorbed
+// into the output). need, when non-nil, lists the joined-output columns
+// the consumer actually reads (a root aggregate's group and argument
+// columns); hash joins prune the rest so dead text columns are never
+// copied.
 func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need map[int]bool) (colConsumer, error) {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		return fr.compileColFilter(x.Filter, cons), nil
 
+	case *plan.IndexScan:
+		return fr.compileColFilter(x.Filter, cons), nil
+
 	case *plan.FragScan:
+		// Driver batches come straight from the temp; no residual filter.
+		return cons, nil
+
+	case *plan.MergeJoin:
+		// Merge joins are fragment drivers: the merge driver produces the
+		// joined rows itself and feeds the chain above the join, so
+		// compileCol only ever meets one at the driver position.
 		return cons, nil
 
 	case *plan.Sort:
 		if !atRoot {
 			return colConsumer{}, fmt.Errorf("exec: Sort below fragment root")
 		}
+		// The batch path of a sort is plain collection; ordering happens
+		// in finalize.
 		return fr.compileCol(x.Child, cons, false, nil)
 
 	case *plan.Agg:
@@ -150,8 +284,6 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			return colConsumer{}, fmt.Errorf("exec: Agg below fragment root")
 		}
 		fr.aggNode = x
-		fr.agg = newAggState(x)
-		fr.agg.eng = fr.eng
 		foldCPU := fr.eng.Params.HashInsertCPU
 		acc := colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
@@ -173,6 +305,13 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 		}
 		return fr.compileCol(x.Child, acc, false, childNeed)
 
+	case *plan.NestLoop:
+		outer, err := fr.compileNestLoop(x, cons)
+		if err != nil {
+			return colConsumer{}, err
+		}
+		return fr.compileCol(x.Outer, outer, false, nil)
+
 	case *plan.HashJoin:
 		fs, ok := x.Right.(*plan.FragScan)
 		if !ok {
@@ -192,130 +331,103 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 				}
 			}
 		}
-		limit := fr.eng.batchSize()
+		limit := fr.emitLimit(cons)
 		proc := func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
 			if live == 0 {
 				return nil
 			}
 			cht := fr.colHashes[buildFrag]
-			var rht *HashTable
 			if cht == nil {
-				rht = fr.hashes[buildFrag]
-				if rht == nil {
-					return fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
-				}
+				return fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
 			}
 			if lcol < 0 || lcol >= len(b.Vecs) {
 				return fmt.Errorf("exec: probe column %d out of range (tuple has %d)", lcol, len(b.Vecs))
 			}
 			sc.chargeCPUPer(probeCPU, live)
 			out := sc.colOutBatch(slot, fr.eng, outSchema, prune)
-			flush := func() error {
-				if out.N == 0 {
-					return nil
-				}
-				err := cons.proc(sc, out)
-				out.Reset()
-				return err
-			}
 			var keys []int32
 			if b.Vecs[lcol].Typ == storage.Int4 {
 				keys = b.Vecs[lcol].Ints
 			}
-			emitRow := func(row int) error {
+			for i := 0; i < live; i++ {
+				row := b.RowAt(i)
 				key := int32(0)
 				if keys != nil {
 					key = keys[row]
 				}
-				if cht != nil {
-					store, start, cnt := cht.ProbeKey(key)
-					for m := int32(0); m < cnt; m++ {
-						sc.chargeCPU(emitCPU)
-						out.AppendJoined(b, row, store, int(start+m))
-						if out.N >= limit {
-							if err := flush(); err != nil {
-								return err
-							}
-						}
-					}
-					return nil
-				}
-				for _, bt := range rht.Probe(key) {
+				store, start, cnt := cht.ProbeKey(key)
+				for m := int32(0); m < cnt; m++ {
 					sc.chargeCPU(emitCPU)
-					out.AppendJoinedTuple(b, row, bt)
+					out.AppendJoined(b, row, store, int(start+m))
 					if out.N >= limit {
-						if err := flush(); err != nil {
+						if err := flushOut(sc, out, cons); err != nil {
 							return err
 						}
 					}
 				}
-				return nil
 			}
-			if b.Sel == nil {
-				for row := 0; row < b.N; row++ {
-					if err := emitRow(row); err != nil {
-						return err
-					}
-				}
-			} else {
-				for _, row := range b.Sel {
-					if err := emitRow(int(row)); err != nil {
-						return err
-					}
-				}
-			}
-			return flush()
+			return flushOut(sc, out, cons)
 		}
-		return fr.compileCol(x.Left, colConsumer{proc: proc}, false, nil)
+		return fr.compileCol(x.Left, colConsumer{proc: proc, blocking: cons.blocking}, false, nil)
 
 	default:
-		return colConsumer{}, fmt.Errorf("exec: cannot compile node %T on the columnar path", n)
+		return colConsumer{}, fmt.Errorf("exec: cannot compile node %T", n)
 	}
 }
 
+// flushOut delivers an emitting operator's pending output batch to its
+// consumer and empties it.
+func flushOut(sc *slaveCtx, out *storage.ColBatch, cons colConsumer) error {
+	if out.N == 0 {
+		return nil
+	}
+	err := cons.proc(sc, out)
+	out.Reset()
+	return err
+}
+
 // compileColFilter wraps cons with a leaf qualification compiled to a
-// selection-vector chain: the top-level AND factors apply in sequence,
-// each narrowing the previous selection, ping-ponging between the
-// slave's two scratch buffers. The batch's own selection vector is
-// swapped in for the downstream call and restored after — driver batches
-// are per-slave views, so the mutation is invisible outside the chain.
+// selection-vector chain. The predicate itself is uncharged (the
+// per-tuple scan CPU of §3 covers qualification), so batching here
+// defers no clock work. The batch's own selection vector is swapped in
+// for the downstream call and restored after — driver batches are
+// per-slave views, so the mutation is invisible outside the chain.
 func (fr *fragRun) compileColFilter(filter expr.Expr, cons colConsumer) colConsumer {
 	chain := expr.CompileColPredChain(filter)
 	if len(chain) == 0 {
 		return cons
 	}
 	slot := fr.newSel()
-	return colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
+	return colConsumer{blocking: cons.blocking, proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 		fr.eng.mSelIn.Add(int64(b.Live()))
-		a, bbuf := sc.selScratch(slot)
-		cur := b.Sel
-		parity := 0
-		for _, p := range chain {
-			dst := *a
-			if parity == 1 {
-				dst = *bbuf
-			}
-			res, err := p(b, cur, dst[:0])
-			if parity == 0 {
-				*a = res
-			} else {
-				*bbuf = res
-			}
-			if err != nil {
-				return err
-			}
-			if len(res) == 0 {
-				return nil
-			}
-			cur = res
-			parity ^= 1
+		kept, err := sc.narrow(slot, chain, b)
+		if err != nil || len(kept) == 0 {
+			return err
 		}
-		fr.eng.mSelOut.Add(int64(len(cur)))
+		fr.eng.mSelOut.Add(int64(len(kept)))
 		save := b.Sel
-		b.Sel = cur
-		err := cons.proc(sc, b)
+		b.Sel = kept
+		err = cons.proc(sc, b)
 		b.Sel = save
 		return err
 	}}
+}
+
+// narrow applies the chain's predicates to b in sequence, each narrowing
+// the previous selection (starting from b.Sel), ping-ponging between the
+// slot's two scratch buffers. The result is valid until the slot's next
+// use; an empty result ends the chain early.
+func (sc *slaveCtx) narrow(slot int, chain []expr.ColPred, b *storage.ColBatch) ([]int32, error) {
+	bufs := sc.selScratch(slot)
+	cur := b.Sel
+	for i, p := range chain {
+		res, err := p(b, cur, bufs[i&1][:0])
+		bufs[i&1] = res
+		if err != nil || len(res) == 0 {
+			return nil, err
+		}
+		cur = res
+	}
+	return cur, nil
 }

@@ -41,14 +41,6 @@ type Engine struct {
 	// independent of the value.
 	HashPartitions int
 
-	// RowBatches forces every fragment onto the row-at-a-time batch
-	// pipeline instead of the columnar one. Like BatchSize it is purely a
-	// wall-clock knob — both layouts charge the identical per-tuple work
-	// at the identical points, so results and virtual-clock totals do not
-	// move. The columnar/row ablation benchmark and the layout sweep
-	// tests flip it; production paths leave it false.
-	RowBatches bool
-
 	// Trace receives structured span/instant events when set. The tracer
 	// only appends under its own mutex with timestamps read from the
 	// virtual clock, so enabling it cannot change Finish/Elapsed results;
@@ -62,10 +54,6 @@ type Engine struct {
 	// cpuQuantumPs batches per-tuple CPU charges into clock sleeps
 	// (picoseconds); purely a simulation-efficiency knob.
 	cpuQuantumPs int64
-
-	// batchPool recycles batch buffers across slaves and tasks; entries
-	// are pointers so Put does not re-box the slice header.
-	batchPool sync.Pool
 
 	// colPools recycles columnar batches across slaves, tasks and
 	// queries — one free list per column shape. A single pool would hand
@@ -88,9 +76,9 @@ type Engine struct {
 	chtPool sync.Pool
 
 	// scPool recycles slave execution contexts across slaves, tasks and
-	// queries: the capacity-bearing scratch (selection buffers, arenas,
-	// probe slabs, page buffers) is what makes the hot path allocation-
-	// free in steady state.
+	// queries: the capacity-bearing scratch (selection buffers, view
+	// headers, page buffers) is what makes the hot path allocation-free
+	// in steady state.
 	scPool sync.Pool
 
 	// densePool recycles dense aggregation windows (accumulator array +
@@ -144,31 +132,6 @@ func (e *Engine) batchSize() int {
 		return e.BatchSize
 	}
 	return DefaultBatchSize
-}
-
-// getBatch hands out an empty batch buffer with capacity batchSize.
-func (e *Engine) getBatch() *[]storage.Tuple {
-	if v := e.batchPool.Get(); v != nil {
-		b := v.(*[]storage.Tuple)
-		if cap(*b) >= e.batchSize() {
-			*b = (*b)[:0]
-			return b
-		}
-	}
-	b := make([]storage.Tuple, 0, e.batchSize())
-	return &b
-}
-
-// putBatch returns a batch buffer to the pool. Buffers whose capacity
-// fell below the current batch size (possible after a mid-run BatchSize
-// change) are dropped instead of re-pooled: getBatch would reject them
-// on every Get, so re-pooling would make the pool churn forever.
-func (e *Engine) putBatch(b *[]storage.Tuple) {
-	if cap(*b) < e.batchSize() {
-		return
-	}
-	*b = (*b)[:0]
-	e.batchPool.Put(b)
 }
 
 // The batch pools are keyed by column shape: the column count plus two
@@ -314,7 +277,7 @@ func (e *Engine) putSlaveCtx(sc *slaveCtx) {
 // getFragRun returns a compiled runtime for the fragment: a pooled one
 // rebound to this run's inputs when the fragment was executed before
 // (plan-cache hit), a freshly compiled one otherwise.
-func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragment]*HashTable, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
+func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
 	e.frMu.Lock()
 	var fr *fragRun
 	if frs := e.frFree[frag]; len(frs) > 0 {
@@ -323,9 +286,9 @@ func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp,
 	}
 	e.frMu.Unlock()
 	if fr == nil {
-		return newFragRun(e, frag, temps, hashes, colHashes)
+		return newFragRun(e, frag, temps, colHashes)
 	}
-	fr.rebind(temps, hashes, colHashes)
+	fr.rebind(temps, colHashes)
 	return fr, nil
 }
 
@@ -333,8 +296,8 @@ func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp,
 // may have escaped into the caller's Report) and parks the compiled
 // runtime for the fragment's next execution.
 func (e *Engine) putFragRun(fr *fragRun) {
-	fr.temps, fr.hashes, fr.colHashes = nil, nil, nil
-	fr.outTemp, fr.outHash, fr.outColHash = nil, nil, nil
+	fr.temps, fr.colHashes = nil, nil
+	fr.outTemp, fr.outColHash = nil, nil
 	fr.agg = nil
 	e.frMu.Lock()
 	if e.frFree == nil {
@@ -535,7 +498,7 @@ func (e *Engine) Run(specs []TaskSpec, policy core.Policy, opts core.Options) (*
 // (§2.4: page partitioning for sequential scans, range partitioning for
 // index scans, merge-range partitioning for merge joins).
 func (e *Engine) driverFor(fr *fragRun) (driver, error) {
-	leaf, kind := fr.driverInfo()
+	leaf, kind := fr.frag.Driver()
 	switch kind {
 	case plan.PageDriver:
 		return newPageDriver(fr, leaf)

@@ -251,6 +251,7 @@ func TestMergeJoinQuery(t *testing.T) {
 			t.Fatalf("join key mismatch in %v", tp)
 		}
 	}
+	checkGolden(t, t.Name(), "merge join", reportOutcome(rep, g.Root.ID))
 }
 
 func TestNestLoopQuery(t *testing.T) {
@@ -274,6 +275,7 @@ func TestNestLoopQuery(t *testing.T) {
 		want[i] = int32(i)
 	}
 	expectInts(t, rep.Results[g.Root.ID], 0, want)
+	checkGolden(t, t.Name(), "nestloop", reportOutcome(rep, g.Root.ID))
 }
 
 func TestNestLoopMaterializedInner(t *testing.T) {
@@ -299,6 +301,7 @@ func TestNestLoopMaterializedInner(t *testing.T) {
 	if want := r1.NPages() + r2.NPages(); rep.Disk.TotalReads() != want {
 		t.Fatalf("disk reads = %d, want %d", rep.Disk.TotalReads(), want)
 	}
+	checkGolden(t, t.Name(), "nestloop over a materialized inner", reportOutcome(rep, g.Root.ID))
 }
 
 func TestBushyPlanIndependentBuildsOverlap(t *testing.T) {
@@ -467,8 +470,11 @@ func TestTempHelpers(t *testing.T) {
 	if !ok || lo != 1 || hi != 9 {
 		t.Fatalf("bounds = %d,%d,%v", lo, hi, ok)
 	}
-	if temp.NumChunks() != 1 || len(temp.Chunk(0)) != 5 || temp.Chunk(5) != nil {
+	if view, _, ok := temp.ChunkCols(0, nil); temp.NumChunks() != 1 || !ok || view.N != 5 {
 		t.Fatal("chunking")
+	}
+	if _, _, ok := temp.ChunkCols(5, nil); ok {
+		t.Fatal("chunk past the end")
 	}
 	if n := temp.Finalize(-1); n != 0 {
 		t.Fatal("finalize(-1) sorted")

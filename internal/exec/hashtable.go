@@ -1,5 +1,13 @@
 package exec
 
+// No engine path reaches the HashTable in this file: every hash join
+// builds and probes a ColHashTable (colhash.go). The row table is kept,
+// unchanged, as the subject of the frozen benchmark's
+// exec.hash_build_probe_ns_per_tuple probe (bench/probes.go) and of the
+// TestHashTable* kernel tests; delete it with that probe, moving the
+// constants and hash function colhash.go shares (DefaultHashPartitions,
+// heavyMark, heavyKeyThreshold, hashKey, ...) there first.
+
 import (
 	"fmt"
 	"math/bits"

@@ -8,42 +8,10 @@ import (
 	"xprs/internal/core"
 	"xprs/internal/expr"
 	"xprs/internal/plan"
-	"xprs/internal/storage"
 )
 
-// refJoin computes the expected multiset of (l.a, r.a) join results by
-// brute force over the base relations.
-func refJoin(t *testing.T, l, r *storage.Relation, lcol, rcol int) map[[2]int32]int {
-	t.Helper()
-	read := func(rel *storage.Relation, col int) []int32 {
-		var out []int32
-		for p := int64(0); p < rel.NPages(); p++ {
-			tuples, err := rel.PageTuples(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tp := range tuples {
-				out = append(out, tp.Vals[col].Int)
-			}
-		}
-		return out
-	}
-	lv, rv := read(l, lcol), read(r, rcol)
-	counts := map[int32]int{}
-	for _, v := range rv {
-		counts[v]++
-	}
-	out := map[[2]int32]int{}
-	for _, v := range lv {
-		if c := counts[v]; c > 0 {
-			out[[2]int32{v, v}] += c
-		}
-	}
-	return out
-}
-
 // TestDeepPipelineQuery drives a three-join bushy plan mixing all three
-// join methods through the engine and compares against brute force:
+// join methods through the engine and compares against the oracle:
 //
 //	Sort( NestLoop( MergeJoin(sort(r1), sort(r2)), Material(r3) ) )
 //	         ... joined by HashJoin with r4 on top.
@@ -78,37 +46,7 @@ func TestDeepPipelineQuery(t *testing.T) {
 		t.Fatalf("specs = %d", len(specs))
 	}
 	rep := runOne(t, v, eng, specs, core.InterAdj)
-	res := rep.Results[g.Root.ID]
-
-	// Expected row count: multiply per-key multiplicities.
-	count := func(rel *storage.Relation) map[int32]int {
-		m := map[int32]int{}
-		for p := int64(0); p < rel.NPages(); p++ {
-			tuples, _ := rel.PageTuples(p)
-			for _, tp := range tuples {
-				m[tp.Vals[0].Int]++
-			}
-		}
-		return m
-	}
-	c1, c2, c3, c4 := count(r1), count(r2), count(r3), count(r4)
-	want := 0
-	for k, n1 := range c1 {
-		want += n1 * c2[k] * c3[k] * c4[k]
-	}
-	if res.Len() != want {
-		t.Fatalf("deep pipeline rows = %d, want %d", res.Len(), want)
-	}
-	// Every output row agrees on all four join keys.
-	for _, tp := range res.Tuples() {
-		if len(tp.Vals) != 8 {
-			t.Fatalf("row width %d", len(tp.Vals))
-		}
-		k := tp.Vals[0].Int
-		if tp.Vals[2].Int != k || tp.Vals[4].Int != k || tp.Vals[6].Int != k {
-			t.Fatalf("key mismatch in %v", tp.Vals)
-		}
-	}
+	checkOracle(t, "deep pipeline", top, rep.Results[g.Root.ID])
 }
 
 // TestTwoQueriesShareMachine runs two independent queries' fragments as
@@ -127,24 +65,8 @@ func TestTwoQueriesShareMachine(t *testing.T) {
 	specs2, g2 := specFor(t, eng, q2, 100)
 	rep := runOne(t, v, eng, append(specs1, specs2...), core.InterAdj)
 
-	ref1 := refJoin(t, a1, a2, 0, 0)
-	ref2 := refJoin(t, b1, b2, 0, 0)
-	checkJoin := func(res *Temp, want map[[2]int32]int, label string) {
-		got := map[[2]int32]int{}
-		for _, tp := range res.Tuples() {
-			got[[2]int32{tp.Vals[0].Int, tp.Vals[2].Int}]++
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d distinct pairs, want %d", label, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("%s: pair %v count %d, want %d", label, k, got[k], n)
-			}
-		}
-	}
-	checkJoin(rep.Results[g1.Root.ID], ref1, "q1")
-	checkJoin(rep.Results[100+g2.Root.ID], ref2, "q2")
+	checkOracle(t, "q1", q1, rep.Results[g1.Root.ID])
+	checkOracle(t, "q2", q2, rep.Results[100+g2.Root.ID])
 }
 
 // TestResultsIndependentOfPolicy asserts the engine's answers are
@@ -210,16 +132,6 @@ func TestMemoryBudgetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRef := func(res *Temp, l, r *storage.Relation, label string) {
-		want := refJoin(t, l, r, 0, 0)
-		total := 0
-		for _, n := range want {
-			total += n
-		}
-		if res.Len() != total {
-			t.Fatalf("%s rows = %d, want %d", label, res.Len(), total)
-		}
-	}
-	checkRef(rep.Results[g1.Root.ID], a1, a2, "q1")
-	checkRef(rep.Results[100+g2.Root.ID], b1, b2, "q2")
+	checkOracle(t, "q1", q1, rep.Results[g1.Root.ID])
+	checkOracle(t, "q2", q2, rep.Results[100+g2.Root.ID])
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"xprs/internal/core"
@@ -30,61 +29,25 @@ func hashAggPlan(t *testing.T, eng *Engine) plan.Node {
 }
 
 // TestBatchSweepHashPartitions extends the batch-size sweep proof to the
-// radix partition count: identical result multisets, virtual-clock
-// totals and disk statistics at partition counts 1, 4 and 16.
+// radix partition count: at partition counts 1, 4 and 16 the plan of
+// TestBatchSweepHashJoinAgg reaches that test's golden outcome — the
+// identical result multiset, virtual-clock totals and disk statistics.
 func TestBatchSweepHashPartitions(t *testing.T) {
-	var base *sweepOutcome
-	var basePartitions int
 	for _, parts := range []int{1, 4, 16} {
 		v, eng := testEngine(0)
 		eng.HashPartitions = parts
 		root := hashAggPlan(t, eng)
 		specs, g := specFor(t, eng, root, 0)
 		rep := runOne(t, v, eng, specs, core.InterAdj)
-		finish := make([]string, 0, len(rep.Finish))
-		for id, at := range rep.Finish {
-			finish = append(finish, fmt.Sprintf("%d@%v", id, at))
-		}
-		slices.Sort(finish)
-		got := &sweepOutcome{
-			rows:    canonTuples(rep.Results[g.Root.ID]),
-			elapsed: rep.Elapsed.String(),
-			finish:  strings.Join(finish, " "),
-			disk:    fmt.Sprintf("%+v", rep.Disk),
-		}
-		if base == nil {
-			base, basePartitions = got, parts
-			if len(got.rows) == 0 {
-				t.Fatal("partition sweep is vacuous")
-			}
-			continue
-		}
-		if len(got.rows) != len(base.rows) {
-			t.Fatalf("partitions=%d rows = %d, want %d (partitions=%d)", parts, len(got.rows), len(base.rows), basePartitions)
-		}
-		for i := range got.rows {
-			if got.rows[i] != base.rows[i] {
-				t.Fatalf("partitions=%d row %d = %s, want %s", parts, i, got.rows[i], base.rows[i])
-			}
-		}
-		if got.elapsed != base.elapsed {
-			t.Errorf("partitions=%d elapsed = %s, want %s", parts, got.elapsed, base.elapsed)
-		}
-		if got.finish != base.finish {
-			t.Errorf("partitions=%d finish times = %s, want %s", parts, got.finish, base.finish)
-		}
-		if got.disk != base.disk {
-			t.Errorf("partitions=%d disk stats = %s, want %s", parts, got.disk, base.disk)
-		}
+		checkGolden(t, "TestBatchSweepHashJoinAgg", fmt.Sprintf("partitions=%d", parts), reportOutcome(rep, g.Root.ID))
 	}
 }
 
 // TestSweepSlaveCountResults pins the kernel outputs against the degree
 // of parallelism: the same query at 1, 3 and 8 processors must produce
-// the identical result multiset (virtual times legitimately differ —
-// that is the point of parallelism).
+// the oracle's result multiset (virtual times legitimately differ —
+// that is the point of parallelism — and are pinned per processor count).
 func TestSweepSlaveCountResults(t *testing.T) {
-	var base []string
 	for _, procs := range []int{1, 3, 8} {
 		v := vclock.NewVirtual()
 		disks := diskmodel.New(v, diskmodel.DefaultConfig())
@@ -93,22 +56,9 @@ func TestSweepSlaveCountResults(t *testing.T) {
 		root := hashAggPlan(t, eng)
 		specs, g := specFor(t, eng, root, 0)
 		rep := runOne(t, v, eng, specs, core.InterAdj)
-		rows := canonTuples(rep.Results[g.Root.ID])
-		if base == nil {
-			base = rows
-			if len(base) == 0 {
-				t.Fatal("slave-count sweep is vacuous")
-			}
-			continue
-		}
-		if len(rows) != len(base) {
-			t.Fatalf("procs=%d rows = %d, want %d", procs, len(rows), len(base))
-		}
-		for i := range rows {
-			if rows[i] != base[i] {
-				t.Fatalf("procs=%d row %d = %s, want %s", procs, i, rows[i], base[i])
-			}
-		}
+		label := fmt.Sprintf("procs=%d", procs)
+		checkGolden(t, t.Name()+"/"+label, label, reportOutcome(rep, g.Root.ID))
+		checkOracle(t, label, root, rep.Results[g.Root.ID])
 	}
 }
 
@@ -320,38 +270,6 @@ func TestModeledSortCmpsIsPure(t *testing.T) {
 	}
 	if got := modeledSortCmps(1000); got != 1000*10 {
 		t.Fatalf("modeledSortCmps(1000) = %d, want 10000", got)
-	}
-}
-
-// TestPutBatchDropsUndersized is the regression test for re-pooling a
-// buffer that became too small after a mid-run BatchSize change: the
-// pool must not hold buffers getBatch would reject forever.
-func TestPutBatchDropsUndersized(t *testing.T) {
-	_, eng := testEngine(0)
-	eng.BatchSize = 4
-	small := eng.getBatch()
-	if cap(*small) != 4 {
-		t.Fatalf("cap = %d", cap(*small))
-	}
-	eng.BatchSize = 64
-	eng.putBatch(small)
-	if v := eng.batchPool.Get(); v != nil {
-		t.Fatalf("undersized buffer (cap %d) was re-pooled", cap(*v.(*[]storage.Tuple)))
-	}
-	// And a conforming buffer still round-trips. The race-enabled
-	// runtime makes sync.Pool drop a random fraction of Puts, so allow
-	// retries before declaring the buffer rejected.
-	roundTripped := false
-	for i := 0; i < 20 && !roundTripped; i++ {
-		big := eng.getBatch()
-		if cap(*big) != 64 {
-			t.Fatalf("new buffer cap = %d", cap(*big))
-		}
-		eng.putBatch(big)
-		roundTripped = eng.batchPool.Get() != nil
-	}
-	if !roundTripped {
-		t.Fatal("conforming buffer was dropped")
 	}
 }
 

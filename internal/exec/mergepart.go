@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 
 	"xprs/internal/btree"
 	"xprs/internal/plan"
@@ -28,9 +30,6 @@ type mergeDriver struct {
 	join        *plan.MergeJoin
 	left, right *Temp
 	lcol, rcol  int
-	// slot is the per-slave value arena joined tuples are built in when
-	// the consumer does not retain them.
-	slot int
 }
 
 func newMergeDriver(fr *fragRun, leaf plan.Node) (*mergeDriver, error) {
@@ -57,7 +56,7 @@ func newMergeDriver(fr *fragRun, leaf plan.Node) (*mergeDriver, error) {
 	if left.SortedBy() != mj.LCol || right.SortedBy() != mj.RCol {
 		return nil, fmt.Errorf("exec: merge join inputs not sorted on join columns")
 	}
-	return &mergeDriver{fr: fr, join: mj, left: left, right: right, lcol: mj.LCol, rcol: mj.RCol, slot: fr.newArena()}, nil
+	return &mergeDriver{fr: fr, join: mj, left: left, right: right, lcol: mj.LCol, rcol: mj.RCol}, nil
 }
 
 // keyBounds returns the union of both inputs' key ranges.
@@ -88,7 +87,7 @@ func (d *mergeDriver) splitByLeftQuantiles(lo, hi int32, k int) []btree.Interval
 	if k <= 1 || lo > hi {
 		return []btree.Interval{{Lo: lo, Hi: hi}}
 	}
-	tuples := d.left.Tuples()
+	keys := sortKeys(d.left.Cols(), d.lcol)
 	start := d.left.lowerBound(d.lcol, lo)
 	end := d.left.upperBound(d.lcol, hi)
 	n := end - start
@@ -102,7 +101,7 @@ func (d *mergeDriver) splitByLeftQuantiles(lo, hi int32, k int) []btree.Interval
 		if idx >= end {
 			break
 		}
-		b := tuples[idx].Vals[d.lcol].Int
+		b := keys[idx]
 		if b >= hi {
 			break
 		}
@@ -184,35 +183,45 @@ func (d *mergeDriver) repartition(remaining []report, degree int) ([]assignment,
 	return out, nil
 }
 
-// run merges the assigned key intervals, emitting joined tuples through
-// the fragment pipeline, with checkpoints between key groups.
+// sortKeys returns the sort column of a sorted temp's store.
+func sortKeys(cols storage.ColBatch, col int) []int32 {
+	if cols.N == 0 {
+		return nil
+	}
+	return cols.Vecs[col].Ints
+}
+
+// seek returns the first index at or after from whose key is >= key;
+// standing there already (the step from one key group to the next) costs
+// one comparison.
+func seek(keys []int32, from int, key int32) int {
+	if from == len(keys) || keys[from] >= key {
+		return from
+	}
+	return from + sort.Search(len(keys)-from, func(i int) bool { return keys[from+i] >= key })
+}
+
+// run merges the assigned key intervals, emitting joined rows through
+// the fragment pipeline, with checkpoints between key groups. Both
+// inputs are sealed and sorted, so the merge walks their key vectors
+// with two cursors; the cursors are re-sought only when the slave moves
+// to another interval.
 func (d *mergeDriver) run(sc *slaveCtx) error {
 	a, ok := sc.state.assign.(*mergeAssign)
 	if !ok {
 		return fmt.Errorf("exec: merge slave got assignment %T", sc.state.assign)
 	}
-	p := d.fr.eng.Params
-	lt := d.left.Tuples()
-	rt := d.right.Tuples()
-	cons := d.fr.root
+	eng := d.fr.eng
+	p := eng.Params
+	lcols, rcols := d.left.Cols(), d.right.Cols()
+	lk, rk := sortKeys(lcols, d.lcol), sortKeys(rcols, d.rcol)
+	cons := d.fr.colRoot
 	limit := d.fr.emitLimit(cons)
-	bp := sc.getBatch()
-	out := *bp
-	defer func() {
-		*bp = out
-		sc.putBatch(bp)
-	}()
-	flush := func() error {
-		if len(out) == 0 {
-			return nil
-		}
-		err := cons.proc(sc, out)
-		out = out[:0]
-		if !cons.retains {
-			sc.arenaReset(d.slot)
-		}
-		return err
-	}
+	out := eng.getColBatch(d.join.OutSchema(), limit)
+	defer eng.putColBatch(out)
+	// Every row before the cursors has a key <= at, so an interval that
+	// starts above at is reached by seeking forward.
+	li, ri, at := 0, 0, int32(math.MinInt32)
 	for {
 		if len(a.intervals) == 0 {
 			return nil
@@ -222,44 +231,50 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 			a.intervals = a.intervals[1:]
 			continue
 		}
-		li := d.left.lowerBound(d.lcol, iv.Lo)
-		ri := d.right.lowerBound(d.rcol, iv.Lo)
+		if iv.Lo <= at {
+			li, ri = 0, 0
+		}
+		li, ri = seek(lk, li, iv.Lo), seek(rk, ri, iv.Lo)
+		at = iv.Lo
 		// Find the next key group with any tuple in the interval.
 		var key int32
 		switch {
-		case li < len(lt) && lt[li].Vals[d.lcol].Int <= iv.Hi:
-			key = lt[li].Vals[d.lcol].Int
-			if ri < len(rt) && rt[ri].Vals[d.rcol].Int <= iv.Hi && rt[ri].Vals[d.rcol].Int < key {
-				key = rt[ri].Vals[d.rcol].Int
+		case li < len(lk) && lk[li] <= iv.Hi:
+			key = lk[li]
+			if ri < len(rk) && rk[ri] < key {
+				key = rk[ri]
 			}
-		case ri < len(rt) && rt[ri].Vals[d.rcol].Int <= iv.Hi:
-			key = rt[ri].Vals[d.rcol].Int
+		case ri < len(rk) && rk[ri] <= iv.Hi:
+			key = rk[ri]
 		default:
 			a.intervals = a.intervals[1:]
 			continue
 		}
-		// Consume the full group `key` on both sides.
-		lg := d.group(lt, d.lcol, li, key)
-		rg := d.group(rt, d.rcol, ri, key)
-		sc.chargeCPU(p.MergeStepCPU * float64(len(lg)+len(rg)))
-		for _, l := range lg {
-			for _, r := range rg {
+		// Consume the full group `key` on both sides; key is the smaller
+		// head, so a side whose head is larger contributes nothing.
+		lend, rend := li, ri
+		for lend < len(lk) && lk[lend] == key {
+			lend++
+		}
+		for rend < len(rk) && rk[rend] == key {
+			rend++
+		}
+		sc.chargeCPU(p.MergeStepCPU * float64(lend-li+rend-ri))
+		for l := li; l < lend; l++ {
+			for r := ri; r < rend; r++ {
 				sc.chargeCPU(p.EmitCPU)
-				if cons.retains {
-					out = append(out, l.Concat(r))
-				} else {
-					out = append(out, sc.arenaConcat(d.slot, l, r))
-				}
-				if len(out) >= limit {
-					if err := flush(); err != nil {
+				out.AppendJoined(&lcols, l, &rcols, r)
+				if out.N >= limit {
+					if err := flushOut(sc, out, cons); err != nil {
 						return err
 					}
 				}
 			}
 		}
+		li, ri, at = lend, rend, key
 		// Deliver the group before the checkpoint so adjustments pause
 		// with no buffered output in flight.
-		if err := flush(); err != nil {
+		if err := flushOut(sc, out, cons); err != nil {
 			return err
 		}
 		if key >= iv.Hi {
@@ -277,17 +292,4 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		}
 		a = na
 	}
-}
-
-// group returns the run of tuples with col == key starting at or after
-// idx.
-func (d *mergeDriver) group(tuples []storage.Tuple, col, idx int, key int32) []storage.Tuple {
-	for idx < len(tuples) && tuples[idx].Vals[col].Int < key {
-		idx++
-	}
-	start := idx
-	for idx < len(tuples) && tuples[idx].Vals[col].Int == key {
-		idx++
-	}
-	return tuples[start:idx]
 }

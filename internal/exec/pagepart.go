@@ -82,7 +82,7 @@ func firstInStride(m int64, idx, n int) int64 {
 
 // pageSource abstracts what a page-partitioned fragment scans: a base
 // relation (real disk IO) or a materialized temp (CPU only). The
-// enqueue/fetch split supports readahead: a slave posts the next few
+// enqueue/fetchCols split supports readahead: a slave posts the next few
 // pages of its stride to the disk queue while the CPU processes the
 // current one (the OS readahead XPRS scans ran on; without it, x
 // synchronous slaves could never generate the x·C_i IO demand the
@@ -91,11 +91,8 @@ type pageSource interface {
 	npages() int64
 	// enqueue reserves the page's IO and returns its availability time.
 	enqueue(sc *slaveCtx, p int64) time.Duration
-	// fetch returns the page's tuples after it became available,
-	// charging per-tuple CPU.
-	fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error)
-	// fetchCols is the columnar twin of fetch: identical charges, but
-	// the page lands as a columnar batch (shared decode cache for
+	// fetchCols returns the page as a columnar batch after it became
+	// available, charging per-tuple CPU (shared decode cache for
 	// physical pages, the slave's reusable buffer for synthetic ones).
 	fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error)
 }
@@ -113,20 +110,8 @@ func (s *relSource) enqueue(sc *slaveCtx, p int64) time.Duration {
 	return s.fr.eng.Store.EnqueuePage(s.rel, p, sc.rt.Degree() > 1)
 }
 
-func (s *relSource) fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error) {
-	var tuples []storage.Tuple
-	var err error
-	if s.rel.Synthetic() {
-		// Generated relations materialize into the slave's reusable page
-		// buffer; physical relations return the store's shared decoded
-		// page, which must never be fed back as a scratch buffer.
-		tuples, err = s.rel.PageTuplesInto(p, sc.pageBuf[:0])
-		if err == nil {
-			sc.pageBuf = tuples
-		}
-	} else {
-		tuples, err = s.rel.PageTuples(p)
-	}
+func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
+	cb, err := sc.pageCols(s.rel, p, &sc.colPageBuf)
 	if err != nil {
 		return nil, err
 	}
@@ -135,30 +120,6 @@ func (s *relSource) fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error) {
 	// Readahead keeps parallel service-time inflation from stretching
 	// that cycle, but never compresses it — so x slaves generate exactly
 	// the x·C_i IO demand the balance-point arithmetic assumes.
-	sc.chargeCPU(s.fr.eng.Params.SeqPageService)
-	sc.chargeCPU(s.perTuple * float64(len(tuples)))
-	return tuples, nil
-}
-
-func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
-	var cb *storage.ColBatch
-	var err error
-	if s.rel.Synthetic() {
-		if sc.colPageBuf == nil {
-			sc.colPageBuf = s.fr.eng.getColBatch(s.rel.Schema, s.fr.eng.batchSize())
-		} else {
-			// Init rather than Reset: the buffer survives in the pooled
-			// slave context across fragments with different schemas, and
-			// Init reshapes it (reusing storage when the shape matches).
-			sc.colPageBuf.Init(s.rel.Schema, s.fr.eng.batchSize())
-		}
-		cb, err = s.rel.PageColsInto(p, sc.colPageBuf)
-	} else {
-		cb, err = s.rel.PageCols(p)
-	}
-	if err != nil {
-		return nil, err
-	}
 	sc.chargeCPU(s.fr.eng.Params.SeqPageService)
 	sc.chargeCPU(s.perTuple * float64(cb.N))
 	return cb, nil
@@ -174,12 +135,6 @@ type tempSource struct {
 func (s *tempSource) npages() int64 { return s.temp.NumChunks() }
 
 func (s *tempSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
-
-func (s *tempSource) fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error) {
-	tuples := s.temp.Chunk(p)
-	sc.chargeCPU(s.fr.eng.Params.TempReadCPU * float64(len(tuples)))
-	return tuples, nil
-}
 
 func (s *tempSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 	view, vecs, ok := s.temp.ChunkCols(p, sc.tempVecs)
@@ -338,42 +293,25 @@ type inflight struct {
 }
 
 // serve processes one posted page: settle all simulated work preceding
-// the disk wait (invariant 2 in pipeline.go), block until the page is
+// the disk wait (invariant 2 in colpipe.go), block until the page is
 // available, then feed it through the fragment pipeline batch-wise.
 func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 	sc.flushCPU()
 	d.fr.eng.Clock.SleepUntil(head.avail)
 	bsz := d.fr.eng.batchSize()
-	if d.fr.colRoot != nil {
-		cb, err := d.src.fetchCols(sc, head.page)
-		if err != nil {
-			return err
-		}
-		for lo := 0; lo < cb.N; lo += bsz {
-			hi := lo + bsz
-			if hi > cb.N {
-				hi = cb.N
-			}
-			sc.colView, sc.colViewVecs = cb.Slice(lo, hi, sc.colViewVecs)
-			if err := d.fr.processColBatch(sc, &sc.colView); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	tuples, err := d.src.fetch(sc, head.page)
+	cb, err := d.src.fetchCols(sc, head.page)
 	if err != nil {
 		return err
 	}
-	for len(tuples) > 0 {
-		n := len(tuples)
-		if n > bsz {
-			n = bsz
+	for lo := 0; lo < cb.N; lo += bsz {
+		hi := lo + bsz
+		if hi > cb.N {
+			hi = cb.N
 		}
-		if err := d.fr.processBatch(sc, tuples[:n]); err != nil {
+		sc.colView, sc.colViewVecs = cb.Slice(lo, hi, sc.colViewVecs)
+		if err := d.fr.processColBatch(sc, &sc.colView); err != nil {
 			return err
 		}
-		tuples = tuples[n:]
 	}
 	return nil
 }

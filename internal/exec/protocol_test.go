@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,9 +163,6 @@ type nullSource struct{ np int64 }
 
 func (s *nullSource) npages() int64                          { return s.np }
 func (s *nullSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
-func (s *nullSource) fetch(*slaveCtx, int64) ([]storage.Tuple, error) {
-	return nil, nil
-}
 func (s *nullSource) fetchCols(*slaveCtx, int64) (*storage.ColBatch, error) {
 	return &storage.ColBatch{}, nil
 }
@@ -246,7 +244,7 @@ func TestLiveAdjustmentMidScan(t *testing.T) {
 		var err error
 		v.Run(func() {
 			// Launch at degree 3 manually, adjust after a while, then wait.
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 			if ferr != nil {
 				t.Error(ferr)
 				return
@@ -301,7 +299,7 @@ func TestLiveAdjustmentRangeScan(t *testing.T) {
 		root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
 		specs, g := specFor(t, eng, root, 0)
 		v.Run(func() {
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 			if ferr != nil {
 				t.Error(ferr)
 				return
@@ -325,6 +323,9 @@ func TestLiveAdjustmentRangeScan(t *testing.T) {
 			if got := fr.outTemp.Len(); got != 2000 {
 				t.Errorf("newDeg %d: results = %d rows, want 2000", newDeg, got)
 			}
+			label := fmt.Sprintf("newDeg=%d", newDeg)
+			checkGolden(t, t.Name()+"/"+label, label,
+				outcomeOf(eng.Clock.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
 		})
 		// Every tuple fetched exactly once through the index.
 		if got := eng.Store.Disks.Stats().TotalReads(); got != 2000 {
@@ -340,7 +341,7 @@ func TestAdjustmentAfterCompletionIsNoop(t *testing.T) {
 	rel := buildRel(t, eng.Store, "r", 50, 50, 20)
 	specs, g := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
 	v.Run(func() {
-		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 		drv, _ := eng.driverFor(fr)
 		eng.events = vclock.NewMailbox(eng.Clock)
 		rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}

@@ -155,34 +155,44 @@ func dealIntervals(tree *btree.Tree, all []btree.Interval, k int) [][]btree.Inte
 }
 
 // run implements driver: scan assigned intervals key-group by key-group,
-// fetching heap tuples through the index (one random IO each), with a
+// fetching heap rows through the index (one random IO each), with a
 // checkpoint between groups so adjustments pause at clean boundaries.
 func (d *rangeDriver) run(sc *slaveCtx) error {
 	a, ok := sc.state.assign.(*rangeAssign)
 	if !ok {
 		return fmt.Errorf("exec: range slave got assignment %T", sc.state.assign)
 	}
+	eng := d.fr.eng
 	tree := d.scan.Index.Tree
 	rel := d.scan.Rel
-	perTuple := d.fr.eng.Params.TupleCPU(rel.Stats().AvgTupleSize) + d.fr.eng.Params.IndexProbeCPU
-	// lastPage tracks the heap page under this slave's hand: consecutive
-	// TIDs on the same page (the common case for a clustered index, where
-	// key order equals heap order) cost one IO, not one per tuple.
+	perTuple := eng.Params.TupleCPU(rel.Stats().AvgTupleSize) + eng.Params.IndexProbeCPU
+	// page is the heap page under this slave's hand: consecutive TIDs on
+	// the same page (the common case for a clustered index, where key
+	// order equals heap order) cost one IO, not one per tuple.
 	lastPage := int64(-1)
-	bsz := d.fr.eng.batchSize()
-	bp := sc.getBatch()
-	batch := *bp
-	defer func() {
-		*bp = batch
-		sc.putBatch(bp)
-	}()
+	var page *storage.ColBatch
+	bsz := eng.batchSize()
+	batch := eng.getColBatch(rel.Schema, bsz)
+	defer eng.putColBatch(batch)
 	flush := func() error {
-		if len(batch) == 0 {
+		if batch.N == 0 {
 			return nil
 		}
-		err := d.fr.processBatch(sc, batch)
-		batch = batch[:0]
+		err := d.fr.processColBatch(sc, batch)
+		batch.Reset()
 		return err
+	}
+	// nextGroup collects the TIDs of the first key in an interval.
+	var groupKey int32
+	var tids []storage.TID
+	nextGroup := func(k int32, tid storage.TID) bool {
+		if len(tids) == 0 {
+			groupKey = k
+		} else if k != groupKey {
+			return false
+		}
+		tids = append(tids, tid)
+		return true
 	}
 	for {
 		if len(a.intervals) == 0 {
@@ -194,27 +204,17 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 			continue
 		}
 		// Fetch the next complete key group within iv.
-		var groupKey int32
-		var tids []storage.TID
-		tree.Visit(iv.Lo, iv.Hi, func(k int32, tid storage.TID) bool {
-			if len(tids) == 0 {
-				groupKey = k
-			} else if k != groupKey {
-				return false
-			}
-			tids = append(tids, tid)
-			return true
-		})
+		tids = tids[:0]
+		tree.Visit(iv.Lo, iv.Hi, nextGroup)
 		if len(tids) == 0 {
 			a.intervals = a.intervals[1:]
 			continue
 		}
 		for _, tid := range tids {
-			var t storage.Tuple
 			var err error
 			if tid.Page == lastPage {
 				// The heap page is already at hand; no further IO.
-				t, err = rel.TupleAt(tid)
+				err = checkSlot(rel, page, tid)
 			} else {
 				// Drain the pending batch and CPU debt before the random
 				// read so the clock at the IO point is batch-independent.
@@ -222,15 +222,15 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 					return err
 				}
 				sc.flushCPU()
-				t, err = d.fr.eng.Store.ReadTID(rel, tid)
 				lastPage = tid.Page
+				page, err = sc.readTID(rel, tid, &sc.colPageBuf)
 			}
 			if err != nil {
 				return err
 			}
 			sc.chargeCPU(perTuple)
-			batch = append(batch, t)
-			if len(batch) >= bsz {
+			batch.AppendRow(page, int(tid.Slot))
+			if batch.N >= bsz {
 				if err := flush(); err != nil {
 					return err
 				}

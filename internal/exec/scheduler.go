@@ -347,7 +347,6 @@ type Scheduler struct {
 	memInUse    int64
 	inflight    int
 	temps       map[*plan.Fragment]*Temp
-	hashes      map[*plan.Fragment]*HashTable
 	colHashes   map[*plan.Fragment]*ColHashTable
 	draining    bool
 	drainAck    chan struct{}
@@ -446,7 +445,6 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 			byTask:    make(map[int]*query),
 			tenants:   make(map[string]*tenantState),
 			temps:     make(map[*plan.Fragment]*Temp),
-			hashes:    make(map[*plan.Fragment]*HashTable),
 			colHashes: make(map[*plan.Fragment]*ColHashTable),
 		}
 		s.loopFn = s.loop
@@ -520,7 +518,6 @@ func (s *Scheduler) resetSession() {
 	s.memInUse = 0
 	s.inflight = 0
 	clear(s.temps)
-	clear(s.hashes)
 	clear(s.colHashes)
 	s.draining = false
 	s.drainAck = nil
@@ -1087,7 +1084,7 @@ func (s *Scheduler) apply(d core.Decision) {
 	for _, st := range d.Starts {
 		q := s.byTask[st.Task.ID]
 		t := q.task(st.Task.ID)
-		fr, err := e.getFragRun(t.spec.Frag, s.temps, s.hashes, s.colHashes)
+		fr, err := e.getFragRun(t.spec.Frag, s.temps, s.colHashes)
 		if err != nil {
 			s.abortStart(q, st.Task, err)
 			continue
@@ -1179,11 +1176,7 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 		frag := t.spec.Frag
 		switch frag.Out {
 		case plan.HashOut:
-			if ev.rt.fr.outColHash != nil {
-				s.colHashes[frag] = ev.rt.fr.outColHash
-			} else {
-				s.hashes[frag] = ev.rt.fr.outHash
-			}
+			s.colHashes[frag] = ev.rt.fr.outColHash
 		case plan.RootOut:
 			s.temps[frag] = ev.rt.fr.outTemp
 			q.rep.Results[id] = ev.rt.fr.outTemp
@@ -1242,7 +1235,6 @@ func (s *Scheduler) finishQuery(q *query) {
 		sp := q.tasks[i].spec
 		delete(s.byTask, sp.Task.ID)
 		delete(s.temps, sp.Frag)
-		delete(s.hashes, sp.Frag)
 		if cht := s.colHashes[sp.Frag]; cht != nil {
 			cht.release()
 			delete(s.colHashes, sp.Frag)

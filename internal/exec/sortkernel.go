@@ -52,54 +52,9 @@ func packKey(key int32, idx int) uint64 {
 	return uint64(uint32(key)^0x80000000)<<32 | uint64(uint32(idx))
 }
 
-// parallelStableSort stably sorts ts on col, returning the sorted
-// slice (a fresh backing array — the final gather permutes into it, so
-// no copy-back pass is ever paid; ts itself is returned unchanged for
-// degenerate sizes). runs holds ascending end offsets of the append
-// runs (the last equal to len(ts)); procs bounds the worker
-// goroutines. Both are advisory: any runs shape and procs value
-// produce the identical final order.
-func parallelStableSort(ts []storage.Tuple, col int, runs []int, procs int) []storage.Tuple {
-	n := len(ts)
-	if n < 2 {
-		return ts
-	}
-	packed := make([]uint64, n)
-	for i := range ts {
-		packed[i] = packKey(ts[i].Vals[col].Int, i)
-	}
-	if procs > runtime.GOMAXPROCS(0) {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if n < parallelSortMinRows {
-		slices.Sort(packed)
-	} else {
-		var offs []int
-		if procs <= 1 {
-			// Natural merge: every append run is a span; pre-sorted runs
-			// cost one verification pass and no sort.
-			offs = normalizeRuns(runs, n)
-		} else {
-			// Parallel merge: at most procs spans so round 0 saturates the
-			// processors without oversubscribing them.
-			offs = chunkOffsets(n, runs, procs)
-		}
-		sortSpans(packed, offs, procs)
-		offs = coalesceSpans(packed, offs)
-		mergeSpans(packed, offs, procs)
-	}
-	// Gather pass: permute the tuples into sorted order.
-	sorted := make([]storage.Tuple, n)
-	for i, p := range packed {
-		sorted[i] = ts[p&0xffffffff]
-	}
-	return sorted
-}
-
 // sortColBatch stably sorts an owned columnar batch in place on col,
-// through the same packed-key span machinery as parallelStableSort: the
-// packed order is a pure function of (keys, arrival order), so the row
-// and columnar paths produce the identical permutation. The gather pass
+// through the packed-key span machinery above: the packed order is a
+// pure function of (keys, arrival order). The gather pass
 // permutes every column; text buffers rebuild by appending in
 // destination order.
 func sortColBatch(cb *storage.ColBatch, col int, runs []int, procs int) {

@@ -329,9 +329,8 @@ func (rt *runningTask) Degree() int {
 	return rt.degree
 }
 
-// slaveCtx is the per-slave execution context: CPU accounting, output
-// buffering, batch scratch space, and the slave side of the adjustment
-// protocol.
+// slaveCtx is the per-slave execution context: CPU accounting, batch
+// scratch space, and the slave side of the adjustment protocol.
 type slaveCtx struct {
 	rt    *runningTask
 	state *slaveState
@@ -352,7 +351,6 @@ type slaveCtx struct {
 	// charge, however the charges were grouped into batches: flushes
 	// sleep whole nanoseconds and carry the sub-nanosecond remainder.
 	cpuDebtPs int64
-	outBuf    []storage.Tuple
 	// aggLocal is this slave's private accumulator table when the
 	// fragment root is an Agg (two-phase parallel aggregation).
 	aggLocal map[int32][]int64
@@ -360,39 +358,30 @@ type slaveCtx struct {
 	// chunks instead of allocating per group. Full chunks are simply
 	// abandoned to the live accumulators and a fresh one started.
 	aggSlab []int64
-	// arenas are per-emitting-operator value arenas (slot indexes are
-	// assigned at pipeline compile time). Compiled closures are shared
-	// by every slave of the fragment, so their mutable scratch lives
-	// here.
-	arenas [][]storage.Value
-	// pageBuf is the reusable tuple buffer for generator-backed page
-	// reads; physical pages come from the relation's decode cache
-	// instead.
-	pageBuf []storage.Tuple
-	// hb is this slave's private hash-table builder when the fragment
-	// output is a hash table: batches partition without locking, and
-	// flushAll publishes the buffers at slave exit.
-	hb *Builder
-	// probes are per-hash-join probe scratch buffers (slot indexes are
-	// assigned at pipeline compile time, like arenas).
-	probes []probeScratch
 
-	// Columnar-pipeline scratch. colPageBuf is the reusable decode target
-	// for generator-backed page reads; colView/colViewVecs back the
-	// sub-batch views the driver slices a fetched page into; tempView/
-	// tempVecs back temp-chunk views the same way.
+	// Batch scratch: compiled closures are shared by every slave of the
+	// fragment, so their mutable scratch lives here. colPageBuf is the
+	// driver's reusable decode target for generator-backed page reads;
+	// colView/colViewVecs back the sub-batch views the driver slices a
+	// fetched page into; tempView/tempVecs back temp-chunk views the same
+	// way.
 	colPageBuf  *storage.ColBatch
 	colView     storage.ColBatch
 	colViewVecs []storage.Vec
 	tempView    storage.ColBatch
 	tempVecs    []storage.Vec
-	// sels holds two selection-scratch buffers per filter slot (the
-	// ping-pong pair); colOuts holds one output batch per emitting slot.
+	// sels holds two selection-scratch buffers per predicate-chain slot
+	// (the ping-pong pair); colOuts holds one output batch per emitting
+	// slot; loops holds one view scratch per nestloop. Slot numbers are
+	// assigned at pipeline compile time.
 	sels    [][]int32
 	colOuts []*storage.ColBatch
-	// colHb is the columnar twin of hb; colHbScratch is its pooled
-	// backing storage (builderIn re-targets it per table, keeping the
-	// partition-buffer slice).
+	loops   []*nlScratch
+	// colHb is this slave's private hash-table builder when the fragment
+	// output is a hash table: batches partition without locking, and
+	// flushAll publishes the buffers at slave exit. colHbScratch is its
+	// pooled backing storage (builderIn re-targets it per table, keeping
+	// the partition-buffer slice).
 	colHb        *ColBuilder
 	colHbScratch ColBuilder
 	// aggDense is this slave's dense aggregation window (with aggBase its
@@ -412,25 +401,16 @@ func (sc *slaveCtx) reset() {
 	sc.rt, sc.state = nil, nil
 	sc.stateVal = slaveState{}
 	sc.cpuDebtPs = 0
-	sc.outBuf = sc.outBuf[:0]
 	sc.aggLocal = nil
 	sc.aggSlab = nil
-	for i := range sc.arenas {
-		sc.arenas[i] = sc.arenas[i][:0]
-	}
-	sc.pageBuf = sc.pageBuf[:0]
-	sc.hb = nil
-	for i := range sc.probes {
-		p := &sc.probes[i]
-		p.matches = p.matches[:0]
-		p.vals = p.vals[:0]
-		p.tuples = p.tuples[:0]
-	}
-	// colPageBuf is retained: fetchCols re-Inits it per relation schema.
+	// colPageBuf is retained: pageCols re-Inits it per relation schema.
 	sc.colView = storage.ColBatch{}
 	sc.tempView = storage.ColBatch{}
 	clear(sc.colViewVecs)
 	clear(sc.tempVecs)
+	for _, ns := range sc.loops {
+		ns.release()
+	}
 	sc.colHb = nil
 	sc.colHbScratch.ht = nil
 	sc.aggDense = nil
@@ -438,20 +418,20 @@ func (sc *slaveCtx) reset() {
 	sc.inflightQ = sc.inflightQ[:0]
 }
 
-// probeScratch is one hash join's per-slave batch-probe buffer. vals and
-// tuples are the materialization slabs of the columnar-build bridge.
-type probeScratch struct {
-	matches [][]storage.Tuple
-	vals    []storage.Value
-	tuples  []storage.Tuple
-}
-
-// selScratch returns pointers to the slot's two selection buffers.
-func (sc *slaveCtx) selScratch(slot int) (*[]int32, *[]int32) {
+// selScratch returns the slot's two selection buffers.
+func (sc *slaveCtx) selScratch(slot int) [][]int32 {
 	for len(sc.sels) < 2*(slot+1) {
 		sc.sels = append(sc.sels, nil)
 	}
-	return &sc.sels[2*slot], &sc.sels[2*slot+1]
+	return sc.sels[2*slot : 2*slot+2]
+}
+
+// loopScratch returns the view scratch of a nestloop slot.
+func (sc *slaveCtx) loopScratch(slot int) *nlScratch {
+	for len(sc.loops) <= slot {
+		sc.loops = append(sc.loops, &nlScratch{})
+	}
+	return sc.loops[slot]
 }
 
 // colOutBatch returns the slot's output batch, creating it from the
@@ -466,90 +446,44 @@ func (sc *slaveCtx) colOutBatch(slot int, eng *Engine, s storage.Schema, prune [
 	return sc.colOuts[slot]
 }
 
-// probeColTable resolves a batch of probe tuples against a columnar
-// build table, materializing the match rows into the probe scratch's
-// slabs. The per-key slices stay valid until the scratch's next use;
-// value and tuple slabs may grow mid-batch, in which case earlier slices
-// keep their old backing alive.
-func (sc *slaveCtx) probeColTable(cht *ColHashTable, lts []storage.Tuple, col int, ps *probeScratch) ([][]storage.Tuple, error) {
-	matches := ps.matches[:0]
-	ps.vals = ps.vals[:0]
-	ps.tuples = ps.tuples[:0]
-	for i := range lts {
-		if col < 0 || col >= len(lts[i].Vals) {
-			return matches, fmt.Errorf("exec: probe column %d out of range (tuple has %d)", col, len(lts[i].Vals))
-		}
-		store, start, cnt := cht.ProbeKey(lts[i].Vals[col].Int)
-		var ms []storage.Tuple
-		if cnt > 0 {
-			ncols := len(store.Vecs)
-			tstart := len(ps.tuples)
-			for m := int32(0); m < cnt; m++ {
-				row := int(start + m)
-				vstart := len(ps.vals)
-				for c := 0; c < ncols; c++ {
-					ps.vals = append(ps.vals, store.Value(c, row))
-				}
-				ps.tuples = append(ps.tuples, storage.Tuple{Vals: ps.vals[vstart:len(ps.vals):len(ps.vals)]})
-			}
-			ms = ps.tuples[tstart:len(ps.tuples):len(ps.tuples)]
-		}
-		matches = append(matches, ms)
+// pageCols returns page p of rel in columnar form: the relation's shared
+// decode cache for a physical relation, *buf (created on first use,
+// reshaped per schema, valid until its next use) for a generator-backed
+// one. Either way the result is read-only.
+func (sc *slaveCtx) pageCols(rel *storage.Relation, p int64, buf **storage.ColBatch) (*storage.ColBatch, error) {
+	if !rel.Synthetic() {
+		return rel.PageCols(p)
 	}
-	return matches, nil
+	eng := sc.rt.eng
+	if *buf == nil {
+		*buf = eng.getColBatch(rel.Schema, eng.batchSize())
+	} else {
+		// Init rather than Reset: the buffer survives in the pooled slave
+		// context across fragments with different schemas, and Init
+		// reshapes it (reusing storage when the shape matches).
+		(*buf).Init(rel.Schema, eng.batchSize())
+	}
+	return rel.PageColsInto(p, *buf)
 }
 
-// probeScratch returns the scratch of a probe slot, growing the table
-// on first use.
-func (sc *slaveCtx) probeScratch(slot int) *probeScratch {
-	for len(sc.probes) <= slot {
-		sc.probes = append(sc.probes, probeScratch{})
+// readTID charges the IO for the heap page holding tid (one, usually
+// random, read per index entry — §3) and returns that page through
+// pageCols, having checked that tid addresses a row on it.
+func (sc *slaveCtx) readTID(rel *storage.Relation, tid storage.TID, buf **storage.ColBatch) (*storage.ColBatch, error) {
+	sc.rt.eng.Store.ChargeTID(rel, tid)
+	page, err := sc.pageCols(rel, tid.Page, buf)
+	if err != nil {
+		return nil, err
 	}
-	return &sc.probes[slot]
+	return page, checkSlot(rel, page, tid)
 }
 
-// getBatch and putBatch hand batch scratch buffers through the engine
-// pool.
-func (sc *slaveCtx) getBatch() *[]storage.Tuple  { return sc.rt.eng.getBatch() }
-func (sc *slaveCtx) putBatch(b *[]storage.Tuple) { sc.rt.eng.putBatch(b) }
-
-// arenaMark returns the current fill of arena slot; arenaTrunc rolls it
-// back to a mark; arenaReset empties it. A reset (or trunc) is only
-// legal once no live tuple references the region — i.e. after the batch
-// built from it has been fully consumed downstream.
-func (sc *slaveCtx) arenaMark(slot int) int {
-	if slot < len(sc.arenas) {
-		return len(sc.arenas[slot])
+// checkSlot reports a TID whose slot lies off its page.
+func checkSlot(rel *storage.Relation, page *storage.ColBatch, tid storage.TID) error {
+	if tid.Slot < 0 || int(tid.Slot) >= page.N {
+		return fmt.Errorf("exec: slot %d out of range on page %d of %q", tid.Slot, tid.Page, rel.Name)
 	}
-	return 0
-}
-
-func (sc *slaveCtx) arenaTrunc(slot, mark int) {
-	if slot < len(sc.arenas) {
-		sc.arenas[slot] = sc.arenas[slot][:mark]
-	}
-}
-
-func (sc *slaveCtx) arenaReset(slot int) {
-	if slot < len(sc.arenas) {
-		sc.arenas[slot] = sc.arenas[slot][:0]
-	}
-}
-
-// arenaConcat builds the concatenation of l and r with its Vals sliced
-// out of the slot's arena. If the arena grows mid-batch the old backing
-// stays alive through the tuples already built from it, so previously
-// returned tuples remain valid until the next reset.
-func (sc *slaveCtx) arenaConcat(slot int, l, r storage.Tuple) storage.Tuple {
-	for len(sc.arenas) <= slot {
-		sc.arenas = append(sc.arenas, nil)
-	}
-	a := sc.arenas[slot]
-	start := len(a)
-	a = append(a, l.Vals...)
-	a = append(a, r.Vals...)
-	sc.arenas[slot] = a
-	return storage.Tuple{Vals: a[start:len(a):len(a)]}
+	return nil
 }
 
 // checkpoint is called by drivers at safe pause points (page boundaries
@@ -631,32 +565,9 @@ func (sc *slaveCtx) flushCPU() {
 	}
 }
 
-// bufferBatch queues a batch of output tuples, flushing to the shared
-// temp one lock round-trip per batch. The buffer is reused after each
-// flush (Temp.Append copies the tuple structs out).
-func (sc *slaveCtx) bufferBatch(ts []storage.Tuple) {
-	if sc.outBuf == nil {
-		sc.outBuf = make([]storage.Tuple, 0, sc.rt.eng.batchSize())
-	}
-	sc.outBuf = append(sc.outBuf, ts...)
-	if len(sc.outBuf) >= sc.rt.eng.batchSize() {
-		sc.flushOut()
-	}
-}
-
-func (sc *slaveCtx) flushOut() {
-	if len(sc.outBuf) == 0 {
-		return
-	}
-	if sc.rt.fr.outTemp != nil {
-		sc.rt.fr.outTemp.Append(sc.outBuf)
-	}
-	sc.outBuf = sc.outBuf[:0]
-}
-
 // flushAll drains all buffers at slave exit, merging aggregation
 // partials into the fragment's shared state and recycling the slave's
-// columnar scratch through the engine pools.
+// output batches through the engine pools.
 func (sc *slaveCtx) flushAll() {
 	eng := sc.rt.eng
 	if sc.rt.fr.agg != nil {
@@ -671,15 +582,10 @@ func (sc *slaveCtx) flushAll() {
 			sc.aggDense = nil
 		}
 	}
-	if sc.hb != nil {
-		sc.hb.Flush()
-		sc.hb = nil
-	}
 	if sc.colHb != nil {
 		sc.colHb.Flush()
 		sc.colHb = nil
 	}
-	sc.flushOut()
 	sc.flushCPU()
 	// colPageBuf stays with the context (it re-Inits per schema); the
 	// per-slot output batches are fragment-shaped and go back to their

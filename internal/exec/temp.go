@@ -25,10 +25,10 @@ import (
 // CPU but no IO.
 //
 // Internally a Temp is columnar: appends land in one owned ColBatch, so
-// neither the columnar pipeline nor Finalize's sort ever touches a tuple
-// struct. Row-oriented readers (merge drivers, nestloop rescans, tests)
-// go through Tuples/Chunk, which materialize a row cache lazily — one
-// backing Value array for the whole temp — and invalidate it on append.
+// neither the pipeline nor Finalize's sort ever touches a tuple struct.
+// Row-oriented readers (result printing, tests) go through Tuples, which
+// materializes a row cache lazily — one backing Value array for the
+// whole temp — and invalidates it on append.
 type Temp struct {
 	Schema storage.Schema
 
@@ -68,9 +68,10 @@ func (t *Temp) ensureColsLocked() *storage.ColBatch {
 	return t.cols
 }
 
-// Append adds a batch of tuples (slave backends flush local buffers).
-// Values are copied into the columnar store, so the caller may reuse the
-// batch and its Vals immediately.
+// Append adds a batch of row-form tuples. Values are copied into the
+// columnar store, so the caller may reuse the batch and its Vals
+// immediately. The executor appends through AppendCols; this is the feed
+// of tests and of the benchmark's sort probe.
 func (t *Temp) Append(batch []storage.Tuple) {
 	if len(batch) == 0 {
 		return
@@ -231,17 +232,6 @@ func (t *Temp) chunkRangeLocked(c int64) (int, int) {
 	return lo, hi
 }
 
-// Chunk returns the tuples of chunk c (row view).
-func (t *Temp) Chunk(c int64) []storage.Tuple {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lo, hi := t.chunkRangeLocked(c)
-	if hi == lo {
-		return nil
-	}
-	return t.materializeLocked()[lo:hi]
-}
-
 // ChunkCols returns a read-only columnar view of chunk c, using vecs as
 // scratch for the view headers. ok is false past the end.
 func (t *Temp) ChunkCols(c int64, vecs []storage.Vec) (storage.ColBatch, []storage.Vec, bool) {
@@ -253,6 +243,18 @@ func (t *Temp) ChunkCols(c int64, vecs []storage.Vec) (storage.ColBatch, []stora
 	}
 	view, vecs := t.cols.Slice(lo, hi, vecs)
 	return view, vecs, true
+}
+
+// Cols returns the temp's columnar store by value: a read-only view of
+// all rows, valid once the producing fragment completed (the store is
+// never appended to afterwards). An empty temp yields the zero batch.
+func (t *Temp) Cols() storage.ColBatch {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cols == nil {
+		return storage.ColBatch{}
+	}
+	return *t.cols
 }
 
 // lowerBound returns the first index whose col value is >= key. The temp

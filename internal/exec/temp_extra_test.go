@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -46,15 +47,22 @@ func TestPropertyTempChunksPartition(t *testing.T) {
 		}
 		temp.Append(batch)
 		seen := 0
+		var vecs []storage.Vec
 		for c := int64(0); c < temp.NumChunks(); c++ {
-			for _, tp := range temp.Chunk(c) {
-				if tp.Vals[0].Int != int32(seen) {
+			var view storage.ColBatch
+			var ok bool
+			if view, vecs, ok = temp.ChunkCols(c, vecs); !ok {
+				return false
+			}
+			for _, v := range view.Vecs[0].Ints {
+				if v != int32(seen) {
 					return false
 				}
 				seen++
 			}
 		}
-		return seen == count
+		_, _, past := temp.ChunkCols(temp.NumChunks(), vecs)
+		return seen == count && !past
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -111,6 +119,42 @@ func TestPropertyAggMergeEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// initAccum and fold are the tuple-at-a-time reference fold the merge
+// property (and the emit benchmark) build their partials with. initAccum
+// returns the identity accumulator for the function list.
+func initAccum(funcs []plan.AggFunc) []int64 {
+	acc := make([]int64, len(funcs))
+	for i, f := range funcs {
+		switch f.Kind {
+		case plan.Min:
+			acc[i] = math.MaxInt64
+		case plan.Max:
+			acc[i] = math.MinInt64
+		}
+	}
+	return acc
+}
+
+// fold adds one input tuple into an accumulator.
+func fold(acc []int64, funcs []plan.AggFunc, t storage.Tuple) {
+	for i, f := range funcs {
+		switch f.Kind {
+		case plan.CountAll:
+			acc[i]++
+		case plan.Sum:
+			acc[i] += int64(t.Vals[f.Col].Int)
+		case plan.Min:
+			if v := int64(t.Vals[f.Col].Int); v < acc[i] {
+				acc[i] = v
+			}
+		case plan.Max:
+			if v := int64(t.Vals[f.Col].Int); v > acc[i] {
+				acc[i] = v
+			}
+		}
 	}
 }
 

@@ -1,5 +1,11 @@
 package expr
 
+// No engine path reaches this file: the executor filters through the
+// selection-vector predicates of colpred.go. The row predicates are
+// kept, unchanged, as the subject of the frozen benchmark's
+// expr.rowpred_ns_per_row probe (bench/probes.go) and as the reference
+// of TestColPredDifferential; delete them with that probe.
+
 import (
 	"fmt"
 

@@ -12,10 +12,9 @@ import (
 // row indexes of the passing rows. Filtering never moves tuple data —
 // downstream operators consume the batch through the selection vector.
 //
-// The compiled forms reproduce the row path's semantics exactly
-// (including error messages), which the differential oracle in
-// colpred_test.go pins down; the executor can therefore switch between
-// the row and columnar paths without observable differences.
+// The compiled forms reproduce the semantics of Expr.Eval over a row
+// exactly (including error messages), which the differential oracle in
+// colpred_test.go pins down.
 
 // ColPred appends the passing physical row indexes of b, drawn from the
 // input selection sel (nil = all b.N rows), to out and returns the
@@ -413,29 +412,4 @@ func interpColPred(e Expr) ColPred {
 		}
 		return out, nil
 	}
-}
-
-// Int4KeysCols appends the int4 values of column col for every selected
-// row (sel nil = all rows) to out. Batch key extraction for hash probes:
-// the column is validated once here so the join's per-match loop runs
-// without checks.
-func Int4KeysCols(b *storage.ColBatch, col int, sel []int32, out []int32) ([]int32, error) {
-	n := b.N
-	if sel != nil {
-		n = len(sel)
-	}
-	if n == 0 {
-		return out, nil
-	}
-	if col < 0 || col >= len(b.Vecs) {
-		return out, fmt.Errorf("expr: column %d out of range (tuple has %d)", col, len(b.Vecs))
-	}
-	ints := b.Vecs[col].Ints
-	if sel == nil {
-		return append(out, ints...), nil
-	}
-	for _, r := range sel {
-		out = append(out, ints[r])
-	}
-	return out, nil
 }

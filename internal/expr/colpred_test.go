@@ -264,47 +264,3 @@ func TestColPredChainDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestInt4KeysColsMatchesRows pins batch key extraction against the row
-// helper at every density.
-func TestInt4KeysColsMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := storage.NewSchema(
-		storage.Column{Name: "a", Typ: storage.Int4},
-		storage.Column{Name: "b", Typ: storage.Text},
-		storage.Column{Name: "c", Typ: storage.Int4},
-	)
-	rows := randRows(rng, s, 64)
-	cb := toColBatch(s, rows)
-	for mode := 0; mode < 4; mode++ {
-		sel := selOfDensity(rng, len(rows), mode)
-		for col := 0; col < s.Len(); col++ {
-			if s.Cols[col].Typ != storage.Int4 {
-				continue
-			}
-			var wantRows []storage.Tuple
-			n := len(rows)
-			if sel != nil {
-				n = len(sel)
-			}
-			for pos := 0; pos < n; pos++ {
-				row := pos
-				if sel != nil {
-					row = int(sel[pos])
-				}
-				wantRows = append(wantRows, rows[row])
-			}
-			want, err := Int4Keys(wantRows, col, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Int4KeysCols(cb, col, sel, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !selsEqual(want, got) {
-				t.Fatalf("mode %d col %d: %v != %v", mode, col, want, got)
-			}
-		}
-	}
-}

@@ -258,30 +258,6 @@ func (b *ColBatch) AppendJoined(l *ColBatch, lrow int, r *ColBatch, rrow int) {
 	b.N++
 }
 
-// AppendJoinedTuple appends the concatenation of l's row lrow and the
-// row-form tuple t: the columnar probe's bridge over a row-layout build
-// table. b's columns past len(l.Vecs) must match t's shape.
-func (b *ColBatch) AppendJoinedTuple(l *ColBatch, lrow int, t Tuple) {
-	nl := len(l.Vecs)
-	for c := range l.Vecs {
-		b.appendVal(c, &l.Vecs[c], lrow)
-	}
-	for c := nl; c < len(b.Vecs); c++ {
-		dst := &b.Vecs[c]
-		if dst.Pruned() {
-			continue
-		}
-		v := t.Vals[c-nl]
-		switch dst.Typ {
-		case Int4:
-			dst.Ints = append(dst.Ints, v.Int)
-		case Text:
-			dst.appendTextStr(v.Str)
-		}
-	}
-	b.N++
-}
-
 // appendVal copies one value of src row `row` into b's column c. A
 // pruned source column prunes (or matches) the destination column.
 func (b *ColBatch) appendVal(c int, src *Vec, row int) {
@@ -371,19 +347,4 @@ func (b *ColBatch) Slice(lo, hi int, vecs []Vec) (ColBatch, []Vec) {
 		vecs[c] = v
 	}
 	return ColBatch{N: hi - lo, Vecs: vecs}, vecs
-}
-
-// AppendBatchTuples materializes every live row into out (row form,
-// freshly allocated Vals) and returns the extended slice. Compatibility
-// bridge for row-oriented consumers; not a hot path.
-func (b *ColBatch) AppendBatchTuples(out []Tuple) []Tuple {
-	for i := 0; i < b.Live(); i++ {
-		row := b.RowAt(i)
-		vals := make([]Value, len(b.Vecs))
-		for c := range b.Vecs {
-			vals[c] = b.Value(c, row)
-		}
-		out = append(out, Tuple{Vals: vals})
-	}
-	return out
 }

@@ -49,13 +49,10 @@ type Relation struct {
 	// exactly one of the two storage forms is populated
 	phys [][]byte  // physical: one 8 KB image per page
 	gen  Generator // synthetic: deterministic row source
-	// decoded caches the tuples of every physical page, built once at
+	// decodedCols caches every physical page in columnar layout (one
+	// owned ColBatch per page, no selection vector), built once at
 	// Finalize. Pages of a sealed relation are immutable, so readers
-	// share these slices; they must never be written through.
-	decoded [][]Tuple
-	// decodedCols caches the same pages in columnar layout (one owned
-	// ColBatch per page, no selection vector), also built at Finalize.
-	// Shared and read-only like decoded.
+	// share these batches; they must never be written through.
 	decodedCols []*ColBatch
 	// synthetic layout
 	rowsPerPage int
@@ -84,10 +81,10 @@ func (r *Relation) Stats() RelStats { return r.stats }
 // Synthetic reports whether the relation is generator-backed.
 func (r *Relation) Synthetic() bool { return r.gen != nil }
 
-// PageTuples returns all tuples of page p. It performs no IO accounting;
-// callers go through Store.ReadPage to charge the disk model first.
-// Physical pages come from the relation's decode cache: the returned
-// slice is shared and read-only.
+// PageTuples returns all tuples of page p in row form, decoding a
+// physical page afresh on every call. It performs no IO accounting. The
+// executor reads pages through PageCols; this is the row-form reader of
+// tests, oracles and the benchmark's row-decode probe.
 func (r *Relation) PageTuples(p int64) ([]Tuple, error) {
 	if p < 0 || p >= r.NPages() {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d) in %q", p, r.NPages(), r.Name)
@@ -104,17 +101,14 @@ func (r *Relation) PageTuples(p int64) ([]Tuple, error) {
 		}
 		return out, nil
 	}
-	if r.decoded != nil {
-		return r.decoded[p], nil
-	}
 	return decodePage(r.Schema, r.phys[p])
 }
 
 // PageTuplesInto returns all tuples of page p, materializing
 // generator-backed pages into buf (which should have length 0) instead
-// of a fresh slice. Physical pages ignore buf and return the shared
-// decode cache. Either way the result is read-only, and for synthetic
-// relations it is valid only until buf's next reuse.
+// of a fresh slice. Physical pages ignore buf and decode into a fresh
+// slice. For synthetic relations the result is valid only until buf's
+// next reuse.
 func (r *Relation) PageTuplesInto(p int64, buf []Tuple) ([]Tuple, error) {
 	if r.gen == nil {
 		return r.PageTuples(p)
@@ -176,25 +170,6 @@ func (r *Relation) PageColsInto(p int64, dst *ColBatch) (*ColBatch, error) {
 	return dst, nil
 }
 
-// TupleAt returns the tuple addressed by a TID.
-func (r *Relation) TupleAt(tid TID) (Tuple, error) {
-	if r.gen != nil {
-		row := tid.Page*int64(r.rowsPerPage) + int64(tid.Slot)
-		if tid.Slot < 0 || int(tid.Slot) >= r.rowsPerPage || row >= r.nrows {
-			return Tuple{}, fmt.Errorf("storage: TID %v out of range in %q", tid, r.Name)
-		}
-		return r.gen(row), nil
-	}
-	tuples, err := r.PageTuples(tid.Page)
-	if err != nil {
-		return Tuple{}, err
-	}
-	if tid.Slot < 0 || int(tid.Slot) >= len(tuples) {
-		return Tuple{}, fmt.Errorf("storage: slot %d out of range on page %d of %q", tid.Slot, tid.Page, r.Name)
-	}
-	return tuples[tid.Slot], nil
-}
-
 // Builder accumulates tuples into a physical relation.
 type Builder struct {
 	rel  *Relation
@@ -237,31 +212,24 @@ func (b *Builder) flush() {
 }
 
 // Finalize seals the relation and computes its statistics. Sealing
-// decodes every page once into the relation's shared tuple cache, so
+// decodes every page once into the relation's shared columnar cache, so
 // scans (and nestloop rescans in particular) stop paying a fresh decode
 // per page read.
 func (b *Builder) Finalize() *Relation {
 	b.flush()
 	b.rel.stats = b.agg.finish(int64(len(b.rel.phys)))
-	dec := make([][]Tuple, len(b.rel.phys))
 	cols := make([]*ColBatch, len(b.rel.phys))
 	perPage := TuplesPerPage(int(b.rel.stats.AvgTupleSize))
 	for p := range b.rel.phys {
-		ts, err := decodePage(b.rel.Schema, b.rel.phys[p])
-		if err != nil {
+		cb := NewColBatch(b.rel.Schema, perPage)
+		if err := decodePageCols(b.rel.Schema, b.rel.phys[p], cb); err != nil {
 			// A page the builder itself wrote cannot be corrupt; if it
 			// somehow is, leave the cache off and let readers surface the
 			// decode error.
 			return b.rel
 		}
-		dec[p] = ts
-		cb := NewColBatch(b.rel.Schema, perPage)
-		if err := decodePageCols(b.rel.Schema, b.rel.phys[p], cb); err != nil {
-			return b.rel
-		}
 		cols[p] = cb
 	}
-	b.rel.decoded = dec
 	b.rel.decodedCols = cols
 	return b.rel
 }

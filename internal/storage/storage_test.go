@@ -207,19 +207,20 @@ func TestTupleAtPhysical(t *testing.T) {
 	}
 	r := b.Finalize()
 	perPage := TuplesPerPage(44)
+	// A TID addresses row Slot of the columnar page Page.
 	tid := TID{Page: 1, Slot: 3}
-	got, err := r.TupleAt(tid)
+	page, err := r.PageCols(tid.Page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int32(perPage + 3); got.Vals[0].Int != want {
-		t.Fatalf("TupleAt = %d, want %d", got.Vals[0].Int, want)
+	if want := int32(perPage + 3); page.Vecs[0].Ints[tid.Slot] != want {
+		t.Fatalf("tuple at %v = %d, want %d", tid, page.Vecs[0].Ints[tid.Slot], want)
 	}
-	if _, err := r.TupleAt(TID{Page: 99, Slot: 0}); err == nil {
+	if page.N != perPage {
+		t.Fatalf("page holds %d rows, want %d", page.N, perPage)
+	}
+	if _, err := r.PageCols(99); err == nil {
 		t.Fatal("bad page accepted")
-	}
-	if _, err := r.TupleAt(TID{Page: 0, Slot: 9999}); err == nil {
-		t.Fatal("bad slot accepted")
 	}
 }
 
@@ -244,15 +245,12 @@ func TestSyntheticRelation(t *testing.T) {
 	if len(tuples) != 1000-15*64 {
 		t.Fatalf("last page has %d tuples", len(tuples))
 	}
-	got, err := r.TupleAt(TID{Page: 3, Slot: 5})
+	page, err := r.PageColsInto(3, NewColBatch(s, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Vals[0].Int != 3*64+5 {
-		t.Fatalf("TupleAt = %d", got.Vals[0].Int)
-	}
-	if _, err := r.TupleAt(TID{Page: 15, Slot: 63}); err == nil {
-		t.Fatal("row past end accepted")
+	if got := page.Vecs[0].Ints[5]; got != 3*64+5 {
+		t.Fatalf("row 5 of page 3 = %d", got)
 	}
 	st := r.Stats()
 	if st.NTuples != 1000 {
@@ -356,9 +354,7 @@ func TestStoreReadChargesIO(t *testing.T) {
 	_ = st.Add(r)
 	v.Run(func() {
 		for p := int64(0); p < r.NPages(); p++ {
-			if _, err := st.ReadPage(r, p); err != nil {
-				t.Error(err)
-			}
+			st.Clock.SleepUntil(st.EnqueuePage(r, p, false))
 		}
 	})
 	if got := st.Disks.Stats().TotalReads(); got != r.NPages() {
@@ -377,9 +373,7 @@ func TestBufferPoolHitsSkipDisk(t *testing.T) {
 	v.Run(func() {
 		for pass := 0; pass < 2; pass++ {
 			for p := int64(0); p < r.NPages(); p++ {
-				if _, err := st.ReadPage(r, p); err != nil {
-					t.Error(err)
-				}
+				st.Clock.SleepUntil(st.EnqueuePage(r, p, false))
 			}
 		}
 	})
@@ -391,7 +385,7 @@ func TestBufferPoolHitsSkipDisk(t *testing.T) {
 		t.Fatalf("pool hits/misses = %d/%d", hits, misses)
 	}
 	st.Pool.Invalidate()
-	v.Run(func() { _, _ = st.ReadPage(r, 0) })
+	v.Run(func() { st.Clock.SleepUntil(st.EnqueuePage(r, 0, false)) })
 	if got := st.Disks.Stats().TotalReads(); got != r.NPages()+1 {
 		t.Fatalf("invalidate did not drop residency")
 	}
@@ -459,9 +453,7 @@ func TestReadTIDUnclusteredPattern(t *testing.T) {
 		// Jumping between distant pages must be charged as random IO.
 		pages := []int64{0, 2, 0, 2, 1, 0}
 		for _, p := range pages {
-			if _, err := st.ReadTID(r, TID{Page: p, Slot: 0}); err != nil {
-				t.Error(err)
-			}
+			st.ChargeTID(r, TID{Page: p, Slot: 0})
 		}
 	})
 	s := st.Disks.Stats()

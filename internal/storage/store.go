@@ -202,9 +202,10 @@ func (s *Store) Drop(name string) {
 
 // EnqueuePage reserves the IO for page p of rel (unless the buffer pool
 // holds it) and returns the virtual instant the page is available,
-// without blocking. Sequential scans use it to model OS readahead;
-// parallel marks multi-slave scans, whose de-ordered request streams see
-// at most almost-sequential disk service (§3).
+// without blocking; callers sleep until then before touching the page.
+// Sequential scans post several ahead to model OS readahead; parallel
+// marks multi-slave scans, whose de-ordered request streams see at most
+// almost-sequential disk service (§3).
 func (s *Store) EnqueuePage(rel *Relation, p int64, parallel bool) time.Duration {
 	if s.Pool.touch(pageKey{rel: rel.ID, page: p}) {
 		return s.Clock.Now()
@@ -212,21 +213,13 @@ func (s *Store) EnqueuePage(rel *Relation, p int64, parallel bool) time.Duration
 	return s.Disks.Enqueue(rel.ID, p, parallel)
 }
 
-// ReadPage charges the IO for page p of rel (unless the buffer pool holds
-// it), blocks until it is served, and returns the page's tuples. This is
-// the single-stream path (inner rescans, utilities); parallel scans go
-// through EnqueuePage.
-func (s *Store) ReadPage(rel *Relation, p int64) ([]Tuple, error) {
-	s.Clock.SleepUntil(s.EnqueuePage(rel, p, false))
-	return rel.PageTuples(p)
-}
-
-// ReadTID charges the IO for the page holding tid and returns the tuple.
-// Unclustered index scans use this: one (usually random) page read per
-// qualifying tuple, which is why such scans are IO-bound (§3).
-func (s *Store) ReadTID(rel *Relation, tid TID) (Tuple, error) {
+// ChargeTID charges the IO for the page holding tid (unless the buffer
+// pool holds it) and blocks until it is served; the caller then reads
+// the row out of Relation.PageCols. Unclustered index scans use this:
+// one (usually random) page read per qualifying tuple, which is why such
+// scans are IO-bound (§3).
+func (s *Store) ChargeTID(rel *Relation, tid TID) {
 	if !s.Pool.touch(pageKey{rel: rel.ID, page: tid.Page}) {
 		s.Disks.Read(rel.ID, tid.Page)
 	}
-	return rel.TupleAt(tid)
 }

@@ -159,11 +159,6 @@ type Config struct {
 	// (or the executor default) choose. Results and virtual-clock totals
 	// do not depend on it.
 	HashPartitions int
-	// RowBatches forces the executor's row-at-a-time batch layout instead
-	// of the default columnar vectors + selection vectors. Results and
-	// virtual-clock totals do not depend on it; it exists for the
-	// columnar-vs-row ablation and the differential sweep tests.
-	RowBatches bool
 	// Observe enables run observability: structured trace spans (one
 	// lane per slave backend and per disk), scheduler decision events
 	// with reasons, and the metrics registry. Results and virtual-clock
@@ -240,7 +235,6 @@ func New(cfg Config) *System {
 	engine := exec.New(clock, store, params)
 	engine.BatchSize = cfg.BatchSize
 	engine.HashPartitions = cfg.HashPartitions
-	engine.RowBatches = cfg.RowBatches
 	var observer *obs.Observer
 	if cfg.Observe {
 		observer = obs.NewObserverBudget(cfg.TraceBudget)
