@@ -45,9 +45,12 @@ benchtest:
 	cd bench && $(GO) test ./...
 
 # Allocation gate: the executor hot path must stay under the committed
-# allocs/op budget (see TestPipelineAllocGate in bench_test.go).
+# allocs/op budget (see TestPipelineAllocGate in bench_test.go), filling
+# a generator-backed page must allocate nothing and one workload.Generate
+# stay under its budget (TestScanAllocGate in internal/workload).
 allocgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestPipelineAllocGate -v .
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
 
 # Serving gate: the scheduler's Submit fast path must stay under its
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go).

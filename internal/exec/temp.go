@@ -96,15 +96,7 @@ func (t *Temp) AppendCols(b *storage.ColBatch) {
 	}
 	t.mu.Lock()
 	cb := t.ensureColsLocked()
-	if b.Sel == nil {
-		for row := 0; row < b.N; row++ {
-			cb.AppendRow(b, row)
-		}
-	} else {
-		for _, row := range b.Sel {
-			cb.AppendRow(b, int(row))
-		}
-	}
+	cb.AppendBatch(b)
 	t.runs = append(t.runs, cb.N)
 	t.rows = nil
 	t.mu.Unlock()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -168,5 +169,72 @@ func newAggStateForTest() *aggState {
 			{Kind: plan.Max, Col: 0},
 		},
 		groups: map[int32][]int64{},
+	}
+}
+
+// The sink of a generator-backed scan: every page of a synthetic
+// relation filled into one reused batch, filtered by a selection vector
+// on every other page, appended through AppendCols. The temp must hold
+// exactly the selected rows of the row-form reader in page order, one
+// run per non-empty append, and — the pad being constant — a single copy
+// of the payload however many batches carried it.
+func TestTempAppendColsFromSyntheticScan(t *testing.T) {
+	schema := storage.NewSchema(
+		storage.Column{Name: "a", Typ: storage.Int4},
+		storage.Column{Name: "b", Typ: storage.Text},
+	)
+	const perPage, nrows = 50, 50*6 + 11
+	pad := "0123456789abcdef"
+	rel, err := storage.NewSynthetic(1, "syn", schema, nrows, perPage, []storage.SynthCol{
+		{Int: func(row int64) int32 { return int32(row % 97) }},
+		{Text: pad},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temp := NewTemp(schema)
+	page := storage.NewColBatch(schema, perPage)
+	var want []storage.Tuple
+	var wantRuns []int
+	for p := int64(0); p < rel.NPages(); p++ {
+		page.Reset()
+		if _, err := rel.PageColsInto(p, page); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := rel.PageTuples(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch p % 3 {
+		case 1: // keep every third row
+			page.Sel = []int32{}
+			for r := 0; r < page.N; r += 3 {
+				page.Sel = append(page.Sel, int32(r))
+				want = append(want, rows[r])
+			}
+		case 2: // nothing survives the filter: no append, no run
+			page.Sel = []int32{}
+		default:
+			want = append(want, rows...)
+		}
+		temp.AppendCols(page)
+		if page.Live() > 0 {
+			wantRuns = append(wantRuns, len(want))
+		}
+	}
+	if temp.Len() != len(want) {
+		t.Fatalf("temp holds %d rows, want %d", temp.Len(), len(want))
+	}
+	if !reflect.DeepEqual(temp.runs, wantRuns) {
+		t.Fatalf("runs = %v, want %v", temp.runs, wantRuns)
+	}
+	for i, got := range temp.Tuples() {
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got, want[i])
+		}
+	}
+	cols := temp.Cols()
+	if n := len(cols.Vecs[1].Buf); n != len(pad) {
+		t.Fatalf("temp text buffer holds %d bytes, want one %d-byte copy of the pad", n, len(pad))
 	}
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Columnar batch layout. A ColBatch holds one column vector per schema
 // column: int4 columns are flat []int32, text columns are a shared byte
@@ -81,6 +84,68 @@ func (v *Vec) appendTextStr(b string) {
 	v.Buf = append(v.Buf, b...)
 	v.Off = append(v.Off, s)
 	v.End = append(v.End, int32(len(v.Buf)))
+}
+
+// appendTextRun appends n rows that all carry payload b: the first goes
+// through appendTextStr, the rest repeat its span, so the payload is
+// compared at most once and written at most once however long the run.
+func (v *Vec) appendTextRun(b string, n int) {
+	if n == 0 {
+		return
+	}
+	v.appendTextStr(b)
+	last := len(v.Off) - 1
+	v.Off = appendRepeat(v.Off, v.Off[last], n-1)
+	v.End = appendRepeat(v.End, v.End[last], n-1)
+}
+
+// appendTextRows appends the text payloads of src's rows 0..n-1, or of
+// the rows sel lists when it is non-nil. A source row with the same span
+// as the source row before it is the same bytes, so it repeats the
+// previous destination span without looking at them; any other row goes
+// through appendText. The spans that result are the ones appendText
+// alone would produce.
+func (v *Vec) appendTextRows(src *Vec, n int, sel []int32) {
+	if sel != nil {
+		n = len(sel)
+	}
+	prevS, prevE := int32(-1), int32(-1) // source span of the previous row
+	var dstS, dstE int32                 // the span it was given in v
+	for i := 0; i < n; i++ {
+		row := i
+		if sel != nil {
+			row = int(sel[i])
+		}
+		s, e := src.Off[row], src.End[row]
+		if s == prevS && e == prevE {
+			v.Off = append(v.Off, dstS)
+			v.End = append(v.End, dstE)
+			continue
+		}
+		v.appendText(src.Buf[s:e])
+		prevS, prevE = s, e
+		dstS, dstE = v.Off[len(v.Off)-1], v.End[len(v.End)-1]
+	}
+}
+
+// reserve makes room for n more elements, at least doubling a capacity
+// that falls short, so a vector grown by whole batches reallocates as
+// rarely as one grown a value at a time.
+func reserve(dst []int32, n int) []int32 {
+	if need := len(dst) + n; need > cap(dst) {
+		dst = slices.Grow(dst, max(need, 2*cap(dst))-len(dst))
+	}
+	return dst
+}
+
+// appendRepeat appends n copies of x to dst.
+func appendRepeat(dst []int32, x int32, n int) []int32 {
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	for i := base; i < len(dst); i++ {
+		dst[i] = x
+	}
+	return dst
 }
 
 // Str returns the text payload of the given row as a string (copies).
@@ -245,6 +310,38 @@ func (b *ColBatch) AppendRow(src *ColBatch, row int) {
 	b.N++
 }
 
+// AppendBatch appends the live rows of src a column at a time, leaving
+// b's vectors element for element what AppendRow over those rows would:
+// an int4 vector is one bulk append without a selection vector and a
+// gather with one, a text vector goes through appendTextRows. Pruned
+// columns follow AppendRow's rule.
+func (b *ColBatch) AppendBatch(src *ColBatch) {
+	live := src.Live()
+	if live == 0 {
+		return
+	}
+	for c := range src.Vecs {
+		sv, dv := &src.Vecs[c], &b.Vecs[c]
+		if sv.Pruned() || dv.Pruned() {
+			b.matchPruned(c, dv)
+			continue
+		}
+		switch {
+		case sv.Typ == Text:
+			dv.appendTextRows(sv, src.N, src.Sel)
+		case src.Sel == nil:
+			dv.Ints = append(reserve(dv.Ints, live), sv.Ints[:src.N]...)
+		default:
+			base := len(dv.Ints)
+			dv.Ints = reserve(dv.Ints, live)[:base+live]
+			for i, row := range src.Sel {
+				dv.Ints[base+i] = sv.Ints[row]
+			}
+		}
+	}
+	b.N += live
+}
+
 // AppendJoined appends the concatenation of l's row lrow and r's row
 // rrow: b's columns 0..len(l.Vecs)-1 come from l, the rest from r.
 func (b *ColBatch) AppendJoined(l *ColBatch, lrow int, r *ColBatch, rrow int) {
@@ -258,17 +355,23 @@ func (b *ColBatch) AppendJoined(l *ColBatch, lrow int, r *ColBatch, rrow int) {
 	b.N++
 }
 
-// appendVal copies one value of src row `row` into b's column c. A
-// pruned source column prunes (or matches) the destination column.
+// matchPruned handles column c (dst) when it is pruned on either side
+// of an append: a pruned source column prunes (or matches) the
+// destination column, and a pruned destination column just stays so.
+func (b *ColBatch) matchPruned(c int, dst *Vec) {
+	if !dst.Pruned() {
+		if b.N != 0 {
+			panic("storage: appending pruned column into populated vector")
+		}
+		b.Prune(c)
+	}
+}
+
+// appendVal copies one value of src row `row` into b's column c.
 func (b *ColBatch) appendVal(c int, src *Vec, row int) {
 	dst := &b.Vecs[c]
 	if src.Pruned() || dst.Pruned() {
-		if !dst.Pruned() {
-			if b.N != 0 {
-				panic("storage: appending pruned column into populated vector")
-			}
-			b.Prune(c)
-		}
+		b.matchPruned(c, dst)
 		return
 	}
 	switch src.Typ {

@@ -7,7 +7,8 @@
 // IO rate (§3). Large experiment relations can therefore reach hundreds of
 // megabytes of page images; to keep the reproduction laptop-friendly, a
 // relation can be stored either physically (real slotted page images, the
-// default) or synthetically (a deterministic row generator plus layout
+// default) or synthetically (a description of each column — an int4
+// function of the row number, a constant text pad — plus layout
 // metadata). Both forms present identical page-granular read behaviour to
 // the executor and charge identical disk traffic.
 package storage

@@ -226,8 +226,7 @@ func TestTupleAtPhysical(t *testing.T) {
 
 func TestSyntheticRelation(t *testing.T) {
 	s := expSchema()
-	gen := func(i int64) Tuple { return NewTuple(IntVal(int32(i)), TextVal("xx")) }
-	r, err := NewSynthetic(7, "syn", s, 1000, 64, gen)
+	r, err := NewSynthetic(7, "syn", s, 1000, 64, []SynthCol{{Int: rowNumber}, {Text: "xx"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,27 +260,41 @@ func TestSyntheticRelation(t *testing.T) {
 	}
 }
 
+// rowNumber is the int4 column of the §3 relations: a = row number.
+func rowNumber(row int64) int32 { return int32(row) }
+
 func TestSyntheticValidation(t *testing.T) {
 	s := expSchema()
-	gen := func(i int64) Tuple { return NewTuple(IntVal(0), TextVal("")) }
-	if _, err := NewSynthetic(1, "x", s, 10, 0, gen); err == nil {
-		t.Fatal("rowsPerPage 0 accepted")
+	good := []SynthCol{{Int: rowNumber}, {Text: ""}}
+	if _, err := NewSynthetic(1, "x", s, 10, 4, good); err != nil {
+		t.Fatalf("valid description rejected: %v", err)
 	}
-	if _, err := NewSynthetic(1, "x", s, -1, 4, gen); err == nil {
-		t.Fatal("negative ntuples accepted")
+	cases := []struct {
+		name        string
+		ntuples     int64
+		rowsPerPage int
+		cols        []SynthCol
+	}{
+		{"rowsPerPage 0", 10, 0, good},
+		{"rowsPerPage negative", 10, -3, good},
+		{"negative ntuples", -1, 4, good},
+		{"too few columns", 10, 4, good[:1]},
+		{"too many columns", 10, 4, append(good[:2:2], SynthCol{Text: "z"})},
+		{"no columns", 10, 4, nil},
+		{"text described for int4 column", 10, 4, []SynthCol{{Text: "wrong"}, {Text: ""}}},
+		{"int4 described for text column", 10, 4, []SynthCol{{Int: rowNumber}, {Int: rowNumber}}},
 	}
-	bad := func(i int64) Tuple { return NewTuple(TextVal("wrong")) }
-	if _, err := NewSynthetic(1, "x", s, 10, 4, bad); err == nil {
-		t.Fatal("schema-violating generator accepted")
+	for _, c := range cases {
+		if _, err := NewSynthetic(1, "x", s, c.ntuples, c.rowsPerPage, c.cols); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
 func TestSyntheticStatsScaling(t *testing.T) {
 	s := NewSchema(Column{"a", Int4})
 	n := int64(100000)
-	r, err := NewSynthetic(1, "big", s, n, 100, func(i int64) Tuple {
-		return NewTuple(IntVal(int32(i)))
-	})
+	r, err := NewSynthetic(1, "big", s, n, 100, []SynthCol{{Int: rowNumber}})
 	if err != nil {
 		t.Fatal(err)
 	}

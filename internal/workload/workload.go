@@ -185,6 +185,7 @@ func GenerateWith(st *storage.Store, p cost.Params, k Kind, seed int64, prefix s
 	for i, tt := range types {
 		lo, hi := tt.RateRange()
 		rate := lo + rng.Float64()*(hi-lo)
+		size := int(p.TupleSizeForRate(rate))
 		var ntuples int64
 		switch lm {
 		case PaperTuples:
@@ -193,15 +194,14 @@ func GenerateWith(st *storage.Store, p cost.Params, k Kind, seed int64, prefix s
 			// Uniform sequential work T in [5s, 50s]; a scan of n tuples
 			// over k-per-page pages at rate C runs T = n/(k·C) seconds.
 			targetT := 5 + rng.Float64()*45
-			size := p.TupleSizeForRate(rate)
-			perPage := float64(storage.TuplesPerPage(int(size)))
+			perPage := float64(storage.TuplesPerPage(size))
 			ntuples = int64(targetT * perPage * rate)
 			if ntuples < 100 {
 				ntuples = 100
 			}
 		}
 		name := fmt.Sprintf("%s_t%02d", prefix, i)
-		rel, err := BuildScanRelation(st, p, name, rate, ntuples)
+		rel, err := buildScanRelation(st, name, size, ntuples)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -238,21 +238,29 @@ func GenerateWith(st *storage.Store, p cost.Params, k Kind, seed int64, prefix s
 // runs at the target IO rate (§3's tuple-size methodology: rmin has a
 // NULL text column, rmax one 8 KB tuple per page).
 func BuildScanRelation(st *storage.Store, p cost.Params, name string, targetRate float64, ntuples int64) (*storage.Relation, error) {
-	size := int(p.TupleSizeForRate(targetRate))
+	return buildScanRelation(st, name, int(p.TupleSizeForRate(targetRate)), ntuples)
+}
+
+// buildScanRelation is BuildScanRelation for a tuple size the caller has
+// already solved for.
+func buildScanRelation(st *storage.Store, name string, size int, ntuples int64) (*storage.Relation, error) {
+	return newPaddedRelation(st, name, size, ntuples, 'x', func(row int64) int32 { return int32(row) })
+}
+
+// newPaddedRelation adds to the store a synthetic r(a int4, b text) of
+// the given tuple size: a is the given function of the row number, b one
+// pad of the fill byte that makes up the size.
+func newPaddedRelation(st *storage.Store, name string, size int, ntuples int64, fill byte, a func(row int64) int32) (*storage.Relation, error) {
 	padLen := size - 8 // int4 (4) + text length prefix (4)
 	if padLen < 0 {
 		padLen = 0
 	}
-	pad := strings.Repeat("x", padLen)
 	schema := storage.NewSchema(
 		storage.Column{Name: "a", Typ: storage.Int4},
 		storage.Column{Name: "b", Typ: storage.Text},
 	)
-	rowsPerPage := storage.TuplesPerPage(size)
-	rel, err := storage.NewSynthetic(st.NextID(), name, schema, ntuples, rowsPerPage,
-		func(i int64) storage.Tuple {
-			return storage.NewTuple(storage.IntVal(int32(i)), storage.TextVal(pad))
-		})
+	rel, err := storage.NewSynthetic(st.NextID(), name, schema, ntuples, storage.TuplesPerPage(size),
+		[]storage.SynthCol{{Int: a}, {Text: strings.Repeat(string(fill), padLen)}})
 	if err != nil {
 		return nil, err
 	}
@@ -289,25 +297,9 @@ func BuildChainJoin(st *storage.Store, p cost.Params, prefix string, k int, ntup
 		} else {
 			rate = 55 + rng.Float64()*10 // IO-bound scan
 		}
-		size := int(p.TupleSizeForRate(rate))
-		padLen := size - 8
-		if padLen < 0 {
-			padLen = 0
-		}
-		pad := strings.Repeat("y", padLen)
-		schema := storage.NewSchema(
-			storage.Column{Name: "a", Typ: storage.Int4},
-			storage.Column{Name: "b", Typ: storage.Text},
-		)
-		rel, err := storage.NewSynthetic(st.NextID(), fmt.Sprintf("%s_%d", prefix, i), schema,
-			ntuples, storage.TuplesPerPage(size),
-			func(row int64) storage.Tuple {
-				return storage.NewTuple(storage.IntVal(int32(row)%distinct), storage.TextVal(pad))
-			})
+		rel, err := newPaddedRelation(st, fmt.Sprintf("%s_%d", prefix, i), int(p.TupleSizeForRate(rate)), ntuples, 'y',
+			func(row int64) int32 { return int32(row) % distinct })
 		if err != nil {
-			return nil, err
-		}
-		if err := st.Add(rel); err != nil {
 			return nil, err
 		}
 		q.Rels = append(q.Rels, rel)
