@@ -106,21 +106,32 @@ func checkOracle(t *testing.T, label string, root plan.Node, got *Temp) {
 	}
 }
 
-// runSweep executes the plan built by mk at every sweep size and asserts
-// the golden outcome at each, plus the oracle's result. mk receives a
-// fresh engine per run (the batch size is set after construction) and
-// returns the plan root.
+// runSweep executes the plan built by mk at every sweep size, under
+// every parameter variant, and asserts the variant's golden outcome at
+// each size, plus the oracle's result under the default parameters (the
+// variants' goldens carry the same row hash; they also leave out the
+// largest size, whose million-row batches are slow to allocate and add
+// nothing a variant could change). mk receives a fresh engine per run
+// (the batch size is set after construction) and returns the plan root.
 func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(eng *Engine) plan.Node) {
 	t.Helper()
-	for _, bs := range sweepSizes {
-		v, eng := testEngine(poolPages)
-		eng.BatchSize = bs
-		root := mk(eng)
-		specs, g := specFor(t, eng, root, 0)
-		rep := runOne(t, v, eng, specs, policy)
-		label := fmt.Sprintf("batch=%d", bs)
-		checkGolden(t, t.Name(), label, reportOutcome(rep, g.Root.ID))
-		checkOracle(t, label, root, rep.Results[g.Root.ID])
+	for _, pv := range paramVariants {
+		sizes := sweepSizes
+		if pv.name != "" {
+			sizes = sizes[:3]
+		}
+		for _, bs := range sizes {
+			v, eng := testEngineWith(poolPages, 8, pv)
+			eng.BatchSize = bs
+			root := mk(eng)
+			specs, g := specFor(t, eng, root, 0)
+			rep := runOne(t, v, eng, specs, policy)
+			label := fmt.Sprintf("%s batch=%d", pv.name, bs)
+			checkGolden(t, pv.key(t.Name()), label, reportOutcome(rep, g.Root.ID))
+			if pv.name == "" {
+				checkOracle(t, label, root, rep.Results[g.Root.ID])
+			}
+		}
 	}
 }
 

@@ -20,11 +20,53 @@ import (
 // testEngine builds an engine on a fresh virtual clock with the paper's
 // disk array and 8 processors.
 func testEngine(poolPages int) (*vclock.Virtual, *Engine) {
+	return testEngineWith(poolPages, 8, paramVariants[0])
+}
+
+// paramVariant is one setting of the cost parameters the golden runs are
+// pinned under; key names its entries in golden_test.go.
+type paramVariant struct {
+	name  string
+	tweak func(*cost.Params)
+}
+
+func (pv paramVariant) key(base string) string {
+	if pv.name == "" {
+		return base
+	}
+	return base + "@" + pv.name
+}
+
+// paramVariants move the page driver's CPU charges across the engine's
+// 2 ms charge quantum, so a page cycle's sleeps come in every
+// combination. Under the defaults the page-service charge (10.3 ms) and
+// the test relations' per-page tuple charge (tens of ms) each force a
+// flush of their own. With a 1 ms page service the first charge no
+// longer does and its debt is carried into the second; with tuple CPU
+// at 1/64 the second no longer does and its debt is carried to the next
+// page's opening flush; with both, debt accumulates across pages and
+// crosses the quantum now at one charge, now at the other.
+var paramVariants = []paramVariant{
+	{"", func(*cost.Params) {}},
+	{"svc1ms", func(p *cost.Params) { p.SeqPageService = 1e-3 }},
+	{"cpu/64", lightTupleCPU},
+	{"svc1ms,cpu/64", func(p *cost.Params) { p.SeqPageService = 1e-3; lightTupleCPU(p) }},
+}
+
+func lightTupleCPU(p *cost.Params) {
+	p.TupleCPUBase /= 64
+	p.TupleCPUPerByte /= 64
+}
+
+// testEngineWith is testEngine at a given processor count and parameter
+// variant.
+func testEngineWith(poolPages, nprocs int, pv paramVariant) (*vclock.Virtual, *Engine) {
 	v := vclock.NewVirtual()
 	disks := diskmodel.New(v, diskmodel.DefaultConfig())
 	store := storage.NewStore(v, disks, poolPages)
-	eng := New(v, store, cost.DefaultParams(diskmodel.DefaultConfig(), 8))
-	return v, eng
+	params := cost.DefaultParams(diskmodel.DefaultConfig(), nprocs)
+	pv.tweak(&params)
+	return v, New(v, store, params)
 }
 
 // buildRel creates a physical relation r(a int4, b text) with n tuples,
@@ -91,6 +133,44 @@ func runOne(t *testing.T, v *vclock.Virtual, eng *Engine, specs []TaskSpec, poli
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// launchFrag runs root's single fragment at a fixed degree, the way the
+// master would, and returns the fragment runtime together with the
+// task's completion error. prep, when non-nil, sees the driver before
+// the slaves start; during, when non-nil, runs on the master's goroutine
+// between the launch and the wait for completion (adjustments go there).
+func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, degree int, prep func(driver), during func(*runningTask)) (*fragRun, error) {
+	t.Helper()
+	specs, g := specFor(t, eng, root, 0)
+	var fr *fragRun
+	var taskErr error
+	v.Run(func() {
+		var err error
+		if fr, err = newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{}); err != nil {
+			t.Error(err)
+			return
+		}
+		drv, err := eng.driverFor(fr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if prep != nil {
+			prep(drv)
+		}
+		eng.events = vclock.NewMailbox(eng.Clock)
+		rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
+		if err := rt.launch(degree); err != nil {
+			t.Error(err)
+			return
+		}
+		if during != nil {
+			during(rt)
+		}
+		taskErr = eng.events.Wait().(taskDone).err
+	})
+	return fr, taskErr
 }
 
 // expectInts asserts that the temp's column col holds exactly the given

@@ -7,11 +7,8 @@ import (
 	"testing"
 
 	"xprs/internal/core"
-	"xprs/internal/cost"
-	"xprs/internal/diskmodel"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
-	"xprs/internal/vclock"
 )
 
 // The join and sort kernels must be pure wall-clock optimizations, like
@@ -48,17 +45,18 @@ func TestBatchSweepHashPartitions(t *testing.T) {
 // the oracle's result multiset (virtual times legitimately differ —
 // that is the point of parallelism — and are pinned per processor count).
 func TestSweepSlaveCountResults(t *testing.T) {
-	for _, procs := range []int{1, 3, 8} {
-		v := vclock.NewVirtual()
-		disks := diskmodel.New(v, diskmodel.DefaultConfig())
-		store := storage.NewStore(v, disks, 0)
-		eng := New(v, store, cost.DefaultParams(diskmodel.DefaultConfig(), procs))
-		root := hashAggPlan(t, eng)
-		specs, g := specFor(t, eng, root, 0)
-		rep := runOne(t, v, eng, specs, core.InterAdj)
-		label := fmt.Sprintf("procs=%d", procs)
-		checkGolden(t, t.Name()+"/"+label, label, reportOutcome(rep, g.Root.ID))
-		checkOracle(t, label, root, rep.Results[g.Root.ID])
+	for _, pv := range paramVariants {
+		for _, procs := range []int{1, 3, 8} {
+			v, eng := testEngineWith(0, procs, pv)
+			root := hashAggPlan(t, eng)
+			specs, g := specFor(t, eng, root, 0)
+			rep := runOne(t, v, eng, specs, core.InterAdj)
+			label := fmt.Sprintf("procs=%d", procs)
+			checkGolden(t, pv.key(t.Name()+"/"+label), pv.name+" "+label, reportOutcome(rep, g.Root.ID))
+			if pv.name == "" {
+				checkOracle(t, label, root, rep.Results[g.Root.ID])
+			}
+		}
 	}
 }
 

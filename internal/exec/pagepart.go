@@ -82,7 +82,7 @@ func firstInStride(m int64, idx, n int) int64 {
 
 // pageSource abstracts what a page-partitioned fragment scans: a base
 // relation (real disk IO) or a materialized temp (CPU only). The
-// enqueue/fetchCols split supports readahead: a slave posts the next few
+// enqueue/page split supports readahead: a slave posts the next few
 // pages of its stride to the disk queue while the CPU processes the
 // current one (the OS readahead XPRS scans ran on; without it, x
 // synchronous slaves could never generate the x·C_i IO demand the
@@ -91,10 +91,14 @@ type pageSource interface {
 	npages() int64
 	// enqueue reserves the page's IO and returns its availability time.
 	enqueue(sc *slaveCtx, p int64) time.Duration
-	// fetchCols returns the page as a columnar batch after it became
-	// available, charging per-tuple CPU (shared decode cache for
-	// physical pages, the slave's reusable buffer for synthetic ones).
-	fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error)
+	// page returns the page as a read-only columnar batch (shared decode
+	// cache for physical pages, the slave's reusable buffer for synthetic
+	// ones, a view for temp chunks). It charges nothing and touches no
+	// shared state, so serve may call it ahead of the page's waits.
+	page(sc *slaveCtx, p int64) (*storage.ColBatch, error)
+	// charges returns, in order, the CPU seconds reading the page costs
+	// once it is available; a zero entry charges nothing.
+	charges(cb *storage.ColBatch) [2]float64
 }
 
 // relSource reads a base relation through the store.
@@ -110,19 +114,17 @@ func (s *relSource) enqueue(sc *slaveCtx, p int64) time.Duration {
 	return s.fr.eng.Store.EnqueuePage(s.rel, p, sc.rt.Degree() > 1)
 }
 
-func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
-	cb, err := sc.pageCols(s.rel, p, &sc.colPageBuf)
-	if err != nil {
-		return nil, err
-	}
-	// A slave backend is a synchronous process: its per-page cycle is the
-	// measured sequential cycle 1/C = pageService + tuples·tupleCPU (§3).
-	// Readahead keeps parallel service-time inflation from stretching
-	// that cycle, but never compresses it — so x slaves generate exactly
-	// the x·C_i IO demand the balance-point arithmetic assumes.
-	sc.chargeCPU(s.fr.eng.Params.SeqPageService)
-	sc.chargeCPU(s.perTuple * float64(cb.N))
-	return cb, nil
+func (s *relSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
+	return sc.pageCols(s.rel, p, &sc.colPageBuf)
+}
+
+// A slave backend is a synchronous process: its per-page cycle is the
+// measured sequential cycle 1/C = pageService + tuples·tupleCPU (§3).
+// Readahead keeps parallel service-time inflation from stretching that
+// cycle, but never compresses it — so x slaves generate exactly the
+// x·C_i IO demand the balance-point arithmetic assumes.
+func (s *relSource) charges(cb *storage.ColBatch) [2]float64 {
+	return [2]float64{s.fr.eng.Params.SeqPageService, s.perTuple * float64(cb.N)}
 }
 
 // tempSource reads a materialized temp chunk-wise; shared memory, so CPU
@@ -136,15 +138,18 @@ func (s *tempSource) npages() int64 { return s.temp.NumChunks() }
 
 func (s *tempSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
 
-func (s *tempSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
+func (s *tempSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 	view, vecs, ok := s.temp.ChunkCols(p, sc.tempVecs)
 	sc.tempVecs = vecs
 	if !ok {
 		view = storage.ColBatch{}
 	}
 	sc.tempView = view
-	sc.chargeCPU(s.fr.eng.Params.TempReadCPU * float64(view.N))
 	return &sc.tempView, nil
+}
+
+func (s *tempSource) charges(cb *storage.ColBatch) [2]float64 {
+	return [2]float64{s.fr.eng.Params.TempReadCPU * float64(cb.N)}
 }
 
 // prefetchDepth returns how many page reads a slave keeps in flight:
@@ -294,15 +299,30 @@ type inflight struct {
 
 // serve processes one posted page: settle all simulated work preceding
 // the disk wait (invariant 2 in colpipe.go), block until the page is
-// available, then feed it through the fragment pipeline batch-wise.
+// available, pay for reading it, then feed it through the fragment
+// pipeline batch-wise.
+//
+// Nothing the slave does between those sleeps is visible to anyone else
+// — the decode is pure and the debt arithmetic is private — so the page
+// is decoded first and the sleeps run as one program: the residual debt,
+// the wait for the page, and a flush wherever a charge carries the debt
+// past the quantum, each present exactly when flushCPU / chargeCPU would
+// have slept. The pipeline, the checkpoint and the next enqueue, the
+// first shared side effects, come after the park. (The range, nestloop
+// and TID paths enqueue between their flush and their wait, an
+// order-sensitive side effect, and so keep their separate sleeps.)
 func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
-	sc.flushCPU()
-	d.fr.eng.Clock.SleepUntil(head.avail)
-	bsz := d.fr.eng.batchSize()
-	cb, err := d.src.fetchCols(sc, head.page)
+	cb, err := d.src.page(sc, head.page)
 	if err != nil {
 		return err
 	}
+	sc.stageFlush()
+	sc.prog.SleepUntil(head.avail)
+	for _, c := range d.src.charges(cb) {
+		sc.stageCPU(c)
+	}
+	d.fr.eng.Clock.Park(&sc.prog)
+	bsz := d.fr.eng.batchSize()
 	for lo := 0; lo < cb.N; lo += bsz {
 		hi := lo + bsz
 		if hi > cb.N {

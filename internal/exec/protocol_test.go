@@ -163,9 +163,10 @@ type nullSource struct{ np int64 }
 
 func (s *nullSource) npages() int64                          { return s.np }
 func (s *nullSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
-func (s *nullSource) fetchCols(*slaveCtx, int64) (*storage.ColBatch, error) {
+func (s *nullSource) page(*slaveCtx, int64) (*storage.ColBatch, error) {
 	return &storage.ColBatch{}, nil
 }
+func (s *nullSource) charges(*storage.ColBatch) [2]float64 { return [2]float64{} }
 
 func TestPageProtocolExactlyOnceGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -232,56 +233,44 @@ func TestPropertyPageProtocolExactlyOnce(t *testing.T) {
 
 // --- live adjustment through the engine ---------------------------------------
 
-// TestLiveAdjustmentMidScan drives a real page-partitioned scan and
-// issues an adjustment while it runs, then verifies results and IO
-// counts are still exact.
+// adjustAfter is a launchFrag hook: let the scan run for d, then adjust
+// the task to newDeg.
+func adjustAfter(t *testing.T, eng *Engine, d time.Duration, newDeg int) func(*runningTask) {
+	return func(rt *runningTask) {
+		eng.Clock.Sleep(d)
+		if err := rt.adjust(newDeg); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := rt.Degree(); got != newDeg {
+			t.Errorf("degree = %d, want %d", got, newDeg)
+		}
+	}
+}
+
+// TestLiveAdjustmentMidScan drives a real page-partitioned scan, launched
+// at degree 3, and issues an adjustment while it runs, then verifies
+// results and IO counts are still exact and the virtual outcome is the
+// recorded one.
 func TestLiveAdjustmentMidScan(t *testing.T) {
-	for _, newDeg := range []int{1, 2, 6, 8} {
-		v, eng := testEngine(0)
-		rel := buildRel(t, eng.Store, "r", 3000, 3000, 400)
-		specs, g := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
-		var rep *Report
-		var err error
-		v.Run(func() {
-			// Launch at degree 3 manually, adjust after a while, then wait.
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
-			if ferr != nil {
-				t.Error(ferr)
-				return
+	for _, pv := range paramVariants {
+		for _, newDeg := range []int{1, 2, 6, 8} {
+			v, eng := testEngineWith(0, 8, pv)
+			rel := buildRel(t, eng.Store, "r", 3000, 3000, 400)
+			fr, err := launchFrag(t, v, eng, &plan.SeqScan{Rel: rel}, 3, nil,
+				adjustAfter(t, eng, 500*time.Millisecond, newDeg))
+			if err != nil {
+				t.Fatal(err)
 			}
-			drv, derr := eng.driverFor(fr)
-			if derr != nil {
-				t.Error(derr)
-				return
+			label := fmt.Sprintf("newDeg=%d", newDeg)
+			checkGolden(t, pv.key(t.Name()+"/"+label), pv.name+" "+label,
+				outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+			if got := fr.outTemp.Len(); got != 3000 {
+				t.Fatalf("newDeg %d: results = %d rows, want 3000", newDeg, got)
 			}
-			eng.events = vclock.NewMailbox(eng.Clock)
-			rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
-			if lerr := rt.launch(3); lerr != nil {
-				t.Error(lerr)
-				return
+			if got := eng.Store.Disks.Stats().TotalReads(); got != rel.NPages() {
+				t.Fatalf("newDeg %d: disk reads = %d, want %d (exactly once)", newDeg, got, rel.NPages())
 			}
-			eng.Clock.Sleep(500 * time.Millisecond) // mid-scan
-			if aerr := rt.adjust(newDeg); aerr != nil {
-				t.Error(aerr)
-				return
-			}
-			if got := rt.Degree(); got != newDeg {
-				t.Errorf("degree = %d, want %d", got, newDeg)
-			}
-			ev := eng.events.Wait().(taskDone)
-			if ev.err != nil {
-				t.Error(ev.err)
-			}
-			rep = &Report{Results: map[int]*Temp{0: fr.outTemp}}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.Results[0].Len(); got != 3000 {
-			t.Fatalf("newDeg %d: results = %d rows, want 3000", newDeg, got)
-		}
-		if got := eng.Store.Disks.Stats().TotalReads(); got != rel.NPages() {
-			t.Fatalf("newDeg %d: disk reads = %d, want %d (exactly once)", newDeg, got, rel.NPages())
 		}
 	}
 }
@@ -289,47 +278,29 @@ func TestLiveAdjustmentMidScan(t *testing.T) {
 // TestLiveAdjustmentRangeScan does the same for a range-partitioned
 // index scan (Figure 6 protocol).
 func TestLiveAdjustmentRangeScan(t *testing.T) {
-	for _, newDeg := range []int{1, 4, 8} {
-		v, eng := testEngine(0)
-		rel := buildShuffledRel(t, eng.Store, "r", 2000, 40)
-		ix, err := btree.BuildIndex("r_a", rel, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
-		specs, g := specFor(t, eng, root, 0)
-		v.Run(func() {
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
-			if ferr != nil {
-				t.Error(ferr)
-				return
+	for _, pv := range paramVariants {
+		for _, newDeg := range []int{1, 4, 8} {
+			v, eng := testEngineWith(0, 8, pv)
+			rel := buildShuffledRel(t, eng.Store, "r", 2000, 40)
+			ix, err := btree.BuildIndex("r_a", rel, 0, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			drv, _ := eng.driverFor(fr)
-			eng.events = vclock.NewMailbox(eng.Clock)
-			rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
-			if lerr := rt.launch(3); lerr != nil {
-				t.Error(lerr)
-				return
-			}
-			eng.Clock.Sleep(2 * time.Second)
-			if aerr := rt.adjust(newDeg); aerr != nil {
-				t.Error(aerr)
-				return
-			}
-			ev := eng.events.Wait().(taskDone)
-			if ev.err != nil {
-				t.Error(ev.err)
+			root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
+			fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 2*time.Second, newDeg))
+			if err != nil {
+				t.Fatal(err)
 			}
 			if got := fr.outTemp.Len(); got != 2000 {
 				t.Errorf("newDeg %d: results = %d rows, want 2000", newDeg, got)
 			}
 			label := fmt.Sprintf("newDeg=%d", newDeg)
-			checkGolden(t, t.Name()+"/"+label, label,
-				outcomeOf(eng.Clock.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
-		})
-		// Every tuple fetched exactly once through the index.
-		if got := eng.Store.Disks.Stats().TotalReads(); got != 2000 {
-			t.Fatalf("newDeg %d: disk reads = %d, want 2000", newDeg, got)
+			checkGolden(t, pv.key(t.Name()+"/"+label), pv.name+" "+label,
+				outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+			// Every tuple fetched exactly once through the index.
+			if got := eng.Store.Disks.Stats().TotalReads(); got != 2000 {
+				t.Fatalf("newDeg %d: disk reads = %d, want 2000", newDeg, got)
+			}
 		}
 	}
 }

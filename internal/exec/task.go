@@ -9,6 +9,7 @@ import (
 	"xprs/internal/core"
 	"xprs/internal/obs"
 	"xprs/internal/storage"
+	"xprs/internal/vclock"
 )
 
 // driver is the partitioning strategy of one fragment's driving scan
@@ -351,6 +352,9 @@ type slaveCtx struct {
 	// charge, however the charges were grouped into batches: flushes
 	// sleep whole nanoseconds and carry the sub-nanosecond remainder.
 	cpuDebtPs int64
+	// prog collects the sleeps of one page cycle so the page driver parks
+	// once per page (stageFlush / stageCPU fill it, serve parks on it).
+	prog vclock.Prog
 	// aggLocal is this slave's private accumulator table when the
 	// fragment root is an Agg (two-phase parallel aggregation).
 	aggLocal map[int32][]int64
@@ -401,6 +405,7 @@ func (sc *slaveCtx) reset() {
 	sc.rt, sc.state = nil, nil
 	sc.stateVal = slaveState{}
 	sc.cpuDebtPs = 0
+	sc.prog.Reset()
 	sc.aggLocal = nil
 	sc.aggSlab = nil
 	// colPageBuf is retained: pageCols re-Inits it per relation schema.
@@ -558,10 +563,33 @@ func (sc *slaveCtx) addCPUDebt(ps int64) {
 	}
 }
 
+// takeCPU removes the whole nanoseconds from the debt and returns them;
+// the sub-nanosecond remainder stays.
+func (sc *slaveCtx) takeCPU() time.Duration {
+	ns := sc.cpuDebtPs / 1000
+	sc.cpuDebtPs -= ns * 1000
+	return time.Duration(ns)
+}
+
 func (sc *slaveCtx) flushCPU() {
-	if ns := sc.cpuDebtPs / 1000; ns > 0 {
-		sc.cpuDebtPs -= ns * 1000
-		sc.rt.eng.Clock.Sleep(time.Duration(ns))
+	if ns := sc.takeCPU(); ns > 0 {
+		sc.rt.eng.Clock.Sleep(ns)
+	}
+}
+
+// stageFlush is flushCPU with the sleep appended to the slave's pending
+// program instead of slept.
+func (sc *slaveCtx) stageFlush() {
+	if ns := sc.takeCPU(); ns > 0 {
+		sc.prog.Sleep(ns)
+	}
+}
+
+// stageCPU is chargeCPU with the flush it may force staged the same way.
+func (sc *slaveCtx) stageCPU(seconds float64) {
+	sc.cpuDebtPs += int64(seconds*picosPerSecond + 0.5)
+	if sc.cpuDebtPs >= sc.rt.eng.cpuQuantumPs {
+		sc.stageFlush()
 	}
 }
 

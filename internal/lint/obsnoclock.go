@@ -14,8 +14,8 @@ import (
 //     can even name a clock-advancing API.
 //  2. Any callback handed to an obs API (Registry.RegisterFunc gauges,
 //     or any func-typed argument to an obs function) must not reach a
-//     vclock-advancing call — Clock.Sleep/SleepUntil/Go/YieldOrdered/
-//     WaitSignal/Signal, Mailbox.Post/Wait, or the executor's CPU
+//     vclock-advancing call — Clock.Sleep/SleepUntil/Park/Go/
+//     YieldOrdered/WaitSignal/Signal, Mailbox.Post/Wait, or the executor's CPU
 //     charging helpers — directly or through same-package calls.
 //  3. internal/obs may not read the wall clock either (time.Now and
 //     friends): the telemetry primitives — the series ring, the trace
@@ -43,6 +43,7 @@ var enginePackages = []string{
 var clockAdvancingMethods = map[string]bool{
 	"Sleep":        true,
 	"SleepUntil":   true,
+	"Park":         true,
 	"Go":           true,
 	"Run":          true,
 	"YieldOrdered": true,
@@ -60,6 +61,9 @@ var cpuChargingFuncs = map[string]bool{
 	"chargeCPUPer": true,
 	"addCPUDebt":   true,
 	"flushCPU":     true,
+	"takeCPU":      true,
+	"stageFlush":   true,
+	"stageCPU":     true,
 }
 
 func runObsNoClock(pass *Pass) error {

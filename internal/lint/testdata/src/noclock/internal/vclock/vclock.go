@@ -9,6 +9,9 @@ type Clock struct{ now time.Duration }
 func (c *Clock) Now() time.Duration  { return c.now }
 func (c *Clock) Sleep(time.Duration) {}
 func (c *Clock) YieldOrdered(int64)  {}
+func (c *Clock) Park(*Prog)          {}
+
+type Prog struct{}
 
 type Mailbox struct{}
 

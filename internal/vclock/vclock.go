@@ -44,6 +44,10 @@ type Clock interface {
 	// SleepUntil suspends the caller until the given instant (measured on
 	// the clock's own Now scale); past instants return immediately.
 	SleepUntil(t time.Duration)
+	// Park runs the program's stages in order, exactly as the same
+	// Sleep and SleepUntil calls issued back to back would, and leaves
+	// the program empty. An empty program is a no-op.
+	Park(p *Prog)
 	// Go starts fn on a new goroutine registered with the clock. The child
 	// is registered before Go returns, so the clock cannot advance past the
 	// spawn instant before the child has run.
@@ -64,12 +68,50 @@ type Clock interface {
 	Signal(ch chan struct{})
 }
 
+// MaxStages is the longest program Park accepts.
+const MaxStages = 4
+
+// stage is one sleep of a program: a duration from the instant the stage
+// starts, or (until) an instant on the clock's Now scale.
+type stage struct {
+	t     time.Duration
+	until bool
+}
+
+// Prog is a short program of sleeps: the stages a goroutine would
+// otherwise issue back to back, touching nothing in between. Park runs
+// it as one park. The zero value is an empty program, and a Prog can be
+// refilled after every Park, so it lives in its owner without allocating.
+type Prog struct {
+	n  int // stages appended
+	pc int // next stage to start; the clock advances it while the owner is parked
+	st [MaxStages]stage
+}
+
+// Sleep appends a stage that sleeps for d.
+func (p *Prog) Sleep(d time.Duration) { p.push(stage{t: d}) }
+
+// SleepUntil appends a stage that sleeps until the instant t.
+func (p *Prog) SleepUntil(t time.Duration) { p.push(stage{t: t, until: true}) }
+
+// Reset empties the program.
+func (p *Prog) Reset() { p.n, p.pc = 0, 0 }
+
+func (p *Prog) push(st stage) {
+	if p.n == MaxStages {
+		panic(fmt.Sprintf("vclock: sleep program exceeds MaxStages = %d", MaxStages))
+	}
+	p.st[p.n] = st
+	p.n++
+}
+
 // timer is one pending wake-up in the virtual clock's heap.
 type timer struct {
 	wake time.Duration
 	key  int64  // stable-identity tie-break (0 for plain sleeps)
 	seq  uint64 // FIFO tie-break for equal wake times and keys
 	ch   chan struct{}
+	prog *Prog // stages still to run before ch is signalled (nil for a single sleep)
 }
 
 // timerLess is the total order on timers: earliest wake, then smallest
@@ -100,6 +142,31 @@ type Virtual struct {
 	timers     []timer // binary min-heap ordered by timerLess
 	seq        uint64
 	waiters    map[chan struct{}]struct{}
+	counts     Counts
+}
+
+// Counts is the clock's account of its own traffic since construction.
+type Counts struct {
+	// Parks is the number of goroutine hand-offs through a timer: a
+	// goroutine blocked in Sleep, SleepUntil, YieldOrdered or Park and
+	// was woken again (one per call, however many stages it ran).
+	Parks int64
+	// Stages is the number of timers fired, chained stages included;
+	// Stages - Parks is the number of hand-offs Park saved.
+	Stages int64
+	// Signals counts Signal calls; Waits counts the WaitSignal calls
+	// that blocked (a latched signal costs no hand-off).
+	Signals, Waits int64
+	// PeakTimers is the deepest the timer heap has been.
+	PeakTimers int
+}
+
+// Counts returns the traffic counters. They are maintained under the
+// clock's own lock, so reading them costs the run nothing.
+func (v *Virtual) Counts() Counts {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.counts
 }
 
 // NewVirtual returns a virtual clock positioned at time zero with no
@@ -171,21 +238,28 @@ func (v *Virtual) unregister() {
 	v.mu.Unlock()
 }
 
-// park blocks the caller on a pooled timer at the given wake instant.
-// Called without the lock held; wake must already be clamped to >= now by
-// the caller under the lock, so park takes the lock itself.
-func (v *Virtual) park(delta time.Duration, absolute time.Duration, key int64) {
-	ch := wakePool.Get().(chan struct{})
-	v.mu.Lock()
-	wake := absolute
-	if delta >= 0 {
-		wake = v.now + delta
+// wakeLocked is the instant a stage starting now fires: never in the
+// past, so non-positive sleeps and past instants wake at the current one.
+func (v *Virtual) wakeLocked(st stage) time.Duration {
+	wake := st.t
+	if !st.until {
+		wake += v.now
 	}
 	if wake < v.now {
 		wake = v.now
 	}
+	return wake
+}
+
+// park blocks the caller on a pooled timer that fires at first's wake
+// instant and then, before the caller is woken, runs the stages rest
+// still holds (see advanceLocked). Called without the lock held.
+func (v *Virtual) park(first stage, key int64, rest *Prog) {
+	ch := wakePool.Get().(chan struct{})
+	v.mu.Lock()
 	v.seq++
-	v.pushTimer(timer{wake: wake, key: key, seq: v.seq, ch: ch})
+	v.pushTimer(timer{wake: v.wakeLocked(first), key: key, seq: v.seq, ch: ch, prog: rest})
+	v.counts.Parks++
 	v.blocked++
 	v.advanceLocked()
 	v.mu.Unlock()
@@ -197,23 +271,35 @@ func (v *Virtual) park(delta time.Duration, absolute time.Duration, key int64) {
 // enqueues a timer at the current instant, which yields the processor to
 // any other goroutine with an earlier or equal pending timer.
 func (v *Virtual) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	v.park(d, 0, 0)
+	v.park(stage{t: d}, 0, nil)
 }
 
 // YieldOrdered parks the caller at the current instant with a stable
 // tie-break key, so a batch of simultaneously released goroutines
 // resumes in key order regardless of OS scheduling.
 func (v *Virtual) YieldOrdered(key int64) {
-	v.park(0, 0, key)
+	v.park(stage{}, key, nil)
 }
 
 // SleepUntil suspends the caller until the given virtual instant. If t is
 // in the past it behaves like Sleep(0).
 func (v *Virtual) SleepUntil(t time.Duration) {
-	v.park(-1, t, 0)
+	v.park(stage{t: t, until: true}, 0, nil)
+}
+
+// Park runs the program as one park: the caller blocks once, the clock
+// chains the stages timer to timer (advanceLocked), and the caller wakes
+// when the last stage fires. Every stage is armed at the instant and in
+// the global order its own Sleep or SleepUntil call would have been, so
+// virtual time cannot tell the two apart; only the goroutine switches in
+// between are gone.
+func (v *Virtual) Park(p *Prog) {
+	if p.n == 0 {
+		return
+	}
+	p.pc = 1
+	v.park(p.st[0], 0, p)
+	p.Reset()
 }
 
 // WaitSignal blocks until Signal(ch). The blocked state is accounted to the
@@ -232,6 +318,7 @@ func (v *Virtual) WaitSignal(ch chan struct{}) {
 		panic("vclock: second waiter on the same signal channel")
 	}
 	v.waiters[ch] = struct{}{}
+	v.counts.Waits++
 	v.blocked++
 	v.advanceLocked()
 	v.mu.Unlock()
@@ -244,6 +331,7 @@ func (v *Virtual) WaitSignal(ch chan struct{}) {
 // in the channel's buffer for the next WaitSignal.
 func (v *Virtual) Signal(ch chan struct{}) {
 	v.mu.Lock()
+	v.counts.Signals++
 	if _, ok := v.waiters[ch]; ok {
 		delete(v.waiters, ch)
 		v.blocked--
@@ -260,6 +348,16 @@ func (v *Virtual) Signal(ch chan struct{}) {
 // advanceLocked wakes the earliest timer when every registered goroutine is
 // blocked. Exactly one sleeper is released per advance; it runs alone until
 // it blocks again, which keeps execution deterministic.
+//
+// A fired timer whose program has stages left is re-armed here instead of
+// waking its goroutine. That goroutine would have been the only runnable
+// one, would have touched nothing, and would have parked again: the next
+// sequence number drawn and the next timer pushed would have been exactly
+// these, at exactly this instant. So the (wake, key, seq) pop sequence —
+// and with it every virtual instant and every queue order downstream — is
+// the one the stage-by-stage calls produce. (Adding the stages' durations
+// into one sleep would not be: the later stages' timers would draw their
+// seq at park time, ahead of timers other goroutines arm in between.)
 func (v *Virtual) advanceLocked() {
 	if v.registered == 0 || v.blocked != v.registered {
 		return
@@ -273,10 +371,22 @@ func (v *Virtual) advanceLocked() {
 		v.mu.Unlock()
 		panic(msg)
 	}
-	t := v.popTimer()
-	if t.wake > v.now {
-		v.now = t.wake
+	for {
+		t := &v.timers[0]
+		if t.wake > v.now {
+			v.now = t.wake
+		}
+		v.counts.Stages++
+		p := t.prog
+		if p == nil || p.pc == p.n {
+			break
+		}
+		v.seq++
+		t.wake, t.seq = v.wakeLocked(p.st[p.pc]), v.seq
+		p.pc++
+		v.siftDown(0)
 	}
+	t := v.popTimer()
 	v.blocked--
 	t.ch <- struct{}{}
 }
@@ -284,6 +394,9 @@ func (v *Virtual) advanceLocked() {
 // pushTimer inserts t into the heap (sift-up).
 func (v *Virtual) pushTimer(t timer) {
 	h := append(v.timers, t)
+	if len(h) > v.counts.PeakTimers {
+		v.counts.PeakTimers = len(h)
+	}
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -296,15 +409,23 @@ func (v *Virtual) pushTimer(t timer) {
 	v.timers = h
 }
 
-// popTimer removes and returns the minimum timer (sift-down).
+// popTimer removes and returns the minimum timer.
 func (v *Virtual) popTimer() timer {
 	h := v.timers
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = timer{} // release the channel reference
-	h = h[:n]
-	i := 0
+	v.timers = h[:n]
+	v.siftDown(0)
+	return top
+}
+
+// siftDown restores the heap order below position i after the timer
+// there was replaced or re-armed to a later position in the order.
+func (v *Virtual) siftDown(i int) {
+	h := v.timers
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
@@ -320,8 +441,6 @@ func (v *Virtual) popTimer() timer {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	v.timers = h
-	return top
 }
 
 // Real is a Clock backed by the wall clock, for interactive use. Durations
@@ -357,6 +476,18 @@ func (r *Real) Sleep(d time.Duration) {
 // SleepUntil sleeps until the scaled instant t.
 func (r *Real) SleepUntil(t time.Duration) {
 	r.Sleep(t - r.Now())
+}
+
+// Park sleeps through the program's stages in order.
+func (r *Real) Park(p *Prog) {
+	for _, st := range p.st[:p.n] {
+		if st.until {
+			r.SleepUntil(st.t)
+		} else {
+			r.Sleep(st.t)
+		}
+	}
+	p.Reset()
 }
 
 // Go runs fn on a plain goroutine.

@@ -1,9 +1,12 @@
 package xprs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"xprs/internal/workload"
 )
 
 func TestSystemBasics(t *testing.T) {
@@ -215,6 +218,33 @@ func TestFig7Deterministic(t *testing.T) {
 	for i := range a.Cells {
 		if a.Cells[i] != b.Cells[i] {
 			t.Fatalf("cell %d differs: %v vs %v", i, a.Cells[i], b.Cells[i])
+		}
+	}
+}
+
+// TestOneParkPerPageFig7 holds the Figure-7 cells (the scan_mix ops of
+// bench/) to one clock hand-off per page read: slaves park once per
+// page, and everything else that parks — slave starts and exits, the
+// adjustment rounds, arrivals — is a per-cent on top. Before the page
+// cycle's sleeps were chained the ratio was 3.0 on every cell.
+func TestOneParkPerPageFig7(t *testing.T) {
+	for _, kind := range WorkloadKinds() {
+		for _, pol := range Policies() {
+			s := New(DefaultConfig())
+			specs, _, err := workload.Generate(s.store, s.params, kind, 1992+int64(kind), fmt.Sprintf("w%d", kind), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run(specs, pol, SchedOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, reads := s.clock.Counts(), rep.Disk.TotalReads()
+			ratio := float64(c.Parks) / float64(reads)
+			t.Logf("%v / %v: %d parks, %d timers fired, %d page reads: %.3f parks per page", kind, pol, c.Parks, c.Stages, reads, ratio)
+			if ratio > 1.05 {
+				t.Errorf("%v / %v: %.3f parks per page read, limit 1.05", kind, pol, ratio)
+			}
 		}
 	}
 }
