@@ -366,35 +366,18 @@ func BenchmarkSchedulerSubmit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New(DefaultConfig())
-		specs, err := StreamSpecs(s, 11, 6, 2*time.Second)
+		schedule, err := StreamSchedule(s, 11, 6, 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var last time.Duration
-		err = s.Serve(InterAdj, SchedOptions{}, Admission{}, func(sc *Scheduler) error {
-			handles := make([]*QueryHandle, 0, len(specs))
-			for _, sp := range specs {
-				sp.Arrival = 0 // all queries land at once: worst-case concurrency
-				h, err := sc.Submit([]TaskSpec{sp})
-				if err != nil {
-					return err
-				}
-				handles = append(handles, h)
-			}
-			for _, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					return err
-				}
-				if end := rep.SubmittedAt + rep.Elapsed; end > last {
-					last = end
-				}
-			}
-			return nil
-		})
+		for i := range schedule {
+			schedule[i].At = 0 // all queries land at once: worst-case concurrency
+		}
+		outs, err := s.Replay(InterAdj, SchedOptions{}, Admission{}, schedule)
 		if err != nil {
 			b.Fatal(err)
 		}
+		last := Summarize(outs).Makespan
 		b.ReportMetric(last.Seconds(), "virt-s/session")
 	}
 }

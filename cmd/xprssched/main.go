@@ -22,7 +22,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +31,6 @@ import (
 
 	"xprs"
 	"xprs/internal/core"
-	"xprs/internal/storage"
 )
 
 type taskArg struct {
@@ -188,8 +186,9 @@ type serveConfig struct {
 }
 
 // runServe materializes each C:T argument as a real relation sized to
-// scan at rate C for T seconds and submits it as a single-task query to
-// a live scheduler session at its @arrival instant.
+// scan at rate C for T seconds and replays the arguments as a schedule:
+// each a single-task query submitted to a live scheduler session at its
+// @arrival instant.
 func runServe(args []taskArg, policies []core.Policy, opts core.Options, procs int, sv serveConfig) error {
 	adm := xprs.Admission{MaxQueries: sv.maxq, MemoryBudget: sv.mem, Policy: sv.adm, AgingMaxWait: sv.aging}
 	for _, a := range args {
@@ -201,17 +200,10 @@ func runServe(args []taskArg, policies []core.Policy, opts core.Options, procs i
 		cfg := xprs.DefaultConfig()
 		cfg.NProcs = procs
 		sys := xprs.New(cfg)
-		specs := make([]xprs.TaskSpec, len(args))
+		schedule := make([]xprs.Arrival, len(args))
 		for i, a := range args {
-			// Size the relation so a serial scan takes ~T seconds at C io/s.
-			size := sys.Params().TupleSizeForRate(a.c)
-			perPage := float64(storage.TuplesPerPage(int(size)))
-			ntuples := int64(a.t * perPage * a.c)
-			if ntuples < 100 {
-				ntuples = 100
-			}
 			name := fmt.Sprintf("t%02d", i)
-			if _, err := sys.CreateScanRelation(name, a.c, ntuples); err != nil {
+			if _, err := sys.CreateTimedScanRelation(name, a.c, a.t); err != nil {
 				return err
 			}
 			spec, err := sys.SelectTask(i, name, 0, 1<<30)
@@ -219,49 +211,17 @@ func runServe(args []taskArg, policies []core.Policy, opts core.Options, procs i
 				return err
 			}
 			spec.Task.Name = a.raw
-			specs[i] = spec
+			schedule[i] = xprs.Arrival{
+				At:      a.arrival,
+				Options: xprs.SubmitOptions{Deadline: sv.deadline},
+				Specs:   []xprs.TaskSpec{spec},
+			}
 		}
-		reps := make([]*xprs.Report, len(args))
-		shedErrs := make([]error, len(args))
-		err := sys.Serve(pol, opts, adm, func(sc *xprs.Scheduler) error {
-			base := sc.Now()
-			handles := make([]*xprs.QueryHandle, len(args))
-			for i, a := range args {
-				sc.SleepUntil(base + a.arrival)
-				h, err := sc.SubmitWith(xprs.SubmitOptions{Deadline: sv.deadline}, []xprs.TaskSpec{specs[i]})
-				if err != nil {
-					return err
-				}
-				handles[i] = h
-			}
-			for i, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					var shed *xprs.ShedError
-					var dshed *xprs.DeadlineShedError
-					if errors.As(err, &shed) || errors.As(err, &dshed) {
-						shedErrs[i] = err
-						continue
-					}
-					return err
-				}
-				reps[i] = rep
-			}
-			return nil
-		})
+		outs, err := sys.Replay(pol, opts, adm, schedule)
 		if err != nil {
 			return err
 		}
-		var makespan time.Duration
-		for _, rep := range reps {
-			if rep == nil {
-				continue
-			}
-			if end := rep.SubmittedAt + rep.Elapsed; end > makespan {
-				makespan = end
-			}
-		}
-		fmt.Printf("\n%s — makespan %.3fs (online submission", pol, makespan.Seconds())
+		fmt.Printf("\n%s — makespan %.3fs (online submission", pol, xprs.Summarize(outs).Makespan.Seconds())
 		if sv.maxq > 0 || sv.mem > 0 {
 			fmt.Printf(", admission maxq=%d mem=%d", sv.maxq, sv.mem)
 		}
@@ -272,11 +232,12 @@ func runServe(args []taskArg, policies []core.Policy, opts core.Options, procs i
 			}
 		}
 		fmt.Println(")")
-		for i, rep := range reps {
-			if rep == nil {
-				fmt.Printf("  %-14s shed: %v\n", args[i].raw, shedErrs[i])
+		for i, out := range outs {
+			if out.Shed != nil {
+				fmt.Printf("  %-14s shed: %v\n", args[i].raw, out.Shed)
 				continue
 			}
+			rep := out.Report
 			fmt.Printf("  %-14s submitted %7.2fs  queued %7.2fs  response %8.2fs\n",
 				args[i].raw, rep.SubmittedAt.Seconds(), rep.QueueWait.Seconds(), rep.Elapsed.Seconds())
 			for _, ev := range rep.Trace {

@@ -35,7 +35,7 @@ func main() {
 		// Fresh system per policy so runs are independent and identical
 		// in their inputs.
 		sys := xprs.New(xprs.DefaultConfig())
-		var specs []xprs.TaskSpec
+		schedule := make([]xprs.Arrival, len(users))
 		for i, u := range users {
 			if _, err := sys.CreateScanRelation(u.name, u.rate, u.tuples); err != nil {
 				log.Fatal(err)
@@ -44,45 +44,19 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			specs = append(specs, spec)
+			schedule[i] = xprs.Arrival{At: u.arrival, Specs: []xprs.TaskSpec{spec}}
 		}
 
-		// One live session per policy: the driver goroutine sleeps to each
-		// user's arrival instant, submits their query online, and collects
-		// the per-query reports afterwards.
-		reps := make([]*xprs.Report, len(users))
-		err := sys.Serve(policy, xprs.SchedOptions{}, adm, func(sc *xprs.Scheduler) error {
-			base := sc.Now()
-			handles := make([]*xprs.QueryHandle, len(users))
-			for i, u := range users {
-				sc.SleepUntil(base + u.arrival)
-				h, err := sc.Submit([]xprs.TaskSpec{specs[i]})
-				if err != nil {
-					return err
-				}
-				handles[i] = h
-			}
-			for i, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					return err
-				}
-				reps[i] = rep
-			}
-			return nil
-		})
+		// One live session per policy: Replay submits each user's query
+		// online at its arrival instant and returns the per-query reports.
+		outs, err := sys.Replay(policy, xprs.SchedOptions{}, adm, schedule)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		var makespan time.Duration
-		for _, rep := range reps {
-			if end := rep.SubmittedAt + rep.Elapsed; end > makespan {
-				makespan = end
-			}
-		}
-		fmt.Printf("%-18s makespan %8.2fs\n", policy, makespan.Seconds())
-		for i, rep := range reps {
+		fmt.Printf("%-18s makespan %8.2fs\n", policy, xprs.Summarize(outs).Makespan.Seconds())
+		for i, out := range outs {
+			rep := out.Report // no MaxQueued, so nothing is shed
 			fmt.Printf("    %-12s submitted %6.2fs  queued %6.2fs  response %8.2fs\n",
 				users[i].name, rep.SubmittedAt.Seconds(), rep.QueueWait.Seconds(), rep.Elapsed.Seconds())
 			for _, ev := range rep.Trace {

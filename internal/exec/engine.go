@@ -463,6 +463,10 @@ type Report struct {
 	Metrics obs.Snapshot
 }
 
+// End is the session-relative instant the query completed; the latest
+// End over a session's reports is its makespan.
+func (r *Report) End() time.Duration { return r.SubmittedAt + r.Elapsed }
+
 // taskDone is posted to the session mailbox when the last slave of a
 // task exits.
 type taskDone struct {
@@ -472,26 +476,21 @@ type taskDone struct {
 }
 
 // Run executes one pre-declared task set under the given policy and
-// returns its report: it opens a scheduler session, submits the specs as
-// a single query, waits for it, and drains. The calling goroutine is
-// the client backend; under a virtual clock it must execute inside
-// clock.Run (the xprs facade does this). An Engine runs one session at
-// a time; use NewScheduler directly for online multi-query submission.
+// returns its report: a session of its own, a one-arrival Replay, a
+// drain. The calling goroutine is the client backend; under a virtual
+// clock it must execute inside clock.Run (the xprs facade does this). An
+// Engine runs one session at a time; use NewScheduler directly for
+// online multi-query submission.
 func (e *Engine) Run(specs []TaskSpec, policy core.Policy, opts core.Options) (*Report, error) {
 	s := NewScheduler(e, policy, opts, AdmissionConfig{})
-	h, err := s.Submit(specs)
-	if err != nil {
-		s.Drain()
-		return nil, err
-	}
-	rep, err := h.Wait()
+	outs, err := s.Replay([]Arrival{{Specs: specs}})
 	if derr := s.Drain(); err == nil {
 		err = derr
 	}
 	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return outs[0].Report, nil
 }
 
 // driverFor picks the partitioner matching the fragment's driving leaf

@@ -392,10 +392,3 @@ func (d *pageDriver) run(sc *slaveCtx) error {
 		a = na
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -113,16 +113,16 @@ func realEngine(t *testing.T, clock vclock.Clock, n int) (*Engine, [][]TaskSpec)
 	return eng, queries
 }
 
-// gatedClock is a wall clock whose Sleep parks until the gate closes. A
-// task with a positive Arrival sleeps on the clock before it can start,
-// so its query stays live — deterministically, no timing — until the
-// test closes the gate.
+// gatedClock is a wall clock whose SleepUntil parks until the gate
+// closes. A task with a positive Arrival sleeps on the clock until its
+// instant before it can start, so its query stays live —
+// deterministically, no timing — until the test closes the gate.
 type gatedClock struct {
 	*vclock.Real
 	gate chan struct{}
 }
 
-func (c gatedClock) Sleep(time.Duration) { <-c.gate }
+func (c gatedClock) SleepUntil(time.Duration) { <-c.gate }
 
 // TestSubmitCollisionConcurrent pins check-and-claim atomicity under the
 // single intake lock: of 8 goroutines submitting queries that share one
@@ -376,7 +376,7 @@ func randomSession(t *testing.T, seed int64) string {
 		sched = NewScheduler(eng, policy, core.Options{}, adm)
 		for _, sq := range queries {
 			v.Sleep(sq.gap)
-			h, err := sched.SubmitTenant(sq.tenant, sq.specs)
+			h, err := sched.SubmitWith(SubmitOptions{Tenant: sq.tenant}, sq.specs)
 			if err != nil {
 				t.Errorf("seed %d: Submit: %v", seed, err)
 				return

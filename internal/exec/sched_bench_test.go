@@ -196,7 +196,7 @@ func backlogBytesPerSession(t *testing.T, v *vclock.Virtual, eng *Engine, querie
 	v.Run(func() {
 		sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{MaxQueries: 4, TenantMaxQueries: 2})
 		for i, specs := range queries {
-			h, err := sched.SubmitTenant(tenants[i%len(tenants)], specs)
+			h, err := sched.SubmitWith(SubmitOptions{Tenant: tenants[i%len(tenants)]}, specs)
 			if err != nil {
 				t.Error(err)
 				return

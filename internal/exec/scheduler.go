@@ -527,15 +527,10 @@ func (s *Scheduler) resetSession() {
 func (s *Scheduler) now() time.Duration { return s.eng.Clock.Now() - s.start }
 
 // Submit registers one query — a set of dependent task specs — with the
-// service and returns its handle. It is SubmitTenant under the default
-// (empty) tenant.
+// service and returns its handle. It is SubmitWith under the default
+// (empty) tenant and no deadline.
 func (s *Scheduler) Submit(specs []TaskSpec) (*QueryHandle, error) {
 	return s.SubmitWith(SubmitOptions{}, specs)
-}
-
-// SubmitTenant registers one query on behalf of a tenant.
-func (s *Scheduler) SubmitTenant(tenant string, specs []TaskSpec) (*QueryHandle, error) {
-	return s.SubmitWith(SubmitOptions{Tenant: tenant}, specs)
 }
 
 // SubmitOptions carries per-query submission metadata beyond the specs.
@@ -994,11 +989,7 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 		gen, qid, tid := s.gen, q.id, id
 		s.eng.Clock.Go(func() {
 			s.eng.Clock.YieldOrdered(arrivalKey(tid))
-			if v, ok := s.eng.Clock.(*vclock.Virtual); ok {
-				v.SleepUntil(at)
-			} else {
-				s.eng.Clock.Sleep(at - s.eng.Clock.Now())
-			}
+			s.eng.Clock.SleepUntil(at)
 			s.events.Post(arrivalTick{gen: gen, qid: qid, id: tid})
 		})
 	}

@@ -33,8 +33,9 @@ import (
 )
 
 // Clock is the time source used throughout the engine. Two implementations
-// exist: *Virtual (deterministic simulated time, used by all experiments)
-// and *Real (wall-clock time, used by interactive examples).
+// exist: *Virtual (deterministic simulated time, used by every program
+// in the tree) and *Real (wall-clock time, constructed only by tests and
+// by bench/'s intake probe).
 type Clock interface {
 	// Now returns the time elapsed since the clock started.
 	Now() time.Duration
@@ -443,8 +444,9 @@ func (v *Virtual) siftDown(i int) {
 	}
 }
 
-// Real is a Clock backed by the wall clock, for interactive use. Durations
-// passed to Sleep may be scaled down so examples finish quickly.
+// Real is a Clock backed by the wall clock: the scheduler's robustness
+// tests and intake probes run real goroutine interleavings on it.
+// Durations passed to Sleep may be scaled down so they finish quickly.
 type Real struct {
 	start time.Time
 	// Scale divides every Sleep duration; zero means 1 (no scaling).

@@ -3,22 +3,21 @@ package workload
 // The open-loop serving harness: N tenants × per-tenant query
 // templates, driven by a seeded arrival process against a live
 // scheduler session. The driver is one clock-registered goroutine that
-// sleeps to each arrival instant, submits the drawn template under its
-// tenant, and reaps settled queries between arrivals without ever
-// blocking the arrival process — open-loop, so overload shows up as
-// queue depth and shed count, not as a quietly degraded arrival rate.
+// sleeps to each arrival instant and submits the drawn template under
+// its tenant, never blocking the arrival process — open-loop, so
+// overload shows up as queue depth and shed count, not as a quietly
+// degraded arrival rate.
 //
 // Determinism: tenant/template draws and interarrival gaps come from
 // seeded private RNGs, submissions happen on one goroutine at exact
 // virtual instants, and every instantiation stamps fresh task IDs from
 // a monotonic counter, so the i-th submission carries the same IDs on
-// every run. Reaping — which races real completion signals — only
-// recycles plan-instance memory and decides when the driver calls Wait
+// every run. Recycling a settled session's plan instance decides only
+// whether the next one is built or reused and when the driver calls Wait
 // on an already-settled handle; it cannot move a single virtual-time
 // observable. See DESIGN.md §13.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -63,6 +62,11 @@ type template struct {
 	rel  *storage.Relation
 	hi   int32 // filter upper bound (the relation's row count)
 	free []*instance
+	// The instances out on a submission, oldest first, linked through
+	// instance.next. The driver asks only the oldest whether it has
+	// settled: admission is close to first-come within a template, and
+	// what a later one that overtook it would have saved is one build.
+	oldest, newest *instance
 }
 
 // instance is one submittable copy of a template's plan.
@@ -70,6 +74,10 @@ type instance struct {
 	specs []exec.TaskSpec
 	base  int // first task ID currently stamped on the specs
 	tmpl  *template
+	// handle is the submission the instance is out on; next the instance
+	// the same template submitted after it.
+	handle *exec.QueryHandle
+	next   *instance
 }
 
 // Catalog is a built tenant/template universe plus the global task-ID
@@ -80,6 +88,9 @@ type Catalog struct {
 	temps   [][]*template // [tenant][template]
 	classes []SLOClass
 	nextID  int
+	// Driver counters the recycling test reads: plan instances built and
+	// handles peeked at (QueryHandle.Done).
+	built, peeks int
 }
 
 // BuildTenantCatalog builds the mix's relations in the store (named
@@ -158,13 +169,34 @@ func (c *Catalog) instantiate(t *template) (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.built++
 	inst := &instance{specs: specs, base: c.nextID, tmpl: t}
 	c.nextID += len(specs)
 	return inst, nil
 }
 
-// release returns a settled instance to its template's pool.
-func (inst *instance) release() { inst.tmpl.free = append(inst.tmpl.free, inst) }
+// submitted queues the instance behind the template's outstanding ones.
+func (inst *instance) submitted(h *exec.QueryHandle) {
+	inst.handle = h
+	if t := inst.tmpl; t.newest == nil {
+		t.oldest, t.newest = inst, inst
+	} else {
+		t.newest.next, t.newest = inst, inst
+	}
+}
+
+// reapOldest waits for the template's oldest outstanding query, returns
+// its instance to the pool and adds the outcome to the tally.
+func (t *template) reapOldest(tally *Tally) error {
+	inst := t.oldest
+	if t.oldest = inst.next; t.oldest == nil {
+		t.newest = nil
+	}
+	rep, err := inst.handle.Wait()
+	inst.handle, inst.next = nil, nil
+	t.free = append(t.free, inst)
+	return tally.Add(rep, err)
+}
 
 // ServeStats is the outcome of one open-loop run. All durations are
 // virtual time.
@@ -214,41 +246,7 @@ func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr Arri
 	if len(cat.classes) > 0 {
 		crng = rand.New(rand.NewSource(seed + 7919))
 	}
-	type outstanding struct {
-		inst   *instance
-		handle *exec.QueryHandle
-	}
-	var live []outstanding
-	stats := &ServeStats{}
-	responses := make([]time.Duration, 0, sessions)
-	waits := make([]time.Duration, 0, sessions)
-	var lastEnd time.Duration
-
-	reap := func(o outstanding) error {
-		rep, err := o.handle.Wait()
-		o.inst.release()
-		if err != nil {
-			var shed *exec.ShedError
-			if errors.As(err, &shed) {
-				stats.Shed++
-				return nil
-			}
-			var dshed *exec.DeadlineShedError
-			if errors.As(err, &dshed) {
-				stats.Shed++
-				stats.DeadlineShed++
-				return nil
-			}
-			return err
-		}
-		stats.Completed++
-		responses = append(responses, rep.Elapsed)
-		waits = append(waits, rep.QueueWait)
-		if end := rep.SubmittedAt + rep.Elapsed; end > lastEnd {
-			lastEnd = end
-		}
-		return nil
-	}
+	tally := NewTally(sessions)
 
 	next := clk.Now()
 	for i := 0; i < sessions; i++ {
@@ -257,6 +255,19 @@ func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr Arri
 		}
 		ten := rng.Intn(len(cat.temps))
 		tmpl := cat.temps[ten][rng.Intn(len(cat.temps[ten]))]
+		// Recycle before building: the template's oldest outstanding query
+		// is asked whether it has settled — one non-blocking peek, never a
+		// walk over the backlog — and reaped if so (Wait on a settled
+		// handle returns at once), which frees its instance for this
+		// arrival.
+		if tmpl.oldest != nil {
+			cat.peeks++
+			if tmpl.oldest.handle.Done() {
+				if err := tmpl.reapOldest(tally); err != nil {
+					return nil, err
+				}
+			}
+		}
 		inst, err := cat.instantiate(tmpl)
 		if err != nil {
 			return nil, err
@@ -269,36 +280,30 @@ func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr Arri
 		if err != nil {
 			return nil, err
 		}
-		stats.Submitted++
-		live = append(live, outstanding{inst: inst, handle: h})
-		// Reap settled queries without blocking the arrival process:
-		// Done is a non-blocking peek, and Wait on a settled handle
-		// returns immediately. Compact the live list in place.
-		kept := live[:0]
-		for _, o := range live {
-			if !o.handle.Done() {
-				kept = append(kept, o)
-				continue
-			}
-			if err := reap(o); err != nil {
-				return nil, err
-			}
-		}
-		live = kept
+		inst.submitted(h)
 		next += arr.Next()
 	}
-	// Arrivals done: wait out the tail in submission order.
-	for _, o := range live {
-		if err := reap(o); err != nil {
-			return nil, err
+	// Arrivals done: wait out the tail, template by template.
+	for _, row := range cat.temps {
+		for _, tmpl := range row {
+			for tmpl.oldest != nil {
+				if err := tmpl.reapOldest(tally); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 
-	stats.Response = Summarize(responses)
-	stats.QueueWait = Summarize(waits)
-	stats.Makespan = lastEnd
-	if lastEnd > 0 {
-		stats.Throughput = float64(stats.Completed) / lastEnd.Seconds()
+	stats := &ServeStats{
+		Submitted:    sessions,
+		Completed:    tally.Completed,
+		Shed:         tally.Shed,
+		DeadlineShed: tally.DeadlineShed,
+		Makespan:     tally.Makespan,
+	}
+	stats.Response, stats.QueueWait = tally.Latency()
+	if stats.Makespan > 0 {
+		stats.Throughput = float64(stats.Completed) / stats.Makespan.Seconds()
 	}
 	// Every query has settled, so the scheduler's telemetry is
 	// quiescent: snapshot the timeline and the per-tenant SLO state into

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -109,16 +112,16 @@ func TestBurstyArrivals(t *testing.T) {
 	}
 }
 
-// openLoopRun is one fully self-contained serving session for tests:
+// openLoopSession is one fully self-contained serving session for tests:
 // its own virtual clock, store, engine, catalog, and scheduler.
-func openLoopRun(t *testing.T, adm exec.AdmissionConfig, sessions int, rate float64) *ServeStats {
+func openLoopSession(t *testing.T, mix TenantMix, catSeed int64, adm exec.AdmissionConfig, arr ArrivalProcess, sessions int, seed int64) (*ServeStats, *Catalog) {
 	t.Helper()
 	v := vclock.NewVirtual()
 	disks := diskmodel.New(v, diskmodel.DefaultConfig())
 	st := storage.NewStore(v, disks, 0)
 	p := cost.DefaultParams(diskmodel.DefaultConfig(), 8)
 	eng := exec.New(v, st, p)
-	cat, err := BuildTenantCatalog(st, p, TenantMix{Tenants: 3, Templates: 2, Tuples: 300}, 7)
+	cat, err := BuildTenantCatalog(st, p, mix, catSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +129,19 @@ func openLoopRun(t *testing.T, adm exec.AdmissionConfig, sessions int, rate floa
 	v.Run(func() {
 		sched := exec.NewScheduler(eng, core.InterAdj, core.Options{}, adm)
 		defer sched.Drain()
-		stats, err = RunOpenLoop(v, sched, cat, NewPoisson(11, rate), sessions, 13)
+		stats, err = RunOpenLoop(v, sched, cat, arr, sessions, seed)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stats, cat
+}
+
+// openLoopRun is openLoopSession over a small fixed catalog with Poisson
+// arrivals.
+func openLoopRun(t *testing.T, adm exec.AdmissionConfig, sessions int, rate float64) *ServeStats {
+	t.Helper()
+	stats, _ := openLoopSession(t, TenantMix{Tenants: 3, Templates: 2, Tuples: 300}, 7, adm, NewPoisson(11, rate), sessions, 13)
 	return stats
 }
 
@@ -183,5 +194,57 @@ func TestRunOpenLoopSheds(t *testing.T) {
 	// Shed queries contribute no latency samples.
 	if stats.Response.Count != stats.Completed {
 		t.Fatalf("response samples %d != completed %d", stats.Response.Count, stats.Completed)
+	}
+}
+
+// TestOpenLoopRecycles pins the driver's recycle rule from both sides.
+// What it may not change: the whole ServeStats of a steady and a backlog
+// replay (bench/'s serve_steady and serve_backlog settings) hashes to the
+// value recorded on the commit whose driver re-polled every outstanding
+// handle after every arrival. What it must keep doing: recycle — no more
+// instances built than that commit's driver built — while asking at most
+// one handle per arrival however deep the backlog.
+func TestOpenLoopRecycles(t *testing.T) {
+	cases := []struct {
+		bursty            bool
+		sessions, built   int
+		completed         int
+		respP95, makespan time.Duration
+		statsSHA256       string
+	}{
+		{false, 300, 29, 300, 816297597, 46443533086,
+			"06305d03fa3008f4b85f324bc9bac5ceea60691929210dfaec7c734c48e1cbd5"},
+		{true, 300, 261, 300, 31727345524, 38405230124,
+			"dfa0b54387a36c09c9e7c99be043697c2b2179c251ea37622edb1930bb2706dd"},
+		{true, 1200, 1013, 1200, 117724157980, 149128409555,
+			"51fd0b257cccbd9a5dff639ed882c060626a73d87f3e03aae41a186c89b52d4b"},
+	}
+	for _, c := range cases {
+		adm := exec.AdmissionConfig{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second}
+		var arr ArrivalProcess = NewPoisson(1993, 6)
+		if c.bursty {
+			adm = exec.AdmissionConfig{MaxQueries: 4, TenantMaxQueries: 2, MaxQueued: 1 << 30}
+			arr = NewBursty(1993, 40, 320, 0.05, 0.25)
+		}
+		stats, cat := openLoopSession(t, TenantMix{Tenants: 6, Templates: 2, Tuples: 120}, 1992, adm, arr, c.sessions, 1994)
+		name := fmt.Sprintf("bursty=%v sessions=%d", c.bursty, c.sessions)
+		if stats.Completed != c.completed || stats.Response.P95 != c.respP95 || stats.Makespan != c.makespan {
+			t.Errorf("%s: completed %d, response p95 %d, makespan %d; recorded %d, %d, %d",
+				name, stats.Completed, stats.Response.P95, stats.Makespan, c.completed, c.respP95, c.makespan)
+		}
+		js, err := json.Marshal(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(js)); got != c.statsSHA256 {
+			t.Errorf("%s: ServeStats hashes to %s; recorded %s", name, got, c.statsSHA256)
+		}
+		if cat.built > c.built {
+			t.Errorf("%s: built %d plan instances; the re-polling driver built %d", name, cat.built, c.built)
+		}
+		if cat.peeks > c.sessions {
+			t.Errorf("%s: %d Done() peeks for %d arrivals", name, cat.peeks, c.sessions)
+		}
+		t.Logf("%s: %d instances built (recorded %d), %d peeks", name, cat.built, c.built, cat.peeks)
 	}
 }

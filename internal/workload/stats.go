@@ -1,14 +1,16 @@
 package workload
 
-// Latency summarization shared by the facade's stream experiment and
-// the open-loop serve driver: one definition of the nearest-rank
-// percentile, one place to test it.
+// Session summarization shared by everything that reports on a set of
+// settled queries — the facade's replays and the open-loop serve driver:
+// one definition of the nearest-rank percentile, of what counts as shed
+// and of the makespan, one place to test them.
 
 import (
 	"cmp"
 	"slices"
 	"time"
 
+	"xprs/internal/exec"
 	"xprs/internal/obs"
 )
 
@@ -51,4 +53,50 @@ func Summarize(ds []time.Duration) LatencySummary {
 		P95:   Percentile(ds, 95),
 		Max:   ds[len(ds)-1],
 	}
+}
+
+// Tally accumulates a session's settled queries: outcome counts, the
+// completed queries' latency samples, and the makespan.
+type Tally struct {
+	Completed int
+	// Shed counts every admission rejection; DeadlineShed the subset the
+	// deadline policy rejected as provably hopeless.
+	Shed         int
+	DeadlineShed int
+	// Makespan is session open to the last completion.
+	Makespan time.Duration
+
+	responses, waits []time.Duration
+}
+
+// NewTally returns a tally with room for n queries.
+func NewTally(n int) *Tally {
+	return &Tally{responses: make([]time.Duration, 0, n), waits: make([]time.Duration, 0, n)}
+}
+
+// Add counts one settled query as its handle's Wait returned it. A shed
+// query is counted and contributes no latency sample; any other failure
+// is returned, uncounted.
+func (t *Tally) Add(rep *exec.Report, err error) error {
+	if shed, deadline := exec.IsShed(err); shed {
+		t.Shed++
+		if deadline {
+			t.DeadlineShed++
+		}
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	t.Completed++
+	t.responses = append(t.responses, rep.Elapsed)
+	t.waits = append(t.waits, rep.QueueWait)
+	t.Makespan = max(t.Makespan, rep.End())
+	return nil
+}
+
+// Latency summarizes the completed queries' response times and
+// admission-queue waits.
+func (t *Tally) Latency() (response, queueWait LatencySummary) {
+	return Summarize(t.responses), Summarize(t.waits)
 }

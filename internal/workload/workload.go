@@ -191,14 +191,8 @@ func GenerateWith(st *storage.Store, p cost.Params, k Kind, seed int64, prefix s
 		case PaperTuples:
 			ntuples = int64(100 + rng.Intn(9901)) // [100, 10000]
 		default:
-			// Uniform sequential work T in [5s, 50s]; a scan of n tuples
-			// over k-per-page pages at rate C runs T = n/(k·C) seconds.
-			targetT := 5 + rng.Float64()*45
-			perPage := float64(storage.TuplesPerPage(size))
-			ntuples = int64(targetT * perPage * rate)
-			if ntuples < 100 {
-				ntuples = 100
-			}
+			// Uniform sequential work T in [5s, 50s].
+			ntuples = scanTuples(size, rate, 5+rng.Float64()*45)
 		}
 		name := fmt.Sprintf("%s_t%02d", prefix, i)
 		rel, err := buildScanRelation(st, name, size, ntuples)
@@ -239,6 +233,21 @@ func GenerateWith(st *storage.Store, p cost.Params, k Kind, seed int64, prefix s
 // NULL text column, rmax one 8 KB tuple per page).
 func BuildScanRelation(st *storage.Store, p cost.Params, name string, targetRate float64, ntuples int64) (*storage.Relation, error) {
 	return buildScanRelation(st, name, int(p.TupleSizeForRate(targetRate)), ntuples)
+}
+
+// BuildTimedScanRelation is BuildScanRelation sized by time instead of
+// rows: a serial scan of the relation takes about seconds at targetRate.
+// The tuple size is solved once, for the pages and the row count both.
+func BuildTimedScanRelation(st *storage.Store, p cost.Params, name string, targetRate, seconds float64) (*storage.Relation, error) {
+	size := int(p.TupleSizeForRate(targetRate))
+	return buildScanRelation(st, name, size, scanTuples(size, targetRate, seconds))
+}
+
+// scanTuples is the row count of a scan that lasts seconds at rate io/s:
+// n tuples over k-per-page pages at rate C run T = n/(k·C) seconds. Never
+// fewer than 100.
+func scanTuples(size int, rate, seconds float64) int64 {
+	return max(int64(seconds*float64(storage.TuplesPerPage(size))*rate), 100)
 }
 
 // buildScanRelation is BuildScanRelation for a tuple size the caller has

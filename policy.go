@@ -13,9 +13,7 @@ package xprs
 // GOMAXPROCS.
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 )
@@ -145,71 +143,39 @@ func runPolicyRow(cfg Config, o PolicyAblationOptions, label, pol string, aging 
 	if aging {
 		adm.AgingMaxWait = o.AgingMaxWait
 	}
-	row := &PolicyRow{Policy: label}
-	var responses, waits []time.Duration
-	err := s.Serve(InterAdj, SchedOptions{}, adm, func(sc *Scheduler) error {
-		handles := make([]*QueryHandle, 0, o.Longs+o.Shorts)
-		submit := func(id int, rel string, hi int32, deadline time.Duration) error {
-			spec, err := s.SelectTask(id, rel, 0, hi)
-			if err != nil {
-				return err
-			}
-			h, err := sc.SubmitWith(SubmitOptions{Deadline: deadline}, []TaskSpec{spec})
-			if err != nil {
-				return err
-			}
-			handles = append(handles, h)
-			return nil
-		}
-		for i := 0; i < o.Longs; i++ {
-			if err := submit(i, "ab_long", int32(o.LongTuples), 0); err != nil {
-				return err
-			}
-		}
-		start := sc.Now()
-		for i := 0; i < o.Shorts; i++ {
-			sc.SleepUntil(start + time.Duration(i+1)*o.ShortEvery)
-			var deadline time.Duration
+	schedule := make([]Arrival, o.Longs+o.Shorts)
+	for i := range schedule {
+		a := &schedule[i]
+		rel, hi := "ab_long", int32(o.LongTuples)
+		if i >= o.Longs {
+			rel, hi = "ab_short", int32(o.ShortTuples)
+			a.At = time.Duration(i-o.Longs+1) * o.ShortEvery
 			if pol == "deadline" {
-				deadline = o.Deadline
-			}
-			if err := submit(o.Longs+i, "ab_short", int32(o.ShortTuples), deadline); err != nil {
-				return err
+				a.Options.Deadline = o.Deadline
 			}
 		}
-		for i, h := range handles {
-			rep, err := h.Wait()
-			if err != nil {
-				var shed *ShedError
-				var dshed *DeadlineShedError
-				switch {
-				case errors.As(err, &dshed):
-					row.Shed++
-					row.DeadlineShed++
-				case errors.As(err, &shed):
-					row.Shed++
-				default:
-					return err
-				}
-				continue
-			}
-			row.Completed++
-			responses = append(responses, rep.Elapsed)
-			waits = append(waits, rep.QueueWait)
-			if i < o.Longs && int64(rep.QueueWait) > row.MaxLongWaitNs {
-				row.MaxLongWaitNs = int64(rep.QueueWait)
-			}
+		spec, err := s.SelectTask(i, rel, 0, hi)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
+		a.Specs = []TaskSpec{spec}
+	}
+	outs, err := s.Replay(InterAdj, SchedOptions{}, adm, schedule)
 	if err != nil {
 		return nil, err
 	}
-	row.MeanResponseNs = int64(meanDur(responses))
-	row.P95ResponseNs = int64(p95Dur(responses))
-	row.MeanQueueWaitNs = int64(meanDur(waits))
-	row.P95QueueWaitNs = int64(p95Dur(waits))
-	row.MaxQueueWaitNs = int64(maxDur(waits))
+	t := Summarize(outs)
+	resp, wait := t.Latency()
+	row := &PolicyRow{
+		Policy: label, Completed: t.Completed, Shed: t.Shed, DeadlineShed: t.DeadlineShed,
+		MeanResponseNs: int64(resp.Mean), P95ResponseNs: int64(resp.P95),
+		MeanQueueWaitNs: int64(wait.Mean), P95QueueWaitNs: int64(wait.P95), MaxQueueWaitNs: int64(wait.Max),
+	}
+	for _, out := range outs[:o.Longs] {
+		if out.Report != nil {
+			row.MaxLongWaitNs = max(row.MaxLongWaitNs, int64(out.Report.QueueWait))
+		}
+	}
 	return row, nil
 }
 
@@ -228,38 +194,4 @@ func FormatPolicyAblation(a *PolicyAblation) string {
 			time.Duration(r.MaxQueueWaitNs).Seconds(), time.Duration(r.MaxLongWaitNs).Seconds())
 	}
 	return b.String()
-}
-
-func meanDur(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
-func p95Dur(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	slices.Sort(sorted)
-	i := (95*len(sorted) + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return sorted[i]
-}
-
-func maxDur(ds []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -196,53 +196,27 @@ func TestAgingPromotionObserved(t *testing.T) {
 		if _, err := s.CreateScanRelation("small", 80, 600); err != nil {
 			t.Fatal(err)
 		}
+		// Two longs at time zero — the first runs, the second is the one
+		// that starves — then six shorts two seconds apart.
+		schedule := make([]Arrival, 8)
+		for i := range schedule {
+			rel, hi := "big", int32(12000)
+			if i >= 2 {
+				rel, hi = "small", 600
+				schedule[i].At = time.Duration(i-1) * 2 * time.Second
+			}
+			spec, err := s.SelectTask(i, rel, 0, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schedule[i].Specs = []TaskSpec{spec}
+		}
 		adm := Admission{MaxQueries: 1, Policy: "pred-sjf", AgingMaxWait: aging}
-		var rep *Report
-		err := s.Serve(InterAdj, SchedOptions{}, adm, func(sc *Scheduler) error {
-			submit := func(id int, rel string, hi int32) (*QueryHandle, error) {
-				spec, err := s.SelectTask(id, rel, 0, hi)
-				if err != nil {
-					return nil, err
-				}
-				return sc.SubmitWith(SubmitOptions{}, []TaskSpec{spec})
-			}
-			h0, err := submit(0, "big", 12000)
-			if err != nil {
-				return err
-			}
-			hLong, err := submit(1, "big", 12000)
-			if err != nil {
-				return err
-			}
-			var shorts []*QueryHandle
-			start := sc.Now()
-			for i := 0; i < 6; i++ {
-				sc.SleepUntil(start + time.Duration(i+1)*2*time.Second)
-				h, err := submit(2+i, "small", 600)
-				if err != nil {
-					return err
-				}
-				shorts = append(shorts, h)
-			}
-			if _, err := h0.Wait(); err != nil {
-				return err
-			}
-			r, err := hLong.Wait()
-			if err != nil {
-				return err
-			}
-			rep = r
-			for _, h := range shorts {
-				if _, err := h.Wait(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		outs, err := s.Replay(InterAdj, SchedOptions{}, adm, schedule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.QueueWait, s.Observer().Metrics.Counter("sched.aging_promoted").Value()
+		return outs[1].Report.QueueWait, s.Observer().Metrics.Counter("sched.aging_promoted").Value()
 	}
 	starved, promos0 := run(0)
 	if promos0 != 0 {

@@ -186,7 +186,7 @@ func TestTenantFairShare(t *testing.T) {
 	reps := make(map[string]*Report)
 	err := sys.Serve(InterAdj, SchedOptions{}, adm, func(sc *Scheduler) error {
 		submit := func(tenant string, sp TaskSpec) (*QueryHandle, error) {
-			return sc.SubmitTenant(tenant, []TaskSpec{sp})
+			return sc.SubmitWith(SubmitOptions{Tenant: tenant}, []TaskSpec{sp})
 		}
 		hA1, err := submit("a", a1)
 		if err != nil {

@@ -26,11 +26,18 @@ func TestSubmitMatchesBatch(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.NProcs = procs
 
-		// Legacy path: one pre-declared batch with Arrival stamps.
+		// Legacy path: one pre-declared batch, each task's instant stamped
+		// on its spec as an Arrival.
 		bsys := New(cfg)
-		bspecs, err := StreamSpecs(bsys, seed, nTasks, maxGap)
+		bsched, err := StreamSchedule(bsys, seed, nTasks, maxGap)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var bspecs []TaskSpec
+		for _, a := range bsched {
+			sp := a.Specs[0]
+			sp.Arrival = a.At
+			bspecs = append(bspecs, sp)
 		}
 		brep, err := bsys.Run(bspecs, InterAdj, SchedOptions{})
 		if err != nil {
@@ -40,46 +47,20 @@ func TestSubmitMatchesBatch(t *testing.T) {
 		// Online path: same workload, each task submitted live at its
 		// arrival instant.
 		osys := New(cfg)
-		ospecs, err := StreamSpecs(osys, seed, nTasks, maxGap)
+		osched, err := StreamSchedule(osys, seed, nTasks, maxGap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reps []*Report
-		err = osys.Serve(InterAdj, SchedOptions{}, Admission{}, func(sc *Scheduler) error {
-			base := sc.Now()
-			handles := make([]*QueryHandle, 0, len(ospecs))
-			for _, sp := range ospecs {
-				sc.SleepUntil(base + sp.Arrival)
-				sp.Arrival = 0 // the submission instant is the arrival
-				h, err := sc.Submit([]TaskSpec{sp})
-				if err != nil {
-					return err
-				}
-				handles = append(handles, h)
-			}
-			for _, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					return err
-				}
-				reps = append(reps, rep)
-			}
-			return nil
-		})
+		outs, err := osys.Replay(InterAdj, SchedOptions{}, Admission{}, osched)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		finish := make(map[int]time.Duration)
-		var makespan time.Duration
-		for _, rep := range reps {
-			for id, f := range rep.Finish {
-				finish[id] = f
-			}
-			if end := rep.SubmittedAt + rep.Elapsed; end > makespan {
-				makespan = end
-			}
+		for _, out := range outs {
+			maps.Copy(finish, out.Report.Finish)
 		}
+		makespan := Summarize(outs).Makespan
 		if !maps.Equal(finish, brep.Finish) {
 			t.Fatalf("procs=%d: online finish times diverge from batch:\nbatch:  %v\nonline: %v",
 				procs, brep.Finish, finish)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"xprs/internal/storage"
 	"xprs/internal/workload"
 )
 
@@ -35,13 +34,13 @@ type StreamRow struct {
 	P95QueueWait  time.Duration
 }
 
-// StreamSpecs generates the stream's workload on the given system: n
-// mixed-class selection tasks with uniform random interarrival in
-// [0, maxGap), their backing relations built in the system's store and
-// each spec's Arrival stamped. The schedule is a pure function of the
+// StreamSchedule generates the stream's workload on the given system: n
+// mixed-class selection tasks, each its own single-task query, with
+// uniform random interarrival in [0, maxGap), their backing relations
+// built in the system's store. The schedule is a pure function of the
 // seed, so every policy (on its own fresh system) replays the identical
 // stream.
-func StreamSpecs(s *System, seed int64, n int, maxGap time.Duration) ([]TaskSpec, error) {
+func StreamSchedule(s *System, seed int64, n int, maxGap time.Duration) ([]Arrival, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("xprs: stream needs at least 1 task")
 	}
@@ -49,7 +48,7 @@ func StreamSpecs(s *System, seed int64, n int, maxGap time.Duration) ([]TaskSpec
 		return nil, fmt.Errorf("xprs: stream needs a positive max interarrival gap")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	specs := make([]TaskSpec, 0, n)
+	schedule := make([]Arrival, 0, n)
 	arrival := time.Duration(0)
 	for i := 0; i < n; i++ {
 		// Alternate class draws like the random-mix workload.
@@ -61,84 +60,48 @@ func StreamSpecs(s *System, seed int64, n int, maxGap time.Duration) ([]TaskSpec
 			lo, hi := workload.CPUBound.RateRange()
 			rate = lo + rng.Float64()*(hi-lo)
 		}
-		targetT := 5 + rng.Float64()*25
-		size := s.params.TupleSizeForRate(rate)
-		perPage := float64(storage.TuplesPerPage(int(size)))
-		ntuples := int64(targetT * perPage * rate)
-		if ntuples < 100 {
-			ntuples = 100
-		}
 		name := fmt.Sprintf("st_%02d", i)
-		if _, err := workload.BuildScanRelation(s.store, s.params, name, rate, ntuples); err != nil {
+		if _, err := s.CreateTimedScanRelation(name, rate, 5+rng.Float64()*25); err != nil {
 			return nil, err
 		}
 		spec, err := s.SelectTask(i, name, 0, 1<<30)
 		if err != nil {
 			return nil, err
 		}
-		spec.Arrival = arrival
-		specs = append(specs, spec)
+		schedule = append(schedule, Arrival{At: arrival, Specs: []TaskSpec{spec}})
 		arrival += time.Duration(rng.Int63n(int64(maxGap)))
 	}
-	return specs, nil
+	return schedule, nil
 }
 
-// RunStream runs the generated stream under each policy through a live
-// scheduler session: a driver goroutine sleeps to each task's virtual
-// arrival instant and submits it online as a single-task query, so the
-// controller re-solves the balance point on every real arrival. SJF
-// reports its response-time advantage through the same harness when
-// enabled via opts; adm applies admission limits (zero value: none).
+// RunStream replays the generated stream under each policy through a
+// live scheduler session, every task submitted online at its virtual
+// arrival instant, so the controller re-solves the balance point on
+// every real arrival. SJF reports its response-time advantage through
+// the same harness when enabled via opts; adm applies admission limits
+// (zero value: none).
 func RunStream(cfg Config, seed int64, n int, maxGap time.Duration, opts SchedOptions, adm Admission) ([]StreamRow, error) {
 	var rows []StreamRow
 	for _, pol := range Policies() {
 		s := New(cfg)
-		specs, err := StreamSpecs(s, seed, n, maxGap)
+		schedule, err := StreamSchedule(s, seed, n, maxGap)
 		if err != nil {
 			return nil, err
 		}
-		var reps []*Report
-		err = s.Serve(pol, opts, adm, func(sc *Scheduler) error {
-			base := sc.Now()
-			handles := make([]*QueryHandle, 0, len(specs))
-			for _, sp := range specs {
-				sc.SleepUntil(base + sp.Arrival)
-				sp.Arrival = 0 // the submission instant IS the arrival
-				h, err := sc.Submit([]TaskSpec{sp})
-				if err != nil {
-					return err
-				}
-				handles = append(handles, h)
-			}
-			for _, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					return err
-				}
-				reps = append(reps, rep)
-			}
-			return nil
+		outs, err := s.Replay(pol, opts, adm, schedule)
+		if err != nil {
+			return nil, err
+		}
+		t := Summarize(outs)
+		if t.Shed > 0 {
+			return nil, fmt.Errorf("xprs: stream under %v shed %d of %d tasks; a row has no place for them", pol, t.Shed, n)
+		}
+		resp, wait := t.Latency()
+		rows = append(rows, StreamRow{
+			Policy: pol, Elapsed: t.Makespan,
+			MeanResponse: resp.Mean, P95Response: resp.P95,
+			MeanQueueWait: wait.Mean, P95QueueWait: wait.P95,
 		})
-		if err != nil {
-			return nil, err
-		}
-		// Aggregation (mean, nearest-rank percentiles) is shared with the
-		// open-loop serving harness: one definition of p95 in the tree.
-		row := StreamRow{Policy: pol}
-		responses := make([]time.Duration, 0, len(reps))
-		waits := make([]time.Duration, 0, len(reps))
-		for _, rep := range reps {
-			responses = append(responses, rep.Elapsed)
-			waits = append(waits, rep.QueueWait)
-			if end := rep.SubmittedAt + rep.Elapsed; end > row.Elapsed {
-				row.Elapsed = end
-			}
-		}
-		resp := workload.Summarize(responses)
-		wait := workload.Summarize(waits)
-		row.MeanResponse, row.P95Response = resp.Mean, resp.P95
-		row.MeanQueueWait, row.P95QueueWait = wait.Mean, wait.P95
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -111,6 +111,15 @@ type (
 	// SubmitOptions carries per-query submission metadata (tenant,
 	// deadline) for Scheduler.SubmitWith.
 	SubmitOptions = exec.SubmitOptions
+	// Arrival is one entry of a Replay schedule: what to submit, under
+	// which options, at which instant after the session opens.
+	Arrival = exec.Arrival
+	// Outcome is how one Arrival settled: its Report, or the admission
+	// rejection (a *ShedError or *DeadlineShedError) that shed it.
+	Outcome = exec.Outcome
+	// Tally is a session's summary: completed / shed counts, latency
+	// samples and the makespan (see Summarize).
+	Tally = workload.Tally
 	// AdmissionPolicy orders the admission wait queue; select one by
 	// name via Admission.Policy ("fifo", "pred-sjf", "deadline").
 	AdmissionPolicy = exec.AdmissionPolicy
@@ -325,6 +334,13 @@ func (s *System) CreateScanRelation(name string, ioRate float64, ntuples int64) 
 	return workload.BuildScanRelation(s.store, s.params, name, ioRate, ntuples)
 }
 
+// CreateTimedScanRelation is CreateScanRelation sized by time instead of
+// rows: a serial scan of the relation takes about seconds at ioRate.
+func (s *System) CreateTimedScanRelation(name string, ioRate, seconds float64) (*Relation, error) {
+	s.invalidatePlans()
+	return workload.BuildTimedScanRelation(s.store, s.params, name, ioRate, seconds)
+}
+
 // LoadRelation builds a physical relation from explicit rows. Schema is
 // fixed to the experiments' r(a int4, b text).
 func (s *System) LoadRelation(name string, rows []struct {
@@ -513,15 +529,10 @@ func (sc *Scheduler) Submit(specs []TaskSpec) (*QueryHandle, error) {
 	return sc.inner.Submit(specs)
 }
 
-// SubmitTenant is Submit on behalf of a named tenant, the unit of
-// Admission.TenantMaxQueries fair-share accounting and of the
-// per-tenant serving metrics.
-func (sc *Scheduler) SubmitTenant(tenant string, specs []TaskSpec) (*QueryHandle, error) {
-	return sc.inner.SubmitTenant(tenant, specs)
-}
-
-// SubmitWith is Submit with explicit per-query options: the tenant and
-// a response-time deadline the "deadline" admission policy acts on.
+// SubmitWith is Submit with explicit per-query options: the tenant —
+// the unit of Admission.TenantMaxQueries fair-share accounting and of
+// the per-tenant serving metrics — and a response-time deadline the
+// "deadline" admission policy acts on.
 func (sc *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle, error) {
 	return sc.inner.SubmitWith(o, specs)
 }
@@ -563,6 +574,34 @@ func (s *System) Serve(policy Policy, opts SchedOptions, adm Admission, fn func(
 		err = fn(&Scheduler{sys: s, inner: inner})
 	})
 	return err
+}
+
+// Replay opens a session, plays a fixed schedule of submissions into it
+// — each Arrival submitted at its instant after the session opens, in
+// slice order; one whose instant has passed is submitted at once — waits
+// for every query and drains. Outcomes are in the schedule's order: a
+// Report, or the error of a query admission shed. Any other failure is
+// returned once the session has drained. It is the client for every
+// caller that knows its submissions up front; Serve is for drivers that
+// decide as they go.
+func (s *System) Replay(policy Policy, opts SchedOptions, adm Admission, schedule []Arrival) ([]Outcome, error) {
+	var outs []Outcome
+	err := s.Serve(policy, opts, adm, func(sc *Scheduler) (err error) {
+		outs, err = sc.inner.Replay(schedule)
+		return err
+	})
+	return outs, err
+}
+
+// Summarize tallies a replay: how many queries completed and how many
+// were shed, the completed ones' response and queue-wait samples, and the
+// makespan.
+func Summarize(outs []Outcome) *Tally {
+	t := workload.NewTally(len(outs))
+	for _, o := range outs {
+		_ = t.Add(o.Report, o.Shed) // Add fails only on a non-shed error, which an Outcome never holds
+	}
+	return t
 }
 
 // Run executes a pre-declared task set under a policy in virtual time
