@@ -84,7 +84,6 @@ func main() {
 	serve := flag.Bool("serve", false, "submit tasks online to a live scheduler session on the full executor instead of the analytic simulator")
 	maxq := flag.Int("maxq", 0, "admission cap on concurrent queries (serve mode; 0 = unlimited)")
 	mem := flag.Int64("mem", 0, "admission memory budget in bytes over task working sets (serve mode; 0 = unlimited)")
-	queue := flag.String("queue", "", "queue policy for S_io/S_cpu ordering: paper (default), fifo, sjf")
 	admPol := flag.String("adm", "", "admission policy (serve mode): fifo (default), pred-sjf, deadline")
 	aging := flag.Float64("aging", 0, "aging promotion bound in seconds (serve mode; 0 = off)")
 	deadline := flag.Float64("deadline", 0, "per-query response deadline in seconds for -adm deadline (serve mode; 0 = none)")
@@ -103,14 +102,6 @@ func main() {
 	opts := core.Options{SJF: *sjf}
 	if *fifo {
 		opts.Pairing = core.FIFOPairing
-	}
-	if *queue != "" {
-		qp, err := core.QueuePolicyByName(*queue, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xprssched:", err)
-			os.Exit(2)
-		}
-		opts.Queue = qp
 	}
 
 	policies := []core.Policy{core.IntraOnly, core.InterNoAdj, core.InterAdj}

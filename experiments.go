@@ -3,7 +3,6 @@ package xprs
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"time"
@@ -419,6 +418,3 @@ func FormatAblations(rows []AblationRow) string {
 func coreEnv(p Params) core.Env {
 	return core.Env{NProcs: p.NProcs, B: p.B, Bs: p.Bs, Br: p.Br, BrRand: p.BrRand}
 }
-
-// roundPct formats a fraction as a percentage with one decimal.
-func roundPct(f float64) float64 { return math.Round(f*1000) / 10 }

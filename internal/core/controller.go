@@ -72,11 +72,6 @@ type Options struct {
 	// in parallel unless there is enough memory for both hash tables").
 	// Zero disables the constraint. A single task always runs.
 	MemoryBudget int64
-	// Queue overrides the S_io/S_cpu ordering. Nil installs the paper
-	// default derived from SJF and Pairing, which reproduces the
-	// pre-QueuePolicy controller bit for bit (the identity-default
-	// contract, DESIGN.md §15).
-	Queue QueuePolicy
 }
 
 // Start instructs the engine to launch a task with the given degree of
@@ -137,9 +132,6 @@ type Controller struct {
 	env    Env
 	policy Policy
 	opts   Options
-	// queue is the resolved Options.Queue (never nil): every pop from
-	// S_io/S_cpu goes through it.
-	queue QueuePolicy
 	// sio and scpu are the paper's §2.5 queues as first-class state:
 	// tasks arrive online through Submit and wait here until the policy
 	// picks them.
@@ -154,11 +146,7 @@ func NewController(env Env, policy Policy, opts Options) *Controller {
 	if err := env.Validate(); err != nil {
 		panic(err)
 	}
-	q := opts.Queue
-	if q == nil {
-		q = PaperQueuePolicy(opts)
-	}
-	return &Controller{env: env, policy: policy, opts: opts, queue: q}
+	return &Controller{env: env, policy: policy, opts: opts}
 }
 
 // Env returns the planning environment.
@@ -167,14 +155,9 @@ func (c *Controller) Env() Env { return c.env }
 // Policy returns the active policy.
 func (c *Controller) Policy() Policy { return c.policy }
 
-// Options returns the controller's options (with Queue resolved to the
-// installed policy), so predictors can re-simulate under the exact
-// configuration the live controller runs.
-func (c *Controller) Options() Options {
-	o := c.opts
-	o.Queue = c.queue
-	return o
-}
+// Options returns the controller's options, so predictors can
+// re-simulate under the exact configuration the live controller runs.
+func (c *Controller) Options() Options { return c.opts }
 
 // Submit enqueues tasks (classifying each as IO- or CPU-bound) and
 // reschedules. The returned decision carries one classification note
@@ -324,38 +307,43 @@ func (c *Controller) scheduleInterAdj() Decision {
 			c.soloReason(r.task, "pairing rejected; expand survivor"))
 		return d
 	default:
-		ti := c.popIO()
-		tj := c.popCPU()
-		switch {
-		case ti != nil && tj != nil:
-			pair, ok := c.env.EvaluatePair(ti, tj)
-			if ok && pair.Worthwhile && ti.MemBytes+tj.MemBytes <= c.memBudgetOrMax() {
-				reason := c.pairReason(pair)
-				d.Starts = append(d.Starts,
-					c.start(pair.IO, pair.Ni, reason),
-					c.start(pair.CPU, pair.Nj, reason))
-				return d
-			}
-			// Step 4 else-branch: execute f_i alone with maxp until
-			// completion, then f_j alone (f_j re-queues; the next
-			// completion reschedules it).
-			d.Notes = append(d.Notes, Note{TaskID: tj.ID, Kind: "reject",
-				Detail: c.pairOrMemReject(ti, tj, pair, ok) + "; run IO task first, partner re-queued"})
-			c.pushFront(tj)
-			d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-				c.soloReason(ti, "pairing rejected; IO task runs first")))
-			return d
-		case ti != nil:
-			d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-				c.soloReason(ti, "S_cpu empty")))
-			return d
-		case tj != nil:
-			d.Starts = append(d.Starts, c.start(tj, c.env.DegreeFor(c.env.MaxParallelism(tj)),
-				c.soloReason(tj, "S_io empty")))
+		return c.freshStart()
+	}
+}
+
+// freshStart schedules onto an idle machine (§2.5 steps 2-4, shared by
+// both INTER policies): pair one IO-bound with one CPU-bound task at the
+// balance point, or run one task alone at its maximum parallelism.
+func (c *Controller) freshStart() Decision {
+	var d Decision
+	ti := c.popPair(true)
+	tj := c.popPair(false)
+	switch {
+	case ti != nil && tj != nil:
+		pair, ok := c.env.EvaluatePair(ti, tj)
+		if ok && pair.Worthwhile && ti.MemBytes+tj.MemBytes <= c.memBudgetOrMax() {
+			reason := c.pairReason(pair)
+			d.Starts = append(d.Starts,
+				c.start(pair.IO, pair.Ni, reason),
+				c.start(pair.CPU, pair.Nj, reason))
 			return d
 		}
-		return d
+		// Step 4 else-branch: execute f_i alone with maxp until
+		// completion, then f_j alone (f_j re-queues; the next
+		// completion reschedules it).
+		d.Notes = append(d.Notes, Note{TaskID: tj.ID, Kind: "reject",
+			Detail: c.pairOrMemReject(ti, tj, pair, ok) + "; run IO task first, partner re-queued"})
+		c.pushFront(tj)
+		d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
+			c.soloReason(ti, "pairing rejected; IO task runs first")))
+	case ti != nil:
+		d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
+			c.soloReason(ti, "S_cpu empty")))
+	case tj != nil:
+		d.Starts = append(d.Starts, c.start(tj, c.env.DegreeFor(c.env.MaxParallelism(tj)),
+			c.soloReason(tj, "S_io empty")))
 	}
+	return d
 }
 
 // pairOrMemReject folds the memory-budget veto into the pair-reject
@@ -395,35 +383,7 @@ func (c *Controller) scheduleInterNoAdj() Decision {
 			c.env.NProcs, c.env.B, r.task.ID, r.degree, avail, c.policy)))
 		return d
 	default:
-		// Fresh start: same pairing as INTER-WITH-ADJ.
-		ti := c.popIO()
-		tj := c.popCPU()
-		switch {
-		case ti != nil && tj != nil:
-			pair, ok := c.env.EvaluatePair(ti, tj)
-			if ok && pair.Worthwhile && ti.MemBytes+tj.MemBytes <= c.memBudgetOrMax() {
-				reason := c.pairReason(pair)
-				d.Starts = append(d.Starts,
-					c.start(pair.IO, pair.Ni, reason),
-					c.start(pair.CPU, pair.Nj, reason))
-				return d
-			}
-			d.Notes = append(d.Notes, Note{TaskID: tj.ID, Kind: "reject",
-				Detail: c.pairOrMemReject(ti, tj, pair, ok) + "; run IO task first, partner re-queued"})
-			c.pushFront(tj)
-			d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-				c.soloReason(ti, "pairing rejected; IO task runs first")))
-			return d
-		case ti != nil:
-			d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-				c.soloReason(ti, "S_cpu empty")))
-			return d
-		case tj != nil:
-			d.Starts = append(d.Starts, c.start(tj, c.env.DegreeFor(c.env.MaxParallelism(tj)),
-				c.soloReason(tj, "S_io empty")))
-			return d
-		}
-		return d
+		return c.freshStart()
 	}
 }
 
@@ -488,10 +448,7 @@ func (c *Controller) adjustTo(d *Decision, r *runningInfo, degree int, reason st
 // from S_io to pair with the still-running CPU-bound task, and vice
 // versa).
 func (c *Controller) popOpposite(t *Task) *Task {
-	if c.env.IOBound(t) {
-		return c.popCPU()
-	}
-	return c.popIO()
+	return c.popPair(!c.env.IOBound(t))
 }
 
 // pushFront returns a popped task to the head of its queue.
@@ -503,73 +460,40 @@ func (c *Controller) pushFront(t *Task) {
 	}
 }
 
-// popIO removes the next IO-bound pairing candidate per the queue
-// policy (paper default: the most IO-bound, greatest rate).
-func (c *Controller) popIO() *Task {
-	return c.popPolicy(PickPair, ClassIO)
-}
-
-// popCPU removes the next CPU-bound pairing candidate per the queue
-// policy (paper default: the most CPU-bound, smallest rate).
-func (c *Controller) popCPU() *Task {
-	return c.popPolicy(PickPair, ClassCPU)
-}
-
-// popPolicy removes the policy's pick from one class's queue.
-func (c *Controller) popPolicy(ctx PickContext, class QueueClass) *Task {
-	q := &c.sio
-	if class == ClassCPU {
-		q = &c.scpu
+// popPair removes the next pairing candidate from S_io (io) or S_cpu in
+// the order Options name (default: the most IO-bound, greatest rate,
+// and the most CPU-bound, smallest rate). Nil when that queue is empty.
+func (c *Controller) popPair(io bool) *Task {
+	q := &c.scpu
+	if io {
+		q = &c.sio
 	}
 	if q.Empty() {
 		return nil
 	}
-	i := c.queue.Pick(ctx, class, q.Tasks())
-	if i < 0 || i >= q.Len() {
-		return nil
-	}
-	return q.RemoveAt(i)
+	return q.RemoveAt(pairIndex(c.opts, io, q.Tasks()))
 }
 
 // popAny removes the next task regardless of class (INTRA-ONLY order).
 // Merge view preserving arrival order by ID is not possible (IDs are
-// caller-assigned), so each queue nominates its serial candidate and
-// the policy's PreferIO arbitrates (paper default: IO first, or the
-// shorter job under SJF).
+// caller-assigned), so each queue nominates its serial candidate: the
+// IO-bound one runs first (the paper's bias toward draining IO-bound
+// work), or the shorter job under SJF.
 func (c *Controller) popAny() *Task {
-	if c.sio.Empty() {
-		return c.popCPUHead()
-	}
-	if c.scpu.Empty() {
-		return c.popIOHead()
-	}
-	ii := c.queue.Pick(PickSerial, ClassIO, c.sio.Tasks())
-	ic := c.queue.Pick(PickSerial, ClassCPU, c.scpu.Tasks())
 	switch {
-	case ii < 0 || ii >= c.sio.Len():
-		return c.popCPUHead()
-	case ic < 0 || ic >= c.scpu.Len():
-		return c.popIOHead()
-	case c.queue.PreferIO(c.sio.At(ii), c.scpu.At(ic)):
+	case c.sio.Empty() && c.scpu.Empty():
+		return nil
+	case c.scpu.Empty():
+		return c.sio.RemoveAt(serialIndex(c.opts, c.sio.Tasks()))
+	case c.sio.Empty():
+		return c.scpu.RemoveAt(serialIndex(c.opts, c.scpu.Tasks()))
+	}
+	ii := serialIndex(c.opts, c.sio.Tasks())
+	ic := serialIndex(c.opts, c.scpu.Tasks())
+	if !c.opts.SJF || shorter(c.sio.At(ii), c.scpu.At(ic)) {
 		return c.sio.RemoveAt(ii)
-	default:
-		return c.scpu.RemoveAt(ic)
 	}
-}
-
-func (c *Controller) popIOHead() *Task {
-	return c.popPolicy(PickSerial, ClassIO)
-}
-
-func (c *Controller) popCPUHead() *Task {
-	return c.popPolicy(PickSerial, ClassCPU)
-}
-
-func shorter(a, b *Task) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	return a.ID < b.ID
+	return c.scpu.RemoveAt(ic)
 }
 
 // sortTasksByID orders tasks deterministically (test helper shared by

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -236,6 +237,10 @@ func TestFIFOPairingAblation(t *testing.T) {
 	ids := map[int]bool{}
 	for _, s := range d.Starts {
 		ids[s.Task.ID] = true
+		// The reason names the ordering that picked.
+		if !strings.HasPrefix(s.Reason, "fifo pairing") {
+			t.Fatalf("arrival-order pair explained as %q", s.Reason)
+		}
 	}
 	if !ids[1] || !ids[3] {
 		t.Fatalf("paired %v, want {1,3} (queue heads)", ids)

@@ -48,15 +48,7 @@ func (c *Controller) popOppositeWithMem(t *Task) *Task {
 		q.PushFrontAll(skipped)
 	}()
 	for q.Len() > 0 {
-		var cand *Task
-		if c.env.IOBound(t) {
-			cand = c.popCPU()
-		} else {
-			cand = c.popIO()
-		}
-		if cand == nil {
-			return nil
-		}
+		cand := c.popOpposite(t)
 		if c.memFits(cand) {
 			return cand
 		}

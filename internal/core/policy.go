@@ -1,125 +1,38 @@
 package core
 
-// Pluggable queue ordering for the §2.5 S_io/S_cpu queues. The
-// controller's pop sites used to hardwire the three heuristics of the
-// paper (most-extreme pairing, FIFO, shortest-job-first) as a switch
-// over Options; a QueuePolicy factors that decision out so schedulers
-// can supply their own orderings without touching the controller's
-// state machine. The default policy — returned for a nil Options.Queue
-// — reproduces the historical switch bit for bit: every trace, report
-// and benchmark produced before this abstraction existed is unchanged
-// by it (the identity-default contract, DESIGN.md §15).
-//
-// A policy picks by INDEX into the queue's arrival-ordered backing
-// slice rather than supplying a comparator: PopHead (arrival order)
-// cannot be expressed as an order over task attributes once pushFront
-// re-queues a rejected partner, and index picks keep the queue the
-// single owner of its mutation.
+// The §2.5 queue orderings. Which one runs is data — Options.SJF and
+// Options.Pairing — and a pick is an INDEX into the queue's
+// arrival-ordered slice: arrival order is not an order over task
+// attributes once PushFront re-queues a rejected partner. Ties break on
+// the lower task ID (DESIGN.md §11).
 
-import "fmt"
-
-// QueueClass names which of the controller's two queues a pick is for.
-type QueueClass int
-
-const (
-	// ClassIO is the S_io queue of IO-bound tasks.
-	ClassIO QueueClass = iota
-	// ClassCPU is the S_cpu queue of CPU-bound tasks.
-	ClassCPU
-)
-
-// String implements fmt.Stringer.
-func (c QueueClass) String() string {
-	if c == ClassIO {
-		return "S_io"
-	}
-	return "S_cpu"
-}
-
-// PickContext distinguishes the controller's two reasons for popping.
-type PickContext int
-
-const (
-	// PickPair draws a pairing candidate: the INTER policies popping an
-	// IO-bound and a CPU-bound task to run at the balance point.
-	PickPair PickContext = iota
-	// PickSerial draws the next task to run alone: INTRA-ONLY's serial
-	// order and the single-queue fallbacks.
-	PickSerial
-)
-
-// QueuePolicy orders one TaskQueue: given the queue's tasks in arrival
-// order, it picks which index the controller pops next. Implementations
-// must be deterministic pure functions of the slice contents — the
-// byte-identical-results invariant (DESIGN.md §11) rides on it — and
-// must break ties on task ID, never on pointer identity or map order.
-type QueuePolicy interface {
-	// Name identifies the policy in traces and bench output.
-	Name() string
-	// Pick returns the index (into tasks, which is in arrival order) of
-	// the task to pop next, or -1 to pop nothing. tasks is read-only and
-	// non-empty.
-	Pick(ctx PickContext, class QueueClass, tasks []*Task) int
-	// PreferIO arbitrates the cross-queue choice when both queues hold a
-	// serial candidate (INTRA-ONLY with work in both classes): true runs
-	// the IO-bound candidate first.
-	PreferIO(io, cpu *Task) bool
-}
-
-// paperPolicy is the identity default: the exact heuristic switch the
-// controller used before QueuePolicy existed, driven by the same
-// Options bits (SJF, Pairing).
-type paperPolicy struct {
-	sjf  bool
-	fifo bool // FIFOPairing
-}
-
-// PaperQueuePolicy returns the default ordering for the given options:
-// most-extreme pairing (greatest rate from S_io, smallest from S_cpu),
-// arrival order under FIFOPairing, shortest-job-first under SJF; serial
-// picks are arrival order (or SJF), and IO-bound work drains first.
-// NewController installs it when Options.Queue is nil.
-func PaperQueuePolicy(opts Options) QueuePolicy {
-	return &paperPolicy{sjf: opts.SJF, fifo: opts.Pairing == FIFOPairing}
-}
-
-func (p *paperPolicy) Name() string {
+// pairIndex picks the pairing candidate of one non-empty queue: the
+// INTER policies popping an IO-bound (io) or a CPU-bound task to run at
+// the balance point.
+func pairIndex(opts Options, io bool, tasks []*Task) int {
 	switch {
-	case p.sjf:
-		return "paper/sjf"
-	case p.fifo:
-		return "paper/fifo"
+	case opts.SJF:
+		return shortestIndex(tasks)
+	case opts.Pairing == FIFOPairing:
+		return 0
+	case io:
+		return extremeIndex(tasks, func(a, b *Task) bool { return a.Rate() > b.Rate() })
 	default:
-		return "paper"
+		return extremeIndex(tasks, func(a, b *Task) bool { return a.Rate() < b.Rate() })
 	}
 }
 
-func (p *paperPolicy) Pick(ctx PickContext, class QueueClass, tasks []*Task) int {
-	if p.sjf {
+// serialIndex picks the next task of one non-empty queue to run alone
+// (INTRA-ONLY's serial order): arrival order, or the shortest under SJF.
+func serialIndex(opts Options, tasks []*Task) int {
+	if opts.SJF {
 		return shortestIndex(tasks)
 	}
-	if ctx == PickSerial || p.fifo {
-		return 0 // arrival order: the queue head
-	}
-	// Most-extreme pairing: the greatest rate from S_io, the smallest
-	// from S_cpu, ties broken by the lower task ID (PopMin's contract).
-	if class == ClassIO {
-		return extremeIndex(tasks, func(a, b *Task) bool { return a.Rate() > b.Rate() })
-	}
-	return extremeIndex(tasks, func(a, b *Task) bool { return a.Rate() < b.Rate() })
-}
-
-func (p *paperPolicy) PreferIO(io, cpu *Task) bool {
-	if p.sjf {
-		return shorter(io, cpu)
-	}
-	// FIFO across both queues: prefer the IO queue head, matching the
-	// paper's bias toward draining IO-bound work first.
-	return true
+	return 0
 }
 
 // shortestIndex returns the index of the shortest task, ties broken by
-// the lower task ID (PopShortest's order).
+// the lower task ID.
 func shortestIndex(tasks []*Task) int {
 	bi := 0
 	for i, t := range tasks {
@@ -131,7 +44,7 @@ func shortestIndex(tasks []*Task) int {
 }
 
 // extremeIndex returns the index minimizing the given strict order,
-// ties broken by the lower task ID (PopMin's order).
+// ties broken by the lower task ID.
 func extremeIndex(tasks []*Task, better func(a, b *Task) bool) int {
 	bi := 0
 	for i, t := range tasks {
@@ -144,24 +57,9 @@ func extremeIndex(tasks []*Task, better func(a, b *Task) bool) int {
 	return bi
 }
 
-// QueuePolicyByName resolves a policy name for config surfaces
-// (Config.SchedulingPolicy, xprssched flags): "paper" (or "") is the
-// identity default derived from opts, "fifo" forces arrival order,
-// "sjf" forces shortest-job-first — both regardless of opts.
-func QueuePolicyByName(name string, opts Options) (QueuePolicy, error) {
-	switch name {
-	case "", "paper":
-		return PaperQueuePolicy(opts), nil
-	case "fifo":
-		o := opts
-		o.SJF = false
-		o.Pairing = FIFOPairing
-		return PaperQueuePolicy(o), nil
-	case "sjf":
-		o := opts
-		o.SJF = true
-		return PaperQueuePolicy(o), nil
-	default:
-		return nil, fmt.Errorf("core: unknown queue policy %q (want paper, fifo or sjf)", name)
+func shorter(a, b *Task) bool {
+	if a.T != b.T {
+		return a.T < b.T
 	}
+	return a.ID < b.ID
 }

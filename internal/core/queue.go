@@ -5,8 +5,8 @@ package core
 // tasks ... all we need to do is to represent S_io and S_cpu as
 // queues". The controller owns two of them (S_io and S_cpu) as
 // first-class state: tasks arrive through Submit at any time, wait here
-// until the policy picks them, and every pop heuristic of §2.5 (most
-// extreme, FIFO, shortest-job-first) is a method on the queue itself.
+// until the controller picks one by index (the §2.5 orderings are in
+// policy.go).
 //
 // A TaskQueue is not safe for concurrent use; the controller is driven
 // from a single master backend, which is the paper's execution model.
@@ -39,16 +39,6 @@ func (q *TaskQueue) PushFrontAll(ts []*Task) {
 	q.items = append(append([]*Task{}, ts...), q.items...)
 }
 
-// PopHead removes and returns the oldest task, or nil when empty.
-func (q *TaskQueue) PopHead() *Task {
-	if len(q.items) == 0 {
-		return nil
-	}
-	t := q.items[0]
-	q.items = q.items[1:]
-	return t
-}
-
 // At returns the i-th queued task in arrival order.
 func (q *TaskQueue) At(i int) *Task { return q.items[i] }
 
@@ -62,52 +52,3 @@ func (q *TaskQueue) RemoveAt(i int) *Task {
 // Tasks returns the queue's backing slice in arrival order. Callers must
 // treat it as read-only; it is invalidated by the next mutation.
 func (q *TaskQueue) Tasks() []*Task { return q.items }
-
-// PopMin removes and returns the task minimizing the given strict order,
-// breaking ties deterministically by the lower task ID. Returns nil when
-// the queue is empty.
-func (q *TaskQueue) PopMin(better func(a, b *Task) bool) *Task {
-	if len(q.items) == 0 {
-		return nil
-	}
-	bi := 0
-	for i, t := range q.items {
-		if better(t, q.items[bi]) {
-			bi = i
-		} else if !better(q.items[bi], t) && t.ID < q.items[bi].ID {
-			bi = i // deterministic tie-break by ID
-		}
-	}
-	return q.RemoveAt(bi)
-}
-
-// PopShortest removes and returns the shortest task (§2.5's
-// shortest-job-first heuristic), ties broken by ID. Returns nil when the
-// queue is empty.
-func (q *TaskQueue) PopShortest() *Task {
-	if len(q.items) == 0 {
-		return nil
-	}
-	bi := 0
-	for i, t := range q.items {
-		if shorter(t, q.items[bi]) {
-			bi = i
-		}
-	}
-	return q.RemoveAt(bi)
-}
-
-// PeekShortest returns the shortest task without removing it, or nil
-// when the queue is empty.
-func (q *TaskQueue) PeekShortest() *Task {
-	if len(q.items) == 0 {
-		return nil
-	}
-	best := q.items[0]
-	for _, t := range q.items[1:] {
-		if shorter(t, best) {
-			best = t
-		}
-	}
-	return best
-}

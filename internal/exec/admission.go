@@ -8,55 +8,390 @@ import (
 	"time"
 
 	"xprs/internal/core"
+	"xprs/internal/obs"
 )
 
-// Pluggable admission ordering. The scheduler's wake loop (wakeAdmitQ)
-// used to hardwire the two historical behaviors — strict head-of-line
-// FIFO, and the fair-share first-eligible scan under per-tenant quotas;
-// an AdmissionPolicy factors that decision out, following the same
-// identity-default contract as core.QueuePolicy: the default "fifo"
-// policy reproduces the historical wake order bit for bit, so every
-// report produced before the abstraction existed is unchanged by it
-// (DESIGN.md §15).
+// Admission control: whole queries are gated before their tasks reach
+// the controller's S_io/S_cpu queues. This file owns all of it — the
+// limits (AdmissionConfig), the state charged against them and every
+// waiting query (admission), and the selectable orderings of the wait
+// queue (AdmissionPolicy). The scheduler's master loop holds one
+// admission by value and asks its policy for the next waiter whenever
+// capacity frees (wakeAdmitQ); nothing outside this file walks the
+// waiters.
 //
-// The predictive policies lean on the repo's own completion-time
-// predictor: parcost's analytic fragment-schedule simulation
-// (core.Simulate), a pure function of task descriptions — no wall
-// clock, no randomness — so predictions are deterministic and
-// vclockpurity-clean by construction. "pred-sjf" admits the waiter the
-// simulation says would finish first next to the currently admitted
-// mix; "deadline" admits least-slack-first against per-query deadlines
-// (SubmitOptions.Deadline) or tenant SLO targets, and sheds a waiter
-// whose best-case schedule — simulated alone on an idle machine —
-// already misses its deadline. Any policy composes with the aging
-// wrapper (AdmissionConfig.AgingMaxWait), which bounds starvation by
-// promoting the oldest waiter to strict head-of-line once it has
-// waited too long.
+// The default "fifo" policy is strict head-of-line, or the fair-share
+// first-eligible scan under per-tenant quotas. The predictive policies
+// lean on the repo's own completion-time predictor: parcost's analytic
+// fragment-schedule simulation (core.Simulate), a pure function of task
+// descriptions — no wall clock, no randomness — so predictions are
+// deterministic and vclockpurity-clean by construction. "pred-sjf"
+// admits the waiter the simulation says would finish first next to the
+// currently admitted mix; "deadline" admits least-slack-first against
+// per-query deadlines (SubmitOptions.Deadline) or tenant SLO targets,
+// and sheds a waiter whose best-case schedule — simulated alone on an
+// idle machine — already misses its deadline. Any policy composes with
+// the aging wrapper (AdmissionConfig.AgingMaxWait), which bounds
+// starvation by promoting the oldest waiter to strict head-of-line once
+// it has waited too long.
 
-// AdmissionPolicy orders the scheduler's admission waiters: each call
-// picks which waiting query the scheduler acts on next. The interface
-// has an unexported method on purpose — policies see master-owned
-// scheduler state, so implementations live in this package and are
-// selected by name (AdmissionConfig.Policy).
+// AdmissionConfig gates whole queries before their tasks reach the
+// controller's S_io/S_cpu queues. This is coarser than — and composes
+// with — core.Options.MemoryBudget, which vetoes pairing two admitted
+// memory-hungry tasks side by side.
+type AdmissionConfig struct {
+	// MemoryBudget caps the combined MemBytes of every task of all
+	// admitted (running or controller-queued) queries; 0 disables the
+	// constraint. A query too big for the budget on an idle system is
+	// still admitted alone — like the §5 memory rule, the constraint only
+	// gates adding more work.
+	MemoryBudget int64
+	// MaxQueries caps the number of concurrently admitted queries; 0
+	// disables the constraint.
+	MaxQueries int
+	// MaxQueued caps the admission queue depth: a query that does not
+	// fit while MaxQueued others already wait is shed — its handle
+	// settles with a *ShedError and the session stays healthy. 0
+	// disables shedding (the queue grows without bound).
+	MaxQueued int
+	// TenantMaxQueries caps concurrently admitted queries per tenant
+	// and switches the admission wake from strict head-of-line FIFO to
+	// a fair-share scan: a tenant at its quota cannot block other
+	// tenants' queries queued behind it. 0 disables per-tenant caps.
+	TenantMaxQueries int
+	// TraceSampleOneIn enables head-based trace sampling on an observed
+	// session: one in N queries (decided at submission from a seeded
+	// hash of tenant and query ID, see obs.Sampler) carries spans,
+	// scheduler instants and a per-query metrics snapshot; the rest run
+	// with tracing suppressed. 0 or 1 traces every query. Sampling is
+	// deterministic: qids are intake order, so the sampled set is
+	// byte-identical across reruns and GOMAXPROCS.
+	TraceSampleOneIn int
+	// SLOTarget is the default per-tenant response-time target: a
+	// completed query whose response (submit to finish) exceeds it
+	// counts as an SLO breach for its tenant. 0 disables breach
+	// accounting (the per-tenant percentiles are still tracked).
+	SLOTarget time.Duration
+	// TenantSLOTargets overrides SLOTarget per tenant name.
+	TenantSLOTargets map[string]time.Duration
+	// Policy names the admission policy that orders the wait queue:
+	// "fifo" (or empty, the identity default — strict head-of-line,
+	// fair-share scan under TenantMaxQueries), "pred-sjf" (admit the
+	// waiter with the earliest parcost-predicted completion under the
+	// current mix), or "deadline" (least-slack-first against per-query
+	// deadlines or tenant SLO targets, shedding provably-hopeless
+	// queries with a *DeadlineShedError). See admission.go.
+	Policy string
+	// AgingMaxWait, when positive, wraps the admission policy so a
+	// waiter older than this is promoted to strict head-of-line: no
+	// other query is admitted before it, bounding starvation under
+	// ordering policies that would otherwise skip it forever. Promotions
+	// count on the sched.aging_promoted metric.
+	AgingMaxWait time.Duration
+}
+
+// ShedError is the typed rejection a query receives when it cannot be
+// admitted and the admission queue already holds MaxQueued waiters. A
+// shed query acquired no admission charge, so there is nothing to leak
+// or release; the session keeps serving.
+type ShedError struct {
+	Tenant string // tenant of the shed query
+	Queued int    // admission-queue depth at the shed decision
+	Limit  int    // the MaxQueued threshold
+}
+
+func (e *ShedError) Error() string {
+	return fmt.Sprintf("exec: query shed: admission queue at %d (limit %d)", e.Queued, e.Limit)
+}
+
+// DeadlineShedError is the typed rejection of the "deadline" admission
+// policy: the query's best-case predicted completion — simulated as if
+// it ran alone, the most optimistic schedule the machine admits —
+// already misses its deadline, so running it would only steal capacity
+// from queries that can still make theirs. Like a *ShedError, the query
+// acquired no admission charge and the session keeps serving.
+type DeadlineShedError struct {
+	Tenant string // tenant of the shed query
+	// Deadline is the query's response-time target relative to its
+	// submission; Predicted is the best-case predicted response.
+	Deadline  time.Duration
+	Predicted time.Duration
+}
+
+func (e *DeadlineShedError) Error() string {
+	return fmt.Sprintf("exec: query shed as hopeless: best-case response %v exceeds deadline %v",
+		e.Predicted, e.Deadline)
+}
+
+// tenantState is the master's per-tenant admission bookkeeping.
+type tenantState struct {
+	name     string
+	admitted int   // queries currently past admission
+	waitq    waitQ // admission waiters of this tenant, in intake order
+	// waitIdx is this tenant's position in admission.waitTenants while
+	// it has waiters.
+	waitIdx int
+
+	gRun  *obs.Gauge
+	gWait *obs.Gauge
+	cShed *obs.Counter
+}
+
+// waitQ is one tenant's FIFO of admission waiters. Pushes append in
+// intake order; the common pop is the head (FIFO admission), kept O(1)
+// amortized by a head offset, while policy-ordered admission may remove
+// from the middle (per-tenant queues are short; the splice is cheap).
+type waitQ struct {
+	items []*query
+	head  int
+}
+
+func (w *waitQ) len() int        { return len(w.items) - w.head }
+func (w *waitQ) at(i int) *query { return w.items[w.head+i] }
+func (w *waitQ) push(q *query)   { w.items = append(w.items, q) }
+
+// removeAt removes and returns the waiter at logical index i.
+func (w *waitQ) removeAt(i int) *query {
+	j := w.head + i
+	q := w.items[j]
+	if i == 0 {
+		w.items[j] = nil
+		w.head++
+		if w.head == len(w.items) {
+			w.items = w.items[:0]
+			w.head = 0
+		} else if w.head > 32 && w.head*2 >= len(w.items) {
+			n := copy(w.items, w.items[w.head:])
+			clear(w.items[n:])
+			w.items = w.items[:n]
+			w.head = 0
+		}
+	} else {
+		copy(w.items[j:], w.items[j+1:])
+		w.items[len(w.items)-1] = nil
+		w.items = w.items[:len(w.items)-1]
+	}
+	return q
+}
+
+// admission is the admission controller's state: the limits, what is
+// charged against them, and the waiting queries. It is master-owned
+// (touched only by the scheduler's loop goroutine) and knows nothing of
+// the clock, the engine or the controller, so policies — and their
+// tests — run against it alone.
+//
+// Waiters live in per-tenant FIFO deques (tenantState.waitq) so the
+// fair-share wake skips a quota-blocked tenant in O(1) instead of
+// rescanning its queued queries. waitTenants lists the tenants with at
+// least one waiter (unordered; picks minimize query ID, which is intake
+// order, so slice order is invisible in results); nWaiting is the total
+// waiter count (the MaxQueued threshold and the admission-queue
+// gauges).
+type admission struct {
+	cfg AdmissionConfig
+
+	waitTenants []*tenantState
+	nWaiting    int
+	nAdmitted   int
+	memInUse    int64
+	// epoch bumps whenever the admitted mix or its remaining work
+	// changes (admissions, query finishes, task completions) and keys
+	// the policies' prediction caches.
+	epoch uint64
+
+	gAdmitQ *obs.Gauge // nil when metrics are off; methods no-op
+
+	// predict estimates a query's response if it were admitted now —
+	// next to the admitted queries' remaining work, or (alone) by itself
+	// on an idle machine, its best case. The scheduler binds its
+	// simulation-backed predictor; only predictive policies call it.
+	predict func(q *query, alone bool) time.Duration
+	// onPromote, when set, observes each aging promotion (metric and
+	// trace instant on the scheduler's side).
+	onPromote func(q *query, waited time.Duration)
+}
+
+// reset readies the state for a session under cfg, keeping the bound
+// funcs and the slice capacity. Every count is already zero after a
+// clean Drain; the clears are insurance against a poisoned session.
+func (a *admission) reset(cfg AdmissionConfig) {
+	clear(a.waitTenants)
+	*a = admission{cfg: cfg, waitTenants: a.waitTenants[:0],
+		predict: a.predict, onPromote: a.onPromote}
+}
+
+// admits reports whether the query fits the admission budget right now.
+// Like the §5 memory rule, a lone query always fits: the constraint only
+// gates adding work next to what is already admitted.
+func (a *admission) admits(ts *tenantState, q *query) bool {
+	if a.nAdmitted == 0 {
+		return true
+	}
+	if a.cfg.MaxQueries > 0 && a.nAdmitted >= a.cfg.MaxQueries {
+		return false
+	}
+	if a.cfg.MemoryBudget > 0 && a.memInUse+q.mem > a.cfg.MemoryBudget {
+		return false
+	}
+	return a.cfg.TenantMaxQueries <= 0 || ts.admitted < a.cfg.TenantMaxQueries
+}
+
+// charge books a query past admission; release gives its charge back.
+func (a *admission) charge(ts *tenantState, q *query) {
+	a.epoch++
+	a.nAdmitted++
+	a.memInUse += q.mem
+	ts.admitted++
+	ts.gRun.Set(int64(ts.admitted))
+}
+
+func (a *admission) release(ts *tenantState, q *query) {
+	a.epoch++
+	a.nAdmitted--
+	a.memInUse -= q.mem
+	ts.admitted--
+	ts.gRun.Set(int64(ts.admitted))
+}
+
+// enqueue parks a query in its tenant's wait deque, registering the
+// tenant in waitTenants on its empty→non-empty transition.
+func (a *admission) enqueue(ts *tenantState, q *query) {
+	if ts.waitq.len() == 0 {
+		ts.waitIdx = len(a.waitTenants)
+		a.waitTenants = append(a.waitTenants, ts)
+	}
+	ts.waitq.push(q)
+	a.nWaiting++
+	ts.gWait.Set(int64(ts.waitq.len()))
+	a.gAdmitQ.Set(int64(a.nWaiting))
+}
+
+// take removes the waiter at index i of a tenant's deque, deregistering
+// the tenant from waitTenants when it empties (swap with the last
+// entry; waitTenants order is never observable). The caller decides the
+// query's fate — admission or a policy shed — and performs the matching
+// bookkeeping.
+func (a *admission) take(ts *tenantState, i int) *query {
+	q := ts.waitq.removeAt(i)
+	a.nWaiting--
+	ts.gWait.Set(int64(ts.waitq.len()))
+	a.gAdmitQ.Set(int64(a.nWaiting))
+	if ts.waitq.len() == 0 {
+		last := len(a.waitTenants) - 1
+		moved := a.waitTenants[last]
+		a.waitTenants[ts.waitIdx] = moved
+		moved.waitIdx = ts.waitIdx
+		a.waitTenants[last] = nil
+		a.waitTenants = a.waitTenants[:last]
+	}
+	return q
+}
+
+// oldest returns the globally oldest waiter (minimum query ID = intake
+// order) and its tenant, or nil when nothing waits. Each tenant's deque
+// is ID-ordered, so only the heads compete.
+func (a *admission) oldest() (*tenantState, *query) {
+	var bts *tenantState
+	var bq *query
+	for _, ts := range a.waitTenants {
+		if q := ts.waitq.at(0); bq == nil || q.id < bq.id {
+			bts, bq = ts, q
+		}
+	}
+	return bts, bq
+}
+
+// firstEligible is the fair-share scan: the oldest waiter (global
+// intake order) that fits the admission budget right now, skipping a
+// tenant's whole deque in O(1) when the tenant sits at its quota. It
+// admits a younger query of the SAME tenant when an older one is
+// memory-blocked. The ID prune stops each deque at the first candidate
+// older than the best so far; deques are ID-ordered so nothing eligible
+// is missed.
+func (a *admission) firstEligible() (*tenantState, int) {
+	// Admission-wide gates first: if the query cap is hot no waiter fits
+	// (the lone-query rule in admits only applies at nAdmitted == 0).
+	if a.nAdmitted > 0 && a.cfg.MaxQueries > 0 && a.nAdmitted >= a.cfg.MaxQueries {
+		return nil, -1
+	}
+	var bts *tenantState
+	bi := -1
+	for _, ts := range a.waitTenants {
+		if a.nAdmitted > 0 && a.cfg.TenantMaxQueries > 0 && ts.admitted >= a.cfg.TenantMaxQueries {
+			continue
+		}
+		for i := 0; i < ts.waitq.len(); i++ {
+			q := ts.waitq.at(i)
+			if bts != nil && q.id > bts.waitq.at(bi).id {
+				break
+			}
+			if a.admits(ts, q) {
+				bts, bi = ts, i
+				break
+			}
+		}
+	}
+	return bts, bi
+}
+
+// walk visits every waiter — tenants in waitTenants order, each deque
+// in intake order — until visit returns false.
+func (a *admission) walk(visit func(ts *tenantState, i int, q *query) bool) {
+	for _, ts := range a.waitTenants {
+		for i := 0; i < ts.waitq.len(); i++ {
+			if !visit(ts, i, ts.waitq.at(i)) {
+				return
+			}
+		}
+	}
+}
+
+// takeMin removes and returns the waiter with the smallest key among
+// those that fit the admission budget, ties broken by the lower query
+// ID; nil when none fits. key runs only on waiters that fit.
+func (a *admission) takeMin(key func(q *query) time.Duration) *query {
+	var bts *tenantState
+	var bi int
+	var bq *query
+	var bk time.Duration
+	a.walk(func(ts *tenantState, i int, q *query) bool {
+		if a.admits(ts, q) {
+			if k := key(q); bq == nil || k < bk || (k == bk && q.id < bq.id) {
+				bts, bi, bq, bk = ts, i, q, k
+			}
+		}
+		return true
+	})
+	if bq == nil {
+		return nil
+	}
+	return a.take(bts, bi)
+}
+
+// AdmissionPolicy orders the admission waiters: each call picks which
+// waiting query the scheduler acts on next. The interface has an
+// unexported method on purpose — policies see master-owned admission
+// state, so implementations live in this package and are selected by
+// name (AdmissionConfig.Policy).
 type AdmissionPolicy interface {
 	// Name identifies the policy in bench output and ops surfaces.
 	Name() string
 	// next picks the next waiter and removes it from the wait queues
-	// (takeWaiter), or returns (nil, nil) to end the wake round. A
-	// non-nil error means "shed this waiter with this error" instead of
+	// (take), or returns (nil, nil) to end the wake round. A non-nil
+	// error means "shed this waiter with this error" instead of
 	// admitting it; the wake round then continues.
-	next(s *Scheduler, now time.Duration) (*query, error)
+	next(a *admission, now time.Duration) (*query, error)
 }
 
 // admissionScreener is an optional policy hook run at submission,
 // before a query is admitted or parked: a non-nil error sheds the
 // query immediately (the deadline policy's hopeless check).
 type admissionScreener interface {
-	screen(s *Scheduler, q *query, now time.Duration) error
+	screen(a *admission, q *query, now time.Duration) error
 }
 
 // AdmissionPolicyByName resolves AdmissionConfig.Policy: "fifo" (or
-// empty) is the identity default, "pred-sjf" ranks waiters by predicted
+// empty) is the default, "pred-sjf" ranks waiters by predicted
 // completion, "deadline" is least-slack-first with hopeless shedding.
 // A positive aging duration wraps the policy with max-wait promotion.
 func AdmissionPolicyByName(name string, aging time.Duration) (AdmissionPolicy, error) {
@@ -77,29 +412,27 @@ func AdmissionPolicyByName(name string, aging time.Duration) (AdmissionPolicy, e
 	return pol, nil
 }
 
-// fifoAdmission is the identity default: the exact wake order the
-// scheduler used before AdmissionPolicy existed. Without per-tenant
-// caps it is strict head-of-line — the globally oldest waiter admits
-// or nothing does; with TenantMaxQueries it is the fair-share scan —
-// the oldest waiter whose admission passes, skipping quota-blocked
-// tenants.
+// fifoAdmission is the default. Without per-tenant caps it is strict
+// head-of-line — the globally oldest waiter admits or nothing does;
+// with TenantMaxQueries it is the fair-share scan — the oldest waiter
+// whose admission passes, skipping quota-blocked tenants.
 type fifoAdmission struct{}
 
 func (fifoAdmission) Name() string { return "fifo" }
 
-func (fifoAdmission) next(s *Scheduler, now time.Duration) (*query, error) {
-	if s.adm.TenantMaxQueries <= 0 {
-		ts, q := s.oldestWaiter()
-		if q == nil || !s.admits(q) {
+func (fifoAdmission) next(a *admission, now time.Duration) (*query, error) {
+	if a.cfg.TenantMaxQueries <= 0 {
+		ts, q := a.oldest()
+		if q == nil || !a.admits(ts, q) {
 			return nil, nil
 		}
-		return s.takeWaiter(ts, 0), nil
+		return a.take(ts, 0), nil
 	}
-	ts, i := s.firstEligibleWaiter()
+	ts, i := a.firstEligible()
 	if ts == nil {
 		return nil, nil
 	}
-	return s.takeWaiter(ts, i), nil
+	return a.take(ts, i), nil
 }
 
 // predSJFAdmission is predicted shortest-job-first: among the waiters
@@ -107,8 +440,8 @@ func (fifoAdmission) next(s *Scheduler, now time.Duration) (*query, error) {
 // predicts would complete earliest if run next to the currently
 // admitted queries' remaining work. Predictions are cached per query
 // and invalidated wholesale whenever the admission state changes
-// (admEpoch: admissions, query finishes, task completions) — within
-// one epoch the mix is fixed, so a waiter's prediction cannot change.
+// (admission.epoch) — within one epoch the mix is fixed, so a waiter's
+// prediction cannot change.
 type predSJFAdmission struct {
 	epoch uint64
 	cache map[int]time.Duration // query ID -> predicted completion
@@ -116,40 +449,21 @@ type predSJFAdmission struct {
 
 func (p *predSJFAdmission) Name() string { return "pred-sjf" }
 
-func (p *predSJFAdmission) next(s *Scheduler, now time.Duration) (*query, error) {
-	var bts *tenantState
-	bi := -1
-	var bq *query
-	var bp time.Duration
-	for _, ts := range s.waitTenants {
-		for i := 0; i < ts.waitq.len(); i++ {
-			q := ts.waitq.at(i)
-			if !s.admits(q) {
-				continue
-			}
-			pd := p.predict(s, q)
-			if bq == nil || pd < bp || (pd == bp && q.id < bq.id) {
-				bts, bi, bq, bp = ts, i, q, pd
-			}
-		}
-	}
-	if bq == nil {
-		return nil, nil
-	}
-	return s.takeWaiter(bts, bi), nil
+func (p *predSJFAdmission) next(a *admission, now time.Duration) (*query, error) {
+	return a.takeMin(func(q *query) time.Duration { return p.predict(a, q) }), nil
 }
 
 // predict returns the cached mix prediction for a waiter, refreshing
 // the cache on epoch change.
-func (p *predSJFAdmission) predict(s *Scheduler, q *query) time.Duration {
-	if p.epoch != s.admEpoch {
+func (p *predSJFAdmission) predict(a *admission, q *query) time.Duration {
+	if p.epoch != a.epoch {
 		clear(p.cache)
-		p.epoch = s.admEpoch
+		p.epoch = a.epoch
 	}
 	if d, ok := p.cache[q.id]; ok {
 		return d
 	}
-	d := s.predictCompletion(q)
+	d := a.predict(q, false)
 	p.cache[q.id] = d
 	return d
 }
@@ -173,78 +487,62 @@ func (d *deadlineAdmission) Name() string { return "deadline" }
 // queryDeadline resolves a waiter's response-time target: its own
 // submission deadline, else its tenant's SLO target, else the default
 // SLO target; 0 means none.
-func (d *deadlineAdmission) queryDeadline(s *Scheduler, q *query) time.Duration {
+func queryDeadline(a *admission, q *query) time.Duration {
 	if q.deadline > 0 {
 		return q.deadline
 	}
-	if t, ok := s.adm.TenantSLOTargets[q.tenant]; ok && t > 0 {
+	if t, ok := a.cfg.TenantSLOTargets[q.tenant]; ok && t > 0 {
 		return t
 	}
-	return s.adm.SLOTarget
+	return a.cfg.SLOTarget
 }
 
-// bestCase returns the query's state-independent best-case response
-// (simulated alone), computed at most once per query.
-func bestCase(s *Scheduler, q *query) time.Duration {
-	if !q.bestCaseSet {
-		q.bestCase = s.predictAlone(q)
-		q.bestCaseSet = true
-	}
-	return q.bestCase
-}
-
-func (d *deadlineAdmission) screen(s *Scheduler, q *query, now time.Duration) error {
-	dl := d.queryDeadline(s, q)
+// hopeless returns the *DeadlineShedError of a query whose best-case
+// response — simulated alone, a state-independent value computed at
+// most once per query — exceeds what is left of its deadline; nil for a
+// query that can still make it or has no deadline.
+func hopeless(a *admission, q *query, waited time.Duration) error {
+	dl := queryDeadline(a, q)
 	if dl <= 0 {
 		return nil
 	}
-	if bc := bestCase(s, q); bc > dl {
-		return &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: bc}
+	if !q.bestCaseSet {
+		q.bestCase = a.predict(q, true)
+		q.bestCaseSet = true
+	}
+	if q.bestCase > dl-waited {
+		return &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: q.bestCase}
 	}
 	return nil
 }
 
-func (d *deadlineAdmission) next(s *Scheduler, now time.Duration) (*query, error) {
+func (d *deadlineAdmission) screen(a *admission, q *query, now time.Duration) error {
+	return hopeless(a, q, 0)
+}
+
+func (d *deadlineAdmission) next(a *admission, now time.Duration) (*query, error) {
 	// Hopeless sweep first: a waiter's deadline budget shrinks while it
 	// waits, so a query that passed the submission screen can become
-	// hopeless in the queue. Shed the oldest such waiter; the wake loop
+	// hopeless in the queue. Shed the first such waiter; the wake loop
 	// re-enters for the rest.
-	for _, ts := range s.waitTenants {
-		for i := 0; i < ts.waitq.len(); i++ {
-			q := ts.waitq.at(i)
-			dl := d.queryDeadline(s, q)
-			if dl <= 0 {
-				continue
-			}
-			if bc := bestCase(s, q); bc > q.submitRel+dl-now {
-				s.takeWaiter(ts, i)
-				return q, &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: bc}
-			}
+	var shed *query
+	var shedErr error
+	a.walk(func(ts *tenantState, i int, q *query) bool {
+		if err := hopeless(a, q, now-q.submitRel); err != nil {
+			shed, shedErr = a.take(ts, i), err
+			return false
 		}
+		return true
+	})
+	if shed != nil {
+		return shed, shedErr
 	}
-	var bts *tenantState
-	bi := -1
-	var bq *query
-	var bslack time.Duration
-	for _, ts := range s.waitTenants {
-		for i := 0; i < ts.waitq.len(); i++ {
-			q := ts.waitq.at(i)
-			if !s.admits(q) {
-				continue
-			}
-			slack := time.Duration(math.MaxInt64)
-			if dl := d.queryDeadline(s, q); dl > 0 {
-				slack = q.submitRel + dl - now - d.pred.predict(s, q)
-			}
-			if bq == nil || slack < bslack || (slack == bslack && q.id < bq.id) {
-				bts, bi, bq, bslack = ts, i, q, slack
-			}
+	return a.takeMin(func(q *query) time.Duration {
+		if dl := queryDeadline(a, q); dl > 0 {
+			return q.submitRel + dl - now - d.pred.predict(a, q)
 		}
-	}
-	if bq == nil {
-		return nil, nil
-	}
-	return s.takeWaiter(bts, bi), nil
+		return time.Duration(math.MaxInt64)
+	}), nil
 }
 
 // agingAdmission bounds starvation under any ordering policy: once the
@@ -258,57 +556,52 @@ type agingAdmission struct {
 	maxWait time.Duration
 }
 
-func (a *agingAdmission) Name() string { return a.inner.Name() + "+aging" }
+func (g *agingAdmission) Name() string { return g.inner.Name() + "+aging" }
 
-func (a *agingAdmission) next(s *Scheduler, now time.Duration) (*query, error) {
-	if ts, q := s.oldestWaiter(); q != nil && now-q.submitRel >= a.maxWait {
+func (g *agingAdmission) next(a *admission, now time.Duration) (*query, error) {
+	if ts, q := a.oldest(); q != nil && now-q.submitRel >= g.maxWait {
 		if !q.promoted {
 			q.promoted = true
-			s.mAging.Inc()
-			if s.eng.Trace != nil && q.traced {
-				s.eng.schedEvent("aging-promote", fmt.Sprintf(
-					"query %d promoted to head-of-line after %v waiting", q.id, now-q.submitRel))
+			if a.onPromote != nil {
+				a.onPromote(q, now-q.submitRel)
 			}
 		}
-		if !s.admits(q) {
+		if !a.admits(ts, q) {
 			return nil, nil // head-of-line block: nothing younger passes it
 		}
-		return s.takeWaiter(ts, 0), nil
+		return a.take(ts, 0), nil
 	}
-	return a.inner.next(s, now)
+	return g.inner.next(a, now)
 }
 
-func (a *agingAdmission) screen(s *Scheduler, q *query, now time.Duration) error {
-	if sc, ok := a.inner.(admissionScreener); ok {
-		return sc.screen(s, q, now)
+func (g *agingAdmission) screen(a *admission, q *query, now time.Duration) error {
+	if sc, ok := g.inner.(admissionScreener); ok {
+		return sc.screen(a, q, now)
 	}
 	return nil
 }
 
-// predictCompletion estimates when a waiting query would finish if it
-// were admitted right now, by replaying the controller's scheduling
-// against parcost's analytic machine model (core.Simulate) over the
-// admitted queries' remaining work plus the candidate. Remaining work
-// approximates each not-yet-done task by its full sequential time T —
-// the simulation has no visibility into a running task's progress, and
-// the approximation is pessimistic uniformly across candidates, which
-// is what a ranking needs. The result is the candidate's predicted
-// response measured from now (max finish over its tasks).
-func (s *Scheduler) predictCompletion(q *query) time.Duration {
-	return s.predictSim(q, s.simMix(q))
-}
-
-// predictAlone is the best-case variant: the candidate simulated alone
-// on an idle machine, the most optimistic schedule the model admits.
-func (s *Scheduler) predictAlone(q *query) time.Duration {
-	return s.predictSim(q, appendSims(make([]core.SimTask, 0, len(q.tasks)), q))
-}
-
-// predictSim runs the simulation and extracts the candidate's finish.
-// A simulation error (a degenerate task the analytic model rejects)
-// yields an effectively-infinite prediction: such a query ranks last
-// rather than failing the wake round.
-func (s *Scheduler) predictSim(q *query, sims []core.SimTask) time.Duration {
+// predict estimates when a waiting query would finish if it were
+// admitted right now, by replaying the controller's scheduling against
+// parcost's analytic machine model (core.Simulate) over the admitted
+// queries' remaining work plus the candidate — or, with alone set, over
+// the candidate by itself on an idle machine, the most optimistic
+// schedule the model admits. Remaining work approximates each
+// not-yet-done task by its full sequential time T — the simulation has
+// no visibility into a running task's progress, and the approximation
+// is pessimistic uniformly across candidates, which is what a ranking
+// needs. The result is the candidate's predicted response measured from
+// now (max finish over its tasks). A simulation error (a degenerate
+// task the analytic model rejects) yields an effectively-infinite
+// prediction: such a query ranks last rather than failing the wake
+// round.
+func (s *Scheduler) predict(q *query, alone bool) time.Duration {
+	var sims []core.SimTask
+	if alone {
+		sims = appendSims(make([]core.SimTask, 0, len(q.tasks)), q)
+	} else {
+		sims = s.simMix(q)
+	}
 	if len(sims) == 0 {
 		return 0
 	}

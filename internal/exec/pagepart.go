@@ -337,12 +337,15 @@ func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 }
 
 // run implements driver: the slave backend's scan loop with readahead.
-// The in-flight queue never survives an adjustment round: when the
-// master signals a pause the slave stops refilling, drains what it
-// already posted (those pages are processed, keeping the exactly-once
-// invariant), and only then reports. The queue lives in the slave
-// context's reusable scratch; pops shift the tiny prefix down so the
-// backing array survives the whole scan.
+// Every iteration refills the in-flight queue to prefetchDepth, serves
+// its head and checkpoints; the queue is kept across an adjustment
+// round, and a retired slave serves what it still holds before exiting.
+// Exactly-once comes from advancing the frontier at issue time: a
+// posted page is committed to this slave, and the new assignment
+// inherits the frontier, so a re-striping starts beyond every page in
+// flight. The queue lives in the slave context's reusable scratch; pops
+// shift the tiny prefix down so the backing array survives the whole
+// scan.
 func (d *pageDriver) run(sc *slaveCtx) error {
 	a, ok := sc.state.assign.(*pageAssign)
 	if !ok {

@@ -20,11 +20,11 @@ import (
 // (each Submit is one query — a set of dependent task specs), the
 // controller re-solves the IO/CPU balance point on every arrival and
 // completion, and each query's caller Waits on its own QueryHandle. An
-// admission controller sits in front of the §2.5 S_io/S_cpu queues:
-// queries that would blow the memory budget (or the concurrent-query
-// cap) wait in a FIFO admission queue, and the time they spend there is
-// reported as Report.QueueWait and as instants on the scheduler's trace
-// lane.
+// admission controller (admission.go) sits in front of the §2.5
+// S_io/S_cpu queues: queries that would blow the memory budget (or the
+// concurrent-query cap) wait in its queue, and the time they spend
+// there is reported as Report.QueueWait and as instants on the
+// scheduler's trace lane.
 //
 // Intake is one mutex. Submit claims its task IDs in the live table,
 // stamps the next query ID and appends to the intake queue in a single
@@ -35,61 +35,6 @@ import (
 // stop. A striped form of this intake lost its own ablation and was
 // removed; DESIGN.md §13 keeps the numbers.
 
-// AdmissionConfig gates whole queries before their tasks reach the
-// controller's S_io/S_cpu queues. This is coarser than — and composes
-// with — core.Options.MemoryBudget, which vetoes pairing two admitted
-// memory-hungry tasks side by side.
-type AdmissionConfig struct {
-	// MemoryBudget caps the combined MemBytes of every task of all
-	// admitted (running or controller-queued) queries; 0 disables the
-	// constraint. A query too big for the budget on an idle system is
-	// still admitted alone — like the §5 memory rule, the constraint only
-	// gates adding more work.
-	MemoryBudget int64
-	// MaxQueries caps the number of concurrently admitted queries; 0
-	// disables the constraint.
-	MaxQueries int
-	// MaxQueued caps the admission queue depth: a query that does not
-	// fit while MaxQueued others already wait is shed — its handle
-	// settles with a *ShedError and the session stays healthy. 0
-	// disables shedding (the queue grows without bound).
-	MaxQueued int
-	// TenantMaxQueries caps concurrently admitted queries per tenant
-	// and switches the admission wake from strict head-of-line FIFO to
-	// a fair-share scan: a tenant at its quota cannot block other
-	// tenants' queries queued behind it. 0 disables per-tenant caps.
-	TenantMaxQueries int
-	// TraceSampleOneIn enables head-based trace sampling on an observed
-	// session: one in N queries (decided at submission from a seeded
-	// hash of tenant and query ID, see obs.Sampler) carries spans,
-	// scheduler instants and a per-query metrics snapshot; the rest run
-	// with tracing suppressed. 0 or 1 traces every query. Sampling is
-	// deterministic: qids are intake order, so the sampled set is
-	// byte-identical across reruns and GOMAXPROCS.
-	TraceSampleOneIn int
-	// SLOTarget is the default per-tenant response-time target: a
-	// completed query whose response (submit to finish) exceeds it
-	// counts as an SLO breach for its tenant. 0 disables breach
-	// accounting (the per-tenant percentiles are still tracked).
-	SLOTarget time.Duration
-	// TenantSLOTargets overrides SLOTarget per tenant name.
-	TenantSLOTargets map[string]time.Duration
-	// Policy names the admission policy that orders the wait queue:
-	// "fifo" (or empty, the identity default — strict head-of-line,
-	// fair-share scan under TenantMaxQueries), "pred-sjf" (admit the
-	// waiter with the earliest parcost-predicted completion under the
-	// current mix), or "deadline" (least-slack-first against per-query
-	// deadlines or tenant SLO targets, shedding provably-hopeless
-	// queries with a *DeadlineShedError). See admission.go.
-	Policy string
-	// AgingMaxWait, when positive, wraps the admission policy so a
-	// waiter older than this is promoted to strict head-of-line: no
-	// other query is admitted before it, bounding starvation under
-	// ordering policies that would otherwise skip it forever. Promotions
-	// count on the sched.aging_promoted metric.
-	AgingMaxWait time.Duration
-}
-
 // The windowed telemetry (admission/shed/latency timeline and the SLO
 // percentile horizon) keeps telemetryWindows buckets of telemetryWindow
 // virtual time each.
@@ -97,39 +42,6 @@ const (
 	telemetryWindow  = time.Second
 	telemetryWindows = 240
 )
-
-// ShedError is the typed rejection a query receives when it cannot be
-// admitted and the admission queue already holds MaxQueued waiters. A
-// shed query acquired no admission charge, so there is nothing to leak
-// or release; the session keeps serving.
-type ShedError struct {
-	Tenant string // tenant of the shed query
-	Queued int    // admission-queue depth at the shed decision
-	Limit  int    // the MaxQueued threshold
-}
-
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("exec: query shed: admission queue at %d (limit %d)", e.Queued, e.Limit)
-}
-
-// DeadlineShedError is the typed rejection of the "deadline" admission
-// policy: the query's best-case predicted completion — simulated as if
-// it ran alone, the most optimistic schedule the machine admits —
-// already misses its deadline, so running it would only steal capacity
-// from queries that can still make theirs. Like a *ShedError, the query
-// acquired no admission charge and the session keeps serving.
-type DeadlineShedError struct {
-	Tenant string // tenant of the shed query
-	// Deadline is the query's response-time target relative to its
-	// submission; Predicted is the best-case predicted response.
-	Deadline  time.Duration
-	Predicted time.Duration
-}
-
-func (e *DeadlineShedError) Error() string {
-	return fmt.Sprintf("exec: query shed as hopeless: best-case response %v exceeds deadline %v",
-		e.Predicted, e.Deadline)
-}
 
 // QueryHandle is a client's ticket for one submitted query.
 type QueryHandle struct {
@@ -305,7 +217,6 @@ type arrivalTick struct{ gen, qid, id int }
 type Scheduler struct {
 	eng *Engine
 	ctl *core.Controller
-	adm AdmissionConfig
 
 	events *vclock.Mailbox
 	start  time.Duration
@@ -327,34 +238,23 @@ type Scheduler struct {
 	// byTask maps the task IDs of admitted, unsettled queries — the only
 	// tasks the controller can name — to their query; waiters are not in
 	// it, so it never grows with the backlog.
-	byTask    map[int]*query
+	byTask map[int]*query
+	// tenants registers every tenant seen this session (with its gauges);
+	// adm is the admission state — limits, charges, waiters — and admPol
+	// the policy that orders the waiters (admission.go).
 	tenants   map[string]*tenantState
 	defTenant *tenantState // cached s.tenants[""]
-	// Admission waiters live in per-tenant FIFO deques (tenantState.waitq)
-	// so the fair-share wake skips a quota-blocked tenant in O(1) instead
-	// of rescanning its queued queries — the old single FIFO slice made
-	// every wake round O(tenants × queue). waitTenants lists the tenants
-	// with at least one waiter (unordered; picks minimize query ID, which
-	// is intake order, so slice order is invisible in results); nWaiting
-	// is the total waiter count (the MaxQueued threshold and the
-	// admission-queue gauges). admPol orders the waiters; admEpoch bumps
-	// on every admission-state change and keys the prediction caches.
-	waitTenants []*tenantState
-	nWaiting    int
-	admPol      AdmissionPolicy
-	admEpoch    uint64
-	nAdmitted   int
-	memInUse    int64
-	inflight    int
-	temps       map[*plan.Fragment]*Temp
-	colHashes   map[*plan.Fragment]*ColHashTable
-	draining    bool
-	drainAck    chan struct{}
+	adm       admission
+	admPol    AdmissionPolicy
+	inflight  int
+	temps     map[*plan.Fragment]*Temp
+	colHashes map[*plan.Fragment]*ColHashTable
+	draining  bool
+	drainAck  chan struct{}
 
 	// Admission observability (nil when metrics are off; methods no-op).
 	gQDepthIO *obs.Gauge
 	gQDepthCP *obs.Gauge
-	gAdmitQ   *obs.Gauge
 	gInflight *obs.Gauge
 	hWaitUs   *obs.Histogram
 	mShed     *obs.Counter
@@ -366,64 +266,6 @@ type Scheduler struct {
 	series  *obs.Series
 	slo     *obs.SLO
 	sampler *obs.Sampler
-}
-
-// tenantState is the master's per-tenant admission bookkeeping.
-type tenantState struct {
-	name     string
-	admitted int   // queries currently past admission
-	waitq    waitQ // admission waiters of this tenant, in intake order
-	// waitIdx is this tenant's position in Scheduler.waitTenants while
-	// it has waiters, -1 otherwise.
-	waitIdx int
-
-	gRun  *obs.Gauge
-	gWait *obs.Gauge
-	cShed *obs.Counter
-}
-
-// waitQ is one tenant's FIFO of admission waiters. Pushes append in
-// intake order; the common pop is the head (FIFO admission), kept O(1)
-// amortized by a head offset, while policy-ordered admission may remove
-// from the middle (per-tenant queues are short; the splice is cheap).
-type waitQ struct {
-	items []*query
-	head  int
-}
-
-func (w *waitQ) len() int        { return len(w.items) - w.head }
-func (w *waitQ) at(i int) *query { return w.items[w.head+i] }
-func (w *waitQ) push(q *query)   { w.items = append(w.items, q) }
-
-// removeAt removes and returns the waiter at logical index i.
-func (w *waitQ) removeAt(i int) *query {
-	j := w.head + i
-	q := w.items[j]
-	if i == 0 {
-		w.items[j] = nil
-		w.head++
-		if w.head == len(w.items) {
-			w.items = w.items[:0]
-			w.head = 0
-		} else if w.head > 32 && w.head*2 >= len(w.items) {
-			n := copy(w.items, w.items[w.head:])
-			clear(w.items[n:])
-			w.items = w.items[:n]
-			w.head = 0
-		}
-	} else {
-		copy(w.items[j:], w.items[j+1:])
-		w.items[len(w.items)-1] = nil
-		w.items = w.items[:len(w.items)-1]
-	}
-	return q
-}
-
-// reset drops every waiter (poisoned-session insurance; keeps capacity).
-func (w *waitQ) reset() {
-	clear(w.items)
-	w.items = w.items[:0]
-	w.head = 0
 }
 
 // NewScheduler starts a scheduler service on the engine. The engine's
@@ -448,12 +290,14 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 			colHashes: make(map[*plan.Fragment]*ColHashTable),
 		}
 		s.loopFn = s.loop
+		s.adm.predict = s.predict
+		s.adm.onPromote = s.onPromote
 	} else {
 		s.resetSession()
 	}
 	s.gen++
 	s.ctl = core.NewController(e.Env, policy, opts)
-	s.adm = adm
+	s.adm.reset(adm)
 	pol, err := AdmissionPolicyByName(adm.Policy, adm.AgingMaxWait)
 	if err != nil {
 		panic(err.Error()) // facades validate names up front
@@ -488,7 +332,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.Store.RegisterMetrics(e.Metrics)
 	s.gQDepthIO = e.Metrics.Gauge("sched.queue_depth_io")
 	s.gQDepthCP = e.Metrics.Gauge("sched.queue_depth_cpu")
-	s.gAdmitQ = e.Metrics.Gauge("sched.admission_queued")
+	s.adm.gAdmitQ = e.Metrics.Gauge("sched.admission_queued")
 	s.gInflight = e.Metrics.Gauge("sched.queries_running")
 	s.hWaitUs = e.Metrics.Histogram("sched.queue_wait_micros")
 	s.mShed = e.Metrics.Counter("sched.shed_total")
@@ -511,11 +355,6 @@ func (s *Scheduler) resetSession() {
 	clear(s.byTask)
 	clear(s.tenants)
 	s.defTenant = nil
-	s.waitTenants = s.waitTenants[:0]
-	s.nWaiting = 0
-	s.admEpoch = 0
-	s.nAdmitted = 0
-	s.memInUse = 0
 	s.inflight = 0
 	clear(s.temps)
 	clear(s.colHashes)
@@ -750,7 +589,7 @@ func (s *Scheduler) tenant(name string) *tenantState {
 	}
 	ts := s.tenants[name]
 	if ts == nil {
-		ts = &tenantState{name: name, waitIdx: -1}
+		ts = &tenantState{name: name}
 		if m := s.eng.Metrics; m != nil {
 			ts.gRun = m.Gauge(obs.Label("sched.tenant_running", name))
 			ts.gWait = m.Gauge(obs.Label("sched.tenant_waiting", name))
@@ -783,126 +622,43 @@ func (s *Scheduler) onSubmit(q *query, now time.Duration) {
 	// Policies with a submission screen (deadline) can reject a query
 	// before it ever waits: a provably-hopeless query sheds immediately.
 	if sc, ok := s.admPol.(admissionScreener); ok {
-		if err := sc.screen(s, q, now); err != nil {
+		if err := sc.screen(&s.adm, q, now); err != nil {
 			s.shedWith(q, err)
 			return
 		}
 	}
-	if s.admits(q) {
+	ts := s.tenant(q.tenant)
+	if s.adm.admits(ts, q) {
 		s.admit(q, now)
 		return
 	}
-	if lim := s.adm.MaxQueued; lim > 0 && s.nWaiting >= lim {
-		s.shedWith(q, &ShedError{Tenant: q.tenant, Queued: s.nWaiting, Limit: s.adm.MaxQueued})
+	if lim := s.adm.cfg.MaxQueued; lim > 0 && s.adm.nWaiting >= lim {
+		s.shedWith(q, &ShedError{Tenant: q.tenant, Queued: s.adm.nWaiting, Limit: lim})
 		return
 	}
-	s.enqueueWaiter(q)
+	s.adm.enqueue(ts, q)
 	s.seriesGauges()
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("admission-wait", fmt.Sprintf(
 			"query %d queued: %d B in use of %d budget, %d/%d queries admitted",
-			q.id, s.memInUse, s.adm.MemoryBudget, s.nAdmitted, s.adm.MaxQueries))
+			q.id, s.adm.memInUse, s.adm.cfg.MemoryBudget, s.adm.nAdmitted, s.adm.cfg.MaxQueries))
 	}
 }
 
-// enqueueWaiter parks a query in its tenant's wait deque, registering
-// the tenant in waitTenants on its empty→non-empty transition.
-func (s *Scheduler) enqueueWaiter(q *query) {
-	ts := s.tenant(q.tenant)
-	if ts.waitq.len() == 0 {
-		ts.waitIdx = len(s.waitTenants)
-		s.waitTenants = append(s.waitTenants, ts)
+// onPromote observes an aging promotion (admission.onPromote).
+func (s *Scheduler) onPromote(q *query, waited time.Duration) {
+	s.mAging.Inc()
+	if s.eng.Trace != nil && q.traced {
+		s.eng.schedEvent("aging-promote", fmt.Sprintf(
+			"query %d promoted to head-of-line after %v waiting", q.id, waited))
 	}
-	ts.waitq.push(q)
-	s.nWaiting++
-	ts.gWait.Set(int64(ts.waitq.len()))
-	s.gAdmitQ.Set(int64(s.nWaiting))
-}
-
-// takeWaiter removes the waiter at index i of a tenant's deque,
-// deregistering the tenant from waitTenants when it empties (swap with
-// the last entry; waitTenants order is never observable). The caller
-// decides the query's fate — admission or a policy shed — and performs
-// the matching bookkeeping.
-func (s *Scheduler) takeWaiter(ts *tenantState, i int) *query {
-	q := ts.waitq.removeAt(i)
-	s.nWaiting--
-	ts.gWait.Set(int64(ts.waitq.len()))
-	s.gAdmitQ.Set(int64(s.nWaiting))
-	if ts.waitq.len() == 0 {
-		last := len(s.waitTenants) - 1
-		moved := s.waitTenants[last]
-		s.waitTenants[ts.waitIdx] = moved
-		moved.waitIdx = ts.waitIdx
-		s.waitTenants[last] = nil
-		s.waitTenants = s.waitTenants[:last]
-		ts.waitIdx = -1
-	}
-	return q
-}
-
-// oldestWaiter returns the globally oldest waiter (minimum query ID =
-// intake order) and its tenant, or nil when nothing waits. Each
-// tenant's deque is ID-ordered, so only the heads compete.
-func (s *Scheduler) oldestWaiter() (*tenantState, *query) {
-	var bts *tenantState
-	var bq *query
-	for _, ts := range s.waitTenants {
-		if q := ts.waitq.at(0); bq == nil || q.id < bq.id {
-			bts, bq = ts, q
-		}
-	}
-	return bts, bq
-}
-
-// firstEligibleWaiter is the fair-share scan: the oldest waiter (global
-// intake order) that fits the admission budget right now, skipping a
-// tenant's whole deque in O(1) when the tenant sits at its quota. It
-// reproduces the historical first-eligible-in-FIFO-order pick exactly —
-// including admitting a younger query of the SAME tenant when an older
-// one is memory-blocked — while replacing the O(tenants × queue) flat
-// rescan. The ID prune stops each deque at the first candidate older
-// than the best so far; deques are ID-ordered so nothing eligible is
-// missed.
-func (s *Scheduler) firstEligibleWaiter() (*tenantState, int) {
-	// Admission-wide gates first: if the query cap is hot no waiter fits
-	// (the lone-query rule in admits only applies at nAdmitted == 0).
-	if s.nAdmitted > 0 && s.adm.MaxQueries > 0 && s.nAdmitted >= s.adm.MaxQueries {
-		return nil, -1
-	}
-	var bts *tenantState
-	bi := -1
-	for _, ts := range s.waitTenants {
-		if s.nAdmitted > 0 && s.adm.TenantMaxQueries > 0 && ts.admitted >= s.adm.TenantMaxQueries {
-			continue
-		}
-		for i := 0; i < ts.waitq.len(); i++ {
-			q := ts.waitq.at(i)
-			if bq := bestWaiter(bts, bi); bq != nil && q.id > bq.id {
-				break
-			}
-			if s.admits(q) {
-				bts, bi = ts, i
-				break
-			}
-		}
-	}
-	return bts, bi
-}
-
-// bestWaiter dereferences a (tenant, index) pick, nil when unset.
-func bestWaiter(ts *tenantState, i int) *query {
-	if ts == nil {
-		return nil
-	}
-	return ts.waitq.at(i)
 }
 
 // seriesGauges samples the admission state into the timeline's current
 // window after every state change the timeline should see.
 func (s *Scheduler) seriesGauges() {
-	s.series.Sample("admit_queue", int64(s.nWaiting))
-	s.series.Sample("running", int64(s.nAdmitted))
+	s.series.Sample("admit_queue", int64(s.adm.nWaiting))
+	s.series.Sample("running", int64(s.adm.nAdmitted))
 }
 
 // shedWith rejects a query with a typed shed error — the MaxQueued
@@ -925,39 +681,13 @@ func (s *Scheduler) shedWith(q *query, err error) {
 	q.handle.settle(nil, err)
 }
 
-// admits reports whether the query fits the admission budget right now.
-// Like the §5 memory rule, a lone query always fits: the constraint only
-// gates adding work next to what is already admitted.
-func (s *Scheduler) admits(q *query) bool {
-	if s.nAdmitted == 0 {
-		return true
-	}
-	if s.adm.MaxQueries > 0 && s.nAdmitted >= s.adm.MaxQueries {
-		return false
-	}
-	if s.adm.MemoryBudget > 0 && s.memInUse+q.mem > s.adm.MemoryBudget {
-		return false
-	}
-	if s.adm.TenantMaxQueries > 0 {
-		if ts := s.tenants[q.tenant]; ts != nil && ts.admitted >= s.adm.TenantMaxQueries {
-			return false
-		}
-	}
-	return true
-}
-
 // admit moves a query past the admission controller: stamps its
 // queue-wait, enters its tasks in byTask, registers its arrival timers,
 // and hands its ready tasks to the controller. now is the caller's
 // already-read clock.
 func (s *Scheduler) admit(q *query, now time.Duration) {
 	q.admitRel = now
-	s.admEpoch++ // the admitted mix changed; cached predictions are stale
-	s.nAdmitted++
-	s.memInUse += q.mem
-	ts := s.tenant(q.tenant)
-	ts.admitted++
-	ts.gRun.Set(int64(ts.admitted))
+	s.adm.charge(s.tenant(q.tenant), q)
 	wait := q.admitRel - q.submitRel
 	s.hWaitUs.Observe(int64(wait / time.Microsecond))
 	s.series.Count("admitted", 1)
@@ -1148,7 +878,7 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 	t.done = true
 	t.rt = nil
 	q.finished++
-	s.admEpoch++ // remaining admitted work changed; predictions are stale
+	s.adm.epoch++ // remaining admitted work changed; predictions are stale
 	now := s.now()
 	if ev.err == nil {
 		q.rep.Finish[id] = now
@@ -1236,12 +966,7 @@ func (s *Scheduler) finishQuery(q *query) {
 	}
 	q.frs = nil
 	s.inflight--
-	s.admEpoch++ // the admitted mix changed; cached predictions are stale
-	s.nAdmitted--
-	s.memInUse -= q.mem
-	ts := s.tenant(q.tenant)
-	ts.admitted--
-	ts.gRun.Set(int64(ts.admitted))
+	s.adm.release(s.tenant(q.tenant), q)
 	s.gInflight.Set(int64(s.inflight))
 	s.seriesGauges()
 	s.deregisterIDs(q)
@@ -1270,12 +995,12 @@ func (s *Scheduler) finishQuery(q *query) {
 // shed verdict (the deadline policy giving up on a hopeless waiter);
 // the round then continues with the next pick.
 func (s *Scheduler) wakeAdmitQ() {
-	if s.nWaiting == 0 {
+	if s.adm.nWaiting == 0 {
 		return
 	}
 	now := s.now()
-	for s.nWaiting > 0 {
-		q, shedErr := s.admPol.next(s, now)
+	for s.adm.nWaiting > 0 {
+		q, shedErr := s.admPol.next(&s.adm, now)
 		if q == nil {
 			return
 		}

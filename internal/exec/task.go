@@ -529,17 +529,6 @@ func (sc *slaveCtx) checkpoint(progress report) assignment {
 	return a
 }
 
-// pausePending reports whether the master has opened an adjustment
-// round this slave has not answered yet; drivers stop refilling their
-// readahead queues and head for the next safe point when it turns true.
-func (sc *slaveCtx) pausePending() bool {
-	rt := sc.rt
-	rt.mu.Lock()
-	p := rt.round && !sc.state.reported
-	rt.mu.Unlock()
-	return p
-}
-
 // chargeCPU accrues seconds of CPU work, sleeping when the debt passes
 // the engine's charge quantum (batching keeps the event count low).
 // picosPerSecond converts charge amounts to the integral debt unit.

@@ -190,7 +190,7 @@ func TestPoolLifetimeGolden(t *testing.T) {
 }
 
 func TestPolicyPurityGolden(t *testing.T) {
-	runGolden(t, PolicyPurity, "policypurity/internal/core")
+	runGolden(t, PolicyPurity, "policypurity/internal/exec")
 }
 
 func TestTraceGateGolden(t *testing.T) {

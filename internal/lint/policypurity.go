@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// PolicyPurity guards the pluggable scheduling surface (DESIGN.md §15):
-// every implementation of core.QueuePolicy or exec.AdmissionPolicy —
-// current and future, detected by interface satisfaction rather than a
-// name list — must stay deterministic and vclock-pure, because policy
-// decisions feed the simulated timeline directly. Transitively (over
+// PolicyPurity guards the selectable admission order (DESIGN.md §15):
+// every implementation of exec.AdmissionPolicy — current and future,
+// detected by interface satisfaction rather than a name list — must
+// stay deterministic and vclock-pure, because policy decisions feed the
+// simulated timeline directly. Transitively (over
 // the shared call graph), policy methods may not:
 //
 //   - read the wall clock (time.Now and friends) or draw from the
@@ -22,7 +22,7 @@ import (
 //     collect-append-then-slices.Sort pattern (simMix) stays allowed.
 var PolicyPurity = &Analyzer{
 	Name: "policypurity",
-	Doc: "QueuePolicy/AdmissionPolicy implementations must be deterministic: no wall " +
+	Doc: "AdmissionPolicy implementations must be deterministic: no wall " +
 		"clock, no global rand, no goroutine spawns, no map-range-ordered picks",
 	Run: runPolicyPurity,
 }
@@ -31,7 +31,6 @@ var PolicyPurity = &Analyzer{
 // declaring-package suffix so fixture packages resolve the same way
 // the real tree does.
 var policyInterfaces = []struct{ pkgSuffix, name string }{
-	{"internal/core", "QueuePolicy"},
 	{"internal/exec", "AdmissionPolicy"},
 }
 

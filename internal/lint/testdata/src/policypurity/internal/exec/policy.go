@@ -1,8 +1,8 @@
-// Package core exercises policypurity: every type satisfying the
-// QueuePolicy interface — found by interface satisfaction, not by name
-// — is transitively barred from wall-clock reads, global rand,
+// Package exec exercises policypurity: every type satisfying the
+// AdmissionPolicy interface — found by interface satisfaction, not by
+// name — is transitively barred from wall-clock reads, global rand,
 // goroutine spawns and map-range-ordered picks.
-package core
+package exec
 
 import (
 	"math/rand"
@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// QueuePolicy mirrors the real scheduling extension point.
-type QueuePolicy interface {
+// AdmissionPolicy mirrors the real scheduling extension point.
+type AdmissionPolicy interface {
 	Pick(ready map[int]*Query) *Query
 }
 
@@ -91,7 +91,7 @@ func (SumPolicy) Pick(ready map[int]*Query) *Query {
 	return nil
 }
 
-// reporter does NOT satisfy QueuePolicy, so its wall-clock read is out
+// reporter does NOT satisfy AdmissionPolicy, so its wall-clock read is out
 // of policypurity's scope (vclockpurity owns it in the real tree).
 type reporter struct{}
 

@@ -24,14 +24,9 @@ type Observer struct {
 	Metrics *Registry
 }
 
-// NewObserver creates an observer with a fresh tracer and registry.
-func NewObserver() *Observer {
-	return &Observer{Trace: NewTracer(), Metrics: NewRegistry()}
-}
-
-// NewObserverBudget creates an observer whose tracer retains at most
-// spanBudget events (see NewTracerBudget); spanBudget <= 0 means
-// unbounded, matching NewObserver.
+// NewObserverBudget creates an observer with a fresh registry and a
+// tracer that retains at most spanBudget events (see NewTracerBudget);
+// spanBudget <= 0 means unbounded.
 func NewObserverBudget(spanBudget int) *Observer {
 	return &Observer{Trace: NewTracerBudget(spanBudget), Metrics: NewRegistry()}
 }

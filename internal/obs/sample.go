@@ -24,14 +24,6 @@ func NewSampler(seed int64, oneIn int) *Sampler {
 	return &Sampler{seed: uint64(seed), oneIn: uint64(oneIn)}
 }
 
-// OneIn returns the sampling rate denominator (1 for a nil sampler).
-func (s *Sampler) OneIn() int {
-	if s == nil {
-		return 1
-	}
-	return int(s.oneIn)
-}
-
 // FNV-1a 64-bit parameters.
 const (
 	fnvOffset64 = 14695981039346656037

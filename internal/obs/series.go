@@ -67,14 +67,6 @@ func NewSeries(window time.Duration, capacity int, now func() time.Duration) *Se
 	return &Series{window: window, capacity: capacity, now: now}
 }
 
-// Window returns the configured window width (0 for a nil series).
-func (s *Series) Window() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.window
-}
-
 // current returns the live window for the present instant, creating and
 // evicting as needed. Caller holds s.mu.
 func (s *Series) current() *seriesWindow {

@@ -428,7 +428,3 @@ func popcount(x uint64) int {
 	}
 	return c
 }
-
-// Exhaustive reference (tests only): the number of DP subsets actually
-// planned, exposed for complexity assertions.
-func (o *optimizer) plannedSubsets() int { return len(o.memo) }

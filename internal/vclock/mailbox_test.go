@@ -82,7 +82,6 @@ func TestMailboxSecondConsumerPanics(t *testing.T) {
 	// Two goroutines blocking in Wait at once must panic (single
 	// consumer contract), not deadlock silently.
 	v := NewVirtual()
-	defer func() { recover() }()
 	v.Run(func() {
 		m := NewMailbox(v)
 		panicked := make(chan struct{}, 1)
@@ -104,6 +103,10 @@ func TestMailboxSecondConsumerPanics(t *testing.T) {
 			m.Wait()
 		})
 		v.WaitSignal(panicked)
+		// Release the first consumer: left blocked in Wait, it would make
+		// whichever goroutine unregisters last find "all goroutines
+		// blocked" — a process crash when that is the second consumer.
+		m.Post("release")
 	})
 }
 

@@ -1,9 +1,9 @@
 package xprs
 
-// Tests of the pluggable scheduling policies: the identity of the
-// defaults (the refactor's core promise), the predicted-SJF win over
-// FIFO on the skewed mix, the aging wrapper's starvation bound, and the
-// deadline policy's typed hopeless-shed.
+// Tests of the selectable admission policies: the identity of the
+// default, the predicted-SJF win over FIFO on the skewed mix, the aging
+// wrapper's starvation bound, and the deadline policy's typed
+// hopeless-shed.
 
 import (
 	"errors"
@@ -12,15 +12,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"xprs/internal/core"
 )
 
-// TestDefaultPolicyIdentity pins the refactor's contract: the unnamed
-// defaults (empty queue policy, empty admission policy) and the
-// explicitly named ones ("paper" + "fifo") produce byte-identical
-// results, at every GOMAXPROCS. If a policy refactor perturbs the
-// default schedule by even one decision, the stream rows diverge.
+// TestDefaultPolicyIdentity pins the admission default's contract: the
+// unnamed admission policy and the explicitly named "fifo" produce
+// byte-identical results, at every GOMAXPROCS. If a policy refactor
+// perturbs the default schedule by even one decision, the stream rows
+// diverge.
 func TestDefaultPolicyIdentity(t *testing.T) {
 	adm := Admission{MaxQueries: 3, TenantMaxQueries: 2}
 	base, err := RunStream(DefaultConfig(), 7, 24, 2*time.Second, SchedOptions{}, adm)
@@ -31,59 +29,26 @@ func TestDefaultPolicyIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		opts := SchedOptions{}
-		qp, err := core.QueuePolicyByName("paper", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Queue = qp
 		admX := adm
 		admX.Policy = "fifo"
-		got, err := RunStream(DefaultConfig(), 7, 24, 2*time.Second, opts, admX)
+		got, err := RunStream(DefaultConfig(), 7, 24, 2*time.Second, SchedOptions{}, admX)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("GOMAXPROCS=%d: explicit paper+fifo diverged from defaults:\n%+v\n%+v",
+			t.Fatalf("GOMAXPROCS=%d: explicit fifo diverged from the default:\n%+v\n%+v",
 				procs, base, got)
 		}
 	}
 }
 
-// TestSchedulingPolicyConfigIdentity checks the Config-level default
-// route: Config.SchedulingPolicy = "fifo" must reproduce the unnamed
-// default serving run byte for byte.
-func TestSchedulingPolicyConfigIdentity(t *testing.T) {
-	o := ServeOptions{
-		Sessions: 60,
-		Rate:     10,
-		Adm:      Admission{MaxQueries: 4, TenantMaxQueries: 2, MaxQueued: 6},
-	}
-	base, err := RunServe(DefaultConfig(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SchedulingPolicy = "fifo"
-	got, err := RunServe(cfg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("SchedulingPolicy=fifo diverged from default:\n%+v\n%+v", base, got)
-	}
-}
-
-// TestUnknownPoliciesRejected: both policy registries must reject
-// unknown names with a diagnostic instead of silently running FIFO.
+// TestUnknownPoliciesRejected: the admission registry must reject an
+// unknown name with a diagnostic instead of silently running FIFO.
 func TestUnknownPoliciesRejected(t *testing.T) {
 	s := New(DefaultConfig())
 	err := s.Serve(InterAdj, SchedOptions{}, Admission{Policy: "bogus"}, func(*Scheduler) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("bogus admission policy not rejected: %v", err)
-	}
-	if _, err := core.QueuePolicyByName("bogus", SchedOptions{}); err == nil {
-		t.Fatal("bogus queue policy not rejected")
 	}
 }
 

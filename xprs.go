@@ -123,10 +123,6 @@ type (
 	// AdmissionPolicy orders the admission wait queue; select one by
 	// name via Admission.Policy ("fifo", "pred-sjf", "deadline").
 	AdmissionPolicy = exec.AdmissionPolicy
-	// QueuePolicy orders the controller's S_io/S_cpu queues; install one
-	// via SchedOptions.Queue or select by name via
-	// Config.SchedulingPolicy / core.QueuePolicyByName.
-	QueuePolicy = core.QueuePolicy
 )
 
 // Scheduling policies (§3's three algorithms).
@@ -163,11 +159,6 @@ type Config struct {
 	// exec.DefaultBatchSize. Results and virtual-clock totals do not
 	// depend on it.
 	BatchSize int
-	// HashPartitions overrides the radix partition count of every
-	// hash-join build table; 0 lets the optimizer's per-fragment hint
-	// (or the executor default) choose. Results and virtual-clock totals
-	// do not depend on it.
-	HashPartitions int
 	// Observe enables run observability: structured trace spans (one
 	// lane per slave backend and per disk), scheduler decision events
 	// with reasons, and the metrics registry. Results and virtual-clock
@@ -181,11 +172,6 @@ type Config struct {
 	// Admission.TraceSampleOneIn for serving-scale runs: sampling
 	// bounds what is emitted, the budget bounds what is retained.
 	TraceBudget int
-	// SchedulingPolicy names the default admission policy for Serve
-	// sessions whose Admission.Policy is empty: "fifo" (the identity
-	// default), "pred-sjf", or "deadline". An explicit Admission.Policy
-	// always wins. Empty means "fifo".
-	SchedulingPolicy string
 }
 
 // DefaultConfig is the paper's machine: 8 processors, 4 disks, no cache.
@@ -243,7 +229,6 @@ func New(cfg Config) *System {
 	params := cost.DefaultParams(cfg.Disk, cfg.NProcs)
 	engine := exec.New(clock, store, params)
 	engine.BatchSize = cfg.BatchSize
-	engine.HashPartitions = cfg.HashPartitions
 	var observer *obs.Observer
 	if cfg.Observe {
 		observer = obs.NewObserverBudget(cfg.TraceBudget)
@@ -559,9 +544,6 @@ func (sc *Scheduler) SleepUntil(t time.Duration) {
 // submitted query completes — before Serve returns. Policy, scheduler
 // options and admission limits are fixed for the session's lifetime.
 func (s *System) Serve(policy Policy, opts SchedOptions, adm Admission, fn func(*Scheduler) error) error {
-	if adm.Policy == "" {
-		adm.Policy = s.cfg.SchedulingPolicy
-	}
 	// Validate the policy name here, where an error can be returned;
 	// exec.NewScheduler panics on one.
 	if _, err := exec.AdmissionPolicyByName(adm.Policy, adm.AgingMaxWait); err != nil {
