@@ -40,9 +40,12 @@ bench:
 
 # The nested benchmark module (bench/, its own go.mod) is invisible to
 # the root `go build ./...`; its tests are what catch a root API change
-# that breaks it.
+# that breaks it. One iteration of the executor's kernel benchmarks
+# (kernel_bench_test.go: the hash-join kernels bench/'s probes price)
+# rides along so they cannot rot either.
 benchtest:
 	cd bench && $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/exec
 
 # Allocation gate: the executor hot path must stay under the committed
 # allocs/op budget (see TestPipelineAllocGate in bench_test.go), filling

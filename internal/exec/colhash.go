@@ -22,31 +22,29 @@ import (
 // group, then the heavy groups — all ranges in the same batch, so the
 // probe path is uniform. Sealing computes each input row's destination
 // index first (the same two-pass counting scheme sealPartition uses),
-// inverts the permutation, and then gathers rows in destination order:
-// text columns append sequentially into the store's shared buffer, which
-// a scatter could not do.
+// inverts the permutation, and then gathers each column in destination
+// order: text columns append sequentially into the store's shared buffer,
+// which a scatter could not do.
+//
+// Rows move a column at a time and only the columns somebody reads move
+// at all: the table is built with the list of build columns no probe
+// reads (plan.Fragment.OutPrune) and its chunks and stores carry those
+// as storage-less placeholders, so column indexes stay the build
+// schema's. The key column is always kept — sealing rehashes it rather
+// than cache a hash per row (hashKey is one multiply).
 //
 // Per-key row order is chunk order (the order builders flushed), exactly
 // like the row table, so switching layouts never reorders join output.
 
-// colChunk is one flushed columnar build buffer: a dense batch plus the
-// cached hash of each row's key, index-aligned. The hash slice is boxed
-// so it can round-trip through the engine's pool without re-allocating
-// its header.
-type colChunk struct {
-	cb  *storage.ColBatch
-	hvs *[]uint32
-}
-
 // sealScratch is the transient state of one partition seal, recycled
-// through the engine pool: slot memos, the destination permutation and
-// its inverse, heavy-group cursors and chunk base offsets.
+// through the engine pool: slot memos, the destination permutation, its
+// inverse as (chunk, row) pairs, and heavy-group cursors.
 type sealScratch struct {
 	slotOf    []uint32
 	perm      []int32
-	invDst    []int32
+	srcChunk  []int32
+	srcRow    []int32
 	heavyNext []int32
-	bases     []int32
 }
 
 // growU32 and growI32 resize pooled scratch to exactly n entries
@@ -73,10 +71,10 @@ type colGroup struct {
 	count int32
 }
 
-// colPart is one sealed partition.
+// colPart is the probe index of one sealed partition; its rows are
+// ColHashTable.stores[p].
 type colPart struct {
-	store *storage.ColBatch // flat, grouped by key; nil when empty
-	slots []uint64          // packed hash(32)|start(24)|count(8), 0 = empty
+	slots []uint64 // packed hash(32)|start(24)|count(8), 0 = empty
 	heavy []colGroup
 
 	zeroStart int32
@@ -90,6 +88,7 @@ type ColHashTable struct {
 	Col    int
 
 	eng       *Engine // batch recycling; nil allocates directly
+	prune     []int   // build columns not stored, ascending; nil stores all
 	partShift uint
 	sealProcs int
 
@@ -100,16 +99,26 @@ type ColHashTable struct {
 	// per-partition slices keep their capacity across queries (the table
 	// itself recycles through the engine pool), so steady-state flushes
 	// never grow them.
-	chunks [][]colChunk
+	chunks [][]*storage.ColBatch
 	sealed bool
 
 	sealOnce sync.Once
 	parts    []colPart
+	// stores holds each sealed partition's rows, flat and grouped by key;
+	// nil for an empty partition. Index-aligned with parts.
+	stores []*storage.ColBatch
 }
 
 // NewColHashTable creates an empty columnar table keyed on the given
-// column of the build schema. eng (optional) supplies batch recycling.
+// column of the build schema, storing every column. eng (optional)
+// supplies batch recycling.
 func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, sealProcs int) *ColHashTable {
+	return newColHashTable(eng, schema, col, nil, partitions, sealProcs)
+}
+
+// newColHashTable is NewColHashTable for a table that leaves out the
+// build columns listed in prune (ascending; never the key column).
+func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions, sealProcs int) *ColHashTable {
 	if partitions < 1 {
 		partitions = 1
 	}
@@ -129,17 +138,28 @@ func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, se
 	h.Schema = schema
 	h.Col = col
 	h.eng = eng
+	h.prune = prune
 	h.partShift = uint(32 - bits.Len32(uint32(p)-1))
 	h.sealProcs = sealProcs
 	h.n = 0
 	h.sealed = false
 	h.sealOnce = sync.Once{}
 	if cap(h.chunks) < p {
-		h.chunks = make([][]colChunk, p)
+		h.chunks = make([][]*storage.ColBatch, p)
 	} else {
 		h.chunks = h.chunks[:p]
 	}
 	return h
+}
+
+// newBatch hands out an empty batch of the table's column shape.
+func (h *ColHashTable) newBatch(capRows int) *storage.ColBatch {
+	if h.eng != nil {
+		return h.eng.getColBatchPruned(h.Schema, capRows, h.prune)
+	}
+	b := &storage.ColBatch{}
+	b.InitPruned(h.Schema, capRows, h.prune)
+	return b
 }
 
 // Len returns the number of inserted rows.
@@ -154,8 +174,11 @@ func (h *ColHashTable) Len() int {
 // hands the buffers to the shared table in one lock round-trip.
 type ColBuilder struct {
 	ht    *ColHashTable
-	parts []colChunk
+	parts []*storage.ColBatch
 	n     int
+	// scratch is InsertBatch's working space: the batch's rows per
+	// partition, then each live row's partition.
+	scratch []int32
 }
 
 // Builder creates a private builder for one build slave.
@@ -169,7 +192,7 @@ func (h *ColHashTable) Builder() *ColBuilder {
 func (h *ColHashTable) builderIn(b *ColBuilder) *ColBuilder {
 	b.ht = h
 	if cap(b.parts) < len(h.chunks) {
-		b.parts = make([]colChunk, len(h.chunks))
+		b.parts = make([]*storage.ColBatch, len(h.chunks))
 	} else {
 		b.parts = b.parts[:len(h.chunks)]
 		clear(b.parts)
@@ -179,40 +202,48 @@ func (h *ColHashTable) builderIn(b *ColBuilder) *ColBuilder {
 }
 
 // InsertBatch partitions the live rows of one batch into the builder's
-// private buffers, caching each row's hash so sealing never recomputes
-// it. The key column is validated once per batch.
+// private buffers: one pass over the key vector finds each row's
+// partition and the partition sizes, then each stored column scatters
+// into space reserved once. The key column is validated once per batch.
 func (b *ColBuilder) InsertBatch(cb *storage.ColBatch) error {
 	col := b.ht.Col
-	if cb.Live() == 0 {
+	live := cb.Live()
+	if live == 0 {
 		return nil
 	}
 	if col < 0 || col >= len(cb.Vecs) {
 		return fmt.Errorf("exec: hash column %d out of range", col)
 	}
-	if cb.Vecs[col].Typ != storage.Int4 || cb.Vecs[col].Ints == nil {
-		return fmt.Errorf("exec: hash column %d is not an int4 vector", col)
+	keys, err := int4Keys(cb, col)
+	if err != nil {
+		return err
 	}
-	keys := cb.Vecs[col].Ints
 	shift := b.ht.partShift
-	live := cb.Live()
-	for i := 0; i < live; i++ {
-		row := cb.RowAt(i)
-		hv := hashKey(keys[row])
-		c := &b.parts[hv>>shift]
-		if c.cb == nil {
-			if b.ht.eng != nil {
-				c.cb = b.ht.eng.getColBatch(b.ht.Schema, live)
-				c.hvs = b.ht.eng.getHvs(live)
-			} else {
-				c.cb = storage.NewColBatch(b.ht.Schema, live)
-				c.hvs = new([]uint32)
-			}
-		}
-		c.cb.AppendRow(cb, row)
-		*c.hvs = append(*c.hvs, hv)
+	b.scratch = growI32(b.scratch, len(b.parts)+live)
+	counts, which := b.scratch[:len(b.parts)], b.scratch[len(b.parts):]
+	clear(counts)
+	for i := range which {
+		p := int32(hashKey(keys[cb.RowAt(i)]) >> shift)
+		which[i] = p
+		counts[p]++
 	}
+	for p, n := range counts {
+		if n != 0 && b.parts[p] == nil {
+			b.parts[p] = b.ht.newBatch(int(n))
+		}
+	}
+	cb.ScatterRows(b.parts, which, counts)
 	b.n += live
 	return nil
+}
+
+// int4Keys returns the values of a hash join's key column, or the error
+// both sides of the join report when it is not an int4 vector.
+func int4Keys(cb *storage.ColBatch, col int) ([]int32, error) {
+	if v := &cb.Vecs[col]; v.Typ == storage.Int4 && v.Ints != nil {
+		return v.Ints, nil
+	}
+	return nil, fmt.Errorf("exec: hash column %d is not an int4 vector", col)
 }
 
 // Flush publishes the builder's buffers to the shared table. The builder
@@ -229,9 +260,9 @@ func (b *ColBuilder) Flush() {
 		h.mu.Unlock()
 		panic("exec: hash-table builder flushed after seal")
 	}
-	for p := range b.parts {
-		if b.parts[p].cb != nil {
-			h.chunks[p] = append(h.chunks[p], b.parts[p])
+	for p, cb := range b.parts {
+		if cb != nil {
+			h.chunks[p] = append(h.chunks[p], cb)
 		}
 	}
 	h.n += b.n
@@ -256,8 +287,10 @@ func (h *ColHashTable) seal() {
 
 	if cap(h.parts) < len(chunks) {
 		h.parts = make([]colPart, len(chunks))
+		h.stores = make([]*storage.ColBatch, len(chunks))
 	} else {
 		h.parts = h.parts[:len(chunks)]
+		h.stores = h.stores[:len(chunks)]
 	}
 	procs := h.sealProcs
 	if g := runtime.GOMAXPROCS(0); procs > g {
@@ -265,7 +298,7 @@ func (h *ColHashTable) seal() {
 	}
 	if procs <= 1 || len(chunks) == 1 {
 		for p := range chunks {
-			h.parts[p] = h.sealColPartition(chunks[p])
+			h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
 		}
 		return
 	}
@@ -280,7 +313,7 @@ func (h *ColHashTable) seal() {
 		go func() {
 			defer wg.Done()
 			for p := range next {
-				h.parts[p] = h.sealColPartition(chunks[p])
+				h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
 			}
 		}()
 	}
@@ -291,13 +324,13 @@ func (h *ColHashTable) seal() {
 // from its flushed chunks. The counting pass and slot layout mirror
 // sealPartition; the scatter pass is replaced by a permutation + inverse
 // + destination-order gather, because text vectors only append.
-func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
+func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch) (colPart, *storage.ColBatch) {
 	total := 0
 	for _, c := range chunks {
-		total += c.cb.N
+		total += c.N
 	}
 	if total == 0 {
-		return colPart{}
+		return colPart{}, nil
 	}
 	if total > maxPartTuples {
 		panic(fmt.Sprintf("exec: hash partition holds %d tuples, limit %d — raise the partition count", total, maxPartTuples))
@@ -326,7 +359,8 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	hasHeavy := false
 	j := 0
 	for _, c := range chunks {
-		for _, hv := range *c.hvs {
+		for _, k := range c.Vecs[h.Col].Ints {
+			hv := hashKey(k)
 			if hv == 0 {
 				zeroCount++
 				slotOf[j] = ^uint32(0)
@@ -401,7 +435,7 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	zs := part.zeroStart
 	j = 0
 	for _, c := range chunks {
-		for range *c.hvs {
+		for range c.N {
 			si := slotOf[j]
 			if si == ^uint32(0) {
 				perm[j] = zs
@@ -428,57 +462,43 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 			slots[i] = s - cnt<<slotCountBits
 		}
 	}
-	// Gather in destination order so text buffers fill sequentially.
-	scr.invDst = growI32(scr.invDst, total)
-	invDst := scr.invDst
-	for src, dst := range perm {
-		invDst[dst] = int32(src)
-	}
-	if h.eng != nil {
-		part.store = h.eng.getColBatch(h.Schema, total)
-	} else {
-		part.store = storage.NewColBatch(h.Schema, total)
-	}
-	// Map a global row index back to (chunk, row) with running bases;
-	// chunk counts are tiny (one per flushing slave), so a linear walk
-	// beats any index structure.
-	scr.bases = growI32(scr.bases, len(chunks)+1)
-	bases := scr.bases
-	bases[0] = 0
-	for i, c := range chunks {
-		bases[i+1] = bases[i] + int32(c.cb.N)
-	}
-	for dst := 0; dst < total; dst++ {
-		src := invDst[dst]
-		ci := 0
-		for int32(src) >= bases[ci+1] {
-			ci++
+	// Invert into (chunk, row) per destination and gather each column in
+	// destination order, so text buffers fill sequentially.
+	scr.srcChunk = growI32(scr.srcChunk, total)
+	scr.srcRow = growI32(scr.srcRow, total)
+	j = 0
+	for ci, c := range chunks {
+		for row := range c.N {
+			dst := perm[j]
+			scr.srcChunk[dst], scr.srcRow[dst] = int32(ci), int32(row)
+			j++
 		}
-		part.store.AppendRow(chunks[ci].cb, int(src-bases[ci]))
 	}
+	store := h.newBatch(total)
+	store.AppendGather(chunks, scr.srcChunk, scr.srcRow)
 	// The chunk buffers are dead now; recycle them for future builds.
 	if h.eng != nil {
 		for _, c := range chunks {
-			h.eng.putColBatch(c.cb)
-			h.eng.putHvs(c.hvs)
+			h.eng.putColBatch(c)
 		}
 		h.eng.putSealScratch(scr)
 	}
-	return part
+	return part, store
 }
 
-// ProbeKey resolves one probe key to its build rows: the partition's
-// flat store plus a row range (count 0 on a miss). Lock-free; the table
-// must be sealed.
-func (h *ColHashTable) ProbeKey(key int32) (*storage.ColBatch, int32, int32) {
+// probe resolves one key to its build rows: the partition and a row
+// range of its store (count 0 on a miss). Lock-free; the table must be
+// sealed.
+func (h *ColHashTable) probe(key int32) (part, start, count int32) {
 	hv := hashKey(key)
-	p := &h.parts[hv>>h.partShift]
+	part = int32(hv >> h.partShift)
+	p := &h.parts[part]
 	if hv == 0 {
-		return p.store, p.zeroStart, p.zeroCount
+		return part, p.zeroStart, p.zeroCount
 	}
 	slots := p.slots
 	if len(slots) == 0 {
-		return nil, 0, 0
+		return part, 0, 0
 	}
 	mask := len(slots) - 1
 	for i := int(hv) & mask; ; i = (i + 1) & mask {
@@ -486,15 +506,70 @@ func (h *ColHashTable) ProbeKey(key int32) (*storage.ColBatch, int32, int32) {
 		if uint32(s>>slotHashShift) == hv {
 			cnt := s & slotCountMask
 			if cnt != heavyMark {
-				return p.store, int32(s >> slotCountBits & maxPartTuples), int32(cnt)
+				return part, int32(s >> slotCountBits & maxPartTuples), int32(cnt)
 			}
 			g := &p.heavy[s>>slotCountBits&maxPartTuples]
-			return p.store, g.start, g.count
+			return part, g.start, g.count
 		}
 		if s == 0 {
-			return nil, 0, 0
+			return part, 0, 0
 		}
 	}
+}
+
+// ProbeKey resolves one probe key to its build rows: the partition's
+// flat store plus a row range (count 0 on a miss, when the store means
+// nothing). Lock-free; the table must be sealed.
+func (h *ColHashTable) ProbeKey(key int32) (*storage.ColBatch, int32, int32) {
+	part, start, count := h.probe(key)
+	return h.stores[part], start, count
+}
+
+// matchVecs holds resolved matches, one entry each: the probe batch's
+// physical row, the build partition, and the row of that partition's
+// store.
+type matchVecs struct {
+	lrow, part, brow []int32
+}
+
+// probeCursor is where resolve stopped in a probe batch: the next live
+// row to look up, and what is left of the build range of the row before
+// it when the match vectors filled up inside the range.
+type probeCursor struct {
+	next              int
+	lrow, part, start int32
+	left              int32
+}
+
+// resolve refills m with the next matches of b's live rows against the
+// table, at most limit of them, in probe-row then store order, and
+// returns how many there are; zero means the batch is exhausted. keys is
+// b's key vector and cur starts as the zero cursor.
+func (h *ColHashTable) resolve(b *storage.ColBatch, keys []int32, cur *probeCursor, m *matchVecs, limit int) int {
+	m.lrow, m.part, m.brow = m.lrow[:0], m.part[:0], m.brow[:0]
+	live := b.Live()
+	c := *cur
+	for len(m.lrow) < limit {
+		if c.left == 0 {
+			if c.next == live {
+				break
+			}
+			c.lrow = int32(b.RowAt(c.next))
+			c.next++
+			c.part, c.start, c.left = h.probe(keys[c.lrow])
+			continue
+		}
+		take := min(c.left, int32(limit-len(m.lrow)))
+		for k := int32(0); k < take; k++ {
+			m.lrow = append(m.lrow, c.lrow)
+			m.part = append(m.part, c.part)
+			m.brow = append(m.brow, c.start+k)
+		}
+		c.start += take
+		c.left -= take
+	}
+	*cur = c
+	return len(m.lrow)
 }
 
 // release returns the sealed stores to the engine pool and recycles the
@@ -505,10 +580,9 @@ func (h *ColHashTable) release() {
 	if h.eng == nil {
 		return
 	}
-	for i := range h.parts {
-		if h.parts[i].store != nil {
-			h.eng.putColBatch(h.parts[i].store)
-		}
+	for i, store := range h.stores {
+		h.eng.putColBatch(store)
+		h.stores[i] = nil
 		h.parts[i] = colPart{}
 	}
 	for p := range h.chunks {

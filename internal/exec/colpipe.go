@@ -151,7 +151,7 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 			fr.hashParts = DefaultHashPartitions
 		}
 	}
-	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true, nil)
+	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) {
 	fr.temps, fr.colHashes = temps, colHashes
 	if fr.frag.Out == plan.HashOut {
-		fr.outColHash = NewColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
+		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts, fr.eng.Env.NProcs)
 	} else {
 		fr.outTemp = NewTemp(fr.outSchema)
 		fr.outTemp.sortProcs = fr.eng.Env.NProcs
@@ -249,11 +249,10 @@ func (fr *fragRun) compileColSink() colConsumer {
 // compileCol builds the chain for the subtree rooted at n, feeding cons.
 // The returned consumer is invoked with the batches the subtree's driver
 // leaf produces; atRoot marks the fragment root (where Sort is absorbed
-// into the output). need, when non-nil, lists the joined-output columns
-// the consumer actually reads (a root aggregate's group and argument
-// columns); hash joins prune the rest so dead text columns are never
-// copied.
-func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need map[int]bool) (colConsumer, error) {
+// into the output). Which columns a hash join produces and its build
+// side stores is the plan's decision (plan.HashJoin.OutPrune,
+// plan.Fragment.OutPrune), read here and never re-derived.
+func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colConsumer, error) {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		return fr.compileColFilter(x.Filter, cons), nil
@@ -277,7 +276,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 		}
 		// The batch path of a sort is plain collection; ordering happens
 		// in finalize.
-		return fr.compileCol(x.Child, cons, false, nil)
+		return fr.compileCol(x.Child, cons, false)
 
 	case *plan.Agg:
 		if !atRoot {
@@ -294,23 +293,14 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			sc.accumulateBatchCols(fr.agg, b)
 			return nil
 		}}
-		childNeed := make(map[int]bool)
-		if x.GroupCol >= 0 {
-			childNeed[x.GroupCol] = true
-		}
-		for _, f := range x.Funcs {
-			if f.Col >= 0 {
-				childNeed[f.Col] = true
-			}
-		}
-		return fr.compileCol(x.Child, acc, false, childNeed)
+		return fr.compileCol(x.Child, acc, false)
 
 	case *plan.NestLoop:
 		outer, err := fr.compileNestLoop(x, cons)
 		if err != nil {
 			return colConsumer{}, err
 		}
-		return fr.compileCol(x.Outer, outer, false, nil)
+		return fr.compileCol(x.Outer, outer, false)
 
 	case *plan.HashJoin:
 		fs, ok := x.Right.(*plan.FragScan)
@@ -323,14 +313,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 		buildFrag := fs.Frag
 		slot := fr.newColOut()
 		outSchema := x.OutSchema()
-		var prune []int
-		if need != nil {
-			for c := range outSchema.Cols {
-				if !need[c] {
-					prune = append(prune, c)
-				}
-			}
-		}
+		prune := x.OutPrune
 		limit := fr.emitLimit(cons)
 		proc := func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
@@ -344,32 +327,39 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			if lcol < 0 || lcol >= len(b.Vecs) {
 				return fmt.Errorf("exec: probe column %d out of range (tuple has %d)", lcol, len(b.Vecs))
 			}
+			keys, err := int4Keys(b, lcol)
+			if err != nil {
+				return err
+			}
 			sc.chargeCPUPer(probeCPU, live)
 			out := sc.colOutBatch(slot, fr.eng, outSchema, prune)
-			var keys []int32
-			if b.Vecs[lcol].Typ == storage.Int4 {
-				keys = b.Vecs[lcol].Ints
+			// Matches resolve limit at a time into the slave's match
+			// vectors, each output column gathers in one loop, and the
+			// consumer runs — after the same match counts, and the same
+			// one charge per match in match order, as emitting row by row:
+			// nothing else touches the clock in between, so every sleep
+			// falls where it did. The vectors are dead once gathered, which
+			// is what lets a chain of joins share one set per slave.
+			if sc.matches == nil {
+				sc.matches = &matchVecs{}
 			}
-			for i := 0; i < live; i++ {
-				row := b.RowAt(i)
-				key := int32(0)
-				if keys != nil {
-					key = keys[row]
+			m := sc.matches
+			var cur probeCursor
+			for {
+				n := cht.resolve(b, keys, &cur, m, limit)
+				if n == 0 {
+					return nil
 				}
-				store, start, cnt := cht.ProbeKey(key)
-				for m := int32(0); m < cnt; m++ {
+				for range n {
 					sc.chargeCPU(emitCPU)
-					out.AppendJoined(b, row, store, int(start+m))
-					if out.N >= limit {
-						if err := flushOut(sc, out, cons); err != nil {
-							return err
-						}
-					}
+				}
+				out.AppendJoinedRows(b, m.lrow, cht.stores, m.part, m.brow)
+				if err := flushOut(sc, out, cons); err != nil {
+					return err
 				}
 			}
-			return flushOut(sc, out, cons)
 		}
-		return fr.compileCol(x.Left, colConsumer{proc: proc, blocking: cons.blocking}, false, nil)
+		return fr.compileCol(x.Left, colConsumer{proc: proc, blocking: cons.blocking}, false)
 
 	default:
 		return colConsumer{}, fmt.Errorf("exec: cannot compile node %T", n)

@@ -63,12 +63,8 @@ type Engine struct {
 	colPoolMu sync.Mutex
 	colPools  map[uint64]*sync.Pool
 
-	// hvsPool recycles the cached-hash slices of columnar build chunks
-	// (boxed so Get/Put never re-allocate the slice header).
-	hvsPool sync.Pool
-
 	// sealPool recycles the transient scratch of ColHashTable partition
-	// seals (permutations, slot memos, chunk bases).
+	// seals (permutations, slot memos).
 	sealPool sync.Pool
 
 	// chtPool recycles columnar hash tables across queries; release()
@@ -224,25 +220,6 @@ func (e *Engine) putColBatch(b *storage.ColBatch) {
 		return
 	}
 	e.colPoolFor(sigOfVecs(b.Vecs)).Put(b)
-}
-
-// getHvs hands out an empty cached-hash slice (boxed) for one build
-// chunk; putHvs returns it after sealing consumed the chunk.
-func (e *Engine) getHvs(capHint int) *[]uint32 {
-	if v := e.hvsPool.Get(); v != nil {
-		h := v.(*[]uint32)
-		*h = (*h)[:0]
-		return h
-	}
-	h := make([]uint32, 0, capHint)
-	return &h
-}
-
-func (e *Engine) putHvs(h *[]uint32) {
-	if h == nil {
-		return
-	}
-	e.hvsPool.Put(h)
 }
 
 // getSealScratch and putSealScratch recycle the transient slices of one

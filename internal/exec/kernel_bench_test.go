@@ -114,6 +114,72 @@ func BenchmarkHashTableProbeBatch(b *testing.B) {
 	_ = sink
 }
 
+// benchColBatches is benchRows in the columnar layout, cut into
+// executor-sized batches.
+func benchColBatches(schema storage.Schema, rows []storage.Tuple) []*storage.ColBatch {
+	var out []*storage.ColBatch
+	for lo := 0; lo < len(rows); lo += benchBatch {
+		cb := storage.NewColBatch(schema, benchBatch)
+		for _, tp := range rows[lo:min(lo+benchBatch, len(rows))] {
+			cb.AppendTuple(tp)
+		}
+		out = append(out, cb)
+	}
+	return out
+}
+
+// BenchmarkColHashJoin is the columnar join-kernel cycle beside the row
+// table's: scatter-build the build side, seal, then resolve and gather
+// every probe batch the way the hash-join proc does. "keep-all" moves
+// all four joined columns; "pruned" is the join_agg shape, where the
+// aggregate reads only the probe key, so the build side stores its key
+// alone and the probe produces one int column.
+func BenchmarkColHashJoin(b *testing.B) {
+	schema := benchSchema()
+	build := benchColBatches(schema, benchRows(benchBuildRows, "build"))
+	probe := benchColBatches(schema, benchRows(benchProbeRows, "probe"))
+	outSchema := schema.Concat(schema)
+	for _, bc := range []struct {
+		name                 string
+		buildPrune, outPrune []int
+	}{
+		{"keep-all", nil, nil},
+		{"pruned", []int{1}, []int{1, 2, 3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			out := pruneBatch(outSchema, bc.outPrune)
+			var m matchVecs
+			var sink int
+			b.ReportAllocs()
+			for b.Loop() {
+				ht := newColHashTable(nil, schema, 0, bc.buildPrune, DefaultHashPartitions, 1)
+				hb := ht.Builder()
+				for _, cb := range build {
+					if err := hb.InsertBatch(cb); err != nil {
+						b.Fatal(err)
+					}
+				}
+				hb.Flush()
+				ht.Seal()
+				for _, pb := range probe {
+					keys, err := int4Keys(pb, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var cur probeCursor
+					for ht.resolve(pb, keys, &cur, &m, benchBatch) > 0 {
+						out.AppendJoinedRows(pb, m.lrow, ht.stores, m.part, m.brow)
+						sink += out.N
+						out.Reset()
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(benchBuildRows+benchProbeRows), "ns/tuple")
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkTempFinalize measures the parallel merge sort behind
 // Temp.Finalize, fed with executor-sized append runs.
 func BenchmarkTempFinalize(b *testing.B) {

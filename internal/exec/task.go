@@ -395,6 +395,9 @@ type slaveCtx struct {
 	aggSrc   [][]int32
 	// inflightQ is the page driver's readahead queue scratch.
 	inflightQ []inflight
+	// matches is the hash-join probes' match-vector scratch, created by
+	// the first probe (most slaves never run one).
+	matches *matchVecs
 }
 
 // reset clears the context for pooling: references to the finished run

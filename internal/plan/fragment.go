@@ -56,6 +56,11 @@ type Fragment struct {
 	// executor's batch size it is purely a wall-clock knob: results and
 	// virtual-clock totals are independent of its value.
 	HashParts int
+	// OutPrune lists, ascending, the output columns of a HashOut fragment
+	// that no probe reads: the hash table does not store them. nil keeps
+	// every column, and is all any other kind of fragment carries.
+	// Decompose stamps it (see prune.go).
+	OutPrune []int
 }
 
 // SuggestHashParts picks a build-side partition count from the estimated
@@ -101,6 +106,7 @@ func Decompose(root Node) (*Graph, error) {
 		return nil, err
 	}
 	g.Root = f
+	stampPrune(g)
 	return g, nil
 }
 
@@ -286,6 +292,28 @@ func (f *Fragment) Driver() (Node, DriverKind) {
 	}
 }
 
+// outLabel names the fragment's output for EXPLAIN; a hash table also
+// says which of its build columns it stores.
+func (f *Fragment) outLabel() string {
+	if f.Out != HashOut {
+		return f.Out.String()
+	}
+	ncols := f.Root.OutSchema().Len()
+	if len(f.OutPrune) == 0 {
+		return fmt.Sprintf("%s, keeps all %d cols", f.Out, ncols)
+	}
+	var kept []string
+	pi := 0
+	for c := 0; c < ncols; c++ {
+		if pi < len(f.OutPrune) && f.OutPrune[pi] == c {
+			pi++
+			continue
+		}
+		kept = append(kept, fmt.Sprintf("$%d", c))
+	}
+	return fmt.Sprintf("%s, keeps %s of %d cols", f.Out, strings.Join(kept, " "), ncols)
+}
+
 // ExplainGraph renders the fragment graph for EXPLAIN output.
 func ExplainGraph(g *Graph) string {
 	var b strings.Builder
@@ -299,7 +327,7 @@ func ExplainGraph(g *Graph) string {
 			dep = strings.Join(deps, ",")
 		}
 		_, kind := f.Driver()
-		fmt.Fprintf(&b, "fragment f%d (out: %s, driver: %s, inputs: %s)\n", f.ID, f.Out, kind, dep)
+		fmt.Fprintf(&b, "fragment f%d (out: %s, driver: %s, inputs: %s)\n", f.ID, f.outLabel(), kind, dep)
 		for _, line := range strings.Split(strings.TrimRight(Explain(f.Root), "\n"), "\n") {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}

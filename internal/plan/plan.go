@@ -127,6 +127,11 @@ func (j *NestLoop) Label() string {
 type HashJoin struct {
 	Left, Right Node
 	LCol, RCol  int
+	// OutPrune lists, ascending, the output columns nothing above the
+	// join reads: the probe does not produce them. nil produces every
+	// column. Decompose stamps it on the joins of the fragments it builds
+	// (see prune.go); optimizer trees leave it nil.
+	OutPrune []int
 }
 
 // OutSchema implements Node.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -363,10 +364,103 @@ func TestExplainGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := ExplainGraph(g)
-	if !strings.Contains(out, "fragment f0 (out: hash-table") ||
-		!strings.Contains(out, "fragment f1 (out: root") ||
+	if !strings.Contains(out, "fragment f0 (out: hash-table, keeps all 2 cols, driver") ||
+		!strings.Contains(out, "fragment f1 (out: root, driver") ||
 		!strings.Contains(out, "inputs: f0") {
 		t.Fatalf("explain graph:\n%s", out)
+	}
+	// Under an aggregate that reads only the probe side's key, the build
+	// side keeps its own key and nothing else, and EXPLAIN says so.
+	g, err = Decompose(&Agg{
+		Child:    &HashJoin{Left: &SeqScan{Rel: r1}, Right: &SeqScan{Rel: r2}, LCol: 0, RCol: 0},
+		GroupCol: 0, Funcs: []AggFunc{{Kind: CountAll}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := ExplainGraph(g); !strings.Contains(out, "fragment f0 (out: hash-table, keeps $0 of 2 cols, driver") {
+		t.Fatalf("explain graph:\n%s", out)
+	}
+}
+
+// pruneSummary lists what Decompose stamped: each hash-table fragment's
+// OutPrune and, in plan order, each hash join's.
+func pruneSummary(g *Graph) string {
+	var parts []string
+	for _, f := range g.Fragments {
+		if f.Out == HashOut {
+			parts = append(parts, fmt.Sprintf("f%d%v", f.ID, f.OutPrune))
+		} else if f.OutPrune != nil {
+			parts = append(parts, fmt.Sprintf("f%d(%s)%v", f.ID, f.Out, f.OutPrune))
+		}
+		Walk(f.Root, func(n Node) {
+			if j, ok := n.(*HashJoin); ok {
+				parts = append(parts, fmt.Sprintf("f%d.join%v", f.ID, j.OutPrune))
+			}
+		})
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestDecomposeStampsPrune: which columns a hash join produces and its
+// build side stores follows from what the plan above reads, and only
+// from that.
+func TestDecomposeStampsPrune(t *testing.T) {
+	r1 := testRel(t, 1, "r1", 10)
+	r2 := testRel(t, 2, "r2", 10)
+	r3 := testRel(t, 3, "r3", 10)
+	ix := testIndex(t, r3)
+	// Every relation is (a int4, b text), so a two-way join's columns are
+	// r1.a r1.b r2.a r2.b and the chain's are those plus r3.a r3.b.
+	join := func() *HashJoin {
+		return &HashJoin{Left: &SeqScan{Rel: r1}, Right: &SeqScan{Rel: r2}, LCol: 0, RCol: 0}
+	}
+	chain := func() *HashJoin {
+		return &HashJoin{Left: join(), Right: &SeqScan{Rel: r3}, LCol: 2, RCol: 0}
+	}
+	countBy := func(child Node, col int) *Agg {
+		return &Agg{Child: child, GroupCol: col, Funcs: []AggFunc{{Kind: CountAll}}}
+	}
+	cases := []struct {
+		name string
+		tree Node
+		want string
+	}{
+		{"agg over join prunes the build payload", countBy(join(), 0),
+			"f0[1] f1.join[1 2 3]"},
+		{"an aggregate argument on the build side is kept",
+			&Agg{Child: join(), GroupCol: -1, Funcs: []AggFunc{{Kind: Sum, Col: 2}, {Kind: CountAll}}},
+			"f0[1] f1.join[0 1 3]"},
+		{"a root join keeps everything", join(),
+			"f0[] f1.join[]"},
+		// The outer join reads only r1.a, but probes with the inner join's
+		// $2: the inner join keeps it, and each build side keeps its key.
+		{"a 3-way chain keeps each inner join's LCol", countBy(chain(), 0),
+			"f0[1] f1[1] f2.join[1 2 3 4 5] f2.join[1 3]"},
+		// A join that builds a hash table passes its consumer's reads down.
+		{"a bushy build side is pruned through",
+			countBy(&HashJoin{Left: &SeqScan{Rel: r3}, Right: join(), LCol: 0, RCol: 2}, 0),
+			"f0[1] f1[0 1 3] f1.join[0 1 3] f2.join[1 2 3 4 5]"},
+		{"a Sort parent keeps all", countBy(&Sort{Child: join(), Col: 0}, 0),
+			"f0[] f1.join[]"},
+		{"a NestLoop parent keeps all",
+			countBy(&NestLoop{Outer: join(), Inner: &IndexScan{Rel: r3, Index: ix, Lo: 0, Hi: 9}}, 0),
+			"f0[] f1.join[]"},
+		{"a MergeJoin parent keeps all",
+			countBy(&MergeJoin{
+				Left:  &Sort{Child: join(), Col: 0},
+				Right: &Sort{Child: &SeqScan{Rel: r3}, Col: 0},
+			}, 0),
+			"f0[] f1.join[]"},
+	}
+	for _, tc := range cases {
+		g, err := Decompose(tc.tree)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := pruneSummary(g); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s\n%s", tc.name, got, tc.want, ExplainGraph(g))
+		}
 	}
 }
 

@@ -332,14 +332,126 @@ func (b *ColBatch) AppendBatch(src *ColBatch) {
 		case src.Sel == nil:
 			dv.Ints = append(reserve(dv.Ints, live), sv.Ints[:src.N]...)
 		default:
-			base := len(dv.Ints)
-			dv.Ints = reserve(dv.Ints, live)[:base+live]
-			for i, row := range src.Sel {
-				dv.Ints[base+i] = sv.Ints[row]
-			}
+			dv.appendRows(sv, src.Sel)
 		}
 	}
 	b.N += live
+}
+
+// The three kernels below move rows a column at a time between batches
+// of one column shape, for the hash join: ScatterRows partitions a build
+// batch, AppendGather lays a sealed partition out, AppendJoinedRows emits
+// a vector of matches. Each leaves its destinations element for element
+// what AppendRow / AppendJoined row by row would — text spans included,
+// because every column still sees its values in row order. A column
+// pruned in the destination is skipped; the sources must carry every
+// column the destination keeps.
+
+// ScatterRows appends live row i of b to dsts[which[i]]. counts[d] is
+// the number of rows dsts[d] receives, so each of its vectors grows
+// once; dsts[d] is not touched when it is zero.
+func (b *ColBatch) ScatterRows(dsts []*ColBatch, which, counts []int32) {
+	if len(which) == 0 {
+		return
+	}
+	shape := dsts[which[0]] // the destinations share one column shape
+	for c := range b.Vecs {
+		if shape.Vecs[c].Pruned() {
+			continue
+		}
+		for d, n := range counts {
+			if n != 0 {
+				dsts[d].Vecs[c].reserveRows(int(n))
+			}
+		}
+		sv := &b.Vecs[c]
+		if sv.Typ == Text {
+			for i, d := range which {
+				dsts[d].Vecs[c].appendText(sv.Bytes(b.RowAt(i)))
+			}
+			continue
+		}
+		for i, d := range which {
+			dv := &dsts[d].Vecs[c]
+			dv.Ints = append(dv.Ints, sv.Ints[b.RowAt(i)])
+		}
+	}
+	for d, n := range counts {
+		if n != 0 {
+			dsts[d].N += int(n)
+		}
+	}
+}
+
+// reserveRows makes room for n more rows (a text vector's spans; its
+// payload buffer grows as appendText needs).
+func (v *Vec) reserveRows(n int) {
+	if v.Typ == Text {
+		v.Off, v.End = reserve(v.Off, n), reserve(v.End, n)
+		return
+	}
+	v.Ints = reserve(v.Ints, n)
+}
+
+// AppendGather appends, for each i, row rows[i] of srcs[which[i]].
+func (b *ColBatch) AppendGather(srcs []*ColBatch, which, rows []int32) {
+	for c := range b.Vecs {
+		if dv := &b.Vecs[c]; !dv.Pruned() {
+			dv.gatherRows(srcs, c, which, rows)
+		}
+	}
+	b.N += len(rows)
+}
+
+// AppendJoinedRows appends one joined row per match i: l's row lrows[i]
+// beside row rrows[i] of rs[rwhich[i]], laid out as AppendJoined does.
+func (b *ColBatch) AppendJoinedRows(l *ColBatch, lrows []int32, rs []*ColBatch, rwhich, rrows []int32) {
+	nl := len(l.Vecs)
+	for c := range b.Vecs {
+		dv := &b.Vecs[c]
+		switch {
+		case dv.Pruned():
+		case c < nl:
+			dv.appendRows(&l.Vecs[c], lrows)
+		default:
+			dv.gatherRows(rs, c-nl, rwhich, rrows)
+		}
+	}
+	b.N += len(lrows)
+}
+
+// appendRows appends src's rows listed in rows, in that order.
+func (v *Vec) appendRows(src *Vec, rows []int32) {
+	if len(rows) == 0 {
+		return
+	}
+	if v.Typ == Text {
+		v.appendTextRows(src, 0, rows)
+		return
+	}
+	base := len(v.Ints)
+	v.Ints = reserve(v.Ints, len(rows))[:base+len(rows)]
+	dst := v.Ints[base:]
+	for i, row := range rows {
+		dst[i] = src.Ints[row]
+	}
+}
+
+// gatherRows appends, for each i, row rows[i] of column c of
+// srcs[which[i]].
+func (v *Vec) gatherRows(srcs []*ColBatch, c int, which, rows []int32) {
+	if v.Typ == Text {
+		for i, row := range rows {
+			v.appendText(srcs[which[i]].Vecs[c].Bytes(int(row)))
+		}
+		return
+	}
+	base := len(v.Ints)
+	v.Ints = reserve(v.Ints, len(rows))[:base+len(rows)]
+	dst := v.Ints[base:]
+	for i, row := range rows {
+		dst[i] = srcs[which[i]].Vecs[c].Ints[row]
+	}
 }
 
 // AppendJoined appends the concatenation of l's row lrow and r's row

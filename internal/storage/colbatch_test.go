@@ -268,3 +268,89 @@ func TestAppendBatchPruneRule(t *testing.T) {
 	}()
 	dst.AppendBatch(narrow)
 }
+
+// TestColumnKernelsMatchRowAppends is the contract the hash join relies
+// on: ScatterRows, AppendGather and AppendJoinedRows leave their
+// destinations deeply equal to the AppendRow / AppendJoined loops they
+// replace — random sources, selection vectors, random destinations per
+// row, into populated destinations, with the destination's text column
+// pruned every fifth trial.
+func TestColumnKernelsMatchRowAppends(t *testing.T) {
+	s := NewSchema(Column{"k", Int4}, Column{"t", Text}, Column{"seq", Int4})
+	joined := s.Concat(s)
+	rng := rand.New(rand.NewSource(24))
+	same := func(trial int, what string, got, want *ColBatch) {
+		t.Helper()
+		if got.N != want.N || !reflect.DeepEqual(got.Vecs, want.Vecs) {
+			t.Fatalf("trial %d: %s:\nkernel %s\nrows   %s", trial, what, dumpVecs(got), dumpVecs(want))
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var prune, prune2 []int
+		if trial%5 == 4 {
+			prune, prune2 = []int{1}, []int{1, 4}
+		}
+		shaped := func(s Schema, prune []int) *ColBatch {
+			b := &ColBatch{}
+			b.InitPruned(s, 0, prune)
+			return b
+		}
+		// The last destination never receives a row and stays nil, as an
+		// unused partition does.
+		ndst := 2 + rng.Intn(4)
+		byKernel, byRow := make([]*ColBatch, ndst), make([]*ColBatch, ndst-1)
+		for d := range byRow {
+			byKernel[d], byRow[d] = shaped(s, prune), shaped(s, prune)
+		}
+		for batches := 1 + rng.Intn(3); batches > 0; batches-- {
+			src := randomBatch(rng, s, rng.Intn(40))
+			if rng.Intn(2) == 0 {
+				src.Sel = []int32{}
+				for r := 0; r < src.N; r++ {
+					if rng.Intn(3) != 0 {
+						src.Sel = append(src.Sel, int32(r))
+					}
+				}
+			}
+			which, counts := make([]int32, src.Live()), make([]int32, ndst)
+			for i := range which {
+				which[i] = int32(rng.Intn(ndst - 1))
+				counts[which[i]]++
+				byRow[which[i]].AppendRow(src, src.RowAt(i))
+			}
+			src.ScatterRows(byKernel, which, counts)
+			for d := range byRow {
+				same(trial, fmt.Sprintf("scatter, destination %d", d), byKernel[d], byRow[d])
+			}
+		}
+		// Gather random rows back out of the scattered batches, and join
+		// them against a fresh left batch.
+		srcs := byRow
+		var which, rows, lrows []int32
+		left := randomBatch(rng, s, 1+rng.Intn(20))
+		for n := rng.Intn(60); n > 0; n-- {
+			d := rng.Intn(len(srcs))
+			if srcs[d].N == 0 {
+				continue
+			}
+			row := int32(rng.Intn(srcs[d].N))
+			// Runs of one build row and of one left row, as skewed keys give.
+			for run := 1 + rng.Intn(3); run > 0; run-- {
+				which, rows = append(which, int32(d)), append(rows, row)
+				lrows = append(lrows, int32(rng.Intn(left.N)))
+			}
+		}
+		gotG, wantG := shaped(s, prune), shaped(s, prune)
+		gotJ, wantJ := shaped(joined, prune2), shaped(joined, prune2)
+		for round := 0; round < 2; round++ { // empty, then populated
+			gotG.AppendGather(srcs, which, rows)
+			gotJ.AppendJoinedRows(left, lrows, srcs, which, rows)
+			for i := range rows {
+				wantG.AppendRow(srcs[which[i]], int(rows[i]))
+				wantJ.AppendJoined(left, int(lrows[i]), srcs[which[i]], int(rows[i]))
+			}
+			same(trial, "gather", gotG, wantG)
+			same(trial, "joined rows", gotJ, wantJ)
+		}
+	}
+}
