@@ -24,14 +24,12 @@ race-matrix:
 vet:
 	$(GO) vet ./...
 
-# xprsvet: the repo-specific determinism analyzers (vclockpurity,
+# xprsvet: the seven repo-specific determinism analyzers (vclockpurity,
 # obsnoclock, maporder, atomicmix, poollifetime, policypurity,
-# tracegate, allowaudit). Runs in both standalone and
-# vet-tool modes, matching CI. See DESIGN.md §11/§16.
+# tracegate) over every package of the module, after the stock vet
+# checks — the same two commands CI runs. See DESIGN.md §11/§16.
 lint: vet
 	$(GO) run ./cmd/xprsvet ./...
-	$(GO) build -o /tmp/xprsvet ./cmd/xprsvet
-	$(GO) vet -vettool=/tmp/xprsvet ./...
 
 # The one wall-clock measurement system: five workloads, nine bounded
 # end-to-end metrics, an oracle on every op (bench/README.md).

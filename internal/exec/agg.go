@@ -203,10 +203,9 @@ func (st *aggState) releaseDenseLocked() {
 }
 
 // emit writes the final per-group rows, ordered by group key. Agg
-// outputs are all-int4, so rows append straight into the output temp's
-// integer vectors — no tuple or Value is ever materialized; a row
-// fallback covers any schema that is not (it builds all rows over one
-// backing array).
+// outputs are all-int4 (plan.Validate rejects any other group or
+// function column), so rows append straight into the output temp's
+// integer vectors — no tuple or Value is ever materialized.
 func (st *aggState) emit(out *Temp) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -223,53 +222,25 @@ func (st *aggState) emit(out *Temp) int {
 		st.releaseDenseLocked()
 		return 0
 	}
-	allInt := true
-	for _, c := range out.Schema.Cols {
-		if c.Typ != storage.Int4 {
-			allInt = false
-			break
-		}
-	}
-	if allInt {
-		out.appendDirect(func(cb *storage.ColBatch) int {
-			gv := 0
-			if st.groupCol >= 0 {
-				gv = 1
-				cb.Vecs[0].Ints = slices.Grow(cb.Vecs[0].Ints, n)
-			}
-			for i := range st.funcs {
-				cb.Vecs[gv+i].Ints = slices.Grow(cb.Vecs[gv+i].Ints, n)
-			}
-			st.forEachGroupLocked(keys, func(k int32, acc []int64) {
-				if gv == 1 {
-					cb.Vecs[0].Ints = append(cb.Vecs[0].Ints, k)
-				}
-				for i, v := range acc {
-					cb.Vecs[gv+i].Ints = append(cb.Vecs[gv+i].Ints, int32(v))
-				}
-			})
-			return n
-		})
-		st.releaseDenseLocked()
-		return n
-	}
-	ncols := len(st.funcs)
-	if st.groupCol >= 0 {
-		ncols++
-	}
-	vals := make([]storage.Value, 0, n*ncols)
-	rows := make([]storage.Tuple, 0, n)
-	st.forEachGroupLocked(keys, func(k int32, acc []int64) {
-		start := len(vals)
+	out.appendDirect(func(cb *storage.ColBatch) int {
+		gv := 0
 		if st.groupCol >= 0 {
-			vals = append(vals, storage.IntVal(k))
+			gv = 1
+			cb.Vecs[0].Ints = slices.Grow(cb.Vecs[0].Ints, n)
 		}
-		for _, v := range acc {
-			vals = append(vals, storage.IntVal(int32(v)))
+		for i := range st.funcs {
+			cb.Vecs[gv+i].Ints = slices.Grow(cb.Vecs[gv+i].Ints, n)
 		}
-		rows = append(rows, storage.Tuple{Vals: vals[start:len(vals):len(vals)]})
+		st.forEachGroupLocked(keys, func(k int32, acc []int64) {
+			if gv == 1 {
+				cb.Vecs[0].Ints = append(cb.Vecs[0].Ints, k)
+			}
+			for i, v := range acc {
+				cb.Vecs[gv+i].Ints = append(cb.Vecs[gv+i].Ints, int32(v))
+			}
+		})
+		return n
 	})
-	out.Append(rows)
 	st.releaseDenseLocked()
 	return n
 }

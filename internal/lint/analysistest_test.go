@@ -134,17 +134,10 @@ func collectWants(t *testing.T, pkgs []*Package) []*want {
 // matches its diagnostics against the want assertions.
 func runGolden(t *testing.T, a *Analyzer, paths ...string) {
 	t.Helper()
-	runGoldenSuite(t, []*Analyzer{a}, paths...)
-}
-
-// runGoldenSuite is runGolden for analyzer combinations (allowaudit
-// needs the analyzer it audits in the same run).
-func runGoldenSuite(t *testing.T, analyzers []*Analyzer, paths ...string) {
-	t.Helper()
 	pkgs := loadTestdata(t, paths...)
-	diags, err := RunAnalyzers(pkgs, analyzers)
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{a})
 	if err != nil {
-		t.Fatalf("%s: %v", analyzers[0].Name, err)
+		t.Fatalf("%s: %v", a.Name, err)
 	}
 	wants := collectWants(t, pkgs)
 	matched := make([]bool, len(wants))
@@ -172,8 +165,7 @@ func TestVclockPurityGolden(t *testing.T) {
 
 func TestObsNoClockGolden(t *testing.T) {
 	runGolden(t, ObsNoClock,
-		"noclock/user", "noclock/internal/obs", "leafviol/internal/obs",
-		"obswall/internal/obs")
+		"noclock/user", "noclock/internal/obs", "leafviol/internal/obs")
 }
 
 func TestMapOrderGolden(t *testing.T) {
@@ -196,49 +188,4 @@ func TestPolicyPurityGolden(t *testing.T) {
 func TestTraceGateGolden(t *testing.T) {
 	runGolden(t, TraceGate,
 		"tracegate/internal/exec", "tracegate/internal/obs")
-}
-
-func TestAllowAuditGolden(t *testing.T) {
-	runGoldenSuite(t, []*Analyzer{MapOrder, AllowAudit}, "allowaudit/aa")
-}
-
-// TestAllowAuditPartialRun pins the partial-run rule: a directive is
-// audited only when the analyzer it names actually ran, so running a
-// different analyzer over the same fixture reports nothing.
-func TestAllowAuditPartialRun(t *testing.T) {
-	pkgs := loadTestdata(t, "allowaudit/aa")
-	diags, err := RunAnalyzers(pkgs, []*Analyzer{AtomicMix, AllowAudit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic in partial run: %s", d)
-	}
-}
-
-func TestParseDirective(t *testing.T) {
-	cases := []struct {
-		text string
-		want []string
-	}{
-		{"//lint:allow vclockpurity", []string{"vclockpurity"}},
-		{"//lint:allow vclockpurity maporder", []string{"vclockpurity", "maporder"}},
-		{"//lint:allow vclockpurity — host-timing benchmark", []string{"vclockpurity"}},
-		{"//lint:allow vclockpurity -- reason", []string{"vclockpurity"}},
-		{"//lint:allow *", []string{"*"}},
-		{"//lint:allowother", nil},
-		{"// ordinary comment", nil},
-	}
-	for _, c := range cases {
-		got := parseDirective(c.text)
-		if len(got) != len(c.want) {
-			t.Errorf("parseDirective(%q) = %v, want %v", c.text, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseDirective(%q) = %v, want %v", c.text, got, c.want)
-			}
-		}
-	}
 }

@@ -3,126 +3,41 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// AtomicMix flags variables (typically struct counter fields) that are
-// accessed both through the sync/atomic function API
-// (atomic.AddInt64(&x.n, 1)) and by plain reads or writes (x.n++,
-// x.n = 0, fmt.Println(x.n)). Mixed access is a data race the
-// -race matrix only catches when the schedule cooperates; the
-// BufferPool hit/miss and Report.Frags counters hit exactly this
-// pattern before migrating to typed atomics. The fix is to make the
-// field an atomic.Int64/Uint64 (typed atomics cannot be mixed) or to
-// route every access through sync/atomic.
+// AtomicMix bans the sync/atomic function API (atomic.AddInt64(&x.n, 1),
+// atomic.LoadUint32, ...) anywhere in the module. A variable reached
+// through those functions can also be read or written plainly (x.n++,
+// x.n = 0), and that mixed access is a data race the -race matrix only
+// catches when the schedule cooperates; the BufferPool hit/miss and
+// Report.Frags counters hit exactly this before migrating. Typed
+// atomics (atomic.Int64, atomic.Uint64, ...) make a mixed access fail
+// to compile, so they are the only form allowed.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc: "forbid mixing sync/atomic access with plain reads/writes of the same variable; " +
-		"use typed atomics (atomic.Int64) so the type system enforces consistency",
+	Doc: "forbid the sync/atomic function API (atomic.AddInt64, ...); typed atomics " +
+		"(atomic.Int64) let the type system rule out mixed atomic/plain access",
 	Run: runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) error {
-	// First pass: every variable whose address is taken by a
-	// sync/atomic call, and the exact &v nodes used for it.
-	atomicVars := make(map[*types.Var]string) // var -> atomic func name seen
-	atomicArgs := make(map[ast.Expr]bool)     // the &v argument expressions
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || funcPkgPath(fn) != "sync/atomic" || !isAtomicOpName(fn.Name()) {
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if !ok || funcPkgPath(fn) != "sync/atomic" || recvBaseName(fn) != "" {
 				return true // typed-atomic methods are exactly what we want people to use
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				if v := referencedVar(pass.TypesInfo, un.X); v != nil {
-					atomicVars[v] = "atomic." + fn.Name()
-					atomicArgs[un.X] = true
-				}
-			}
+			pass.Reportf(id.Pos(),
+				"atomic.%s: the sync/atomic function API lets the same variable be read or written "+
+					"plainly elsewhere, a data race the GOMAXPROCS race matrix can miss (DESIGN.md §11); "+
+					"make the variable a typed atomic (atomic.Int64) instead",
+				fn.Name())
 			return true
 		})
 	}
-	if len(atomicVars) == 0 {
-		return nil
-	}
-
-	// Second pass: plain uses of those same variables anywhere else in
-	// the package.
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var id *ast.Ident
-			switch e := n.(type) {
-			case *ast.SelectorExpr:
-				id = e.Sel
-			case *ast.Ident:
-				id = e
-			default:
-				return true
-			}
-			obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
-			if !ok {
-				return true
-			}
-			op, tracked := atomicVars[obj]
-			if !tracked {
-				return true
-			}
-			if partOfAtomicArg(n, atomicArgs) {
-				return true
-			}
-			pass.Reportf(n.Pos(),
-				"%q is accessed with %s elsewhere but read/written plainly here: mixed atomic and "+
-					"plain access is a data race the GOMAXPROCS race matrix can miss (DESIGN.md §11); "+
-					"make the field a typed atomic (atomic.Int64) or use sync/atomic everywhere",
-				obj.Name(), op)
-			return false
-		})
-	}
 	return nil
-}
-
-// isAtomicOpName matches the sync/atomic function-API operations.
-func isAtomicOpName(name string) bool {
-	for _, prefix := range []string{"Add", "And", "Or", "Load", "Store", "Swap", "CompareAndSwap"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// referencedVar resolves x (an ident or a field selector) to the
-// variable it names.
-func referencedVar(info *types.Info, x ast.Expr) *types.Var {
-	switch e := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		v, _ := info.Uses[e.Sel].(*types.Var)
-		return v
-	}
-	return nil
-}
-
-// partOfAtomicArg reports whether node n is (or is inside) one of the
-// &v operands handed to a sync/atomic call.
-func partOfAtomicArg(n ast.Node, atomicArgs map[ast.Expr]bool) bool {
-	for arg := range atomicArgs {
-		if n.Pos() >= arg.Pos() && n.End() <= arg.End() {
-			return true
-		}
-	}
-	return false
 }

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"go/token"
 	"go/types"
 	"testing"
 )
@@ -70,36 +68,5 @@ func TestReacherClassify(t *testing.T) {
 		if got := r2.FromFunc(getBuf); got != "" {
 			t.Errorf("FromFunc(getBuf) = %q, want clean", got)
 		}
-	}
-}
-
-func TestDiagnosticsJSON(t *testing.T) {
-	out, err := DiagnosticsJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "[]" {
-		t.Errorf("DiagnosticsJSON(nil) = %s, want []", out)
-	}
-
-	diags := []Diagnostic{{
-		Pos:      token.Position{Filename: "a.go", Line: 3, Column: 7},
-		Analyzer: "maporder",
-		Message:  "iteration order leaks",
-	}}
-	out, err = DiagnosticsJSON(diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded []jsonDiagnostic
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("output does not round-trip: %v\n%s", err, out)
-	}
-	if len(decoded) != 1 {
-		t.Fatalf("decoded %d diagnostics, want 1", len(decoded))
-	}
-	d := decoded[0]
-	if d.File != "a.go" || d.Line != 3 || d.Col != 7 || d.Analyzer != "maporder" || d.Message != "iteration order leaks" {
-		t.Errorf("decoded %+v does not match input", d)
 	}
 }

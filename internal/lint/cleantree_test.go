@@ -4,12 +4,14 @@ import (
 	"testing"
 )
 
-// TestLintCleanTree is the meta-test behind `make lint`: the whole
-// module must produce zero findings from every analyzer. A regression
-// here means someone reintroduced a wall-clock read, an unsorted
-// map-range feeding a report, a clock-touching observability callback,
-// or a mixed atomic/plain counter — exactly the bug classes that break
-// the byte-identical virtual-clock invariants (DESIGN.md §11).
+// TestLintCleanTree is the meta-test behind `make lint`: every package
+// of the module must produce zero findings from every analyzer, and
+// nothing can suppress one. A regression here means someone
+// reintroduced a wall-clock read or global-rand draw (in any package,
+// storage and cmd/ included), an unsorted map-range feeding a report, a
+// clock-touching observability callback, or a sync/atomic function
+// call — exactly the bug classes that break the byte-identical
+// virtual-clock invariants (DESIGN.md §11).
 func TestLintCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list over the whole module")

@@ -23,9 +23,7 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 
-	// Caches shared by every pass over this package: the allow-directive
-	// ranges (with usage marks for allowaudit) and the call graph.
-	allow map[string][]*allowRange
+	// graph is the call graph shared by every pass over this package.
 	graph *CallGraph
 }
 

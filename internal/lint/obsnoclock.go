@@ -17,12 +17,9 @@ import (
 //     vclock-advancing call — Clock.Sleep/SleepUntil/Park/Go/
 //     YieldOrdered/WaitSignal/Signal, Mailbox.Post/Wait, or the executor's CPU
 //     charging helpers — directly or through same-package calls.
-//  3. internal/obs may not read the wall clock either (time.Now and
-//     friends): the telemetry primitives — the series ring, the trace
-//     sampler, the OpenMetrics writer — are clock-pure leaves that take
-//     every timestamp as an argument (Series' injected now func), so
-//     the same code observes virtual-time runs deterministically and
-//     Real-clock serving without modification.
+//
+// Wall-clock reads inside internal/obs are vclockpurity's findings,
+// like anywhere else in the module.
 var ObsNoClock = &Analyzer{
 	Name: "obsnoclock",
 	Doc: "observability must never touch the virtual clock: obs stays a leaf package " +
@@ -80,31 +77,6 @@ func runObsNoClock(pass *Pass) error {
 					}
 				}
 			}
-			// Clock purity inside obs itself: the telemetry primitives
-			// take timestamps as arguments (e.g. the Series now func) and
-			// never read the host clock, so they behave identically under
-			// the virtual engine and a Real-clock ops listener.
-			ast.Inspect(file, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-				if !ok {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // methods are fine; only package funcs read the host clock
-				}
-				if funcPkgPath(fn) == "time" && wallClockFuncs[fn.Name()] {
-					pass.Reportf(id.Pos(),
-						"time.%s reads the wall clock inside internal/obs: telemetry primitives are "+
-							"clock-pure leaves — take the timestamp as an argument (like Series' now func) "+
-							"so observation stays free on the virtual clock (DESIGN.md §9/§11)",
-						fn.Name())
-				}
-				return true
-			})
 		}
 		return nil
 	}

@@ -8,22 +8,23 @@ import (
 // PolicyPurity guards the selectable admission order (DESIGN.md §15):
 // every implementation of exec.AdmissionPolicy — current and future,
 // detected by interface satisfaction rather than a name list — must
-// stay deterministic and vclock-pure, because policy decisions feed the
-// simulated timeline directly. Transitively (over
-// the shared call graph), policy methods may not:
+// stay deterministic, because policy decisions feed the simulated
+// timeline directly. Transitively (over the shared call graph), policy
+// methods may not:
 //
-//   - read the wall clock (time.Now and friends) or draw from the
-//     global math/rand generator — byte-identical replays break;
 //   - spawn goroutines — a policy that races its own bookkeeping makes
 //     admission order schedule-dependent;
 //   - pick through map iteration — returning, breaking, or mutating
 //     state reached outside the loop from inside a map range makes the
 //     chosen query follow Go's randomized map order. The blessed
 //     collect-append-then-slices.Sort pattern (simMix) stays allowed.
+//
+// Wall-clock reads and global rand draws in policy code are
+// vclockpurity's findings, like anywhere else in the module.
 var PolicyPurity = &Analyzer{
 	Name: "policypurity",
-	Doc: "AdmissionPolicy implementations must be deterministic: no wall " +
-		"clock, no global rand, no goroutine spawns, no map-range-ordered picks",
+	Doc: "AdmissionPolicy implementations must be deterministic: " +
+		"no goroutine spawns, no map-range-ordered picks",
 	Run: runPolicyPurity,
 }
 
@@ -124,30 +125,6 @@ func checkPolicyBody(pass *Pass, decl *ast.FuncDecl) {
 		case *ast.RangeStmt:
 			if isMapRange(pass.TypesInfo, n) {
 				checkPolicyMapRange(pass, decl, n)
-			}
-		case *ast.Ident:
-			fn, ok := pass.TypesInfo.Uses[n].(*types.Func)
-			if !ok {
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true // methods (e.g. (*rand.Rand).Intn) are fine
-			}
-			switch funcPkgPath(fn) {
-			case "time":
-				if wallClockFuncs[fn.Name()] {
-					pass.Reportf(n.Pos(),
-						"time.%s reached from a scheduling policy: policies must be replayable "+
-							"byte-identically, so all time flows through the scheduler's clock "+
-							"(DESIGN.md §16)", fn.Name())
-				}
-			case "math/rand", "math/rand/v2":
-				if !seededRandConstructors[fn.Name()] {
-					pass.Reportf(n.Pos(),
-						"%s.%s reached from a scheduling policy: the global generator breaks "+
-							"deterministic replay — plumb a seeded *rand.Rand through the policy "+
-							"instead (DESIGN.md §16)", funcPkgPath(fn), fn.Name())
-				}
 			}
 		}
 		return true

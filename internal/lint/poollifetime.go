@@ -7,33 +7,31 @@ import (
 	"slices"
 )
 
-// PoolLifetime enforces the pooled-object lifetime discipline around
-// the engine's ~7 sync.Pools (batch, column-batch, hash-vector, seal
-// scratch, slave context, wake channel, go-runner pools): a value
-// obtained from a pool must not outlive its recycle point. Three
-// rules, checked per function over the shared call graph (getters and
-// putters are classified transitively, so `sc := e.getSlaveCtx()` and
+// PoolLifetime enforces the pooled-object lifetime discipline on the
+// function-local uses of the engine's sync.Pools (colPools, sealPool,
+// chtPool, scPool, densePool, wakePool, goRunnerPool): a value obtained
+// from a pool must not outlive its recycle point. Two rules, checked
+// per function over the shared call graph (getters and putters are
+// classified transitively, so `sc := e.getSlaveCtx()` and
 // `e.putSlaveCtx(sc)` count the same as direct Pool.Get/Put):
 //
 //  1. use-after-recycle — once a pooled value is handed back (Put, or
 //     any call that transitively recycles it), no later statement on
-//     that path may touch it. This is the PR 8 Submit race shape: the
-//     pool may have re-issued the object to another goroutine.
+//     that path may touch it: the pool may have re-issued the object
+//     to another goroutine.
 //  2. escape-then-recycle — a pooled value stored into a field, global,
 //     or channel must not be recycled later in the same function: the
 //     escaped alias would dangle into the pool.
-//  3. publish-then-read — a pooled value published into shared state
-//     under a mutex must not be read after the lock is released; the
-//     new owner may recycle it concurrently. Capture what you need
-//     in a local before publishing.
 //
 // Only locals bound directly from a getter call are tracked, so
-// ownership handoffs through parameters (the master loop's recycling)
-// stay out of scope — those are the owner's calls by construction.
+// ownership handoffs through parameters (slave contexts, hash tables,
+// dense windows and output batches held by an owner across functions
+// or goroutines) stay out of scope — those are the owner's calls by
+// construction.
 var PoolLifetime = &Analyzer{
 	Name: "poollifetime",
 	Doc: "pooled values must not escape past their recycle point: no use after Put, " +
-		"no recycle after escaping, no read after publishing under a released lock",
+		"no recycle after escaping",
 	Run: runPoolLifetime,
 }
 
@@ -256,7 +254,7 @@ func runPoolLifetime(pass *Pass) error {
 type pooledVar struct {
 	obj types.Object
 	// reported caps the walk at one finding per rule per variable.
-	usedAfter, escThenPut, pubThenRead bool
+	usedAfter, escThenPut bool
 }
 
 // checkPooledLocals finds locals bound from getter calls in decl and
@@ -295,68 +293,22 @@ func checkPooledLocals(pass *Pass, c *poolClassify, decl *ast.FuncDecl) {
 	if len(tracked) == 0 {
 		return
 	}
-	locks := lockEvents(c.g, decl)
 	for _, v := range tracked {
-		w := &poolWalker{pass: pass, c: c, v: v, locks: locks}
+		w := &poolWalker{pass: pass, c: c, v: v}
 		w.walkList(decl.Body.List, poolState{})
 	}
 }
 
-// lockEvent is one mutex acquire (locked=true) or release in source
-// order, used to decide whether a publication happened under a lock
-// and a read after its release.
-type lockEvent struct {
-	pos    token.Pos
-	locked bool
-}
-
-func lockEvents(g *CallGraph, decl *ast.FuncDecl) []lockEvent {
-	var out []lockEvent
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			fn := g.Callee(n)
-			if fn == nil || funcPkgPath(fn) != "sync" {
-				return true
-			}
-			switch fn.Name() {
-			case "Lock", "TryLock", "RLock":
-				out = append(out, lockEvent{pos: n.Pos(), locked: true})
-			case "Unlock", "RUnlock":
-				out = append(out, lockEvent{pos: n.Pos(), locked: false})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// heldAt reports the lock state just before pos: true when the nearest
-// preceding lock event is an acquire.
-func heldAt(locks []lockEvent, pos token.Pos) (held, any bool) {
-	for _, ev := range locks {
-		if ev.pos >= pos {
-			break
-		}
-		held, any = ev.locked, true
-	}
-	return held, any
-}
-
 // poolState is the per-path tracking state for one pooled local.
 type poolState struct {
-	recycledAt  token.Pos // a dominating recycle site, or NoPos
-	escapedAt   token.Pos // stored into field/global/channel, or NoPos
-	publishedAt token.Pos // escape that happened under a held mutex
+	recycledAt token.Pos // a dominating recycle site, or NoPos
+	escapedAt  token.Pos // stored into field/global/channel, or NoPos
 }
 
 type poolWalker struct {
-	pass  *Pass
-	c     *poolClassify
-	v     *pooledVar
-	locks []lockEvent
+	pass *Pass
+	c    *poolClassify
+	v    *pooledVar
 }
 
 // walkList processes one statement list. Branch bodies are walked with
@@ -382,36 +334,16 @@ func (w *poolWalker) walkStmt(stmt ast.Stmt, st poolState) poolState {
 			st.recycledAt = token.NoPos // fresh value under the old name
 			return st
 		}
-		if use := w.firstUse(stmt); use.IsValid() && !w.v.usedAfter {
+		if use := w.usesIn(stmt); use.IsValid() && !w.v.usedAfter {
 			w.v.usedAfter = true
 			w.reportUseAfter(use, st.recycledAt)
 		}
 		return st
 	}
 
-	// Rule 3: a read after the publishing lock was released.
-	if st.publishedAt.IsValid() && !w.v.pubThenRead {
-		if read := w.firstSharedRead(stmt); read.IsValid() {
-			if held, any := heldAt(w.locks, read); any && !held {
-				w.v.pubThenRead = true
-				w.pass.Reportf(read,
-					"pooled %s is read here after being published to shared state under a lock "+
-						"(line %d) that has since been released: the consumer may already have recycled "+
-						"it (the PR 8 Submit race); capture the needed fields before publishing "+
-						"(DESIGN.md §16)",
-					w.v.obj.Name(), w.pass.Fset.Position(st.publishedAt).Line)
-			}
-		}
-	}
-
 	// Escapes anywhere in the statement (including branch arms).
-	if esc := w.firstEscape(stmt); esc.IsValid() {
-		if !st.escapedAt.IsValid() {
-			st.escapedAt = esc
-		}
-		if held, _ := heldAt(w.locks, esc); held && !st.publishedAt.IsValid() {
-			st.publishedAt = esc
-		}
+	if esc := w.firstEscape(stmt); esc.IsValid() && !st.escapedAt.IsValid() {
+		st.escapedAt = esc
 	}
 
 	// Rule 2 + recycle tracking: only recycles that are direct
@@ -500,12 +432,8 @@ func (w *poolWalker) rebinds(stmt ast.Stmt) (rebind, usesBefore bool) {
 	return rebind, usesBefore
 }
 
-// firstUse returns the position of the first mention of the tracked
-// variable in stmt (outside closures and defers), or NoPos.
-func (w *poolWalker) firstUse(stmt ast.Stmt) token.Pos {
-	return w.usesIn(stmt)
-}
-
+// usesIn returns the position of the first mention of the tracked
+// variable in n (outside closures and defers), or NoPos.
 func (w *poolWalker) usesIn(n ast.Node) token.Pos {
 	pos := token.NoPos
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -584,33 +512,6 @@ func (w *poolWalker) escapingDest(lhs ast.Expr) bool {
 	return false
 }
 
-// firstSharedRead finds a field access on the tracked value or a
-// return of it — the operations that race once ownership moved.
-func (w *poolWalker) firstSharedRead(stmt ast.Stmt) token.Pos {
-	pos := token.NoPos
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if pos.IsValid() {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
-			return false
-		case *ast.SelectorExpr:
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && w.c.objOf(id) == w.v.obj {
-				pos = n.Pos()
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok && w.c.objOf(id) == w.v.obj {
-					pos = res.Pos()
-				}
-			}
-		}
-		return true
-	})
-	return pos
-}
-
 // recycleIn returns the position of a call in stmt that recycles the
 // tracked value, or NoPos.
 func (w *poolWalker) recycleIn(stmt ast.Stmt) token.Pos {
@@ -638,6 +539,6 @@ func (w *poolWalker) reportUseAfter(use token.Pos, recycled token.Pos) {
 	w.pass.Reportf(use,
 		"pooled %s is used here after being recycled at line %d: the pool may have "+
 			"re-issued it to a concurrent getter, so every later access races with the new "+
-			"owner (the PR 8 Submit race shape; DESIGN.md §16)",
+			"owner (DESIGN.md §16)",
 		w.v.obj.Name(), w.pass.Fset.Position(recycled).Line)
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 )
 
-// Suite is every xprsvet analyzer, in reporting order. AllowAudit
-// must come last: it is a pseudo-analyzer that inspects which allow
-// directives the others consumed (RunAnalyzers special-cases it).
+// Suite is every xprsvet analyzer, in reporting order.
 var Suite = []*Analyzer{
 	VclockPurity,
 	ObsNoClock,
@@ -17,38 +15,6 @@ var Suite = []*Analyzer{
 	PoolLifetime,
 	PolicyPurity,
 	TraceGate,
-	AllowAudit,
-}
-
-// governedSuffixes are the import-path suffixes of the vclock-governed
-// packages: everything that executes on (or feeds work to) the virtual
-// clock, where a single wall-clock read or global-rand draw silently
-// breaks the byte-identical-results invariants (TestBatchSweep*,
-// TestSubmitMatchesBatch, TestTraceDeterministic).
-var governedSuffixes = []string{
-	"internal/core",
-	"internal/exec",
-	"internal/diskmodel",
-	"internal/vclock",
-	"internal/workload",
-}
-
-// moduleRoot is the import path of the facade package, which is also
-// governed (stream.go drives deterministic workload sweeps).
-const moduleRoot = "xprs"
-
-// governedPackage reports whether pkgPath is subject to the
-// virtual-clock purity invariants.
-func governedPackage(pkgPath string) bool {
-	if pkgPath == moduleRoot {
-		return true
-	}
-	for _, s := range governedSuffixes {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
 }
 
 // pathHasSuffix reports whether pkgPath is exactly suffix or ends with

@@ -1,45 +1,28 @@
-// Package atomicmix exercises the mixed atomic/plain access check: the
-// BufferPool-counter bug class where a field is atomically incremented
-// on the hot path but read bare in a snapshot.
+// Package atomicmix exercises the sync/atomic function-API ban: the
+// BufferPool-counter bug class began with a field atomically
+// incremented on the hot path but read bare in a snapshot, which only
+// the function form allows.
 package atomicmix
 
 import "sync/atomic"
 
-type mixed struct {
+type counters struct {
 	hits int64
-	cold int64
 }
 
-func (m *mixed) record() {
-	atomic.AddInt64(&m.hits, 1)
+func (c *counters) record() {
+	atomic.AddInt64(&c.hits, 1) // want `atomic\.AddInt64: the sync/atomic function API`
 }
 
-func (m *mixed) snapshot() int64 {
-	return m.hits // want `"hits" is accessed with atomic\.AddInt64 elsewhere but read/written plainly here`
+func (c *counters) snapshot() int64 {
+	return atomic.LoadInt64(&c.hits) // want `atomic\.LoadInt64: the sync/atomic function API`
 }
 
-func (m *mixed) reset() {
-	m.hits = 0 // want `"hits" is accessed with atomic\.AddInt64 elsewhere but read/written plainly here`
-}
-
-// consistent uses sync/atomic for every access: fine.
-type consistent struct {
-	n int64
-}
-
-func (c *consistent) bump() { atomic.AddInt64(&c.n, 1) }
-func (c *consistent) get() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-// typed uses typed atomics, which the type system keeps honest: fine,
-// and it is what the diagnostic tells you to migrate to.
+// typed uses typed atomics, which the type system keeps honest: no
+// finding, and it is what the diagnostic tells you to migrate to.
 type typed struct {
 	n atomic.Int64
 }
 
 func (t *typed) bump()      { t.n.Add(1) }
 func (t *typed) get() int64 { return t.n.Load() }
-
-// coldPlain is never touched atomically; plain access is fine.
-func (m *mixed) bumpCold() { m.cold++ }

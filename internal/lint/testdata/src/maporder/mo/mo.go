@@ -93,10 +93,3 @@ func mapWrites(m map[int]int) map[int]int {
 	}
 	return out
 }
-
-// allowed acknowledges a deliberate unordered drain.
-func allowed(m map[int]int, ch chan int) {
-	for k := range m {
-		ch <- k //lint:allow maporder
-	}
-}

@@ -1,7 +1,7 @@
 // Package pl exercises poollifetime: pooled values must not be used
-// after their recycle point, recycled after escaping, or read after
-// being published under a since-released lock. Getters and putters are
-// classified transitively (getBuf/putBuf count the same as Get/Put).
+// after their recycle point or recycled after escaping. Getters and
+// putters are classified transitively (getBuf/putBuf count the same as
+// Get/Put).
 package pl
 
 import "sync"
@@ -23,7 +23,6 @@ func getBuf() *buf {
 func putBuf(b *buf) { bufPool.Put(b) }
 
 type server struct {
-	mu   sync.Mutex
 	cur  *buf
 	done chan *buf
 }
@@ -54,26 +53,6 @@ func (s *server) sendThenPut() {
 	b := getBuf()
 	s.done <- b
 	putBuf(b) // want `recycled here but escaped into longer-lived storage`
-}
-
-// Rule 3: published under the lock, read after it was released — the
-// new owner may already have recycled the value.
-func (s *server) publishThenRead() int {
-	b := getBuf()
-	s.mu.Lock()
-	s.cur = b
-	s.mu.Unlock()
-	return b.n // want `read here after being published to shared state under a lock`
-}
-
-// Negative: capture what you need before publishing.
-func (s *server) captureFirst() int {
-	b := getBuf()
-	n := b.n
-	s.mu.Lock()
-	s.cur = b
-	s.mu.Unlock()
-	return n
 }
 
 // Negative: rebinding installs a fresh value under the old name.
@@ -109,10 +88,12 @@ func (s *server) closurePut() {
 	}()
 }
 
-// Negative: a justified escape suppresses the finding.
-func (s *server) allowed() int {
+// Negative: the function-local ownership shape of the range/merge
+// driver batches — one defer in the function that got the value hands
+// it back.
+func (s *server) deferPut() int {
 	b := getBuf()
-	bufPool.Put(b)
-	//lint:allow poollifetime — fixture: deliberate use-after-put
+	defer putBuf(b)
+	b.n++
 	return b.n
 }

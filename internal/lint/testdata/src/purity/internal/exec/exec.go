@@ -1,5 +1,5 @@
-// Package exec is a vclockpurity fixture: its import path ends in
-// internal/exec, so it is vclock-governed.
+// Package exec is a vclockpurity fixture: engine code, where every
+// wall-clock read and global-rand draw is a finding.
 package exec
 
 import (
@@ -31,17 +31,4 @@ func seededRand(seed int64) int {
 // the analyzer.
 func durationsOnly(d time.Duration) time.Duration {
 	return d + 5*time.Millisecond
-}
-
-// calibrate is deliberately host-timed; the doc-comment escape covers
-// the whole function.
-//
-//lint:allow vclockpurity — fixture for the doc-comment escape
-func calibrate() time.Duration {
-	start := time.Now()
-	return time.Since(start)
-}
-
-func lineEscape() time.Duration {
-	return time.Since(time.Now().Add(-time.Second)) //lint:allow vclockpurity
 }

@@ -1,7 +1,9 @@
-// Package other is outside the vclock-governed set: wall-clock use is
-// not the analyzers' business here.
+// Package other is a vclockpurity fixture outside the engine packages:
+// the rule covers the whole module, so its wall-clock read is a finding
+// too (internal/storage, plan, cmd/ and the rest are "other" the same
+// way).
 package other
 
 import "time"
 
-func Fine() time.Time { return time.Now() }
+func Stamp() time.Time { return time.Now() } // want `time\.Now reads the wall clock in purity/other`

@@ -56,9 +56,3 @@ func (fr *fragRun) drain() {
 func (fr *fragRun) leak(name string) {
 	fr.eng.Trace.Instant(0, 0, 0, "protocol", name, "") // want `Tracer\.Instant emission reachable with no sampling guard`
 }
-
-// Negative: a justified one-shot emission escapes with an allow.
-func (e *engine) banner() {
-	//lint:allow tracegate — fixture: one-shot startup banner, not per-fragment
-	e.Trace.Instant(0, 0, 0, "sched", "banner", "")
-}

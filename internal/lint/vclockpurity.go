@@ -5,19 +5,18 @@ import (
 	"go/types"
 )
 
-// VclockPurity forbids wall-clock time and global math/rand state in
-// the vclock-governed packages. The paper's balance-point arithmetic
-// (§3.1) is reproduced on a deterministic virtual clock; results must
-// be byte-identical across GOMAXPROCS, batch size and slave count, so
-// the only admissible time source is vclock.Clock and the only
-// admissible randomness is an explicitly seeded *rand.Rand. The *Real
-// wall-clock adapter inside internal/vclock is the one structural
-// exception; host-timing benchmark code escapes with
-// `//lint:allow vclockpurity`.
+// VclockPurity forbids wall-clock time and global math/rand state
+// anywhere in the module. The paper's balance-point arithmetic (§3.1)
+// is reproduced on a deterministic virtual clock; results must be
+// byte-identical across GOMAXPROCS, batch size and slave count, so the
+// only admissible time source is vclock.Clock and the only admissible
+// randomness is an explicitly seeded *rand.Rand. The *Real wall-clock
+// adapter inside internal/vclock is the one exception; host-timed
+// benchmarks live in the separate bench/ module.
 var VclockPurity = &Analyzer{
 	Name: "vclockpurity",
 	Doc: "forbid wall-clock (time.Now/Since/Sleep/Tick/...) and global math/rand " +
-		"in vclock-governed packages; determinism requires vclock.Clock and seeded *rand.Rand",
+		"anywhere in the module; determinism requires vclock.Clock and seeded *rand.Rand",
 	Run: runVclockPurity,
 }
 
@@ -48,9 +47,6 @@ var seededRandConstructors = map[string]bool{
 }
 
 func runVclockPurity(pass *Pass) error {
-	if !governedPackage(pass.Pkg.Path()) {
-		return nil
-	}
 	inVclock := pathHasSuffix(pass.Pkg.Path(), "internal/vclock")
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -76,15 +72,15 @@ func runVclockPurity(pass *Pass) error {
 				case "time":
 					if wallClockFuncs[fn.Name()] {
 						pass.Reportf(id.Pos(),
-							"time.%s reads the wall clock inside vclock-governed package %s: "+
-								"virtual-clock determinism requires all time to flow through vclock.Clock "+
-								"(DESIGN.md §11); use the engine's clock, or //lint:allow vclockpurity for host-timing code",
+							"time.%s reads the wall clock in %s: virtual-clock determinism requires "+
+								"all time to flow through vclock.Clock (DESIGN.md §11); take the engine's "+
+								"clock or a timestamp argument instead",
 							fn.Name(), pass.Pkg.Path())
 					}
 				case "math/rand", "math/rand/v2":
 					if !seededRandConstructors[fn.Name()] {
 						pass.Reportf(id.Pos(),
-							"%s.%s uses the global random generator inside vclock-governed package %s: "+
+							"%s.%s uses the global random generator in %s: "+
 								"results must be byte-identical across runs (DESIGN.md §11); "+
 								"plumb a seeded *rand.Rand through instead",
 							funcPkgPath(fn), fn.Name(), pass.Pkg.Path())
