@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix bench benchtest vet lint allocgate servegate obsgate all
+.PHONY: build test race race-matrix bench benchtest vet lint fuzz allocgate servegate obsgate all
 
 all: build lint test
 
@@ -30,6 +30,13 @@ vet:
 # checks — the same two commands CI runs. See DESIGN.md §11/§16.
 lint: vet
 	$(GO) run ./cmd/xprsvet ./...
+
+# Native fuzzing, one target at a time (go test -fuzz takes one). The
+# seed corpora under testdata/fuzz/ already run in every `go test`; this
+# searches past them. Minimization is capped per input so a slow target
+# keeps fuzzing instead of shrinking one finding for a minute.
+fuzz:
+	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzTempFinalize$$' -fuzztime 30s -fuzzminimizetime 1000x
 
 # The one wall-clock measurement system: five workloads, nine bounded
 # end-to-end metrics, an oracle on every op (bench/README.md).

@@ -171,7 +171,6 @@ func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fr
 		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts, fr.eng.Env.NProcs)
 	} else {
 		fr.outTemp = NewTemp(fr.outSchema)
-		fr.outTemp.sortProcs = fr.eng.Env.NProcs
 	}
 	if fr.aggNode != nil {
 		fr.agg = newAggState(fr.aggNode)
@@ -183,8 +182,8 @@ func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fr
 }
 
 // finalize seals the fragment output after all slaves finished, charging
-// any residual CPU (the master's k-way merge of a sorted temp) to the
-// calling goroutine's clock.
+// any residual CPU (aggregate emission, the modeled sort of a sorted
+// temp) to the calling goroutine's clock.
 func (fr *fragRun) finalize() {
 	if fr.agg != nil {
 		groups := fr.agg.emit(fr.outTemp)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"xprs/internal/expr"
@@ -180,21 +181,33 @@ func BenchmarkColHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkTempFinalize measures the parallel merge sort behind
-// Temp.Finalize, fed with executor-sized append runs.
+// BenchmarkTempFinalize prices a sorted temp the way the engine fills
+// it: AppendCols batches of 136 rows (range_merge's average append run)
+// over an (int4, text) schema with seeded-random keys, then the sort in
+// Finalize. The 5 000- and 30 000-row sizes are the two temps
+// range_merge's merge join sorts.
 func BenchmarkTempFinalize(b *testing.B) {
+	const runRows = 136
 	schema := benchSchema()
-	rows := benchRows(benchProbeRows, "sort")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for b.Loop() {
-		temp := NewTemp(schema)
-		temp.SetSortProcs(1)
-		for lo := 0; lo < len(rows); lo += benchBatch {
-			hi := min(lo+benchBatch, len(rows))
-			temp.Append(rows[lo:hi])
+	for _, n := range []int{256, 5000, 30000} {
+		var batches []*storage.ColBatch
+		for lo, perm := 0, rand.New(rand.NewSource(1992)).Perm(n); lo < n; lo += runRows {
+			cb := storage.NewColBatch(schema, runRows)
+			for _, p := range perm[lo:min(lo+runRows, n)] {
+				cb.AppendTuple(storage.NewTuple(storage.IntVal(int32(p)), storage.TextVal(fmt.Sprintf("sort-%05d", p))))
+			}
+			batches = append(batches, cb)
 		}
-		temp.Finalize(0)
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				temp := NewTemp(schema)
+				for _, cb := range batches {
+					temp.AppendCols(cb)
+				}
+				temp.Finalize(0)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"testing"
 
 	"xprs/internal/core"
@@ -218,42 +221,134 @@ func TestHashTableProbeWindowTerminates(t *testing.T) {
 	}
 }
 
-// TestTempFinalizeMatchesStableSort checks the parallel merge sort
-// against the single-threaded stable reference: identical order,
-// including arrival order among equal keys, at a size that exercises
-// the parallel path and with ragged append runs.
+// finalizeSchema is the temp the sort tests fill: the sort key, the
+// arrival tag, a text column whose payload repeats for four rows in a
+// row (so its spans alias), and a column every appended batch prunes.
+var finalizeSchema = storage.NewSchema(
+	storage.Column{Name: "k", Typ: storage.Int4},
+	storage.Column{Name: "tag", Typ: storage.Int4},
+	storage.Column{Name: "s", Typ: storage.Text},
+	storage.Column{Name: "p", Typ: storage.Int4},
+)
+
+// sortRow is one row of a finalizeSchema temp's un-pruned columns.
+type sortRow struct {
+	key, tag int32
+	s        string
+}
+
+// sortView reads the un-pruned columns of cb row by row.
+func sortView(cb storage.ColBatch) []sortRow {
+	rows := make([]sortRow, cb.N)
+	for i := range rows {
+		rows[i] = sortRow{cb.Vecs[0].Ints[i], cb.Vecs[1].Ints[i], cb.Vecs[2].Str(i)}
+	}
+	return rows
+}
+
+// checkFinalize appends keys to a fresh temp through AppendCols in
+// batches of the lengths cuts lists (zero is an empty batch; whatever
+// is left after the last cut goes in one more batch), sorts it on the
+// key and holds the result to slices.SortStableFunc over the arrival
+// order: same rows, equal keys in arrival order, the pruned column still
+// pruned, the text payload bytes neither copied nor moved.
+func checkFinalize(t *testing.T, keys []int32, cuts []int) {
+	t.Helper()
+	temp := NewTemp(finalizeSchema)
+	b := pruneBatch(finalizeSchema, []int{3})
+	next := 0
+	appendBatch := func(n int) {
+		b.Reset()
+		for ; n > 0 && next < len(keys); n-- {
+			b.AppendTuple(storage.NewTuple(storage.IntVal(keys[next]), storage.IntVal(int32(next)),
+				storage.TextVal(strconv.Itoa(next/4)), storage.IntVal(0)))
+			next++
+		}
+		temp.AppendCols(b)
+	}
+	for _, n := range cuts {
+		appendBatch(n)
+	}
+	appendBatch(len(keys))
+	before := temp.Cols()
+	want := sortView(before)
+	slices.SortStableFunc(want, func(a, b sortRow) int { return cmp.Compare(a.key, b.key) })
+
+	if cmps := temp.Finalize(0); cmps != modeledSortCmps(len(keys)) {
+		t.Fatalf("Finalize charged %d comparisons, want %d", cmps, modeledSortCmps(len(keys)))
+	}
+	after := temp.Cols()
+	if temp.SortedBy() != 0 || after.N != len(keys) {
+		t.Fatalf("sortedBy = %d, rows = %d; want 0, %d", temp.SortedBy(), after.N, len(keys))
+	}
+	if len(keys) == 0 {
+		return
+	}
+	if !after.Vecs[3].Pruned() {
+		t.Fatal("the pruned column came out of the sort with storage")
+	}
+	if bb, ab := before.Vecs[2].Buf, after.Vecs[2].Buf; len(ab) != len(bb) || &ab[0] != &bb[0] {
+		t.Fatalf("text payload moved: %d bytes before the sort, %d after", len(bb), len(ab))
+	}
+	for i, got := range sortView(after) {
+		if got != want[i] {
+			t.Fatalf("row %d = %+v, want %+v: the sort diverged from the stable reference", i, got, want[i])
+		}
+	}
+}
+
+// TestTempFinalizeMatchesStableSort runs checkFinalize over sizes around
+// one radix digit and the two range_merge sorts, with key sets that
+// exercise each case of the kernel: many duplicates, one key (every
+// byte skipped), already ascending, descending, the signed extremes the
+// sign flip must order, and keys that differ only in the top byte.
 func TestTempFinalizeMatchesStableSort(t *testing.T) {
-	temp := NewTemp(twoIntSchema)
-	temp.sortProcs = 8
-	const n = 10000
-	var batch []storage.Tuple
-	tag := int32(0)
-	for i := 0; i < n; i++ {
-		key := int32((i * 733) % 101) // heavy duplication, shuffled
-		batch = append(batch, tagged(key, tag))
-		tag++
-		// Ragged run lengths so chunk edges land on uneven boundaries.
-		if len(batch) >= 137+i%61 {
-			temp.Append(batch)
-			batch = nil
+	signed := []int32{math.MaxInt32, -1, 0, math.MinInt32, 1, math.MinInt32 + 1, math.MaxInt32 - 1, -2}
+	for _, kc := range []struct {
+		name string
+		key  func(i, n int) int32
+	}{
+		{"duplicates", func(i, _ int) int32 { return int32(i * 733 % 101) }},
+		{"all-equal", func(int, int) int32 { return 42 }},
+		{"ascending", func(i, _ int) int32 { return int32(i) }},
+		{"descending", func(i, n int) int32 { return int32(n - i) }},
+		{"signed-extremes", func(i, _ int) int32 { return signed[i*7%len(signed)] }},
+		{"top-byte-only", func(i, _ int) int32 { return int32(uint32(i*37%256) << 24) }},
+	} {
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 5000, 30000} {
+			t.Run(fmt.Sprintf("%s/n=%d", kc.name, n), func(t *testing.T) {
+				keys := make([]int32, n)
+				for i := range keys {
+					keys[i] = kc.key(i, n)
+				}
+				// Ragged batch lengths, an empty batch among them.
+				var cuts []int
+				for j, left := 0, n; left > 0; j++ {
+					cuts = append(cuts, j*37%137)
+					left -= cuts[j]
+				}
+				checkFinalize(t, keys, cuts)
+			})
 		}
 	}
-	temp.Append(batch)
-	want := append([]storage.Tuple(nil), temp.Tuples()...)
-	slices.SortStableFunc(want, func(a, b storage.Tuple) int { return cmp.Compare(a.Vals[0].Int, b.Vals[0].Int) })
-	if cmps := temp.Finalize(0); cmps <= 0 {
-		t.Fatal("no comparisons charged")
-	}
-	got := temp.Tuples()
-	if len(got) != n {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range got {
-		if got[i].Vals[0].Int != want[i].Vals[0].Int || got[i].Vals[1].Int != want[i].Vals[1].Int {
-			t.Fatalf("row %d = (%d,%d), want (%d,%d): parallel sort diverged from stable reference",
-				i, got[i].Vals[0].Int, got[i].Vals[1].Int, want[i].Vals[0].Int, want[i].Vals[1].Int)
+}
+
+// FuzzTempFinalize is checkFinalize on arbitrary input: every four
+// bytes of data are one key (little-endian), and every byte of cuts is
+// the length of one appended batch. The seed corpus is under
+// testdata/fuzz/FuzzTempFinalize.
+func FuzzTempFinalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		keys := make([]int32, len(data)/4)
+		for i := range keys {
+			keys[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-	}
+		lens := make([]int, len(cuts))
+		for i, c := range cuts {
+			lens[i] = int(c)
+		}
+		checkFinalize(t, keys, lens)
+	})
 }
 
 // TestModeledSortCmpsIsPure pins the sort charge to a pure function of

@@ -34,14 +34,8 @@ type Temp struct {
 
 	mu   sync.Mutex
 	cols *storage.ColBatch
-	// runs records the end offset of every appended batch, so Finalize
-	// can align its parallel sort chunks to append boundaries.
-	runs []int
 	// sortedBy is the column the tuples are ordered on, or -1.
 	sortedBy int
-	// sortProcs bounds the goroutines Finalize may use; 0 or 1 sorts
-	// inline.
-	sortProcs int
 	// rows is the lazily materialized row view; nil when stale.
 	rows []storage.Tuple
 }
@@ -51,14 +45,10 @@ func NewTemp(schema storage.Schema) *Temp {
 	return &Temp{Schema: schema, sortedBy: -1}
 }
 
-// SetSortProcs bounds the goroutines Finalize may use. The executor
-// sets it from Env.NProcs when it materializes a fragment; benchmarks
-// set it directly. Any value yields the identical sorted order.
-func (t *Temp) SetSortProcs(p int) {
-	t.mu.Lock()
-	t.sortProcs = p
-	t.mu.Unlock()
-}
+// SetSortProcs does nothing: Finalize's radix sort runs on the calling
+// goroutine. It stays only for callers written when the sort fanned out
+// over processors.
+func (t *Temp) SetSortProcs(int) {}
 
 // ensureColsLocked lazily allocates the columnar store.
 func (t *Temp) ensureColsLocked() *storage.ColBatch {
@@ -81,7 +71,6 @@ func (t *Temp) Append(batch []storage.Tuple) {
 	for i := range batch {
 		cb.AppendTuple(batch[i])
 	}
-	t.runs = append(t.runs, cb.N)
 	t.rows = nil
 	t.mu.Unlock()
 }
@@ -97,7 +86,6 @@ func (t *Temp) AppendCols(b *storage.ColBatch) {
 	t.mu.Lock()
 	cb := t.ensureColsLocked()
 	cb.AppendBatch(b)
-	t.runs = append(t.runs, cb.N)
 	t.rows = nil
 	t.mu.Unlock()
 }
@@ -111,7 +99,6 @@ func (t *Temp) appendDirect(fn func(cb *storage.ColBatch) int) {
 	cb := t.ensureColsLocked()
 	if n := fn(cb); n > 0 {
 		cb.N += n
-		t.runs = append(t.runs, cb.N)
 		t.rows = nil
 	}
 	t.mu.Unlock()
@@ -164,27 +151,22 @@ func (t *Temp) Tuples() []storage.Tuple {
 }
 
 // Finalize sorts the temp on col (-1 keeps arrival order) and seals it.
-// The sort is the parallel merge sort of sortkernel.go: append runs are
-// grouped into up to sortProcs chunks, chunk-sorted concurrently, then
-// stably merged pairwise, so the result is exactly what a stable sort
-// of the arrival order produces regardless of how many goroutines ran.
+// The sort is the stable radix sort of sortkernel.go, so the result is
+// exactly what a stable sort of the arrival order produces.
 //
 // The returned comparison count is the modeled n·⌈log₂n⌉ — a pure
 // function of the row count, matching the optimizer's sort CPU model —
-// so the virtual-clock charge is independent of batch size, partition
-// count and slave count (real comparison counts would vary with run
-// boundaries).
+// so the virtual-clock charge is independent of the kernel, batch size,
+// partition count and slave count.
 func (t *Temp) Finalize(col int) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	runs := t.runs
-	t.runs = nil
 	if col < 0 {
 		t.sortedBy = -1
 		return 0
 	}
 	if t.cols != nil {
-		sortColBatch(t.cols, col, runs, t.sortProcs)
+		sortColBatch(t.cols, col)
 		t.rows = nil
 	}
 	t.sortedBy = col
