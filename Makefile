@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix bench benchtest vet lint fuzz allocgate servegate obsgate all
+.PHONY: build test race race-matrix bench benchtest vet lint fuzz allocgate servegate obsgate drivercover all
 
 all: build lint test
 
@@ -70,3 +70,15 @@ servegate:
 # free" priced per submit (see TestObsAllocGate in sched_bench_test.go).
 obsgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestObsAllocGate -v ./internal/exec
+
+# Driver coverage gate: every function of the partitioning drivers —
+# page partitioning (Figure 5, pagepart.go), interval partitioning
+# (Figure 6, intervalpart.go) and the nestloop's rescans (nestloop.go) —
+# runs in some internal/exec test. A function at 0.0% fails the gate.
+drivercover:
+	@prof=$$(mktemp) && trap 'rm -f "$$prof"' EXIT && \
+	$(GO) test -count=1 -coverprofile="$$prof" ./internal/exec && \
+	$(GO) tool cover -func="$$prof" | awk ' \
+		$$1 ~ /\/(pagepart|intervalpart|nestloop)\.go:/ { n++; if ($$NF == "0.0%") { print "uncovered: " $$0; bad = 1 } } \
+		END { if (n == 0) { print "drivercover: no driver functions in the profile"; exit 1 } \
+		      if (bad) exit 1; printf "drivercover: %d driver functions, none at 0.0%%\n", n }'

@@ -116,7 +116,6 @@ func main() {
 	seed := flag.Int64("seed", 1992, "workload seed")
 	procs := flag.Int("procs", 8, "number of processors")
 	disks := flag.Int("disks", 4, "number of disks")
-	batch := flag.Int("batch", 0, "executor batch size (0 = default)")
 	streamOut := flag.String("streamout", "BENCH_stream.json", "output file for the stream benchmark")
 	streamN := flag.Int("streamn", 16, "number of tasks in the stream benchmark")
 	streamMaxQ := flag.Int("streammaxq", 2, "admission concurrent-query cap for the limited stream run")
@@ -137,7 +136,6 @@ func main() {
 	}
 	p.cfg.NProcs = *procs
 	p.cfg.Disk.NumDisks = *disks
-	p.cfg.BatchSize = *batch
 
 	for _, f := range selected {
 		if err := f.run(p); err != nil {

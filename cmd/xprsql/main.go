@@ -155,7 +155,7 @@ func run(sys *xprs.System, stmt string) error {
 		return err
 	}
 	fmt.Printf("-- plan (seqcost %.2fs, parcost %.2fs, batch %d):\n%s",
-		pl.SeqCost, pl.ParCost, sys.BatchSize(), xprs.ExplainPlan(pl))
+		pl.SeqCost, pl.ParCost, xprs.DefaultBatchSize, xprs.ExplainPlan(pl))
 	n := res.Len()
 	for i, t := range res.Tuples() {
 		if i >= 10 {
@@ -185,7 +185,7 @@ func runBatches(sys *xprs.System, stmt string) error {
 		return err
 	}
 	after := sys.Observer().Metrics.Snapshot()
-	fmt.Printf("-- batch diagnostics (batch %d, %d result rows)\n", sys.BatchSize(), res.Len())
+	fmt.Printf("-- batch diagnostics (batch %d, %d result rows)\n", xprs.DefaultBatchSize, res.Len())
 	seen := make(map[*storage.Relation]bool)
 	plan.Walk(pl.Plan, func(n plan.Node) {
 		var rel *storage.Relation

@@ -21,7 +21,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("created %s: %d tuples on %d striped pages (avg tuple %.0f B), executor batch %d\n",
-		rel.Name, rel.NTuples(), rel.NPages(), rel.Stats().AvgTupleSize, sys.BatchSize())
+		rel.Name, rel.NTuples(), rel.NPages(), rel.Stats().AvgTupleSize, xprs.DefaultBatchSize)
 
 	// A one-variable selection task: select * from orders where 1000 <= a <= 1999.
 	task, err := sys.SelectTask(0, "orders", 1000, 1999)

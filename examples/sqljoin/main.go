@@ -12,7 +12,7 @@ import (
 
 func main() {
 	sys := xprs.New(xprs.DefaultConfig())
-	fmt.Printf("executor batch size: %d tuples\n\n", sys.BatchSize())
+	fmt.Printf("executor batch size: %d tuples\n\n", xprs.DefaultBatchSize)
 
 	orders := make([]struct {
 		A int32

@@ -198,9 +198,6 @@ func New(clock vclock.Clock, cfg Config) *Array {
 	return &Array{cfg: cfg, clock: clock, disks: make([]disk, cfg.NumDisks)}
 }
 
-// Config returns the array's configuration.
-func (a *Array) Config() Config { return a.cfg }
-
 // DiskFor reports which disk holds the given striped block of a relation.
 // Blocks are striped round-robin: global block b lives on disk b mod D at
 // per-disk offset b div D.

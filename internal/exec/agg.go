@@ -259,11 +259,12 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 	if b.Live() == 0 {
 		return
 	}
-	if gc < 0 || nf == 0 || b.Vecs[gc].Typ != storage.Int4 || b.Vecs[gc].Ints == nil {
-		sc.accumulateColsViaMap(st, b)
-		return
+	// plan.Validate admits only int4 group columns. A global aggregate is
+	// the one group with key 0.
+	var keys []int32
+	if gc >= 0 {
+		keys = b.Vecs[gc].Ints
 	}
-	keys := b.Vecs[gc].Ints
 	if cap(sc.aggSrc) < nf {
 		sc.aggSrc = make([][]int32, nf)
 	}
@@ -275,16 +276,19 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 		}
 	}
 	if sc.aggDense == nil {
-		first := keys[0]
-		if b.Sel != nil {
-			first = keys[b.Sel[0]]
+		var first int32
+		if keys != nil {
+			first = keys[b.RowAt(0)]
 		}
 		sc.aggBase = first &^ int32(aggDenseWindow-1)
 		sc.aggDense = sc.rt.fr.eng.getDense(nf)
 	}
 	d, base := sc.aggDense, sc.aggBase
 	foldRow := func(row int) {
-		k := keys[row]
+		var k int32
+		if keys != nil {
+			k = keys[row]
+		}
 		var acc []int64
 		if idx := int(k) - int(base); 0 <= idx && idx < aggDenseWindow {
 			off := idx * nf
@@ -318,61 +322,6 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 			var v int64
 			if s := src[i]; s != nil {
 				v = int64(s[row])
-			}
-			switch f.Kind {
-			case plan.CountAll:
-				acc[i]++
-			case plan.Sum:
-				acc[i] += v
-			case plan.Min:
-				if v < acc[i] {
-					acc[i] = v
-				}
-			case plan.Max:
-				if v > acc[i] {
-					acc[i] = v
-				}
-			}
-		}
-	}
-	if b.Sel == nil {
-		for row := 0; row < b.N; row++ {
-			foldRow(row)
-		}
-	} else {
-		for _, row := range b.Sel {
-			foldRow(int(row))
-		}
-	}
-}
-
-// accumulateColsViaMap is the cold columnar fallback: global groups and
-// degenerate key vectors fold through the map path per row, reading
-// values the way a zero Value.Int would.
-func (sc *slaveCtx) accumulateColsViaMap(st *aggState, b *storage.ColBatch) {
-	if sc.aggLocal == nil {
-		sc.aggLocal = make(map[int32][]int64)
-	}
-	funcs := st.funcs
-	gc := st.groupCol
-	var keys []int32
-	if gc >= 0 && gc < len(b.Vecs) && b.Vecs[gc].Typ == storage.Int4 {
-		keys = b.Vecs[gc].Ints
-	}
-	foldRow := func(row int) {
-		key := int32(0)
-		if keys != nil {
-			key = keys[row]
-		}
-		acc, ok := sc.aggLocal[key]
-		if !ok {
-			acc = sc.newAccum(funcs)
-			sc.aggLocal[key] = acc
-		}
-		for i, f := range funcs {
-			var v int64
-			if f.Col >= 0 && f.Col < len(b.Vecs) && b.Vecs[f.Col].Typ == storage.Int4 && b.Vecs[f.Col].Ints != nil {
-				v = int64(b.Vecs[f.Col].Ints[row])
 			}
 			switch f.Kind {
 			case plan.CountAll:

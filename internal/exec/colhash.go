@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"xprs/internal/storage"
@@ -90,7 +89,6 @@ type ColHashTable struct {
 	eng       *Engine // batch recycling; nil allocates directly
 	prune     []int   // build columns not stored, ascending; nil stores all
 	partShift uint
-	sealProcs int
 
 	mu sync.Mutex
 	n  int
@@ -111,21 +109,19 @@ type ColHashTable struct {
 
 // NewColHashTable creates an empty columnar table keyed on the given
 // column of the build schema, storing every column. eng (optional)
-// supplies batch recycling.
-func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, sealProcs int) *ColHashTable {
-	return newColHashTable(eng, schema, col, nil, partitions, sealProcs)
+// supplies batch recycling. The last argument is ignored: sealing runs
+// on the calling goroutine.
+func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, _ int) *ColHashTable {
+	return newColHashTable(eng, schema, col, nil, partitions)
 }
 
 // newColHashTable is NewColHashTable for a table that leaves out the
 // build columns listed in prune (ascending; never the key column).
-func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions, sealProcs int) *ColHashTable {
+func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions int) *ColHashTable {
 	if partitions < 1 {
 		partitions = 1
 	}
 	p := ceilPow2(partitions)
-	if sealProcs < 1 {
-		sealProcs = 1
-	}
 	var h *ColHashTable
 	if eng != nil {
 		if v := eng.chtPool.Get(); v != nil {
@@ -140,7 +136,6 @@ func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, p
 	h.eng = eng
 	h.prune = prune
 	h.partShift = uint(32 - bits.Len32(uint32(p)-1))
-	h.sealProcs = sealProcs
 	h.n = 0
 	h.sealed = false
 	h.sealOnce = sync.Once{}
@@ -292,32 +287,9 @@ func (h *ColHashTable) seal() {
 		h.parts = h.parts[:len(chunks)]
 		h.stores = h.stores[:len(chunks)]
 	}
-	procs := h.sealProcs
-	if g := runtime.GOMAXPROCS(0); procs > g {
-		procs = g
-	}
-	if procs <= 1 || len(chunks) == 1 {
-		for p := range chunks {
-			h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(chunks))
 	for p := range chunks {
-		next <- p
+		h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
 	}
-	close(next)
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range next {
-				h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sealColPartition builds one partition's index and flat columnar store

@@ -113,7 +113,7 @@ func runColHashDifferential(t *testing.T, tc diffCase, limit, partitions int) {
 
 	// Two builders flushing in turn: two chunks per partition, and the
 	// per-key row order the reference must see is flush order.
-	cht := newColHashTable(nil, diffBuildSchema, 0, tc.buildPrune, partitions, 1)
+	cht := newColHashTable(nil, diffBuildSchema, 0, tc.buildPrune, partitions)
 	half := (len(builds) + 1) / 2
 	refBuild := storage.NewColBatch(diffBuildSchema, 0)
 	refRows := map[int32][]int{} // key -> rows of refBuild, insert order

@@ -168,7 +168,7 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) {
 	fr.temps, fr.colHashes = temps, colHashes
 	if fr.frag.Out == plan.HashOut {
-		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts, fr.eng.Env.NProcs)
+		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
 	} else {
 		fr.outTemp = NewTemp(fr.outSchema)
 	}

@@ -471,8 +471,8 @@ func (e *Engine) Run(specs []TaskSpec, policy core.Policy, opts core.Options) (*
 }
 
 // driverFor picks the partitioner matching the fragment's driving leaf
-// (§2.4: page partitioning for sequential scans, range partitioning for
-// index scans, merge-range partitioning for merge joins).
+// (§2.4: page partitioning for sequential and temp scans, range
+// partitioning for index scans and merge joins).
 func (e *Engine) driverFor(fr *fragRun) (driver, error) {
 	leaf, kind := fr.frag.Driver()
 	switch kind {

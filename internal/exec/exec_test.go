@@ -135,40 +135,54 @@ func runOne(t *testing.T, v *vclock.Virtual, eng *Engine, specs []TaskSpec, poli
 	return rep
 }
 
-// launchFrag runs root's single fragment at a fixed degree, the way the
-// master would, and returns the fragment runtime together with the
-// task's completion error. prep, when non-nil, sees the driver before
-// the slaves start; during, when non-nil, runs on the master's goroutine
-// between the launch and the wait for completion (adjustments go there).
+// launchFrag runs root's fragments one after another at a fixed degree,
+// the way the master would, and returns the root fragment's runtime
+// together with the first failing task's error. The root's input
+// fragments run to completion first, in the graph's bottom-up order, and
+// publish their outputs to the fragments that read them. prep, when
+// non-nil, sees the root's driver before its slaves start; during, when
+// non-nil, runs on the master's goroutine between the root's launch and
+// the wait for its completion (adjustments go there).
 func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, degree int, prep func(driver), during func(*runningTask)) (*fragRun, error) {
 	t.Helper()
-	specs, g := specFor(t, eng, root, 0)
+	specs, _ := specFor(t, eng, root, 0)
+	temps, hashes := map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{}
 	var fr *fragRun
 	var taskErr error
 	v.Run(func() {
-		var err error
-		if fr, err = newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{}); err != nil {
-			t.Error(err)
-			return
+		for i, sp := range specs {
+			var err error
+			if fr, err = newFragRun(eng, sp.Frag, temps, hashes); err != nil {
+				t.Error(err)
+				return
+			}
+			drv, err := eng.driverFor(fr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			isRoot := i == len(specs)-1
+			if isRoot && prep != nil {
+				prep(drv)
+			}
+			eng.events = vclock.NewMailbox(eng.Clock)
+			rt := &runningTask{eng: eng, task: sp.Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
+			if err := rt.launch(degree); err != nil {
+				t.Error(err)
+				return
+			}
+			if isRoot && during != nil {
+				during(rt)
+			}
+			if taskErr = eng.events.Wait().(taskDone).err; taskErr != nil {
+				return
+			}
+			if sp.Frag.Out == plan.HashOut {
+				hashes[sp.Frag] = fr.outColHash
+			} else {
+				temps[sp.Frag] = fr.outTemp
+			}
 		}
-		drv, err := eng.driverFor(fr)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if prep != nil {
-			prep(drv)
-		}
-		eng.events = vclock.NewMailbox(eng.Clock)
-		rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
-		if err := rt.launch(degree); err != nil {
-			t.Error(err)
-			return
-		}
-		if during != nil {
-			during(rt)
-		}
-		taskErr = eng.events.Wait().(taskDone).err
 	})
 	return fr, taskErr
 }
@@ -540,15 +554,15 @@ func TestTempHelpers(t *testing.T) {
 	if temp.SortedBy() != 0 {
 		t.Fatal("not marked sorted")
 	}
-	if temp.CountRange(0, 3, 5) != 3 {
-		t.Fatalf("CountRange = %d", temp.CountRange(0, 3, 5))
+	keys := sortKeys(temp.Cols(), 0)
+	if keys.CountRange(3, 5) != 3 {
+		t.Fatalf("CountRange = %d", keys.CountRange(3, 5))
 	}
-	if temp.CountRange(0, 9, 3) != 0 {
+	if keys.CountRange(9, 3) != 0 {
 		t.Fatal("inverted range")
 	}
-	lo, hi, ok := temp.Bounds(0)
-	if !ok || lo != 1 || hi != 9 {
-		t.Fatalf("bounds = %d,%d,%v", lo, hi, ok)
+	if !slices.Equal(keys, sortedKeys{1, 3, 3, 5, 9}) {
+		t.Fatalf("sorted keys = %v", keys)
 	}
 	if view, _, ok := temp.ChunkCols(0, nil); temp.NumChunks() != 1 || !ok || view.N != 5 {
 		t.Fatal("chunking")
@@ -559,9 +573,9 @@ func TestTempHelpers(t *testing.T) {
 	if n := temp.Finalize(-1); n != 0 {
 		t.Fatal("finalize(-1) sorted")
 	}
-	empty := NewTemp(storage.Schema{})
-	if _, _, ok := empty.Bounds(0); ok {
-		t.Fatal("empty bounds")
+	empty := NewTemp(storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4}))
+	if keys := sortKeys(empty.Cols(), 0); keys != nil {
+		t.Fatalf("empty temp keys = %v", keys)
 	}
 }
 

@@ -11,7 +11,6 @@ package exec
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"xprs/internal/storage"
@@ -115,10 +114,8 @@ type HashTable struct {
 	Schema storage.Schema
 	Col    int
 
-	// partShift maps a hash's top bits to a partition index; sealProcs
-	// bounds the wall-clock parallelism of Seal.
+	// partShift maps a hash's top bits to a partition index.
 	partShift uint
-	sealProcs int
 
 	mu sync.Mutex
 	n  int
@@ -140,21 +137,17 @@ func NewHashTable(schema storage.Schema, col int) *HashTable {
 }
 
 // NewHashTableP creates an empty table with an explicit partition count
-// (rounded up to a power of two, minimum 1) and a bound on the
-// goroutines Seal may use.
-func NewHashTableP(schema storage.Schema, col int, partitions, sealProcs int) *HashTable {
+// (rounded up to a power of two, minimum 1). The last argument is
+// ignored: Seal runs on the calling goroutine.
+func NewHashTableP(schema storage.Schema, col int, partitions, _ int) *HashTable {
 	if partitions < 1 {
 		partitions = 1
 	}
 	p := ceilPow2(partitions)
-	if sealProcs < 1 {
-		sealProcs = 1
-	}
 	return &HashTable{
 		Schema:    schema,
 		Col:       col,
 		partShift: uint(32 - bits.Len32(uint32(p)-1)),
-		sealProcs: sealProcs,
 		chunks:    make([][]buildChunk, p),
 		direct:    make([]buildChunk, p),
 	}
@@ -313,32 +306,9 @@ func (h *HashTable) seal() {
 	h.mu.Unlock()
 
 	h.parts = make([]hashPart, len(chunks))
-	procs := h.sealProcs
-	if g := runtime.GOMAXPROCS(0); procs > g {
-		procs = g
-	}
-	if procs <= 1 || len(chunks) == 1 {
-		for p := range chunks {
-			h.parts[p] = sealPartition(chunks[p])
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(chunks))
 	for p := range chunks {
-		next <- p
+		h.parts[p] = sealPartition(chunks[p])
 	}
-	close(next)
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range next {
-				h.parts[p] = sealPartition(chunks[p])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sealPartition builds one partition's open-addressed index from its

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -305,6 +306,52 @@ func TestLiveAdjustmentRangeScan(t *testing.T) {
 	}
 }
 
+// TestLiveAdjustmentMergeJoin adjusts a merge join mid-merge (Figure 6
+// over a sorted temp's keys): the sorted inputs run to completion first,
+// the merge launches at degree 3, and the remaining key intervals are
+// redealt over the new degree by left-input key counts.
+func TestLiveAdjustmentMergeJoin(t *testing.T) {
+	for _, newDeg := range []int{1, 4, 8} {
+		v, eng := testEngine(0)
+		l := buildRel(t, eng.Store, "ml", 1200, 60, 20)
+		r := buildRel(t, eng.Store, "mr", 600, 60, 20)
+		root := &plan.MergeJoin{
+			Left:  &plan.Sort{Child: &plan.SeqScan{Rel: l}, Col: 0},
+			Right: &plan.Sort{Child: &plan.SeqScan{Rel: r}, Col: 0},
+			LCol:  0, RCol: 0,
+		}
+		fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 100*time.Millisecond, newDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("newDeg=%d", newDeg)
+		checkOracle(t, label, root, fr.outTemp)
+		checkGolden(t, t.Name()+"/"+label, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+	}
+}
+
+// TestLiveAdjustmentTempScan adjusts a page-partitioned scan of a
+// materialized temp (Figure 5 over temp chunks instead of disk pages):
+// an aggregate reads the Material's output, launched at degree 3.
+func TestLiveAdjustmentTempScan(t *testing.T) {
+	for _, newDeg := range []int{1, 2, 6} {
+		v, eng := testEngine(0)
+		rel := buildRel(t, eng.Store, "mt", 3000, 50, 20)
+		root := &plan.Agg{
+			Child:    &plan.Material{Child: &plan.SeqScan{Rel: rel}},
+			GroupCol: 0,
+			Funcs:    []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 0}},
+		}
+		fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 20*time.Millisecond, newDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("newDeg=%d", newDeg)
+		checkOracle(t, label, root, fr.outTemp)
+		checkGolden(t, t.Name()+"/"+label, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+	}
+}
+
 // TestAdjustmentAfterCompletionIsNoop exercises the race where the
 // master adjusts a task whose slaves all finished.
 func TestAdjustmentAfterCompletionIsNoop(t *testing.T) {
@@ -362,5 +409,42 @@ func TestRangeDealIntervalsBalance(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("no-key intervals dealt %d times", total)
+	}
+	// A merge join's left keys with one heavy key: 4 001 copies of 7
+	// among 0..4999. A key group never splits, so the slave holding key 7
+	// is over target; the deal must still hand out every key exactly once
+	// in disjoint intervals, and give every slave a share.
+	var keys sortedKeys
+	for k := int32(0); k < 5000; k++ {
+		keys = append(keys, k)
+		if k == 7 {
+			for range 4000 {
+				keys = append(keys, k)
+			}
+		}
+	}
+	const heavy, target = 4001, 3000
+	parts = dealIntervals(keys, []btree.Interval{{Lo: 0, Hi: 4999}}, 3)
+	var dealt []btree.Interval
+	var sum int64
+	for i, p := range parts {
+		var c int64
+		for _, iv := range p {
+			c += keys.CountRange(iv.Lo, iv.Hi)
+			dealt = append(dealt, iv)
+		}
+		if c == 0 || c > heavy+target {
+			t.Fatalf("heavy key: slave %d holds %d keys of %d", i, c, len(keys))
+		}
+		sum += c
+	}
+	slices.SortFunc(dealt, func(a, b btree.Interval) int { return int(a.Lo) - int(b.Lo) })
+	for i, iv := range dealt {
+		if i > 0 && iv.Lo != dealt[i-1].Hi+1 {
+			t.Fatalf("heavy key: dealt intervals %v are not contiguous", dealt)
+		}
+	}
+	if sum != int64(len(keys)) || dealt[0].Lo != 0 || dealt[len(dealt)-1].Hi != 4999 {
+		t.Fatalf("heavy key: dealt %d keys over %v, want %d over [0,4999]", sum, dealt, len(keys))
 	}
 }

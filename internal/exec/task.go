@@ -13,9 +13,10 @@ import (
 )
 
 // driver is the partitioning strategy of one fragment's driving scan
-// (§2.4): page partitioning, range partitioning, or merge-range
-// partitioning. Implementations are stateless beyond construction; all
-// mutable state lives in assignments and reports.
+// (§2.4): page partitioning of a relation or temp (pagepart.go), or
+// range partitioning of an index scan or merge join (intervalpart.go).
+// Implementations are stateless beyond construction; all mutable state
+// lives in assignments and reports.
 type driver interface {
 	// initial splits the whole scan into degree assignments. An
 	// assignment may be nil (more slaves than work); such slaves exit

@@ -13,7 +13,6 @@
 package exec
 
 import (
-	"sort"
 	"sync"
 
 	"xprs/internal/storage"
@@ -229,52 +228,4 @@ func (t *Temp) Cols() storage.ColBatch {
 		return storage.ColBatch{}
 	}
 	return *t.cols
-}
-
-// lowerBound returns the first index whose col value is >= key. The temp
-// must be sorted on col.
-func (t *Temp) lowerBound(col int, key int32) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cols == nil {
-		return 0
-	}
-	ints := t.cols.Vecs[col].Ints
-	return sort.Search(len(ints), func(i int) bool {
-		return ints[i] >= key
-	})
-}
-
-// upperBound returns the first index whose col value is > key.
-func (t *Temp) upperBound(col int, key int32) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cols == nil {
-		return 0
-	}
-	ints := t.cols.Vecs[col].Ints
-	return sort.Search(len(ints), func(i int) bool {
-		return ints[i] > key
-	})
-}
-
-// CountRange returns the number of tuples with col in [lo, hi]; the temp
-// must be sorted on col.
-func (t *Temp) CountRange(col int, lo, hi int32) int {
-	if lo > hi {
-		return 0
-	}
-	return t.upperBound(col, hi) - t.lowerBound(col, lo)
-}
-
-// Bounds returns the min and max of the sort column; ok is false when
-// empty.
-func (t *Temp) Bounds(col int) (lo, hi int32, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cols == nil || t.cols.N == 0 {
-		return 0, 0, false
-	}
-	ints := t.cols.Vecs[col].Ints
-	return ints[0], ints[len(ints)-1], true
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,29 +11,53 @@ import (
 	"xprs/internal/storage"
 )
 
-// Property: Temp.CountRange after Finalize(col) agrees with a brute-force
-// count for arbitrary values and ranges.
-func TestPropertyTempCountRange(t *testing.T) {
-	f := func(vals []int32, lo, hi int32) bool {
+// Property: a sorted key column, as the merge driver's key distribution,
+// agrees with brute force. CountRange counts exactly the keys in
+// [lo, hi]; SplitBalanced returns at most k non-empty intervals that
+// cover [lo, hi] contiguously, so their counts sum to the whole. Keys
+// and bounds are int8 so ranges overlap the keys and duplicates abound.
+func TestPropertySortedKeys(t *testing.T) {
+	count := func(vals []int8, lo, hi int32) int64 {
+		var n int64
+		for _, v := range vals {
+			if int32(v) >= lo && int32(v) <= hi {
+				n++
+			}
+		}
+		return n
+	}
+	f := func(vals []int8, lo8, hi8 int8, kRaw uint8) bool {
+		lo, hi := int32(lo8), int32(hi8)
+		keys := make(sortedKeys, len(vals))
+		for i, v := range vals {
+			keys[i] = int32(v)
+		}
+		slices.Sort(keys)
+		if keys.CountRange(lo, hi) != count(vals, lo, hi) {
+			return false
+		}
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		temp := NewTemp(storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4}))
-		batch := make([]storage.Tuple, len(vals))
-		for i, v := range vals {
-			batch[i] = storage.NewTuple(storage.IntVal(v))
+		k := int(kRaw%9) + 1
+		ivs := keys.SplitBalanced(lo, hi, k)
+		if len(ivs) == 0 || len(ivs) > k || ivs[0].Lo != lo || ivs[len(ivs)-1].Hi != hi {
+			return false
 		}
-		temp.Append(batch)
-		temp.Finalize(0)
-		want := 0
-		for _, v := range vals {
-			if v >= lo && v <= hi {
-				want++
+		var sum int64
+		for i, iv := range ivs {
+			if iv.Empty() || (i > 0 && iv.Lo != ivs[i-1].Hi+1) {
+				return false
 			}
+			got := keys.CountRange(iv.Lo, iv.Hi)
+			if got != count(vals, iv.Lo, iv.Hi) {
+				return false
+			}
+			sum += got
 		}
-		return temp.CountRange(0, lo, hi) == want
+		return sum == count(vals, lo, hi)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -138,11 +138,6 @@ func (r *Reacher) FromFunc(fn *types.Func) string {
 	return r.funcReaches(fn, make(map[*types.Func]bool))
 }
 
-// FromBody reports the classified API reachable from a body, or "".
-func (r *Reacher) FromBody(body ast.Node) string {
-	return r.bodyReaches(body, make(map[*types.Func]bool))
-}
-
 func (r *Reacher) funcReaches(fn *types.Func, seen map[*types.Func]bool) string {
 	if culprit := r.classify(fn); culprit != "" {
 		return culprit

@@ -66,7 +66,6 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) errf(t token, format string, args ...interface{}) error {
 	return fmt.Errorf("sqlmini: offset %d: %s", t.pos, fmt.Sprintf(format, args...))
 }

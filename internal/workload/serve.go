@@ -131,9 +131,6 @@ func BuildTenantCatalog(st *storage.Store, p cost.Params, mix TenantMix, seed in
 	return c, nil
 }
 
-// Tenants returns the catalog's tenant names.
-func (c *Catalog) Tenants() []string { return c.tenants }
-
 // instantiate checks an instance of the template out of its pool —
 // building one if none is free — and stamps it with fresh task IDs.
 // Fresh IDs on every checkout keep the i-th submission's IDs a pure

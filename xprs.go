@@ -140,8 +140,7 @@ const (
 	Bushy    = opt.Bushy
 )
 
-// DefaultBatchSize is the executor's tuples-per-batch granularity when
-// Config.BatchSize is zero.
+// DefaultBatchSize is the executor's tuples-per-batch granularity.
 const DefaultBatchSize = exec.DefaultBatchSize
 
 // Config sizes the simulated machine.
@@ -155,10 +154,6 @@ type Config struct {
 	// BufferPoolPages sets page-cache capacity; 0 disables caching,
 	// which is how the §3 experiments run.
 	BufferPoolPages int
-	// BatchSize is the executor's tuples-per-batch granularity; 0 means
-	// exec.DefaultBatchSize. Results and virtual-clock totals do not
-	// depend on it.
-	BatchSize int
 	// Observe enables run observability: structured trace spans (one
 	// lane per slave backend and per disk), scheduler decision events
 	// with reasons, and the metrics registry. Results and virtual-clock
@@ -228,7 +223,6 @@ func New(cfg Config) *System {
 	store := storage.NewStore(clock, disks, cfg.BufferPoolPages)
 	params := cost.DefaultParams(cfg.Disk, cfg.NProcs)
 	engine := exec.New(clock, store, params)
-	engine.BatchSize = cfg.BatchSize
 	var observer *obs.Observer
 	if cfg.Observe {
 		observer = obs.NewObserverBudget(cfg.TraceBudget)
@@ -294,15 +288,6 @@ func (s *System) WriteChromeTrace(w io.Writer) error {
 	}
 	snap := s.observer.Metrics.Snapshot()
 	return obs.WriteChromeTrace(w, s.observer.Trace.Events(), s.observer.Trace.Lanes(), &snap)
-}
-
-// BatchSize returns the executor's effective tuples-per-batch
-// granularity.
-func (s *System) BatchSize() int {
-	if s.cfg.BatchSize > 0 {
-		return s.cfg.BatchSize
-	}
-	return exec.DefaultBatchSize
 }
 
 // Params returns the calibrated cost model.
