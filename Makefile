@@ -74,11 +74,13 @@ obsgate:
 # Driver coverage gate: every function of the partitioning drivers —
 # page partitioning (Figure 5, pagepart.go), interval partitioning
 # (Figure 6, intervalpart.go) and the nestloop's rescans (nestloop.go) —
-# runs in some internal/exec test. A function at 0.0% fails the gate.
+# and of admission (admission.go, every branch of admission.next's
+# order switch) runs in some internal/exec test. A function at 0.0%
+# fails the gate.
 drivercover:
 	@prof=$$(mktemp) && trap 'rm -f "$$prof"' EXIT && \
 	$(GO) test -count=1 -coverprofile="$$prof" ./internal/exec && \
 	$(GO) tool cover -func="$$prof" | awk ' \
-		$$1 ~ /\/(pagepart|intervalpart|nestloop)\.go:/ { n++; if ($$NF == "0.0%") { print "uncovered: " $$0; bad = 1 } } \
+		$$1 ~ /\/(pagepart|intervalpart|nestloop|admission)\.go:/ { n++; if ($$NF == "0.0%") { print "uncovered: " $$0; bad = 1 } } \
 		END { if (n == 0) { print "drivercover: no driver functions in the profile"; exit 1 } \
-		      if (bad) exit 1; printf "drivercover: %d driver functions, none at 0.0%%\n", n }'
+		      if (bad) exit 1; printf "drivercover: %d driver and admission functions, none at 0.0%%\n", n }'

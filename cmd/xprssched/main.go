@@ -84,7 +84,7 @@ func main() {
 	serve := flag.Bool("serve", false, "submit tasks online to a live scheduler session on the full executor instead of the analytic simulator")
 	maxq := flag.Int("maxq", 0, "admission cap on concurrent queries (serve mode; 0 = unlimited)")
 	mem := flag.Int64("mem", 0, "admission memory budget in bytes over task working sets (serve mode; 0 = unlimited)")
-	admPol := flag.String("adm", "", "admission policy (serve mode): fifo (default), pred-sjf, deadline")
+	admName := flag.String("adm", "", "admission policy (serve mode): fifo (default), pred-sjf, deadline")
 	aging := flag.Float64("aging", 0, "aging promotion bound in seconds (serve mode; 0 = off)")
 	deadline := flag.Float64("deadline", 0, "per-query response deadline in seconds for -adm deadline (serve mode; 0 = none)")
 	flag.Parse()
@@ -120,7 +120,7 @@ func main() {
 
 	if *serve {
 		sv := serveConfig{
-			maxq: *maxq, mem: *mem, adm: *admPol,
+			maxq: *maxq, mem: *mem, adm: *admName,
 			aging:    time.Duration(*aging * float64(time.Second)),
 			deadline: time.Duration(*deadline * float64(time.Second)),
 		}
@@ -130,7 +130,7 @@ func main() {
 		}
 		return
 	}
-	if *admPol != "" || *aging > 0 || *deadline > 0 {
+	if *admName != "" || *aging > 0 || *deadline > 0 {
 		fmt.Fprintln(os.Stderr, "xprssched: -adm/-aging/-deadline are only honored with -serve")
 	}
 

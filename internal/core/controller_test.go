@@ -261,6 +261,36 @@ func TestSJFOrdersByShortestJob(t *testing.T) {
 	}
 }
 
+// TestSJFPicksAcrossQueues pins INTRA-ONLY's cross-queue pick under
+// SJF: S_io and S_cpu each nominate their shortest task, and the
+// shorter of the two runs — the IO bias gives way — with equal T going
+// to the lower ID whichever queue holds it.
+func TestSJFPicksAcrossQueues(t *testing.T) {
+	cases := []struct {
+		name      string
+		io, cpu   *Task
+		wantFirst int
+	}{
+		{"short cpu beats long io", mkTask(1, 60, 100, true), mkTask(2, 10, 1, true), 2},
+		{"tie: lower-ID cpu", mkTask(2, 60, 10, true), mkTask(1, 10, 10, true), 1},
+		{"tie: lower-ID io", mkTask(1, 60, 10, true), mkTask(2, 10, 10, true), 1},
+	}
+	for _, tc := range cases {
+		c := NewController(paperEnv(), IntraOnly, Options{SJF: true})
+		d := c.Submit(tc.io, tc.cpu)
+		if len(d.Starts) != 1 || d.Starts[0].Task.ID != tc.wantFirst {
+			t.Fatalf("%s: starts %+v, want task %d alone", tc.name, d.Starts, tc.wantFirst)
+		}
+		next := tc.io
+		if next.ID == tc.wantFirst {
+			next = tc.cpu
+		}
+		if d = c.Complete(d.Starts[0].Task); len(d.Starts) != 1 || d.Starts[0].Task != next {
+			t.Fatalf("%s: second start %+v, want task %d", tc.name, d.Starts, next.ID)
+		}
+	}
+}
+
 func TestCompleteUnknownTaskPanics(t *testing.T) {
 	c := NewController(paperEnv(), InterAdj, Options{})
 	defer func() {

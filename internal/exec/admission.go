@@ -14,14 +14,14 @@ import (
 // Admission control: whole queries are gated before their tasks reach
 // the controller's S_io/S_cpu queues. This file owns all of it — the
 // limits (AdmissionConfig), the state charged against them and every
-// waiting query (admission), and the selectable orderings of the wait
-// queue (AdmissionPolicy). The scheduler's master loop holds one
-// admission by value and asks its policy for the next waiter whenever
-// capacity frees (wakeAdmitQ); nothing outside this file walks the
-// waiters.
+// waiting query (admission), and the order in which waiters are let in
+// (admission.next, one switch on AdmissionConfig.Policy). The
+// scheduler's master loop holds one admission by value and asks it for
+// the next waiter whenever capacity frees (wakeAdmitQ); nothing outside
+// this file walks the waiters.
 //
-// The default "fifo" policy is strict head-of-line, or the fair-share
-// first-eligible scan under per-tenant quotas. The predictive policies
+// The default "fifo" order is strict head-of-line, or the fair-share
+// first-eligible scan under per-tenant quotas. The predictive orders
 // lean on the repo's own completion-time predictor: parcost's analytic
 // fragment-schedule simulation (core.Simulate), a pure function of task
 // descriptions — no wall clock, no randomness — so predictions are
@@ -30,10 +30,10 @@ import (
 // currently admitted mix; "deadline" admits least-slack-first against
 // per-query deadlines (SubmitOptions.Deadline) or tenant SLO targets,
 // and sheds a waiter whose best-case schedule — simulated alone on an
-// idle machine — already misses its deadline. Any policy composes with
-// the aging wrapper (AdmissionConfig.AgingMaxWait), which bounds
-// starvation by promoting the oldest waiter to strict head-of-line once
-// it has waited too long.
+// idle machine — already misses its deadline. Every order composes with
+// aging (AdmissionConfig.AgingMaxWait), which bounds starvation by
+// promoting the oldest waiter to strict head-of-line once it has waited
+// too long.
 
 // AdmissionConfig gates whole queries before their tasks reach the
 // controller's S_io/S_cpu queues. This is coarser than — and composes
@@ -82,11 +82,11 @@ type AdmissionConfig struct {
 	// deadlines or tenant SLO targets, shedding provably-hopeless
 	// queries with a *DeadlineShedError). See admission.go.
 	Policy string
-	// AgingMaxWait, when positive, wraps the admission policy so a
-	// waiter older than this is promoted to strict head-of-line: no
-	// other query is admitted before it, bounding starvation under
-	// ordering policies that would otherwise skip it forever. Promotions
-	// count on the sched.aging_promoted metric.
+	// AgingMaxWait, when positive, promotes a waiter older than this to
+	// strict head-of-line under any Policy: no other query is admitted
+	// before it, bounding starvation under orders that would otherwise
+	// skip it forever. Promotions count on the sched.aging_promoted
+	// metric.
 	AgingMaxWait time.Duration
 }
 
@@ -188,15 +188,16 @@ func (w *waitQ) removeAt(i int) *query {
 // waiter count (the MaxQueued threshold and the admission-queue
 // gauges).
 type admission struct {
-	cfg AdmissionConfig
+	cfg   AdmissionConfig
+	order admissionOrder // cfg.Policy, resolved by reset
 
 	waitTenants []*tenantState
 	nWaiting    int
 	nAdmitted   int
 	memInUse    int64
 	// epoch bumps whenever the admitted mix or its remaining work
-	// changes (admissions, query finishes, task completions) and keys
-	// the policies' prediction caches.
+	// changes (admissions, query finishes, task completions) and tags
+	// each waiter's cached mixPrediction.
 	epoch uint64
 
 	gAdmitQ *obs.Gauge // nil when metrics are off; methods no-op
@@ -204,7 +205,7 @@ type admission struct {
 	// predict estimates a query's response if it were admitted now —
 	// next to the admitted queries' remaining work, or (alone) by itself
 	// on an idle machine, its best case. The scheduler binds its
-	// simulation-backed predictor; only predictive policies call it.
+	// simulation-backed predictor; only the predictive orders call it.
 	predict func(q *query, alone bool) time.Duration
 	// onPromote, when set, observes each aging promotion (metric and
 	// trace instant on the scheduler's side).
@@ -212,12 +213,19 @@ type admission struct {
 }
 
 // reset readies the state for a session under cfg, keeping the bound
-// funcs and the slice capacity. Every count is already zero after a
-// clean Drain; the clears are insurance against a poisoned session.
-func (a *admission) reset(cfg AdmissionConfig) {
+// funcs and the slice capacity; an unknown cfg.Policy is an error. Every
+// count is already zero after a clean Drain; the clears are insurance
+// against a poisoned session. The epoch starts at 1 so a query's zero
+// predEpoch never reads as a cached prediction.
+func (a *admission) reset(cfg AdmissionConfig) error {
+	order, err := parseAdmissionOrder(cfg.Policy)
+	if err != nil {
+		return err
+	}
 	clear(a.waitTenants)
-	*a = admission{cfg: cfg, waitTenants: a.waitTenants[:0],
+	*a = admission{cfg: cfg, order: order, epoch: 1, waitTenants: a.waitTenants[:0],
 		predict: a.predict, onPromote: a.onPromote}
+	return nil
 }
 
 // admits reports whether the query fits the admission budget right now.
@@ -368,126 +376,149 @@ func (a *admission) takeMin(key func(q *query) time.Duration) *query {
 	return a.take(bts, bi)
 }
 
-// AdmissionPolicy orders the admission waiters: each call picks which
-// waiting query the scheduler acts on next. The interface has an
-// unexported method on purpose — policies see master-owned admission
-// state, so implementations live in this package and are selected by
-// name (AdmissionConfig.Policy).
-type AdmissionPolicy interface {
-	// Name identifies the policy in bench output and ops surfaces.
-	Name() string
-	// next picks the next waiter and removes it from the wait queues
-	// (take), or returns (nil, nil) to end the wake round. A non-nil
-	// error means "shed this waiter with this error" instead of
-	// admitting it; the wake round then continues.
-	next(a *admission, now time.Duration) (*query, error)
-}
+// admissionOrder is AdmissionConfig.Policy resolved once per session.
+type admissionOrder uint8
 
-// admissionScreener is an optional policy hook run at submission,
-// before a query is admitted or parked: a non-nil error sheds the
-// query immediately (the deadline policy's hopeless check).
-type admissionScreener interface {
-	screen(a *admission, q *query, now time.Duration) error
-}
+const (
+	orderFIFO     admissionOrder = iota // "fifo" or empty, the default
+	orderPredSJF                        // "pred-sjf"
+	orderDeadline                       // "deadline"
+)
 
-// AdmissionPolicyByName resolves AdmissionConfig.Policy: "fifo" (or
-// empty) is the default, "pred-sjf" ranks waiters by predicted
-// completion, "deadline" is least-slack-first with hopeless shedding.
-// A positive aging duration wraps the policy with max-wait promotion.
-func AdmissionPolicyByName(name string, aging time.Duration) (AdmissionPolicy, error) {
-	var pol AdmissionPolicy
+func parseAdmissionOrder(name string) (admissionOrder, error) {
 	switch name {
 	case "", "fifo":
-		pol = fifoAdmission{}
+		return orderFIFO, nil
 	case "pred-sjf":
-		pol = &predSJFAdmission{cache: make(map[int]time.Duration)}
+		return orderPredSJF, nil
 	case "deadline":
-		pol = &deadlineAdmission{pred: predSJFAdmission{cache: make(map[int]time.Duration)}}
-	default:
-		return nil, fmt.Errorf("exec: unknown admission policy %q (want fifo, pred-sjf or deadline)", name)
+		return orderDeadline, nil
 	}
-	if aging > 0 {
-		pol = &agingAdmission{inner: pol, maxWait: aging}
-	}
-	return pol, nil
+	return 0, fmt.Errorf("exec: unknown admission policy %q (want fifo, pred-sjf or deadline)", name)
 }
 
-// fifoAdmission is the default. Without per-tenant caps it is strict
-// head-of-line — the globally oldest waiter admits or nothing does;
-// with TenantMaxQueries it is the fair-share scan — the oldest waiter
-// whose admission passes, skipping quota-blocked tenants.
-type fifoAdmission struct{}
+// CheckAdmissionPolicy reports whether name is a valid
+// AdmissionConfig.Policy: "fifo" (or empty), "pred-sjf" or "deadline".
+func CheckAdmissionPolicy(name string) error {
+	_, err := parseAdmissionOrder(name)
+	return err
+}
 
-func (fifoAdmission) Name() string { return "fifo" }
-
-func (fifoAdmission) next(a *admission, now time.Duration) (*query, error) {
-	if a.cfg.TenantMaxQueries <= 0 {
-		ts, q := a.oldest()
-		if q == nil || !a.admits(ts, q) {
-			return nil, nil
+// next picks the waiter the wake loop acts on and removes it from the
+// wait queues (take), or returns (nil, nil) to end the wake round. A
+// non-nil error sheds the returned waiter instead of admitting it; the
+// round then continues. Aging runs first, whatever the order, so a
+// promoted waiter overrides both the fair-share skip and deadline's
+// hopeless sweep.
+func (a *admission) next(now time.Duration) (*query, error) {
+	if ts, q := a.overAge(now); q != nil {
+		if !a.admits(ts, q) {
+			return nil, nil // head-of-line block: nothing younger passes it
 		}
 		return a.take(ts, 0), nil
 	}
-	ts, i := a.firstEligible()
-	if ts == nil {
+	switch a.order {
+	case orderPredSJF:
+		// Among the waiters that fit, the earliest predicted completion.
+		return a.takeMin(a.mixPrediction), nil
+	case orderDeadline:
+		return a.nextDeadline(now)
+	}
+	return a.nextFIFO(), nil
+}
+
+// overAge returns the globally oldest waiter once it has waited
+// AgingMaxWait (nil without aging or when it is younger), observing its
+// promotion the first time (sched.aging_promoted). A promoted waiter is
+// strict head-of-line, so a query waits at most AgingMaxWait plus the
+// time for enough capacity to free.
+func (a *admission) overAge(now time.Duration) (*tenantState, *query) {
+	if a.cfg.AgingMaxWait <= 0 {
 		return nil, nil
 	}
-	return a.take(ts, i), nil
-}
-
-// predSJFAdmission is predicted shortest-job-first: among the waiters
-// that fit the admission budget, admit the one parcost's simulation
-// predicts would complete earliest if run next to the currently
-// admitted queries' remaining work. Predictions are cached per query
-// and invalidated wholesale whenever the admission state changes
-// (admission.epoch) — within one epoch the mix is fixed, so a waiter's
-// prediction cannot change.
-type predSJFAdmission struct {
-	epoch uint64
-	cache map[int]time.Duration // query ID -> predicted completion
-}
-
-func (p *predSJFAdmission) Name() string { return "pred-sjf" }
-
-func (p *predSJFAdmission) next(a *admission, now time.Duration) (*query, error) {
-	return a.takeMin(func(q *query) time.Duration { return p.predict(a, q) }), nil
-}
-
-// predict returns the cached mix prediction for a waiter, refreshing
-// the cache on epoch change.
-func (p *predSJFAdmission) predict(a *admission, q *query) time.Duration {
-	if p.epoch != a.epoch {
-		clear(p.cache)
-		p.epoch = a.epoch
+	ts, q := a.oldest()
+	if q == nil || now-q.submitRel < a.cfg.AgingMaxWait {
+		return nil, nil
 	}
-	if d, ok := p.cache[q.id]; ok {
-		return d
+	if !q.promoted {
+		q.promoted = true
+		if a.onPromote != nil {
+			a.onPromote(q, now-q.submitRel)
+		}
 	}
-	d := a.predict(q, false)
-	p.cache[q.id] = d
-	return d
+	return ts, q
 }
 
-// deadlineAdmission is least-slack-first: each eligible waiter's slack
-// is its remaining deadline budget minus its predicted completion
-// under the current mix, and the smallest slack admits first. A waiter
-// whose best-case schedule (alone on an idle machine) already misses
-// its deadline is provably hopeless — running it could only steal
-// capacity from queries that can still make theirs — and is shed with
-// a *DeadlineShedError, both at submission (screen) and while waiting
-// (its budget only shrinks). Queries without a deadline (no
-// SubmitOptions.Deadline and no tenant SLO target) have infinite slack
-// and admit last, in intake order.
-type deadlineAdmission struct {
-	pred predSJFAdmission // shared mix predictor + epoch cache
+// nextFIFO is the default order: strict head-of-line without per-tenant
+// caps — the globally oldest waiter admits or nothing does — and the
+// fair-share scan under TenantMaxQueries.
+func (a *admission) nextFIFO() *query {
+	if a.cfg.TenantMaxQueries <= 0 {
+		ts, q := a.oldest()
+		if q == nil || !a.admits(ts, q) {
+			return nil
+		}
+		return a.take(ts, 0)
+	}
+	ts, i := a.firstEligible()
+	if ts == nil {
+		return nil
+	}
+	return a.take(ts, i)
 }
 
-func (d *deadlineAdmission) Name() string { return "deadline" }
+// nextDeadline is least-slack-first: slack is a waiter's remaining
+// deadline budget minus its mixPrediction. It first sheds a waiter
+// whose best case already misses its deadline (hopeless); queries
+// without a deadline (no SubmitOptions.Deadline, no SLO target) have
+// infinite slack and admit last, in intake order.
+func (a *admission) nextDeadline(now time.Duration) (*query, error) {
+	// A waiter's deadline budget shrinks while it waits, so a query that
+	// passed the submission screen can become hopeless in the queue. Shed
+	// the first such waiter; the wake loop re-enters for the rest.
+	var shed *query
+	var shedErr error
+	a.walk(func(ts *tenantState, i int, q *query) bool {
+		if err := a.hopeless(q, now-q.submitRel); err != nil {
+			shed, shedErr = a.take(ts, i), err
+			return false
+		}
+		return true
+	})
+	if shed != nil {
+		return shed, shedErr
+	}
+	return a.takeMin(func(q *query) time.Duration {
+		if dl := a.queryDeadline(q); dl > 0 {
+			return q.submitRel + dl - now - a.mixPrediction(q)
+		}
+		return time.Duration(math.MaxInt64)
+	}), nil
+}
+
+// mixPrediction is a waiter's predicted response next to the admitted
+// mix, cached on the query for the current epoch: within one epoch the
+// mix is fixed, so the prediction cannot change.
+func (a *admission) mixPrediction(q *query) time.Duration {
+	if q.predEpoch != a.epoch {
+		q.pred, q.predEpoch = a.predict(q, false), a.epoch
+	}
+	return q.pred
+}
+
+// screen runs at submission, before a query is admitted or parked: a
+// non-nil error sheds it at once. Only the deadline order screens.
+func (a *admission) screen(q *query) error {
+	if a.order != orderDeadline {
+		return nil
+	}
+	return a.hopeless(q, 0)
+}
 
 // queryDeadline resolves a waiter's response-time target: its own
 // submission deadline, else its tenant's SLO target, else the default
 // SLO target; 0 means none.
-func queryDeadline(a *admission, q *query) time.Duration {
+func (a *admission) queryDeadline(q *query) time.Duration {
 	if q.deadline > 0 {
 		return q.deadline
 	}
@@ -501,8 +532,8 @@ func queryDeadline(a *admission, q *query) time.Duration {
 // response — simulated alone, a state-independent value computed at
 // most once per query — exceeds what is left of its deadline; nil for a
 // query that can still make it or has no deadline.
-func hopeless(a *admission, q *query, waited time.Duration) error {
-	dl := queryDeadline(a, q)
+func (a *admission) hopeless(q *query, waited time.Duration) error {
+	dl := a.queryDeadline(q)
 	if dl <= 0 {
 		return nil
 	}
@@ -512,71 +543,6 @@ func hopeless(a *admission, q *query, waited time.Duration) error {
 	}
 	if q.bestCase > dl-waited {
 		return &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: q.bestCase}
-	}
-	return nil
-}
-
-func (d *deadlineAdmission) screen(a *admission, q *query, now time.Duration) error {
-	return hopeless(a, q, 0)
-}
-
-func (d *deadlineAdmission) next(a *admission, now time.Duration) (*query, error) {
-	// Hopeless sweep first: a waiter's deadline budget shrinks while it
-	// waits, so a query that passed the submission screen can become
-	// hopeless in the queue. Shed the first such waiter; the wake loop
-	// re-enters for the rest.
-	var shed *query
-	var shedErr error
-	a.walk(func(ts *tenantState, i int, q *query) bool {
-		if err := hopeless(a, q, now-q.submitRel); err != nil {
-			shed, shedErr = a.take(ts, i), err
-			return false
-		}
-		return true
-	})
-	if shed != nil {
-		return shed, shedErr
-	}
-	return a.takeMin(func(q *query) time.Duration {
-		if dl := queryDeadline(a, q); dl > 0 {
-			return q.submitRel + dl - now - d.pred.predict(a, q)
-		}
-		return time.Duration(math.MaxInt64)
-	}), nil
-}
-
-// agingAdmission bounds starvation under any ordering policy: once the
-// globally oldest waiter has waited maxWait, it is promoted to strict
-// head-of-line — no other waiter is admitted before it, even if the
-// inner policy would rank others first — so a query waits at most
-// maxWait plus the time for enough capacity to free. Each promotion
-// counts once on the sched.aging_promoted metric.
-type agingAdmission struct {
-	inner   AdmissionPolicy
-	maxWait time.Duration
-}
-
-func (g *agingAdmission) Name() string { return g.inner.Name() + "+aging" }
-
-func (g *agingAdmission) next(a *admission, now time.Duration) (*query, error) {
-	if ts, q := a.oldest(); q != nil && now-q.submitRel >= g.maxWait {
-		if !q.promoted {
-			q.promoted = true
-			if a.onPromote != nil {
-				a.onPromote(q, now-q.submitRel)
-			}
-		}
-		if !a.admits(ts, q) {
-			return nil, nil // head-of-line block: nothing younger passes it
-		}
-		return a.take(ts, 0), nil
-	}
-	return g.inner.next(a, now)
-}
-
-func (g *agingAdmission) screen(a *admission, q *query, now time.Duration) error {
-	if sc, ok := g.inner.(admissionScreener); ok {
-		return sc.screen(a, q, now)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package exec
 
 // Unit tests of admission — the per-tenant wait deque, the policy
-// registry, the policy contracts — and the microbenchmark behind the
+// names, the contracts of each order — and the microbenchmark behind the
 // fair-share scan: firstEligible's per-tenant O(1) quota skip against a
 // flat O(queue) rescan, at 1000 tenants.
 
@@ -62,30 +62,18 @@ func TestWaitQ(t *testing.T) {
 	}
 }
 
-func TestAdmissionPolicyByName(t *testing.T) {
-	cases := []struct {
-		name  string
-		aging time.Duration
-		want  string
-	}{
-		{"", 0, "fifo"},
-		{"fifo", 0, "fifo"},
-		{"pred-sjf", 0, "pred-sjf"},
-		{"deadline", 0, "deadline"},
-		{"pred-sjf", time.Second, "pred-sjf+aging"},
-		{"fifo", time.Minute, "fifo+aging"},
-	}
-	for _, c := range cases {
-		pol, err := AdmissionPolicyByName(c.name, c.aging)
-		if err != nil {
-			t.Fatalf("%q: %v", c.name, err)
-		}
-		if pol.Name() != c.want {
-			t.Fatalf("%q: Name() = %q, want %q", c.name, pol.Name(), c.want)
+func TestCheckAdmissionPolicy(t *testing.T) {
+	for _, name := range []string{"", "fifo", "pred-sjf", "deadline"} {
+		if err := CheckAdmissionPolicy(name); err != nil {
+			t.Fatalf("%q: %v", name, err)
 		}
 	}
-	if _, err := AdmissionPolicyByName("lifo", 0); err == nil {
+	if err := CheckAdmissionPolicy("lifo"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+	var a admission
+	if err := a.reset(AdmissionConfig{Policy: "lifo"}); err == nil {
+		t.Fatal("reset accepted an unknown policy")
 	}
 }
 
@@ -199,17 +187,40 @@ func TestAdmissionPolicies(t *testing.T) {
 			want:         nil,
 			wantPromoted: 1,
 		},
+		{
+			// GIVEN an over-age waiter whose best case already misses
+			// what is left of its deadline WHEN deadline+aging wakes THEN
+			// it is promoted and admitted, not swept: aging runs before
+			// the hopeless sweep.
+			name:         "deadline+aging/promote-before-sweep",
+			cfg:          AdmissionConfig{Policy: "deadline", AgingMaxWait: 10 * s, MaxQueries: 2},
+			admitted:     []waiterSpec{{id: 0}},
+			submit:       []waiterSpec{{id: 1, deadline: 12 * s, best: 5 * s}},
+			now:          10 * s,
+			rounds:       1,
+			want:         []string{"admit 1"},
+			wantPromoted: 1,
+		},
+		{
+			// GIVEN tenant a at its quota with an over-age waiter and a
+			// young waiter of tenant b WHEN fifo+aging wakes THEN the
+			// promoted waiter blocks the line: promotion overrides the
+			// fair-share skip that would admit b.
+			name:         "fifo+aging/overrides-fair-share",
+			cfg:          AdmissionConfig{TenantMaxQueries: 1, AgingMaxWait: 10 * s},
+			admitted:     []waiterSpec{{id: 0, tenant: "a"}},
+			submit:       []waiterSpec{{id: 1, tenant: "a"}, {id: 2, tenant: "b", at: 5 * s}},
+			now:          10 * s,
+			rounds:       1,
+			want:         nil,
+			wantPromoted: 1,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pol, err := AdmissionPolicyByName(c.cfg.Policy, c.cfg.AgingMaxWait)
-			if err != nil {
-				t.Fatal(err)
-			}
 			specs := map[int]waiterSpec{}
 			promoted := 0
 			a := admission{
-				cfg: c.cfg,
 				predict: func(q *query, alone bool) time.Duration {
 					if alone {
 						return specs[q.id].best
@@ -217,6 +228,9 @@ func TestAdmissionPolicies(t *testing.T) {
 					return specs[q.id].pred
 				},
 				onPromote: func(*query, time.Duration) { promoted++ },
+			}
+			if err := a.reset(c.cfg); err != nil {
+				t.Fatal(err)
 			}
 			tenants := map[string]*tenantState{}
 			build := func(w waiterSpec) (*tenantState, *query) {
@@ -239,17 +253,15 @@ func TestAdmissionPolicies(t *testing.T) {
 			}
 			for _, w := range c.submit {
 				ts, q := build(w)
-				if sc, ok := pol.(admissionScreener); ok {
-					if err := sc.screen(&a, q, w.at); err != nil {
-						verdict("screen-shed", q, err)
-						continue
-					}
+				if err := a.screen(q); err != nil {
+					verdict("screen-shed", q, err)
+					continue
 				}
 				a.enqueue(ts, q)
 			}
 			for r := 0; r < c.rounds; r++ {
 				for a.nWaiting > 0 {
-					q, err := pol.next(&a, c.now)
+					q, err := a.next(c.now)
 					if q == nil {
 						break
 					}

@@ -693,6 +693,36 @@ func TestAggFragmentParallelPartials(t *testing.T) {
 	}
 }
 
+// TestAggSparseKeys groups keys lying farther apart than the dense
+// window: half the rows fall in one small window, the other half
+// spread over ±1.7M, so every slave spills to its map partial (aggLocal /
+// newAccum) and, at 3 processors, the partials merge (mergeInto) next
+// to the adopted dense window.
+func TestAggSparseKeys(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		v, eng := testEngineWith(0, procs, paramVariants[0])
+		rel := buildRelWith(t, eng.Store, "r", 3000, 24, func(i int) int32 {
+			if i%2 == 0 {
+				return int32(i % 30)
+			}
+			return int32(i%40-20) * 4 * aggDenseWindow / 3
+		})
+		root := &plan.Agg{
+			Child:    &plan.SeqScan{Rel: rel},
+			GroupCol: 0,
+			Funcs: []plan.AggFunc{
+				{Kind: plan.CountAll},
+				{Kind: plan.Sum, Col: 0},
+				{Kind: plan.Min, Col: 0},
+				{Kind: plan.Max, Col: 0},
+			},
+		}
+		specs, g := specFor(t, eng, root, 0)
+		rep := runOne(t, v, eng, specs, core.InterAdj)
+		checkOracle(t, fmt.Sprintf("procs=%d", procs), root, rep.Results[g.Root.ID])
+	}
+}
+
 func TestAggGlobalEmptyInput(t *testing.T) {
 	v, eng := testEngine(0)
 	rel := buildRel(t, eng.Store, "r", 100, 100, 24)

@@ -64,6 +64,19 @@ func TestReplay(t *testing.T) {
 			},
 		},
 		{
+			name:  "pred-sjf breaks a predicted tie by intake order",
+			adm:   AdmissionConfig{MaxQueries: 1, Policy: "pred-sjf"},
+			slots: []slot{{}, {}, {}},
+			check: func(t *testing.T, outs []Outcome) {
+				for i := 1; i < len(outs); i++ {
+					if prev, r := outs[i-1].Report, outs[i].Report; r.AdmittedAt != prev.End() {
+						t.Errorf("slot %d admitted at %v, slot %d ended at %v; want back to back in slot order",
+							i, r.AdmittedAt, i-1, prev.End())
+					}
+				}
+			},
+		},
+		{
 			name:    "a failed query ends the replay and the session still drains clean",
 			slots:   []slot{{}, {bad: true}, {at: time.Second}},
 			wantErr: "Sort below fragment root",
@@ -109,12 +122,14 @@ func TestReplay(t *testing.T) {
 				var dshed *DeadlineShedError
 				switch sl.shed {
 				case "queue":
-					if out.Report != nil || !errors.As(out.Shed, &qshed) {
-						t.Errorf("slot %d: %+v; want a *ShedError", i, out)
+					if out.Report != nil || !errors.As(out.Shed, &qshed) ||
+						!strings.Contains(out.Shed.Error(), "admission queue at 1 (limit 1)") {
+						t.Errorf("slot %d: %+v; want a *ShedError at queue limit 1", i, out)
 					}
 				case "deadline":
-					if out.Report != nil || !errors.As(out.Shed, &dshed) {
-						t.Errorf("slot %d: %+v; want a *DeadlineShedError", i, out)
+					if out.Report != nil || !errors.As(out.Shed, &dshed) ||
+						!strings.Contains(out.Shed.Error(), "exceeds deadline 1ns") {
+						t.Errorf("slot %d: %+v; want a *DeadlineShedError against 1ns", i, out)
 					}
 				default:
 					if out.Shed != nil || out.Report == nil || out.Report.SubmittedAt != sl.submitted || out.Report.Results[i].Len() != 200 {

@@ -135,8 +135,8 @@ type query struct {
 	traceMark int
 	// deadline is the query's response-time target relative to its
 	// submission (SubmitOptions.Deadline); 0 means none. promoted
-	// latches the aging wrapper's head-of-line promotion so each query
-	// counts at most one promotion.
+	// latches aging's head-of-line promotion so each query counts at
+	// most one promotion.
 	deadline time.Duration
 	promoted bool
 	// bestCase caches the deadline policy's best-case prediction (the
@@ -144,6 +144,10 @@ type query struct {
 	// latches it so the simulation runs at most once per query.
 	bestCase    time.Duration
 	bestCaseSet bool
+	// pred caches admission.mixPrediction, valid while predEpoch equals
+	// the admission epoch.
+	pred      time.Duration
+	predEpoch uint64
 
 	started  int // tasks handed to the controller
 	finished int // completions observed (real or synthesized)
@@ -240,12 +244,11 @@ type Scheduler struct {
 	// it, so it never grows with the backlog.
 	byTask map[int]*query
 	// tenants registers every tenant seen this session (with its gauges);
-	// adm is the admission state — limits, charges, waiters — and admPol
-	// the policy that orders the waiters (admission.go).
+	// adm is the admission state — limits, charges, waiters and their
+	// order (admission.go).
 	tenants   map[string]*tenantState
 	defTenant *tenantState // cached s.tenants[""]
 	adm       admission
-	admPol    AdmissionPolicy
 	inflight  int
 	temps     map[*plan.Fragment]*Temp
 	colHashes map[*plan.Fragment]*ColHashTable
@@ -297,12 +300,9 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	}
 	s.gen++
 	s.ctl = core.NewController(e.Env, policy, opts)
-	s.adm.reset(adm)
-	pol, err := AdmissionPolicyByName(adm.Policy, adm.AgingMaxWait)
-	if err != nil {
+	if err := s.adm.reset(adm); err != nil {
 		panic(err.Error()) // facades validate names up front
 	}
-	s.admPol = pol
 	// Serving telemetry. The series' now-func is a pure clock read —
 	// reads never advance the virtual clock (obsnoclock allows them) —
 	// so the timeline buckets on virtual time without perturbing it. The
@@ -619,13 +619,11 @@ func (s *Scheduler) onSubmit(q *query, now time.Duration) {
 		s.eng.schedEvent("submit", fmt.Sprintf(
 			"query %d: %d tasks, %d B working set", q.id, len(q.tasks), q.mem))
 	}
-	// Policies with a submission screen (deadline) can reject a query
-	// before it ever waits: a provably-hopeless query sheds immediately.
-	if sc, ok := s.admPol.(admissionScreener); ok {
-		if err := sc.screen(&s.adm, q, now); err != nil {
-			s.shedWith(q, err)
-			return
-		}
+	// The deadline order screens at submission: a provably-hopeless
+	// query sheds before it ever waits.
+	if err := s.adm.screen(q); err != nil {
+		s.shedWith(q, err)
+		return
 	}
 	ts := s.tenant(q.tenant)
 	if s.adm.admits(ts, q) {
@@ -984,23 +982,23 @@ func (s *Scheduler) finishQuery(q *query) {
 	s.wakeAdmitQ()
 }
 
-// wakeAdmitQ admits waiting queries that now fit, in the order the
-// admission policy dictates. The default "fifo" policy reproduces the
+// wakeAdmitQ admits waiting queries that now fit, in the order
+// admission.next dictates. The default "fifo" order reproduces the
 // historical behavior exactly: strict head-of-line FIFO without
 // per-tenant caps (wake in intake order until the oldest waiter no
 // longer fits), fair-share first-eligible scan with them. Each round
-// re-asks the policy from fresh state because admitting a degenerate
-// empty query can recursively finish it — and recursively re-enter this
-// wake — mutating the wait queues mid-loop. A policy may also return a
-// shed verdict (the deadline policy giving up on a hopeless waiter);
-// the round then continues with the next pick.
+// re-asks next from fresh state because admitting a degenerate empty
+// query can recursively finish it — and recursively re-enter this wake
+// — mutating the wait queues mid-loop. next may also return a shed
+// verdict (the deadline order giving up on a hopeless waiter); the
+// round then continues with the next pick.
 func (s *Scheduler) wakeAdmitQ() {
 	if s.adm.nWaiting == 0 {
 		return
 	}
 	now := s.now()
 	for s.adm.nWaiting > 0 {
-		q, shedErr := s.admPol.next(&s.adm, now)
+		q, shedErr := s.adm.next(now)
 		if q == nil {
 			return
 		}

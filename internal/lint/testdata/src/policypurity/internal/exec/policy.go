@@ -1,7 +1,7 @@
-// Package exec exercises policypurity: every type satisfying the
-// AdmissionPolicy interface — found by interface satisfaction, not by
-// name — is transitively barred from goroutine spawns and
-// map-range-ordered picks.
+// Package exec exercises policypurity: every method of the admission
+// type, and every function those methods reach, is barred from
+// goroutine spawns and map-range-ordered picks. Code no admission
+// method reaches is not policypurity's business.
 package exec
 
 import (
@@ -10,70 +10,78 @@ import (
 	"time"
 )
 
-// AdmissionPolicy mirrors the real scheduling extension point.
-type AdmissionPolicy interface {
-	Pick(ready map[int]*Query) *Query
-}
-
-type Query struct {
-	ID   int
+type query struct {
+	id   int
 	cost float64
 }
 
-// FairPolicy is clean: the blessed collect-append-then-sort pattern.
-type FairPolicy struct{}
+// admission mirrors the real admission state: its methods are the roots.
+type admission struct {
+	ready map[int]*query
+	hits  int
+}
 
-func (FairPolicy) Pick(ready map[int]*Query) *Query {
+// oldest is clean: the blessed collect-append-then-sort pattern.
+func (a *admission) oldest() *query {
 	var ids []int
-	for id := range ready {
+	for id := range a.ready {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	if len(ids) == 0 {
 		return nil
 	}
-	return ready[ids[0]]
+	return a.ready[ids[0]]
 }
 
-// GreedyPolicy picks first-match out of a map range and leans on an
-// impure helper.
-type GreedyPolicy struct{}
+// next is clean itself; the pick it delegates to is not.
+func (a *admission) next() *query {
+	if q := a.oldest(); q != nil && q.cost == 0 {
+		return q
+	}
+	return firstCheap(a.ready)
+}
 
-func (GreedyPolicy) Pick(ready map[int]*Query) *Query {
+// firstCheap is reachable only through admission.next.
+func firstCheap(ready map[int]*query) *query {
 	for _, q := range ready {
 		if lucky() {
-			return q // want `return from inside a map range in policy code`
+			return q // want `return from inside a map range in admission code`
 		}
 	}
 	return nil
 }
 
-// lucky is reachable from GreedyPolicy.Pick, but its wall-clock read
-// and global rand draw are vclockpurity's findings, not policypurity's:
-// each invariant is checked once.
+// lucky is reachable too, but its wall-clock read and global rand draw
+// are vclockpurity's findings, not policypurity's: each invariant is
+// checked once.
 func lucky() bool {
 	deadline := time.Now()
 	_ = deadline
 	return rand.Intn(2) == 0
 }
 
-// AsyncPolicy races its own bookkeeping.
-type AsyncPolicy struct{ hits int }
-
-func (p *AsyncPolicy) Pick(ready map[int]*Query) *Query {
-	go func() { p.hits++ }() // want `goroutine spawned in code reachable from a scheduling policy`
-	return nil
-}
-
-// MaxPolicy reduces inside the map range: ties follow iteration order.
-type MaxPolicy struct{}
-
-func (MaxPolicy) Pick(ready map[int]*Query) *Query {
-	var best *Query
-	for _, q := range ready {
+// heaviest reduces inside the map range: ties follow iteration order.
+func (a *admission) heaviest() *query {
+	var best *query
+	for _, q := range a.ready {
 		if best == nil || q.cost > best.cost {
 			best = q // want `assignment to "best" \(declared outside the loop\) inside a map range`
 		}
 	}
 	return best
+}
+
+// count races its own bookkeeping.
+func (a *admission) count() {
+	go func() { a.hits++ }() // want `goroutine spawned in code reachable from the admission order`
+}
+
+// anyReady is the same first-match pick as firstCheap, but no admission
+// method reaches it, so it is clean.
+func anyReady(ready map[int]*query) *query {
+	for _, q := range ready {
+		return q
+	}
+	return nil
 }

@@ -12,17 +12,6 @@ package plan
 // nil set reads every column.
 type colSet []bool
 
-// add unions t into s.
-func (s colSet) add(t colSet) colSet {
-	if s == nil || t == nil {
-		return nil
-	}
-	for c, read := range t {
-		s[c] = s[c] || read
-	}
-	return s
-}
-
 // pruned lists the columns outside the set, ascending; nil when every
 // column is read.
 func (s colSet) pruned() []int {
@@ -36,9 +25,9 @@ func (s colSet) pruned() []int {
 }
 
 // stampPrune walks the graph from the root fragment down. Fragments are
-// listed inputs first, so going backwards every consumer of a hash table
-// has said what it reads by the time the building fragment is reached;
-// a table probed from two places keeps the union.
+// listed inputs first, so going backwards the one probe of a hash table
+// (Decompose gives every HashJoin a build fragment of its own) has said
+// what it reads by the time the building fragment is reached.
 func stampPrune(g *Graph) {
 	builds := make(map[*Fragment]colSet)
 	for i := len(g.Fragments) - 1; i >= 0; i-- {
@@ -78,11 +67,7 @@ func pushReads(n Node, reads colSet, builds map[*Fragment]colSet) {
 			right = append(colSet(nil), reads[nl:]...)
 			right[x.RCol] = true
 		}
-		bf := x.Right.(*FragScan).Frag
-		if prev, probed := builds[bf]; probed {
-			right = prev.add(right)
-		}
-		builds[bf] = right
+		builds[x.Right.(*FragScan).Frag] = right
 		pushReads(x.Left, left, builds)
 	default:
 		for _, c := range n.Children() {

@@ -7,7 +7,7 @@ package xprs
 // arrives just ahead of many short ones while MaxQueries serializes
 // execution — which is exactly the regime where predicted-SJF's
 // completion-time ranking beats FIFO on mean response, the deadline
-// policy sheds provably-hopeless work early, and the aging wrapper
+// policy sheds provably-hopeless work early, and aging (AgingMaxWait)
 // bounds how long predicted-SJF may starve the longs. Everything runs
 // in virtual time: the rows are byte-identical across reruns and
 // GOMAXPROCS.
@@ -85,7 +85,7 @@ type PolicyRow struct {
 	P95QueueWaitNs  int64 `json:"p95_queue_wait_ns"`
 	MaxQueueWaitNs  int64 `json:"max_queue_wait_ns"`
 	// MaxLongWaitNs is the longest queue wait of any long query — the
-	// starvation measure the aging wrapper bounds: predicted-SJF parks
+	// starvation measure aging bounds: predicted-SJF parks
 	// the longs behind every short, aging promotes them after
 	// AgingMaxWait.
 	MaxLongWaitNs int64 `json:"max_long_wait_ns"`

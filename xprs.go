@@ -120,9 +120,6 @@ type (
 	// Tally is a session's summary: completed / shed counts, latency
 	// samples and the makespan (see Summarize).
 	Tally = workload.Tally
-	// AdmissionPolicy orders the admission wait queue; select one by
-	// name via Admission.Policy ("fifo", "pred-sjf", "deadline").
-	AdmissionPolicy = exec.AdmissionPolicy
 )
 
 // Scheduling policies (§3's three algorithms).
@@ -531,7 +528,7 @@ func (sc *Scheduler) SleepUntil(t time.Duration) {
 func (s *System) Serve(policy Policy, opts SchedOptions, adm Admission, fn func(*Scheduler) error) error {
 	// Validate the policy name here, where an error can be returned;
 	// exec.NewScheduler panics on one.
-	if _, err := exec.AdmissionPolicyByName(adm.Policy, adm.AgingMaxWait); err != nil {
+	if err := exec.CheckAdmissionPolicy(adm.Policy); err != nil {
 		return err
 	}
 	var err error
