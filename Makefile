@@ -55,10 +55,14 @@ benchtest:
 # Allocation gate: the executor hot path must stay under the committed
 # allocs/op budget (see TestPipelineAllocGate in bench_test.go), filling
 # a generator-backed page must allocate nothing and one workload.Generate
-# stay under its budget (TestScanAllocGate in internal/workload).
+# stay under its budget (TestScanAllocGate in internal/workload), and a
+# scan materialized into a temp must stay under its bytes per row
+# (TestTempBytesGate in internal/exec: temps sized from the estimate,
+# vectors grown by doubling).
 allocgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestPipelineAllocGate -v .
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestTempBytesGate -v ./internal/exec
 
 # Serving gate: the scheduler's Submit fast path must stay under its
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go).

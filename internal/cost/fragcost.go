@@ -52,7 +52,8 @@ type nodeEstimate struct {
 }
 
 // EstimateFragment costs one fragment given the estimates of its input
-// fragments (keyed by fragment ID). Every fragment of a graph must be
+// fragments (keyed by fragment ID) and stamps its output-row estimate on
+// f.Rows. Every fragment of a graph must be
 // estimated in bottom-up order; EstimateGraph does that for a whole plan.
 func EstimateFragment(p Params, f *plan.Fragment, inputs map[int]FragEstimate) (FragEstimate, error) {
 	ne, err := estimateNode(p, f.Root, inputs)
@@ -64,18 +65,15 @@ func EstimateFragment(p Params, f *plan.Fragment, inputs map[int]FragEstimate) (
 	switch f.Out {
 	case plan.HashOut:
 		ne.cpu += ne.rows * p.HashInsertCPU
-		// Stamp the build-side partition-count hint from the estimated
-		// cardinality; the executor falls back to its default when no
-		// estimate ran.
-		if f.HashParts == 0 {
-			f.HashParts = plan.SuggestHashParts(ne.rows)
-		}
 		// Hash table: tuples plus per-entry bucket overhead.
 		mem = ne.rows * (ne.rowSize + 48)
 	case plan.SortedOut:
 		// Sort heap holds the whole materialized input.
 		mem = ne.rows * (ne.rowSize + 24)
 	}
+	// Stamp the output estimate on the fragment: the executor sizes the
+	// fragment's temp or hash table from it.
+	f.Rows = ne.rows
 	_, kind := f.Driver()
 	est := FragEstimate{
 		T:        ne.cpu + ne.ioTime,

@@ -222,14 +222,10 @@ func (st *aggState) emit(out *Temp) int {
 		st.releaseDenseLocked()
 		return 0
 	}
-	out.appendDirect(func(cb *storage.ColBatch) int {
+	out.appendDirect(n, func(cb *storage.ColBatch) {
 		gv := 0
 		if st.groupCol >= 0 {
 			gv = 1
-			cb.Vecs[0].Ints = slices.Grow(cb.Vecs[0].Ints, n)
-		}
-		for i := range st.funcs {
-			cb.Vecs[gv+i].Ints = slices.Grow(cb.Vecs[gv+i].Ints, n)
 		}
 		st.forEachGroupLocked(keys, func(k int32, acc []int64) {
 			if gv == 1 {
@@ -239,7 +235,6 @@ func (st *aggState) emit(out *Temp) int {
 				cb.Vecs[gv+i].Ints = append(cb.Vecs[gv+i].Ints, int32(v))
 			}
 		})
-		return n
 	})
 	st.releaseDenseLocked()
 	return n

@@ -63,7 +63,8 @@ type fragRun struct {
 	// rebind). aggNode remembers the root Agg so a fresh accumulator state
 	// can be built per run.
 	outSchema storage.Schema
-	hashParts int
+	hashParts int // HashOut: the hash table's partition count
+	tempRows  int // other outputs: the temp's row hint (tempRowHint)
 	aggNode   *plan.Agg
 
 	// colRoot is the compiled pipeline the drivers feed batches into.
@@ -143,11 +144,12 @@ func (fr *fragRun) emitLimit(cons colConsumer) int {
 func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
 	fr := &fragRun{eng: eng, frag: frag, outSchema: frag.Root.OutSchema()}
 	if frag.Out == plan.HashOut {
-		fr.hashParts = eng.HashPartitions
-		if fr.hashParts <= 0 {
-			fr.hashParts = frag.HashParts
-		}
-		if fr.hashParts <= 0 {
+		switch {
+		case eng.HashPartitions > 0:
+			fr.hashParts = eng.HashPartitions
+		case frag.Rows > 0:
+			fr.hashParts = plan.SuggestHashParts(frag.Rows)
+		default:
 			fr.hashParts = DefaultHashPartitions
 		}
 	}
@@ -156,6 +158,12 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 		return nil, err
 	}
 	fr.colRoot = root
+	if fr.aggNode == nil {
+		// An Agg's emit knows its exact group count; its estimate (the
+		// grouping column's distinct values before any filter) can be
+		// several times too high.
+		fr.tempRows = tempRowHint(frag.Rows)
+	}
 	fr.rebind(temps, colHashes)
 	return fr, nil
 }
@@ -170,7 +178,7 @@ func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fr
 	if fr.frag.Out == plan.HashOut {
 		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
 	} else {
-		fr.outTemp = NewTemp(fr.outSchema)
+		fr.outTemp = newTemp(fr.outSchema, fr.tempRows)
 	}
 	if fr.aggNode != nil {
 		fr.agg = newAggState(fr.aggNode)

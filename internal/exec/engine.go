@@ -35,10 +35,11 @@ type Engine struct {
 	BatchSize int
 
 	// HashPartitions overrides the build-side partition count of every
-	// hash table; 0 defers to the per-fragment hint (or
-	// DefaultHashPartitions). Like BatchSize, it is purely a wall-clock
-	// knob: results, virtual-clock totals and disk statistics are
-	// independent of the value.
+	// hash table; 0 derives it from the fragment's row estimate
+	// (plan.SuggestHashParts, or DefaultHashPartitions without one).
+	// Like BatchSize, it is purely a wall-clock knob: results,
+	// virtual-clock totals and disk statistics are independent of the
+	// value.
 	HashPartitions int
 
 	// Trace receives structured span/instant events when set. The tracer

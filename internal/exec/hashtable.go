@@ -50,8 +50,8 @@ import (
 // and probe CPU charges are per tuple, not per partition), which
 // TestBatchSweepHashPartitions proves at counts 1, 4 and 16.
 
-// DefaultHashPartitions is the build-side partition count when neither
-// the fragment hint nor Engine.HashPartitions picks one.
+// DefaultHashPartitions is the build-side partition count when the
+// fragment carries no row estimate and Engine.HashPartitions picks none.
 const DefaultHashPartitions = 16
 
 // Slot layout: hash(32) | start(24) | count(8).

@@ -41,7 +41,8 @@ func packKey(key int32, idx int) uint64 {
 // sortColBatch stably sorts an owned columnar batch in place on col by
 // radix-sorting the packed keys above: the packed order is a pure
 // function of (keys, arrival order). The gather pass permutes every
-// column; text columns permute their span arrays only.
+// column through one spare vector; text columns permute their span
+// arrays only.
 func sortColBatch(cb *storage.ColBatch, col int) {
 	n := cb.N
 	if n < 2 {
@@ -76,6 +77,12 @@ func sortColBatch(cb *storage.ColBatch, col int) {
 		}
 		packed, scratch = scratch, packed
 	}
+	// Every column is gathered into one spare vector; the column's old
+	// buffer, no longer read, is the spare of the next. Spans are absolute
+	// into Buf, so reordering a text column only permutes its (start,
+	// end) arrays; the payload bytes stay where they are and aliased runs
+	// stay shared.
+	spare := make([]int32, n)
 	for c := range cb.Vecs {
 		v := &cb.Vecs[c]
 		if v.Pruned() {
@@ -83,23 +90,20 @@ func sortColBatch(cb *storage.ColBatch, col int) {
 		}
 		switch v.Typ {
 		case storage.Int4:
-			ni := make([]int32, n)
-			for i, p := range packed {
-				ni[i] = v.Ints[p&0xffffffff]
-			}
-			v.Ints = ni
+			v.Ints, spare = permute(spare, v.Ints, packed), v.Ints
 		case storage.Text:
-			// Spans are absolute into Buf, so reordering rows only
-			// permutes the (start, end) arrays; the payload bytes stay
-			// where they are and aliased runs stay shared.
-			no := make([]int32, n)
-			ne := make([]int32, n)
-			for i, p := range packed {
-				r := int(p & 0xffffffff)
-				no[i] = v.Off[r]
-				ne[i] = v.End[r]
-			}
-			v.Off, v.End = no, ne
+			v.Off, spare = permute(spare, v.Off, packed), v.Off
+			v.End, spare = permute(spare, v.End, packed), v.End
 		}
 	}
+}
+
+// permute sets dst[i] to src at the arrival index packed[i] carries and
+// returns dst.
+func permute(dst, src []int32, packed []uint64) []int32 {
+	dst = dst[:len(packed)]
+	for i, p := range packed {
+		dst[i] = src[p&0xffffffff]
+	}
+	return dst
 }

@@ -13,6 +13,7 @@
 package exec
 
 import (
+	"math"
 	"sync"
 
 	"xprs/internal/storage"
@@ -28,11 +29,21 @@ import (
 // Row-oriented readers (result printing, tests) go through Tuples, which
 // materializes a row cache lazily — one backing Value array for the
 // whole temp — and invalidates it on append.
+//
+// The store is allocated on the first append, so an empty temp costs
+// nothing. A temp a fragment materializes carries the optimizer's
+// output-row estimate, and its int and span vectors are allocated once at
+// that many rows (capped at maxTempHintRows); an estimate that falls
+// short, and every temp without one, grows by doubling. Text payload
+// bytes always start empty and double (see storage.NewColBatchRows).
 type Temp struct {
 	Schema storage.Schema
 
 	mu   sync.Mutex
 	cols *storage.ColBatch
+	// rowHint is the row count the store is allocated at: the estimate,
+	// or chunkSize without one.
+	rowHint int
 	// sortedBy is the column the tuples are ordered on, or -1.
 	sortedBy int
 	// rows is the lazily materialized row view; nil when stale.
@@ -41,7 +52,16 @@ type Temp struct {
 
 // NewTemp creates an empty temp with the given schema.
 func NewTemp(schema storage.Schema) *Temp {
-	return &Temp{Schema: schema, sortedBy: -1}
+	return newTemp(schema, 0)
+}
+
+// newTemp creates an empty temp whose store is allocated at rows rows
+// (see tempRowHint; 0 when there is no estimate).
+func newTemp(schema storage.Schema, rows int) *Temp {
+	if rows <= 0 {
+		rows = chunkSize
+	}
+	return &Temp{Schema: schema, sortedBy: -1, rowHint: rows}
 }
 
 // SetSortProcs does nothing: Finalize's radix sort runs on the calling
@@ -49,10 +69,25 @@ func NewTemp(schema storage.Schema) *Temp {
 // over processors.
 func (t *Temp) SetSortProcs(int) {}
 
-// ensureColsLocked lazily allocates the columnar store.
-func (t *Temp) ensureColsLocked() *storage.ColBatch {
+// maxTempHintRows caps the rows a temp allocates up front: an estimate
+// above it (a cartesian product, stale statistics) costs at most this
+// many rows of each vector before the store grows by doubling.
+const maxTempHintRows = 1 << 20
+
+// tempRowHint turns an output-row estimate into a temp's row hint:
+// rounded up, so an exact estimate never falls one row short and doubles
+// the store, and capped at maxTempHintRows. No estimate gives 0.
+func tempRowHint(rows float64) int {
+	if rows <= 0 {
+		return 0
+	}
+	return int(math.Ceil(min(rows, maxTempHintRows)))
+}
+
+// ensureColsLocked lazily allocates the columnar store at rows rows.
+func (t *Temp) ensureColsLocked(rows int) *storage.ColBatch {
 	if t.cols == nil {
-		t.cols = storage.NewColBatch(t.Schema, chunkSize)
+		t.cols = storage.NewColBatchRows(t.Schema, rows)
 	}
 	return t.cols
 }
@@ -66,7 +101,7 @@ func (t *Temp) Append(batch []storage.Tuple) {
 		return
 	}
 	t.mu.Lock()
-	cb := t.ensureColsLocked()
+	cb := t.ensureColsLocked(max(t.rowHint, len(batch)))
 	for i := range batch {
 		cb.AppendTuple(batch[i])
 	}
@@ -83,23 +118,22 @@ func (t *Temp) AppendCols(b *storage.ColBatch) {
 		return
 	}
 	t.mu.Lock()
-	cb := t.ensureColsLocked()
+	cb := t.ensureColsLocked(max(t.rowHint, live))
 	cb.AppendBatch(b)
 	t.rows = nil
 	t.mu.Unlock()
 }
 
 // appendDirect runs fn with the temp's columnar store locked; fn
-// appends values to the vectors itself and returns how many rows it
-// added. Aggregation emit uses it to write final rows without ever
-// materializing a tuple.
-func (t *Temp) appendDirect(fn func(cb *storage.ColBatch) int) {
+// appends n rows to the vectors itself (a store allocated here is sized
+// for exactly n). Aggregation emit uses it to write final rows without
+// ever materializing a tuple.
+func (t *Temp) appendDirect(n int, fn func(cb *storage.ColBatch)) {
 	t.mu.Lock()
-	cb := t.ensureColsLocked()
-	if n := fn(cb); n > 0 {
-		cb.N += n
-		t.rows = nil
-	}
+	cb := t.ensureColsLocked(n)
+	fn(cb)
+	cb.N += n
+	t.rows = nil
 	t.mu.Unlock()
 }
 

@@ -50,12 +50,13 @@ type Fragment struct {
 	// HashCol is the key column (in the fragment's output schema) when
 	// Out == HashOut.
 	HashCol int
-	// HashParts is the build-side radix partition count hint when Out ==
-	// HashOut; 0 lets the executor choose. Cost estimation stamps it from
-	// the estimated build cardinality (see SuggestHashParts). Like the
-	// executor's batch size it is purely a wall-clock knob: results and
-	// virtual-clock totals are independent of its value.
-	HashParts int
+	// Rows is the optimizer's estimate of the fragment's output rows
+	// (cost.EstimateFragment stamps it; 0 means no estimate ran). The
+	// executor sizes what the fragment materializes from it: a temp's
+	// vectors, a hash table's partition count (see SuggestHashParts).
+	// Like the executor's batch size it is purely a wall-clock input:
+	// results and virtual-clock totals are independent of its value.
+	Rows float64
 	// OutPrune lists, ascending, the output columns of a HashOut fragment
 	// that no probe reads: the hash table does not store them. nil keeps
 	// every column, and is all any other kind of fragment carries.

@@ -52,86 +52,93 @@ func (v *Vec) Bytes(row int) []byte {
 
 // appendText appends one text payload. When the payload is byte-identical
 // to the previously appended row, the new row aliases the previous span
-// instead of copying — the string comparison compiles to an allocation-
-// free memequal and exits on the first differing byte, so distinct
-// payloads pay one comparison step, not a scan.
-func (v *Vec) appendText(b []byte) {
-	if n := len(v.Off); n > 0 {
-		s, e := v.Off[n-1], v.End[n-1]
-		if int(e-s) == len(b) && string(v.Buf[s:e]) == string(b) {
-			v.Off = append(v.Off, s)
-			v.End = append(v.End, e)
-			return
-		}
-	}
-	s := int32(len(v.Buf))
-	v.Buf = append(v.Buf, b...)
+// instead of copying (see textSpan).
+func appendText[S string | []byte](v *Vec, b S) {
+	s, e := v.lastSpan()
+	s, e = textSpan(v, s, e, b)
 	v.Off = append(v.Off, s)
-	v.End = append(v.End, int32(len(v.Buf)))
+	v.End = append(v.End, e)
 }
 
-// appendTextStr is appendText for a string payload.
-func (v *Vec) appendTextStr(b string) {
-	if n := len(v.Off); n > 0 {
-		s, e := v.Off[n-1], v.End[n-1]
-		if int(e-s) == len(b) && string(v.Buf[s:e]) == b {
-			v.Off = append(v.Off, s)
-			v.End = append(v.End, e)
-			return
-		}
+// textSpan returns the span payload b gets in v when the row before it
+// spans Buf[s:e] (s < 0: no row before it): that same span when the bytes
+// are identical, else a fresh copy at the end of Buf, which doubles when
+// it fills. The string comparison compiles to an allocation-free memequal
+// and exits on the first differing byte, so distinct payloads pay one
+// comparison step, not a scan.
+func textSpan[S string | []byte](v *Vec, s, e int32, b S) (int32, int32) {
+	if s >= 0 && int(e-s) == len(b) && string(v.Buf[s:e]) == string(b) {
+		return s, e
 	}
-	s := int32(len(v.Buf))
-	v.Buf = append(v.Buf, b...)
-	v.Off = append(v.Off, s)
-	v.End = append(v.End, int32(len(v.Buf)))
+	start := int32(len(v.Buf))
+	v.Buf = append(reserve(v.Buf, len(b)), b...)
+	return start, int32(len(v.Buf))
 }
 
 // appendTextRun appends n rows that all carry payload b: the first goes
-// through appendTextStr, the rest repeat its span, so the payload is
+// through appendText, the rest repeat its span, so the payload is
 // compared at most once and written at most once however long the run.
 func (v *Vec) appendTextRun(b string, n int) {
 	if n == 0 {
 		return
 	}
-	v.appendTextStr(b)
+	appendText(v, b)
 	last := len(v.Off) - 1
 	v.Off = appendRepeat(v.Off, v.Off[last], n-1)
 	v.End = appendRepeat(v.End, v.End[last], n-1)
 }
 
 // appendTextRows appends the text payloads of src's rows 0..n-1, or of
-// the rows sel lists when it is non-nil. A source row with the same span
-// as the source row before it is the same bytes, so it repeats the
-// previous destination span without looking at them; any other row goes
-// through appendText. The spans that result are the ones appendText
-// alone would produce.
+// the rows sel lists when it is non-nil, reserving the spans once. A
+// source row with the same span as the source row before it is the same
+// bytes, so it repeats the previous destination span without looking at
+// them; any other row goes through textSpan. The spans that result are
+// the ones appendText alone would produce.
 func (v *Vec) appendTextRows(src *Vec, n int, sel []int32) {
 	if sel != nil {
 		n = len(sel)
 	}
 	prevS, prevE := int32(-1), int32(-1) // source span of the previous row
-	var dstS, dstE int32                 // the span it was given in v
+	dstS, dstE := v.lastSpan()           // the span it was given in v
+	off, end := v.growSpans(n)
 	for i := 0; i < n; i++ {
 		row := i
 		if sel != nil {
 			row = int(sel[i])
 		}
-		s, e := src.Off[row], src.End[row]
-		if s == prevS && e == prevE {
-			v.Off = append(v.Off, dstS)
-			v.End = append(v.End, dstE)
-			continue
+		if s, e := src.Off[row], src.End[row]; s != prevS || e != prevE {
+			dstS, dstE = textSpan(v, dstS, dstE, src.Buf[s:e])
+			prevS, prevE = s, e
 		}
-		v.appendText(src.Buf[s:e])
-		prevS, prevE = s, e
-		dstS, dstE = v.Off[len(v.Off)-1], v.End[len(v.End)-1]
+		off[i], end[i] = dstS, dstE
 	}
 }
 
+// growSpans extends a text vector by n rows, reserving once, and returns
+// the new rows' Off and End slots for the caller to fill.
+func (v *Vec) growSpans(n int) (off, end []int32) {
+	base := len(v.Off)
+	v.Off = reserve(v.Off, n)[:base+n]
+	v.End = reserve(v.End, n)[:base+n]
+	return v.Off[base:], v.End[base:]
+}
+
+// lastSpan returns the span of the vector's last row, or (-1, -1) when it
+// has none — the "row before" argument of textSpan.
+func (v *Vec) lastSpan() (int32, int32) {
+	if n := len(v.Off); n > 0 {
+		return v.Off[n-1], v.End[n-1]
+	}
+	return -1, -1
+}
+
 // reserve makes room for n more elements, at least doubling a capacity
-// that falls short, so a vector grown by whole batches reallocates as
-// rarely as one grown a value at a time.
-func reserve(dst []int32, n int) []int32 {
+// that falls short. It is the growth rule of every bulk column append —
+// int values, text spans and text payload bytes — so a vector grown by
+// whole batches reallocates as rarely as one grown a value at a time, and
+// a vector sized from an estimate that falls short grows 2×, not by
+// append's 1.25×.
+func reserve[T int32 | byte](dst []T, n int) []T {
 	if need := len(dst) + n; need > cap(dst) {
 		dst = slices.Grow(dst, max(need, 2*cap(dst))-len(dst))
 	}
@@ -141,7 +148,7 @@ func reserve(dst []int32, n int) []int32 {
 // appendRepeat appends n copies of x to dst.
 func appendRepeat(dst []int32, x int32, n int) []int32 {
 	base := len(dst)
-	dst = slices.Grow(dst, n)[:base+n]
+	dst = reserve(dst, n)[:base+n]
 	for i := base; i < len(dst); i++ {
 		dst[i] = x
 	}
@@ -174,40 +181,20 @@ func NewColBatch(s Schema, capRows int) *ColBatch {
 	return b
 }
 
+// NewColBatchRows returns an owned batch whose int and span vectors are
+// allocated at exactly rows rows — a materialized result sized from its
+// row estimate. Text payload buffers start empty and double as they
+// fill: aliased spans make a payload's bytes per row unpredictable.
+func NewColBatchRows(s Schema, rows int) *ColBatch {
+	b := &ColBatch{}
+	b.shape(s, rows, 0, nil)
+	return b
+}
+
 // Init (re)shapes the batch for the schema, reusing vector storage when
 // the capacity is already there. The batch comes out empty and owned.
 func (b *ColBatch) Init(s Schema, capRows int) {
-	if cap(b.Vecs) < len(s.Cols) {
-		b.Vecs = make([]Vec, len(s.Cols))
-	}
-	b.Vecs = b.Vecs[:len(s.Cols)]
-	for i := range b.Vecs {
-		v := &b.Vecs[i]
-		typ := s.Cols[i].Typ
-		switch typ {
-		case Int4:
-			if v.Typ != Int4 || v.Ints == nil {
-				v.Ints = make([]int32, 0, capRows)
-			} else {
-				v.Ints = v.Ints[:0]
-			}
-			v.Off, v.End, v.Buf = nil, nil, nil
-		case Text:
-			if v.Typ != Text || v.Off == nil {
-				v.Off = make([]int32, 0, capRows)
-				v.End = make([]int32, 0, capRows)
-				v.Buf = make([]byte, 0, capRows*8)
-			} else {
-				v.Off = v.Off[:0]
-				v.End = v.End[:0]
-				v.Buf = v.Buf[:0]
-			}
-			v.Ints = nil
-		}
-		v.Typ = typ
-	}
-	b.N = 0
-	b.Sel = nil
+	b.shape(s, capRows, capRows*8, nil)
 }
 
 // InitPruned is Init for a projection output: the columns listed in
@@ -215,6 +202,12 @@ func (b *ColBatch) Init(s Schema, capRows int) {
 // pruned batch never allocates (and then discards) their buffers.
 // prune must be ascending.
 func (b *ColBatch) InitPruned(s Schema, capRows int, prune []int) {
+	b.shape(s, capRows, capRows*8, prune)
+}
+
+// shape is Init and InitPruned: vectors it has to allocate get capRows
+// rows and, for text, a bufBytes payload buffer.
+func (b *ColBatch) shape(s Schema, capRows, bufBytes int, prune []int) {
 	if cap(b.Vecs) < len(s.Cols) {
 		b.Vecs = make([]Vec, len(s.Cols))
 	}
@@ -241,7 +234,7 @@ func (b *ColBatch) InitPruned(s Schema, capRows int, prune []int) {
 			if v.Typ != Text || v.Off == nil {
 				v.Off = make([]int32, 0, capRows)
 				v.End = make([]int32, 0, capRows)
-				v.Buf = make([]byte, 0, capRows*8)
+				v.Buf = make([]byte, 0, bufBytes)
 			} else {
 				v.Off = v.Off[:0]
 				v.End = v.End[:0]
@@ -367,7 +360,7 @@ func (b *ColBatch) ScatterRows(dsts []*ColBatch, which, counts []int32) {
 		sv := &b.Vecs[c]
 		if sv.Typ == Text {
 			for i, d := range which {
-				dsts[d].Vecs[c].appendText(sv.Bytes(b.RowAt(i)))
+				appendText(&dsts[d].Vecs[c], sv.Bytes(b.RowAt(i)))
 			}
 			continue
 		}
@@ -441,8 +434,11 @@ func (v *Vec) appendRows(src *Vec, rows []int32) {
 // srcs[which[i]].
 func (v *Vec) gatherRows(srcs []*ColBatch, c int, which, rows []int32) {
 	if v.Typ == Text {
+		s, e := v.lastSpan()
+		off, end := v.growSpans(len(rows))
 		for i, row := range rows {
-			v.appendText(srcs[which[i]].Vecs[c].Bytes(int(row)))
+			s, e = textSpan(v, s, e, srcs[which[i]].Vecs[c].Bytes(int(row)))
+			off[i], end[i] = s, e
 		}
 		return
 	}
@@ -490,7 +486,7 @@ func (b *ColBatch) appendVal(c int, src *Vec, row int) {
 	case Int4:
 		dst.Ints = append(dst.Ints, src.Ints[row])
 	case Text:
-		dst.appendText(src.Bytes(row))
+		appendText(dst, src.Bytes(row))
 	}
 }
 
@@ -507,7 +503,7 @@ func (b *ColBatch) AppendTuple(t Tuple) {
 		case Int4:
 			dst.Ints = append(dst.Ints, v.Int)
 		case Text:
-			dst.appendTextStr(v.Str)
+			appendText(dst, v.Str)
 		}
 	}
 	b.N++

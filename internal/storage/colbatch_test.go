@@ -274,7 +274,11 @@ func TestAppendBatchPruneRule(t *testing.T) {
 // destinations deeply equal to the AppendRow / AppendJoined loops they
 // replace — random sources, selection vectors, random destinations per
 // row, into populated destinations, with the destination's text column
-// pruned every fifth trial.
+// pruned every fifth trial. Every other unpruned trial gathers into
+// destinations from NewColBatchRows with a few rows reserved, as a temp
+// sized from a short estimate is, so the kernels' span reservations
+// both fit and outgrow; and AppendBatch of the left batch under a
+// selection vector into such a destination matches AppendRow too.
 func TestColumnKernelsMatchRowAppends(t *testing.T) {
 	s := NewSchema(Column{"k", Int4}, Column{"t", Text}, Column{"seq", Int4})
 	joined := s.Concat(s)
@@ -340,17 +344,36 @@ func TestColumnKernelsMatchRowAppends(t *testing.T) {
 				lrows = append(lrows, int32(rng.Intn(left.N)))
 			}
 		}
-		gotG, wantG := shaped(s, prune), shaped(s, prune)
-		gotJ, wantJ := shaped(joined, prune2), shaped(joined, prune2)
+		sized := prune == nil && trial%2 == 1
+		kernelDst := func(s Schema, prune []int) *ColBatch {
+			if sized {
+				return NewColBatchRows(s, rng.Intn(8))
+			}
+			return shaped(s, prune)
+		}
+		gotG, wantG := kernelDst(s, prune), shaped(s, prune)
+		gotJ, wantJ := kernelDst(joined, prune2), shaped(joined, prune2)
+		gotB, wantB := kernelDst(s, nil), shaped(s, nil)
+		left.Sel = nil
+		for _, row := range lrows {
+			if len(left.Sel) == 0 || left.Sel[len(left.Sel)-1] < row {
+				left.Sel = append(left.Sel, row)
+			}
+		}
 		for round := 0; round < 2; round++ { // empty, then populated
 			gotG.AppendGather(srcs, which, rows)
 			gotJ.AppendJoinedRows(left, lrows, srcs, which, rows)
+			gotB.AppendBatch(left)
 			for i := range rows {
 				wantG.AppendRow(srcs[which[i]], int(rows[i]))
 				wantJ.AppendJoined(left, int(lrows[i]), srcs[which[i]], int(rows[i]))
 			}
+			for i := 0; i < left.Live(); i++ {
+				wantB.AppendRow(left, left.RowAt(i))
+			}
 			same(trial, "gather", gotG, wantG)
 			same(trial, "joined rows", gotJ, wantJ)
+			same(trial, "batch under a selection", gotB, wantB)
 		}
 	}
 }

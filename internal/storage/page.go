@@ -188,7 +188,7 @@ func decodePageCols(s Schema, data []byte, dst *ColBatch) error {
 				if pos+tn > len(tup) {
 					return fmt.Errorf("storage: slot %d: truncated text body in column %q", i, s.Cols[c].Name)
 				}
-				v.appendText(tup[pos : pos+tn])
+				appendText(v, tup[pos:pos+tn])
 				pos += tn
 			}
 		}

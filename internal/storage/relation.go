@@ -188,7 +188,7 @@ func (r *Relation) PageColsInto(p int64, dst *ColBatch) (*ColBatch, error) {
 			continue
 		}
 		base := len(v.Ints)
-		v.Ints = slices.Grow(v.Ints, n)[:base+n]
+		v.Ints = reserve(v.Ints, n)[:base+n]
 		out := v.Ints[base:]
 		for i := range out {
 			out[i] = col.Int(lo + int64(i))
