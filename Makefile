@@ -58,11 +58,14 @@ benchtest:
 # stay under its budget (TestScanAllocGate in internal/workload), and a
 # scan materialized into a temp must stay under its bytes per row
 # (TestTempBytesGate in internal/exec: temps sized from the estimate,
-# vectors grown by doubling).
+# vectors grown by doubling), and a controller decision must stay under
+# its allocations per decision (TestDecisionAllocGate in internal/core:
+# explanations are Reason values, rendered only when printed).
 allocgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestPipelineAllocGate -v .
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestTempBytesGate -v ./internal/exec
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestDecisionAllocGate -v ./internal/core
 
 # Serving gate: the scheduler's Submit fast path must stay under its
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go).

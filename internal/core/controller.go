@@ -81,7 +81,7 @@ type Start struct {
 	Degree int
 	// Reason explains the decision for traces: the balance-point solve
 	// behind a paired start, or why the task runs solo.
-	Reason string
+	Reason Reason
 }
 
 // Adjust instructs the engine to change a running task's degree through
@@ -91,7 +91,7 @@ type Adjust struct {
 	Degree int
 	// Reason explains the adjustment (partner completion, rebalance with
 	// a new partner, intra-only fallback).
-	Reason string
+	Reason Reason
 }
 
 // Note is an observability record the controller attaches to a decision:
@@ -101,7 +101,7 @@ type Adjust struct {
 type Note struct {
 	TaskID int
 	Kind   string // "classify", "balance", "reject", "solo", "defer"
-	Detail string
+	Detail Reason
 }
 
 // Decision is the controller's response to an event: tasks to start and
@@ -163,19 +163,19 @@ func (c *Controller) Options() Options { return c.opts }
 // reschedules. The returned decision carries one classification note
 // per task.
 func (c *Controller) Submit(tasks ...*Task) Decision {
-	var notes []Note
+	notes := make([]Note, 0, len(tasks))
 	for _, t := range tasks {
-		class := "CPU-bound"
-		queue := "S_cpu"
-		if c.env.IOBound(t) {
+		io := c.env.IOBound(t)
+		if io {
 			c.sio.Push(t)
-			class, queue = "IO-bound", "S_io"
 		} else {
 			c.scpu.Push(t)
 		}
-		notes = append(notes, Note{TaskID: t.ID, Kind: "classify", Detail: fmt.Sprintf(
-			"%s: C=%.1f io/s vs threshold B/N=%.1f; queued on %s (queues io=%d cpu=%d)",
-			class, t.Rate(), c.env.Threshold(), queue, c.sio.Len(), c.scpu.Len())})
+		notes = append(notes, Note{TaskID: t.ID, Kind: "classify", Detail: Reason{
+			form: reasonClassify, io: io,
+			n: [4]int32{int32(c.sio.Len()), int32(c.scpu.Len())},
+			x: [6]float64{t.Rate(), c.env.Threshold()},
+		}})
 	}
 	d := c.schedule()
 	d.Notes = append(notes, d.Notes...)
@@ -239,33 +239,34 @@ func (c *Controller) scheduleIntraOnly() Decision {
 	if t == nil {
 		return d
 	}
-	d.Starts = append(d.Starts, c.start(t, c.env.DegreeFor(c.env.MaxParallelism(t)),
-		fmt.Sprintf("intra-only: tasks run serially, each at maxp=%.2f", c.env.MaxParallelism(t))))
+	maxp := c.env.MaxParallelism(t)
+	d.Starts = append(d.Starts, c.start(t, c.env.DegreeFor(maxp),
+		Reason{form: reasonIntraOnly, x: [6]float64{maxp}}))
 	return d
 }
 
 // soloReason explains running a task alone at maximum parallelism.
-func (c *Controller) soloReason(t *Task, why string) string {
-	return fmt.Sprintf("%s; solo at maxp=%.2f (queues io=%d cpu=%d)",
-		why, c.env.MaxParallelism(t), c.sio.Len(), c.scpu.Len())
+func (c *Controller) soloReason(t *Task, why reasonPhrase) Reason {
+	return Reason{form: reasonSolo, phrase: why,
+		n: [4]int32{int32(c.sio.Len()), int32(c.scpu.Len())},
+		x: [6]float64{c.env.MaxParallelism(t)}}
 }
 
-// pairReason renders the §2.3 balance-point solve behind a paired start.
-func (c *Controller) pairReason(p Pair) string {
-	return fmt.Sprintf(
-		"%s pairing io=task %d cpu=task %d: balance x_i=%.2f x_j=%.2f → n_i=%d n_j=%d at B_eff=%.0f io/s; T_inter=%.2fs < T_intra=%.2fs+%.2fs",
-		c.opts.Pairing, p.IO.ID, p.CPU.ID, p.Xi, p.Xj, p.Ni, p.Nj, p.B,
-		p.TInter, c.env.TIntra(p.IO), c.env.TIntra(p.CPU))
+// pairReason records the §2.3 balance-point solve behind a paired start.
+func (c *Controller) pairReason(p Pair) Reason {
+	return Reason{form: reasonPair, pairing: uint8(c.opts.Pairing),
+		n: [4]int32{int32(p.IO.ID), int32(p.CPU.ID), int32(p.Ni), int32(p.Nj)},
+		x: [6]float64{p.Xi, p.Xj, p.B, p.TInter, c.env.TIntra(p.IO), c.env.TIntra(p.CPU)}}
 }
 
 // rejectReason explains why a candidate pair was not run side by side.
-func (c *Controller) rejectReason(a, b *Task, p Pair, ok bool) string {
+func (c *Controller) rejectReason(a, b *Task, p Pair, ok bool) Reason {
 	if !ok {
-		return fmt.Sprintf("pair task %d + task %d has no balance point (same class, or C_i <= C_j)", a.ID, b.ID)
+		return Reason{form: reasonNoBalance, n: [4]int32{int32(a.ID), int32(b.ID)}}
 	}
-	return fmt.Sprintf(
-		"pair io=task %d cpu=task %d not worthwhile: T_inter=%.2fs >= T_intra=%.2fs+%.2fs (or integer split exceeds B_eff)",
-		p.IO.ID, p.CPU.ID, p.TInter, c.env.TIntra(p.IO), c.env.TIntra(p.CPU))
+	return Reason{form: reasonNotWorthwhile,
+		n: [4]int32{int32(p.IO.ID), int32(p.CPU.ID)},
+		x: [6]float64{p.TInter, c.env.TIntra(p.IO), c.env.TIntra(p.CPU)}}
 }
 
 // --- INTER-WITH-ADJ (§2.5) -------------------------------------------------
@@ -283,7 +284,7 @@ func (c *Controller) scheduleInterAdj() Decision {
 			// at its own maximum parallelism (the dynamic adjustment that
 			// INTER-WITHOUT-ADJ lacks).
 			c.adjustTo(&d, r, c.env.DegreeFor(c.env.MaxParallelism(r.task)),
-				c.soloReason(r.task, "no opposite-class partner (or none fits memory budget); expand survivor"))
+				c.soloReason(r.task, soloNoPartner))
 			return d
 		}
 		pair, ok := c.env.EvaluatePair(r.task, partner)
@@ -293,7 +294,7 @@ func (c *Controller) scheduleInterAdj() Decision {
 				nr, np = pair.Nj, pair.Ni
 			}
 			reason := c.pairReason(pair)
-			c.adjustTo(&d, r, nr, "rebalance with new partner: "+reason)
+			c.adjustTo(&d, r, nr, reason.with(prefixRebalance))
 			d.Starts = append(d.Starts, c.start(partner, np, reason))
 			return d
 		}
@@ -301,10 +302,10 @@ func (c *Controller) scheduleInterAdj() Decision {
 		// returns to its queue head to run alone later (step 4's serial
 		// order).
 		d.Notes = append(d.Notes, Note{TaskID: partner.ID, Kind: "reject",
-			Detail: c.rejectReason(r.task, partner, pair, ok) + "; partner re-queued"})
+			Detail: c.rejectReason(r.task, partner, pair, ok).with(suffixRequeued)})
 		c.pushFront(partner)
 		c.adjustTo(&d, r, c.env.DegreeFor(c.env.MaxParallelism(r.task)),
-			c.soloReason(r.task, "pairing rejected; expand survivor"))
+			c.soloReason(r.task, soloRejectExpand))
 		return d
 	default:
 		return c.freshStart()
@@ -332,26 +333,26 @@ func (c *Controller) freshStart() Decision {
 		// completion, then f_j alone (f_j re-queues; the next
 		// completion reschedules it).
 		d.Notes = append(d.Notes, Note{TaskID: tj.ID, Kind: "reject",
-			Detail: c.pairOrMemReject(ti, tj, pair, ok) + "; run IO task first, partner re-queued"})
+			Detail: c.pairOrMemReject(ti, tj, pair, ok).with(suffixIOFirstRequeued)})
 		c.pushFront(tj)
 		d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-			c.soloReason(ti, "pairing rejected; IO task runs first")))
+			c.soloReason(ti, soloRejectIOFirst)))
 	case ti != nil:
 		d.Starts = append(d.Starts, c.start(ti, c.env.DegreeFor(c.env.MaxParallelism(ti)),
-			c.soloReason(ti, "S_cpu empty")))
+			c.soloReason(ti, soloSCPUEmpty)))
 	case tj != nil:
 		d.Starts = append(d.Starts, c.start(tj, c.env.DegreeFor(c.env.MaxParallelism(tj)),
-			c.soloReason(tj, "S_io empty")))
+			c.soloReason(tj, soloSIOEmpty)))
 	}
 	return d
 }
 
 // pairOrMemReject folds the memory-budget veto into the pair-reject
 // explanation (the fresh-start path checks both at once).
-func (c *Controller) pairOrMemReject(a, b *Task, p Pair, ok bool) string {
+func (c *Controller) pairOrMemReject(a, b *Task, p Pair, ok bool) Reason {
 	if ok && p.Worthwhile {
-		return fmt.Sprintf("pair task %d + task %d exceeds memory budget (%d+%d > %d bytes)",
-			a.ID, b.ID, a.MemBytes, b.MemBytes, c.opts.MemoryBudget)
+		return Reason{form: reasonMemReject, n: [4]int32{int32(a.ID), int32(b.ID)},
+			x: [6]float64{float64(a.MemBytes), float64(b.MemBytes), float64(c.opts.MemoryBudget)}}
 	}
 	return c.rejectReason(a, b, p, ok)
 }
@@ -378,9 +379,9 @@ func (c *Controller) scheduleInterNoAdj() Decision {
 			return d
 		}
 		deg := c.env.DegreeFor(math.Min(float64(avail), c.env.MaxParallelism(t)))
-		d.Starts = append(d.Starts, c.start(t, deg, fmt.Sprintf(
-			"best-fill: closest to max-utilization corner (N=%d, B=%.0f io/s) alongside running task %d (degree %d, %d procs free); no adjustment under %s",
-			c.env.NProcs, c.env.B, r.task.ID, r.degree, avail, c.policy)))
+		d.Starts = append(d.Starts, c.start(t, deg, Reason{form: reasonBestFill, policy: uint8(c.policy),
+			n: [4]int32{int32(c.env.NProcs), int32(r.task.ID), int32(r.degree), int32(avail)},
+			x: [6]float64{c.env.B}}))
 		return d
 	default:
 		return c.freshStart()
@@ -430,12 +431,12 @@ func (c *Controller) popBestFill(r runningInfo, avail int) *Task {
 
 // --- queue helpers ----------------------------------------------------------
 
-func (c *Controller) start(t *Task, degree int, reason string) Start {
+func (c *Controller) start(t *Task, degree int, reason Reason) Start {
 	c.running = append(c.running, runningInfo{task: t, degree: degree})
 	return Start{Task: t, Degree: degree, Reason: reason}
 }
 
-func (c *Controller) adjustTo(d *Decision, r *runningInfo, degree int, reason string) {
+func (c *Controller) adjustTo(d *Decision, r *runningInfo, degree int, reason Reason) {
 	if r.degree == degree {
 		return
 	}

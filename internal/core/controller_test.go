@@ -238,7 +238,7 @@ func TestFIFOPairingAblation(t *testing.T) {
 	for _, s := range d.Starts {
 		ids[s.Task.ID] = true
 		// The reason names the ordering that picked.
-		if !strings.HasPrefix(s.Reason, "fifo pairing") {
+		if !strings.HasPrefix(s.Reason.String(), "fifo pairing") {
 			t.Fatalf("arrival-order pair explained as %q", s.Reason)
 		}
 	}

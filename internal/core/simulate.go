@@ -26,9 +26,9 @@ type TraceEvent struct {
 	TaskID int
 	Degree int // -1 for note events, which carry no degree
 	// Reason is the controller's explanation: the balance-point solve, the
-	// pairing heuristic's choice, or why a pair was rejected. Empty on
-	// events predating observability and on completions.
-	Reason string
+	// pairing heuristic's choice, or why a pair was rejected. Zero on
+	// completions.
+	Reason Reason
 }
 
 // String implements fmt.Stringer. The prefix matches the historical
@@ -38,8 +38,8 @@ func (ev TraceEvent) String() string {
 	if ev.Degree >= 0 {
 		s += fmt.Sprintf(" (degree %d)", ev.Degree)
 	}
-	if ev.Reason != "" {
-		s += " — " + ev.Reason
+	if !ev.Reason.IsZero() {
+		s += " — " + ev.Reason.String()
 	}
 	return s
 }
@@ -71,7 +71,9 @@ func Simulate(env Env, policy Policy, opts Options, tasks []SimTask) (SimResult,
 		return SimResult{}, err
 	}
 	ctl := NewController(env, policy, opts)
-	res := SimResult{Finish: make(map[int]float64, len(tasks))}
+	// Every task contributes at least a classify note, a start and a
+	// complete; the fourth slot covers most adjusts and rejects.
+	res := SimResult{Finish: make(map[int]float64, len(tasks)), Trace: make([]TraceEvent, 0, 4*len(tasks))}
 
 	type state struct {
 		sim       SimTask

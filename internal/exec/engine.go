@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -345,10 +346,17 @@ func QueryTasks(g *plan.Graph, ests map[int]cost.FragEstimate, baseID int) ([]Ta
 		if t <= 0 {
 			t = 1e-6 // degenerate empty fragments still need a positive T
 		}
+		// The name is "q<base>.f<id>", built on the stack so the string
+		// is its one allocation.
+		var buf [48]byte
+		name := append(buf[:0], 'q')
+		name = strconv.AppendInt(name, int64(baseID), 10)
+		name = append(name, ".f"...)
+		name = strconv.AppendInt(name, int64(f.ID), 10)
 		spec := TaskSpec{
 			Task: &core.Task{
 				ID:       baseID + f.ID,
-				Name:     fmt.Sprintf("q%d.f%d", baseID, f.ID),
+				Name:     string(name),
 				T:        t,
 				D:        est.D,
 				SeqIO:    est.SeqIO,
@@ -372,16 +380,16 @@ type TraceEvent struct {
 	Degree int
 	// Reason carries the controller's explanation of the action: the
 	// balance-point solve behind a paired start, why a task runs solo, or
-	// what triggered an adjustment. Empty on completions.
-	Reason string
+	// what triggered an adjustment. Zero on completions.
+	Reason core.Reason
 }
 
 // String implements fmt.Stringer. The prefix is the historical format;
 // the reason, when present, is appended after a dash.
 func (ev TraceEvent) String() string {
 	s := fmt.Sprintf("t=%10v %-8s task %d (degree %d)", ev.Time, ev.Kind, ev.TaskID, ev.Degree)
-	if ev.Reason != "" {
-		s += " — " + ev.Reason
+	if !ev.Reason.IsZero() {
+		s += " — " + ev.Reason.String()
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -534,6 +535,26 @@ func TestQueryTasksErrors(t *testing.T) {
 	}
 	if _, err := QueryTasks(g, map[int]cost.FragEstimate{}, 0); err == nil {
 		t.Fatal("missing estimates accepted")
+	}
+}
+
+// TestQueryTasksNames pins the task names FragStat.Name and the trace
+// lanes show, "q<base>.f<id>", at bases of every width.
+func TestQueryTasksNames(t *testing.T) {
+	_, eng := testEngine(0)
+	l := buildRel(t, eng.Store, "l", 20, 20, 10)
+	r := buildRel(t, eng.Store, "r", 20, 20, 10)
+	hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
+	for _, base := range []int{0, 7, 123456, math.MaxInt64 - 10, -3} {
+		specs, g := specFor(t, eng, hj, base)
+		if len(specs) != len(g.Fragments) || len(specs) < 2 {
+			t.Fatalf("base %d: %d specs for %d fragments", base, len(specs), len(g.Fragments))
+		}
+		for i, sp := range specs {
+			if want := fmt.Sprintf("q%d.f%d", base, g.Fragments[i].ID); sp.Task.Name != want {
+				t.Errorf("base %d: name %q, want %q", base, sp.Task.Name, want)
+			}
+		}
 	}
 }
 

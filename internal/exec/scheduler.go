@@ -426,6 +426,11 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 		Results: make(map[int]*Temp),
 		Frags:   make(map[int]FragStat),
 	}
+	if len(specs) > 0 {
+		// One start and one complete per task, and room for an adjust; an
+		// empty query (the intake fast path) allocates no trace.
+		q.rep.Trace = make([]TraceEvent, 0, 2*len(specs)+1)
+	}
 	q.handle.sched = s
 
 	s.mu.Lock()
