@@ -14,27 +14,38 @@
 //	xprsbench -fig ablations    # pairing / SJF ablations
 //	xprsbench -fig all          # everything
 //
-// Flags -seed, -procs and -disks size the experiment. An unknown -fig
-// name is an error (exit 2), not an empty run.
+// An unknown -fig name is an error (exit 2), not an empty run. With
+// default flags the tables are testdata/experiments.golden and the
+// stream file is BENCH_stream.json, so
+//
+//	go run ./cmd/xprsbench > testdata/experiments.golden
+//
+// regenerates both goldens.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"xprs"
 )
 
+const (
+	defaultSeed = 1992
+	streamN     = 16 // tasks in the stream benchmark
+	streamMaxQ  = 2  // admission concurrent-query cap for the limited stream run
+)
+
 // params is what the flags resolve to, handed to every figure.
 type params struct {
-	cfg        xprs.Config
-	seed       int64
-	streamOut  string
-	streamN    int
-	streamMaxQ int
+	w         io.Writer // where the figure's table goes
+	cfg       xprs.Config
+	seed      int64
+	streamOut string
 }
 
 // figure is one registered -fig name.
@@ -44,22 +55,23 @@ type figure struct {
 }
 
 // figures is the single registry: -fig is validated against it, the
-// flag's help text is built from it, and "all" runs it in this order.
+// flag's help text is built from it, "all" runs it in this order, and
+// TestExperimentsGolden holds it to testdata/experiments.golden.
 var figures = []figure{
 	{"3", func(p params) error {
-		fmt.Print(xprs.FormatFig3(xprs.Fig3Classification(p.cfg)))
+		fmt.Fprint(p.w, xprs.FormatFig3(xprs.Fig3Classification(p.cfg)))
 		return nil
 	}},
 	{"4", func(p params) error {
-		fmt.Print(xprs.FormatFig4(xprs.Fig4BalancePoints(p.cfg)))
+		fmt.Fprint(p.w, xprs.FormatFig4(xprs.Fig4BalancePoints(p.cfg)))
 		return nil
 	}},
 	{"table1", func(p params) error {
-		fmt.Print(xprs.FormatTable1(xprs.Table1TaskRates()))
+		fmt.Fprint(p.w, xprs.FormatTable1(xprs.Table1TaskRates()))
 		return nil
 	}},
 	{"balance-seq", func(p params) error {
-		fmt.Print(xprs.FormatSeqSeq(xprs.SeqSeqEffectiveBandwidth(p.cfg)))
+		fmt.Fprint(p.w, xprs.FormatSeqSeq(xprs.SeqSeqEffectiveBandwidth(p.cfg)))
 		return nil
 	}},
 	{"7", func(p params) error {
@@ -67,7 +79,7 @@ var figures = []figure{
 		if err != nil {
 			return err
 		}
-		fmt.Print(xprs.FormatFig7(res))
+		fmt.Fprint(p.w, xprs.FormatFig7(res))
 		return nil
 	}},
 	{"sec4", func(p params) error {
@@ -75,7 +87,7 @@ var figures = []figure{
 		if err != nil {
 			return err
 		}
-		fmt.Print(xprs.FormatSec4(rows))
+		fmt.Fprint(p.w, xprs.FormatSec4(rows))
 		return nil
 	}},
 	{"stream", runStream},
@@ -84,7 +96,7 @@ var figures = []figure{
 		if err != nil {
 			return err
 		}
-		fmt.Print(xprs.FormatAblations(rows))
+		fmt.Fprint(p.w, xprs.FormatAblations(rows))
 		return nil
 	}},
 }
@@ -113,12 +125,8 @@ func selectFigures(name string) ([]figure, error) {
 
 func main() {
 	fig := flag.String("fig", "all", "which figure/table to regenerate: "+strings.Join(figureNames(), ", "))
-	seed := flag.Int64("seed", 1992, "workload seed")
-	procs := flag.Int("procs", 8, "number of processors")
-	disks := flag.Int("disks", 4, "number of disks")
+	seed := flag.Int64("seed", defaultSeed, "workload seed")
 	streamOut := flag.String("streamout", "BENCH_stream.json", "output file for the stream benchmark")
-	streamN := flag.Int("streamn", 16, "number of tasks in the stream benchmark")
-	streamMaxQ := flag.Int("streammaxq", 2, "admission concurrent-query cap for the limited stream run")
 	flag.Parse()
 
 	selected, err := selectFigures(*fig)
@@ -127,49 +135,42 @@ func main() {
 		os.Exit(2)
 	}
 
-	p := params{
-		cfg:        xprs.DefaultConfig(),
-		seed:       *seed,
-		streamOut:  *streamOut,
-		streamN:    *streamN,
-		streamMaxQ: *streamMaxQ,
-	}
-	p.cfg.NProcs = *procs
-	p.cfg.Disk.NumDisks = *disks
-
+	p := params{w: os.Stdout, cfg: xprs.DefaultConfig(), seed: *seed, streamOut: *streamOut}
 	for _, f := range selected {
 		if err := f.run(p); err != nil {
 			fmt.Fprintf(os.Stderr, "xprsbench: %s: %v\n", f.name, err)
 			os.Exit(1)
 		}
-		fmt.Println()
+		fmt.Fprintln(p.w)
 	}
 }
 
 // runStream makes two passes through the online submission path:
-// admission wide open, then capped at -streammaxq concurrent queries so
+// admission wide open, then capped at streamMaxQ concurrent queries so
 // the queue-wait columns are exercised; then the admission-policy
 // ablation. All of it is virtual time, so the file it writes is
-// byte-reproducible and BENCH_stream.json is kept as a golden file.
+// byte-reproducible and BENCH_stream.json is kept as a golden file. The
+// line naming that file goes to stderr, keeping the tables independent
+// of -streamout.
 func runStream(p params) error {
-	open, err := xprs.RunStream(p.cfg, p.seed, p.streamN, 2e9, xprs.SchedOptions{}, xprs.Admission{})
+	open, err := xprs.RunStream(p.cfg, p.seed, streamN, 2e9, xprs.SchedOptions{}, xprs.Admission{})
 	if err != nil {
 		return err
 	}
-	fmt.Print(xprs.FormatStream(open))
-	limited, err := xprs.RunStream(p.cfg, p.seed, p.streamN, 2e9, xprs.SchedOptions{},
-		xprs.Admission{MaxQueries: p.streamMaxQ})
+	fmt.Fprint(p.w, xprs.FormatStream(open))
+	limited, err := xprs.RunStream(p.cfg, p.seed, streamN, 2e9, xprs.SchedOptions{},
+		xprs.Admission{MaxQueries: streamMaxQ})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nwith admission cap of %d concurrent queries:\n", p.streamMaxQ)
-	fmt.Print(xprs.FormatStream(limited))
+	fmt.Fprintf(p.w, "\nwith admission cap of %d concurrent queries:\n", streamMaxQ)
+	fmt.Fprint(p.w, xprs.FormatStream(limited))
 	abl, err := xprs.RunPolicyAblation(p.cfg, xprs.PolicyAblationOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Print(xprs.FormatPolicyAblation(abl))
+	fmt.Fprintln(p.w)
+	fmt.Fprint(p.w, xprs.FormatPolicyAblation(abl))
 	payload := struct {
 		Seed           int64                `json:"seed"`
 		Tasks          int                  `json:"tasks"`
@@ -177,7 +178,7 @@ func runStream(p params) error {
 		Open           []xprs.StreamRow     `json:"open"`
 		Limited        []xprs.StreamRow     `json:"limited"`
 		PolicyAblation *xprs.PolicyAblation `json:"policy_ablation"`
-	}{Seed: p.seed, Tasks: p.streamN, MaxQueries: p.streamMaxQ, Open: open, Limited: limited, PolicyAblation: abl}
+	}{Seed: p.seed, Tasks: streamN, MaxQueries: streamMaxQ, Open: open, Limited: limited, PolicyAblation: abl}
 	data, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		return err
@@ -185,6 +186,6 @@ func runStream(p params) error {
 	if err := os.WriteFile(p.streamOut, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("stream: %d tasks via online Submit -> %s\n", p.streamN, p.streamOut)
+	fmt.Fprintf(os.Stderr, "stream: %d tasks via online Submit -> %s\n", streamN, p.streamOut)
 	return nil
 }

@@ -13,8 +13,9 @@ import (
 
 // This file regenerates every table and figure of the paper's
 // evaluation. Each experiment builds fresh Systems so runs are
-// independent and deterministic for a fixed seed; EXPERIMENTS.md records
-// representative output.
+// independent and deterministic for a fixed seed; cmd/xprsbench prints
+// them, testdata/experiments.golden pins that output and EXPERIMENTS.md
+// quotes it.
 
 // WorkloadKind re-exports the §3 workload mixes.
 type WorkloadKind = workload.Kind
@@ -171,7 +172,6 @@ type Fig7Cell struct {
 // Fig7Result is the whole experiment.
 type Fig7Result struct {
 	Cells []Fig7Cell
-	Infos map[WorkloadKind][]workload.TaskInfo
 }
 
 // Elapsed returns the elapsed time of one cell.
@@ -202,16 +202,13 @@ func (r *Fig7Result) Improvement(k WorkloadKind) float64 {
 // System; the workload's relations and task lengths are identical
 // across policies (same seed).
 func RunFig7(cfg Config, seed int64) (*Fig7Result, error) {
-	res := &Fig7Result{Infos: make(map[WorkloadKind][]workload.TaskInfo)}
+	res := &Fig7Result{}
 	for _, kind := range WorkloadKinds() {
 		for _, pol := range Policies() {
 			s := New(cfg)
-			specs, infos, err := workload.Generate(s.store, s.params, kind, seed+int64(kind), fmt.Sprintf("w%d", kind), 0)
+			specs, _, err := workload.Generate(s.store, s.params, kind, seed+int64(kind), fmt.Sprintf("w%d", kind), 0)
 			if err != nil {
 				return nil, err
-			}
-			if _, seen := res.Infos[kind]; !seen {
-				res.Infos[kind] = infos
 			}
 			rep, err := s.Run(specs, pol, SchedOptions{})
 			if err != nil {
