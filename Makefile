@@ -60,17 +60,25 @@ benchtest:
 # (TestTempBytesGate in internal/exec: temps sized from the estimate,
 # vectors grown by doubling), and a controller decision must stay under
 # its allocations per decision (TestDecisionAllocGate in internal/core:
-# explanations are Reason values, rendered only when printed).
+# explanations are Reason values, rendered only when printed), and a
+# warm page driver's launch and §2.4 round must allocate nothing when
+# the degree holds or falls, at most one assignment per added slave when
+# it rises (TestAdjustAllocGate in internal/exec).
 allocgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestPipelineAllocGate -v .
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestTempBytesGate -v ./internal/exec
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestDecisionAllocGate -v ./internal/core
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestAdjustAllocGate -v ./internal/exec
 
 # Serving gate: the scheduler's Submit fast path must stay under its
-# allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go).
+# allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go), and
+# a whole served session — launches and adjustment rounds included —
+# under its allocs/session budget on a serve_steady-shaped run
+# (TestServeSessionAllocGate in bench_test.go).
 servegate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestIntakeAllocGate -v ./internal/exec
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestServeSessionAllocGate -v .
 
 # Observability gate: the same fast path with sampled tracing and
 # telemetry live must stay under its allocs/op budget — "observation is

@@ -74,7 +74,8 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // pipelineAllocBudget is the CI allocation gate for the executor hot
 // path: the steady-state allocs/op of the canonical pipeline query.
-// Measured at ~84 allocs/op after the columnar/pooling work; the budget
+// Measured at ~64 allocs/op after the columnar/pooling work (84 before
+// a task's run state was reused from its pooled runtime); the budget
 // leaves headroom for benign churn while catching any regression back
 // toward per-tuple or per-batch allocation (the seed executor sat at
 // ~6,400 allocs/op, the tuple-at-a-time baseline at ~128,000).
@@ -102,6 +103,49 @@ func TestPipelineAllocGate(t *testing.T) {
 	if allocs > pipelineAllocBudget {
 		t.Fatalf("pipeline hot path allocates %.1f allocs/op, budget is %d — an allocation regression crept into the executor",
 			allocs, pipelineAllocBudget)
+	}
+}
+
+// serveSessionAllocBudget is the CI allocation gate for a served
+// session: Submit, admission, the tasks' launches and §2.4 adjustment
+// rounds, Wait and the report, with the catalog build amortized over
+// the run. Measured at 27.0 allocs per session once a task's run state
+// (slaves, page driver, assignments, round channels and scratch) was
+// reused from the pooled fragment runtime instead of remade; before,
+// the same run made 49.1.
+const serveSessionAllocBudget = 32
+
+// TestServeSessionAllocGate enforces serveSessionAllocBudget on a
+// 2 000-session run shaped like bench/'s serve_steady (6 tenants × 2
+// templates of 120 tuples, Poisson 6 q/s, admission never binding), at
+// GOMAXPROCS 1 as bench/ measures. Skipped unless XPRS_ALLOC_GATE is set
+// (CI runs it via `make servegate`).
+func TestServeSessionAllocGate(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	const sessions = 2000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	stats, err := RunServe(DefaultConfig(), ServeOptions{
+		Sessions: sessions, Tenants: 6, Templates: 2, Tuples: 120, Rate: 6,
+		Adm: Admission{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second},
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != sessions {
+		t.Fatalf("%d of %d sessions completed", stats.Completed, sessions)
+	}
+	perSession := float64(after.Mallocs-before.Mallocs) / sessions
+	t.Logf("serve: %.1f allocs/session, %.2f KB/session (budget %d allocs/session)",
+		perSession, float64(after.TotalAlloc-before.TotalAlloc)/1024/sessions, serveSessionAllocBudget)
+	if perSession > serveSessionAllocBudget {
+		t.Fatalf("a served session allocates %.1f, budget is %d — per-task or per-round bookkeeping is being remade",
+			perSession, serveSessionAllocBudget)
 	}
 }
 

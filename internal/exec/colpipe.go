@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"xprs/internal/expr"
@@ -90,6 +91,13 @@ type fragRun struct {
 	statTuplesIn  atomic.Int64
 	statTuplesOut atomic.Int64
 	statBatches   atomic.Int64
+
+	// rt is the fragment's task state and pd its page driver (used when
+	// the driving leaf is a SeqScan or FragScan): both reset per
+	// execution (startTask, pageDriver.bind), so a pooled runtime
+	// launches its task without allocating either.
+	rt runningTask
+	pd pageDriver
 }
 
 // tracing reports whether this fragment's events should be emitted:
@@ -143,6 +151,8 @@ func (fr *fragRun) emitLimit(cons colConsumer) int {
 // the pipeline.
 func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
 	fr := &fragRun{eng: eng, frag: frag, outSchema: frag.Root.OutSchema()}
+	fr.rt.eng, fr.rt.fr = eng, fr
+	fr.pd.fr = fr
 	if frag.Out == plan.HashOut {
 		switch {
 		case eng.HashPartitions > 0:
@@ -414,12 +424,15 @@ func (fr *fragRun) compileColFilter(filter expr.Expr, cons colConsumer) colConsu
 // narrow applies the chain's predicates to b in sequence, each narrowing
 // the previous selection (starting from b.Sel), ping-ponging between the
 // slot's two scratch buffers. The result is valid until the slot's next
-// use; an empty result ends the chain early.
+// use; an empty result ends the chain early. A buffer is grown to the
+// batch's live rows before use, so a fresh context sizes it once instead
+// of doubling it up row by row.
 func (sc *slaveCtx) narrow(slot int, chain []expr.ColPred, b *storage.ColBatch) ([]int32, error) {
 	bufs := sc.selScratch(slot)
 	cur := b.Sel
+	live := b.Live()
 	for i, p := range chain {
-		res, err := p(b, cur, bufs[i&1][:0])
+		res, err := p(b, cur, slices.Grow(bufs[i&1][:0], live))
 		bufs[i&1] = res
 		if err != nil || len(res) == 0 {
 			return nil, err

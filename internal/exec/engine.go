@@ -249,6 +249,11 @@ func (e *Engine) getSlaveCtx() *slaveCtx {
 }
 
 func (e *Engine) putSlaveCtx(sc *slaveCtx) {
+	if sc.rt == nil {
+		// A context has one recycler, the slave or the master (see
+		// slaveExit); two would hand it to two slaves at once.
+		panic("exec: slave context recycled twice")
+	}
 	sc.reset()
 	e.scPool.Put(sc)
 }
@@ -271,13 +276,16 @@ func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp,
 	return fr, nil
 }
 
-// putFragRun drops a finished run's output references (the root temp
-// may have escaped into the caller's Report) and parks the compiled
-// runtime for the fragment's next execution.
+// putFragRun drops a finished run's output and input references (the
+// root temp may have escaped into the caller's Report; a driver may hold
+// an input temp) and parks the compiled runtime for the fragment's next
+// execution.
 func (e *Engine) putFragRun(fr *fragRun) {
 	fr.temps, fr.colHashes = nil, nil
 	fr.outTemp, fr.outColHash = nil, nil
 	fr.agg = nil
+	fr.rt.task, fr.rt.drv = nil, nil
+	fr.pd.tmp.temp = nil
 	e.frMu.Lock()
 	if e.frFree == nil {
 		e.frFree = make(map[*plan.Fragment][]*fragRun)
@@ -453,14 +461,6 @@ type Report struct {
 // End over a session's reports is its makespan.
 func (r *Report) End() time.Duration { return r.SubmittedAt + r.Elapsed }
 
-// taskDone is posted to the session mailbox when the last slave of a
-// task exits.
-type taskDone struct {
-	task *core.Task
-	rt   *runningTask
-	err  error
-}
-
 // Run executes one pre-declared task set under the given policy and
 // returns its report: a session of its own, a one-arrival Replay, a
 // drain. The calling goroutine is the client backend; under a virtual
@@ -481,12 +481,13 @@ func (e *Engine) Run(specs []TaskSpec, policy core.Policy, opts core.Options) (*
 
 // driverFor picks the partitioner matching the fragment's driving leaf
 // (§2.4: page partitioning for sequential and temp scans, range
-// partitioning for index scans and merge joins).
+// partitioning for index scans and merge joins). The page driver is the
+// fragment runtime's own, rebound per launch.
 func (e *Engine) driverFor(fr *fragRun) (driver, error) {
 	leaf, kind := fr.frag.Driver()
 	switch kind {
 	case plan.PageDriver:
-		return newPageDriver(fr, leaf)
+		return fr.pd.bind(leaf)
 	case plan.RangeDriver:
 		return newRangeDriver(fr, leaf)
 	case plan.MergeDriver:

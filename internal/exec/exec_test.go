@@ -167,7 +167,7 @@ func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, de
 				prep(drv)
 			}
 			eng.events = vclock.NewMailbox(eng.Clock)
-			rt := &runningTask{eng: eng, task: sp.Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
+			rt := fr.startTask(sp.Task, drv, 0)
 			if err := rt.launch(degree); err != nil {
 				t.Error(err)
 				return
@@ -175,7 +175,7 @@ func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, de
 			if isRoot && during != nil {
 				during(rt)
 			}
-			if taskErr = eng.events.Wait().(taskDone).err; taskErr != nil {
+			if taskErr = eng.events.Wait().(*runningTask).failure; taskErr != nil {
 				return
 			}
 			if sp.Frag.Out == plan.HashOut {

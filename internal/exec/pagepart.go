@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,7 +31,10 @@ type strideSeg struct {
 
 // pageAssign is one slave's work: an ordered list of stride segments,
 // plus the frontier (highest page this slave has scanned), which the
-// master needs to compute maxpage.
+// master needs to compute maxpage. The segment list keeps its backing
+// array for the assignment's life — pop shifts the spent head down,
+// clamp filters in place — so an assignment owned by the driver is
+// rewritten from round to round and run to run without allocating.
 type pageAssign struct {
 	segs     []strideSeg
 	frontier int64
@@ -46,7 +50,7 @@ func (a *pageAssign) pop(npages int64) (int64, bool) {
 			limit = npages - 1
 		}
 		if s.next > limit {
-			a.segs = a.segs[1:]
+			a.segs = a.segs[:copy(a.segs, a.segs[1:])]
 			continue
 		}
 		p := s.next
@@ -59,7 +63,7 @@ func (a *pageAssign) pop(npages int64) (int64, bool) {
 // clamp drops every page above m from the assignment (those pages are
 // re-striped by the adjustment that supplied m).
 func (a *pageAssign) clamp(m int64) {
-	var out []strideSeg
+	out := a.segs[:0]
 	for _, s := range a.segs {
 		if s.next > m {
 			continue
@@ -98,12 +102,11 @@ type pageSource interface {
 	page(sc *slaveCtx, p int64) (*storage.ColBatch, error)
 	// charges returns, in order, the CPU seconds reading the page costs
 	// once it is available; a zero entry charges nothing.
-	charges(cb *storage.ColBatch) [2]float64
+	charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64
 }
 
 // relSource reads a base relation through the store.
 type relSource struct {
-	fr       *fragRun
 	rel      *storage.Relation
 	perTuple float64
 }
@@ -111,7 +114,7 @@ type relSource struct {
 func (s *relSource) npages() int64 { return s.rel.NPages() }
 
 func (s *relSource) enqueue(sc *slaveCtx, p int64) time.Duration {
-	return s.fr.eng.Store.EnqueuePage(s.rel, p, sc.rt.Degree() > 1)
+	return sc.rt.eng.Store.EnqueuePage(s.rel, p, sc.rt.Degree() > 1)
 }
 
 func (s *relSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
@@ -123,14 +126,13 @@ func (s *relSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 // Readahead keeps parallel service-time inflation from stretching that
 // cycle, but never compresses it — so x slaves generate exactly the
 // x·C_i IO demand the balance-point arithmetic assumes.
-func (s *relSource) charges(cb *storage.ColBatch) [2]float64 {
-	return [2]float64{s.fr.eng.Params.SeqPageService, s.perTuple * float64(cb.N)}
+func (s *relSource) charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64 {
+	return [2]float64{sc.rt.eng.Params.SeqPageService, s.perTuple * float64(cb.N)}
 }
 
 // tempSource reads a materialized temp chunk-wise; shared memory, so CPU
 // only.
 type tempSource struct {
-	fr   *fragRun
 	temp *Temp
 }
 
@@ -148,8 +150,8 @@ func (s *tempSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 	return &sc.tempView, nil
 }
 
-func (s *tempSource) charges(cb *storage.ColBatch) [2]float64 {
-	return [2]float64{s.fr.eng.Params.TempReadCPU * float64(cb.N)}
+func (s *tempSource) charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64 {
+	return [2]float64{sc.rt.eng.Params.TempReadCPU * float64(cb.N)}
 }
 
 // prefetchDepth returns how many page reads a slave keeps in flight:
@@ -161,10 +163,14 @@ func (d *pageDriver) prefetchDepth() int {
 	return 1
 }
 
-// pageDriver implements page partitioning over a page source.
+// pageDriver implements page partitioning over a page source. It lives
+// in its fragment's runtime (fragRun.pd) and bind readies it per launch.
 type pageDriver struct {
 	fr  *fragRun
 	src pageSource
+	// rel and tmp back src: one of them, bound per launch.
+	rel relSource
+	tmp tempSource
 
 	// mu guards frontier: the highest page ANY slave of this task has
 	// ever scanned, including slaves that already exited. Computing
@@ -172,6 +178,16 @@ type pageDriver struct {
 	// re-striping re-cover pages a finished slave had scanned.
 	mu       sync.Mutex
 	frontier int64
+
+	// pas holds every assignment the driver has handed out, in spawn
+	// order; a launch takes them from the start again (used counts the
+	// ones taken), so only a run spawning more slaves than every earlier
+	// one allocates. The previous run's slaves have all exited by then.
+	// out is the list initial and repartition return, valid until the
+	// next call.
+	pas  []*pageAssign
+	used int
+	out  []assignment
 }
 
 // noteScanned advances the task-global frontier.
@@ -183,111 +199,122 @@ func (d *pageDriver) noteScanned(p int64) {
 	d.mu.Unlock()
 }
 
-// maxFrontier folds the global frontier with the paused slaves' reports.
-func (d *pageDriver) maxFrontier(olds []*pageAssign) int64 {
-	d.mu.Lock()
-	m := d.frontier
-	d.mu.Unlock()
-	for _, pa := range olds {
-		if pa.frontier > m {
-			m = pa.frontier
-		}
-	}
-	return m
-}
-
-// newPageDriver builds the driver for a fragment whose driving leaf is a
-// SeqScan or FragScan.
-func newPageDriver(fr *fragRun, leaf plan.Node) (*pageDriver, error) {
+// bind readies the driver for one launch over the fragment's driving
+// leaf: the source is rebound (a FragScan reads this run's temp) and
+// the frontier reset.
+func (d *pageDriver) bind(leaf plan.Node) (*pageDriver, error) {
 	switch x := leaf.(type) {
 	case *plan.SeqScan:
-		return &pageDriver{fr: fr, frontier: -1, src: &relSource{
-			fr:       fr,
-			rel:      x.Rel,
-			perTuple: fr.eng.Params.TupleCPU(x.Rel.Stats().AvgTupleSize),
-		}}, nil
+		d.rel = relSource{rel: x.Rel, perTuple: d.fr.eng.Params.TupleCPU(x.Rel.Stats().AvgTupleSize)}
+		d.src = &d.rel
 	case *plan.FragScan:
-		temp, err := fr.tempOf(x)
+		temp, err := d.fr.tempOf(x)
 		if err != nil {
 			return nil, err
 		}
-		return &pageDriver{fr: fr, frontier: -1, src: &tempSource{fr: fr, temp: temp}}, nil
+		d.tmp = tempSource{temp: temp}
+		d.src = &d.tmp
 	default:
 		return nil, fmt.Errorf("exec: page driver over %T", leaf)
 	}
+	d.frontier = -1
+	return d, nil
 }
 
-// initial implements driver: page p goes to slave p mod degree. All
-// assignments share two backing arrays (each slave's seg slice is
-// capacity-clamped, so a repartition append never aliases a neighbor).
+// reserve makes sure n more assignments can be taken. Missing ones are
+// made in bulk: one array of assignments and one of segment storage, a
+// segment each, capacity-clamped so an append never reaches a
+// neighbour's (a repartition that outgrows it moves that assignment's
+// segments to storage of their own, which the assignment then keeps).
+func (d *pageDriver) reserve(n int) {
+	missing := d.used + n - len(d.pas)
+	if missing <= 0 {
+		return
+	}
+	pas := make([]pageAssign, missing)
+	segs := make([]strideSeg, missing)
+	d.pas = slices.Grow(d.pas, missing)
+	for i := range pas {
+		pas[i].segs = segs[i : i : i+1]
+		d.pas = append(d.pas, &pas[i])
+	}
+}
+
+// take hands out the next driver-owned assignment, set to the single
+// stride seg. The caller has reserved it.
+func (d *pageDriver) take(seg strideSeg) *pageAssign {
+	pa := d.pas[d.used]
+	d.used++
+	pa.segs = append(pa.segs[:0], seg)
+	pa.frontier = -1
+	return pa
+}
+
+// initial implements driver: page p goes to slave p mod degree.
 func (d *pageDriver) initial(degree int) ([]assignment, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("exec: degree %d", degree)
 	}
 	np := d.src.npages()
-	out := make([]assignment, degree)
-	n := degree
-	if int64(n) > np {
-		n = int(np) // more slaves than pages
+	d.used = 0
+	d.reserve(int(min(int64(degree), np)))
+	d.out = slices.Grow(d.out[:0], degree)
+	for i := 0; i < degree; i++ {
+		if int64(i) >= np {
+			d.out = append(d.out, nil) // more slaves than pages
+			continue
+		}
+		d.out = append(d.out, d.take(strideSeg{idx: i, n: degree, next: int64(i), limit: -1}))
 	}
-	pas := make([]pageAssign, n)
-	segs := make([]strideSeg, n)
-	for i := 0; i < n; i++ {
-		segs[i] = strideSeg{idx: i, n: degree, next: int64(i), limit: -1}
-		pas[i] = pageAssign{segs: segs[i : i+1 : i+1], frontier: -1}
-		out[i] = &pas[i]
-	}
-	return out, nil
+	return d.out, nil
 }
 
-// repartition implements driver per the Figure 5 protocol.
+// repartition implements driver per the Figure 5 protocol. Each
+// survivor's assignment is clamped and re-striped in place, so it keeps
+// its identity across rounds; only slaves a raise adds take another.
 func (d *pageDriver) repartition(remaining []report, degree int) ([]assignment, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("exec: degree %d", degree)
 	}
 	// maxpage over all slaves, including ones that already exited.
-	olds := make([]*pageAssign, len(remaining))
-	for i, r := range remaining {
+	d.mu.Lock()
+	m := d.frontier
+	d.mu.Unlock()
+	for _, r := range remaining {
 		pa, ok := r.(*pageAssign)
 		if !ok {
 			return nil, fmt.Errorf("exec: page driver got report %T", r)
 		}
-		olds[i] = pa
+		m = max(m, pa.frontier)
 	}
-	m := d.maxFrontier(olds)
 	np := d.src.npages()
 	if d.fr != nil && d.fr.tracing() {
 		d.fr.traceInstant("protocol", "maxpage", fmt.Sprintf(
 			"maxpage=%d of %d pages: old slaves finish their strides below it, pages above re-striped mod %d",
 			m, np, degree))
 	}
-	out := make([]assignment, 0, max(len(olds), degree))
-	for i, old := range olds {
-		na := &pageAssign{frontier: old.frontier}
-		na.segs = append(na.segs, old.segs...)
-		na.clamp(m)
+	d.reserve(degree - len(remaining))
+	d.out = slices.Grow(d.out[:0], max(len(remaining), degree))
+	for i, r := range remaining {
+		pa := r.(*pageAssign)
+		pa.clamp(m)
 		if i < degree {
 			if first := firstInStride(m, i, degree); first < np {
-				na.segs = append(na.segs, strideSeg{idx: i, n: degree, next: first, limit: -1})
+				pa.segs = append(pa.segs, strideSeg{idx: i, n: degree, next: first, limit: -1})
 			}
 		}
-		if len(na.segs) == 0 {
-			out = append(out, nil) // retired with no leftover: stop now
+		if len(pa.segs) == 0 {
+			d.out = append(d.out, nil) // retired with no leftover: stop now
 		} else {
-			out = append(out, na)
+			d.out = append(d.out, pa)
 		}
 	}
-	for j := len(olds); j < degree; j++ {
-		first := firstInStride(m, j, degree)
-		if first >= np {
-			continue
+	for j := len(remaining); j < degree; j++ {
+		if first := firstInStride(m, j, degree); first < np {
+			d.out = append(d.out, d.take(strideSeg{idx: j, n: degree, next: first, limit: -1}))
 		}
-		out = append(out, &pageAssign{
-			segs:     []strideSeg{{idx: j, n: degree, next: first, limit: -1}},
-			frontier: -1,
-		})
 	}
-	return out, nil
+	return d.out, nil
 }
 
 // inflight is one posted-but-unserved page read of a slave's readahead
@@ -318,7 +345,7 @@ func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 	}
 	sc.stageFlush()
 	sc.prog.SleepUntil(head.avail)
-	for _, c := range d.src.charges(cb) {
+	for _, c := range d.src.charges(sc, cb) {
 		sc.stageCPU(c)
 	}
 	d.fr.eng.Clock.Park(&sc.prog)

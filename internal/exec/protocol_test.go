@@ -3,12 +3,17 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"xprs/internal/btree"
+	"xprs/internal/core"
+	"xprs/internal/cost"
+	"xprs/internal/diskmodel"
+	"xprs/internal/obs"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
 	"xprs/internal/vclock"
@@ -83,8 +88,13 @@ func TestFirstInStride(t *testing.T) {
 
 // simulatePageProtocol emulates the master/slave interplay directly on
 // pageAssign values: slaves take turns scanning pages; between steps the
-// master may repartition. Returns the multiset of scanned pages.
-func simulatePageProtocol(t *testing.T, npages int64, degrees []int, rng *rand.Rand) map[int64]int {
+// master may repartition. With lag, the first slave scans nothing until
+// the final drain: the others push maxpage past the fresh stride each
+// round hands it, so its assignment gains a segment per round. Returns
+// the multiset of scanned pages and the most segments any assignment
+// held; fails the test if a repartition hands a surviving slave anything
+// but its own assignment.
+func simulatePageProtocol(t *testing.T, npages int64, degrees []int, rng *rand.Rand, lag bool) (map[int64]int, int) {
 	t.Helper()
 	d := &pageDriver{src: &nullSource{np: npages}, frontier: -1}
 	assignsAny, err := d.initial(degrees[0])
@@ -110,13 +120,18 @@ func simulatePageProtocol(t *testing.T, npages int64, degrees []int, rng *rand.R
 		d.noteScanned(p)
 		return true
 	}
+	maxSegs := 0
 	for di := 1; ; di++ {
 		// Run a random number of single-page steps on random live slaves.
+		first := 0
+		if lag {
+			first = 1
+		}
 		for k := 0; k < 1+rng.Intn(int(npages/2)+1); k++ {
-			if len(live) == 0 {
+			if len(live) <= first {
 				break
 			}
-			i := rng.Intn(len(live))
+			i := first + rng.Intn(len(live)-first)
 			if !step(live[i]) {
 				live = append(live[:i], live[i+1:]...)
 			}
@@ -139,9 +154,10 @@ func simulatePageProtocol(t *testing.T, npages int64, degrees []int, rng *rand.R
 		var next []*pageAssign
 		for i := 0; i < len(live) && i < len(nas); i++ {
 			if nas[i] != nil {
-				na := nas[i].(*pageAssign)
-				na.frontier = live[i].frontier
-				next = append(next, na)
+				if nas[i] != assignment(live[i]) {
+					t.Fatalf("round %d: surviving slave %d reassigned %p, want its own %p", di, i, nas[i], live[i])
+				}
+				next = append(next, live[i])
 			}
 		}
 		for i := len(live); i < len(nas); i++ {
@@ -150,13 +166,16 @@ func simulatePageProtocol(t *testing.T, npages int64, degrees []int, rng *rand.R
 			}
 		}
 		live = next
+		for _, a := range live {
+			maxSegs = max(maxSegs, len(a.segs))
+		}
 	}
 	// Drain everything left.
 	for _, a := range live {
 		for step(a) {
 		}
 	}
-	return scanned
+	return scanned, maxSegs
 }
 
 // nullSource is a pageSource for protocol-only tests.
@@ -167,23 +186,23 @@ func (s *nullSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
 func (s *nullSource) page(*slaveCtx, int64) (*storage.ColBatch, error) {
 	return &storage.ColBatch{}, nil
 }
-func (s *nullSource) charges(*storage.ColBatch) [2]float64 { return [2]float64{} }
+func (s *nullSource) charges(*slaveCtx, *storage.ColBatch) [2]float64 { return [2]float64{} }
 
 func TestPageProtocolExactlyOnceGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	scanned := simulatePageProtocol(t, 100, []int{2, 5}, rng)
+	scanned, _ := simulatePageProtocol(t, 100, []int{2, 5}, rng, false)
 	checkExactlyOnce(t, scanned, 100)
 }
 
 func TestPageProtocolExactlyOnceShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	scanned := simulatePageProtocol(t, 100, []int{6, 2}, rng)
+	scanned, _ := simulatePageProtocol(t, 100, []int{6, 2}, rng, false)
 	checkExactlyOnce(t, scanned, 100)
 }
 
 func TestPageProtocolStackedAdjustments(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	scanned := simulatePageProtocol(t, 200, []int{3, 7, 2, 8, 1, 4}, rng)
+	scanned, _ := simulatePageProtocol(t, 200, []int{3, 7, 2, 8, 1, 4}, rng, false)
 	checkExactlyOnce(t, scanned, 200)
 }
 
@@ -200,23 +219,34 @@ func checkExactlyOnce(t *testing.T, scanned map[int64]int, npages int64) {
 }
 
 // Property: the exactly-once invariant holds for arbitrary page counts
-// and adjustment sequences.
+// and adjustment sequences, and every survivor keeps its assignment.
+// Half the cases stack up to a dozen rounds behind a lagging slave,
+// whose assignment outgrows the one segment the driver provisions per
+// assignment and then the two its first overflow grows it to; some
+// case must.
 func TestPropertyPageProtocolExactlyOnce(t *testing.T) {
+	overflowed := false
 	f := func(seed int64, npRaw uint8, degRaw []uint8) bool {
 		np := int64(npRaw%120) + 1
 		d0 := int(seed % 7)
 		if d0 < 0 {
 			d0 = -d0
 		}
+		lag := seed%2 == 0
+		rounds := 6
+		if lag {
+			rounds = 12
+		}
 		degrees := []int{d0 + 1}
 		for _, d := range degRaw {
 			degrees = append(degrees, int(d%8)+1)
-			if len(degrees) > 6 {
+			if len(degrees) > rounds {
 				break
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
-		scanned := simulatePageProtocol(t, np, degrees, rng)
+		scanned, maxSegs := simulatePageProtocol(t, np, degrees, rng, lag)
+		overflowed = overflowed || maxSegs > 2
 		if int64(len(scanned)) != np {
 			return false
 		}
@@ -227,8 +257,58 @@ func TestPropertyPageProtocolExactlyOnce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+	if !overflowed {
+		t.Fatal("no assignment outgrew its provisioned segments: the stacked rounds are too short")
+	}
+}
+
+// TestAdjustAllocGate is the allocation gate on the Figure 5 protocol's
+// own bookkeeping (`make allocgate`). On a warm page driver — one that
+// has run before, as a pooled fragment runtime's has — a launch and a
+// round that keeps or lowers the degree allocate nothing, and a round
+// that raises it at most one assignment per slave added (none once an
+// earlier run has spawned as many). Skipped unless XPRS_ALLOC_GATE is
+// set, like the other gates.
+func TestAdjustAllocGate(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	const npages = 1000
+	for _, c := range []struct{ from, to int }{{4, 4}, {6, 2}, {2, 6}} {
+		d := &pageDriver{src: &nullSource{np: npages}}
+		reports := make([]report, 0, c.from)
+		var err error
+		run := func() {
+			d.frontier = -1
+			var assigns []assignment
+			if assigns, err = d.initial(c.from); err != nil {
+				return
+			}
+			reports = reports[:0]
+			for _, a := range assigns {
+				pa := a.(*pageAssign)
+				for range 3 {
+					p, _ := pa.pop(npages)
+					pa.frontier = p
+					d.noteScanned(p)
+				}
+				reports = append(reports, pa)
+			}
+			_, err = d.repartition(reports, c.to)
+		}
+		allocs := testing.AllocsPerRun(50, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := max(c.to-c.from, 0)
+		t.Logf("degree %d → %d: %.1f allocs per launch and round (budget %d)", c.from, c.to, allocs, budget)
+		if allocs > float64(budget) {
+			t.Fatalf("degree %d → %d: a warm launch and round allocate %.1f, budget %d — the page driver remakes its assignments",
+				c.from, c.to, allocs, budget)
+		}
 	}
 }
 
@@ -362,19 +442,85 @@ func TestAdjustmentAfterCompletionIsNoop(t *testing.T) {
 		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 		drv, _ := eng.driverFor(fr)
 		eng.events = vclock.NewMailbox(eng.Clock)
-		rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}
+		rt := fr.startTask(specs[0].Task, drv, 0)
 		if err := rt.launch(8); err != nil {
 			t.Error(err)
 			return
 		}
-		ev := eng.events.Wait().(taskDone) // wait until done
-		if ev.err != nil {
-			t.Error(ev.err)
+		if done := eng.events.Wait().(*runningTask); done != rt || done.failure != nil { // wait until done
+			t.Errorf("completion posted %p (failure %v), want the task %p", done, done.failure, rt)
 		}
 		if err := rt.adjust(4); err != nil {
 			t.Errorf("post-completion adjust errored: %v", err)
 		}
 	})
+}
+
+// TestLiveAdjustmentRerunRealClock runs one query twice through one
+// scheduler on the wall clock, so the second run executes in the
+// fragment runtimes (task state, page driver, assignments) the first
+// returned to the pool, and with real concurrency for the race
+// detector. The query pairs an IO-bound scan with a ten times longer
+// CPU-bound one, so the controller adjusts the survivor live in each
+// run. Both runs must return the oracle's rows, and the first report's
+// degree history must not change under the second run. Tracing is on so
+// the slaves' exit spans, which read the task, run too.
+func TestLiveAdjustmentRerunRealClock(t *testing.T) {
+	clock := vclock.NewReal(100000)
+	disks := diskmodel.New(clock, diskmodel.DefaultConfig())
+	store := storage.NewStore(clock, disks, 0)
+	eng := New(clock, store, cost.DefaultParams(diskmodel.DefaultConfig(), 8))
+	eng.Trace = obs.NewTracer()
+	roots := []plan.Node{
+		&plan.SeqScan{Rel: buildRel(t, store, "io", 300, 300, 2000)},
+		&plan.SeqScan{Rel: buildRel(t, store, "cpu", 30000, 30000, 8)},
+	}
+	var specs []TaskSpec
+	for id, root := range roots {
+		sp, _ := specFor(t, eng, root, id)
+		specs = append(specs, sp...)
+	}
+	sched := NewScheduler(eng, core.InterAdj, core.Options{}, AdmissionConfig{})
+	var reps [2]*Report
+	var pooled [2][]*fragRun
+	for run := range reps {
+		h, err := sched.Submit(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[run], err = h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range specs {
+			pooled[run] = append(pooled[run], eng.frFree[sp.Frag]...)
+		}
+	}
+	if err := sched.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	first := map[int][]int{}
+	for id, fs := range reps[0].Frags {
+		first[id] = slices.Clone(fs.Degrees)
+	}
+	for run, rep := range reps {
+		adjusted := 0
+		for id, root := range roots {
+			checkOracle(t, fmt.Sprintf("run %d task %d", run, id), root, rep.Results[id])
+			adjusted += rep.Frags[id].Repartitions
+		}
+		if adjusted == 0 {
+			t.Errorf("run %d: no live adjustment: %v", run, rep.Trace)
+		}
+	}
+	if !slices.Equal(pooled[0], pooled[1]) || len(pooled[0]) != len(roots) {
+		t.Errorf("second run did not reuse the pooled runtimes: %p then %p", pooled[0], pooled[1])
+	}
+	for id, fs := range reps[0].Frags {
+		if !slices.Equal(fs.Degrees, first[id]) || &fs.Degrees[0] == &reps[1].Frags[id].Degrees[0] {
+			t.Errorf("task %d: first report's degree history %v aliases the second run's %v (was %v)",
+				id, fs.Degrees, reps[1].Frags[id].Degrees, first[id])
+		}
+	}
 }
 
 // TestRangeDealIntervalsBalance checks the repartition balancing helper.

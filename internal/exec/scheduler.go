@@ -197,11 +197,11 @@ func (q *query) complete() bool {
 	return q.finished == len(q.tasks)
 }
 
-// Events posted to the scheduler's mailbox (taskDone, posted by slave
-// exits, is declared next to the running-task machinery in engine.go).
-// intakeNote is the intake doorbell: posted only when a Submit finds the
-// intake queue empty, so a burst of Submits costs one mailbox wakeup,
-// not one per query.
+// Events posted to the scheduler's mailbox (a completed task posts its
+// *runningTask, see runningTask.complete in task.go). intakeNote is the
+// intake doorbell: posted only when a Submit finds the intake queue
+// empty, so a burst of Submits costs one mailbox wakeup, not one per
+// query.
 type intakeNote struct{}
 
 type drainMsg struct{ ack chan struct{} }
@@ -544,7 +544,7 @@ func (s *Scheduler) loop() {
 				q.task(ev.id).arrived = true
 				s.submitReady(q)
 			}
-		case taskDone:
+		case *runningTask:
 			s.onTaskDone(ev)
 		case drainMsg:
 			// Every accepted query's doorbell precedes drainMsg in the
@@ -825,7 +825,7 @@ func (s *Scheduler) apply(d core.Decision) {
 		} else {
 			fr.obsTid = 0
 		}
-		rt := &runningTask{eng: e, task: st.Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState), startAt: e.now()}
+		rt := fr.startTask(st.Task, drv, e.now())
 		t.rt = rt
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "start", TaskID: st.Task.ID, Degree: st.Degree, Reason: st.Reason})
 		if e.Trace != nil && q.traced {
@@ -863,10 +863,13 @@ func (s *Scheduler) abortStart(q *query, t *core.Task, err error) {
 
 // onTaskDone is the completion path: bookkeeping, output publication,
 // controller notification, admission of waiting queries, and new-task
-// submission — in the same order the one-shot loop used.
-func (s *Scheduler) onTaskDone(ev taskDone) {
+// submission — in the same order the one-shot loop used. rt is the
+// posted task; it is read only up to the controller call, since a query
+// that settles there returns its runtime to the pool.
+func (s *Scheduler) onTaskDone(rt *runningTask) {
 	e := s.eng
-	id := ev.task.ID
+	task, failure := rt.task, rt.failure
+	id := task.ID
 	q := s.byTask[id]
 	if q == nil {
 		return
@@ -875,43 +878,43 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 	if t.done {
 		return
 	}
-	if ev.err != nil {
-		s.poison(q, fmt.Errorf("exec: task %d failed: %w", id, ev.err))
+	if failure != nil {
+		s.poison(q, fmt.Errorf("exec: task %d failed: %w", id, failure))
 	}
 	t.done = true
 	t.rt = nil
 	q.finished++
 	s.adm.epoch++ // remaining admitted work changed; predictions are stale
 	now := s.now()
-	if ev.err == nil {
+	if failure == nil {
 		q.rep.Finish[id] = now
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: now, Kind: "complete", TaskID: id, Degree: 0})
-		st := ev.rt.fragStat(now)
+		st := rt.fragStat(now)
 		q.rep.Frags[id] = st
 		e.mTasks.Inc()
 		e.hTaskUs.Observe(int64(st.Elapsed() / time.Microsecond))
 		if e.Trace != nil && q.traced {
 			detail := fmt.Sprintf("degrees %v; %d slaves, %d repartitions; in=%d out=%d tuples, %d batches",
 				st.Degrees, st.Slaves, st.Repartitions, st.TuplesIn, st.TuplesOut, st.Batches)
-			e.Trace.Span(st.Start, st.Elapsed(), obs.PidTasks, ev.rt.fr.obsTid, "frag", ev.task.Name, detail)
-			e.schedEvent("complete", fmt.Sprintf("task %d (%s): %s", id, ev.task.Name, detail))
+			e.Trace.Span(st.Start, st.Elapsed(), obs.PidTasks, rt.fr.obsTid, "frag", task.Name, detail)
+			e.schedEvent("complete", fmt.Sprintf("task %d (%s): %s", id, task.Name, detail))
 		}
 		// Publish the fragment's output for consumers.
 		frag := t.spec.Frag
 		switch frag.Out {
 		case plan.HashOut:
-			s.colHashes[frag] = ev.rt.fr.outColHash
+			s.colHashes[frag] = rt.fr.outColHash
 		case plan.RootOut:
-			s.temps[frag] = ev.rt.fr.outTemp
-			q.rep.Results[id] = ev.rt.fr.outTemp
+			s.temps[frag] = rt.fr.outTemp
+			q.rep.Results[id] = rt.fr.outTemp
 		default:
-			s.temps[frag] = ev.rt.fr.outTemp
+			s.temps[frag] = rt.fr.outTemp
 		}
 	}
 	// Tell the controller about the completion before admitting or
 	// submitting the tasks it unblocked, so its running-set is
 	// consistent.
-	s.apply(s.ctl.Complete(ev.task))
+	s.apply(s.ctl.Complete(task))
 	s.settleIfComplete(q)
 	s.submitReady(q)
 }

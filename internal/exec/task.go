@@ -15,15 +15,18 @@ import (
 // driver is the partitioning strategy of one fragment's driving scan
 // (§2.4): page partitioning of a relation or temp (pagepart.go), or
 // range partitioning of an index scan or merge join (intervalpart.go).
-// Implementations are stateless beyond construction; all mutable state
-// lives in assignments and reports.
+// The protocol's mutable state lives in assignments and reports; a
+// driver may own their storage (the page driver reuses it across
+// rounds and runs), so the slices initial and repartition return are
+// valid until the driver's next call, and only the master calls them.
 type driver interface {
 	// initial splits the whole scan into degree assignments. An
 	// assignment may be nil (more slaves than work); such slaves exit
 	// immediately.
 	initial(degree int) ([]assignment, error)
 	// repartition redistributes the remaining work reported by paused
-	// slaves over degree new assignments.
+	// slaves over degree assignments, the i-th for the i-th report's
+	// slave while there are reports, then for slaves to spawn.
 	repartition(remaining []report, degree int) ([]assignment, error)
 	// run executes one slave over its (possibly re-assigned) work,
 	// honoring the pause protocol through sc.checkpoint.
@@ -42,32 +45,33 @@ type slaveState struct {
 	slot    int
 	assign  assignment
 	pending assignment // next assignment, set by the master during a round
-	// curProgress is published by the slave at every checkpoint so the
+	// progress is published by the slave at every checkpoint so the
 	// master can compute maxpage / remaining intervals.
 	progress report
 	reported bool
 	done     bool
-	reportCh chan struct{}
-	resumeCh chan struct{}
 	// startAt / obsTid back the slave's lifetime span in the trace.
 	startAt time.Duration
 	obsTid  int
 }
 
 // runningTask is one executing fragment: its slaves, degree, and the
-// §2.4 adjustment protocol state.
+// §2.4 adjustment protocol state. It lives in its fragment's pooled
+// runtime (fragRun.rt) and is reset per execution by startTask; nothing
+// reads it after its completion is posted but the master (see complete).
 type runningTask struct {
 	eng  *Engine
-	task *core.Task
 	fr   *fragRun
+	task *core.Task
 	drv  driver
 
-	mu        sync.Mutex
-	slaves    map[int]*slaveState
+	mu sync.Mutex
+	// slaves holds the live slaves in slot order: slots are handed out
+	// in increasing order and a spawn appends.
+	slaves    []*slaveCtx
 	nextSlot  int
 	degree    int
 	round     bool // an adjustment round is active
-	active    int  // number of live slaves
 	completed bool // completion has been posted
 	failure   error
 
@@ -76,6 +80,29 @@ type runningTask struct {
 	startAt time.Duration
 	degrees []int
 	reparts int
+
+	// Round scratch, touched only by the master inside adjust: the
+	// slaves signalled (filtered down to the survivors once they have
+	// reported) and the survivors' progress reports.
+	members   []*slaveCtx
+	remaining []report
+}
+
+// startTask readies the fragment's task state for one execution. The
+// previous execution's completion was posted and consumed before the
+// runtime went back to the pool, and no slave reads the task after that
+// post, so only storage carries over: the slave set, the degree history
+// and the round scratch keep their capacity.
+func (fr *fragRun) startTask(task *core.Task, drv driver, at time.Duration) *runningTask {
+	rt := &fr.rt
+	rt.task, rt.drv = task, drv
+	rt.slaves = rt.slaves[:0]
+	rt.nextSlot, rt.degree, rt.reparts = 0, 0, 0
+	rt.round, rt.completed = false, false
+	rt.failure = nil
+	rt.startAt = at
+	rt.degrees = rt.degrees[:0]
+	return rt
 }
 
 // fragStat summarizes the task's execution for Report.Frags.
@@ -104,17 +131,18 @@ func (rt *runningTask) launch(degree int) error {
 	rt.mu.Lock()
 	rt.degree = degree
 	rt.degrees = append(rt.degrees, degree)
+	rt.slaves = slices.Grow(rt.slaves, len(assigns))
 	for _, a := range assigns {
 		if a == nil {
 			continue
 		}
 		rt.spawnLocked(a)
 	}
-	empty := rt.active == 0
+	empty := len(rt.slaves) == 0
 	rt.mu.Unlock()
 	if empty {
 		// Nothing to scan (empty relation): complete immediately.
-		rt.complete(nil)
+		rt.complete()
 	}
 	return nil
 }
@@ -123,85 +151,92 @@ func (rt *runningTask) launch(degree int) error {
 // rt.mu.
 func (rt *runningTask) spawnLocked(a assignment) {
 	sc := rt.eng.getSlaveCtx()
-	s := &sc.stateVal
+	s := &sc.state
 	*s = slaveState{slot: rt.nextSlot, assign: a}
 	rt.nextSlot++
-	rt.slaves[s.slot] = s
-	rt.active++
+	rt.slaves = append(rt.slaves, sc)
 	rt.eng.mSlaves.Inc()
 	if rt.fr.tracing() {
 		s.startAt = rt.eng.now()
 		s.obsTid = rt.eng.Trace.Lane(obs.PidTasks, fmt.Sprintf("%s/s%d", rt.task.Name, s.slot))
 	}
-	sc.rt, sc.state = rt, s
+	sc.rt = rt
 	rt.eng.Clock.Go(sc.goFn)
 }
 
 // run is the slave goroutine body, pre-bound into goFn when the context
 // is first created so a spawn allocates neither a closure nor scratch.
 func (sc *slaveCtx) run() {
-	rt, s := sc.rt, sc.state
+	rt, eng := sc.rt, sc.rt.eng
 	// Park before any side effect so simultaneously spawned slaves
 	// touch the disk queues in a deterministic order.
-	rt.eng.Clock.YieldOrdered(slaveKey(rt.task.ID, s.slot))
+	eng.Clock.YieldOrdered(slaveKey(rt.task.ID, sc.state.slot))
 	err := rt.drv.run(sc)
 	sc.flushAll()
-	// The slave's state is embedded in the context, so the context can
-	// only recycle once the master provably holds no reference: slaveExit
-	// reports whether an adjustment round might still read the state.
-	if rt.slaveExit(s, err) {
-		rt.eng.putSlaveCtx(sc)
+	// Past slaveExit the task may have completed and its runtime gone to
+	// the next execution, so only locals are read. The context recycles
+	// here unless the master still reads it (see slaveExit).
+	if rt.slaveExit(sc, err) {
+		eng.putSlaveCtx(sc)
 	}
 }
 
 // slaveExit removes a finished slave, feeding any active adjustment
 // round and posting task completion when the last slave leaves. It
-// returns whether the slave's state is safe to recycle: with no round
-// active at removal the master cannot collect this slave as a
-// participant anymore (it is out of rt.slaves), and a finished round
-// never revisits its participants, so the state is unreferenced. During
-// an active round the master may still read done/progress after the
-// report signal, so the context is abandoned to the GC instead.
-func (rt *runningTask) slaveExit(s *slaveState, err error) bool {
+// returns whether the slave recycles its own context: with no round
+// active the master cannot collect this slave as a participant anymore
+// (it is out of rt.slaves), so nothing references the context. An exit
+// during a round reports done on the context instead, and the master,
+// which still reads it, recycles it when the round's collection is over.
+//
+// While the slave is in rt.slaves the task cannot complete, so the
+// trace span reads the task freely before the lock; after the unlock
+// another slave may post the completion, and only the one that posts
+// (the last) reads the task again, up to its post.
+func (rt *runningTask) slaveExit(sc *slaveCtx, err error) bool {
+	eng, s := rt.eng, &sc.state
+	if rt.fr.tracing() {
+		now := eng.now()
+		eng.Trace.Span(s.startAt, now-s.startAt, obs.PidTasks, s.obsTid, "slave",
+			fmt.Sprintf("%s/s%d", rt.task.Name, s.slot), "")
+	}
 	rt.mu.Lock()
 	if err != nil && rt.failure == nil {
 		rt.failure = err
 	}
-	delete(rt.slaves, s.slot)
-	rt.active--
-	last := rt.active == 0 && !rt.completed
+	i := slices.Index(rt.slaves, sc)
+	rt.slaves = slices.Delete(rt.slaves, i, i+1)
+	last := len(rt.slaves) == 0 && !rt.completed
 	if last {
 		rt.completed = true
 	}
-	var reportCh chan struct{}
-	if rt.round && !s.reported {
+	inRound := rt.round
+	if inRound {
+		// A slave still running in a round has not reported (a reported
+		// one waits for its resume), so this is its report.
 		s.reported = true
 		s.done = true
-		reportCh = s.reportCh
 	}
-	recycle := !rt.round
-	failure := rt.failure
 	rt.mu.Unlock()
-	if rt.fr.tracing() {
-		now := rt.eng.now()
-		rt.eng.Trace.Span(s.startAt, now-s.startAt, obs.PidTasks, s.obsTid, "slave",
-			fmt.Sprintf("%s/s%d", rt.task.Name, s.slot), "")
-	}
-	if reportCh != nil {
-		rt.eng.Clock.Signal(reportCh)
+	if inRound {
+		eng.Clock.Signal(sc.reportCh)
 	}
 	if last {
-		rt.complete(failure)
+		rt.complete()
 	}
-	return recycle
+	return !inRound
 }
 
-// complete finalizes the fragment output and posts the completion event.
-func (rt *runningTask) complete(err error) {
-	if err == nil {
+// complete finalizes the fragment output and posts the task itself as
+// the completion event. The post hands the task to the master, which
+// may reuse it for the fragment's next execution once it has read the
+// outcome, so the poster reads nothing of it afterwards. The failure is
+// final by now: every slave has exited.
+func (rt *runningTask) complete() {
+	if rt.failure == nil {
 		rt.fr.finalize()
 	}
-	rt.eng.events.Post(taskDone{task: rt.task, rt: rt, err: err})
+	rt.eng.events.Post(rt)
 }
 
 // adjust runs the §2.4 dynamic parallelism-adjustment protocol
@@ -211,85 +246,89 @@ func (rt *runningTask) complete(err error) {
 // the master backend.
 func (rt *runningTask) adjust(newDegree int) error {
 	rt.mu.Lock()
-	if rt.active == 0 || rt.round {
+	if len(rt.slaves) == 0 || rt.round {
 		rt.mu.Unlock()
 		return nil // task already finished (or being adjusted)
 	}
 	rt.round = true
 	// Phase 1: the master "sends a signal to all participating slave
-	// backends" — materialized as per-slave report/resume channels the
-	// slaves observe at their next checkpoint. Participants are ordered
-	// by slot: the repartition below assigns fresh strides by position,
-	// and map iteration order must not leak into the partition.
-	participants := make([]*slaveState, 0, len(rt.slaves))
-	for _, s := range rt.slaves {
-		s.reported = false
-		s.done = false
-		s.reportCh = make(chan struct{}, 1)
-		s.resumeCh = make(chan struct{}, 1)
-		participants = append(participants, s)
+	// backends" — the round flag, which each slave observes at its next
+	// checkpoint and answers on its context's report channel. The slave
+	// set is in slot order, so the participants are too: the repartition
+	// below assigns fresh strides by position.
+	rt.members = append(rt.members[:0], rt.slaves...)
+	for _, sc := range rt.members {
+		sc.state.reported = false
+		sc.state.done = false
+		if sc.reportCh == nil {
+			// The context's first round: its channels last as long as it.
+			sc.reportCh, sc.resumeCh = make(chan struct{}, 1), make(chan struct{}, 1)
+		}
 	}
 	oldDegree := rt.degree
-	slices.SortFunc(participants, func(a, b *slaveState) int { return a.slot - b.slot })
 	rt.mu.Unlock()
 	if rt.fr.tracing() {
 		rt.fr.traceInstant("protocol", "adjust-signal", fmt.Sprintf(
-			"degree %d → %d: pause signalled to %d slaves", oldDegree, newDegree, len(participants)))
+			"degree %d → %d: pause signalled to %d slaves", oldDegree, newDegree, len(rt.members)))
 	}
 
 	// Phase 2: wait for every participant to report its progress (or
 	// exit). Slaves blocked in a disk read report at their next page
-	// boundary; virtual time advances underneath this wait.
-	for _, s := range participants {
-		rt.eng.Clock.WaitSignal(s.reportCh)
+	// boundary; virtual time advances underneath this wait. A slave
+	// signals at most once per round, so every report channel is empty
+	// again once this loop is through.
+	for _, sc := range rt.members {
+		rt.eng.Clock.WaitSignal(sc.reportCh)
 	}
 
+	// Keep the survivors, in slot order, with their reports.
 	rt.mu.Lock()
-	var remaining []report
-	var live []*slaveState
-	for _, s := range participants {
-		if s.done {
+	rt.remaining = slices.Grow(rt.remaining, len(rt.members))
+	live := rt.members[:0]
+	for _, sc := range rt.members {
+		if sc.state.done {
+			// Exited during the round and left its context to us; this was
+			// the last read of it.
+			rt.eng.putSlaveCtx(sc)
 			continue
 		}
-		remaining = append(remaining, s.progress)
-		live = append(live, s)
+		rt.remaining = append(rt.remaining, sc.state.progress)
+		live = append(live, sc)
 	}
+	clear(rt.members[len(live):])
+	rt.members = live
 	if len(live) == 0 {
 		// Everyone finished while we were collecting; nothing to adjust.
 		rt.round = false
 		rt.mu.Unlock()
 		return nil
 	}
-	assigns, err := rt.drv.repartition(remaining, newDegree)
+	assigns, err := rt.drv.repartition(rt.remaining, newDegree)
+	clear(rt.remaining)
+	rt.remaining = rt.remaining[:0]
 	if err != nil {
 		// Abort the round: resume everyone with their old assignments.
-		for _, s := range live {
-			s.pending = s.assign
+		for _, sc := range live {
+			sc.state.pending = sc.state.assign
 		}
 		rt.round = false
-		resumes := resumeChannels(live)
 		rt.mu.Unlock()
-		for _, ch := range resumes {
-			rt.eng.Clock.Signal(ch)
-		}
+		rt.resumeMembers()
 		return fmt.Errorf("exec: adjusting task %d: %w", rt.task.ID, err)
 	}
 
-	// Phase 3: hand the first len(live) non-nil assignments to the
-	// surviving slaves (nil retires them) and spawn new slaves for the
-	// rest.
-	idx := 0
-	for _, s := range live {
-		if idx < len(assigns) {
-			s.pending = assigns[idx]
-			idx++
-		} else {
-			s.pending = nil // retire
+	// Phase 3: hand the first len(live) assignments to the surviving
+	// slaves (nil, or none left, retires them) and spawn new slaves for
+	// the rest.
+	for i, sc := range live {
+		sc.state.pending = nil // retire
+		if i < len(assigns) {
+			sc.state.pending = assigns[i]
 		}
 	}
-	for ; idx < len(assigns); idx++ {
-		if assigns[idx] != nil {
-			rt.spawnLocked(assigns[idx])
+	for _, a := range assigns[min(len(live), len(assigns)):] {
+		if a != nil {
+			rt.spawnLocked(a)
 		}
 	}
 	rt.degree = newDegree
@@ -297,7 +336,6 @@ func (rt *runningTask) adjust(newDegree int) error {
 	rt.reparts++
 	spawned := rt.nextSlot
 	rt.round = false
-	resumes := resumeChannels(live)
 	rt.mu.Unlock()
 	rt.eng.mReparts.Inc()
 	if rt.fr.tracing() {
@@ -305,18 +343,19 @@ func (rt *runningTask) adjust(newDegree int) error {
 			"repartitioned over degree %d: %d surviving slaves resumed, %d slaves ever spawned",
 			newDegree, len(live), spawned))
 	}
-	for _, ch := range resumes {
-		rt.eng.Clock.Signal(ch)
-	}
+	rt.resumeMembers()
 	return nil
 }
 
-func resumeChannels(live []*slaveState) []chan struct{} {
-	out := make([]chan struct{}, len(live))
-	for i, s := range live {
-		out[i] = s.resumeCh
+// resumeMembers releases the round's survivors. The member list is
+// master scratch, read outside the lock; a survivor's context stays its
+// slave's until the slave is resumed, and is not read after.
+func (rt *runningTask) resumeMembers() {
+	for i, sc := range rt.members {
+		rt.eng.Clock.Signal(sc.resumeCh)
+		rt.members[i] = nil
 	}
-	return out
+	rt.members = rt.members[:0]
 }
 
 // slaveKey builds a stable ordering identity for a slave goroutine.
@@ -334,14 +373,20 @@ func (rt *runningTask) Degree() int {
 // slaveCtx is the per-slave execution context: CPU accounting, batch
 // scratch space, and the slave side of the adjustment protocol.
 type slaveCtx struct {
-	rt    *runningTask
-	state *slaveState
+	rt *runningTask
 
-	// stateVal is the embedded backing for state: one spawn's
-	// master-visible slave state rides in the pooled context instead of
-	// a per-spawn heap allocation. See slaveExit for when it may be
-	// reused.
-	stateVal slaveState
+	// state is the slave's master-visible state: it rides in the pooled
+	// context instead of a per-spawn heap allocation. See slaveExit for
+	// when it may be reused.
+	state slaveState
+	// reportCh and resumeCh carry the slave's side of an adjustment
+	// round (report to the master, wait to be resumed). Made once, by the
+	// master, the first time the context takes part in a round (under
+	// rt.mu, before the slave can see the round), and kept through every
+	// reuse: a slave signals each at most once per round and the receiver
+	// drains it within the round, so they are empty between rounds —
+	// vclock.Signal panics on a latched overrun otherwise.
+	reportCh, resumeCh chan struct{}
 
 	// goFn is the slave goroutine body bound to this context once at
 	// creation; pooled contexts hand the same func value to Clock.Go on
@@ -406,8 +451,8 @@ type slaveCtx struct {
 // not survive — mergeInto adopts slab-backed accumulator slices into
 // the fragment's shared state.
 func (sc *slaveCtx) reset() {
-	sc.rt, sc.state = nil, nil
-	sc.stateVal = slaveState{}
+	sc.rt = nil
+	sc.state = slaveState{}
 	sc.cpuDebtPs = 0
 	sc.prog.Reset()
 	sc.aggLocal = nil
@@ -504,7 +549,7 @@ func checkSlot(rel *storage.Relation, page *storage.ColBatch, tid storage.TID) e
 func (sc *slaveCtx) checkpoint(progress report) assignment {
 	rt := sc.rt
 	rt.mu.Lock()
-	s := sc.state
+	s := &sc.state
 	s.progress = progress
 	if !rt.round || s.reported {
 		a := s.assign
@@ -514,16 +559,14 @@ func (sc *slaveCtx) checkpoint(progress report) assignment {
 	// Participate in the round: flush buffered CPU/output first so the
 	// master's view of virtual time is consistent.
 	s.reported = true
-	reportCh := s.reportCh
-	resumeCh := s.resumeCh
 	rt.mu.Unlock()
 
 	sc.flushCPU()
-	rt.eng.Clock.Signal(reportCh)
-	rt.eng.Clock.WaitSignal(resumeCh)
+	rt.eng.Clock.Signal(sc.reportCh)
+	rt.eng.Clock.WaitSignal(sc.resumeCh)
 	// All participants are released together; park so they reorder
 	// deterministically before touching the disks again.
-	rt.eng.Clock.YieldOrdered(slaveKey(rt.task.ID, sc.state.slot))
+	rt.eng.Clock.YieldOrdered(slaveKey(rt.task.ID, s.slot))
 
 	rt.mu.Lock()
 	s.assign = s.pending
