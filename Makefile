@@ -75,10 +75,12 @@ allocgate:
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go), and
 # a whole served session — launches and adjustment rounds included —
 # under its allocs/session budget on a serve_steady-shaped run
-# (TestServeSessionAllocGate in bench_test.go).
+# (TestServeSessionAllocGate in bench_test.go) and on a
+# serve_backlog-shaped one, where thousands of queries wait and share
+# their template's plan (TestServeBacklogAllocGate).
 servegate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestIntakeAllocGate -v ./internal/exec
-	XPRS_ALLOC_GATE=1 $(GO) test -run TestServeSessionAllocGate -v .
+	XPRS_ALLOC_GATE=1 $(GO) test -run 'TestServe(Session|Backlog)AllocGate' -v .
 
 # Observability gate: the same fast path with sampled tracing and
 # telemetry live must stay under its allocs/op budget — "observation is

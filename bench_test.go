@@ -74,7 +74,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // pipelineAllocBudget is the CI allocation gate for the executor hot
 // path: the steady-state allocs/op of the canonical pipeline query.
-// Measured at ~64 allocs/op after the columnar/pooling work (84 before
+// Measured at ~62 allocs/op after the columnar/pooling work (84 before
 // a task's run state was reused from its pooled runtime); the budget
 // leaves headroom for benign churn while catching any regression back
 // toward per-tuple or per-batch allocation (the seed executor sat at
@@ -109,30 +109,33 @@ func TestPipelineAllocGate(t *testing.T) {
 // serveSessionAllocBudget is the CI allocation gate for a served
 // session: Submit, admission, the tasks' launches and §2.4 adjustment
 // rounds, Wait and the report, with the catalog build amortized over
-// the run. Measured at 27.0 allocs per session once a task's run state
-// (slaves, page driver, assignments, round channels and scratch) was
-// reused from the pooled fragment runtime instead of remade; before,
-// the same run made 49.1.
-const serveSessionAllocBudget = 32
+// the run. Measured at 25.5 allocs per session once a query's fragment
+// runtimes stayed with its tasks instead of being listed again (27.0
+// before that, 49.1 before a task's run state — slaves, page driver,
+// assignments, round channels and scratch — was reused from the pooled
+// fragment runtime instead of remade).
+const serveSessionAllocBudget = 30
 
-// TestServeSessionAllocGate enforces serveSessionAllocBudget on a
-// 2 000-session run shaped like bench/'s serve_steady (6 tenants × 2
-// templates of 120 tuples, Poisson 6 q/s, admission never binding), at
-// GOMAXPROCS 1 as bench/ measures. Skipped unless XPRS_ALLOC_GATE is set
-// (CI runs it via `make servegate`).
-func TestServeSessionAllocGate(t *testing.T) {
-	if os.Getenv("XPRS_ALLOC_GATE") == "" {
-		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
-	}
+// serveBacklogAllocBudget is the same gate on a backlogged session,
+// where thousands of queries wait at admission. Measured at 29.5 allocs
+// per session once a template's plan was built once and shared by its
+// in-flight queries; when every waiting query carried a plan (and a
+// compiled runtime) of its own, the same run made 58.8.
+const serveBacklogAllocBudget = 36
+
+// servedAllocs runs one 2 000-session RunServe over bench/'s serving
+// catalog (6 tenants × 2 templates of 120 tuples) at GOMAXPROCS 1, as
+// bench/ measures, and returns its allocations and kilobytes per
+// session. Every session must complete.
+func servedAllocs(t *testing.T, o ServeOptions) (allocs, kb float64) {
+	t.Helper()
 	const sessions = 2000
+	o.Sessions, o.Tenants, o.Templates, o.Tuples = sessions, 6, 2, 120
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	stats, err := RunServe(DefaultConfig(), ServeOptions{
-		Sessions: sessions, Tenants: 6, Templates: 2, Tuples: 120, Rate: 6,
-		Adm: Admission{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second},
-	})
+	stats, err := RunServe(DefaultConfig(), o)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -140,12 +143,42 @@ func TestServeSessionAllocGate(t *testing.T) {
 	if stats.Completed != sessions {
 		t.Fatalf("%d of %d sessions completed", stats.Completed, sessions)
 	}
-	perSession := float64(after.Mallocs-before.Mallocs) / sessions
-	t.Logf("serve: %.1f allocs/session, %.2f KB/session (budget %d allocs/session)",
-		perSession, float64(after.TotalAlloc-before.TotalAlloc)/1024/sessions, serveSessionAllocBudget)
+	return float64(after.Mallocs-before.Mallocs) / sessions, float64(after.TotalAlloc-before.TotalAlloc) / 1024 / sessions
+}
+
+// TestServeSessionAllocGate enforces serveSessionAllocBudget on a run
+// shaped like bench/'s serve_steady (Poisson 6 q/s, admission never
+// binding). Skipped unless XPRS_ALLOC_GATE is set (CI runs it via
+// `make servegate`).
+func TestServeSessionAllocGate(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	perSession, kb := servedAllocs(t, ServeOptions{
+		Rate: 6, Adm: Admission{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second},
+	})
+	t.Logf("serve: %.1f allocs/session, %.2f KB/session (budget %d allocs/session)", perSession, kb, serveSessionAllocBudget)
 	if perSession > serveSessionAllocBudget {
 		t.Fatalf("a served session allocates %.1f, budget is %d — per-task or per-round bookkeeping is being remade",
 			perSession, serveSessionAllocBudget)
+	}
+}
+
+// TestServeBacklogAllocGate enforces serveBacklogAllocBudget on a run
+// shaped like bench/'s serve_backlog (bursts at 8 × 40 q/s against four
+// admission slots, two per tenant). Skipped unless XPRS_ALLOC_GATE is
+// set (CI runs it via `make servegate`).
+func TestServeBacklogAllocGate(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	perSession, kb := servedAllocs(t, ServeOptions{
+		Rate: 40, Bursty: true, Adm: Admission{MaxQueries: 4, TenantMaxQueries: 2, MaxQueued: 1 << 30},
+	})
+	t.Logf("serve backlog: %.1f allocs/session, %.2f KB/session (budget %d allocs/session)", perSession, kb, serveBacklogAllocBudget)
+	if perSession > serveBacklogAllocBudget {
+		t.Fatalf("a backlogged session allocates %.1f, budget is %d — a waiting query is carrying a plan or runtime of its own",
+			perSession, serveBacklogAllocBudget)
 	}
 }
 

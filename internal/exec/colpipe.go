@@ -46,14 +46,17 @@ type colConsumer struct {
 }
 
 // fragRun is the runtime of one fragment: the compiled pipeline plus its
-// input temps/hash tables and its output.
+// input temps/hash tables and its output. A runtime serves one execution
+// at a time; concurrent executions of a fragment (the same plan in two
+// in-flight queries) each take their own from the engine's pool.
 type fragRun struct {
 	eng  *Engine
 	frag *plan.Fragment
 
-	// inputs, resolved from the engine's run context at launch
-	temps     map[*plan.Fragment]*Temp
-	colHashes map[*plan.Fragment]*ColHashTable
+	// ins are the runtimes of the producing tasks — their outputs are
+	// this fragment's inputs — one per frag.Inputs entry and in that
+	// order, resolved from the executing query by rebind.
+	ins []*fragRun
 
 	outTemp    *Temp         // for RootOut / TempOut / SortedOut
 	outColHash *ColHashTable // for HashOut
@@ -147,10 +150,10 @@ func (fr *fragRun) emitLimit(cons colConsumer) int {
 	return fr.eng.batchSize()
 }
 
-// newFragRun wires a fragment to its materialized inputs and compiles
-// the pipeline.
-func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
-	fr := &fragRun{eng: eng, frag: frag, outSchema: frag.Root.OutSchema()}
+// newFragRun compiles a fragment's pipeline. The runtime is not bound to
+// any execution yet: rebind readies it for one.
+func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
+	fr := &fragRun{eng: eng, frag: frag, outSchema: frag.Root.OutSchema(), ins: make([]*fragRun, len(frag.Inputs))}
 	fr.rt.eng, fr.rt.fr = eng, fr
 	fr.pd.fr = fr
 	if frag.Out == plan.HashOut {
@@ -174,17 +177,26 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 		// several times too high.
 		fr.tempRows = tempRowHint(frag.Rows)
 	}
-	fr.rebind(temps, colHashes)
 	return fr, nil
 }
 
-// rebind readies a runtime for an execution of its fragment: fresh
-// outputs (a pooled runtime's previous ones escaped into its Report or
-// were released with its query), this run's input maps, and zeroed
-// counters. The compiled closures need no attention — they read all of
-// this through the fragRun pointer at call time.
-func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) {
-	fr.temps, fr.colHashes = temps, colHashes
+// rebind readies a runtime for an execution of its fragment in query q:
+// the inputs, resolved once from q's own completed tasks, fresh outputs
+// (a pooled runtime's previous ones escaped into its Report or were
+// released with its query), and zeroed counters. The compiled closures
+// need no attention — they read all of this through the fragRun pointer
+// at call time. A missing input fails the launch.
+func (fr *fragRun) rebind(q *query) error {
+	for i, in := range fr.frag.Inputs {
+		src := q.output(in)
+		switch {
+		case src == nil && in.Out == plan.HashOut:
+			return fmt.Errorf("exec: hash table for fragment f%d not built", in.ID)
+		case src == nil:
+			return fmt.Errorf("exec: temp for fragment f%d not materialized", in.ID)
+		}
+		fr.ins[i] = src
+	}
 	if fr.frag.Out == plan.HashOut {
 		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
 	} else {
@@ -197,6 +209,7 @@ func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fr
 	fr.statTuplesIn.Store(0)
 	fr.statTuplesOut.Store(0)
 	fr.statBatches.Store(0)
+	return nil
 }
 
 // finalize seals the fragment output after all slaves finished, charging
@@ -221,13 +234,25 @@ func (fr *fragRun) finalize() {
 	}
 }
 
-// tempOf returns the materialized temp behind a FragScan.
-func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
-	t := fr.temps[fs.Frag]
-	if t == nil {
-		return nil, fmt.Errorf("exec: temp for fragment f%d not materialized", fs.Frag.ID)
+// input returns the position in frag.Inputs (and fr.ins) of the
+// fragment a FragScan reads.
+func (fr *fragRun) input(fs *plan.FragScan) (int, error) {
+	if i := slices.Index(fr.frag.Inputs, fs.Frag); i >= 0 {
+		return i, nil
 	}
-	return t, nil
+	return 0, fmt.Errorf("exec: fragment f%d reads f%d, which is not among its inputs", fr.frag.ID, fs.Frag.ID)
+}
+
+// tempOf returns this execution's materialized temp behind a FragScan.
+func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
+	i, err := fr.input(fs)
+	if err != nil {
+		return nil, err
+	}
+	if t := fr.ins[i].outTemp; t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("exec: temp for fragment f%d not materialized", fs.Frag.ID)
 }
 
 // compileColSink builds the terminal consumer: batches append into the
@@ -324,10 +349,13 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 		if !ok {
 			return colConsumer{}, fmt.Errorf("exec: HashJoin build side is %T, want FragScan (decompose first)", x.Right)
 		}
+		build, err := fr.input(fs)
+		if err != nil {
+			return colConsumer{}, err
+		}
 		lcol := x.LCol
 		probeCPU := fr.eng.Params.HashProbeCPU
 		emitCPU := fr.eng.Params.EmitCPU
-		buildFrag := fs.Frag
 		slot := fr.newColOut()
 		outSchema := x.OutSchema()
 		prune := x.OutPrune
@@ -337,10 +365,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 			if live == 0 {
 				return nil
 			}
-			cht := fr.colHashes[buildFrag]
-			if cht == nil {
-				return fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
-			}
+			cht := fr.ins[build].outColHash
 			if lcol < 0 || lcol >= len(b.Vecs) {
 				return fmt.Errorf("exec: probe column %d out of range (tuple has %d)", lcol, len(b.Vecs))
 			}

@@ -84,10 +84,11 @@ type Engine struct {
 	densePool sync.Pool
 
 	// frFree recycles compiled fragment runtimes across executions of the
-	// same (cached) plan: the compiled pipeline closures all read their
+	// same (shared) plan: the compiled pipeline closures all read their
 	// mutable per-run state dynamically through the fragRun pointer, so a
-	// pooled runtime only needs its input maps and outputs rebound. Keyed
-	// by fragment identity — a cached plan keeps stable fragment pointers.
+	// pooled runtime only needs its inputs and outputs rebound. Keyed by
+	// fragment identity — a shared plan keeps stable fragment pointers —
+	// with one runtime per execution of the fragment that ran at once.
 	frMu   sync.Mutex
 	frFree map[*plan.Fragment][]*fragRun
 
@@ -258,10 +259,13 @@ func (e *Engine) putSlaveCtx(sc *slaveCtx) {
 	e.scPool.Put(sc)
 }
 
-// getFragRun returns a compiled runtime for the fragment: a pooled one
-// rebound to this run's inputs when the fragment was executed before
-// (plan-cache hit), a freshly compiled one otherwise.
-func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
+// getFragRun returns a compiled runtime for the fragment, bound to an
+// execution in query q: a pooled one when an earlier execution of the
+// fragment has settled, a freshly compiled one otherwise. The pool holds
+// as many runtimes per fragment as ran it at once, so any number of
+// in-flight queries can share one plan. A runtime whose inputs q cannot
+// supply goes back to the pool and the error is returned.
+func (e *Engine) getFragRun(frag *plan.Fragment, q *query) (*fragRun, error) {
 	e.frMu.Lock()
 	var fr *fragRun
 	if frs := e.frFree[frag]; len(frs) > 0 {
@@ -270,18 +274,28 @@ func (e *Engine) getFragRun(frag *plan.Fragment, temps map[*plan.Fragment]*Temp,
 	}
 	e.frMu.Unlock()
 	if fr == nil {
-		return newFragRun(e, frag, temps, colHashes)
+		var err error
+		if fr, err = newFragRun(e, frag); err != nil {
+			return nil, err
+		}
 	}
-	fr.rebind(temps, colHashes)
+	if err := fr.rebind(q); err != nil {
+		e.putFragRun(fr)
+		return nil, err
+	}
 	return fr, nil
 }
 
-// putFragRun drops a finished run's output and input references (the
-// root temp may have escaped into the caller's Report; a driver may hold
-// an input temp) and parks the compiled runtime for the fragment's next
-// execution.
+// putFragRun releases a finished run's hash table (its consumers all ran
+// in the same, now settled, query), drops its output and input references
+// (the root temp may have escaped into the caller's Report; a driver may
+// hold an input temp) and parks the compiled runtime for the fragment's
+// next execution.
 func (e *Engine) putFragRun(fr *fragRun) {
-	fr.temps, fr.colHashes = nil, nil
+	if fr.outColHash != nil {
+		fr.outColHash.release()
+	}
+	clear(fr.ins)
 	fr.outTemp, fr.outColHash = nil, nil
 	fr.agg = nil
 	fr.rt.task, fr.rt.drv = nil, nil

@@ -147,13 +147,18 @@ func runOne(t *testing.T, v *vclock.Virtual, eng *Engine, specs []TaskSpec, poli
 func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, degree int, prep func(driver), during func(*runningTask)) (*fragRun, error) {
 	t.Helper()
 	specs, _ := specFor(t, eng, root, 0)
-	temps, hashes := map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{}
+	// The query the fragments execute in: specs are in task-ID order, and
+	// each finished task keeps its runtime, which publishes its output.
+	q := &query{}
+	for i := range specs {
+		q.tasks = append(q.tasks, taskState{spec: &specs[i]})
+	}
 	var fr *fragRun
 	var taskErr error
 	v.Run(func() {
 		for i, sp := range specs {
 			var err error
-			if fr, err = newFragRun(eng, sp.Frag, temps, hashes); err != nil {
+			if fr, err = eng.getFragRun(sp.Frag, q); err != nil {
 				t.Error(err)
 				return
 			}
@@ -178,11 +183,7 @@ func launchFrag(t *testing.T, v *vclock.Virtual, eng *Engine, root plan.Node, de
 			if taskErr = eng.events.Wait().(*runningTask).failure; taskErr != nil {
 				return
 			}
-			if sp.Frag.Out == plan.HashOut {
-				hashes[sp.Frag] = fr.outColHash
-			} else {
-				temps[sp.Frag] = fr.outTemp
-			}
+			q.tasks[i].fr, q.tasks[i].done = fr, true
 		}
 	})
 	return fr, taskErr

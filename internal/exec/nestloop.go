@@ -213,13 +213,13 @@ func (fr *fragRun) compileRescan(n plan.Node, loop int) (rescanFn, error) {
 		}, nil
 
 	case *plan.FragScan:
+		in, err := fr.input(x)
+		if err != nil {
+			return nil, err
+		}
 		readCPU := eng.Params.TempReadCPU
 		return func(sc *slaveCtx, beforeIO func() error, emit func(*storage.ColBatch) error) error {
-			temp, err := fr.tempOf(x)
-			if err != nil {
-				return err
-			}
-			cols := temp.Cols()
+			cols := fr.ins[in].outTemp.Cols()
 			sc.chargeCPU(readCPU * float64(cols.N))
 			if cols.N == 0 {
 				return nil

@@ -439,7 +439,7 @@ func TestAdjustmentAfterCompletionIsNoop(t *testing.T) {
 	rel := buildRel(t, eng.Store, "r", 50, 50, 20)
 	specs, g := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
 	v.Run(func() {
-		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
+		fr, _ := eng.getFragRun(g.Root, &query{})
 		drv, _ := eng.driverFor(fr)
 		eng.events = vclock.NewMailbox(eng.Clock)
 		rt := fr.startTask(specs[0].Task, drv, 0)

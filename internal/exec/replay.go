@@ -8,7 +8,7 @@ import (
 // The fixed-schedule client of a session: everything a caller that
 // knows its submissions up front does with a live scheduler — sleep to
 // each arrival instant, submit, keep the handle, wait, tell a shed query
-// from a failed one. Generator-driven load that recycles plan instances
+// from a failed one. Generator-driven load that recycles spec sets
 // (workload.RunOpenLoop) is the one driver that is not a schedule.
 
 // Arrival is one entry of a fixed submission schedule.

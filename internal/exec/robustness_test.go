@@ -255,13 +255,11 @@ func TestSubmitRacesDrain(t *testing.T) {
 // scheduler's tables; empty means nothing.
 func sessionResidue(s *Scheduler) string {
 	if len(s.byTask) == 0 && len(s.live) == 0 && len(s.queue) == 0 && s.inflight == 0 &&
-		s.adm.nAdmitted == 0 && s.adm.nWaiting == 0 && s.adm.memInUse == 0 &&
-		len(s.temps) == 0 && len(s.colHashes) == 0 {
+		s.adm.nAdmitted == 0 && s.adm.nWaiting == 0 && s.adm.memInUse == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d admitted task IDs, %d live task IDs, %d queued, %d in flight, %d admitted, %d waiting, %d B charged, %d/%d outputs",
-		len(s.byTask), len(s.live), len(s.queue), s.inflight, s.adm.nAdmitted, s.adm.nWaiting, s.adm.memInUse,
-		len(s.temps), len(s.colHashes))
+	return fmt.Sprintf("%d admitted task IDs, %d live task IDs, %d queued, %d in flight, %d admitted, %d waiting, %d B charged",
+		len(s.byTask), len(s.live), len(s.queue), s.inflight, s.adm.nAdmitted, s.adm.nWaiting, s.adm.memInUse)
 }
 
 // uncompilable is a fragment getFragRun rejects ("Sort below fragment

@@ -105,9 +105,9 @@ func BenchmarkSchedulerSubmitParallel(b *testing.B) {
 }
 
 // intakeAllocBudget is the CI allocation gate for the Submit fast
-// path. The steady state is 5 allocs/op — the report, its three maps,
-// and the query with its handle embedded; a query with tasks adds its
-// task table. The budget leaves a little headroom while catching any
+// path. The steady state is 5 allocs/op — the query with its handle
+// embedded, and the report and its three maps, built at admission; a
+// query with tasks adds its task table. The budget leaves a little headroom while catching any
 // regression toward per-task bookkeeping allocations (a map per query
 // alone would roughly double it).
 const intakeAllocBudget = 8

@@ -114,9 +114,12 @@ func (h *QueryHandle) settle(rep *Report, err error) {
 type taskState struct {
 	spec      *TaskSpec
 	arrived   bool
-	submitted bool         // handed to the controller
-	done      bool         // completion observed (real or synthesized)
-	rt        *runningTask // non-nil between launch and completion
+	submitted bool // handed to the controller
+	done      bool // completion observed (real or synthesized)
+	// fr is the task's fragment runtime from a successful launch until the
+	// query settles: its run state (fr.rt) while the task runs, its output
+	// for the query's consumers after. Settling returns it to the pool.
+	fr *fragRun
 }
 
 // query is the master-side state of one submitted query. It is allocated
@@ -154,11 +157,7 @@ type query struct {
 	failed   error
 	settled  bool // finishQuery ran; master-owned, unlike handle.settled
 
-	// frs are the fragment runtimes this query started; they return to
-	// the engine's compiled-runtime pool when the query settles (every
-	// slave has exited by then, so nothing references them).
-	frs []*fragRun
-
+	// rep is built at admission: a queued or shed query holds none of it.
 	rep *Report
 }
 
@@ -174,6 +173,19 @@ func (q *query) find(id int) (int, bool) {
 func (q *query) task(id int) *taskState {
 	i, _ := q.find(id)
 	return &q.tasks[i]
+}
+
+// output returns the runtime holding the output of the query's task
+// that ran frag, or nil while no such task has completed successfully.
+// Outputs are per query, so two in-flight executions of one plan never
+// see each other's.
+func (q *query) output(frag *plan.Fragment) *fragRun {
+	for i := range q.tasks {
+		if t := &q.tasks[i]; t.spec.Frag == frag && t.done && t.fr != nil && t.fr.rt.failure == nil {
+			return t.fr
+		}
+	}
+	return nil
 }
 
 // depsDone reports whether every dependency of the spec has completed.
@@ -250,8 +262,6 @@ type Scheduler struct {
 	defTenant *tenantState // cached s.tenants[""]
 	adm       admission
 	inflight  int
-	temps     map[*plan.Fragment]*Temp
-	colHashes map[*plan.Fragment]*ColHashTable
 	draining  bool
 	drainAck  chan struct{}
 
@@ -284,13 +294,11 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.schedFree = nil
 	if s == nil {
 		s = &Scheduler{
-			eng:       e,
-			events:    vclock.NewMailbox(e.Clock),
-			live:      make(map[int]int),
-			byTask:    make(map[int]*query),
-			tenants:   make(map[string]*tenantState),
-			temps:     make(map[*plan.Fragment]*Temp),
-			colHashes: make(map[*plan.Fragment]*ColHashTable),
+			eng:     e,
+			events:  vclock.NewMailbox(e.Clock),
+			live:    make(map[int]int),
+			byTask:  make(map[int]*query),
+			tenants: make(map[string]*tenantState),
 		}
 		s.loopFn = s.loop
 		s.adm.predict = s.predict
@@ -356,8 +364,6 @@ func (s *Scheduler) resetSession() {
 	clear(s.tenants)
 	s.defTenant = nil
 	s.inflight = 0
-	clear(s.temps)
-	clear(s.colHashes)
 	s.draining = false
 	s.drainAck = nil
 }
@@ -395,9 +401,8 @@ type SubmitOptions struct {
 // queue was empty. The master loop is never waited on.
 func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle, error) {
 	// The query — handle included — and its task table are the two
-	// bookkeeping allocations of a Submit; the report and its maps escape
-	// to the caller. All are built before the lock; only the ID is filled
-	// in under it.
+	// bookkeeping allocations of a Submit, built before the lock; only the
+	// ID is filled in under it. The report waits for admission.
 	q := &query{tenant: o.Tenant, deadline: o.Deadline, tasks: make([]taskState, 0, len(specs))}
 	for i := range specs {
 		sp := &specs[i]
@@ -420,16 +425,6 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 				return nil, fmt.Errorf("exec: task %d depends on unknown %d", specs[i].Task.ID, dep)
 			}
 		}
-	}
-	q.rep = &Report{
-		Finish:  make(map[int]time.Duration),
-		Results: make(map[int]*Temp),
-		Frags:   make(map[int]FragStat),
-	}
-	if len(specs) > 0 {
-		// One start and one complete per task, and room for an adjust; an
-		// empty query (the intake fast path) allocates no trace.
-		q.rep.Trace = make([]TraceEvent, 0, 2*len(specs)+1)
 	}
 	q.handle.sched = s
 
@@ -690,6 +685,16 @@ func (s *Scheduler) shedWith(q *query, err error) {
 // already-read clock.
 func (s *Scheduler) admit(q *query, now time.Duration) {
 	q.admitRel = now
+	q.rep = &Report{
+		Finish:  make(map[int]time.Duration),
+		Results: make(map[int]*Temp),
+		Frags:   make(map[int]FragStat),
+	}
+	if len(q.tasks) > 0 {
+		// One start and one complete per task, and room for an adjust; an
+		// empty query (the intake fast path) allocates no trace.
+		q.rep.Trace = make([]TraceEvent, 0, 2*len(q.tasks)+1)
+	}
 	s.adm.charge(s.tenant(q.tenant), q)
 	wait := q.admitRel - q.submitRel
 	s.hWaitUs.Observe(int64(wait / time.Microsecond))
@@ -790,11 +795,15 @@ func (s *Scheduler) apply(d core.Decision) {
 	}
 	for _, a := range d.Adjusts {
 		q := s.byTask[a.Task.ID]
-		if q == nil || q.task(a.Task.ID).rt == nil {
+		var t *taskState
+		if q != nil {
+			t = q.task(a.Task.ID)
+		}
+		if t == nil || t.fr == nil || t.done {
 			s.poison(q, fmt.Errorf("exec: adjust for task %d which is not running", a.Task.ID))
 			continue
 		}
-		rt := q.task(a.Task.ID).rt
+		rt := &t.fr.rt
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "adjust", TaskID: a.Task.ID, Degree: a.Degree, Reason: a.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("adjust", fmt.Sprintf("task %d to degree %d: %s", a.Task.ID, a.Degree, a.Reason))
@@ -808,14 +817,14 @@ func (s *Scheduler) apply(d core.Decision) {
 	for _, st := range d.Starts {
 		q := s.byTask[st.Task.ID]
 		t := q.task(st.Task.ID)
-		fr, err := e.getFragRun(t.spec.Frag, s.temps, s.colHashes)
+		fr, err := e.getFragRun(t.spec.Frag, q)
 		if err != nil {
 			s.abortStart(q, st.Task, err)
 			continue
 		}
-		q.frs = append(q.frs, fr)
 		drv, err := e.driverFor(fr)
 		if err != nil {
+			e.putFragRun(fr)
 			s.abortStart(q, st.Task, err)
 			continue
 		}
@@ -826,15 +835,17 @@ func (s *Scheduler) apply(d core.Decision) {
 			fr.obsTid = 0
 		}
 		rt := fr.startTask(st.Task, drv, e.now())
-		t.rt = rt
+		t.fr = fr
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "start", TaskID: st.Task.ID, Degree: st.Degree, Reason: st.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("start", fmt.Sprintf("task %d (%s) at degree %d: %s", st.Task.ID, st.Task.Name, st.Degree, st.Reason))
 		}
 		if err := rt.launch(st.Degree); err != nil {
 			// launch only fails before any slave spawns, so no completion
-			// will ever be posted for this task.
-			t.rt = nil
+			// will ever be posted for this task and nothing references
+			// its runtime.
+			t.fr = nil
+			e.putFragRun(fr)
 			s.abortStart(q, st.Task, err)
 		}
 	}
@@ -882,7 +893,6 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 		s.poison(q, fmt.Errorf("exec: task %d failed: %w", id, failure))
 	}
 	t.done = true
-	t.rt = nil
 	q.finished++
 	s.adm.epoch++ // remaining admitted work changed; predictions are stale
 	now := s.now()
@@ -899,16 +909,10 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 			e.Trace.Span(st.Start, st.Elapsed(), obs.PidTasks, rt.fr.obsTid, "frag", task.Name, detail)
 			e.schedEvent("complete", fmt.Sprintf("task %d (%s): %s", id, task.Name, detail))
 		}
-		// Publish the fragment's output for consumers.
-		frag := t.spec.Frag
-		switch frag.Out {
-		case plan.HashOut:
-			s.colHashes[frag] = rt.fr.outColHash
-		case plan.RootOut:
-			s.temps[frag] = rt.fr.outTemp
+		// The task's runtime stays with it (t.fr), so its output is
+		// published to the query's consumers by the done flag alone.
+		if t.spec.Frag.Out == plan.RootOut {
 			q.rep.Results[id] = rt.fr.outTemp
-		default:
-			s.temps[frag] = rt.fr.outTemp
 		}
 	}
 	// Tell the controller about the completion before admitting or
@@ -957,20 +961,16 @@ func (s *Scheduler) finishQuery(q *query) {
 	s.series.Observe("response_us", int64(rep.Elapsed/time.Microsecond))
 	s.slo.Record(q.tenant, now, rep.Elapsed, rep.QueueWait)
 
-	// Release master-side state.
+	// Release master-side state. Every task the query launched has posted
+	// its completion, so no slave references its runtime any more.
 	for i := range q.tasks {
-		sp := q.tasks[i].spec
-		delete(s.byTask, sp.Task.ID)
-		delete(s.temps, sp.Frag)
-		if cht := s.colHashes[sp.Frag]; cht != nil {
-			cht.release()
-			delete(s.colHashes, sp.Frag)
+		t := &q.tasks[i]
+		delete(s.byTask, t.spec.Task.ID)
+		if t.fr != nil {
+			e.putFragRun(t.fr)
+			t.fr = nil
 		}
 	}
-	for _, fr := range q.frs {
-		e.putFragRun(fr)
-	}
-	q.frs = nil
 	s.inflight--
 	s.adm.release(s.tenant(q.tenant), q)
 	s.gInflight.Set(int64(s.inflight))

@@ -12,10 +12,12 @@ package workload
 // seeded private RNGs, submissions happen on one goroutine at exact
 // virtual instants, and every instantiation stamps fresh task IDs from
 // a monotonic counter, so the i-th submission carries the same IDs on
-// every run. Recycling a settled session's plan instance decides only
-// whether the next one is built or reused and when the driver calls Wait
-// on an already-settled handle; it cannot move a single virtual-time
-// observable. See DESIGN.md §13.
+// every run. Each template's plan is built once and shared by all of its
+// in-flight queries; what a query needs of its own is a spec set
+// carrying its task IDs. Recycling a settled session's spec set decides
+// only whether the next one is built or reused and when the driver calls
+// Wait on an already-settled handle; it cannot move a single
+// virtual-time observable. See DESIGN.md §13.
 
 import (
 	"fmt"
@@ -53,14 +55,14 @@ type SLOClass struct {
 	Deadline time.Duration
 }
 
-// template is one prototype query: a backing relation plus a pool of
-// plan instances. The scheduler keys per-query runtime state (temps,
-// hash tables, compiled fragments) by *plan.Fragment, so two in-flight
-// executions of one template must not share an instance; instances
-// recycle only after their query settles.
+// template is one prototype query: its plan, built once and shared by
+// every execution (the scheduler keeps per-execution state in the query,
+// so any number of in-flight queries can run one plan), plus a pool of
+// spec sets. A spec set carries task IDs, which must be unique among
+// in-flight queries, so a set recycles only after its query settles.
 type template struct {
-	rel  *storage.Relation
-	hi   int32 // filter upper bound (the relation's row count)
+	g    *plan.Graph
+	ests map[int]cost.FragEstimate
 	free []*instance
 	// The instances out on a submission, oldest first, linked through
 	// instance.next. The driver asks only the oldest whether it has
@@ -69,7 +71,7 @@ type template struct {
 	oldest, newest *instance
 }
 
-// instance is one submittable copy of a template's plan.
+// instance is one submittable spec set over a template's plan.
 type instance struct {
 	specs []exec.TaskSpec
 	base  int // first task ID currently stamped on the specs
@@ -83,12 +85,11 @@ type instance struct {
 // Catalog is a built tenant/template universe plus the global task-ID
 // allocator for instances.
 type Catalog struct {
-	params  cost.Params
 	tenants []string
 	temps   [][]*template // [tenant][template]
 	classes []SLOClass
 	nextID  int
-	// Driver counters the recycling test reads: plan instances built and
+	// Driver counters the recycling test reads: spec sets built and
 	// handles peeked at (QueryHandle.Done).
 	built, peeks int
 }
@@ -106,7 +107,7 @@ func BuildTenantCatalog(st *storage.Store, p cost.Params, mix TenantMix, seed in
 		tuples = 512
 	}
 	rng := rand.New(rand.NewSource(seed))
-	c := &Catalog{params: p, classes: mix.SLOClasses}
+	c := &Catalog{classes: mix.SLOClasses}
 	for t := 0; t < mix.Tenants; t++ {
 		c.tenants = append(c.tenants, fmt.Sprintf("t%02d", t))
 		row := make([]*template, 0, mix.Templates)
@@ -124,19 +125,37 @@ func BuildTenantCatalog(st *storage.Store, p cost.Params, mix TenantMix, seed in
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, &template{rel: rel, hi: int32(tuples)})
+			tmpl, err := newTemplate(p, rel, int32(tuples))
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, tmpl)
 		}
 		c.temps = append(c.temps, row)
 	}
 	return c, nil
 }
 
-// instantiate checks an instance of the template out of its pool —
-// building one if none is free — and stamps it with fresh task IDs.
-// Fresh IDs on every checkout keep the i-th submission's IDs a pure
-// function of i, whether or not pooling hit; pooled reuse is safe
-// because core.Task is immutable during execution and the scheduler
-// clears all fragment-keyed state when a query settles.
+// newTemplate plans the template's selection over rel, keeping rows
+// with a in [0, hi].
+func newTemplate(p cost.Params, rel *storage.Relation, hi int32) (*template, error) {
+	g, err := plan.Decompose(&plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 0, hi)})
+	if err != nil {
+		return nil, err
+	}
+	ests, err := cost.EstimateGraph(p, g)
+	if err != nil {
+		return nil, err
+	}
+	return &template{g: g, ests: ests}, nil
+}
+
+// instantiate checks a spec set of the template out of its pool —
+// building one over the shared plan if none is free — and stamps it
+// with fresh task IDs. Fresh IDs on every checkout keep the i-th
+// submission's IDs a pure function of i, whether or not pooling hit;
+// pooled reuse is safe because core.Task is immutable during execution
+// and the scheduler forgets a query's task IDs when it settles.
 func (c *Catalog) instantiate(t *template) (*instance, error) {
 	if n := len(t.free); n > 0 {
 		inst := t.free[n-1]
@@ -153,16 +172,7 @@ func (c *Catalog) instantiate(t *template) (*instance, error) {
 		c.nextID += len(inst.specs)
 		return inst, nil
 	}
-	root := &plan.SeqScan{Rel: t.rel, Filter: expr.ColRange(0, "a", 0, t.hi)}
-	g, err := plan.Decompose(root)
-	if err != nil {
-		return nil, err
-	}
-	ests, err := cost.EstimateGraph(c.params, g)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := exec.QueryTasks(g, ests, c.nextID)
+	specs, err := exec.QueryTasks(t.g, t.ests, c.nextID)
 	if err != nil {
 		return nil, err
 	}

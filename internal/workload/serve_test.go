@@ -202,7 +202,7 @@ func TestRunOpenLoopSheds(t *testing.T) {
 // replay (bench/'s serve_steady and serve_backlog settings) hashes to the
 // value recorded on the commit whose driver re-polled every outstanding
 // handle after every arrival. What it must keep doing: recycle — no more
-// instances built than that commit's driver built — while asking at most
+// spec sets built than that commit's driver built — while asking at most
 // one handle per arrival however deep the backlog.
 func TestOpenLoopRecycles(t *testing.T) {
 	cases := []struct {
@@ -240,11 +240,11 @@ func TestOpenLoopRecycles(t *testing.T) {
 			t.Errorf("%s: ServeStats hashes to %s; recorded %s", name, got, c.statsSHA256)
 		}
 		if cat.built > c.built {
-			t.Errorf("%s: built %d plan instances; the re-polling driver built %d", name, cat.built, c.built)
+			t.Errorf("%s: built %d spec sets; the re-polling driver built %d", name, cat.built, c.built)
 		}
 		if cat.peeks > c.sessions {
 			t.Errorf("%s: %d Done() peeks for %d arrivals", name, cat.peeks, c.sessions)
 		}
-		t.Logf("%s: %d instances built (recorded %d), %d peeks", name, cat.built, c.built, cat.peeks)
+		t.Logf("%s: %d spec sets built (recorded %d), %d peeks", name, cat.built, c.built, cat.peeks)
 	}
 }

@@ -185,22 +185,18 @@ type System struct {
 	// indexes registered through BuildIndex, offered to the SQL layer as
 	// access paths: relation -> column -> index.
 	indexes map[*storage.Relation]map[int]*btree.Index
-	// planCache holds prepared statements: a free list of compiled
-	// plans (with their ready-made task specs) per SQL text. Fragment
-	// pointers key per-query scheduler state, so one prepared instance
-	// serves one in-flight execution at a time; concurrent submissions
-	// of the same text compile extra instances that join the free list
-	// when they finish. Catalog changes clear the cache (plans hold
-	// relation and index pointers).
+	// planCache holds prepared statements: one compiled plan (with its
+	// ready-made task specs) per SQL text. Catalog changes clear the
+	// cache (plans hold relation and index pointers).
 	planMu    sync.Mutex
-	planCache map[string][]*preparedPlan
+	planCache map[string]*preparedPlan
 }
 
-// preparedPlan is one cached, executable instance of a SQL text: the
+// preparedPlan is the cached, executable form of a SQL text: the
 // optimized fragment graph plus its task specs. Specs are reusable
 // across executions because neither the scheduler nor the controller
-// mutates a spec or its core.Task — they keep per-run state in their
-// own maps keyed by task ID.
+// mutates a spec or its core.Task — they keep per-run state in the
+// query.
 type preparedPlan struct {
 	res   *OptResult
 	specs []TaskSpec
@@ -235,28 +231,8 @@ func New(cfg Config) *System {
 		params:    params,
 		observer:  observer,
 		indexes:   make(map[*storage.Relation]map[int]*btree.Index),
-		planCache: make(map[string][]*preparedPlan),
+		planCache: make(map[string]*preparedPlan),
 	}
-}
-
-// takePlan pops a prepared plan for the SQL text, if one is free.
-func (s *System) takePlan(sql string) *preparedPlan {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	list := s.planCache[sql]
-	if n := len(list); n > 0 {
-		pp := list[n-1]
-		s.planCache[sql] = list[:n-1]
-		return pp
-	}
-	return nil
-}
-
-// putPlan returns a prepared plan to the free list.
-func (s *System) putPlan(sql string, pp *preparedPlan) {
-	s.planMu.Lock()
-	s.planCache[sql] = append(s.planCache[sql], pp)
-	s.planMu.Unlock()
 }
 
 // invalidatePlans drops every prepared plan. Called on catalog changes:
@@ -372,7 +348,9 @@ func (s *System) ExecSQL(sql string, policy Policy) (*Temp, *OptResult, error) {
 // scheduler trace with decision reasons, per-fragment statistics, and —
 // on an observed system — the full event trace and metrics snapshot.
 func (s *System) ExecSQLReport(sql string, policy Policy) (*Temp, *OptResult, *Report, error) {
-	pp := s.takePlan(sql)
+	s.planMu.Lock()
+	pp := s.planCache[sql]
+	s.planMu.Unlock()
 	if pp == nil {
 		res, err := s.compileSQL(sql)
 		if err != nil {
@@ -383,12 +361,14 @@ func (s *System) ExecSQLReport(sql string, policy Policy) (*Temp, *OptResult, *R
 			return nil, nil, nil, err
 		}
 		pp = &preparedPlan{res: res, specs: specs}
+		s.planMu.Lock()
+		s.planCache[sql] = pp
+		s.planMu.Unlock()
 	}
 	rep, err := s.Run(pp.specs, policy, SchedOptions{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.putPlan(sql, pp)
 	res := pp.res
 	out := rep.Results[res.Graph.Root.ID]
 	if out == nil {
