@@ -63,9 +63,15 @@ benchtest:
 # explanations are Reason values, rendered only when printed), and a
 # warm page driver's launch and §2.4 round must allocate nothing when
 # the degree holds or falls, at most one assignment per added slave when
-# it rises (TestAdjustAllocGate in internal/exec).
+# it rises (TestAdjustAllocGate in internal/exec), and a warm execution
+# of the pipeline query and of a merge join must stay under its KB per
+# execution (TestWarmRunBytesGate: pooled runtimes keep their non-root
+# temps, hash tables and sort scratch), and a buffer-pool miss on a full
+# pool must allocate nothing (TestBufferPoolMissAllocGate in
+# internal/storage).
 allocgate:
-	XPRS_ALLOC_GATE=1 $(GO) test -run TestPipelineAllocGate -v .
+	XPRS_ALLOC_GATE=1 $(GO) test -run 'TestPipelineAllocGate|TestWarmRunBytesGate' -v .
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestBufferPoolMissAllocGate -v ./internal/storage
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestTempBytesGate -v ./internal/exec
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestDecisionAllocGate -v ./internal/core

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"xprs/internal/plan"
 	"xprs/internal/storage"
 )
 
@@ -27,13 +28,11 @@ const (
 	pipelineSQL       = "select bl.a, count(*) from bl, br where bl.a = br.a and bl.a between 0 and 4499 group by bl.a"
 )
 
-// newPipelineRun loads bl and br into a fresh system and returns a
-// function that executes the canonical query once. It is shared by
-// BenchmarkPipelineThroughput and TestPipelineAllocGate.
-func newPipelineRun(tb testing.TB) func() {
+// loadPipelineRels loads bl and br into a fresh system.
+func loadPipelineRels(tb testing.TB) (s *System, bl, br *Relation) {
 	tb.Helper()
-	s := New(DefaultConfig())
-	load := func(name, prefix string, n int) {
+	s = New(DefaultConfig())
+	load := func(name, prefix string, n int) *Relation {
 		rows := make([]struct {
 			A int32
 			B string
@@ -42,12 +41,22 @@ func newPipelineRun(tb testing.TB) func() {
 			rows[i].A = int32(i) % 9000
 			rows[i].B = fmt.Sprintf("%s-%05d", prefix, i)
 		}
-		if _, err := s.LoadRelation(name, rows); err != nil {
+		rel, err := s.LoadRelation(name, rows)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		return rel
 	}
-	load("bl", "probe", pipelineLeftRows)
-	load("br", "build", pipelineRightRows)
+	return s, load("bl", "probe", pipelineLeftRows), load("br", "build", pipelineRightRows)
+}
+
+// newPipelineRun loads bl and br into a fresh system and returns a
+// function that executes the canonical query once. It is shared by
+// BenchmarkPipelineThroughput, TestPipelineAllocGate and
+// TestWarmRunBytesGate.
+func newPipelineRun(tb testing.TB) func() {
+	tb.Helper()
+	s, _, _ := loadPipelineRels(tb)
 	return func() {
 		if _, _, err := s.ExecSQL(pipelineSQL, InterAdj); err != nil {
 			tb.Fatal(err)
@@ -74,8 +83,9 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // pipelineAllocBudget is the CI allocation gate for the executor hot
 // path: the steady-state allocs/op of the canonical pipeline query.
-// Measured at ~62 allocs/op after the columnar/pooling work (84 before
-// a task's run state was reused from its pooled runtime); the budget
+// Measured at ~60 allocs/op once pooled runtimes kept their
+// intermediates (62 before that, 84 before a task's run state was
+// reused from its pooled runtime); the budget
 // leaves headroom for benign churn while catching any regression back
 // toward per-tuple or per-batch allocation (the seed executor sat at
 // ~6,400 allocs/op, the tuple-at-a-time baseline at ~128,000).
@@ -103,6 +113,94 @@ func TestPipelineAllocGate(t *testing.T) {
 	if allocs > pipelineAllocBudget {
 		t.Fatalf("pipeline hot path allocates %.1f allocs/op, budget is %d — an allocation regression crept into the executor",
 			allocs, pipelineAllocBudget)
+	}
+}
+
+// newMergeJoinRun returns a function that executes bl ⋈ br on a once
+// as a merge join: both relations scanned into temps sorted on a, then
+// merged.
+func newMergeJoinRun(tb testing.TB) func() {
+	tb.Helper()
+	s, bl, br := loadPipelineRels(tb)
+	res, err := s.Optimize(&Query{
+		Rels:  []QueryRel{{Rel: bl}, {Rel: br}},
+		Joins: []JoinPred{{LRel: 0, LCol: 0, RRel: 1, RCol: 0}},
+	}, OptOptions{Cost: ParCost, Shape: Bushy, DisableHashJoin: true, DisableNestLoop: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	specs, err := s.PlanTasks(res, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sorted := 0
+	for _, f := range res.Graph.Fragments {
+		if f.Out == plan.SortedOut {
+			sorted++
+		}
+	}
+	if sorted != 2 {
+		tb.Fatalf("the merge-join plan has %d sorted temps, want 2:\n%s", sorted, ExplainPlan(res))
+	}
+	// Every bl row whose key is below pipelineRightRows meets one br row.
+	want := 0
+	for i := range pipelineLeftRows {
+		if i%9000 < pipelineRightRows {
+			want++
+		}
+	}
+	return func() {
+		rep, err := s.Run(specs, InterAdj, SchedOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if n := rep.Results[res.Graph.Root.ID].Len(); n != want {
+			tb.Fatalf("merge join gave %d rows, want %d", n, want)
+		}
+	}
+}
+
+// warmRunBytesBudget bounds the kilobytes one warm execution allocates
+// (TestWarmRunBytesGate), each at its measurement plus 25 %. A pooled
+// fragment runtime keeps its non-root temps, its hash table's slot
+// arrays and its sort scratch, so a warm execution allocates little
+// more than its root temp: the pipeline query measured 46.6 KB, the
+// merge join 2 145 KB — nearly all of it the 18 000-row root temp,
+// which escapes into the Report. When every execution allocated its
+// intermediates afresh they measured 109.6 and 4 689.
+var warmRunBytesBudget = map[string]float64{"pipeline": 58, "merge join": 2681}
+
+// TestWarmRunBytesGate is the byte gate of a warm execution (`make
+// allocgate`): the canonical pipeline query and a 30 000 ⋈ 5 000 merge
+// join over sorted temps, each run once to warm the engine and then
+// measured over 30 runs at GOMAXPROCS 1, stay under their budgets in
+// KB per execution. Skipped unless XPRS_ALLOC_GATE is set, like the
+// other gates.
+func TestWarmRunBytesGate(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"pipeline", newPipelineRun(t)}, {"merge join", newMergeJoinRun(t)}} {
+		const runs = 30
+		runtime.GC()
+		c.run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			c.run()
+		}
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / runs
+		budget := warmRunBytesBudget[c.name]
+		t.Logf("%s: %.1f KB per warm execution (budget %.0f)", c.name, kb, budget)
+		if kb > budget {
+			t.Errorf("%s: a warm execution allocates %.1f KB, budget is %.0f — intermediates are being allocated afresh again",
+				c.name, kb, budget)
+		}
 	}
 }
 

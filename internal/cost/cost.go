@@ -167,24 +167,48 @@ func (p Params) SeqScanRate(tupleSize float64) float64 {
 // whose sequential scan runs closest to the target IO rate. This is
 // exactly the §3 methodology ("we adjust the i/o rate of each task by
 // varying the size of tuples"). Because tuples-per-page is an integer,
-// the rate curve is a sawtooth; the inversion searches the integer
+// the rate curve is a sawtooth; the inversion walks the integer
 // tuples-per-page count k and solves the per-tuple CPU equation within
 // each k's feasible size band, keeping the best match. Rates outside the
 // feasible band clamp to the calibration endpoints.
+//
+// The result is the integer size whose rate is nearest the target, the
+// smallest such size on a tie, except that rmaxTupleSize wins any tie it
+// is part of — the answer of a scan over every size from rminTupleSize
+// up, starting from rmaxTupleSize and replacing only on a strictly
+// smaller error.
 func (p Params) TupleSizeForRate(rate float64) float64 {
 	if rate <= p.SeqScanRate(rminTupleSize) {
 		return rminTupleSize
 	}
-	// Tuple sizes are integers on a page, and the rate curve's sawtooth
-	// (from integer tuples-per-page) defeats closed-form inversion, so
-	// search the whole integer size band directly. 8K evaluations of a
-	// few float operations is negligible against building the relation.
 	bestSize := rmaxTupleSize
 	bestErr := math.Abs(p.SeqScanRate(rmaxTupleSize) - rate)
-	for size := int(rminTupleSize); size <= int(rmaxTupleSize); size++ {
-		if err := math.Abs(p.SeqScanRate(float64(size)) - rate); err < bestErr {
-			bestErr, bestSize = err, float64(size)
+	try := func(size float64) {
+		if err := math.Abs(p.SeqScanRate(size) - rate); err < bestErr {
+			bestErr, bestSize = err, size
 		}
+	}
+	const perTuple = storage.SlotOverhead + storage.TupleHeader
+	for lo := int(rminTupleSize); lo <= int(rmaxTupleSize); {
+		// The band [lo, hi] holds every size with k tuples per page: hi is
+		// the largest size k tuples still fit at.
+		k := storage.TuplesPerPage(lo)
+		hi := int(rmaxTupleSize)
+		if k > 1 {
+			hi = min(hi, storage.PageCapacity/k-perTuple)
+		}
+		// Inside the band the rate is strictly decreasing in size, so the
+		// nearest integer size is the floor or the ceiling of the size
+		// that hits the target exactly, or a band end when that size lies
+		// outside. Trying them in ascending order keeps the scan's tie
+		// rule.
+		flo, fhi := float64(lo), float64(hi)
+		x := ((1/rate-p.SeqPageService)/float64(k) - p.TupleCPUBase) / p.TupleCPUPerByte
+		try(flo)
+		try(min(max(math.Floor(x), flo), fhi))
+		try(min(max(math.Ceil(x), flo), fhi))
+		try(fhi)
+		lo = hi + 1
 	}
 	return bestSize
 }

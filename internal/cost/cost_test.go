@@ -71,6 +71,74 @@ func TestTupleSizeForRateInverts(t *testing.T) {
 	}
 }
 
+// bruteTupleSizeForRate returns the inversion TupleSizeForRate replaced,
+// kept as its oracle: every integer size from rminTupleSize up, starting
+// from rmaxTupleSize and replacing only on a strictly smaller error. The
+// sizes' rates are computed once, up front, so that a test can afford
+// the scan for a hundred thousand rates.
+func bruteTupleSizeForRate(p Params) func(rate float64) float64 {
+	rates := make([]float64, int(rmaxTupleSize)+1)
+	for size := int(rminTupleSize); size <= int(rmaxTupleSize); size++ {
+		rates[size] = p.SeqScanRate(float64(size))
+	}
+	return func(rate float64) float64 {
+		if rate <= rates[int(rminTupleSize)] {
+			return rminTupleSize
+		}
+		bestSize := rmaxTupleSize
+		bestErr := math.Abs(rates[int(rmaxTupleSize)] - rate)
+		for size := int(rminTupleSize); size <= int(rmaxTupleSize); size++ {
+			if err := math.Abs(rates[size] - rate); err < bestErr {
+				bestErr, bestSize = err, float64(size)
+			}
+		}
+		return bestSize
+	}
+}
+
+// BruteTupleSizeForRate exports the oracle to the external test package
+// (generate_rates_test.go), which checks the rates the workload
+// generator draws.
+var BruteTupleSizeForRate = bruteTupleSizeForRate
+
+// TestTupleSizeForRateMatchesScan holds the band-by-band inversion to
+// the brute-force scan, size for size: any difference would move the
+// relations the §3 workloads build and with them every virtual-time
+// figure. The rates are 100 000 spread over the feasible band (and a
+// little past both ends), every size's own rate, the midpoint between
+// every two adjacent sizes' rates (where a tie is possible), and both
+// neighbouring floats of each band end's rate.
+func TestTupleSizeForRateMatchesScan(t *testing.T) {
+	p := params()
+	brute := bruteTupleSizeForRate(p)
+	check := func(rate float64) {
+		t.Helper()
+		if got, want := p.TupleSizeForRate(rate), brute(rate); got != want {
+			t.Fatalf("rate %v: size %v, the scan gives %v", rate, got, want)
+		}
+	}
+	lo, hi := p.SeqScanRate(rminTupleSize), 0.0
+	for size := rminTupleSize; size <= rmaxTupleSize; size++ {
+		hi = max(hi, p.SeqScanRate(size))
+	}
+	const spread = 100000
+	for i := -100; i <= spread+100; i++ {
+		check(lo + (hi-lo)*float64(i)/spread)
+	}
+	for size := rminTupleSize; size <= rmaxTupleSize; size++ {
+		r := p.SeqScanRate(size)
+		check(r)
+		if size < rmaxTupleSize {
+			check((r + p.SeqScanRate(size+1)) / 2)
+		}
+		if k := storage.TuplesPerPage(int(size)); size == rminTupleSize || size == rmaxTupleSize ||
+			storage.TuplesPerPage(int(size)-1) != k || storage.TuplesPerPage(int(size)+1) != k {
+			check(math.Nextafter(r, math.Inf(-1)))
+			check(math.Nextafter(r, math.Inf(1)))
+		}
+	}
+}
+
 func TestScanEstimates(t *testing.T) {
 	p := params()
 	st := storage.RelStats{NTuples: 10000, NPages: 100, AvgTupleSize: 60}

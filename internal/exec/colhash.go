@@ -46,7 +46,7 @@ type sealScratch struct {
 	heavyNext []int32
 }
 
-// growU32 and growI32 resize pooled scratch to exactly n entries
+// growU32, growI32 and growU64 resize pooled scratch to exactly n entries
 // without zeroing (callers overwrite every entry they read).
 func growU32(s []uint32, n int) []uint32 {
 	if cap(s) < n {
@@ -58,6 +58,13 @@ func growU32(s []uint32, n int) []uint32 {
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growU64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
 	return s[:n]
 }
@@ -94,9 +101,9 @@ type ColHashTable struct {
 	n  int
 	// chunks holds the unsealed build input: per partition, the private
 	// buffers flushed by exiting build slaves, in flush order. The
-	// per-partition slices keep their capacity across queries (the table
-	// itself recycles through the engine pool), so steady-state flushes
-	// never grow them.
+	// per-partition slices keep their capacity across executions (the
+	// fragment runtime keeps the table), so steady-state flushes never
+	// grow them.
 	chunks [][]*storage.ColBatch
 	sealed bool
 
@@ -118,19 +125,20 @@ func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, _ 
 // newColHashTable is NewColHashTable for a table that leaves out the
 // build columns listed in prune (ascending; never the key column).
 func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions int) *ColHashTable {
+	h := &ColHashTable{}
+	h.init(eng, schema, col, prune, partitions)
+	return h
+}
+
+// init readies an empty or released table for a build, as
+// newColHashTable describes. A fragment runtime re-inits the table it
+// keeps, so the partition slices, chunk lists and slot arrays of its
+// last execution are reused.
+func (h *ColHashTable) init(eng *Engine, schema storage.Schema, col int, prune []int, partitions int) {
 	if partitions < 1 {
 		partitions = 1
 	}
 	p := ceilPow2(partitions)
-	var h *ColHashTable
-	if eng != nil {
-		if v := eng.chtPool.Get(); v != nil {
-			h = v.(*ColHashTable)
-		}
-	}
-	if h == nil {
-		h = &ColHashTable{}
-	}
 	h.Schema = schema
 	h.Col = col
 	h.eng = eng
@@ -144,7 +152,6 @@ func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, p
 	} else {
 		h.chunks = h.chunks[:p]
 	}
-	return h
 }
 
 // newBatch hands out an empty batch of the table's column shape.
@@ -288,21 +295,24 @@ func (h *ColHashTable) seal() {
 		h.stores = h.stores[:len(chunks)]
 	}
 	for p := range chunks {
-		h.parts[p], h.stores[p] = h.sealColPartition(chunks[p])
+		h.parts[p], h.stores[p] = h.sealColPartition(chunks[p], h.parts[p])
 	}
 }
 
 // sealColPartition builds one partition's index and flat columnar store
-// from its flushed chunks. The counting pass and slot layout mirror
-// sealPartition; the scatter pass is replaced by a permutation + inverse
-// + destination-order gather, because text vectors only append.
-func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch) (colPart, *storage.ColBatch) {
+// from its flushed chunks, reusing the slot array and heavy-group list
+// of prev, the partition's released index from an earlier build. The
+// counting pass and slot layout mirror sealPartition; the scatter pass
+// is replaced by a permutation + inverse + destination-order gather,
+// because text vectors only append.
+func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch, prev colPart) (colPart, *storage.ColBatch) {
 	total := 0
 	for _, c := range chunks {
 		total += c.N
 	}
+	part := colPart{slots: prev.slots[:0], heavy: prev.heavy[:0]}
 	if total == 0 {
-		return colPart{}, nil
+		return part, nil
 	}
 	if total > maxPartTuples {
 		panic(fmt.Sprintf("exec: hash partition holds %d tuples, limit %d — raise the partition count", total, maxPartTuples))
@@ -311,8 +321,9 @@ func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch) (colPart, *s
 	if capacity < 4 {
 		capacity = 4
 	}
-	part := colPart{slots: make([]uint64, capacity)}
+	part.slots = growU64(part.slots, capacity)
 	slots := part.slots
+	clear(slots)
 	mask := capacity - 1
 	// Transient seal state comes from the engine pool; the standalone
 	// (engine-less) path allocates it locally.
@@ -544,10 +555,12 @@ func (h *ColHashTable) resolve(b *storage.ColBatch, keys []int32, cur *probeCurs
 	return len(m.lrow)
 }
 
-// release returns the sealed stores to the engine pool and recycles the
-// table itself (its per-partition chunk slices keep their capacity for
-// the next build). Only the scheduler calls it, after the consuming
-// query fully completed; nothing references the table afterwards.
+// release returns the sealed stores to the engine pool and empties the
+// table for its fragment runtime's next build: the per-partition chunk
+// slices, slot arrays and heavy-group lists keep their capacity. Only
+// the scheduler calls it, after the consuming query fully completed;
+// nothing probes the table afterwards. Releasing a released table does
+// nothing, so a runtime whose rebind fails can be put back again.
 func (h *ColHashTable) release() {
 	if h.eng == nil {
 		return
@@ -555,11 +568,10 @@ func (h *ColHashTable) release() {
 	for i, store := range h.stores {
 		h.eng.putColBatch(store)
 		h.stores[i] = nil
-		h.parts[i] = colPart{}
+		h.parts[i] = colPart{slots: h.parts[i].slots[:0], heavy: h.parts[i].heavy[:0]}
 	}
 	for p := range h.chunks {
 		clear(h.chunks[p])
 		h.chunks[p] = h.chunks[p][:0]
 	}
-	h.eng.chtPool.Put(h)
 }

@@ -61,6 +61,8 @@ type fragRun struct {
 	outTemp    *Temp         // for RootOut / TempOut / SortedOut
 	outColHash *ColHashTable // for HashOut
 	agg        *aggState     // non-nil when the fragment root is an Agg
+	// sortScr is the working storage of a SortedOut output's sort.
+	sortScr sortScratch
 
 	// Rebind ingredients, fixed at compile time: pooled runtimes recreate
 	// the per-run outputs above from these without recompiling (see
@@ -181,9 +183,10 @@ func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
 }
 
 // rebind readies a runtime for an execution of its fragment in query q:
-// the inputs, resolved once from q's own completed tasks, fresh outputs
-// (a pooled runtime's previous ones escaped into its Report or were
-// released with its query), and zeroed counters. The compiled closures
+// the inputs, resolved once from q's own completed tasks, empty outputs,
+// and zeroed counters. An output the runtime kept from its last
+// execution (never a root temp, see putFragRun) is emptied in place; a
+// root runtime gets a fresh temp (DESIGN.md §12). The compiled closures
 // need no attention — they read all of this through the fragRun pointer
 // at call time. A missing input fails the launch.
 func (fr *fragRun) rebind(q *query) error {
@@ -197,9 +200,15 @@ func (fr *fragRun) rebind(q *query) error {
 		}
 		fr.ins[i] = src
 	}
-	if fr.frag.Out == plan.HashOut {
-		fr.outColHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
-	} else {
+	switch {
+	case fr.frag.Out == plan.HashOut:
+		if fr.outColHash == nil {
+			fr.outColHash = &ColHashTable{}
+		}
+		fr.outColHash.init(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
+	case fr.outTemp != nil:
+		fr.outTemp.reset(fr.tempRows)
+	default:
 		fr.outTemp = newTemp(fr.outSchema, fr.tempRows)
 	}
 	if fr.aggNode != nil {
@@ -222,7 +231,7 @@ func (fr *fragRun) finalize() {
 		fr.eng.chargeMasterCPU(float64(groups) * fr.eng.Params.EmitCPU)
 	}
 	if fr.frag.Out == plan.SortedOut {
-		cmps := fr.outTemp.Finalize(fr.frag.SortCol)
+		cmps := fr.outTemp.finalize(fr.frag.SortCol, &fr.sortScr)
 		fr.eng.chargeMasterCPU(float64(cmps) * fr.eng.Params.SortCmpCPU)
 	}
 	if fr.outColHash != nil {

@@ -69,10 +69,6 @@ type Engine struct {
 	// seals (permutations, slot memos).
 	sealPool sync.Pool
 
-	// chtPool recycles columnar hash tables across queries; release()
-	// feeds it once the consuming query settles.
-	chtPool sync.Pool
-
 	// scPool recycles slave execution contexts across slaves, tasks and
 	// queries: the capacity-bearing scratch (selection buffers, view
 	// headers, page buffers) is what makes the hot path allocation-free
@@ -286,17 +282,21 @@ func (e *Engine) getFragRun(frag *plan.Fragment, q *query) (*fragRun, error) {
 	return fr, nil
 }
 
-// putFragRun releases a finished run's hash table (its consumers all ran
-// in the same, now settled, query), drops its output and input references
-// (the root temp may have escaped into the caller's Report; a driver may
-// hold an input temp) and parks the compiled runtime for the fragment's
-// next execution.
+// putFragRun parks a finished run's compiled runtime for the fragment's
+// next execution. Its output's consumers all ran in the same, now
+// settled, query, so the runtime keeps a non-root temp and its hash
+// table (released: the sealed stores go back to the batch pools) for
+// the next rebind to empty in place. A root temp escaped into the
+// caller's Report and is dropped, as are the input references (a driver
+// may hold an input temp).
 func (e *Engine) putFragRun(fr *fragRun) {
 	if fr.outColHash != nil {
 		fr.outColHash.release()
 	}
 	clear(fr.ins)
-	fr.outTemp, fr.outColHash = nil, nil
+	if fr.frag.Out == plan.RootOut {
+		fr.outTemp = nil
+	}
 	fr.agg = nil
 	fr.rt.task, fr.rt.drv = nil, nil
 	fr.pd.tmp.temp = nil

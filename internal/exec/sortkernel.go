@@ -38,17 +38,26 @@ func packKey(key int32, idx int) uint64 {
 	return uint64(uint32(key)^0x80000000)<<32 | uint64(uint32(idx))
 }
 
+// sortScratch is the sort's working storage: the packed words, their
+// ping-pong partner and the gather's spare vector. A fragment runtime
+// whose output is sorted keeps one across executions (fragRun.sortScr),
+// so each slice is as long as the largest sort so far.
+type sortScratch struct {
+	packed, scratch []uint64
+	spare           []int32
+}
+
 // sortColBatch stably sorts an owned columnar batch in place on col by
 // radix-sorting the packed keys above: the packed order is a pure
 // function of (keys, arrival order). The gather pass permutes every
 // column through one spare vector; text columns permute their span
-// arrays only.
-func sortColBatch(cb *storage.ColBatch, col int) {
+// arrays only. The working vectors come from scr and go back to it.
+func sortColBatch(cb *storage.ColBatch, col int, scr *sortScratch) {
 	n := cb.N
 	if n < 2 {
 		return
 	}
-	packed := make([]uint64, n)
+	packed := growU64(scr.packed, n)
 	var counts [4][256]int
 	for i, k := range cb.Vecs[col].Ints {
 		p := packKey(k, i)
@@ -58,7 +67,7 @@ func sortColBatch(cb *storage.ColBatch, col int) {
 		counts[2][byte(p>>48)]++
 		counts[3][byte(p>>56)]++
 	}
-	scratch := make([]uint64, n)
+	scratch := growU64(scr.scratch, n)
 	for b := range counts {
 		shift := 32 + 8*b
 		c := &counts[b]
@@ -81,8 +90,9 @@ func sortColBatch(cb *storage.ColBatch, col int) {
 	// buffer, no longer read, is the spare of the next. Spans are absolute
 	// into Buf, so reordering a text column only permutes its (start,
 	// end) arrays; the payload bytes stay where they are and aliased runs
-	// stay shared.
-	spare := make([]int32, n)
+	// stay shared. The buffer left over at the end is the next sort's
+	// spare.
+	spare := growI32(scr.spare, n)
 	for c := range cb.Vecs {
 		v := &cb.Vecs[c]
 		if v.Pruned() {
@@ -96,6 +106,7 @@ func sortColBatch(cb *storage.ColBatch, col int) {
 			v.End, spare = permute(spare, v.End, packed), v.End
 		}
 	}
+	scr.packed, scr.scratch, scr.spare = packed, scratch, spare
 }
 
 // permute sets dst[i] to src at the arrival index packed[i] carries and

@@ -34,8 +34,12 @@ import (
 // nothing. A temp a fragment materializes carries the optimizer's
 // output-row estimate, and its int and span vectors are allocated once at
 // that many rows (capped at maxTempHintRows); an estimate that falls
-// short, and every temp without one, grows by doubling. Text payload
-// bytes always start empty and double (see storage.NewColBatchRows).
+// short, and every temp without one, grows by doubling. A fresh temp's
+// text payload bytes start empty and double (see
+// storage.NewColBatchRows). A non-root temp belongs to its pooled
+// fragment runtime, which empties it in place (reset) for the
+// fragment's next execution: a warm temp starts with the vectors and
+// payload buffer of the largest execution before it.
 type Temp struct {
 	Schema storage.Schema
 
@@ -62,6 +66,25 @@ func newTemp(schema storage.Schema, rows int) *Temp {
 		rows = chunkSize
 	}
 	return &Temp{Schema: schema, sortedBy: -1, rowHint: rows}
+}
+
+// reset empties the temp in place for another execution of its
+// fragment, as newTemp(t.Schema, rows) would but keeping the store's
+// vectors and text buffer; the order and the row cache go. Only a temp
+// nothing else reads any more may be reset — never a root temp, which
+// escapes into its query's Report.
+func (t *Temp) reset(rows int) {
+	if rows <= 0 {
+		rows = chunkSize
+	}
+	t.mu.Lock()
+	if t.cols != nil {
+		t.cols.Reset()
+	}
+	t.rowHint = rows
+	t.sortedBy = -1
+	t.rows = nil
+	t.mu.Unlock()
 }
 
 // SetSortProcs does nothing: Finalize's radix sort runs on the calling
@@ -192,6 +215,13 @@ func (t *Temp) Tuples() []storage.Tuple {
 // so the virtual-clock charge is independent of the kernel, batch size,
 // partition count and slave count.
 func (t *Temp) Finalize(col int) int64 {
+	return t.finalize(col, &sortScratch{})
+}
+
+// finalize is Finalize with the sort's working vectors taken from and
+// left in scr: a fragment runtime passes its own, so a warm execution's
+// sort allocates nothing.
+func (t *Temp) finalize(col int, scr *sortScratch) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if col < 0 {
@@ -199,7 +229,7 @@ func (t *Temp) Finalize(col int) int64 {
 		return 0
 	}
 	if t.cols != nil {
-		sortColBatch(t.cols, col)
+		sortColBatch(t.cols, col, scr)
 		t.rows = nil
 	}
 	t.sortedBy = col

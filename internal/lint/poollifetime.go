@@ -9,7 +9,7 @@ import (
 
 // PoolLifetime enforces the pooled-object lifetime discipline on the
 // function-local uses of the engine's sync.Pools (colPools, sealPool,
-// chtPool, scPool, densePool, wakePool, goRunnerPool): a value obtained
+// scPool, densePool, wakePool, goRunnerPool): a value obtained
 // from a pool must not outlive its recycle point. Two rules, checked
 // per function over the shared call graph (getters and putters are
 // classified transitively, so `sc := e.getSlaveCtx()` and
@@ -24,7 +24,7 @@ import (
 //     escaped alias would dangle into the pool.
 //
 // Only locals bound directly from a getter call are tracked, so
-// ownership handoffs through parameters (slave contexts, hash tables,
+// ownership handoffs through parameters (slave contexts,
 // dense windows and output batches held by an owner across functions
 // or goroutines) stay out of scope — those are the owner's calls by
 // construction.

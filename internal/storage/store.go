@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,12 +23,19 @@ import (
 // fragment's IO rate, so the victim order must depend on the access
 // sequence alone — never on the host's GOMAXPROCS, which a per-stripe
 // LRU sized from it would leak into virtual time (DESIGN.md §6).
+//
+// The recency order is a circular doubly linked list threaded through a
+// slice by index: slots[head] is the most recent page and its prev the
+// least recent, so evicting on a full pool only moves head back one slot
+// and rewrites that slot's key. Nothing is allocated once the pool is
+// full.
 type BufferPool struct {
 	cap int // immutable after NewBufferPool
 
 	mu    sync.Mutex
-	lru   *list.List // front = most recent; values are pageKey
-	pages map[pageKey]*list.Element
+	slots []lruSlot // the resident pages, len ≤ cap
+	head  int32     // the most recent slot; unused while slots is empty
+	pages map[pageKey]int32
 
 	hits, misses atomic.Int64
 }
@@ -39,12 +45,19 @@ type pageKey struct {
 	page int64
 }
 
+// lruSlot is one resident page and its neighbours in recency order:
+// next is the next less recent slot, prev the next more recent one.
+type lruSlot struct {
+	key        pageKey
+	prev, next int32
+}
+
 // NewBufferPool creates a pool holding up to capacity pages.
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &BufferPool{cap: capacity, lru: list.New(), pages: make(map[pageKey]*list.Element)}
+	return &BufferPool{cap: capacity, pages: make(map[pageKey]int32)}
 }
 
 // touch records an access; it returns true on a hit.
@@ -55,26 +68,53 @@ func (bp *BufferPool) touch(k pageKey) bool {
 		return false
 	}
 	bp.mu.Lock()
-	if el, ok := bp.pages[k]; ok {
-		bp.lru.MoveToFront(el)
+	if i, ok := bp.pages[k]; ok {
+		bp.toFront(i)
 		bp.mu.Unlock()
 		bp.hits.Add(1)
 		return true
 	}
-	if bp.lru.Len() >= bp.cap {
-		// Recycle the evicted element so steady-state misses allocate
-		// nothing.
-		el := bp.lru.Back()
-		delete(bp.pages, el.Value.(pageKey))
-		el.Value = k
-		bp.lru.MoveToFront(el)
-		bp.pages[k] = el
-	} else {
-		bp.pages[k] = bp.lru.PushFront(k)
+	switch n := int32(len(bp.slots)); {
+	case n == 0:
+		bp.slots = append(bp.slots, lruSlot{key: k})
+		bp.head = 0
+	case int(n) < bp.cap:
+		// Link a new slot in front of the head.
+		tail := bp.slots[bp.head].prev
+		bp.slots = append(bp.slots, lruSlot{key: k, prev: tail, next: bp.head})
+		bp.slots[tail].next = n
+		bp.slots[bp.head].prev = n
+		bp.head = n
+	default:
+		// Evict the least recent page: the ring's tail becomes its head.
+		tail := bp.slots[bp.head].prev
+		delete(bp.pages, bp.slots[tail].key)
+		bp.slots[tail].key = k
+		bp.head = tail
 	}
+	bp.pages[k] = bp.head
 	bp.mu.Unlock()
 	bp.misses.Add(1)
 	return false
+}
+
+// toFront makes slot i the most recent. Caller holds bp.mu.
+func (bp *BufferPool) toFront(i int32) {
+	h := bp.head
+	if i == h {
+		return
+	}
+	s := bp.slots
+	if i != s[h].prev {
+		// Unlink i and relink it between the tail and the head; the tail
+		// itself is already there.
+		p, n := s[i].prev, s[i].next
+		s[p].next, s[n].prev = n, p
+		tail := s[h].prev
+		s[i].prev, s[i].next = tail, h
+		s[tail].next, s[h].prev = i, i
+	}
+	bp.head = i
 }
 
 // Touch records an access to page p of relation rel, returning true on
@@ -100,8 +140,8 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
 // Invalidate drops all cached residency (e.g. between experiments).
 func (bp *BufferPool) Invalidate() {
 	bp.mu.Lock()
-	bp.lru.Init()
-	bp.pages = make(map[pageKey]*list.Element)
+	bp.slots = bp.slots[:0]
+	clear(bp.pages)
 	bp.mu.Unlock()
 }
 
