@@ -22,15 +22,13 @@ type aggState struct {
 	groupCol int // -1 for a single global group
 	funcs    []plan.AggFunc
 
-	// eng enables dense-scratch recycling; nil (tests) allocates plainly.
-	eng *Engine
-
 	mu     sync.Mutex
 	groups map[int32][]int64
 	// Dense fast path: group keys inside [denseBase, denseBase+W) fold
 	// into a flat accumulator array instead of the map. The window is
 	// adopted from the first slave that merges one in; keys outside it
-	// fall back to the map, so any key distribution stays correct.
+	// fall back to the map, so any key distribution stays correct. The
+	// fragment runtime takes the window back after emit.
 	denseScr  *denseScratch
 	denseBase int32
 }
@@ -194,14 +192,6 @@ func (st *aggState) forEachGroupLocked(keys []int32, fn func(k int32, acc []int6
 	}
 }
 
-// releaseDenseLocked recycles the shared dense scratch after emit.
-func (st *aggState) releaseDenseLocked() {
-	if st.denseScr != nil && st.eng != nil {
-		st.eng.putDense(st.denseScr)
-	}
-	st.denseScr = nil
-}
-
 // emit writes the final per-group rows, ordered by group key. Agg
 // outputs are all-int4 (plan.Validate rejects any other group or
 // function column), so rows append straight into the output temp's
@@ -219,7 +209,6 @@ func (st *aggState) emit(out *Temp) int {
 		n += st.denseScr.popSeen()
 	}
 	if n == 0 {
-		st.releaseDenseLocked()
 		return 0
 	}
 	out.appendDirect(n, func(cb *storage.ColBatch) {
@@ -236,7 +225,6 @@ func (st *aggState) emit(out *Temp) int {
 			}
 		})
 	})
-	st.releaseDenseLocked()
 	return n
 }
 
@@ -276,7 +264,7 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 			first = keys[b.RowAt(0)]
 		}
 		sc.aggBase = first &^ int32(aggDenseWindow-1)
-		sc.aggDense = sc.rt.fr.eng.getDense(nf)
+		sc.aggDense = sc.rt.fr.getDense(nf)
 	}
 	d, base := sc.aggDense, sc.aggBase
 	foldRow := func(row int) {
@@ -345,32 +333,28 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 	}
 }
 
-// getDense hands out a dense scratch window for nf functions; the seen
-// bitmap is clear, the accumulators deliberately dirty (first touch
-// initializes them).
-func (e *Engine) getDense(nf int) *denseScratch {
-	need := aggDenseWindow * nf
-	if v := e.densePool.Get(); v != nil {
-		d := v.(*denseScratch)
-		if cap(d.acc) >= need {
-			d.acc = d.acc[:need]
-			return d
-		}
+// getDense lends a slave a dense scratch window for the fragment's nf
+// functions: the seen bitmap is clear, the accumulators deliberately
+// dirty (first touch initializes them).
+func (fr *fragRun) getDense(nf int) *denseScratch {
+	fr.rt.mu.Lock()
+	defer fr.rt.mu.Unlock()
+	if n := len(fr.denseFree); n > 0 {
+		d := fr.denseFree[n-1]
+		fr.denseFree[n-1] = nil
+		fr.denseFree = fr.denseFree[:n-1]
+		return d
 	}
-	if need == 0 {
-		need = aggDenseWindow
-	}
-	return &denseScratch{acc: make([]int64, need), seen: make([]uint64, aggDenseWindow/64)}
+	return &denseScratch{acc: make([]int64, aggDenseWindow*max(nf, 1)), seen: make([]uint64, aggDenseWindow/64)}
 }
 
-// putDense recycles a dense scratch window, clearing its bitmap so the
-// next user starts empty.
-func (e *Engine) putDense(d *denseScratch) {
-	if d == nil {
-		return
-	}
+// putDense takes back a dense scratch window, clearing its bitmap so the
+// next borrower starts empty.
+func (fr *fragRun) putDense(d *denseScratch) {
 	clear(d.seen)
-	e.densePool.Put(d)
+	fr.rt.mu.Lock()
+	fr.denseFree = append(fr.denseFree, d)
+	fr.rt.mu.Unlock()
 }
 
 // aggSlabChunk is the accumulator-slab growth unit (int64 words).

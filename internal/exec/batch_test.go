@@ -211,7 +211,7 @@ func TestBatchSweepNestLoopIndexInner(t *testing.T) {
 	})
 }
 
-// TestBatchBufferPoolReuse pins down that pooled batch buffers do not
+// TestBatchBufferPoolReuse pins down that recycled batch buffers do not
 // leak tuples between queries on one engine.
 func TestBatchBufferPoolReuse(t *testing.T) {
 	v, eng := testEngine(0)

@@ -35,8 +35,8 @@ import (
 // Per-key row order is chunk order (the order builders flushed), exactly
 // like the row table, so switching layouts never reorders join output.
 
-// sealScratch is the transient state of one partition seal, recycled
-// through the engine pool: slot memos, the destination permutation, its
+// sealScratch is the working state of one partition seal, kept by its
+// table for the next seal: slot memos, the destination permutation, its
 // inverse as (chunk, row) pairs, and heavy-group cursors.
 type sealScratch struct {
 	slotOf    []uint32
@@ -46,7 +46,7 @@ type sealScratch struct {
 	heavyNext []int32
 }
 
-// growU32, growI32 and growU64 resize pooled scratch to exactly n entries
+// growU32, growI32 and growU64 resize kept scratch to exactly n entries
 // without zeroing (callers overwrite every entry they read).
 func growU32(s []uint32, n int) []uint32 {
 	if cap(s) < n {
@@ -93,12 +93,15 @@ type ColHashTable struct {
 	Schema storage.Schema
 	Col    int
 
-	eng       *Engine // batch recycling; nil allocates directly
-	prune     []int   // build columns not stored, ascending; nil stores all
+	prune     []int // build columns not stored, ascending; nil stores all
 	partShift uint
 
 	mu sync.Mutex
 	n  int
+	// free holds the table's idle batches: builder chunks the last seal
+	// gathered and stores the last release handed back. They share the
+	// table's column shape, so reusing one allocates only to grow it.
+	free batchList
 	// chunks holds the unsealed build input: per partition, the private
 	// buffers flushed by exiting build slaves, in flush order. The
 	// per-partition slices keep their capacity across executions (the
@@ -108,25 +111,27 @@ type ColHashTable struct {
 	sealed bool
 
 	sealOnce sync.Once
-	parts    []colPart
+	// scr is the seal's working state, used by one seal at a time.
+	scr   sealScratch
+	parts []colPart
 	// stores holds each sealed partition's rows, flat and grouped by key;
 	// nil for an empty partition. Index-aligned with parts.
 	stores []*storage.ColBatch
 }
 
 // NewColHashTable creates an empty columnar table keyed on the given
-// column of the build schema, storing every column. eng (optional)
-// supplies batch recycling. The last argument is ignored: sealing runs
-// on the calling goroutine.
-func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, _ int) *ColHashTable {
-	return newColHashTable(eng, schema, col, nil, partitions)
+// column of the build schema, storing every column. The engine and the
+// last argument are ignored: the table recycles its own batches, and
+// sealing runs on the calling goroutine.
+func NewColHashTable(_ *Engine, schema storage.Schema, col int, partitions, _ int) *ColHashTable {
+	return newColHashTable(schema, col, nil, partitions)
 }
 
 // newColHashTable is NewColHashTable for a table that leaves out the
 // build columns listed in prune (ascending; never the key column).
-func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions int) *ColHashTable {
+func newColHashTable(schema storage.Schema, col int, prune []int, partitions int) *ColHashTable {
 	h := &ColHashTable{}
-	h.init(eng, schema, col, prune, partitions)
+	h.init(schema, col, prune, partitions)
 	return h
 }
 
@@ -134,14 +139,13 @@ func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, p
 // newColHashTable describes. A fragment runtime re-inits the table it
 // keeps, so the partition slices, chunk lists and slot arrays of its
 // last execution are reused.
-func (h *ColHashTable) init(eng *Engine, schema storage.Schema, col int, prune []int, partitions int) {
+func (h *ColHashTable) init(schema storage.Schema, col int, prune []int, partitions int) {
 	if partitions < 1 {
 		partitions = 1
 	}
 	p := ceilPow2(partitions)
 	h.Schema = schema
 	h.Col = col
-	h.eng = eng
 	h.prune = prune
 	h.partShift = uint(32 - bits.Len32(uint32(p)-1))
 	h.n = 0
@@ -156,12 +160,9 @@ func (h *ColHashTable) init(eng *Engine, schema storage.Schema, col int, prune [
 
 // newBatch hands out an empty batch of the table's column shape.
 func (h *ColHashTable) newBatch(capRows int) *storage.ColBatch {
-	if h.eng != nil {
-		return h.eng.getColBatchPruned(h.Schema, capRows, h.prune)
-	}
-	b := &storage.ColBatch{}
-	b.InitPruned(h.Schema, capRows, h.prune)
-	return b
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.free.get(h.Schema, capRows, h.prune)
 }
 
 // Len returns the number of inserted rows.
@@ -296,6 +297,12 @@ func (h *ColHashTable) seal() {
 	}
 	for p := range chunks {
 		h.parts[p], h.stores[p] = h.sealColPartition(chunks[p], h.parts[p])
+		// The chunks are gathered into the store: back to the free list.
+		h.mu.Lock()
+		h.free = append(h.free, chunks[p]...)
+		h.mu.Unlock()
+		clear(chunks[p])
+		chunks[p] = chunks[p][:0]
 	}
 }
 
@@ -325,14 +332,7 @@ func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch, prev colPart
 	slots := part.slots
 	clear(slots)
 	mask := capacity - 1
-	// Transient seal state comes from the engine pool; the standalone
-	// (engine-less) path allocates it locally.
-	var scr *sealScratch
-	if h.eng != nil {
-		scr = h.eng.getSealScratch()
-	} else {
-		scr = &sealScratch{}
-	}
+	scr := &h.scr
 	// Pass 1: count key multiplicities into the slot counts (saturating
 	// at heavyMark), memoizing each row's slot. ^0 marks the zero-hash
 	// key.
@@ -459,13 +459,6 @@ func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch, prev colPart
 	}
 	store := h.newBatch(total)
 	store.AppendGather(chunks, scr.srcChunk, scr.srcRow)
-	// The chunk buffers are dead now; recycle them for future builds.
-	if h.eng != nil {
-		for _, c := range chunks {
-			h.eng.putColBatch(c)
-		}
-		h.eng.putSealScratch(scr)
-	}
 	return part, store
 }
 
@@ -555,23 +548,26 @@ func (h *ColHashTable) resolve(b *storage.ColBatch, keys []int32, cur *probeCurs
 	return len(m.lrow)
 }
 
-// release returns the sealed stores to the engine pool and empties the
-// table for its fragment runtime's next build: the per-partition chunk
-// slices, slot arrays and heavy-group lists keep their capacity. Only
-// the scheduler calls it, after the consuming query fully completed;
-// nothing probes the table afterwards. Releasing a released table does
-// nothing, so a runtime whose rebind fails can be put back again.
+// release returns the sealed stores, and the chunks of a build that
+// never sealed (its query failed), to the table's free list and empties
+// the table for its next init; the chunk lists, slot arrays and
+// heavy-group lists keep their capacity. Only the scheduler calls it,
+// after the consuming query fully completed; nothing probes the table
+// afterwards. Releasing a released table does nothing, so a runtime
+// whose rebind fails can be put back again.
 func (h *ColHashTable) release() {
-	if h.eng == nil {
-		return
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for p, cs := range h.chunks {
+		h.free = append(h.free, cs...)
+		clear(cs)
+		h.chunks[p] = cs[:0]
 	}
 	for i, store := range h.stores {
-		h.eng.putColBatch(store)
+		if store != nil {
+			h.free = append(h.free, store)
+		}
 		h.stores[i] = nil
 		h.parts[i] = colPart{slots: h.parts[i].slots[:0], heavy: h.parts[i].heavy[:0]}
-	}
-	for p := range h.chunks {
-		clear(h.chunks[p])
-		h.chunks[p] = h.chunks[p][:0]
 	}
 }

@@ -106,14 +106,16 @@ type diffCase struct {
 	outPrune   []int // of probe ++ build
 }
 
-func runColHashDifferential(t *testing.T, tc diffCase, limit, partitions int) {
+// runColHashDifferential builds, seals and probes cht, an empty or
+// freshly re-initialized table, with tc's keys; round labels the
+// failures.
+func runColHashDifferential(t *testing.T, round string, cht *ColHashTable, tc diffCase, limit int) {
 	t.Helper()
 	builds := diffBatches(diffBuildSchema, "b", tc.buildKeys, 100)
 	probes := diffBatches(diffProbeSchema, "p", tc.probeKeys, 64)
 
 	// Two builders flushing in turn: two chunks per partition, and the
 	// per-key row order the reference must see is flush order.
-	cht := newColHashTable(nil, diffBuildSchema, 0, tc.buildPrune, partitions)
 	half := (len(builds) + 1) / 2
 	refBuild := storage.NewColBatch(diffBuildSchema, 0)
 	refRows := map[int32][]int{} // key -> rows of refBuild, insert order
@@ -132,18 +134,20 @@ func runColHashDifferential(t *testing.T, tc diffCase, limit, partitions int) {
 		hb.Flush()
 	}
 	cht.Seal()
-	if cht.Len() != refBuild.N {
-		t.Fatalf("table holds %d rows, want %d", cht.Len(), refBuild.N)
-	}
+	stored := 0
 	for _, store := range cht.stores {
 		if store == nil {
 			continue
 		}
+		stored += store.N
 		for c := range store.Vecs {
 			if store.Vecs[c].Pruned() != slices.Contains(tc.buildPrune, c) {
-				t.Fatalf("store column %d: pruned = %v, prune list %v", c, store.Vecs[c].Pruned(), tc.buildPrune)
+				t.Fatalf("%s: store column %d: pruned = %v, prune list %v", round, c, store.Vecs[c].Pruned(), tc.buildPrune)
 			}
 		}
+	}
+	if cht.Len() != refBuild.N || stored != refBuild.N {
+		t.Fatalf("%s: table counts %d rows and stores %d, want %d", round, cht.Len(), stored, refBuild.N)
 	}
 
 	outSchema := diffProbeSchema.Concat(diffBuildSchema)
@@ -177,16 +181,16 @@ func runColHashDifferential(t *testing.T, tc diffCase, limit, partitions int) {
 			n := cht.resolve(pb, keys, &cur, &m, limit)
 			if n == 0 {
 				if ci != len(want) {
-					t.Fatalf("probe batch %d: %d output batches, want %d", bi, ci, len(want))
+					t.Fatalf("%s: probe batch %d: %d output batches, want %d", round, bi, ci, len(want))
 				}
 				break
 			}
 			if ci >= len(want) {
-				t.Fatalf("probe batch %d: more than %d output batches", bi, len(want))
+				t.Fatalf("%s: probe batch %d: more than %d output batches", round, bi, len(want))
 			}
 			out.AppendJoinedRows(pb, m.lrow, cht.stores, m.part, m.brow)
 			if err := vecsEqual(out, want[ci]); err != nil {
-				t.Fatalf("probe batch %d, output batch %d: %v", bi, ci, err)
+				t.Fatalf("%s: probe batch %d, output batch %d: %v", round, bi, ci, err)
 			}
 			out.Reset()
 		}
@@ -233,11 +237,23 @@ func TestColHashDifferential(t *testing.T) {
 		{name: "product-skew/pruned", buildKeys: keysOf(map[int32]int{42: 300, 1: 1, 2: 1}),
 			probeKeys: keysOf(map[int32]int{42: 40, 2: 3, 9: 5}), buildPrune: []int{2}, outPrune: []int{2, 5}},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
+		next := cases[(i+1)%len(cases)]
 		for _, limit := range []int{1, 7, 256} {
 			for _, parts := range []int{1, 4, 16} {
 				t.Run(fmt.Sprintf("%s/limit=%d/parts=%d", tc.name, limit, parts), func(t *testing.T) {
-					runColHashDifferential(t, tc, limit, parts)
+					// One table through three builds, released and re-inited
+					// in between the way a pooled fragment runtime reuses
+					// the table it keeps: the case's own keys twice, then the
+					// next case's (another prune list, another size).
+					cht := newColHashTable(diffBuildSchema, 0, tc.buildPrune, parts)
+					for round, rc := range []diffCase{tc, tc, next} {
+						if round > 0 {
+							cht.release()
+							cht.init(diffBuildSchema, 0, rc.buildPrune, parts)
+						}
+						runColHashDifferential(t, fmt.Sprintf("round %d (%s)", round+1, rc.name), cht, rc, limit)
+					}
 				})
 			}
 		}

@@ -85,6 +85,17 @@ type fragRun struct {
 	nSels    int
 	nLoops   int
 
+	// The fragment-shaped scratch its slaves borrow on first use and
+	// hand back in flushAll: one free list of output batches per
+	// emitting slot (an interval driver's own batch takes driverSlot)
+	// and one of dense aggregation windows. Each list holds at most what
+	// the runtime's slaves held at once (plus the window the aggregate
+	// adopted). rt.mu guards them: a mutex of their own would move
+	// fragRun up an allocation size class, which a backlog of one-off
+	// plans pays per query (TestBacklogAllocFlat).
+	outFree   []batchList
+	denseFree []*denseScratch
+
 	// obsTid is the fragment's trace lane (0 when tracing is off).
 	obsTid int
 	// traced carries the owning query's head-based sampling decision:
@@ -125,6 +136,25 @@ func (fr *fragRun) processColBatch(sc *slaveCtx, b *storage.ColBatch) error {
 	fr.eng.mBatches.Add(1)
 	fr.eng.mTuples.Add(int64(b.N))
 	return fr.colRoot.proc(sc, b)
+}
+
+// batchList is a free list of owned, empty column batches, reshaped by
+// get; its owner guards it.
+type batchList []*storage.ColBatch
+
+// get pops a batch shaped for the schema with the listed columns
+// (ascending) pruned, or makes one with capRows of row capacity.
+func (l *batchList) get(s storage.Schema, capRows int, prune []int) *storage.ColBatch {
+	var b *storage.ColBatch
+	if n := len(*l); n > 0 {
+		b = (*l)[n-1]
+		(*l)[n-1] = nil
+		*l = (*l)[:n-1]
+	} else {
+		b = &storage.ColBatch{}
+	}
+	b.InitPruned(s, capRows, prune)
+	return b
 }
 
 // newColOut reserves a per-slave output-batch slot for one emitting
@@ -168,11 +198,15 @@ func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
 			fr.hashParts = DefaultHashPartitions
 		}
 	}
+	if _, kind := frag.Driver(); kind != plan.PageDriver {
+		fr.newColOut() // the first slot: driverSlot
+	}
 	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true)
 	if err != nil {
 		return nil, err
 	}
 	fr.colRoot = root
+	fr.outFree = make([]batchList, fr.nColOuts)
 	if fr.aggNode == nil {
 		// An Agg's emit knows its exact group count; its estimate (the
 		// grouping column's distinct values before any filter) can be
@@ -205,7 +239,7 @@ func (fr *fragRun) rebind(q *query) error {
 		if fr.outColHash == nil {
 			fr.outColHash = &ColHashTable{}
 		}
-		fr.outColHash.init(fr.eng, fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
+		fr.outColHash.init(fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
 	case fr.outTemp != nil:
 		fr.outTemp.reset(fr.tempRows)
 	default:
@@ -213,7 +247,6 @@ func (fr *fragRun) rebind(q *query) error {
 	}
 	if fr.aggNode != nil {
 		fr.agg = newAggState(fr.aggNode)
-		fr.agg.eng = fr.eng
 	}
 	fr.statTuplesIn.Store(0)
 	fr.statTuplesOut.Store(0)
@@ -227,6 +260,10 @@ func (fr *fragRun) rebind(q *query) error {
 func (fr *fragRun) finalize() {
 	if fr.agg != nil {
 		groups := fr.agg.emit(fr.outTemp)
+		if d := fr.agg.denseScr; d != nil {
+			fr.agg.denseScr = nil
+			fr.putDense(d)
+		}
 		fr.statTuplesOut.Add(int64(groups))
 		fr.eng.chargeMasterCPU(float64(groups) * fr.eng.Params.EmitCPU)
 	}
@@ -383,7 +420,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 				return err
 			}
 			sc.chargeCPUPer(probeCPU, live)
-			out := sc.colOutBatch(slot, fr.eng, outSchema, prune)
+			out := sc.colOutBatch(slot, outSchema, prune)
 			// Matches resolve limit at a time into the slave's match
 			// vectors, each output column gathers in one loop, and the
 			// consumer runs — after the same match counts, and the same

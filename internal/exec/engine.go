@@ -57,27 +57,18 @@ type Engine struct {
 	// (picoseconds); purely a simulation-efficiency knob.
 	cpuQuantumPs int64
 
-	// colPools recycles columnar batches across slaves, tasks and
-	// queries — one free list per column shape. A single pool would hand
-	// Int4-shaped batches to text-heavy fragments and back, forcing
-	// ColBatch.Init to reallocate every vector on each Get (pool thrash);
-	// keyed by shape, the steady state allocates nothing per batch.
-	colPoolMu sync.Mutex
-	colPools  map[uint64]*sync.Pool
-
-	// sealPool recycles the transient scratch of ColHashTable partition
-	// seals (permutations, slot memos).
-	sealPool sync.Pool
-
 	// scPool recycles slave execution contexts across slaves, tasks and
 	// queries: the capacity-bearing scratch (selection buffers, view
 	// headers, page buffers) is what makes the hot path allocation-free
-	// in steady state.
+	// in steady state. It is the engine's one sync.Pool: a slave context
+	// is the one piece of executor state that passes from fragment to
+	// fragment, while every fragment-shaped scratch lives with its
+	// runtime or hash table. Keeping contexts in the runtimes' slave
+	// slots instead measured worse: scan_mix runs ten fresh fragments
+	// per op, and its allocations per op went 836 → 1 758 and its KB per
+	// op 1 864 → 2 232. TestBacklogAllocFlat guards this pool (holding
+	// contexts per runtime read 1.55 there, limit 1.25).
 	scPool sync.Pool
-
-	// densePool recycles dense aggregation windows (accumulator array +
-	// seen bitmap) across slaves and queries.
-	densePool sync.Pool
 
 	// frFree recycles compiled fragment runtimes across executions of the
 	// same (shared) plan: the compiled pipeline closures all read their
@@ -128,109 +119,6 @@ func (e *Engine) batchSize() int {
 	}
 	return DefaultBatchSize
 }
-
-// The batch pools are keyed by column shape: the column count plus two
-// bits per column (type, prunedness). Pruned columns key separately
-// because they carry no storage — mixing them with full batches of the
-// same schema would make Init allocate the missing vectors on every
-// Get. Shapes beyond 16 columns share low-bit buckets, which only
-// costs a rare Init reshape, never correctness.
-
-// sigOfSchema keys a schema shape, marking the indices in prune
-// (ascending) as pruned.
-func sigOfSchema(s storage.Schema, prune []int) uint64 {
-	sig := uint64(len(s.Cols)) << 32
-	pi := 0
-	for i := range s.Cols {
-		c := uint64(0)
-		if s.Cols[i].Typ == storage.Text {
-			c = 1
-		}
-		if pi < len(prune) && prune[pi] == i {
-			pi++
-			c |= 2
-		}
-		sig |= c << uint(2*i&31)
-	}
-	return sig
-}
-
-// sigOfVecs keys an existing batch's shape for Put.
-func sigOfVecs(vecs []storage.Vec) uint64 {
-	sig := uint64(len(vecs)) << 32
-	for i := range vecs {
-		c := uint64(0)
-		if vecs[i].Typ == storage.Text {
-			c = 1
-		}
-		if vecs[i].Pruned() {
-			c |= 2
-		}
-		sig |= c << uint(2*i&31)
-	}
-	return sig
-}
-
-// colPoolFor returns the batch free list for one column shape.
-func (e *Engine) colPoolFor(sig uint64) *sync.Pool {
-	e.colPoolMu.Lock()
-	p := e.colPools[sig]
-	if p == nil {
-		if e.colPools == nil {
-			e.colPools = make(map[uint64]*sync.Pool)
-		}
-		p = &sync.Pool{}
-		e.colPools[sig] = p
-	}
-	e.colPoolMu.Unlock()
-	return p
-}
-
-// getColBatch hands out an owned, empty columnar batch shaped for the
-// schema with at least capRows of row capacity.
-func (e *Engine) getColBatch(s storage.Schema, capRows int) *storage.ColBatch {
-	if v := e.colPoolFor(sigOfSchema(s, nil)).Get(); v != nil {
-		b := v.(*storage.ColBatch)
-		b.Init(s, capRows)
-		return b
-	}
-	return storage.NewColBatch(s, capRows)
-}
-
-// getColBatchPruned is getColBatch for a projection output: the listed
-// columns (ascending) come out pruned, with no storage allocated for
-// them.
-func (e *Engine) getColBatchPruned(s storage.Schema, capRows int, prune []int) *storage.ColBatch {
-	if v := e.colPoolFor(sigOfSchema(s, prune)).Get(); v != nil {
-		b := v.(*storage.ColBatch)
-		b.InitPruned(s, capRows, prune)
-		return b
-	}
-	b := &storage.ColBatch{}
-	b.InitPruned(s, capRows, prune)
-	return b
-}
-
-// putColBatch returns a columnar batch to its shape's pool. Views must
-// never be pooled — only owned batches whose vectors the next Init may
-// reuse.
-func (e *Engine) putColBatch(b *storage.ColBatch) {
-	if b == nil {
-		return
-	}
-	e.colPoolFor(sigOfVecs(b.Vecs)).Put(b)
-}
-
-// getSealScratch and putSealScratch recycle the transient slices of one
-// partition seal.
-func (e *Engine) getSealScratch() *sealScratch {
-	if v := e.sealPool.Get(); v != nil {
-		return v.(*sealScratch)
-	}
-	return &sealScratch{}
-}
-
-func (e *Engine) putSealScratch(s *sealScratch) { e.sealPool.Put(s) }
 
 // getSlaveCtx hands out a slave execution context with its goroutine
 // body pre-bound, so spawning a slave allocates nothing in steady
@@ -285,8 +173,8 @@ func (e *Engine) getFragRun(frag *plan.Fragment, q *query) (*fragRun, error) {
 // putFragRun parks a finished run's compiled runtime for the fragment's
 // next execution. Its output's consumers all ran in the same, now
 // settled, query, so the runtime keeps a non-root temp and its hash
-// table (released: the sealed stores go back to the batch pools) for
-// the next rebind to empty in place. A root temp escaped into the
+// table (released: the sealed stores go back to the table's free list)
+// for the next rebind to empty in place. A root temp escaped into the
 // caller's Report and is dropped, as are the input references (a driver
 // may hold an input temp).
 func (e *Engine) putFragRun(fr *fragRun) {

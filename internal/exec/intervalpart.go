@@ -307,8 +307,7 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 	lastPage := int64(-1)
 	var page *storage.ColBatch
 	bsz := eng.batchSize()
-	batch := eng.getColBatch(rel.Schema, bsz)
-	defer eng.putColBatch(batch)
+	batch := sc.colOutBatch(driverSlot, rel.Schema, nil)
 	flush := func() error {
 		if batch.N == 0 {
 			return nil
@@ -427,8 +426,7 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 	lk, rk := d.lk, d.rk
 	cons := d.fr.colRoot
 	limit := d.fr.emitLimit(cons)
-	out := eng.getColBatch(d.join.OutSchema(), limit)
-	defer eng.putColBatch(out)
+	out := sc.colOutBatch(driverSlot, d.join.OutSchema(), nil)
 	// Every row before the cursors has a key <= at, so an interval that
 	// starts above at is reached by seeking forward.
 	li, ri, at := 0, 0, int32(math.MinInt32)

@@ -153,7 +153,7 @@ func BenchmarkColHashJoin(b *testing.B) {
 			var sink int
 			b.ReportAllocs()
 			for b.Loop() {
-				ht := newColHashTable(nil, schema, 0, bc.buildPrune, DefaultHashPartitions)
+				ht := newColHashTable(schema, 0, bc.buildPrune, DefaultHashPartitions)
 				hb := ht.Builder()
 				for _, cb := range build {
 					if err := hb.InsertBatch(cb); err != nil {

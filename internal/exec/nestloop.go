@@ -105,7 +105,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 	outSchema := x.OutSchema()
 	limit := fr.emitLimit(cons)
 	return colConsumer{blocking: true, proc: func(sc *slaveCtx, ob *storage.ColBatch) error {
-		out := sc.colOutBatch(slot, fr.eng, outSchema, nil)
+		out := sc.colOutBatch(slot, outSchema, nil)
 		ns := sc.loopScratch(loop)
 		orow := 0
 		beforeIO := func() error { return flushOut(sc, out, cons) }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,23 +157,69 @@ func TestSharedPlanConcurrentQueriesRealClock(t *testing.T) {
 // once plans are shared: one runtime per execution of a fragment that
 // ran at once, not one per query ever submitted. Fifty queries of one
 // plan under a two-query admission cap leave at most two pooled
-// runtimes per fragment.
+// runtimes per fragment. The scratch each runtime owns is bounded the
+// same way: its per-slot output batches (an interval driver's batch
+// among them), dense windows and its hash table's free batches read the
+// same after 10 queries as after 50, batches at most one per slave that
+// can run at once (a task never runs more slaves than processors) and
+// dense windows one more (the window the aggregate adopted).
 func TestSharedPlanPoolBounded(t *testing.T) {
-	const queries, maxQueries = 50, 2
+	const queries, maxQueries, early = 50, 2, 10
 	v, eng := testEngine(0)
 	root, g, ests := sharedPlan(t, eng)
 	bases := make([]int, queries)
 	for i := range bases {
 		bases[i] = 10 * i
 	}
-	var reps []*Report
-	var sched *Scheduler
-	v.Run(func() { reps, sched = submitShared(t, eng, g, ests, bases, 0, AdmissionConfig{MaxQueries: maxQueries}) })
-	checkShared(t, "pool", root, g, bases, reps, sched)
+	var atEarly string
+	for _, batch := range [][]int{bases[:early], bases[early:]} {
+		var reps []*Report
+		var sched *Scheduler
+		v.Run(func() { reps, sched = submitShared(t, eng, g, ests, batch, 0, AdmissionConfig{MaxQueries: maxQueries}) })
+		checkShared(t, "pool", root, g, batch, reps, sched)
+		if atEarly == "" {
+			atEarly = ownedScratch(t, eng, g)
+		}
+	}
 	for _, f := range g.Fragments {
 		if n := len(eng.frFree[f]); n < 1 || n > maxQueries {
 			t.Errorf("fragment f%d: %d pooled runtimes after %d queries at most %d at a time, want 1..%d",
 				f.ID, n, queries, maxQueries, maxQueries)
 		}
 	}
+	if atEnd := ownedScratch(t, eng, g); atEnd != atEarly {
+		t.Errorf("owned scratch grew between %d and %d queries:\n%s---\n%s", early, queries, atEarly, atEnd)
+	}
+}
+
+// ownedScratch describes the scratch lists of every pooled runtime, one
+// line per fragment (runtimes in a fixed order), and checks their
+// bounds.
+func ownedScratch(t *testing.T, eng *Engine, g *plan.Graph) string {
+	t.Helper()
+	slaves := eng.Env.NProcs
+	var out strings.Builder
+	for _, f := range g.Fragments {
+		var rts []string
+		for _, fr := range eng.frFree[f] {
+			outs := make([]int, len(fr.outFree))
+			for i, l := range fr.outFree {
+				if outs[i] = len(l); outs[i] > slaves {
+					t.Errorf("fragment f%d slot %d keeps %d output batches, more than %d slaves", f.ID, i, outs[i], slaves)
+				}
+			}
+			if n := len(fr.denseFree); n > slaves+1 {
+				t.Errorf("fragment f%d keeps %d dense windows, more than %d slaves + 1", f.ID, n, slaves)
+			}
+			hash := 0
+			if fr.outColHash != nil {
+				hash = len(fr.outColHash.free)
+			}
+			rts = append(rts, fmt.Sprintf("outputs %v dense %d hash %d", outs, len(fr.denseFree), hash))
+		}
+		slices.Sort(rts)
+		fmt.Fprintf(&out, "f%d: %s\n", f.ID, strings.Join(rts, "; "))
+	}
+	t.Logf("%s", out.String())
+	return out.String()
 }

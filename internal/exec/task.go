@@ -65,6 +65,8 @@ type runningTask struct {
 	task *core.Task
 	drv  driver
 
+	// mu guards the fields below and the runtime's scratch lists
+	// (fragRun.outFree, fragRun.denseFree).
 	mu sync.Mutex
 	// slaves holds the live slaves in slot order: slots are handed out
 	// in increasing order and a spawn appends.
@@ -488,14 +490,23 @@ func (sc *slaveCtx) loopScratch(slot int) *nlScratch {
 	return sc.loops[slot]
 }
 
-// colOutBatch returns the slot's output batch, creating it from the
-// engine pool (with the dead columns pruned) on first use.
-func (sc *slaveCtx) colOutBatch(slot int, eng *Engine, s storage.Schema, prune []int) *storage.ColBatch {
+// driverSlot is the output-batch slot of the batch an interval driver
+// fills (intervalpart.go): newFragRun reserves it before compiling any
+// operator.
+const driverSlot = 0
+
+// colOutBatch returns the slot's output batch, borrowing it from the
+// fragment runtime's list for the slot (with the dead columns pruned)
+// on first use.
+func (sc *slaveCtx) colOutBatch(slot int, s storage.Schema, prune []int) *storage.ColBatch {
 	for len(sc.colOuts) <= slot {
 		sc.colOuts = append(sc.colOuts, nil)
 	}
 	if sc.colOuts[slot] == nil {
-		sc.colOuts[slot] = eng.getColBatchPruned(s, eng.batchSize(), prune)
+		fr := sc.rt.fr
+		fr.rt.mu.Lock()
+		sc.colOuts[slot] = fr.outFree[slot].get(s, fr.eng.batchSize(), prune)
+		fr.rt.mu.Unlock()
 	}
 	return sc.colOuts[slot]
 }
@@ -510,7 +521,7 @@ func (sc *slaveCtx) pageCols(rel *storage.Relation, p int64, buf **storage.ColBa
 	}
 	eng := sc.rt.eng
 	if *buf == nil {
-		*buf = eng.getColBatch(rel.Schema, eng.batchSize())
+		*buf = storage.NewColBatch(rel.Schema, eng.batchSize())
 	} else {
 		// Init rather than Reset: the buffer survives in the pooled slave
 		// context across fragments with different schemas, and Init
@@ -630,18 +641,18 @@ func (sc *slaveCtx) stageCPU(seconds float64) {
 }
 
 // flushAll drains all buffers at slave exit, merging aggregation
-// partials into the fragment's shared state and recycling the slave's
-// output batches through the engine pools.
+// partials into the fragment's shared state and handing the slave's
+// output batches and dense window back to the fragment runtime.
 func (sc *slaveCtx) flushAll() {
-	eng := sc.rt.eng
-	if sc.rt.fr.agg != nil {
+	fr := sc.rt.fr
+	if fr.agg != nil {
 		if sc.aggLocal != nil {
-			sc.rt.fr.agg.mergeInto(sc.aggLocal)
+			fr.agg.mergeInto(sc.aggLocal)
 			sc.aggLocal = nil
 		}
 		if sc.aggDense != nil {
-			if !sc.rt.fr.agg.mergeDense(sc.aggBase, sc.aggDense) {
-				eng.putDense(sc.aggDense)
+			if !fr.agg.mergeDense(sc.aggBase, sc.aggDense) {
+				fr.putDense(sc.aggDense)
 			}
 			sc.aggDense = nil
 		}
@@ -652,11 +663,13 @@ func (sc *slaveCtx) flushAll() {
 	}
 	sc.flushCPU()
 	// colPageBuf stays with the context (it re-Inits per schema); the
-	// per-slot output batches are fragment-shaped and go back to their
-	// shape pools.
+	// per-slot output batches are fragment-shaped and go back to the
+	// runtime's lists.
 	for i, b := range sc.colOuts {
 		if b != nil {
-			eng.putColBatch(b)
+			fr.rt.mu.Lock()
+			fr.outFree[i] = append(fr.outFree[i], b)
+			fr.rt.mu.Unlock()
 			sc.colOuts[i] = nil
 		}
 	}

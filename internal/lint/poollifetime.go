@@ -8,9 +8,10 @@ import (
 )
 
 // PoolLifetime enforces the pooled-object lifetime discipline on the
-// function-local uses of the engine's sync.Pools (colPools, sealPool,
-// scPool, densePool, wakePool, goRunnerPool): a value obtained
-// from a pool must not outlive its recycle point. Two rules, checked
+// function-local uses of the module's three sync.Pools (the executor's
+// scPool, the virtual clock's wakePool and goRunnerPool; Virtual.park
+// is the one function-local site left): a value obtained from a pool
+// must not outlive its recycle point. Two rules, checked
 // per function over the shared call graph (getters and putters are
 // classified transitively, so `sc := e.getSlaveCtx()` and
 // `e.putSlaveCtx(sc)` count the same as direct Pool.Get/Put):
@@ -24,10 +25,9 @@ import (
 //     escaped alias would dangle into the pool.
 //
 // Only locals bound directly from a getter call are tracked, so
-// ownership handoffs through parameters (slave contexts,
-// dense windows and output batches held by an owner across functions
-// or goroutines) stay out of scope — those are the owner's calls by
-// construction.
+// ownership handoffs through parameters (slave contexts and
+// go-runners held by an owner across functions or goroutines) stay out
+// of scope — those are the owner's calls by construction.
 var PoolLifetime = &Analyzer{
 	Name: "poollifetime",
 	Doc: "pooled values must not escape past their recycle point: no use after Put, " +
