@@ -80,10 +80,11 @@ allocgate:
 # Serving gate: the scheduler's Submit fast path must stay under its
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go), and
 # a whole served session — launches and adjustment rounds included —
-# under its allocs/session budget on a serve_steady-shaped run
-# (TestServeSessionAllocGate in bench_test.go) and on a
-# serve_backlog-shaped one, where thousands of queries wait and share
-# their template's plan (TestServeBacklogAllocGate).
+# under its allocs/session and KB/session budgets on a
+# serve_steady-shaped run (TestServeSessionAllocGate in bench_test.go)
+# and on a serve_backlog-shaped one, where thousands of queries wait and
+# share their template's plan (TestServeBacklogAllocGate). The serve
+# path counts its root outputs, so storing unread results fails it.
 servegate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestIntakeAllocGate -v ./internal/exec
 	XPRS_ALLOC_GATE=1 $(GO) test -run 'TestServe(Session|Backlog)AllocGate' -v .

@@ -210,7 +210,7 @@ func RunFig7(cfg Config, seed int64) (*Fig7Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := s.Run(specs, pol, SchedOptions{})
+			rep, err := s.run(SubmitOptions{CountRows: true}, specs, pol, SchedOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +320,7 @@ func RunSec4(cfg Config, ks []int, seed int64) ([]Sec4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := s.Run(specs, InterAdj, SchedOptions{})
+			rep, err := s.run(SubmitOptions{CountRows: true}, specs, InterAdj, SchedOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -379,7 +379,7 @@ func RunAblations(cfg Config, seed int64) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(specs, InterAdj, v.opts)
+		rep, err := s.run(SubmitOptions{CountRows: true}, specs, InterAdj, v.opts)
 		if err != nil {
 			return nil, err
 		}

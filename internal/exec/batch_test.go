@@ -113,7 +113,7 @@ func checkOracle(t *testing.T, label string, root plan.Node, got *Temp) {
 // largest size, whose million-row batches are slow to allocate and add
 // nothing a variant could change). mk receives a fresh engine per run
 // (the batch size is set after construction) and returns the plan root.
-func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(eng *Engine) plan.Node) {
+func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(*testing.T, *Engine) plan.Node) {
 	t.Helper()
 	for _, pv := range paramVariants {
 		sizes := sweepSizes
@@ -123,7 +123,7 @@ func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(eng *Engi
 		for _, bs := range sizes {
 			v, eng := testEngineWith(poolPages, 8, pv)
 			eng.BatchSize = bs
-			root := mk(eng)
+			root := mk(t, eng)
 			specs, g := specFor(t, eng, root, 0)
 			rep := runOne(t, v, eng, specs, policy)
 			label := fmt.Sprintf("%s batch=%d", pv.name, bs)
@@ -135,80 +135,98 @@ func runSweep(t *testing.T, poolPages int, policy core.Policy, mk func(eng *Engi
 	}
 }
 
+// The sweep plans: each builds its relations on eng's store, under
+// names no other sweep plan uses, and returns the plan root.
+
+// seqScanFilterPlan is a page-driven scan with a residual filter.
+func seqScanFilterPlan(t *testing.T, eng *Engine) plan.Node {
+	rel := buildRel(t, eng.Store, "s", 1100, 90, 24)
+	return &plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 10, 69)}
+}
+
+// indexScanPlan is a range-driven index scan over an unclustered key.
+func indexScanPlan(t *testing.T, eng *Engine) plan.Node {
+	rel := buildShuffledRel(t, eng.Store, "ri", 900, 24)
+	ix, err := btree.BuildIndex("ri_a", rel, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &plan.IndexScan{Rel: rel, Index: ix, Lo: 100, Hi: 399}
+}
+
+// hashJoinAggPlan is a hash join feeding a grouped Agg root.
+func hashJoinAggPlan(t *testing.T, eng *Engine) plan.Node {
+	l := buildRel(t, eng.Store, "hl", 1200, 80, 20)
+	r := buildRel(t, eng.Store, "hr", 400, 80, 20)
+	hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
+	return &plan.Agg{Child: hj, GroupCol: 0, Funcs: []plan.AggFunc{{Kind: plan.CountAll}}}
+}
+
+// deepPipelinePlan stacks all three join methods: a MergeJoin feeding a
+// NestLoop over a materialized inner feeding a HashJoin probe.
+func deepPipelinePlan(t *testing.T, eng *Engine) plan.Node {
+	r1 := buildRel(t, eng.Store, "b1", 300, 60, 20)
+	r2 := buildRel(t, eng.Store, "b2", 240, 60, 20)
+	r3 := buildRel(t, eng.Store, "b3", 120, 60, 20)
+	r4 := buildRel(t, eng.Store, "b4", 180, 60, 20)
+	mj := &plan.MergeJoin{
+		Left:  &plan.Sort{Child: &plan.SeqScan{Rel: r1}, Col: 0},
+		Right: &plan.Sort{Child: &plan.SeqScan{Rel: r2}, Col: 0},
+		LCol:  0, RCol: 0,
+	}
+	nl := &plan.NestLoop{
+		Outer: mj,
+		Inner: &plan.Material{Child: &plan.SeqScan{Rel: r3}},
+		Pred:  expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 0}, R: expr.Col{Idx: 4}},
+	}
+	return &plan.HashJoin{Left: nl, Right: &plan.SeqScan{Rel: r4}, LCol: 0, RCol: 0}
+}
+
+// nestLoopIndexPlan is a nestloop whose inner is an index rescan.
+func nestLoopIndexPlan(t *testing.T, eng *Engine) plan.Node {
+	outer := buildRel(t, eng.Store, "no", 90, 30, 20)
+	inner := buildShuffledRel(t, eng.Store, "ni", 300, 20)
+	ix, err := btree.BuildIndex("ni_a", inner, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &plan.NestLoop{
+		Outer: &plan.SeqScan{Rel: outer},
+		Inner: &plan.IndexScan{Rel: inner, Index: ix, Lo: 0, Hi: 49},
+		Pred:  expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 0}, R: expr.Col{Idx: 2}},
+	}
+}
+
 // TestBatchSweepSeqScanFilter covers the page driver with a residual
 // qualification (filter batches must not shift IO points).
 func TestBatchSweepSeqScanFilter(t *testing.T) {
-	runSweep(t, 0, core.InterAdj, func(eng *Engine) plan.Node {
-		rel := buildRel(t, eng.Store, "s", 1100, 90, 24)
-		return &plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 10, 69)}
-	})
+	runSweep(t, 0, core.InterAdj, seqScanFilterPlan)
 }
 
 // TestBatchSweepIndexScan covers the range driver, whose random reads
 // interleave with batch delivery tuple group by tuple group.
 func TestBatchSweepIndexScan(t *testing.T) {
-	runSweep(t, 0, core.InterAdj, func(eng *Engine) plan.Node {
-		rel := buildShuffledRel(t, eng.Store, "ri", 900, 24)
-		ix, err := btree.BuildIndex("ri_a", rel, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &plan.IndexScan{Rel: rel, Index: ix, Lo: 100, Hi: 399}
-	})
+	runSweep(t, 0, core.InterAdj, indexScanPlan)
 }
 
 // TestBatchSweepHashJoinAgg covers hash build (batched inserts), hash
 // probe (batched emission) and two-phase aggregation.
 func TestBatchSweepHashJoinAgg(t *testing.T) {
-	runSweep(t, 0, core.InterAdj, func(eng *Engine) plan.Node {
-		l := buildRel(t, eng.Store, "hl", 1200, 80, 20)
-		r := buildRel(t, eng.Store, "hr", 400, 80, 20)
-		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
-		return &plan.Agg{Child: hj, GroupCol: 0, Funcs: []plan.AggFunc{{Kind: plan.CountAll}}}
-	})
+	runSweep(t, 0, core.InterAdj, hashJoinAggPlan)
 }
 
-// TestBatchSweepDeepPipeline covers all three join methods stacked:
-// MergeJoin feeding a NestLoop (whose inner rescans block on IO between
-// emissions) feeding a HashJoin probe — the hardest case for keeping
-// the clock batch-independent.
+// TestBatchSweepDeepPipeline covers all three join methods stacked
+// (deepPipelinePlan): the NestLoop's inner rescans block on IO between
+// emissions — the hardest case for keeping the clock batch-independent.
 func TestBatchSweepDeepPipeline(t *testing.T) {
-	runSweep(t, 64, core.InterAdj, func(eng *Engine) plan.Node {
-		r1 := buildRel(t, eng.Store, "b1", 300, 60, 20)
-		r2 := buildRel(t, eng.Store, "b2", 240, 60, 20)
-		r3 := buildRel(t, eng.Store, "b3", 120, 60, 20)
-		r4 := buildRel(t, eng.Store, "b4", 180, 60, 20)
-		mj := &plan.MergeJoin{
-			Left:  &plan.Sort{Child: &plan.SeqScan{Rel: r1}, Col: 0},
-			Right: &plan.Sort{Child: &plan.SeqScan{Rel: r2}, Col: 0},
-			LCol:  0, RCol: 0,
-		}
-		nl := &plan.NestLoop{
-			Outer: mj,
-			Inner: &plan.Material{Child: &plan.SeqScan{Rel: r3}},
-			Pred:  expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 0}, R: expr.Col{Idx: 4}},
-		}
-		return &plan.HashJoin{Left: nl, Right: &plan.SeqScan{Rel: r4}, LCol: 0, RCol: 0}
-	})
+	runSweep(t, 64, core.InterAdj, deepPipelinePlan)
 }
 
 // TestBatchSweepNestLoopIndexInner covers the nestloop whose inner is
 // an index rescan: every outer tuple triggers random IO, so emitter
 // batches ahead of it must flush per emission.
 func TestBatchSweepNestLoopIndexInner(t *testing.T) {
-	runSweep(t, 32, core.InterAdj, func(eng *Engine) plan.Node {
-		outer := buildRel(t, eng.Store, "no", 90, 30, 20)
-		inner := buildShuffledRel(t, eng.Store, "ni", 300, 20)
-		ix, err := btree.BuildIndex("ni_a", inner, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &plan.NestLoop{
-			Outer: &plan.SeqScan{Rel: outer},
-			Inner: &plan.IndexScan{Rel: inner, Index: ix, Lo: 0, Hi: 49},
-			Pred:  expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 0}, R: expr.Col{Idx: 2}},
-		}
-	})
+	runSweep(t, 32, core.InterAdj, nestLoopIndexPlan)
 }
 
 // TestBatchBufferPoolReuse pins down that recycled batch buffers do not

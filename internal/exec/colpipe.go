@@ -58,7 +58,10 @@ type fragRun struct {
 	// order, resolved from the executing query by rebind.
 	ins []*fragRun
 
-	outTemp    *Temp         // for RootOut / TempOut / SortedOut
+	// outTemp is the output of a TempOut / SortedOut fragment and of a
+	// stored root; a counted root has none, unless its root is an Agg,
+	// whose groups are emitted into a temp the runtime keeps.
+	outTemp    *Temp
 	outColHash *ColHashTable // for HashOut
 	agg        *aggState     // non-nil when the fragment root is an Agg
 	// sortScr is the working storage of a SortedOut output's sort.
@@ -80,10 +83,12 @@ type fragRun struct {
 	// selection-scratch and nestloop-scratch slots handed out to
 	// operators at compile time. Compiled closures are shared by every
 	// slave of the fragment, so their mutable scratch lives in the slave
-	// context under these slot numbers.
-	nColOuts int
-	nSels    int
-	nLoops   int
+	// context under these slot numbers. They are int32 to keep fragRun
+	// at 632 bytes: past that its malloc header takes it to the 704-byte
+	// size class (see outFree).
+	nColOuts int32
+	nSels    int32
+	nLoops   int32
 
 	// The fragment-shaped scratch its slaves borrow on first use and
 	// hand back in flushAll: one free list of output batches per
@@ -102,11 +107,17 @@ type fragRun struct {
 	// false suppresses every span and protocol event this fragment (and
 	// its slaves) would emit. Set by the scheduler at task start.
 	traced bool
+	// counted marks a root whose execution counts its rows instead of
+	// storing them (SubmitOptions.CountRows); set by rebind.
+	counted bool
 	// Always-on execution counters behind FragStat: pure atomic adds
 	// that never touch the clock, so they cannot perturb determinism.
 	statTuplesIn  atomic.Int64
 	statTuplesOut atomic.Int64
 	statBatches   atomic.Int64
+	// rowSum is a counted root's wrapping sum of row hashes
+	// (Report.Checksum), one add per batch.
+	rowSum atomic.Uint64
 
 	// rt is the fragment's task state and pd its page driver (used when
 	// the driving leaf is a SeqScan or FragScan): both reset per
@@ -160,7 +171,7 @@ func (l *batchList) get(s storage.Schema, capRows int, prune []int) *storage.Col
 // newColOut reserves a per-slave output-batch slot for one emitting
 // operator.
 func (fr *fragRun) newColOut() int {
-	s := fr.nColOuts
+	s := int(fr.nColOuts)
 	fr.nColOuts++
 	return s
 }
@@ -168,7 +179,7 @@ func (fr *fragRun) newColOut() int {
 // newSel reserves a per-slave selection-scratch slot (a ping-pong buffer
 // pair) for one predicate chain.
 func (fr *fragRun) newSel() int {
-	s := fr.nSels
+	s := int(fr.nSels)
 	fr.nSels++
 	return s
 }
@@ -218,11 +229,13 @@ func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
 
 // rebind readies a runtime for an execution of its fragment in query q:
 // the inputs, resolved once from q's own completed tasks, empty outputs,
-// and zeroed counters. An output the runtime kept from its last
-// execution (never a root temp, see putFragRun) is emptied in place; a
-// root runtime gets a fresh temp (DESIGN.md §12). The compiled closures
-// need no attention — they read all of this through the fragRun pointer
-// at call time. A missing input fails the launch.
+// and zeroed counters. A root that stores its rows gets a fresh temp,
+// since that temp escapes into q's Report; one that counts them gets
+// none, or, at an Agg root, the temp it kept. Any other output the
+// runtime kept from its last execution (see putFragRun) is emptied in
+// place (DESIGN.md §12). The compiled closures need no attention —
+// they read all of this through the fragRun pointer at call time. A
+// missing input fails the launch.
 func (fr *fragRun) rebind(q *query) error {
 	for i, in := range fr.frag.Inputs {
 		src := q.output(in)
@@ -234,12 +247,18 @@ func (fr *fragRun) rebind(q *query) error {
 		}
 		fr.ins[i] = src
 	}
+	root := fr.frag.Out == plan.RootOut
+	fr.counted = root && q.count
 	switch {
 	case fr.frag.Out == plan.HashOut:
 		if fr.outColHash == nil {
 			fr.outColHash = &ColHashTable{}
 		}
 		fr.outColHash.init(fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
+	case root && !fr.counted:
+		fr.outTemp = newTemp(fr.outSchema, fr.tempRows)
+	case fr.counted && fr.aggNode == nil:
+		fr.outTemp = nil
 	case fr.outTemp != nil:
 		fr.outTemp.reset(fr.tempRows)
 	default:
@@ -251,12 +270,14 @@ func (fr *fragRun) rebind(q *query) error {
 	fr.statTuplesIn.Store(0)
 	fr.statTuplesOut.Store(0)
 	fr.statBatches.Store(0)
+	fr.rowSum.Store(0)
 	return nil
 }
 
 // finalize seals the fragment output after all slaves finished, charging
 // any residual CPU (aggregate emission, the modeled sort of a sorted
-// temp) to the calling goroutine's clock.
+// temp) to the calling goroutine's clock. A counted Agg root emits and
+// is charged like a stored one, then folds its temp into the sum.
 func (fr *fragRun) finalize() {
 	if fr.agg != nil {
 		groups := fr.agg.emit(fr.outTemp)
@@ -266,6 +287,9 @@ func (fr *fragRun) finalize() {
 		}
 		fr.statTuplesOut.Add(int64(groups))
 		fr.eng.chargeMasterCPU(float64(groups) * fr.eng.Params.EmitCPU)
+		if fr.counted {
+			fr.rowSum.Add(fr.outTemp.Checksum())
+		}
 	}
 	if fr.frag.Out == plan.SortedOut {
 		cmps := fr.outTemp.finalize(fr.frag.SortCol, &fr.sortScr)
@@ -302,8 +326,10 @@ func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
 }
 
 // compileColSink builds the terminal consumer: batches append into the
-// output temp under one lock round-trip, or partition into the slave's
-// private hash builder.
+// output temp under one lock round-trip, fold into a counted root's sum
+// with one atomic add, or partition into the slave's private hash
+// builder. Neither temp branch touches the clock, so counting a root
+// instead of storing it moves no virtual time.
 func (fr *fragRun) compileColSink() colConsumer {
 	if fr.frag.Out == plan.HashOut {
 		insertCPU := fr.eng.Params.HashInsertCPU
@@ -329,7 +355,11 @@ func (fr *fragRun) compileColSink() colConsumer {
 			return nil
 		}
 		fr.statTuplesOut.Add(int64(live))
-		fr.outTemp.AppendCols(b)
+		if t := fr.outTemp; t != nil {
+			t.AppendCols(b)
+		} else {
+			fr.rowSum.Add(rowHashSum(b))
+		}
 		return nil
 	}}
 }

@@ -172,17 +172,17 @@ func (e *Engine) getFragRun(frag *plan.Fragment, q *query) (*fragRun, error) {
 
 // putFragRun parks a finished run's compiled runtime for the fragment's
 // next execution. Its output's consumers all ran in the same, now
-// settled, query, so the runtime keeps a non-root temp and its hash
-// table (released: the sealed stores go back to the table's free list)
-// for the next rebind to empty in place. A root temp escaped into the
-// caller's Report and is dropped, as are the input references (a driver
-// may hold an input temp).
+// settled, query, so the runtime keeps a non-root temp, a counted Agg
+// root's temp and its hash table (released: the sealed stores go back
+// to the table's free list) for the next rebind to empty in place. A
+// stored root temp escaped into the caller's Report and is dropped, as
+// are the input references (a driver may hold an input temp).
 func (e *Engine) putFragRun(fr *fragRun) {
 	if fr.outColHash != nil {
 		fr.outColHash.release()
 	}
 	clear(fr.ins)
-	if fr.frag.Out == plan.RootOut {
+	if fr.frag.Out == plan.RootOut && !fr.counted {
 		fr.outTemp = nil
 	}
 	fr.agg = nil
@@ -343,8 +343,23 @@ type Report struct {
 	// SubmittedAt).
 	Finish map[int]time.Duration
 	// Results holds the output temp of every RootOut fragment, by task
-	// ID.
+	// ID, for a query submitted without SubmitOptions.CountRows; it is
+	// nil when nothing was stored.
 	Results map[int]*Temp
+	// Checksum is zero unless the query was submitted with
+	// SubmitOptions.CountRows. Then it is the wrapping sum, over every
+	// root output row, of a 64-bit hash of the row: its int4 values and
+	// the CRC-32C of each text payload mixed with the payload's length,
+	// folded in column order and finalized (checksum.go). A sum is
+	// order-independent, so it equals Temp.Checksum over the rows a
+	// stored run returns. A text payload is hashed once per run of
+	// repeats: a row whose span repeats the previous row's, or whose
+	// bytes equal them, reuses that hash — the rule by which textSpan
+	// stores one copy. Hashing every payload byte by byte with FNV-1a
+	// instead took 70 % of a served session's CPU and quadrupled its
+	// wall time: the serving relations' tuples are kilobytes of pad. The
+	// row count is the root's FragStat.TuplesOut.
+	Checksum uint64
 	// Disk is the disk-array statistics accumulated during the run.
 	Disk diskmodel.Stats
 	// Trace lists scheduling actions in time order.

@@ -91,7 +91,7 @@ func (s *nlScratch) candidate(ob *storage.ColBatch, orow int, inner *storage.Col
 // one full rescan of the inner input, the join predicate over each batch
 // of inner rows, and one emission per surviving pair.
 func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsumer, error) {
-	loop := fr.nLoops
+	loop := int(fr.nLoops)
 	fr.nLoops++
 	rescan, err := fr.compileRescan(x.Inner, loop)
 	if err != nil {

@@ -105,9 +105,10 @@ func BenchmarkSchedulerSubmitParallel(b *testing.B) {
 }
 
 // intakeAllocBudget is the CI allocation gate for the Submit fast
-// path. The steady state is 5 allocs/op — the query with its handle
-// embedded, and the report and its three maps, built at admission; a
-// query with tasks adds its task table. The budget leaves a little headroom while catching any
+// path. The steady state is 4 allocs/op — the query with its handle
+// embedded, and the report and its two maps, built at admission (the
+// results map waits for a stored root output); a query with tasks adds
+// its task table. The budget leaves a little headroom while catching any
 // regression toward per-task bookkeeping allocations (a map per query
 // alone would roughly double it).
 const intakeAllocBudget = 8

@@ -135,6 +135,7 @@ type query struct {
 	submitRel time.Duration // session-relative submission instant
 	admitRel  time.Duration
 	traced    bool // head-based sampling decision, made at Submit
+	count     bool // SubmitOptions.CountRows
 	traceMark int
 	// deadline is the query's response-time target relative to its
 	// submission (SubmitOptions.Deadline); 0 means none. promoted
@@ -387,6 +388,11 @@ type SubmitOptions struct {
 	// submission instant; 0 means none (the tenant's SLO target, if any,
 	// stands in). Only the "deadline" admission policy acts on it.
 	Deadline time.Duration
+	// CountRows counts the query's root output instead of storing it:
+	// no row is kept, the Report has no Results, and its Checksum and
+	// the root's FragStat.TuplesOut say what the rows were. For callers
+	// that never read the rows; virtual time is the same either way.
+	CountRows bool
 }
 
 // SubmitWith registers one query with explicit submission options.
@@ -403,7 +409,7 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	// The query — handle included — and its task table are the two
 	// bookkeeping allocations of a Submit, built before the lock; only the
 	// ID is filled in under it. The report waits for admission.
-	q := &query{tenant: o.Tenant, deadline: o.Deadline, tasks: make([]taskState, 0, len(specs))}
+	q := &query{tenant: o.Tenant, deadline: o.Deadline, count: o.CountRows, tasks: make([]taskState, 0, len(specs))}
 	for i := range specs {
 		sp := &specs[i]
 		if sp.Task == nil || sp.Frag == nil {
@@ -686,9 +692,8 @@ func (s *Scheduler) shedWith(q *query, err error) {
 func (s *Scheduler) admit(q *query, now time.Duration) {
 	q.admitRel = now
 	q.rep = &Report{
-		Finish:  make(map[int]time.Duration),
-		Results: make(map[int]*Temp),
-		Frags:   make(map[int]FragStat),
+		Finish: make(map[int]time.Duration),
+		Frags:  make(map[int]FragStat),
 	}
 	if len(q.tasks) > 0 {
 		// One start and one complete per task, and room for an adjust; an
@@ -910,8 +915,15 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 			e.schedEvent("complete", fmt.Sprintf("task %d (%s): %s", id, task.Name, detail))
 		}
 		// The task's runtime stays with it (t.fr), so its output is
-		// published to the query's consumers by the done flag alone.
-		if t.spec.Frag.Out == plan.RootOut {
+		// published to the query's consumers by the done flag alone; a
+		// root's goes to the report, stored or counted.
+		switch {
+		case rt.fr.counted:
+			q.rep.Checksum += rt.fr.rowSum.Load()
+		case t.spec.Frag.Out == plan.RootOut:
+			if q.rep.Results == nil {
+				q.rep.Results = make(map[int]*Temp)
+			}
 			q.rep.Results[id] = rt.fr.outTemp
 		}
 	}

@@ -36,8 +36,9 @@ import (
 // that many rows (capped at maxTempHintRows); an estimate that falls
 // short, and every temp without one, grows by doubling. A fresh temp's
 // text payload bytes start empty and double (see
-// storage.NewColBatchRows). A non-root temp belongs to its pooled
-// fragment runtime, which empties it in place (reset) for the
+// storage.NewColBatchRows). A temp that does not escape — a non-root
+// temp, or the one a counted Agg root emits into — belongs to its
+// pooled fragment runtime, which empties it in place (reset) for the
 // fragment's next execution: a warm temp starts with the vectors and
 // payload buffer of the largest execution before it.
 type Temp struct {
@@ -71,8 +72,8 @@ func newTemp(schema storage.Schema, rows int) *Temp {
 // reset empties the temp in place for another execution of its
 // fragment, as newTemp(t.Schema, rows) would but keeping the store's
 // vectors and text buffer; the order and the row cache go. Only a temp
-// nothing else reads any more may be reset — never a root temp, which
-// escapes into its query's Report.
+// nothing else reads any more may be reset — never a stored root temp,
+// which escapes into its query's Report.
 func (t *Temp) reset(rows int) {
 	if rows <= 0 {
 		rows = chunkSize
@@ -280,6 +281,18 @@ func (t *Temp) ChunkCols(c int64, vecs []storage.Vec) (storage.ColBatch, []stora
 	}
 	view, vecs := t.cols.Slice(lo, hi, vecs)
 	return view, vecs, true
+}
+
+// Checksum returns the wrapping sum of the temp's row hashes: the
+// Report.Checksum a counted root with exactly these rows adds, in any
+// order.
+func (t *Temp) Checksum() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cols == nil {
+		return 0
+	}
+	return rowHashSum(t.cols)
 }
 
 // Cols returns the temp's columnar store by value: a read-only view of

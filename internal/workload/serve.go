@@ -236,9 +236,10 @@ type ServeStats struct {
 
 // RunOpenLoop submits `sessions` queries to the scheduler, drawing the
 // tenant and template of each uniformly and pacing arrivals with arr.
-// It must run on a clock-registered goroutine inside a live session; it
-// waits for every outstanding query before returning, but never blocks
-// between arrivals. Shed queries count in Shed and contribute no
+// Each query counts its result rather than storing it (nothing here
+// reads a row). It must run on a clock-registered goroutine inside a
+// live session; it waits for every outstanding query before returning,
+// but never blocks between arrivals. Shed queries count in Shed and contribute no
 // latency samples; any other query failure aborts the run.
 func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr ArrivalProcess, sessions int, seed int64) (*ServeStats, error) {
 	if sessions < 1 {
@@ -279,7 +280,8 @@ func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr Arri
 		if err != nil {
 			return nil, err
 		}
-		opts := exec.SubmitOptions{Tenant: cat.tenants[ten]}
+		// Nobody reads a served query's rows: count them, store none.
+		opts := exec.SubmitOptions{Tenant: cat.tenants[ten], CountRows: true}
 		if crng != nil {
 			opts.Deadline = cat.classes[crng.Intn(len(cat.classes))].Deadline
 		}

@@ -146,6 +146,7 @@ func runPolicyRow(cfg Config, o PolicyAblationOptions, label, pol string, aging 
 	schedule := make([]Arrival, o.Longs+o.Shorts)
 	for i := range schedule {
 		a := &schedule[i]
+		a.Options.CountRows = true // a PolicyRow reads timings only
 		rel, hi := "ab_long", int32(o.LongTuples)
 		if i >= o.Longs {
 			rel, hi = "ab_short", int32(o.ShortTuples)

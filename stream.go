@@ -88,6 +88,9 @@ func RunStream(cfg Config, seed int64, n int, maxGap time.Duration, opts SchedOp
 		if err != nil {
 			return nil, err
 		}
+		for i := range schedule {
+			schedule[i].Options.CountRows = true // a StreamRow reads timings only
+		}
 		outs, err := s.Replay(pol, opts, adm, schedule)
 		if err != nil {
 			return nil, err

@@ -109,7 +109,8 @@ type (
 	// misses its deadline (check with errors.As).
 	DeadlineShedError = exec.DeadlineShedError
 	// SubmitOptions carries per-query submission metadata (tenant,
-	// deadline) for Scheduler.SubmitWith.
+	// deadline, whether the result is counted instead of stored) for
+	// Scheduler.SubmitWith and Arrival.Options.
 	SubmitOptions = exec.SubmitOptions
 	// Arrival is one entry of a Replay schedule: what to submit, under
 	// which options, at which instant after the session opens.
@@ -553,9 +554,15 @@ func Summarize(outs []Outcome) *Tally {
 // scheduler that serves online submission. Deterministic for fixed
 // inputs.
 func (s *System) Run(specs []TaskSpec, policy Policy, opts SchedOptions) (*Report, error) {
+	return s.run(SubmitOptions{}, specs, policy, opts)
+}
+
+// run is Run submitting under o. The experiment runners, which read a
+// report's timings and never its rows, pass CountRows.
+func (s *System) run(o SubmitOptions, specs []TaskSpec, policy Policy, opts SchedOptions) (*Report, error) {
 	var rep *Report
 	err := s.Serve(policy, opts, Admission{}, func(sc *Scheduler) error {
-		h, err := sc.Submit(specs)
+		h, err := sc.SubmitWith(o, specs)
 		if err != nil {
 			return err
 		}
