@@ -207,28 +207,30 @@ func TestWarmRunBytesGate(t *testing.T) {
 // serveSessionAllocBudget and serveSessionKBBudget are the CI
 // allocation gates for a served session: Submit, admission, the tasks'
 // launches and §2.4 adjustment rounds, Wait and the report, with the
-// catalog build amortized over the run. Measured at 16.5 allocs and
-// 3.01 KB per session once the serve path counted its root outputs
-// instead of storing them (SubmitOptions.CountRows); storing every
-// unread result made it 25.5 allocs and 5.52 KB, 27.0 allocs before a
-// query's fragment runtimes stayed with its tasks, and 49.1 before a
-// task's run state — slaves, page driver, assignments, round channels
-// and scratch — was reused from the pooled fragment runtime instead of
-// remade.
+// catalog build amortized over the run. Measured at 13.5 allocs and
+// 2.03 KB per session once a report kept one summary per task in a
+// slice; its finish-time and summary maps made it 16.5 allocs and
+// 3.01 KB. Storing every unread result (before the serve path counted
+// its root outputs, SubmitOptions.CountRows) made it 25.5 allocs and
+// 5.52 KB, 27.0 allocs before a query's fragment runtimes stayed with
+// its tasks, and 49.1 before a task's run state — slaves, page driver,
+// assignments, round channels and scratch — was reused from the pooled
+// fragment runtime instead of remade.
 const (
-	serveSessionAllocBudget = 20
-	serveSessionKBBudget    = 3.6
+	serveSessionAllocBudget = 17
+	serveSessionKBBudget    = 2.6
 )
 
 // serveBacklogAllocBudget and serveBacklogKBBudget are the same gates
 // on a backlogged session, where thousands of queries wait at
-// admission. Measured at 20.5 allocs and 3.27 KB per session with
+// admission. Measured at 17.5 allocs and 2.29 KB per session with a
+// report's summaries in a slice (20.5 and 3.27 with its two maps) and
 // counted root outputs (29.5 and 5.78 storing them); when every waiting
 // query carried a plan (and a compiled runtime) of its own, the run
 // made 58.8 allocs per session.
 const (
-	serveBacklogAllocBudget = 25
-	serveBacklogKBBudget    = 3.9
+	serveBacklogAllocBudget = 22
+	serveBacklogKBBudget    = 2.9
 )
 
 // servedAllocs runs one 2 000-session RunServe over bench/'s serving

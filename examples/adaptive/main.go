@@ -42,7 +42,7 @@ func main() {
 		fmt.Printf("  %v\n", ev)
 	}
 	fmt.Printf("\ntask 0 finished at %v, task 1 at %v; total %v\n",
-		rep.Finish[0], rep.Finish[1], rep.Elapsed)
+		rep.Frag(0).Finish, rep.Frag(1).Finish, rep.Elapsed)
 	fmt.Println()
 	fmt.Println("What happened at t=10s: the master signalled all slaves of task 0,")
 	fmt.Println("collected their current page positions, computed maxpage, and handed")

@@ -1,9 +1,7 @@
 package xprs
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -384,16 +382,11 @@ func RunAblations(cfg Config, seed int64) ([]AblationRow, error) {
 			return nil, err
 		}
 		var mean time.Duration
-		var finishes []time.Duration
-		for _, f := range rep.Finish {
-			finishes = append(finishes, f)
+		for _, f := range rep.Frags {
+			mean += f.Finish
 		}
-		slices.SortFunc(finishes, func(a, b time.Duration) int { return cmp.Compare(a, b) })
-		for _, f := range finishes {
-			mean += f
-		}
-		if len(finishes) > 0 {
-			mean /= time.Duration(len(finishes))
+		if len(rep.Frags) > 0 {
+			mean /= time.Duration(len(rep.Frags))
 		}
 		rows = append(rows, AblationRow{Variant: v.name, Elapsed: rep.Elapsed, MeanResponse: mean})
 	}

@@ -2,7 +2,6 @@ package xprs
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -29,13 +28,7 @@ func FormatAnalyze(res *OptResult, rep *Report) string {
 		fmt.Fprintf(&b, "Admission: queued %.3fs (submitted %.3fs, admitted %.3fs)\n",
 			rep.QueueWait.Seconds(), rep.SubmittedAt.Seconds(), rep.AdmittedAt.Seconds())
 	}
-	ids := make([]int, 0, len(rep.Frags))
-	for id := range rep.Frags {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		fs := rep.Frags[id]
+	for _, fs := range rep.Frags {
 		fmt.Fprintf(&b, "  %-12s start=%8.3fs wall=%8.3fs degrees=%v slaves=%d repartitions=%d tuples in=%d out=%d batches=%d\n",
 			fs.Name, fs.Start.Seconds(), fs.Elapsed().Seconds(),
 			fs.Degrees, fs.Slaves, fs.Repartitions,

@@ -52,10 +52,10 @@ func canonRows(ts []storage.Tuple) []string {
 // batch size, the partition count or the host: the virtual-time
 // trajectory (makespan, per-task finish instants, disk statistics) and
 // the result multiset (row count plus FNV-1a of the canonical rows).
-func outcomeOf(elapsed time.Duration, finish map[int]time.Duration, disk diskmodel.Stats, res *Temp) string {
-	fin := make([]string, 0, len(finish))
-	for id, at := range finish {
-		fin = append(fin, fmt.Sprintf("%d@%v", id, at))
+func outcomeOf(elapsed time.Duration, frags []FragStat, disk diskmodel.Stats, res *Temp) string {
+	fin := make([]string, 0, len(frags))
+	for _, f := range frags {
+		fin = append(fin, fmt.Sprintf("%d@%v", f.TaskID, f.Finish))
 	}
 	slices.Sort(fin)
 	h := fnv.New64a()
@@ -70,7 +70,7 @@ func outcomeOf(elapsed time.Duration, finish map[int]time.Duration, disk diskmod
 
 // reportOutcome is outcomeOf over a Report and its root task.
 func reportOutcome(rep *Report, root int) string {
-	return outcomeOf(rep.Elapsed, rep.Finish, rep.Disk, rep.Results[root])
+	return outcomeOf(rep.Elapsed, rep.Frags, rep.Disk, rep.Results[root])
 }
 
 // checkGolden compares an outcome with the constant recorded for key in

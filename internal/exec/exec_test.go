@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -318,7 +319,7 @@ func TestHashJoinQuery(t *testing.T) {
 		}
 	}
 	// Build fragment must have completed before the probe started.
-	if !(rep.Finish[0] <= rep.Finish[g.Root.ID]) {
+	if !(rep.Frag(0).Finish <= rep.Frag(g.Root.ID).Finish) {
 		t.Fatal("probe finished before build")
 	}
 }
@@ -417,15 +418,37 @@ func TestBushyPlanIndependentBuildsOverlap(t *testing.T) {
 	if rep.Results[g.Root.ID].Len() == 0 {
 		t.Fatal("bushy join empty")
 	}
-	// All four fragments completed; root last.
-	if len(rep.Finish) != 4 {
-		t.Fatalf("finished %d tasks", len(rep.Finish))
+	// One summary per task in ascending task ID, each finish the
+	// instant its task's complete event was logged; root last.
+	if len(rep.Frags) != len(specs) {
+		t.Fatalf("%d fragment summaries for %d tasks", len(rep.Frags), len(specs))
+	}
+	for i := 1; i < len(rep.Frags); i++ {
+		if rep.Frags[i].TaskID <= rep.Frags[i-1].TaskID {
+			t.Fatalf("summaries out of task-ID order: %d after %d", rep.Frags[i].TaskID, rep.Frags[i-1].TaskID)
+		}
+	}
+	completes := 0
+	for _, ev := range rep.Trace {
+		if ev.Kind != "complete" {
+			continue
+		}
+		completes++
+		if f := rep.Frag(ev.TaskID).Finish; ev.Time != f {
+			t.Fatalf("task %d completed at %v, its summary says %v", ev.TaskID, ev.Time, f)
+		}
+	}
+	if completes != len(specs) {
+		t.Fatalf("%d complete events for %d tasks", completes, len(specs))
 	}
 	rootID := g.Root.ID
-	for id, ft := range rep.Finish {
-		if id != rootID && ft > rep.Finish[rootID] {
-			t.Fatalf("fragment %d finished after root", id)
+	for _, fs := range rep.Frags {
+		if fs.TaskID != rootID && fs.Finish > rep.Frag(rootID).Finish {
+			t.Fatalf("fragment %d finished after root", fs.TaskID)
 		}
+	}
+	if fs := rep.Frag(rep.Frags[len(rep.Frags)-1].TaskID + 1); !reflect.DeepEqual(fs, FragStat{}) {
+		t.Fatalf("unknown task ID: %+v, want the zero FragStat", fs)
 	}
 }
 
@@ -486,8 +509,8 @@ func TestArrivalsRespected(t *testing.T) {
 	specsB[0].Arrival = 2 * time.Second
 	all := append(specsA, specsB...)
 	rep := runOne(t, v, eng, all, core.InterAdj)
-	if rep.Finish[100] < 2*time.Second {
-		t.Fatalf("late task finished at %v, before its arrival", rep.Finish[100])
+	if f := rep.Frag(100).Finish; f < 2*time.Second {
+		t.Fatalf("late task finished at %v, before its arrival", f)
 	}
 }
 

@@ -498,15 +498,15 @@ func TestLiveAdjustmentRerunRealClock(t *testing.T) {
 	if err := sched.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	first := map[int][]int{}
-	for id, fs := range reps[0].Frags {
-		first[id] = slices.Clone(fs.Degrees)
+	first := make([][]int, len(reps[0].Frags))
+	for i, fs := range reps[0].Frags {
+		first[i] = slices.Clone(fs.Degrees)
 	}
 	for run, rep := range reps {
 		adjusted := 0
 		for id, root := range roots {
 			checkOracle(t, fmt.Sprintf("run %d task %d", run, id), root, rep.Results[id])
-			adjusted += rep.Frags[id].Repartitions
+			adjusted += rep.Frag(id).Repartitions
 		}
 		if adjusted == 0 {
 			t.Errorf("run %d: no live adjustment: %v", run, rep.Trace)
@@ -515,10 +515,10 @@ func TestLiveAdjustmentRerunRealClock(t *testing.T) {
 	if !slices.Equal(pooled[0], pooled[1]) || len(pooled[0]) != len(roots) {
 		t.Errorf("second run did not reuse the pooled runtimes: %p then %p", pooled[0], pooled[1])
 	}
-	for id, fs := range reps[0].Frags {
-		if !slices.Equal(fs.Degrees, first[id]) || &fs.Degrees[0] == &reps[1].Frags[id].Degrees[0] {
+	for i, fs := range reps[0].Frags {
+		if !slices.Equal(fs.Degrees, first[i]) || &fs.Degrees[0] == &reps[1].Frags[i].Degrees[0] {
 			t.Errorf("task %d: first report's degree history %v aliases the second run's %v (was %v)",
-				id, fs.Degrees, reps[1].Frags[id].Degrees, first[id])
+				fs.TaskID, fs.Degrees, reps[1].Frags[i].Degrees, first[i])
 		}
 	}
 }

@@ -416,9 +416,9 @@ func randomSession(t *testing.T, seed int64) string {
 				id := sp.Task.ID
 				st, started := starts[id]
 				done, completed := completes[id]
-				if !started || !completed || rep.Finish[id] != done || st > done {
+				if !started || !completed || rep.Frag(id).Finish != done || st > done {
 					t.Errorf("seed %d: task %d: started=%v completed=%v at %v..%v, Finish %v",
-						seed, id, started, completed, st, done, rep.Finish[id])
+						seed, id, started, completed, st, done, rep.Frag(id).Finish)
 					continue
 				}
 				if st < rep.AdmittedAt+sp.Arrival {

@@ -691,10 +691,7 @@ func (s *Scheduler) shedWith(q *query, err error) {
 // already-read clock.
 func (s *Scheduler) admit(q *query, now time.Duration) {
 	q.admitRel = now
-	q.rep = &Report{
-		Finish: make(map[int]time.Duration),
-		Frags:  make(map[int]FragStat),
-	}
+	q.rep = &Report{Frags: make([]FragStat, len(q.tasks))}
 	if len(q.tasks) > 0 {
 		// One start and one complete per task, and room for an adjust; an
 		// empty query (the intake fast path) allocates no trace.
@@ -890,7 +887,8 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 	if q == nil {
 		return
 	}
-	t := q.task(id)
+	i, _ := q.find(id)
+	t := &q.tasks[i]
 	if t.done {
 		return
 	}
@@ -902,10 +900,9 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 	s.adm.epoch++ // remaining admitted work changed; predictions are stale
 	now := s.now()
 	if failure == nil {
-		q.rep.Finish[id] = now
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: now, Kind: "complete", TaskID: id, Degree: 0})
 		st := rt.fragStat(now)
-		q.rep.Frags[id] = st
+		q.rep.Frags[i] = st
 		e.mTasks.Inc()
 		e.hTaskUs.Observe(int64(st.Elapsed() / time.Microsecond))
 		if e.Trace != nil && q.traced {

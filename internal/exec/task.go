@@ -112,6 +112,7 @@ func (rt *runningTask) fragStat(finish time.Duration) FragStat {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return FragStat{
+		TaskID:       rt.task.ID,
 		Name:         rt.task.Name,
 		Start:        rt.startAt,
 		Finish:       finish,

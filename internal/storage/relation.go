@@ -26,14 +26,6 @@ type RelStats struct {
 	Cols         []ColStats
 }
 
-// TuplesPerPage returns the average number of tuples on one page.
-func (s RelStats) TuplesPerPage() float64 {
-	if s.NPages == 0 {
-		return 0
-	}
-	return float64(s.NTuples) / float64(s.NPages)
-}
-
 // SynthCol describes one column of a synthetic relation. An int4 column
 // is a function of the row number (Int set), which must be pure so that
 // rescans and parallel scans see identical data; a text column is one

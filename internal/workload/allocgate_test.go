@@ -40,7 +40,8 @@ func TestScanAllocGate(t *testing.T) {
 	}
 	st, p := fixture()
 	for _, rel := range figure7Relations(t, st, p) {
-		dst := storage.NewColBatch(rel.Schema, int(rel.Stats().TuplesPerPage())+1)
+		rs := rel.Stats()
+		dst := storage.NewColBatch(rel.Schema, int(rs.NTuples/rs.NPages)+1)
 		fill := func() {
 			for pg := int64(0); pg < rel.NPages(); pg++ {
 				dst.Reset()

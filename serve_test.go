@@ -155,7 +155,7 @@ func TestShedAtThreshold(t *testing.T) {
 		t.Fatalf("queued query admitted at %v; budget freed at %v — the shed moved admission state",
 			repB.AdmittedAt, freed)
 	}
-	if repD == nil || len(repD.Finish) == 0 {
+	if repD == nil || len(repD.Frags) == 0 {
 		t.Fatal("post-shed query did not complete; session poisoned by shed")
 	}
 }

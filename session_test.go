@@ -56,14 +56,19 @@ func TestSubmitMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		finish := make(map[int]time.Duration)
+		finish, bfinish := make(map[int]time.Duration), make(map[int]time.Duration)
 		for _, out := range outs {
-			maps.Copy(finish, out.Report.Finish)
+			for _, f := range out.Report.Frags {
+				finish[f.TaskID] = f.Finish
+			}
+		}
+		for _, f := range brep.Frags {
+			bfinish[f.TaskID] = f.Finish
 		}
 		makespan := Summarize(outs).Makespan
-		if !maps.Equal(finish, brep.Finish) {
+		if !maps.Equal(finish, bfinish) {
 			t.Fatalf("procs=%d: online finish times diverge from batch:\nbatch:  %v\nonline: %v",
-				procs, brep.Finish, finish)
+				procs, bfinish, finish)
 		}
 		if makespan != brep.Elapsed {
 			t.Fatalf("procs=%d: online makespan %v != batch elapsed %v", procs, makespan, brep.Elapsed)
@@ -121,7 +126,7 @@ func TestBufferPoolGOMAXPROCSInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.elapsed[r], got.finish[r] = rep.Elapsed, rep.Finish[0]
+			got.elapsed[r], got.finish[r] = rep.Elapsed, rep.Frag(0).Finish
 		}
 		got.hits, got.misses = sys.Store().Pool.Stats()
 		if got.hits == 0 || got.misses == 0 {

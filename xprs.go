@@ -82,7 +82,8 @@ type (
 	// TraceEvent is one scheduling action in a Report's trace, carrying
 	// the controller's reason for the decision.
 	TraceEvent = exec.TraceEvent
-	// FragStat is the per-fragment execution summary in Report.Frags.
+	// FragStat is one task's execution summary: Report.Frags holds one
+	// per task in ascending task ID, and Report.Frag looks one up.
 	FragStat = exec.FragStat
 	// MetricsSnapshot is a point-in-time view of every metric collected
 	// during an observed run.
