@@ -68,14 +68,16 @@ benchtest:
 # execution (TestWarmRunBytesGate: pooled runtimes keep their non-root
 # temps, hash tables and sort scratch), and a buffer-pool miss on a full
 # pool must allocate nothing (TestBufferPoolMissAllocGate in
-# internal/storage).
+# internal/storage), and a query whose plan has never run must stay
+# under its bytes for compiling the runtime (TestOneOffPlanBytesGate in
+# internal/exec).
 allocgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run 'TestPipelineAllocGate|TestWarmRunBytesGate' -v .
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestBufferPoolMissAllocGate -v ./internal/storage
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestScanAllocGate -v ./internal/workload
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestTempBytesGate -v ./internal/exec
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestDecisionAllocGate -v ./internal/core
-	XPRS_ALLOC_GATE=1 $(GO) test -run TestAdjustAllocGate -v ./internal/exec
+	XPRS_ALLOC_GATE=1 $(GO) test -run 'TestAdjustAllocGate|TestOneOffPlanBytesGate' -v ./internal/exec
 
 # Serving gate: the scheduler's Submit fast path must stay under its
 # allocs/op budget (see TestIntakeAllocGate in sched_bench_test.go), and

@@ -97,7 +97,7 @@ type fragRun struct {
 	// the runtime's slaves held at once (plus the window the aggregate
 	// adopted). rt.mu guards them: a mutex of their own would move
 	// fragRun up an allocation size class, which a backlog of one-off
-	// plans pays per query (TestBacklogAllocFlat).
+	// plans pays per query (TestOneOffPlanBytesGate).
 	outFree   []batchList
 	denseFree []*denseScratch
 
