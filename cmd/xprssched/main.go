@@ -14,11 +14,12 @@
 // and T its sequential execution time (seconds). Append ":r" to mark a
 // random-IO task (an unclustered index scan): 40:5:r.
 //
-// By default tasks are fed to the analytic simulator. With -serve they
-// are materialized as real relations and submitted online — each task
-// one query — to a live scheduler session on the full executor; an
-// "@sec" suffix (50:8@5) sets the query's arrival time, and -maxq/-mem
-// apply admission limits so queue waits become visible.
+// An "@sec" suffix (50:8@5) sets the task's arrival time. By default
+// tasks are fed to the analytic simulator, which models the arrivals as
+// a §2.5 stream. With -serve they are materialized as real relations
+// and submitted online — each task one query, at its arrival — to a
+// live scheduler session on the full executor, and -maxq/-mem apply
+// admission limits so queue waits become visible.
 package main
 
 import (
@@ -134,18 +135,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xprssched: -adm/-aging/-deadline are only honored with -serve")
 	}
 
-	var tasks []*core.Task
+	sims := make([]core.SimTask, len(args))
 	for i, a := range args {
-		if a.arrival > 0 {
-			fmt.Fprintf(os.Stderr, "xprssched: %q: @arrival is only honored with -serve\n", a.raw)
+		sims[i] = core.SimTask{
+			Task:    &core.Task{ID: i, Name: a.raw, T: a.t, D: a.c * a.t, SeqIO: a.seq},
+			Arrival: a.arrival.Seconds(),
 		}
-		tasks = append(tasks, &core.Task{ID: i, Name: a.raw, T: a.t, D: a.c * a.t, SeqIO: a.seq})
 	}
 	env := core.Env{NProcs: *procs, B: *bw, Bs: *bw, Br: *br}
 
 	fmt.Printf("machine: N=%d B=%.0f io/s (Br=%.0f); threshold B/N = %.1f io/s\n\n",
 		env.NProcs, env.B, env.Br, env.Threshold())
-	for _, t := range tasks {
+	for _, st := range sims {
+		t := st.Task
 		class := "CPU-bound"
 		if env.IOBound(t) {
 			class = "IO-bound"
@@ -155,7 +157,7 @@ func main() {
 	}
 
 	for _, pol := range policies {
-		res, err := core.Simulate(env, pol, opts, core.MakeSimTasks(tasks))
+		res, err := core.Simulate(env, pol, opts, sims)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xprssched:", err)
 			os.Exit(1)

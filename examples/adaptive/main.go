@@ -1,6 +1,7 @@
 // Adaptive: watch the §2.4 dynamic parallelism-adjustment protocols in
 // action. A long IO-bound scan starts alone at its maximum parallelism;
-// a CPU-bound task arrives later, forcing the master to adjust the
+// a CPU-bound query arrives later in the same session (the second entry
+// of a Replay schedule), forcing the master to adjust the
 // running scan down to the IO-CPU balance point via the maxpage
 // protocol; when the newcomer finishes, the scan is adjusted back up.
 package main
@@ -30,19 +31,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The CPU-bound task arrives 10 virtual seconds into the run.
-	late.Arrival = 10 * time.Second
-
-	rep, err := sys.Run([]xprs.TaskSpec{long, late}, xprs.InterAdj, xprs.SchedOptions{})
+	// Two queries: the scan opens the session, and the CPU-bound task
+	// arrives 10 virtual seconds into it.
+	schedule := []xprs.Arrival{
+		{Specs: []xprs.TaskSpec{long}},
+		{At: 10 * time.Second, Specs: []xprs.TaskSpec{late}},
+	}
+	outs, err := sys.Replay(xprs.InterAdj, xprs.SchedOptions{}, xprs.Admission{}, schedule)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("schedule trace (task 0 = IO-bound scan, task 1 = late CPU-bound arrival):")
-	for _, ev := range rep.Trace {
-		fmt.Printf("  %v\n", ev)
+	// No admission limit, so nothing is shed and every Report is set.
+	for i, title := range []string{"task 0, the IO-bound scan:", "task 1, the CPU-bound late arrival:"} {
+		fmt.Println(title)
+		for _, ev := range outs[i].Report.Trace {
+			fmt.Printf("  %v\n", ev)
+		}
 	}
-	fmt.Printf("\ntask 0 finished at %v, task 1 at %v; total %v\n",
-		rep.Frag(0).Finish, rep.Frag(1).Finish, rep.Elapsed)
+	fmt.Printf("\ntask 0 finished at %v, task 1 at %v; makespan %v\n",
+		outs[0].Report.Frag(0).Finish, outs[1].Report.Frag(1).Finish, xprs.Summarize(outs).Makespan)
 	fmt.Println()
 	fmt.Println("What happened at t=10s: the master signalled all slaves of task 0,")
 	fmt.Println("collected their current page positions, computed maxpage, and handed")

@@ -91,7 +91,9 @@ type Engine struct {
 	sched     *Scheduler
 	schedFree *Scheduler
 
-	// Session-scoped observability state (anchored by NewScheduler).
+	// Session-scoped state, anchored by NewScheduler. runStart is the
+	// session's opening: the origin of every session-relative instant,
+	// a Replay entry's At included.
 	runStart time.Duration
 	schedTid int
 	mBatches *obs.Counter
@@ -104,8 +106,8 @@ type Engine struct {
 	hTaskUs  *obs.Histogram
 }
 
-// now returns virtual time relative to the current run's start (a pure
-// clock read; safe whether or not tracing is enabled).
+// now returns virtual time relative to the current session's opening (a
+// pure clock read; safe whether or not tracing is enabled).
 func (e *Engine) now() time.Duration { return e.Clock.Now() - e.runStart }
 
 // schedEvent records an instant on the scheduler lane.
@@ -242,8 +244,6 @@ type TaskSpec struct {
 	// DependsOn lists task IDs that must complete before this one runs
 	// (the producing fragments of the Frag's inputs).
 	DependsOn []int
-	// Arrival is when the task enters the system.
-	Arrival time.Duration
 }
 
 // QueryTasks converts a decomposed, estimated query into TaskSpecs with

@@ -501,19 +501,6 @@ func TestRunValidation(t *testing.T) {
 	})
 }
 
-func TestArrivalsRespected(t *testing.T) {
-	v, eng := testEngine(0)
-	rel := buildRel(t, eng.Store, "r", 400, 400, 60)
-	specsA, _ := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
-	specsB, _ := specFor(t, eng, &plan.SeqScan{Rel: rel}, 100)
-	specsB[0].Arrival = 2 * time.Second
-	all := append(specsA, specsB...)
-	rep := runOne(t, v, eng, all, core.InterAdj)
-	if f := rep.Frag(100).Finish; f < 2*time.Second {
-		t.Fatalf("late task finished at %v, before its arrival", f)
-	}
-}
-
 func TestDeterministicElapsed(t *testing.T) {
 	run := func() time.Duration {
 		v, eng := testEngine(0)

@@ -13,7 +13,9 @@ import (
 
 // Arrival is one entry of a fixed submission schedule.
 type Arrival struct {
-	// At is the submission instant, relative to the session's opening.
+	// At is the submission instant, relative to the session's opening
+	// (the engine's runStart). The entry's tasks all arrive then; a task
+	// meant to arrive later belongs in an entry of its own.
 	At      time.Duration
 	Options SubmitOptions
 	Specs   []TaskSpec
@@ -44,16 +46,18 @@ func IsShed(err error) (shed, deadline bool) {
 
 // Replay submits the schedule in slice order — an arrival whose instant
 // has already passed goes in at once, so equal instants keep slice order
-// — and waits for every query. Outcomes are in the schedule's order. A
-// submission the scheduler rejects, or a query that fails for any reason
-// but a shed, ends the replay with that error; the queries already
-// submitted finish when the session drains. Like every client of a
-// session it must run on a clock-registered goroutine.
+// — and waits for every query. It is the way work arrives later in a
+// session: each entry's tasks join the controller when it is submitted.
+// Outcomes are in the schedule's order. A submission the scheduler
+// rejects, or a query that fails for any reason but a shed, ends the
+// replay with that error; the queries already submitted finish when the
+// session drains. Like every client of a session it must run on a
+// clock-registered goroutine.
 func (s *Scheduler) Replay(schedule []Arrival) ([]Outcome, error) {
 	clk := s.eng.Clock
 	handles := make([]*QueryHandle, len(schedule))
 	for i, a := range schedule {
-		if at := s.start + a.At; at > clk.Now() {
+		if at := s.eng.runStart + a.At; at > clk.Now() {
 			clk.SleepUntil(at)
 		}
 		h, err := s.SubmitWith(a.Options, a.Specs)

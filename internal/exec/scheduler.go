@@ -113,7 +113,6 @@ func (h *QueryHandle) settle(rep *Report, err error) {
 // come. Every field but spec is written by the master loop only.
 type taskState struct {
 	spec      *TaskSpec
-	arrived   bool
 	submitted bool // handed to the controller
 	done      bool // completion observed (real or synthesized)
 	// fr is the task's fragment runtime from a successful launch until the
@@ -219,13 +218,6 @@ type intakeNote struct{}
 
 type drainMsg struct{ ack chan struct{} }
 
-// arrivalTick carries the session generation that scheduled it: a
-// poisoned query can settle with its arrival timers still pending, and
-// a recycled session must not mistake such a stale tick (same mailbox,
-// possibly a reused query ID) for its own. Within a session a tick is
-// stale when its task is no longer admitted under that query ID.
-type arrivalTick struct{ gen, qid, id int }
-
 // Scheduler is the persistent scheduling service. Create one with
 // NewScheduler (which spawns the master backend on a clock-registered
 // goroutine), Submit queries from any goroutine, and Drain before
@@ -236,10 +228,7 @@ type Scheduler struct {
 	ctl *core.Controller
 
 	events *vclock.Mailbox
-	start  time.Duration
-	// gen counts the sessions this (pooled) scheduler has served; loopFn
-	// is the master-loop body bound once at creation.
-	gen    int
+	// loopFn is the master-loop body, bound once at creation.
 	loopFn func()
 
 	// Client-facing intake state, all under mu. nextID allocates query
@@ -307,7 +296,6 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	} else {
 		s.resetSession()
 	}
-	s.gen++
 	s.ctl = core.NewController(e.Env, policy, opts)
 	if err := s.adm.reset(adm); err != nil {
 		panic(err.Error()) // facades validate names up front
@@ -316,7 +304,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	// reads never advance the virtual clock (obsnoclock allows them) —
 	// so the timeline buckets on virtual time without perturbing it. The
 	// SLO percentile horizon is the full timeline span.
-	s.series = obs.NewSeries(telemetryWindow, telemetryWindows, s.now)
+	s.series = obs.NewSeries(telemetryWindow, telemetryWindows, e.now)
 	targets := map[string]time.Duration{"": adm.SLOTarget}
 	for name, d := range adm.TenantSLOTargets {
 		targets[name] = d
@@ -326,8 +314,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.sched = s
 	e.events = s.events
 	e.Store.Disks.ResetStats()
-	s.start = e.Clock.Now()
-	e.runStart = s.start
+	e.runStart = e.Clock.Now()
 	e.schedTid = e.Trace.Lane(obs.PidSched, "master")
 	e.mBatches = e.Metrics.Counter("exec.batches")
 	e.mTuples = e.Metrics.Counter("exec.tuples_in")
@@ -337,7 +324,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.mSelIn = e.Metrics.Counter("exec.sel_rows_in")
 	e.mSelOut = e.Metrics.Counter("exec.sel_rows_out")
 	e.hTaskUs = e.Metrics.Histogram("exec.task_micros")
-	e.Store.Disks.SetObserver(e.Trace, e.Metrics, s.start)
+	e.Store.Disks.SetObserver(e.Trace, e.Metrics, e.runStart)
 	e.Store.RegisterMetrics(e.Metrics)
 	s.gQDepthIO = e.Metrics.Gauge("sched.queue_depth_io")
 	s.gQDepthCP = e.Metrics.Gauge("sched.queue_depth_cpu")
@@ -369,9 +356,6 @@ func (s *Scheduler) resetSession() {
 	s.drainAck = nil
 }
 
-// now returns session-relative virtual time.
-func (s *Scheduler) now() time.Duration { return s.eng.Clock.Now() - s.start }
-
 // Submit registers one query — a set of dependent task specs — with the
 // service and returns its handle. It is SubmitWith under the default
 // (empty) tenant and no deadline.
@@ -398,9 +382,7 @@ type SubmitOptions struct {
 // SubmitWith registers one query with explicit submission options.
 // Validation errors are synchronous; the query itself is admitted and
 // executed asynchronously. Task IDs must be unique within the query and
-// against every in-flight query. A spec's Arrival is relative to the
-// query's admission instant (zero, the common case for online
-// submission, means "run as soon as admitted").
+// against every in-flight query.
 //
 // The fast path is one short critical section: stamp the query ID, claim
 // the task IDs, append to the intake queue, ring the doorbell if the
@@ -537,14 +519,6 @@ func (s *Scheduler) loop() {
 		switch ev := s.events.Wait().(type) {
 		case intakeNote:
 			s.drainIntake()
-		case arrivalTick:
-			if ev.gen != s.gen {
-				break // stale timer from a drained session
-			}
-			if q := s.byTask[ev.id]; q != nil && q.id == ev.qid {
-				q.task(ev.id).arrived = true
-				s.submitReady(q)
-			}
 		case *runningTask:
 			s.onTaskDone(ev)
 		case drainMsg:
@@ -577,7 +551,7 @@ func (s *Scheduler) drainIntake() {
 		// processing it, so under the virtual clock every entry sees this
 		// instant anyway; on a real clock it drops two clock reads from
 		// the per-query fast path.
-		now := s.now()
+		now := s.eng.now()
 		for _, q := range batch {
 			s.onSubmit(q, now)
 		}
@@ -686,8 +660,7 @@ func (s *Scheduler) shedWith(q *query, err error) {
 }
 
 // admit moves a query past the admission controller: stamps its
-// queue-wait, enters its tasks in byTask, registers its arrival timers,
-// and hands its ready tasks to the controller. now is the caller's
+// queue-wait, enters its tasks in byTask and hands its ready tasks to the controller. now is the caller's
 // already-read clock.
 func (s *Scheduler) admit(q *query, now time.Duration) {
 	q.admitRel = now
@@ -711,27 +684,8 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 			s.eng.schedEvent("admit", fmt.Sprintf("query %d admitted immediately", q.id))
 		}
 	}
-	// Arrival timers post ticks through the mailbox, exactly as the
-	// one-shot batch path registered them. Each timer goroutine first
-	// yields under a key built from its task ID: the goroutines of one
-	// admission instant then register their timers one at a time in ID
-	// order, whatever order the host ran them in, so equal-instant
-	// arrivals tick in ID order at any GOMAXPROCS.
 	for i := range q.tasks {
-		t := &q.tasks[i]
-		id := t.spec.Task.ID
-		s.byTask[id] = q
-		if t.spec.Arrival <= 0 {
-			t.arrived = true
-			continue
-		}
-		at := s.eng.Clock.Now() + t.spec.Arrival
-		gen, qid, tid := s.gen, q.id, id
-		s.eng.Clock.Go(func() {
-			s.eng.Clock.YieldOrdered(arrivalKey(tid))
-			s.eng.Clock.SleepUntil(at)
-			s.events.Post(arrivalTick{gen: gen, qid: qid, id: tid})
-		})
+		s.byTask[q.tasks[i].spec.Task.ID] = q
 	}
 	if len(q.tasks) == 0 {
 		// Degenerate empty query: complete on the spot.
@@ -741,15 +695,11 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 	s.submitReady(q)
 }
 
-// arrivalKey is the YieldOrdered identity of a task's arrival timer:
-// ascending in task ID and below every slaveKey, so the two never tie.
-func arrivalKey(taskID int) int64 { return int64(taskID) - 1<<62 }
-
 // submitReady hands the query's newly ready tasks to the controller in
 // one batch, in task-ID order, and applies the resulting decision. A
 // task becomes ready only through an event of its own query — its
-// admission, its arrival tick, a dependency finishing — so the event's
-// query is the whole candidate set.
+// admission or a dependency finishing — so the event's query is the
+// whole candidate set.
 func (s *Scheduler) submitReady(q *query) {
 	if q.failed != nil {
 		return
@@ -757,7 +707,7 @@ func (s *Scheduler) submitReady(q *query) {
 	var batch []*core.Task
 	for i := range q.tasks {
 		t := &q.tasks[i]
-		if t.submitted || !t.arrived || !q.depsDone(t.spec) {
+		if t.submitted || !q.depsDone(t.spec) {
 			continue
 		}
 		t.submitted = true
@@ -806,7 +756,7 @@ func (s *Scheduler) apply(d core.Decision) {
 			continue
 		}
 		rt := &t.fr.rt
-		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "adjust", TaskID: a.Task.ID, Degree: a.Degree, Reason: a.Reason})
+		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: e.now(), Kind: "adjust", TaskID: a.Task.ID, Degree: a.Degree, Reason: a.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("adjust", fmt.Sprintf("task %d to degree %d: %s", a.Task.ID, a.Degree, a.Reason))
 		}
@@ -838,7 +788,7 @@ func (s *Scheduler) apply(d core.Decision) {
 		}
 		rt := fr.startTask(st.Task, drv, e.now())
 		t.fr = fr
-		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: s.now(), Kind: "start", TaskID: st.Task.ID, Degree: st.Degree, Reason: st.Reason})
+		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: e.now(), Kind: "start", TaskID: st.Task.ID, Degree: st.Degree, Reason: st.Reason})
 		if e.Trace != nil && q.traced {
 			e.schedEvent("start", fmt.Sprintf("task %d (%s) at degree %d: %s", st.Task.ID, st.Task.Name, st.Degree, st.Reason))
 		}
@@ -898,7 +848,7 @@ func (s *Scheduler) onTaskDone(rt *runningTask) {
 	t.done = true
 	q.finished++
 	s.adm.epoch++ // remaining admitted work changed; predictions are stale
-	now := s.now()
+	now := e.now()
 	if failure == nil {
 		q.rep.Trace = append(q.rep.Trace, TraceEvent{Time: now, Kind: "complete", TaskID: id, Degree: 0})
 		st := rt.fragStat(now)
@@ -946,7 +896,7 @@ func (s *Scheduler) settleIfComplete(q *query) {
 func (s *Scheduler) finishQuery(q *query) {
 	e := s.eng
 	q.settled = true
-	now := s.now()
+	now := e.now()
 	rep := q.rep
 	rep.SubmittedAt = q.submitRel
 	rep.AdmittedAt = q.admitRel
@@ -1013,7 +963,7 @@ func (s *Scheduler) wakeAdmitQ() {
 	if s.adm.nWaiting == 0 {
 		return
 	}
-	now := s.now()
+	now := s.eng.now()
 	for s.adm.nWaiting > 0 {
 		q, shedErr := s.adm.next(now)
 		if q == nil {

@@ -114,7 +114,8 @@ type (
 	// Scheduler.SubmitWith and Arrival.Options.
 	SubmitOptions = exec.SubmitOptions
 	// Arrival is one entry of a Replay schedule: what to submit, under
-	// which options, at which instant after the session opens.
+	// which options, at which instant after the session opens. Its tasks
+	// all arrive at that instant.
 	Arrival = exec.Arrival
 	// Outcome is how one Arrival settled: its Report, or the admission
 	// rejection (a *ShedError or *DeadlineShedError) that shed it.
@@ -528,8 +529,9 @@ func (s *System) Serve(policy Policy, opts SchedOptions, adm Admission, fn func(
 // for every query and drains. Outcomes are in the schedule's order: a
 // Report, or the error of a query admission shed. Any other failure is
 // returned once the session has drained. It is the client for every
-// caller that knows its submissions up front; Serve is for drivers that
-// decide as they go.
+// caller that knows its submissions up front, and a later entry is the
+// way to make work arrive later: a query's tasks all arrive with it.
+// Serve is for drivers that decide as they go.
 func (s *System) Replay(policy Policy, opts SchedOptions, adm Admission, schedule []Arrival) ([]Outcome, error) {
 	var outs []Outcome
 	err := s.Serve(policy, opts, adm, func(sc *Scheduler) (err error) {
