@@ -93,9 +93,13 @@ servegate:
 
 # Observability gate: the same fast path with sampled tracing and
 # telemetry live must stay under its allocs/op budget — "observation is
-# free" priced per submit (see TestObsAllocGate in sched_bench_test.go).
+# free" priced per submit (see TestObsAllocGate in sched_bench_test.go),
+# and the bytes a traced query allocates must not grow with the spans
+# its system has retained (TestTracedBytesFlat in telemetry_test.go:
+# ops 451–500 against ops 1–50 on an unbounded ring).
 obsgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestObsAllocGate -v ./internal/exec
+	XPRS_ALLOC_GATE=1 $(GO) test -run TestTracedBytesFlat -v .
 
 # Driver coverage gate: every function of the partitioning drivers —
 # page partitioning (Figure 5, pagepart.go), interval partitioning

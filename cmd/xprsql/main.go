@@ -43,7 +43,7 @@ func main() {
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the executed statements to this file")
 	flag.Parse()
 	cfg := xprs.DefaultConfig()
-	cfg.Observe = true // enables EXPLAIN ANALYZE metrics; results unchanged
+	cfg.Observe = true // feeds -trace and the batches diagnostics; results unchanged
 	sys := xprs.New(cfg)
 	if err := loadDemo(sys); err != nil {
 		fmt.Fprintln(os.Stderr, "xprsql:", err)

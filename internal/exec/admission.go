@@ -61,11 +61,11 @@ type AdmissionConfig struct {
 	TenantMaxQueries int
 	// TraceSampleOneIn enables head-based trace sampling on an observed
 	// session: one in N queries (decided at submission from a seeded
-	// hash of tenant and query ID, see obs.Sampler) carries spans,
-	// scheduler instants and a per-query metrics snapshot; the rest run
-	// with tracing suppressed. 0 or 1 traces every query. Sampling is
-	// deterministic: qids are intake order, so the sampled set is
-	// byte-identical across reruns and GOMAXPROCS.
+	// hash of tenant and query ID, see obs.Sampler) carries spans and
+	// scheduler instants; the rest run with tracing suppressed. 0 or 1
+	// traces every query. Sampling is deterministic: qids are intake
+	// order, so the sampled set is byte-identical across reruns and
+	// GOMAXPROCS.
 	TraceSampleOneIn int
 	// SLOTarget is the default per-tenant response-time target: a
 	// completed query whose response (submit to finish) exceeds it

@@ -364,18 +364,17 @@ type Report struct {
 	// wall time: the serving relations' tuples are kilobytes of pad. The
 	// row count is the root's FragStat.TuplesOut.
 	Checksum uint64
-	// Disk is the disk-array statistics accumulated during the run.
+	// Disk is the disk-array statistics accumulated since the session
+	// opened, read when the query finished.
 	Disk diskmodel.Stats
+	// PoolHits counts buffer-pool hits since the session opened, read
+	// when the query finished. Every miss issues exactly one disk read,
+	// so the misses are Disk.TotalReads().
+	PoolHits int64
 	// Trace lists scheduling actions in time order.
 	Trace []TraceEvent
 	// Frags holds one execution summary per task, in ascending task ID.
 	Frags []FragStat
-	// Events is this run's slice of the engine's structured trace
-	// (empty when Engine.Trace is nil), sorted by virtual time.
-	Events []obs.Event
-	// Metrics is the metrics snapshot taken at the end of the run (zero
-	// when Engine.Metrics is nil).
-	Metrics obs.Snapshot
 }
 
 // End is the session-relative instant the query completed; the latest

@@ -470,7 +470,7 @@ func TestLiveAdjustmentRerunRealClock(t *testing.T) {
 	disks := diskmodel.New(clock, diskmodel.DefaultConfig())
 	store := storage.NewStore(clock, disks, 0)
 	eng := New(clock, store, cost.DefaultParams(diskmodel.DefaultConfig(), 8))
-	eng.Trace = obs.NewTracer()
+	eng.Trace = obs.NewTracerBudget(0)
 	roots := []plan.Node{
 		&plan.SeqScan{Rel: buildRel(t, store, "io", 300, 300, 2000)},
 		&plan.SeqScan{Rel: buildRel(t, store, "cpu", 30000, 30000, 8)},

@@ -332,7 +332,7 @@ func TestAbortedStartDuringCompletion(t *testing.T) {
 func randomSession(t *testing.T, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	v, eng := testEngine(0)
-	eng.Trace = obs.NewTracer()
+	eng.Trace = obs.NewTracerBudget(0)
 	rel := buildRel(t, eng.Store, "r", 120, 120, 24)
 	proto, _ := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
 	gaps := []time.Duration{0, 0, 2 * time.Millisecond, 30 * time.Millisecond, 300 * time.Millisecond}

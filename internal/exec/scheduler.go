@@ -135,7 +135,6 @@ type query struct {
 	admitRel  time.Duration
 	traced    bool // head-based sampling decision, made at Submit
 	count     bool // SubmitOptions.CountRows
-	traceMark int
 	// deadline is the query's response-time target relative to its
 	// submission (SubmitOptions.Deadline); 0 means none. promoted
 	// latches aging's head-of-line promotion so each query counts at
@@ -254,6 +253,9 @@ type Scheduler struct {
 	inflight  int
 	draining  bool
 	drainAck  chan struct{}
+	// poolHits0 is the buffer pool's hit count when the session opened,
+	// the origin of Report.PoolHits.
+	poolHits0 int64
 
 	// Admission observability (nil when metrics are off; methods no-op).
 	gQDepthIO *obs.Gauge
@@ -274,8 +276,8 @@ type Scheduler struct {
 // NewScheduler starts a scheduler service on the engine. The engine's
 // disk statistics are reset and its observability hooks re-anchored at
 // the session start, exactly as the one-shot Engine.Run used to do per
-// run; a session therefore reports Disk statistics cumulative from its
-// own start.
+// run; a session therefore reports Disk statistics and buffer-pool hits
+// cumulative from its own start.
 func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm AdmissionConfig) *Scheduler {
 	if e.sched != nil {
 		panic("exec: engine already hosts a live scheduler (Drain the previous one first)")
@@ -314,6 +316,7 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.sched = s
 	e.events = s.events
 	e.Store.Disks.ResetStats()
+	s.poolHits0, _ = e.Store.Pool.Stats()
 	e.runStart = e.Clock.Now()
 	e.schedTid = e.Trace.Lane(obs.PidSched, "master")
 	e.mBatches = e.Metrics.Counter("exec.batches")
@@ -436,12 +439,9 @@ func (s *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle,
 	q.handle.id = q.id
 	// The head-based sampling decision is made here, once, from the
 	// intake sequence: every span site downstream checks q.traced, so an
-	// unsampled query emits nothing and captures no per-query snapshot —
-	// the O(budget) guarantee for serving-scale observed runs.
+	// unsampled query emits nothing — the O(budget) guarantee for
+	// serving-scale observed runs.
 	q.traced = s.sampler.Sample(q.tenant, q.id)
-	if q.traced {
-		q.traceMark = s.eng.Trace.Mark()
-	}
 	// Doorbell only when the queue was empty: a non-empty queue already
 	// has a doorbell in the mailbox that the master has not swept for
 	// yet. The Post stays inside the critical section — it is a buffered
@@ -903,15 +903,8 @@ func (s *Scheduler) finishQuery(q *query) {
 	rep.QueueWait = q.admitRel - q.submitRel
 	rep.Elapsed = now - q.submitRel
 	rep.Disk = e.Store.Disks.Stats()
-	// Per-query event slices and metrics snapshots are captured only for
-	// sampled queries: at serving scale these copies — not the span ring
-	// itself — would dominate memory and master-loop time.
-	if e.Trace != nil && q.traced {
-		rep.Events = e.Trace.Since(q.traceMark)
-	}
-	if e.Metrics != nil && q.traced {
-		rep.Metrics = e.Metrics.Snapshot()
-	}
+	hits, _ := e.Store.Pool.Stats()
+	rep.PoolHits = hits - s.poolHits0
 	if q.failed != nil {
 		s.series.Count("failed", 1)
 	} else {

@@ -18,7 +18,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.Lane(PidSched, "x") != 0 || tr.Len() != 0 || tr.Events() != nil || tr.Lanes() != nil {
 		t.Fatal("nil tracer must observe nothing")
 	}
-	tr.Reset()
 
 	var r *Registry
 	r.Counter("a").Add(5)
@@ -117,7 +116,7 @@ func TestRegistryFuncMetrics(t *testing.T) {
 // pattern) and checks the sorted view is monotone in time with no lost
 // events; under -race it doubles as the tracer's data-race proof.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerBudget(0)
 	const workers = 8
 	const perWorker = 500
 	var wg sync.WaitGroup
@@ -155,29 +154,8 @@ func laneName(w int) string {
 	return string(rune('a' + w))
 }
 
-func TestTracerMarkSince(t *testing.T) {
-	tr := NewTracer()
-	tr.Instant(1, PidSched, 1, "s", "one", "")
-	m := tr.Mark()
-	tr.Instant(2, PidSched, 1, "s", "two", "")
-	evs := tr.Since(m)
-	if len(evs) != 1 || evs[0].Name != "two" {
-		t.Fatalf("Since(mark) = %+v", evs)
-	}
-	if got := tr.Since(-1); len(got) != 2 {
-		t.Fatalf("Since(-1) = %d events", len(got))
-	}
-	if got := tr.Since(99); len(got) != 0 {
-		t.Fatalf("Since(past end) = %d events", len(got))
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset did not clear events")
-	}
-}
-
 func TestLaneAssignment(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerBudget(0)
 	a := tr.Lane(PidTasks, "q0.f0")
 	b := tr.Lane(PidTasks, "q0.f0/s0")
 	if a == b {
@@ -195,7 +173,7 @@ func TestLaneAssignment(t *testing.T) {
 // TestChromeExport round-trips the export through encoding/json the way
 // the CI smoke test does, and checks lanes and metadata survive.
 func TestChromeExport(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerBudget(0)
 	disk := tr.Lane(PidDisks, "disk0")
 	task := tr.Lane(PidTasks, "q0.f0")
 	tr.Span(10*time.Millisecond, 5*time.Millisecond, PidDisks, disk, "io", "sequential", "rel 1 block 4")

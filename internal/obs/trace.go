@@ -66,8 +66,7 @@ type laneKey struct {
 // A tracer built with NewTracerBudget retains at most budget events in
 // a ring: once full, each new event overwrites the oldest and bumps the
 // drop counter, so serving-scale runs observe O(budget) memory no
-// matter how many spans they emit. Sequence numbers keep counting the
-// total ever emitted, which is what Mark/Since key on.
+// matter how many spans they emit.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []Event
@@ -85,11 +84,6 @@ type LaneName struct {
 	Name     string
 }
 
-// NewTracer creates an empty tracer with unbounded retention.
-func NewTracer() *Tracer {
-	return &Tracer{lanes: make(map[laneKey]int)}
-}
-
 // NewTracerBudget creates a tracer that retains at most budget events,
 // overwriting the oldest once full. budget <= 0 means unbounded.
 func NewTracerBudget(budget int) *Tracer {
@@ -97,14 +91,6 @@ func NewTracerBudget(budget int) *Tracer {
 		budget = 0
 	}
 	return &Tracer{budget: budget, lanes: make(map[laneKey]int)}
-}
-
-// Budget returns the retention cap (0 = unbounded).
-func (t *Tracer) Budget() int {
-	if t == nil {
-		return 0
-	}
-	return t.budget
 }
 
 // Dropped returns how many events were overwritten because the
@@ -188,39 +174,15 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Mark returns a position usable with Since to slice off the events of
-// one run when several runs share a tracer. The position is the total
-// number of events ever emitted, so it stays meaningful on a bounded
-// tracer whose ring has wrapped: Since then returns whichever of the
-// newer events still survive.
-func (t *Tracer) Mark() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.seq)
-}
-
-// Since returns a copy of the retained events emitted after mark (a
-// Mark result), sorted by virtual time (emission sequence breaks ties).
-// Sorting happens on the copy; the tracer's internal order is emission
-// order. On a bounded tracer, events past mark that were overwritten by
-// the ring are gone and simply absent from the result.
-func (t *Tracer) Since(mark int) []Event {
+// Events returns a copy of every retained event, sorted by virtual time
+// (emission sequence breaks ties). Sorting happens on the copy; the
+// tracer's internal order is emission order.
+func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if mark < 0 {
-		mark = 0
-	}
 	t.mu.Lock()
-	out := make([]Event, 0, len(t.events))
-	for _, ev := range t.events {
-		if ev.Seq > uint64(mark) {
-			out = append(out, ev)
-		}
-	}
+	out := slices.Clone(t.events)
 	t.mu.Unlock()
 	slices.SortStableFunc(out, func(a, b Event) int {
 		if a.Ts != b.Ts {
@@ -230,9 +192,6 @@ func (t *Tracer) Since(mark int) []Event {
 	})
 	return out
 }
-
-// Events returns every recorded event, sorted by virtual time.
-func (t *Tracer) Events() []Event { return t.Since(0) }
 
 // Lanes returns the named lanes in creation order.
 func (t *Tracer) Lanes() []LaneName {
@@ -244,17 +203,4 @@ func (t *Tracer) Lanes() []LaneName {
 	out := make([]LaneName, len(t.names))
 	copy(out, t.names)
 	return out
-}
-
-// Reset drops all retained events and the drop count, keeping lane
-// assignments and the emission sequence (outstanding Marks stay valid).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.next = 0
-	t.dropped = 0
-	t.mu.Unlock()
 }

@@ -133,6 +133,9 @@ func (bp *BufferPool) Stats() (hits, misses int64) {
 // registry. The registry reads the pool's own atomics at snapshot time;
 // the hot path is untouched. A nil registry is a no-op.
 func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return // before the method values below, which allocate
+	}
 	reg.RegisterFunc("bufferpool.hits", bp.hits.Load)
 	reg.RegisterFunc("bufferpool.misses", bp.misses.Load)
 }

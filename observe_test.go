@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xprs"
+	"xprs/internal/obs"
 )
 
 // observeWorkload builds the multiquery-style task mix: two IO-bound and
@@ -40,7 +41,10 @@ func observeWorkload(t *testing.T, sys *xprs.System) []xprs.TaskSpec {
 	return specs
 }
 
-func runObserveWorkload(t *testing.T, nprocs int, observe bool) *xprs.Report {
+// runObserveWorkload runs the mix as its system's one query and returns
+// its report and every event the system's tracer retained (none when
+// unobserved).
+func runObserveWorkload(t *testing.T, nprocs int, observe bool) (*xprs.Report, []obs.Event) {
 	t.Helper()
 	cfg := xprs.DefaultConfig()
 	cfg.NProcs = nprocs
@@ -50,7 +54,10 @@ func runObserveWorkload(t *testing.T, nprocs int, observe bool) *xprs.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	if sys.Observer() == nil {
+		return rep, nil
+	}
+	return rep, sys.Observer().Trace.Events()
 }
 
 // TestTraceDeterministic checks the tentpole invariant: enabling the
@@ -59,8 +66,8 @@ func runObserveWorkload(t *testing.T, nprocs int, observe bool) *xprs.Report {
 // on and off, across processor counts.
 func TestTraceDeterministic(t *testing.T) {
 	for _, nprocs := range []int{1, 3, 8} {
-		off := runObserveWorkload(t, nprocs, false)
-		on := runObserveWorkload(t, nprocs, true)
+		off, offEvents := runObserveWorkload(t, nprocs, false)
+		on, onEvents := runObserveWorkload(t, nprocs, true)
 		if off.Elapsed != on.Elapsed {
 			t.Errorf("nprocs=%d: elapsed %v unobserved vs %v observed", nprocs, off.Elapsed, on.Elapsed)
 		}
@@ -68,25 +75,25 @@ func TestTraceDeterministic(t *testing.T) {
 		if !slices.EqualFunc(off.Frags, on.Frags, sameFinish) {
 			t.Errorf("nprocs=%d: finish times diverge: %+v vs %+v", nprocs, off.Frags, on.Frags)
 		}
-		if len(on.Events) == 0 {
+		if len(onEvents) == 0 {
 			t.Errorf("nprocs=%d: observed run produced no events", nprocs)
 		}
-		if len(off.Events) != 0 {
-			t.Errorf("nprocs=%d: unobserved run produced %d events", nprocs, len(off.Events))
+		if len(offEvents) != 0 {
+			t.Errorf("nprocs=%d: unobserved run produced %d events", nprocs, len(offEvents))
 		}
 	}
 }
 
-// TestTraceOrdered checks that a run's event slice is sorted by virtual
-// time and covers every layer of the stack: scheduler decisions,
+// TestTraceOrdered checks that the tracer's events are sorted by virtual
+// time and cover every layer of the stack: scheduler decisions,
 // fragment and slave spans, and per-IO disk spans with mode transitions.
 func TestTraceOrdered(t *testing.T) {
-	rep := runObserveWorkload(t, 8, true)
+	rep, events := runObserveWorkload(t, 8, true)
 	cats := make(map[string]int)
-	for i, ev := range rep.Events {
+	for i, ev := range events {
 		cats[ev.Cat]++
-		if i > 0 && ev.Ts < rep.Events[i-1].Ts {
-			t.Fatalf("event %d out of order: Ts %v after %v", i, ev.Ts, rep.Events[i-1].Ts)
+		if i > 0 && ev.Ts < events[i-1].Ts {
+			t.Fatalf("event %d out of order: Ts %v after %v", i, ev.Ts, events[i-1].Ts)
 		}
 		if ev.Ts < 0 {
 			t.Fatalf("event %d has negative run-relative Ts %v", i, ev.Ts)

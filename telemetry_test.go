@@ -6,7 +6,9 @@ package xprs
 // run's totals, and the ops handler must expose the registry.
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -182,21 +184,131 @@ func TestOpsHandler(t *testing.T) {
 	}
 }
 
-// TestFormatAnalyzeQuantiles checks that EXPLAIN ANALYZE consumes the
-// histogram snapshot's quantile estimates instead of recomputing them.
-func TestFormatAnalyzeQuantiles(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Observe = true
+// analyzeStmt is the statement the EXPLAIN ANALYZE tests run: a scan of
+// analyze_rel's 3 000 rows, 1 000 pages.
+const analyzeStmt = "SELECT * FROM analyze_rel WHERE a < 1000"
+
+// analyzeSystem builds a system holding analyze_rel.
+func analyzeSystem(t *testing.T, cfg Config) *System {
+	t.Helper()
 	sys := New(cfg)
-	if _, err := sys.CreateScanRelation("q_rel", 60, 2000); err != nil {
+	if _, err := sys.CreateScanRelation("analyze_rel", 60, 3000); err != nil {
 		t.Fatal(err)
 	}
-	_, res, rep, err := sys.ExecSQLReport("SELECT * FROM q_rel WHERE a < 1000", InterAdj)
-	if err != nil {
+	return sys
+}
+
+// TestFormatAnalyzeOwnQuery runs one statement twice on one observed
+// system: the second EXPLAIN ANALYZE must describe the second run
+// alone. Its executor totals are the sums over its own fragments, and
+// its pool misses are its own disk reads. With a pool that holds the
+// relation, the second run's hits are exactly the first run's misses.
+// The system-wide registry counts both runs, so it cannot print these.
+func TestFormatAnalyzeOwnQuery(t *testing.T) {
+	for _, poolPages := range []int{0, 1024} {
+		cfg := DefaultConfig()
+		cfg.Observe = true
+		cfg.BufferPoolPages = poolPages
+		sys := analyzeSystem(t, cfg)
+		_, _, first, err := sys.ExecSQLReport(analyzeStmt, InterAdj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res, rep, err := sys.ExecSQLReport(analyzeStmt, InterAdj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batches, tuplesIn int64
+		var slaves, reparts int
+		for _, fs := range rep.Frags {
+			batches += fs.Batches
+			tuplesIn += fs.TuplesIn
+			slaves += fs.Slaves
+			reparts += fs.Repartitions
+		}
+		var hits int64
+		if poolPages > 0 {
+			hits = first.Disk.TotalReads()
+		}
+		out := FormatAnalyze(res, rep)
+		for _, want := range []string{
+			fmt.Sprintf("\nExecutor: %d batches, %d tuples in, %d slaves spawned, %d repartitions\n",
+				batches, tuplesIn, slaves, reparts),
+			fmt.Sprintf("\nBuffer pool: %d hits / %d misses (", hits, rep.Disk.TotalReads()),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("pool %d pages: second run's EXPLAIN ANALYZE lacks %q:\n%s", poolPages, want, out)
+			}
+		}
+	}
+}
+
+// TestFormatAnalyzeObserveInvisible renders the same statement on an
+// observed and an unobserved system: EXPLAIN ANALYZE reads only the
+// report, so the two renderings are byte-identical.
+func TestFormatAnalyzeObserveInvisible(t *testing.T) {
+	var outs [2]string
+	for i, observe := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Observe = observe
+		_, res, rep, err := analyzeSystem(t, cfg).ExecSQLReport(analyzeStmt, InterAdj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = FormatAnalyze(res, rep)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("EXPLAIN ANALYZE differs when observed:\n--- unobserved\n%s--- observed\n%s", outs[0], outs[1])
+	}
+}
+
+// tracedBytesRatioLimit bounds TestTracedBytesFlat's ratio. At
+// GOMAXPROCS 1 it reads 0.61: 15.8 KB per op over ops 1–50, which
+// compile the plan and grow the young ring many times, against 9.7 KB
+// over ops 451–500. The unbounded ring itself grows by a quarter at a
+// time, and when one growth falls in the late window it adds about
+// 27 KB per op: with 33 or 36 rows instead of 30 the ratio reads 2.30
+// and 1.92. The limit is the higher of those plus 0.7. A report that copied
+// the retained trace read 73.0 KB against 975.5 KB, a ratio of 13.4.
+const tracedBytesRatioLimit = 3.0
+
+// TestTracedBytesFlat is the traced-cost gate: what a traced query
+// allocates must not grow with the trace its system has retained. One
+// observed system with an unbounded span ring runs the same statement
+// 500 times, and the bytes per ExecSQLReport over ops 451–500 are
+// compared with those over ops 1–50. Skipped unless XPRS_ALLOC_GATE is
+// set (CI runs it via `make obsgate`).
+func TestTracedBytesFlat(t *testing.T) {
+	if os.Getenv("XPRS_ALLOC_GATE") == "" {
+		t.Skip("set XPRS_ALLOC_GATE=1 to run the allocation gate")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := DefaultConfig()
+	cfg.Observe = true // TraceBudget 0: the ring keeps every span
+	sys := New(cfg)
+	if _, err := sys.CreateScanRelation("traced_rel", 60, 30); err != nil {
 		t.Fatal(err)
 	}
-	out := FormatAnalyze(res, rep)
-	if !strings.Contains(out, "Task latency: p50") {
-		t.Fatalf("FormatAnalyze missing task-latency quantiles:\n%s", out)
+	const stmt = "SELECT * FROM traced_rel WHERE a < 1000"
+	bytesPerOp := func(ops int) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			if _, _, _, err := sys.ExecSQLReport(stmt, InterAdj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	}
+	early := bytesPerOp(50)
+	bytesPerOp(400)
+	late := bytesPerOp(50)
+	t.Logf("%.0f B/op over ops 1-50, %.0f B/op over ops 451-500 with %d spans retained (ratio %.3f, limit %.2f)",
+		early, late, sys.Observer().Trace.Len(), late/early, tracedBytesRatioLimit)
+	if late > tracedBytesRatioLimit*early {
+		t.Fatalf("a traced query allocates %.0f B after 450 others against %.0f B at the start (ratio %.3f, limit %.2f): per-query work grows with the retained trace",
+			late, early, late/early, tracedBytesRatioLimit)
 	}
 }

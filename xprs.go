@@ -348,8 +348,9 @@ func (s *System) ExecSQL(sql string, policy Policy) (*Temp, *OptResult, error) {
 }
 
 // ExecSQLReport is ExecSQL returning the execution Report as well: the
-// scheduler trace with decision reasons, per-fragment statistics, and —
-// on an observed system — the full event trace and metrics snapshot.
+// scheduler trace with decision reasons, per-fragment statistics, and
+// the session's disk and buffer-pool profile. An observed system's
+// spans and metrics stay with its Observer.
 func (s *System) ExecSQLReport(sql string, policy Policy) (*Temp, *OptResult, *Report, error) {
 	s.planMu.Lock()
 	pp := s.planCache[sql]
