@@ -184,6 +184,34 @@ func TestOpsHandler(t *testing.T) {
 	}
 }
 
+// TestOpsHandlerAfterServe scrapes /metrics after a served run: each
+// tenant's SLO breach count is exposed as a gauge. The values were
+// recorded when the scheduler itself still kept the SLO tracker; t01
+// runs against its own 500 ms target, the others against 2 s.
+func TestOpsHandlerAfterServe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Observe = true
+	_, sys, err := RunServeSystem(cfg, telemetryServeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	sys.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	var got []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "slo_breached") {
+			got = append(got, line)
+		}
+	}
+	want := []string{"slo_breached_t00 8", "slo_breached_t01 14", "slo_breached_t02 3"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/metrics breach gauges = %q, want %q", got, want)
+	}
+}
+
 // analyzeStmt is the statement the EXPLAIN ANALYZE tests run: a scan of
 // analyze_rel's 3 000 rows, 1 000 pages.
 const analyzeStmt = "SELECT * FROM analyze_rel WHERE a < 1000"
