@@ -98,6 +98,9 @@ type ShedError struct {
 	Tenant string // tenant of the shed query
 	Queued int    // admission-queue depth at the shed decision
 	Limit  int    // the MaxQueued threshold
+	// At is the session-relative instant of the shed decision, which is
+	// the query's submission: backpressure sheds only at intake.
+	At time.Duration
 }
 
 func (e *ShedError) Error() string {
@@ -116,6 +119,10 @@ type DeadlineShedError struct {
 	// submission; Predicted is the best-case predicted response.
 	Deadline  time.Duration
 	Predicted time.Duration
+	// SubmittedAt and At are session-relative instants: the query's
+	// submission and the shed decision. They are equal when the
+	// submission screen sheds it; a waiter is shed later.
+	SubmittedAt, At time.Duration
 }
 
 func (e *DeadlineShedError) Error() string {
@@ -542,7 +549,8 @@ func (a *admission) hopeless(q *query, waited time.Duration) error {
 		q.bestCaseSet = true
 	}
 	if q.bestCase > dl-waited {
-		return &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: q.bestCase}
+		return &DeadlineShedError{Tenant: q.tenant, Deadline: dl, Predicted: q.bestCase,
+			SubmittedAt: q.submitRel, At: q.submitRel + waited}
 	}
 	return nil
 }

@@ -162,9 +162,9 @@ func BenchmarkSchedulerSubmitObserved(b *testing.B) {
 }
 
 // obsAllocBudget is the CI allocation gate for the observed Submit fast
-// path: the unobserved floor plus slack for the per-window telemetry
-// aggregates (series windows, histogram buckets, metric interning) that
-// amortize across submits. What it catches is per-submit span or label
+// path: the unobserved floor plus slack for the observer's aggregates
+// (histogram buckets, per-tenant metric interning) that amortize across
+// submits. What it catches is per-submit span or label
 // allocation sneaking into the hot path — that alone would blow the
 // budget immediately.
 const obsAllocBudget = intakeAllocBudget + 6

@@ -35,14 +35,6 @@ import (
 // stop. A striped form of this intake lost its own ablation and was
 // removed; DESIGN.md §13 keeps the numbers.
 
-// The windowed telemetry (admission/shed/latency timeline and the SLO
-// percentile horizon) keeps telemetryWindows buckets of telemetryWindow
-// virtual time each.
-const (
-	telemetryWindow  = time.Second
-	telemetryWindows = 240
-)
-
 // QueryHandle is a client's ticket for one submitted query.
 type QueryHandle struct {
 	id    int
@@ -256,6 +248,9 @@ type Scheduler struct {
 	// poolHits0 is the buffer pool's hit count when the session opened,
 	// the origin of Report.PoolHits.
 	poolHits0 int64
+	// submitted and settled count the session's queries as the master
+	// takes them in and settles them (completed, failed or shed).
+	submitted, settled int
 
 	// Admission observability (nil when metrics are off; methods no-op).
 	gQDepthIO *obs.Gauge
@@ -265,11 +260,8 @@ type Scheduler struct {
 	mShed     *obs.Counter
 	mAging    *obs.Counter
 
-	// Serving telemetry, always on (bounded memory, master-loop writes
-	// only): the windowed admission/shed/latency timeline and the
-	// per-tenant SLO tracker. sampler is nil unless TraceSampleOneIn > 1.
-	series  *obs.Series
-	slo     *obs.SLO
+	// sampler is the head-based trace sampler, nil unless
+	// TraceSampleOneIn > 1.
 	sampler *obs.Sampler
 }
 
@@ -302,16 +294,6 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	if err := s.adm.reset(adm); err != nil {
 		panic(err.Error()) // facades validate names up front
 	}
-	// Serving telemetry. The series' now-func is a pure clock read —
-	// reads never advance the virtual clock (obsnoclock allows them) —
-	// so the timeline buckets on virtual time without perturbing it. The
-	// SLO percentile horizon is the full timeline span.
-	s.series = obs.NewSeries(telemetryWindow, telemetryWindows, e.now)
-	targets := map[string]time.Duration{"": adm.SLOTarget}
-	for name, d := range adm.TenantSLOTargets {
-		targets[name] = d
-	}
-	s.slo = obs.NewSLO(telemetryWindow*telemetryWindows, 0, targets)
 	s.sampler = obs.NewSampler(0, adm.TraceSampleOneIn)
 	e.sched = s
 	e.events = s.events
@@ -355,6 +337,7 @@ func (s *Scheduler) resetSession() {
 	clear(s.tenants)
 	s.defTenant = nil
 	s.inflight = 0
+	s.submitted, s.settled = 0, 0
 	s.draining = false
 	s.drainAck = nil
 }
@@ -574,10 +557,6 @@ func (s *Scheduler) tenant(name string) *tenantState {
 			ts.gRun = m.Gauge(obs.Label("sched.tenant_running", name))
 			ts.gWait = m.Gauge(obs.Label("sched.tenant_waiting", name))
 			ts.cShed = m.Counter(obs.Label("sched.tenant_shed", name))
-			// Burn-rate numerator as a read-at-snapshot gauge: a pure
-			// read of the SLO tracker's counter (obsnoclock-clean).
-			tenant := name
-			m.RegisterFunc(obs.Label("slo.breached", tenant), func() int64 { return s.slo.Breached(tenant) })
 		}
 		s.tenants[name] = ts
 		if name == "" {
@@ -592,9 +571,9 @@ func (s *Scheduler) tenant(name string) *tenantState {
 // sheds it.
 func (s *Scheduler) onSubmit(q *query, now time.Duration) {
 	q.submitRel = now
+	s.submitted++
 	s.inflight++
 	s.gInflight.Set(int64(s.inflight))
-	s.series.Count("submitted", 1)
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("submit", fmt.Sprintf(
 			"query %d: %d tasks, %d B working set", q.id, len(q.tasks), q.mem))
@@ -611,11 +590,10 @@ func (s *Scheduler) onSubmit(q *query, now time.Duration) {
 		return
 	}
 	if lim := s.adm.cfg.MaxQueued; lim > 0 && s.adm.nWaiting >= lim {
-		s.shedWith(q, &ShedError{Tenant: q.tenant, Queued: s.adm.nWaiting, Limit: lim})
+		s.shedWith(q, &ShedError{Tenant: q.tenant, Queued: s.adm.nWaiting, Limit: lim, At: now})
 		return
 	}
 	s.adm.enqueue(ts, q)
-	s.seriesGauges()
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("admission-wait", fmt.Sprintf(
 			"query %d queued: %d B in use of %d budget, %d/%d queries admitted",
@@ -632,13 +610,6 @@ func (s *Scheduler) onPromote(q *query, waited time.Duration) {
 	}
 }
 
-// seriesGauges samples the admission state into the timeline's current
-// window after every state change the timeline should see.
-func (s *Scheduler) seriesGauges() {
-	s.series.Sample("admit_queue", int64(s.adm.nWaiting))
-	s.series.Sample("running", int64(s.adm.nAdmitted))
-}
-
 // shedWith rejects a query with a typed shed error — the MaxQueued
 // backpressure *ShedError, or a policy rejection like the deadline
 // policy's *DeadlineShedError. The query never acquired an admission
@@ -648,13 +619,12 @@ func (s *Scheduler) seriesGauges() {
 func (s *Scheduler) shedWith(q *query, err error) {
 	s.mShed.Inc()
 	s.tenant(q.tenant).cShed.Inc()
-	s.series.Count("shed", 1)
-	s.slo.RecordShed(q.tenant)
 	if s.eng.Trace != nil && q.traced {
 		s.eng.schedEvent("shed", fmt.Sprintf("query %d shed: %v", q.id, err))
 	}
 	s.deregisterIDs(q)
 	s.inflight--
+	s.settled++
 	s.gInflight.Set(int64(s.inflight))
 	q.handle.settle(nil, err)
 }
@@ -673,9 +643,6 @@ func (s *Scheduler) admit(q *query, now time.Duration) {
 	s.adm.charge(s.tenant(q.tenant), q)
 	wait := q.admitRel - q.submitRel
 	s.hWaitUs.Observe(int64(wait / time.Microsecond))
-	s.series.Count("admitted", 1)
-	s.series.Observe("queue_wait_us", int64(wait/time.Microsecond))
-	s.seriesGauges()
 	if s.eng.Trace != nil && q.traced {
 		if wait > 0 {
 			s.eng.schedEvent("admit", fmt.Sprintf(
@@ -905,13 +872,6 @@ func (s *Scheduler) finishQuery(q *query) {
 	rep.Disk = e.Store.Disks.Stats()
 	hits, _ := e.Store.Pool.Stats()
 	rep.PoolHits = hits - s.poolHits0
-	if q.failed != nil {
-		s.series.Count("failed", 1)
-	} else {
-		s.series.Count("completed", 1)
-	}
-	s.series.Observe("response_us", int64(rep.Elapsed/time.Microsecond))
-	s.slo.Record(q.tenant, now, rep.Elapsed, rep.QueueWait)
 
 	// Release master-side state. Every task the query launched has posted
 	// its completion, so no slave references its runtime any more.
@@ -924,9 +884,9 @@ func (s *Scheduler) finishQuery(q *query) {
 		}
 	}
 	s.inflight--
+	s.settled++
 	s.adm.release(s.tenant(q.tenant), q)
 	s.gInflight.Set(int64(s.inflight))
-	s.seriesGauges()
 	s.deregisterIDs(q)
 	if e.Trace != nil && q.traced {
 		e.schedEvent("query-done", fmt.Sprintf(
@@ -970,15 +930,6 @@ func (s *Scheduler) wakeAdmitQ() {
 	}
 }
 
-// Timeline snapshots the scheduler's windowed telemetry: per-window
-// submitted/admitted/shed/completed counters, admission-queue and
-// running-query gauge samples, and queue-wait/response distributions.
-// Safe to call at any time; the timeline is fed only by the master
-// loop, so for a deterministic run the snapshot at a quiescent point is
-// byte-identical across reruns and GOMAXPROCS.
-func (s *Scheduler) Timeline() obs.SeriesSnapshot { return s.series.Snapshot() }
-
-// TenantSLOs snapshots per-tenant SLO state (windowed nearest-rank
-// response/queue-wait percentiles, breach and shed counters), sorted by
-// tenant name.
-func (s *Scheduler) TenantSLOs() []obs.TenantSLO { return s.slo.Snapshot() }
+// Admission returns the admission configuration the session was opened
+// with.
+func (s *Scheduler) Admission() AdmissionConfig { return s.adm.cfg }

@@ -200,10 +200,14 @@ func TestRunOpenLoopSheds(t *testing.T) {
 // TestOpenLoopRecycles pins the driver's recycle rule from both sides.
 // What it may not change: the whole ServeStats of a steady and a backlog
 // replay (bench/'s serve_steady and serve_backlog settings) hashes to the
-// value recorded on the commit whose driver re-polled every outstanding
-// handle after every arrival. What it must keep doing: recycle — no more
-// spec sets built than that commit's driver built — while asking at most
-// one handle per arrival however deep the backlog.
+// recorded value. The hashes were first recorded on the commit whose
+// driver re-polled every outstanding handle after every arrival, and
+// re-recorded when the driver began building the timeline from settled
+// reports: the timeline's gauges became one sample per instant instead of
+// one per master event, which moved their Min, Max and Count and nothing
+// else. What it must keep doing: recycle — no more spec sets built than
+// the re-polling driver built — while asking at most one handle per
+// arrival however deep the backlog.
 func TestOpenLoopRecycles(t *testing.T) {
 	cases := []struct {
 		bursty            bool
@@ -213,11 +217,11 @@ func TestOpenLoopRecycles(t *testing.T) {
 		statsSHA256       string
 	}{
 		{false, 300, 29, 300, 816297597, 46443533086,
-			"06305d03fa3008f4b85f324bc9bac5ceea60691929210dfaec7c734c48e1cbd5"},
+			"6a4c2bbfd8953223ac5cf8f9b01c871e26a139d254bf7729b183cb44f7ce28a9"},
 		{true, 300, 261, 300, 31727345524, 38405230124,
-			"dfa0b54387a36c09c9e7c99be043697c2b2179c251ea37622edb1930bb2706dd"},
+			"8db5a6203bc23046b600e827745069ebdd335df60055a23ec14dc3f13a3d5af1"},
 		{true, 1200, 1013, 1200, 117724157980, 149128409555,
-			"51fd0b257cccbd9a5dff639ed882c060626a73d87f3e03aae41a186c89b52d4b"},
+			"4cd93295a4e11a482d2c6becc1255c213db560d2fd13054058a0d885f5ba2324"},
 	}
 	for _, c := range cases {
 		adm := exec.AdmissionConfig{MaxQueries: 16, TenantMaxQueries: 8, MaxQueued: 1000, SLOTarget: 2 * time.Second}

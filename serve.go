@@ -6,7 +6,10 @@ package xprs
 // harness; cmd/xprstop renders a run of it, and bench/'s serve_steady
 // and serve_backlog workloads measure the host's wall clock replaying it.
 
-import "xprs/internal/workload"
+import (
+	"xprs/internal/obs"
+	"xprs/internal/workload"
+)
 
 // Serving result types, re-exported from the workload package so
 // callers of the facade never import internals.
@@ -110,6 +113,14 @@ func RunServeSystem(cfg Config, o ServeOptions) (*ServeStats, *System, error) {
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	// Each tenant's SLO breach count — the burn-rate numerator — as a
+	// gauge on the system's registry.
+	if o := s.observer; o != nil {
+		for _, ts := range stats.TenantSLO {
+			breached := ts.Breached
+			o.Metrics.RegisterFunc(obs.Label("slo.breached", ts.Tenant), func() int64 { return breached })
+		}
 	}
 	return stats, s, nil
 }
