@@ -28,20 +28,17 @@ type Outcome struct {
 	Shed   error
 }
 
-// IsShed reports whether err is an admission rejection — the query
-// acquired nothing and the session keeps serving — and whether it is the
-// deadline policy's (*DeadlineShedError) rather than MaxQueued
-// backpressure (*ShedError).
-func IsShed(err error) (shed, deadline bool) {
+// isShed reports whether err is an admission rejection — MaxQueued
+// backpressure (*ShedError) or the deadline policy's
+// (*DeadlineShedError): the query acquired nothing and the session keeps
+// serving.
+func isShed(err error) bool {
 	if err == nil {
-		return false, false // before the targets below are heap-allocated for errors.As
+		return false // before the targets below are heap-allocated for errors.As
 	}
 	var d *DeadlineShedError
-	if errors.As(err, &d) {
-		return true, true
-	}
 	var s *ShedError
-	return errors.As(err, &s), false
+	return errors.As(err, &d) || errors.As(err, &s)
 }
 
 // Replay submits the schedule in slice order — an arrival whose instant
@@ -69,7 +66,7 @@ func (s *Scheduler) Replay(schedule []Arrival) ([]Outcome, error) {
 	outs := make([]Outcome, len(schedule))
 	for i, h := range handles {
 		rep, err := h.Wait()
-		if shed, _ := IsShed(err); shed {
+		if isShed(err) {
 			outs[i].Shed = err
 		} else if err != nil {
 			return nil, err

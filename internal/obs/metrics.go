@@ -143,7 +143,7 @@ func (s HistogramSnapshot) Mean() float64 {
 // NearestRank returns the 1-based nearest-rank index of the p-th
 // percentile of n ascending samples: ceil(p*n/100), clamped to [1, n].
 // This is the single rank definition shared by the workload driver's
-// Percentile, the SLO tracker and the histogram quantile estimate, so
+// Percentile (its SLO table too) and the histogram quantile estimate, so
 // every "p95" in the tree means the same thing.
 func NearestRank(n, p int) int {
 	r := (p*n + 99) / 100
