@@ -165,7 +165,7 @@ func runStream(p params) error {
 	}
 	fmt.Fprintf(p.w, "\nwith admission cap of %d concurrent queries:\n", streamMaxQ)
 	fmt.Fprint(p.w, xprs.FormatStream(limited))
-	abl, err := xprs.RunPolicyAblation(p.cfg, xprs.PolicyAblationOptions{})
+	abl, err := xprs.RunPolicyAblation(p.cfg)
 	if err != nil {
 		return err
 	}

@@ -144,11 +144,6 @@ func (p Params) TupleCPU(size float64) float64 {
 	return p.TupleCPUBase + p.TupleCPUPerByte*size
 }
 
-// TupleCPUDuration is TupleCPU as a time.Duration for the executor.
-func (p Params) TupleCPUDuration(size int) time.Duration {
-	return time.Duration(p.TupleCPU(float64(size)) * float64(time.Second))
-}
-
 // Seconds converts an analytic cost to a Duration.
 func Seconds(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
@@ -211,62 +206,4 @@ func (p Params) TupleSizeForRate(rate float64) float64 {
 		lo = hi + 1
 	}
 	return bestSize
-}
-
-// ScanEstimate summarizes the sequential cost of one scan task as the
-// scheduler consumes it: T (sequential execution time), D (number of
-// IOs) and the derived rate C = D/T.
-type ScanEstimate struct {
-	T float64
-	D float64
-}
-
-// Rate returns D/T, the task's sequential IO rate (C_i of §2.2).
-func (e ScanEstimate) Rate() float64 {
-	if e.T <= 0 {
-		return 0
-	}
-	return e.D / e.T
-}
-
-// SeqScan estimates a full sequential scan of a relation: one IO per
-// page, CPU per tuple.
-func (p Params) SeqScan(st storage.RelStats) ScanEstimate {
-	d := float64(st.NPages)
-	t := d*p.SeqPageService + float64(st.NTuples)*p.TupleCPU(st.AvgTupleSize)
-	return ScanEstimate{T: t, D: d}
-}
-
-// IndexScan estimates an unclustered index scan fetching frac of the
-// relation's tuples: one random heap IO per fetched tuple (§3: "index
-// scans can follow the pointer in an index to a qualified tuple ... the
-// time between two i/o requests is small").
-func (p Params) IndexScan(st storage.RelStats, frac float64) ScanEstimate {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	m := float64(st.NTuples) * frac
-	d := m
-	t := m * (p.RandPageService + p.IndexProbeCPU + p.TupleCPU(st.AvgTupleSize))
-	return ScanEstimate{T: t, D: d}
-}
-
-// ClusteredIndexScan estimates a clustered index scan of frac of the
-// relation: sequential page reads of the qualifying prefix ("for index
-// scans on a clustered index, it is more or less the same situation as
-// that of sequential scans").
-func (p Params) ClusteredIndexScan(st storage.RelStats, frac float64) ScanEstimate {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	pages := math.Ceil(float64(st.NPages) * frac)
-	tuples := float64(st.NTuples) * frac
-	t := pages*p.SeqPageService + tuples*(p.IndexProbeCPU+p.TupleCPU(st.AvgTupleSize))
-	return ScanEstimate{T: t, D: pages}
 }

@@ -139,48 +139,6 @@ func TestTupleSizeForRateMatchesScan(t *testing.T) {
 	}
 }
 
-func TestScanEstimates(t *testing.T) {
-	p := params()
-	st := storage.RelStats{NTuples: 10000, NPages: 100, AvgTupleSize: 60}
-	seq := p.SeqScan(st)
-	if seq.D != 100 {
-		t.Fatalf("seqscan D = %f", seq.D)
-	}
-	wantT := 100*p.SeqPageService + 10000*p.TupleCPU(60)
-	if math.Abs(seq.T-wantT) > 1e-9 {
-		t.Fatalf("seqscan T = %f, want %f", seq.T, wantT)
-	}
-	if seq.Rate() <= 0 {
-		t.Fatal("rate must be positive")
-	}
-
-	idx := p.IndexScan(st, 0.1)
-	if idx.D != 1000 {
-		t.Fatalf("indexscan D = %f", idx.D)
-	}
-	// Unclustered index scans are IO-bound for any reasonable tuple size.
-	if idx.Rate() < 30 {
-		t.Fatalf("indexscan rate = %f, want > 30 (IO-bound)", idx.Rate())
-	}
-	if got := p.IndexScan(st, -1).D; got != 0 {
-		t.Fatalf("negative frac D = %f", got)
-	}
-	if got := p.IndexScan(st, 2).D; got != 10000 {
-		t.Fatalf("clamped frac D = %f", got)
-	}
-
-	cl := p.ClusteredIndexScan(st, 0.25)
-	if cl.D != 25 {
-		t.Fatalf("clustered D = %f", cl.D)
-	}
-	if p.ClusteredIndexScan(st, -1).D != 0 || p.ClusteredIndexScan(st, 2).D != 100 {
-		t.Fatal("clustered clamping")
-	}
-	if (ScanEstimate{}).Rate() != 0 {
-		t.Fatal("zero estimate rate")
-	}
-}
-
 func buildRel(t *testing.T, id int32, name string, n int, distinct int32) *storage.Relation {
 	t.Helper()
 	b := storage.NewBuilder(id, name, storage.NewSchema(
@@ -223,6 +181,9 @@ func TestEstimateSeqScanFragment(t *testing.T) {
 	if e.Rate() <= 0 || e.T <= 0 {
 		t.Fatal("degenerate estimate")
 	}
+	if (FragEstimate{}).Rate() != 0 {
+		t.Fatal("zero estimate rate")
+	}
 }
 
 func TestEstimateIndexScanFragment(t *testing.T) {
@@ -247,15 +208,23 @@ func TestEstimateIndexScanFragment(t *testing.T) {
 	if e.SeqIO {
 		t.Fatal("unclustered index scan is random IO")
 	}
-	// Clustered variant reads far fewer pages.
+	// Unclustered index scans are IO-bound for any reasonable tuple size.
+	if e.Rate() < 30 {
+		t.Fatalf("rate = %f, want > 30 (IO-bound)", e.Rate())
+	}
+	// Clustered variant reads far fewer pages: the qualifying prefix.
 	cix, _ := btree.BuildIndex("r_a_c", r, 0, true)
 	g2, _ := plan.Decompose(&plan.IndexScan{Rel: r, Index: cix, Lo: 0, Hi: 199})
 	ests2, err := EstimateGraph(p, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2 := ests2[g2.Root.ID]; e2.D >= e.D {
+	e2 := ests2[g2.Root.ID]
+	if e2.D >= e.D {
 		t.Fatalf("clustered D = %f >= unclustered %f", e2.D, e.D)
+	}
+	if want := math.Ceil(float64(r.NPages()) * rangeFraction(r.Stats(), 0, 0, 199)); e2.D != want {
+		t.Fatalf("clustered D = %f, want %f pages", e2.D, want)
 	}
 }
 
@@ -404,9 +373,10 @@ func TestSeqCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := p.SeqScan(r1.Stats())
-	if math.Abs(c-est.T) > 1e-9 {
-		t.Fatalf("seqcost = %f, scan estimate = %f", c, est.T)
+	st := r1.Stats()
+	want := float64(st.NPages)*p.SeqPageService + float64(st.NTuples)*p.TupleCPU(st.AvgTupleSize)
+	if math.Abs(c-want) > 1e-9 {
+		t.Fatalf("seqcost = %f, want pages·SeqPageService + tuples·TupleCPU = %f", c, want)
 	}
 }
 
@@ -428,12 +398,7 @@ func TestRangeFraction(t *testing.T) {
 	}
 }
 
-func TestTupleCPUDurationAndSeconds(t *testing.T) {
-	p := params()
-	d := p.TupleCPUDuration(100)
-	if d <= 0 {
-		t.Fatal("non-positive duration")
-	}
+func TestSeconds(t *testing.T) {
 	if Seconds(1.5).Seconds() != 1.5 {
 		t.Fatal("Seconds conversion")
 	}

@@ -325,14 +325,6 @@ func (a *Array) Stats() Stats {
 	return total
 }
 
-// DiskStats returns the statistics of one disk.
-func (a *Array) DiskStats(i int) Stats {
-	d := &a.disks[i]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
 // ResetStats clears all counters, keeping head positions.
 func (a *Array) ResetStats() {
 	for i := range a.disks {
@@ -341,15 +333,4 @@ func (a *Array) ResetStats() {
 		d.stats = Stats{}
 		d.mu.Unlock()
 	}
-}
-
-// Utilization reports the fraction of elapsed virtual time the disks were
-// busy, averaged over the array. elapsed must be the duration of the
-// measurement window.
-func (a *Array) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	s := a.Stats()
-	return s.Busy.Seconds() / (elapsed.Seconds() * float64(a.cfg.NumDisks))
 }

@@ -28,8 +28,8 @@ import (
 // deterministic and vclockpurity-clean by construction. "pred-sjf"
 // admits the waiter the simulation says would finish first next to the
 // currently admitted mix; "deadline" admits least-slack-first against
-// per-query deadlines (SubmitOptions.Deadline) or tenant SLO targets,
-// and sheds a waiter whose best-case schedule — simulated alone on an
+// per-query deadlines (SubmitOptions.Deadline) or the SLO target, and
+// sheds a waiter whose best-case schedule — simulated alone on an
 // idle machine — already misses its deadline. Every order composes with
 // aging (AdmissionConfig.AgingMaxWait), which bounds starvation by
 // promoting the oldest waiter to strict head-of-line once it has waited
@@ -72,14 +72,12 @@ type AdmissionConfig struct {
 	// counts as an SLO breach for its tenant. 0 disables breach
 	// accounting (the per-tenant percentiles are still tracked).
 	SLOTarget time.Duration
-	// TenantSLOTargets overrides SLOTarget per tenant name.
-	TenantSLOTargets map[string]time.Duration
 	// Policy names the admission policy that orders the wait queue:
 	// "fifo" (or empty, the identity default — strict head-of-line,
 	// fair-share scan under TenantMaxQueries), "pred-sjf" (admit the
 	// waiter with the earliest parcost-predicted completion under the
 	// current mix), or "deadline" (least-slack-first against per-query
-	// deadlines or tenant SLO targets, shedding provably-hopeless
+	// deadlines or the SLO target, shedding provably-hopeless
 	// queries with a *DeadlineShedError). See admission.go.
 	Policy string
 	// AgingMaxWait, when positive, promotes a waiter older than this to
@@ -523,14 +521,10 @@ func (a *admission) screen(q *query) error {
 }
 
 // queryDeadline resolves a waiter's response-time target: its own
-// submission deadline, else its tenant's SLO target, else the default
-// SLO target; 0 means none.
+// submission deadline, else the SLO target; 0 means none.
 func (a *admission) queryDeadline(q *query) time.Duration {
 	if q.deadline > 0 {
 		return q.deadline
-	}
-	if t, ok := a.cfg.TenantSLOTargets[q.tenant]; ok && t > 0 {
-		return t
 	}
 	return a.cfg.SLOTarget
 }

@@ -355,8 +355,8 @@ type SubmitOptions struct {
 	// empty is the default tenant.
 	Tenant string
 	// Deadline is the query's response-time target relative to its
-	// submission instant; 0 means none (the tenant's SLO target, if any,
-	// stands in). Only the "deadline" admission policy acts on it.
+	// submission instant; 0 means none (the SLO target, if any, stands
+	// in). Only the "deadline" admission policy acts on it.
 	Deadline time.Duration
 	// CountRows counts the query's root output instead of storing it:
 	// no row is kept, the Report has no Results, and its Checksum and
@@ -530,10 +530,15 @@ func (s *Scheduler) drainIntake() {
 	s.queue = s.intakeBatch
 	s.mu.Unlock()
 	if len(batch) > 0 {
-		// One clock read per batch: the master never blocks while
-		// processing it, so under the virtual clock every entry sees this
-		// instant anyway; on a real clock it drops two clock reads from
-		// the per-query fast path.
+		// One clock read per batch, and every query of the batch is
+		// stamped with it. The master can block mid-batch — an admission
+		// may start a §2.4 adjustment round, which waits on each slave's
+		// report — so under the virtual clock a later query of the batch
+		// can be stamped up to ≈ 0.1 s before the instant the master took
+		// it in (the FOUND entry on drainIntake in CHANGES.md). Reading
+		// the clock per query would move response times, so that waits
+		// for a change of its own. On a real clock the one read drops two
+		// clock reads from the per-query fast path.
 		now := s.eng.now()
 		for _, q := range batch {
 			s.onSubmit(q, now)

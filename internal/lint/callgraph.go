@@ -133,11 +133,6 @@ func (r *Reacher) FromCallback(arg ast.Expr) string {
 	return ""
 }
 
-// FromFunc reports the classified API reachable from fn, or "".
-func (r *Reacher) FromFunc(fn *types.Func) string {
-	return r.funcReaches(fn, make(map[*types.Func]bool))
-}
-
 func (r *Reacher) funcReaches(fn *types.Func, seen map[*types.Func]bool) string {
 	if culprit := r.classify(fn); culprit != "" {
 		return culprit

@@ -52,11 +52,11 @@ func TestReacherClassify(t *testing.T) {
 
 	g := pkgs[0].callGraph()
 	r := g.Reacher(clockAPIName)
-	if got := r.FromFunc(grabFunc(t, g, "pump")); got != "vclock.Clock.Sleep" {
-		t.Errorf("FromFunc(pump) = %q, want vclock.Clock.Sleep", got)
+	if got := r.funcReaches(grabFunc(t, g, "pump"), map[*types.Func]bool{}); got != "vclock.Clock.Sleep" {
+		t.Errorf("funcReaches(pump) = %q, want vclock.Clock.Sleep", got)
 	}
-	if got := r.FromFunc(grabFunc(t, g, "account")); got != "engine.chargeCPU" {
-		t.Errorf("FromFunc(account) = %q, want engine.chargeCPU", got)
+	if got := r.funcReaches(grabFunc(t, g, "account"), map[*types.Func]bool{}); got != "engine.chargeCPU" {
+		t.Errorf("funcReaches(account) = %q, want engine.chargeCPU", got)
 	}
 
 	// A package with no clock-adjacent code classifies everything clean,
@@ -65,8 +65,8 @@ func TestReacherClassify(t *testing.T) {
 	r2 := g2.Reacher(clockAPIName)
 	getBuf := grabFunc(t, g2, "getBuf")
 	for range 2 {
-		if got := r2.FromFunc(getBuf); got != "" {
-			t.Errorf("FromFunc(getBuf) = %q, want clean", got)
+		if got := r2.funcReaches(getBuf, map[*types.Func]bool{}); got != "" {
+			t.Errorf("funcReaches(getBuf) = %q, want clean", got)
 		}
 	}
 }

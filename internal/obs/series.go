@@ -190,9 +190,6 @@ type WindowSnapshot struct {
 	Dists    map[string]HistogramSnapshot `json:"dists,omitempty"`
 }
 
-// Counter returns a named counter of the window (0 when absent).
-func (w WindowSnapshot) Counter(name string) int64 { return w.Counters[name] }
-
 // Snapshot copies the retained windows. A nil series yields the zero
 // snapshot.
 func (s *Series) Snapshot() SeriesSnapshot {
@@ -236,30 +233,4 @@ func (s *Series) Snapshot() SeriesSnapshot {
 		out.Windows = append(out.Windows, ws)
 	}
 	return out
-}
-
-// TotalCounter sums a named counter across every retained window.
-func (s SeriesSnapshot) TotalCounter(name string) int64 {
-	var total int64
-	for _, w := range s.Windows {
-		total += w.Counters[name]
-	}
-	return total
-}
-
-// CounterNames returns every counter name appearing in any window,
-// sorted.
-func (s SeriesSnapshot) CounterNames() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, w := range s.Windows {
-		for n := range w.Counters {
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	slices.Sort(names)
-	return names
 }

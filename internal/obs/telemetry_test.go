@@ -104,8 +104,8 @@ func TestSeriesWindows(t *testing.T) {
 	if w0.Index != 0 || w1.Index != 1 {
 		t.Fatalf("window indices = %d,%d, want 0,1", w0.Index, w1.Index)
 	}
-	if w0.Counter("submitted") != 2 || w1.Counter("submitted") != 1 {
-		t.Fatalf("submitted per window = %d,%d, want 2,1", w0.Counter("submitted"), w1.Counter("submitted"))
+	if w0.Counters["submitted"] != 2 || w1.Counters["submitted"] != 1 {
+		t.Fatalf("submitted per window = %d,%d, want 2,1", w0.Counters["submitted"], w1.Counters["submitted"])
 	}
 	g := w0.Gauges["queue"]
 	if g.Last != 1 || g.Min != 1 || g.Max != 5 || g.Count != 2 {
@@ -114,11 +114,8 @@ func TestSeriesWindows(t *testing.T) {
 	if h := w0.Dists["lat"]; h.Count != 1 || h.Sum != 100 {
 		t.Fatalf("dist = %+v, want one observation of 100", h)
 	}
-	if got := snap.TotalCounter("submitted"); got != 3 {
-		t.Fatalf("TotalCounter = %d, want 3", got)
-	}
-	if names := snap.CounterNames(); len(names) != 1 || names[0] != "submitted" {
-		t.Fatalf("CounterNames = %v", names)
+	if len(w0.Counters) != 1 || len(w1.Counters) != 1 {
+		t.Fatalf("counters = %v, %v, want only submitted", w0.Counters, w1.Counters)
 	}
 }
 
@@ -160,7 +157,7 @@ func TestSeriesEvictedWindowReused(t *testing.T) {
 		t.Fatalf("evicted %d, %d windows; want 1, 1", snap.Evicted, len(snap.Windows))
 	}
 	w := snap.Windows[0]
-	if w.Index != 1 || w.Counter("c") != 1 || len(w.Gauges) != 0 || len(w.Dists) != 1 {
+	if w.Index != 1 || w.Counters["c"] != 1 || len(w.Gauges) != 0 || len(w.Dists) != 1 {
 		t.Fatalf("reused window = %+v; want index 1, c=1, no gauges, one dist", w)
 	}
 	if h := w.Dists["h"]; h.Count != 1 || h.Sum != 3 || h.Min != 3 || h.Max != 3 {
@@ -188,7 +185,7 @@ func TestSeriesNonMonotoneClock(t *testing.T) {
 	now = 2500 * time.Millisecond
 	s.Count("c", 1)
 	snap = s.Snapshot()
-	if got := snap.Windows[0].Counter("c"); got != 2 {
+	if got := snap.Windows[0].Counters["c"]; got != 2 {
 		t.Fatalf("window 2 counter = %d, want 2 (stale record folded in)", got)
 	}
 }
@@ -319,7 +316,7 @@ func TestSeriesOutOfOrderWindow(t *testing.T) {
 	snap := s.Snapshot()
 	var got []string
 	for _, w := range snap.Windows {
-		got = append(got, fmt.Sprintf("%d:%d", w.Index, w.Counter("x")))
+		got = append(got, fmt.Sprintf("%d:%d", w.Index, w.Counters["x"]))
 	}
 	if want := []string{"5:1", "7:1", "9:1"}; !slices.Equal(got, want) || snap.Late != 0 {
 		t.Fatalf("windows %v, late %d; want %v, late 0", got, snap.Late, want)

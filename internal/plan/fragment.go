@@ -76,16 +76,6 @@ func SuggestHashParts(rows float64) int {
 	return parts
 }
 
-// Ready reports whether all input fragments are in the done set.
-func (f *Fragment) Ready(done map[int]bool) bool {
-	for _, in := range f.Inputs {
-		if !done[in.ID] {
-			return false
-		}
-	}
-	return true
-}
-
 // Graph is the fragment dependency DAG of one plan. Fragments are listed
 // in a valid bottom-up execution order (inputs before consumers); Root is
 // always the last entry.

@@ -340,22 +340,6 @@ func TestDecomposeRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestFragmentReady(t *testing.T) {
-	f0 := &Fragment{ID: 0}
-	f1 := &Fragment{ID: 1, Inputs: []*Fragment{f0}}
-	done := map[int]bool{}
-	if f1.Ready(done) {
-		t.Fatal("not ready")
-	}
-	if !f0.Ready(done) {
-		t.Fatal("leaf always ready")
-	}
-	done[0] = true
-	if !f1.Ready(done) {
-		t.Fatal("ready after input done")
-	}
-}
-
 func TestExplainGraph(t *testing.T) {
 	r1 := testRel(t, 1, "r1", 10)
 	r2 := testRel(t, 2, "r2", 10)

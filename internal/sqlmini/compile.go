@@ -61,17 +61,12 @@ func (b *Binder) Resolve(c ColRef) (relIdx, colIdx int, err error) {
 	return found, col, nil
 }
 
-// Compile turns a parsed query into an optimizer query: base relations
-// with their single-table qualifications, plus the equi-join graph.
-// Index access paths are attached when the catalog offers one on a
-// column constrained by a range or equality predicate.
-func Compile(q *Query, cat Catalog) (*opt.Query, error) {
-	oq, _, err := CompileWithBinder(q, cat)
-	return oq, err
-}
-
-// CompileWithBinder is Compile, additionally returning the binder so
-// callers can resolve select-list columns (aggregates, GROUP BY).
+// CompileWithBinder turns a parsed query into an optimizer query: base
+// relations with their single-table qualifications, plus the equi-join
+// graph. Index access paths are attached when the catalog offers one on
+// a column constrained by a range or equality predicate. It also
+// returns the binder so callers can resolve select-list columns
+// (aggregates, GROUP BY).
 func CompileWithBinder(q *Query, cat Catalog) (*opt.Query, *Binder, error) {
 	oq := &opt.Query{}
 	pos := map[string]int{}

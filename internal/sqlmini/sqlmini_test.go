@@ -152,7 +152,7 @@ func TestCompileSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oq, err := Compile(q, c)
+	oq, _, err := CompileWithBinder(q, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCompileRangeIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oq, err := Compile(q, c)
+	oq, _, err := CompileWithBinder(q, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCompileJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oq, err := Compile(q, c)
+	oq, _, err := CompileWithBinder(q, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestCompileJoin(t *testing.T) {
 func TestCompileUnqualifiedAmbiguous(t *testing.T) {
 	c := buildCat(t)
 	q, _ := Parse("SELECT * FROM r1, r2 WHERE a = 1")
-	if _, err := Compile(q, c); err == nil {
+	if _, _, err := CompileWithBinder(q, c); err == nil {
 		t.Fatal("ambiguous column accepted")
 	}
 	q, _ = Parse("SELECT * FROM r1 WHERE a = 1")
-	if _, err := Compile(q, c); err != nil {
+	if _, _, err := CompileWithBinder(q, c); err != nil {
 		t.Fatal("unambiguous single-table column rejected:", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestCompileErrors(t *testing.T) {
 		if err != nil {
 			continue // parse-level rejection is fine too
 		}
-		if _, err := Compile(q, c); err == nil {
+		if _, _, err := CompileWithBinder(q, c); err == nil {
 			t.Errorf("compiled %q", sql)
 		}
 	}

@@ -140,14 +140,6 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterFunc("bufferpool.misses", bp.misses.Load)
 }
 
-// Invalidate drops all cached residency (e.g. between experiments).
-func (bp *BufferPool) Invalidate() {
-	bp.mu.Lock()
-	bp.slots = bp.slots[:0]
-	clear(bp.pages)
-	bp.mu.Unlock()
-}
-
 // Store is the shared storage manager: the catalog of relations plus the
 // clock, disk array and buffer pool every reader goes through.
 type Store struct {
@@ -212,14 +204,6 @@ func (s *Store) Relation(name string) (*Relation, bool) {
 	return r, ok
 }
 
-// RelationByID looks a relation up by ID.
-func (s *Store) RelationByID(id int32) (*Relation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.byID[id]
-	return r, ok
-}
-
 // Relations returns all registered relations in ID order, so callers
 // that iterate it feed deterministic sequences downstream.
 func (s *Store) Relations() []*Relation {
@@ -231,16 +215,6 @@ func (s *Store) Relations() []*Relation {
 	}
 	slices.SortFunc(out, func(a, b *Relation) int { return int(a.ID) - int(b.ID) })
 	return out
-}
-
-// Drop removes a relation (used for temporaries holding fragment results).
-func (s *Store) Drop(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.byName[name]; ok {
-		delete(s.byName, name)
-		delete(s.byID, r.ID)
-	}
 }
 
 // EnqueuePage reserves the IO for page p of rel (unless the buffer pool

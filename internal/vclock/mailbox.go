@@ -60,24 +60,6 @@ func (m *Mailbox) Wait() interface{} {
 	}
 }
 
-// TryWait returns the oldest event without blocking; ok is false when
-// the mailbox is empty.
-func (m *Mailbox) TryWait() (interface{}, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.head >= len(m.queue) {
-		return nil, false
-	}
-	ev := m.queue[m.head]
-	m.queue[m.head] = nil
-	m.head++
-	if m.head == len(m.queue) {
-		m.queue = m.queue[:0]
-		m.head = 0
-	}
-	return ev, true
-}
-
 // Len returns the number of queued events.
 func (m *Mailbox) Len() int {
 	m.mu.Lock()

@@ -317,6 +317,6 @@ func RunOpenLoop(clk vclock.Clock, sched *exec.Scheduler, cat *Catalog, arr Arri
 	if stats.Makespan > 0 {
 		stats.Throughput = float64(stats.Completed) / stats.Makespan.Seconds()
 	}
-	stats.Timeline, stats.TenantSLO = tally.telemetry(sched.Admission())
+	stats.Timeline, stats.TenantSLO = tally.telemetry(sched.Admission().SLOTarget)
 	return stats, nil
 }

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"xprs/internal/exec"
 	"xprs/internal/obs"
 )
 
@@ -48,21 +47,16 @@ type TenantSLO struct {
 
 // telemetry folds the tally's queries, in instant order, into the
 // serving timeline and the per-tenant SLO table (sorted by tenant), with
-// the response-time targets of adm: a tenant's TenantSLOTargets entry,
-// else SLOTarget. Three streams are merged — submissions, departures
-// from the admission queue (an admission or a shed) and completions —
-// and each instant is folded whole: its counters and latency
-// observations, then, if the admission state changed, one sample of the
-// admission-queue depth and of the running queries as they stand after
-// every event of the instant. The timeline's now-func reads the instant
+// target as every tenant's response-time target. Three streams are
+// merged — submissions, departures from the admission queue (an
+// admission or a shed) and completions — and each instant is folded
+// whole: its counters and latency observations, then, if the admission
+// state changed, one sample of the admission-queue depth and of the
+// running queries as they stand after every event of the instant. The timeline's now-func reads the instant
 // being folded, so building it reads no clock.
-func (t *Tally) telemetry(adm exec.AdmissionConfig) (obs.SeriesSnapshot, []TenantSLO) {
+func (t *Tally) telemetry(target time.Duration) (obs.SeriesSnapshot, []TenantSLO) {
 	slos := make([]TenantSLO, len(t.tenants))
 	for id, name := range t.tenants {
-		target, ok := adm.TenantSLOTargets[name]
-		if !ok {
-			target = adm.SLOTarget
-		}
 		slos[id] = TenantSLO{Tenant: name, TargetNs: int64(target)}
 	}
 	var at time.Duration

@@ -27,16 +27,13 @@ func TestTenantSLOTargetsAndBurn(t *testing.T) {
 	} {
 		complete(t, tally, "t0", 10*time.Second+time.Duration(i)*time.Second, d, d/10)
 	}
-	// t1 has the tight 500ms target: both breach.
-	complete(t, tally, "t1", 10*time.Second, time.Second, 0)
-	complete(t, tally, "t1", 11*time.Second, 2*time.Second, 0)
+	// t1 is slower: both breach.
+	complete(t, tally, "t1", 10*time.Second, 3*time.Second, 0)
+	complete(t, tally, "t1", 11*time.Second, 4*time.Second, 0)
 	if err := tally.Add("t1", nil, &exec.ShedError{Tenant: "t1", At: 12 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	_, slos := tally.telemetry(exec.AdmissionConfig{
-		SLOTarget:        2 * time.Second,
-		TenantSLOTargets: map[string]time.Duration{"t1": 500 * time.Millisecond},
-	})
+	_, slos := tally.telemetry(2 * time.Second)
 	if len(slos) != 2 || slos[0].Tenant != "t0" || slos[1].Tenant != "t1" {
 		t.Fatalf("SLO table order = %v", slos)
 	}
@@ -53,8 +50,8 @@ func TestTenantSLOTargetsAndBurn(t *testing.T) {
 		t.Fatalf("t0 wait p50 = %v, want 90ms", time.Duration(t0.WaitP50Ns))
 	}
 	t1 := slos[1]
-	if t1.Completed != 2 || t1.Shed != 1 || t1.Breached != 2 || t1.BurnPermille != 1000 {
-		t.Fatalf("t1 = %+v, want completed 2, shed 1, breached 2, burn 1000", t1)
+	if t1.Completed != 2 || t1.Shed != 1 || t1.Breached != 2 || t1.BurnPermille != 1000 || t1.TargetNs != int64(2*time.Second) {
+		t.Fatalf("t1 = %+v, want completed 2, shed 1, breached 2, burn 1000, target 2s", t1)
 	}
 }
 

@@ -1,11 +1,11 @@
 package xprs
 
 // The live ops surface: a tiny HTTP handler over a running system's
-// metrics registry and the Go runtime profiles. The handler itself is
-// clock-free — it only snapshots the registry — so it can be mounted
-// on a Real-clock session ("live" serving) or driven directly in tests
-// with httptest. ServeOps binds it to a real listener together with
-// net/http/pprof for heap/CPU/goroutine profiling.
+// metrics registry and the Go runtime profiles (net/http/pprof, for
+// heap/CPU/goroutine profiling). The handler itself is clock-free — it
+// only snapshots the registry — so it can be mounted on a Real-clock
+// session ("live" serving) or driven directly in tests with httptest.
+// ServeOps binds it to a real listener.
 
 import (
 	"fmt"
@@ -17,6 +17,7 @@ import (
 //
 //	/metrics        OpenMetrics text exposition of the metrics registry
 //	/healthz        liveness probe (200 "ok")
+//	/debug/pprof/   the standard runtime profiles
 //
 // Requires a system built with Config.Observe; a nil-observer system
 // answers 503 on /metrics so a probe distinguishes "unobserved" from
@@ -38,6 +39,11 @@ func opsHandler(s *System) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -46,18 +52,10 @@ func opsHandler(s *System) http.Handler {
 // without opening a socket.
 func (s *System) OpsHandler() http.Handler { return opsHandler(s) }
 
-// ServeOps serves the ops surface plus the standard pprof profiles on
-// addr, blocking like http.ListenAndServe. It uses the host's real
-// clock and network stack and is meant for live inspection of a
-// long-running serving process; nothing in the virtual-time engine
-// depends on it.
+// ServeOps serves the ops surface on addr, blocking like
+// http.ListenAndServe. It uses the host's real clock and network stack
+// and is meant for live inspection of a long-running serving process;
+// nothing in the virtual-time engine depends on it.
 func (s *System) ServeOps(addr string) error {
-	mux := http.NewServeMux()
-	mux.Handle("/", opsHandler(s))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return http.ListenAndServe(addr, mux)
+	return http.ListenAndServe(addr, opsHandler(s))
 }

@@ -18,59 +18,29 @@ import (
 	"time"
 )
 
-// PolicyAblationOptions sizes the skewed mix.
-type PolicyAblationOptions struct {
-	// Longs and Shorts count the long and short queries. Longs submit
-	// at virtual time zero (the first is admitted immediately — a lone
-	// query always is — so the rest of the run happens behind it);
-	// shorts arrive one every ShortEvery.
-	Longs  int
-	Shorts int
-	// LongTuples and ShortTuples size the backing relations; the ratio
-	// is the length skew (defaults run ~103s vs ~5s virtual).
-	LongTuples  int64
-	ShortTuples int64
-	// ShortEvery is the deterministic short-query interarrival gap.
-	ShortEvery time.Duration
-	// Deadline is the response-time target every short query carries on
-	// the "deadline" row (longs run deadline-free): shorts that provably
-	// cannot make it — queued behind a long — shed early instead of
-	// completing uselessly late.
-	Deadline time.Duration
-	// AgingMaxWait is the promotion bound of the "pred-sjf+aging" row:
+// The skewed mix. The longs submit at virtual time zero (the first is
+// admitted immediately — a lone query always is — so the rest of the
+// run happens behind it); the shorts arrive one every shortEvery. The
+// relation sizes are the length skew (~103s vs ~5s virtual).
+const (
+	mixLongs    = 2
+	mixShorts   = 40
+	longTuples  = 24000
+	shortTuples = 1200
+	shortEvery  = 4 * time.Second
+	// shortDeadline is the response-time target every short query
+	// carries on the "deadline" row (longs run deadline-free): shorts
+	// that provably cannot make it — queued behind a long — shed early
+	// instead of completing uselessly late.
+	shortDeadline = 30 * time.Second
+	// agingMaxWait is the promotion bound of the "pred-sjf+aging" row:
 	// the longest a starved long may wait beyond the running query's
-	// remaining service.
-	AgingMaxWait time.Duration
-}
-
-func (o PolicyAblationOptions) withDefaults() PolicyAblationOptions {
-	if o.Longs <= 0 {
-		o.Longs = 2
-	}
-	if o.Shorts <= 0 {
-		o.Shorts = 40
-	}
-	if o.LongTuples <= 0 {
-		o.LongTuples = 24000
-	}
-	if o.ShortTuples <= 0 {
-		o.ShortTuples = 1200
-	}
-	if o.ShortEvery <= 0 {
-		o.ShortEvery = 4 * time.Second
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = 30 * time.Second
-	}
-	if o.AgingMaxWait <= 0 {
-		// Longer than one long query's service (~103s), so under aging
-		// the shorts genuinely run first for a while before the starved
-		// long is promoted — the row lands strictly between FIFO and
-		// plain predicted-SJF.
-		o.AgingMaxWait = 150 * time.Second
-	}
-	return o
-}
+	// remaining service. It is longer than one long query's service
+	// (~103s), so under aging the shorts genuinely run first for a while
+	// before the starved long is promoted — the row lands strictly
+	// between FIFO and plain predicted-SJF.
+	agingMaxWait = 150 * time.Second
+)
 
 // PolicyRow is one admission policy's outcome over the shared mix.
 type PolicyRow struct {
@@ -87,7 +57,7 @@ type PolicyRow struct {
 	// MaxLongWaitNs is the longest queue wait of any long query — the
 	// starvation measure aging bounds: predicted-SJF parks
 	// the longs behind every short, aging promotes them after
-	// AgingMaxWait.
+	// agingMaxWait.
 	MaxLongWaitNs int64 `json:"max_long_wait_ns"`
 }
 
@@ -113,11 +83,10 @@ var policyAblationPolicies = []struct {
 
 // RunPolicyAblation replays the skewed mix under every admission policy
 // and collects the per-policy rows.
-func RunPolicyAblation(cfg Config, o PolicyAblationOptions) (*PolicyAblation, error) {
-	o = o.withDefaults()
-	out := &PolicyAblation{Longs: o.Longs, Shorts: o.Shorts}
+func RunPolicyAblation(cfg Config) (*PolicyAblation, error) {
+	out := &PolicyAblation{Longs: mixLongs, Shorts: mixShorts}
 	for _, pc := range policyAblationPolicies {
-		row, err := runPolicyRow(cfg, o, pc.name, pc.pol, pc.aging)
+		row, err := runPolicyRow(cfg, pc.name, pc.pol, pc.aging)
 		if err != nil {
 			return nil, err
 		}
@@ -127,32 +96,32 @@ func RunPolicyAblation(cfg Config, o PolicyAblationOptions) (*PolicyAblation, er
 }
 
 // runPolicyRow builds a fresh machine and replays the mix — the longs
-// at virtual time zero, then one short every ShortEvery — under
+// at virtual time zero, then one short every shortEvery — under
 // MaxQueries = 1, so the admission policy alone decides execution
 // order, and summarizes the outcomes.
-func runPolicyRow(cfg Config, o PolicyAblationOptions, label, pol string, aging bool) (*PolicyRow, error) {
+func runPolicyRow(cfg Config, label, pol string, aging bool) (*PolicyRow, error) {
 	s := New(cfg)
-	if _, err := s.CreateScanRelation("ab_long", 80, o.LongTuples); err != nil {
+	if _, err := s.CreateScanRelation("ab_long", 80, longTuples); err != nil {
 		return nil, err
 	}
-	if _, err := s.CreateScanRelation("ab_short", 80, o.ShortTuples); err != nil {
+	if _, err := s.CreateScanRelation("ab_short", 80, shortTuples); err != nil {
 		return nil, err
 	}
 
 	adm := Admission{MaxQueries: 1, Policy: pol}
 	if aging {
-		adm.AgingMaxWait = o.AgingMaxWait
+		adm.AgingMaxWait = agingMaxWait
 	}
-	schedule := make([]Arrival, o.Longs+o.Shorts)
+	schedule := make([]Arrival, mixLongs+mixShorts)
 	for i := range schedule {
 		a := &schedule[i]
 		a.Options.CountRows = true // a PolicyRow reads timings only
-		rel, hi := "ab_long", int32(o.LongTuples)
-		if i >= o.Longs {
-			rel, hi = "ab_short", int32(o.ShortTuples)
-			a.At = time.Duration(i-o.Longs+1) * o.ShortEvery
+		rel, hi := "ab_long", int32(longTuples)
+		if i >= mixLongs {
+			rel, hi = "ab_short", int32(shortTuples)
+			a.At = time.Duration(i-mixLongs+1) * shortEvery
 			if pol == "deadline" {
-				a.Options.Deadline = o.Deadline
+				a.Options.Deadline = shortDeadline
 			}
 		}
 		spec, err := s.SelectTask(i, rel, 0, hi)
@@ -172,7 +141,7 @@ func runPolicyRow(cfg Config, o PolicyAblationOptions, label, pol string, aging 
 		MeanResponseNs: int64(resp.Mean), P95ResponseNs: int64(resp.P95),
 		MeanQueueWaitNs: int64(wait.Mean), P95QueueWaitNs: int64(wait.P95), MaxQueueWaitNs: int64(wait.Max),
 	}
-	for _, out := range outs[:o.Longs] {
+	for _, out := range outs[:mixLongs] {
 		if out.Report != nil {
 			row.MaxLongWaitNs = max(row.MaxLongWaitNs, int64(out.Report.QueueWait))
 		}

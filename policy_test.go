@@ -59,12 +59,10 @@ func TestUnknownPoliciesRejected(t *testing.T) {
 // predicted-SJF's, and the deadline policy sheds hopeless work with the
 // shed accounted.
 func TestPolicyAblation(t *testing.T) {
-	o := PolicyAblationOptions{}
-	abl, err := RunPolicyAblation(DefaultConfig(), o)
+	abl, err := RunPolicyAblation(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = o.withDefaults()
 	rows := map[string]PolicyRow{}
 	for _, r := range abl.Rows {
 		rows[r.Policy] = r
@@ -90,11 +88,11 @@ func TestPolicyAblation(t *testing.T) {
 			time.Duration(aging.MaxLongWaitNs), time.Duration(plain.MaxLongWaitNs))
 	}
 	// The starvation bound: a promoted long is next in line at the first
-	// wake after AgingMaxWait, so its wait is bounded by the promotion
+	// wake after agingMaxWait, so its wait is bounded by the promotion
 	// bound plus one running query's remaining service (a long's, worst
-	// case ~LongTuples/80 io/s, plus slack for startup cost).
-	longService := time.Duration(float64(o.LongTuples)/80*float64(time.Second)) * 2
-	if bound := o.AgingMaxWait + longService; time.Duration(aging.MaxLongWaitNs) > bound {
+	// case ~longTuples/80 io/s, plus slack for startup cost).
+	longService := time.Duration(float64(longTuples)/80*float64(time.Second)) * 2
+	if bound := agingMaxWait + longService; time.Duration(aging.MaxLongWaitNs) > bound {
 		t.Fatalf("aging long wait %v exceeds bound %v",
 			time.Duration(aging.MaxLongWaitNs), bound)
 	}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"xprs/internal/btree"
 	"xprs/internal/core"
@@ -178,7 +177,6 @@ func DefaultConfig() Config {
 type System struct {
 	cfg    Config
 	clock  *vclock.Virtual
-	disks  *diskmodel.Array
 	store  *storage.Store
 	engine *exec.Engine
 	params cost.Params
@@ -228,7 +226,6 @@ func New(cfg Config) *System {
 	return &System{
 		cfg:       cfg,
 		clock:     clock,
-		disks:     disks,
 		store:     store,
 		engine:    engine,
 		params:    params,
@@ -466,8 +463,9 @@ func (s *System) PlanTasks(res *OptResult, baseID int) ([]TaskSpec, error) {
 
 // Scheduler is a live scheduling session inside a Serve callback: the
 // long-lived service behind every run. Submit registers queries online
-// (each returns a QueryHandle to Wait on), while Now and SleepUntil let
-// a driver pace submissions in virtual time.
+// (each returns a QueryHandle to Wait on) and Go spawns concurrent
+// drivers on the session's clock. Work that arrives later in virtual
+// time goes through Replay.
 type Scheduler struct {
 	sys   *System
 	inner *exec.Scheduler
@@ -491,18 +489,6 @@ func (sc *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle
 // Go spawns fn on a clock-registered goroutine of the session, so
 // concurrent drivers can submit and wait in virtual time.
 func (sc *Scheduler) Go(fn func()) { sc.sys.clock.Go(fn) }
-
-// Now returns the session's current virtual time.
-func (sc *Scheduler) Now() time.Duration { return sc.sys.clock.Now() }
-
-// SleepUntil blocks the calling goroutine until the given virtual
-// instant (a no-op if it has already passed), so drivers can submit
-// queries at their intended arrival times.
-func (sc *Scheduler) SleepUntil(t time.Duration) {
-	if t > sc.sys.clock.Now() {
-		sc.sys.clock.SleepUntil(t)
-	}
-}
 
 // Serve opens a scheduling session and runs fn as its driver: fn
 // submits queries (from the calling goroutine or ones it spawns via the
@@ -590,9 +576,3 @@ func (s *System) Optimize(q *Query, o OptOptions) (*OptResult, error) {
 func ExplainPlan(res *OptResult) string {
 	return plan.Explain(res.Plan) + "\n" + plan.ExplainGraph(res.Graph)
 }
-
-// Now returns the system's current virtual time.
-func (s *System) Now() time.Duration { return s.clock.Now() }
-
-// DiskStats returns the accumulated disk statistics.
-func (s *System) DiskStats() diskmodel.Stats { return s.disks.Stats() }

@@ -13,7 +13,7 @@ func TestSystemBasics(t *testing.T) {
 	if s.Params().NProcs != 8 {
 		t.Fatal("default nprocs")
 	}
-	if s.Now() != 0 {
+	if s.clock.Now() != 0 {
 		t.Fatal("fresh clock")
 	}
 	rel, err := s.CreateScanRelation("r", 40, 1000)
@@ -61,7 +61,7 @@ func TestLoadRelationAndSelect(t *testing.T) {
 	if rep.Elapsed <= 0 {
 		t.Fatal("no time elapsed")
 	}
-	if s.DiskStats().TotalReads() == 0 {
+	if s.store.Disks.Stats().TotalReads() == 0 {
 		t.Fatal("no disk reads recorded")
 	}
 }
