@@ -209,9 +209,11 @@ func TestWarmRunBytesGate(t *testing.T) {
 // serveSessionAllocBudget and serveSessionKBBudget are the CI
 // allocation gates for a served session: Submit, admission, the tasks'
 // launches and §2.4 adjustment rounds, Wait and the report, with the
-// catalog build amortized over the run. Measured at 13.1 allocs and
-// 1.81 KB per session once the open-loop driver built the serving
-// telemetry from settled reports, reusing evicted timeline windows (13.5
+// catalog build amortized over the run. Measured at 12.5 allocs and
+// 1.74 KB per session once the timeline's windows were its snapshot
+// (13.1 and 1.81 while the snapshot copied them); 13.1 allocs and 1.81
+// KB once the open-loop driver built the serving telemetry from
+// settled reports, reusing evicted timeline windows (13.5
 // and 1.96 while the scheduler built it event by event); 13.5 allocs and
 // 2.03 KB once a report kept one summary per task in a slice; its
 // finish-time and summary maps made it 16.5 allocs and 3.01 KB. Storing every unread result (before the serve path counted
@@ -227,8 +229,10 @@ const (
 
 // serveBacklogAllocBudget and serveBacklogKBBudget are the same gates
 // on a backlogged session, where thousands of queries wait at
-// admission. Measured at 17.4 allocs and 2.16 KB per session with the
-// serving telemetry built by the driver from settled reports (17.5 and
+// admission. Measured at 16.8 allocs and 2.08 KB per session once the
+// timeline's windows were its snapshot (17.4 and 2.16 while the
+// snapshot copied them), with the serving telemetry built by the
+// driver from settled reports (17.5 and
 // 2.23 while the scheduler built it event by event); 17.5 allocs and
 // 2.29 KB per session with a report's summaries in a slice (20.5 and 3.27 with its two maps) and
 // counted root outputs (29.5 and 5.78 storing them); when every waiting

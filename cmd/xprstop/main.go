@@ -91,8 +91,7 @@ func renderTimeline(tl xprs.SeriesSnapshot, maxRows int) {
 		return
 	}
 	win := time.Duration(tl.WindowNs)
-	fmt.Printf("timeline: %d windows × %s (%d evicted, %d late)\n",
-		len(tl.Windows), win, tl.Evicted, tl.Late)
+	fmt.Printf("timeline: %d windows × %s (%d evicted)\n", len(tl.Windows), win, tl.Evicted)
 	fmt.Printf("%8s %6s %6s %5s %6s %6s %5s %9s\n",
 		"t", "submit", "admit", "shed", "done", "queued", "run", "p95 resp")
 	rows := tl.Windows

@@ -113,10 +113,6 @@ type Decision struct {
 	Notes   []Note
 }
 
-// Empty reports whether the decision contains no actions (notes do not
-// count).
-func (d Decision) Empty() bool { return len(d.Starts) == 0 && len(d.Adjusts) == 0 }
-
 // runningInfo tracks one task the engine is currently executing.
 type runningInfo struct {
 	task   *Task

@@ -53,8 +53,6 @@ type Task struct {
 	// running two memory-hungry tasks side by side; zero means
 	// negligible.
 	MemBytes int64
-	// Meta carries the engine's handle (e.g. the executable fragment).
-	Meta interface{}
 }
 
 // Rate returns the task's sequential IO rate C = D/T in io/s.

@@ -37,9 +37,6 @@ type Params struct {
 	// SeqPageService is the per-page read time of a dedicated sequential
 	// stream (1/97 s).
 	SeqPageService float64
-	// AlmostSeqPageService is the per-page read time seen by parallel
-	// sequential scans (1/60 s).
-	AlmostSeqPageService float64
 	// RandPageService is a random page read (1/35 s).
 	RandPageService float64
 
@@ -92,23 +89,22 @@ func DefaultParams(cfg diskmodel.Config, nprocs int) Params {
 	}
 	amortized := (cfg.RandomService.Seconds() + (runLen-1)*cfg.AlmostSeqService.Seconds()) / runLen
 	p := Params{
-		NProcs:               nprocs,
-		SeqPageService:       cfg.SeqService.Seconds(),
-		AlmostSeqPageService: cfg.AlmostSeqService.Seconds(),
-		RandPageService:      cfg.RandomService.Seconds(),
-		B:                    cfg.AlmostSeqBandwidth(),
-		Bs:                   cfg.AlmostSeqBandwidth(),
-		Br:                   float64(cfg.NumDisks) / amortized,
-		BrRand:               cfg.RandomBandwidth(),
-		ReadaheadDepth:       readahead,
-		HashInsertCPU:        100e-6,
-		HashProbeCPU:         100e-6,
-		MergeStepCPU:         50e-6,
-		SortCmpCPU:           10e-6,
-		TempReadCPU:          50e-6,
-		EmitCPU:              50e-6,
-		IndexProbeCPU:        200e-6,
-		RescanSetupCPU:       100e-6,
+		NProcs:          nprocs,
+		SeqPageService:  cfg.SeqService.Seconds(),
+		RandPageService: cfg.RandomService.Seconds(),
+		B:               cfg.AlmostSeqBandwidth(),
+		Bs:              cfg.AlmostSeqBandwidth(),
+		Br:              float64(cfg.NumDisks) / amortized,
+		BrRand:          cfg.RandomBandwidth(),
+		ReadaheadDepth:  readahead,
+		HashInsertCPU:   100e-6,
+		HashProbeCPU:    100e-6,
+		MergeStepCPU:    50e-6,
+		SortCmpCPU:      10e-6,
+		TempReadCPU:     50e-6,
+		EmitCPU:         50e-6,
+		IndexProbeCPU:   200e-6,
+		RescanSetupCPU:  100e-6,
 	}
 	p.TupleCPUBase, p.TupleCPUPerByte = calibrateTupleCPU(p.SeqPageService)
 	return p

@@ -369,10 +369,11 @@ func TestSeqCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := SeqCost(p, g)
+	ests, err := EstimateGraph(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := SumT(g, ests)
 	st := r1.Stats()
 	want := float64(st.NPages)*p.SeqPageService + float64(st.NTuples)*p.TupleCPU(st.AvgTupleSize)
 	if math.Abs(c-want) > 1e-9 {

@@ -355,20 +355,11 @@ func nestLoopSelectivity(x *plan.NestLoop) float64 {
 	return 1.0 / 3.0
 }
 
-// SeqCost is the conventional seqcost(p) of §4: the total sequential
+// SumT is the conventional seqcost(p) of §4: the total sequential
 // execution time of a plan, i.e. the sum of its fragments' T. The sum
 // runs in fragment order so float rounding is identical across runs
 // (map-order summation would let rounding noise flip optimizer
 // tie-breaks).
-func SeqCost(p Params, g *plan.Graph) (float64, error) {
-	ests, err := EstimateGraph(p, g)
-	if err != nil {
-		return 0, err
-	}
-	return SumT(g, ests), nil
-}
-
-// SumT adds the fragments' sequential times in fragment order.
 func SumT(g *plan.Graph, ests map[int]FragEstimate) float64 {
 	total := 0.0
 	for _, f := range g.Fragments {

@@ -130,7 +130,6 @@ func (e *DeadlineShedError) Error() string {
 
 // tenantState is the master's per-tenant admission bookkeeping.
 type tenantState struct {
-	name     string
 	admitted int   // queries currently past admission
 	waitq    waitQ // admission waiters of this tenant, in intake order
 	// waitIdx is this tenant's position in admission.waitTenants while

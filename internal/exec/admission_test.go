@@ -236,7 +236,7 @@ func TestAdmissionPolicies(t *testing.T) {
 			build := func(w waiterSpec) (*tenantState, *query) {
 				specs[w.id] = w
 				if tenants[w.tenant] == nil {
-					tenants[w.tenant] = &tenantState{name: w.tenant}
+					tenants[w.tenant] = &tenantState{}
 				}
 				return tenants[w.tenant], &query{id: w.id, tenant: w.tenant, mem: w.mem, submitRel: w.at, deadline: w.deadline}
 			}
@@ -293,12 +293,12 @@ func benchAdmissionState(nTenants, perTenant int) *admission {
 	a := &admission{cfg: AdmissionConfig{TenantMaxQueries: 1}}
 	id := 0
 	for t := 0; t < nTenants; t++ {
-		ts := &tenantState{name: fmt.Sprintf("t%04d", t)}
+		ts, name := &tenantState{}, fmt.Sprintf("t%04d", t)
 		if t < nTenants-1 {
 			a.charge(ts, &query{})
 		}
 		for k := 0; k < perTenant; k++ {
-			a.enqueue(ts, &query{id: id, tenant: ts.name})
+			a.enqueue(ts, &query{id: id, tenant: name})
 			id++
 		}
 	}

@@ -72,7 +72,6 @@ func growU64(s []uint64, n int) []uint64 {
 // colGroup is the sealed home of one heavy-hitter or zero-hash key: a
 // row range of the partition's flat store.
 type colGroup struct {
-	hv    uint32
 	start int32
 	count int32
 }
@@ -383,7 +382,7 @@ func (h *ColHashTable) sealColPartition(chunks []*storage.ColBatch, prev colPart
 		cnt := s & slotCountMask
 		if cnt == heavyMark {
 			hasHeavy = true
-			part.heavy = append(part.heavy, colGroup{hv: uint32(s >> slotHashShift)})
+			part.heavy = append(part.heavy, colGroup{})
 			slots[i] = s&^(uint64(maxPartTuples)<<slotCountBits) | uint64(len(part.heavy)-1)<<slotCountBits
 			continue
 		}

@@ -82,10 +82,9 @@ func hashKey(k int32) uint32 {
 	return uint32(k) * 0x9E3779B9
 }
 
-// heavyGroup is the fallback home of one heavy-hitter key, identified
-// by its (bijective) hash.
+// heavyGroup is the fallback home of one heavy-hitter key; its slot
+// holds the key's (bijective) hash and the group's index.
 type heavyGroup struct {
-	hv     uint32
 	tuples []storage.Tuple
 }
 
@@ -386,7 +385,7 @@ func sealPartition(chunks []buildChunk) hashPart {
 		}
 		cnt := s & slotCountMask
 		if cnt == heavyMark {
-			part.heavy = append(part.heavy, heavyGroup{hv: uint32(s >> slotHashShift)})
+			part.heavy = append(part.heavy, heavyGroup{})
 			slots[i] = s&^(uint64(maxPartTuples)<<slotCountBits) | uint64(len(part.heavy)-1)<<slotCountBits
 			continue
 		}

@@ -557,7 +557,7 @@ func (s *Scheduler) tenant(name string) *tenantState {
 	}
 	ts := s.tenants[name]
 	if ts == nil {
-		ts = &tenantState{name: name}
+		ts = &tenantState{}
 		if m := s.eng.Metrics; m != nil {
 			ts.gRun = m.Gauge(obs.Label("sched.tenant_running", name))
 			ts.gWait = m.Gauge(obs.Label("sched.tenant_waiting", name))

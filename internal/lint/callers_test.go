@@ -2,12 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -27,6 +25,8 @@ var keepExported = map[string]string{
 	"xprs.System.OpsHandler":          "test seam: the ops routes without a listener",
 	"expr.ColEqConst":                 "test seam: builds equality predicates for tests",
 	"diskmodel.Config.SeqBandwidth":   "test seam: the paper's 4 × 97 io/s check",
+	"storage.Tuple.Concat":            "test seam: the oracle's reference join",
+	"exec.Engine.Run":                 "test seam: exec tests run graphs without the facade (bench calls System.Run)",
 
 	// Subjects of bench/'s probes, freed when the benchmark drops them.
 	"internal/exec/hashtable.go":      "bench hostage: the row-form hash table",
@@ -43,7 +43,6 @@ var keepExported = map[string]string{
 	"xprs.RunServe":                   "bench hostage: bench's replay test compares against it",
 	"xprs.ServeOptions":               "bench hostage: RunServe's options",
 	"vclock.NewReal":                  "bench hostage: the wall-clock workloads",
-	"exec.Engine.Run":                 "bench hostage: the executor workloads",
 	"exec.Report.Results":             "bench hostage: the oracles index it as a map",
 }
 
@@ -58,90 +57,92 @@ var stdlibMethods = map[string]bool{
 }
 
 // TestExportedNamesHaveCallers fails on an exported function or method
-// whose name no program of the repository mentions: the root module's
-// packages, cmd/, examples/ and the bench/ module, test files excluded,
-// testdata directories skipped as the go tool skips them. Matching is by
-// name, so a call of any same-named function or method counts; the
-// check catches a name that lost every caller. Unexported dead code is
-// staticcheck's.
+// that no program of the repository calls: no non-test use in the root
+// module (its packages, cmd/ and examples/) or in the bench/ module
+// resolves to its declaration. Both modules are type-checked with Load,
+// so a call of a same-named function or method elsewhere does not count.
+// The two loads build distinct objects for the root packages bench/
+// imports, so a use matches a declaration by source position. A method
+// whose name an interface method carries — one used in either load, or
+// a stdlibMethods name — is exempt: a call through the interface
+// resolves to the interface's method, not to it. Unexported dead code
+// is staticcheck's.
 func TestExportedNamesHaveCallers(t *testing.T) {
+	root := repoRoot()
+	var pkgs []*Package
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		loaded, err := Load(dir, "./...")
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+
 	type decl struct{ key, name, file, pos string }
 	var decls []decl
 	declared := map[string]bool{} // every key and file keepExported may name
-	mentions := map[string]bool{} // identifiers outside function names
-	fset := token.NewFileSet()
-	root := repoRoot()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
+	used := map[string]bool{}     // declaration positions some use resolves to
+	ifaceMethods := map[string]bool{}
+	seen := map[string]bool{} // files already walked: bench/ loads the root packages again
+	for _, pkg := range pkgs {
+		at := func(pos token.Pos) string { return pkg.Fset.Position(pos).String() }
+		for _, obj := range pkg.TypesInfo.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+				used[at(fn.Pos())] = true
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceMethods[fn.Name()] = true
+				}
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		file := filepath.ToSlash(rel)
-		declared[file] = true
-		pkg := f.Name.Name
-		funcNames := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				funcNames[d.Name] = true
-				if !d.Name.IsExported() {
-					continue
-				}
-				key := pkg + "." + d.Name.Name
-				if d.Recv != nil {
-					key = pkg + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
-				}
-				declared[key] = true
-				decls = append(decls, decl{key, d.Name.Name, file, fset.Position(d.Pos()).String()})
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok {
+		for _, f := range pkg.Syntax {
+			path := pkg.Fset.Position(f.Pos()).Filename
+			if seen[path] {
+				continue
+			}
+			seen[path] = true
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file := filepath.ToSlash(rel)
+			declared[file] = true
+			name := f.Name.Name
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
 						continue
 					}
-					declared[pkg+"."+ts.Name.Name] = true
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						for _, fld := range st.Fields.List {
-							for _, n := range fld.Names {
-								declared[pkg+"."+ts.Name.Name+"."+n.Name] = true
+					key := name + "." + d.Name.Name
+					if d.Recv != nil {
+						key = name + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+					}
+					declared[key] = true
+					decls = append(decls, decl{key, d.Name.Name, file, at(d.Name.Pos())})
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						declared[name+"."+ts.Name.Name] = true
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, fld := range st.Fields.List {
+								for _, n := range fld.Names {
+									declared[name+"."+ts.Name.Name+"."+n.Name] = true
+								}
 							}
 						}
 					}
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !funcNames[id] {
-				mentions[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(decls) < 100 {
-		t.Fatalf("only %d exported functions found under %s: walker regression?", len(decls), root)
+		t.Fatalf("only %d exported functions found under %s: loader regression?", len(decls), root)
 	}
 	for _, d := range decls {
-		if mentions[d.name] || stdlibMethods[d.name] || keepExported[d.key] != "" || keepExported[d.file] != "" {
+		if used[d.pos] || ifaceMethods[d.name] || stdlibMethods[d.name] || keepExported[d.key] != "" || keepExported[d.file] != "" {
 			continue
 		}
 		t.Errorf("%s: %s has no caller outside tests: delete it, or add it to keepExported with its reason", d.pos, d.key)

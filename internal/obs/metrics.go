@@ -44,13 +44,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -130,14 +123,6 @@ type HistogramSnapshot struct {
 type HistogramBucket struct {
 	UpperBound int64 `json:"le"` // inclusive; -1 means +Inf
 	Count      int64 `json:"count"`
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // NearestRank returns the 1-based nearest-rank index of the p-th

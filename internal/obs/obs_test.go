@@ -23,7 +23,6 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("a").Add(5)
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(7)
-	r.Gauge("b").Add(1)
 	r.Histogram("c").Observe(3)
 	r.RegisterFunc("d", func() int64 { return 1 })
 	if got := r.Snapshot(); len(got.Counters) != 0 || len(got.Gauges) != 0 {
@@ -53,7 +52,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			h := r.Histogram("lat")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(perWorker)
 				h.Observe(int64(w*perWorker + i))
 			}
 		}(w)
@@ -63,8 +62,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := snap.Counters["hits"]; got != workers*perWorker {
 		t.Fatalf("hits = %d, want %d", got, workers*perWorker)
 	}
-	if got := snap.Gauges["depth"]; got != workers*perWorker {
-		t.Fatalf("depth = %d, want %d", got, workers*perWorker)
+	if got := snap.Gauges["depth"]; got != perWorker {
+		t.Fatalf("depth = %d, want %d", got, perWorker)
 	}
 	h := snap.Histograms["lat"]
 	if h.Count != workers*perWorker {
@@ -91,9 +90,6 @@ func TestHistogramSnapshot(t *testing.T) {
 	s := r.Snapshot().Histograms["x"]
 	if s.Count != 6 || s.Min != 0 || s.Max != 100 || s.Sum != 105 {
 		t.Fatalf("snapshot = %+v", s)
-	}
-	if s.Mean() != 105.0/6 {
-		t.Fatalf("mean = %f", s.Mean())
 	}
 	_ = r.Histogram("x2")
 	empty := r.Snapshot().Histograms["x2"]

@@ -15,9 +15,8 @@ package obs
 // analyzer pins that the package never reads one).
 
 import (
-	"cmp"
+	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 )
@@ -27,25 +26,24 @@ const seriesDefaultWindows = 240
 
 // Series aggregates counters, gauge samples and distributions into
 // fixed-width time windows, retaining the most recent capacity windows.
-// All methods are safe for concurrent use and no-op on a nil receiver.
+// It has one writer, which records in instant order: a record older than
+// the newest window panics.
 type Series struct {
 	mu       sync.Mutex
 	window   time.Duration
 	capacity int
 	now      func() time.Duration
-	wins     []*seriesWindow // chronological, wins[i].index strictly increasing
-	evicted  int64           // windows pushed out of the ring
-	late     int64           // records older than the oldest retained window
+	wins     []seriesWindow // chronological, Index strictly increasing
+	evicted  int64          // windows pushed out of the ring
 }
 
-// seriesWindow is the live aggregate of one window.
+// seriesWindow is one window as its snapshot will show it, plus the live
+// histograms Snapshot turns into its Dists.
 type seriesWindow struct {
-	index    int64 // window start = index * s.window
-	counters map[string]int64
-	gauges   map[string]GaugeStat
-	// dists may hold emptied histograms a reused window kept; only those
+	WindowSnapshot
+	// hists may hold emptied histograms a reused window kept; only those
 	// with observations are part of the window.
-	dists map[string]*Histogram
+	hists map[string]*Histogram
 }
 
 // GaugeStat summarizes the gauge samples of one window.
@@ -73,108 +71,79 @@ func NewSeries(window time.Duration, capacity int, now func() time.Duration) *Se
 	return &Series{window: window, capacity: capacity, now: now}
 }
 
-// current returns the window of the present instant, creating and
-// evicting as needed. A record from before the newest window files into
-// its own window, inserted at its sorted position when absent; one older
-// than every retained window is counted as late and dropped (nil).
-// Caller holds s.mu.
+// current returns the window of the present instant: the newest window,
+// or a newer one it opens. Opening a window on a full ring evicts the
+// oldest and reuses its emptied maps and histograms. Caller holds s.mu.
 func (s *Series) current() *seriesWindow {
 	idx := int64(s.now() / s.window)
-	at, found := slices.BinarySearchFunc(s.wins, idx, func(w *seriesWindow, idx int64) int {
-		return cmp.Compare(w.index, idx)
-	})
-	switch {
-	case found:
-		return s.wins[at]
-	case at == 0 && len(s.wins) > 0:
-		s.late++
-		return nil
+	if n := len(s.wins); n > 0 {
+		switch newest := &s.wins[n-1]; {
+		case idx == newest.Index:
+			return newest
+		case idx < newest.Index:
+			panic(fmt.Sprintf("obs: series record in window %d after window %d", idx, newest.Index))
+		}
 	}
-	var w *seriesWindow
+	var w seriesWindow
 	if len(s.wins) == s.capacity {
-		// A full ring evicts its oldest window; the new one reuses its
-		// emptied maps and histograms.
 		w = s.wins[0]
-		s.wins = slices.Delete(s.wins, 0, 1)
-		at--
+		s.wins = append(s.wins[:0], s.wins[1:]...)
 		s.evicted++
-		clear(w.counters)
-		clear(w.gauges)
-		for _, h := range w.dists {
+		clear(w.Counters)
+		clear(w.Gauges)
+		for _, h := range w.hists {
 			*h = Histogram{}
 			h.min.Store(math.MaxInt64)
 		}
 	} else {
-		w = &seriesWindow{counters: make(map[string]int64), gauges: make(map[string]GaugeStat), dists: make(map[string]*Histogram)}
+		w.Counters, w.Gauges, w.hists = make(map[string]int64), make(map[string]GaugeStat), make(map[string]*Histogram)
 	}
-	w.index = idx
-	s.wins = slices.Insert(s.wins, at, w)
-	return w
+	w.Index, w.StartNs = idx, idx*int64(s.window)
+	s.wins = append(s.wins, w)
+	return &s.wins[len(s.wins)-1]
 }
 
 // Count adds delta to the named per-window counter.
 func (s *Series) Count(name string, delta int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	if w := s.current(); w != nil {
-		w.counters[name] += delta
-	}
+	s.current().Counters[name] += delta
 	s.mu.Unlock()
 }
 
 // Sample records a gauge observation (last/min/max per window).
 func (s *Series) Sample(name string, v int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	if w := s.current(); w != nil {
-		g, ok := w.gauges[name]
-		if !ok {
-			g = GaugeStat{Last: v, Min: v, Max: v}
-		} else {
-			g.Last = v
-			if v < g.Min {
-				g.Min = v
-			}
-			if v > g.Max {
-				g.Max = v
-			}
-		}
-		g.Count++
-		w.gauges[name] = g
+	w := s.current()
+	g, ok := w.Gauges[name]
+	if !ok {
+		g = GaugeStat{Min: v, Max: v}
 	}
+	g.Last, g.Min, g.Max = v, min(g.Min, v), max(g.Max, v)
+	g.Count++
+	w.Gauges[name] = g
 	s.mu.Unlock()
 }
 
 // Observe records a distribution observation into the window's
 // power-of-two histogram.
 func (s *Series) Observe(name string, v int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	if w := s.current(); w != nil {
-		h, ok := w.dists[name]
-		if !ok {
-			h = newHistogram()
-			w.dists[name] = h
-		}
-		h.Observe(v)
+	w := s.current()
+	h, ok := w.hists[name]
+	if !ok {
+		h = newHistogram()
+		w.hists[name] = h
 	}
+	h.Observe(v)
 	s.mu.Unlock()
 }
 
-// SeriesSnapshot is a point-in-time copy of a series, ordered oldest
-// window first. It is fully deterministic for a deterministic record
-// sequence: window indices derive from virtual time and all maps are
-// value copies.
+// SeriesSnapshot is the retained windows of a series, oldest first. It is
+// fully deterministic for a deterministic record sequence: window indices
+// derive from virtual time.
 type SeriesSnapshot struct {
 	WindowNs int64            `json:"window_ns"`
 	Evicted  int64            `json:"evicted_windows"`
-	Late     int64            `json:"late_records,omitempty"`
 	Windows  []WindowSnapshot `json:"windows"`
 }
 
@@ -190,47 +159,25 @@ type WindowSnapshot struct {
 	Dists    map[string]HistogramSnapshot `json:"dists,omitempty"`
 }
 
-// Snapshot copies the retained windows. A nil series yields the zero
-// snapshot.
+// Snapshot returns the retained windows, their histograms summarized
+// into Dists. The windows' maps are the series' own, so the series is
+// spent: record nothing after taking its snapshot.
 func (s *Series) Snapshot() SeriesSnapshot {
-	if s == nil {
-		return SeriesSnapshot{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := SeriesSnapshot{
-		WindowNs: int64(s.window),
-		Evicted:  s.evicted,
-		Late:     s.late,
-		Windows:  make([]WindowSnapshot, 0, len(s.wins)),
-	}
-	for _, w := range s.wins {
-		ws := WindowSnapshot{
-			Index:   w.index,
-			StartNs: w.index * int64(s.window),
-		}
-		if len(w.counters) > 0 {
-			ws.Counters = make(map[string]int64, len(w.counters))
-			for n, v := range w.counters {
-				ws.Counters[n] = v
-			}
-		}
-		if len(w.gauges) > 0 {
-			ws.Gauges = make(map[string]GaugeStat, len(w.gauges))
-			for n, g := range w.gauges {
-				ws.Gauges[n] = g
-			}
-		}
-		for n, h := range w.dists {
+	out := SeriesSnapshot{WindowNs: int64(s.window), Evicted: s.evicted, Windows: make([]WindowSnapshot, len(s.wins))}
+	for i := range s.wins {
+		w := &s.wins[i]
+		for n, h := range w.hists {
 			if h.count.Load() == 0 {
 				continue
 			}
-			if ws.Dists == nil {
-				ws.Dists = make(map[string]HistogramSnapshot, len(w.dists))
+			if w.Dists == nil {
+				w.Dists = make(map[string]HistogramSnapshot, len(w.hists))
 			}
-			ws.Dists[n] = h.snapshot()
+			w.Dists[n] = h.snapshot()
 		}
-		out.Windows = append(out.Windows, ws)
+		out.Windows[i] = w.WindowSnapshot
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,19 +201,6 @@ func (s *Store) Relation(name string) (*Relation, bool) {
 	defer s.mu.Unlock()
 	r, ok := s.byName[name]
 	return r, ok
-}
-
-// Relations returns all registered relations in ID order, so callers
-// that iterate it feed deterministic sequences downstream.
-func (s *Store) Relations() []*Relation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Relation, 0, len(s.byName))
-	for _, r := range s.byName {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b *Relation) int { return int(a.ID) - int(b.ID) })
-	return out
 }
 
 // EnqueuePage reserves the IO for page p of rel (unless the buffer pool

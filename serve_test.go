@@ -33,7 +33,7 @@ func TestConcurrentSubmitRace(t *testing.T) {
 				defer sys.clock.Signal(done[w])
 				handles := make([]*QueryHandle, 0, perWorker)
 				for j := 0; j < perWorker; j++ {
-					h, err := sc.Submit(nil) // degenerate query: pure intake round trip
+					h, err := sc.SubmitWith(SubmitOptions{}, nil) // degenerate query: pure intake round trip
 					if err != nil {
 						errs[w] = err
 						return
@@ -107,15 +107,15 @@ func TestShedAtThreshold(t *testing.T) {
 	var repA, repB, repD *Report
 	var errC error
 	err := sys.Serve(InterAdj, SchedOptions{}, Admission{MemoryBudget: budget, MaxQueued: 1}, func(sc *Scheduler) error {
-		hA, err := sc.Submit([]TaskSpec{specs[0]})
+		hA, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specs[0]})
 		if err != nil {
 			return err
 		}
-		hB, err := sc.Submit([]TaskSpec{specs[1]})
+		hB, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specs[1]})
 		if err != nil {
 			return err
 		}
-		hC, err := sc.Submit([]TaskSpec{specs[2]})
+		hC, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specs[2]})
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func TestShedAtThreshold(t *testing.T) {
 			return err
 		}
 		// The session must still serve after the shed.
-		hD, err := sc.Submit([]TaskSpec{specs[3]})
+		hD, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specs[3]})
 		if err != nil {
 			return err
 		}

@@ -152,11 +152,11 @@ func TestAdmissionMemoryBudget(t *testing.T) {
 	sys, specA, specB := admissionPair(t, budget, budget)
 	var repA, repB *Report
 	err := sys.Serve(InterAdj, SchedOptions{}, Admission{MemoryBudget: budget}, func(sc *Scheduler) error {
-		hA, err := sc.Submit([]TaskSpec{specA})
+		hA, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specA})
 		if err != nil {
 			return err
 		}
-		hB, err := sc.Submit([]TaskSpec{specB})
+		hB, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specB})
 		if err != nil {
 			return err
 		}
@@ -191,11 +191,11 @@ func TestAdmissionMaxQueries(t *testing.T) {
 	sys, specA, specB := admissionPair(t, 0, 0)
 	var repA, repB *Report
 	err := sys.Serve(InterAdj, SchedOptions{}, Admission{MaxQueries: 1}, func(sc *Scheduler) error {
-		hA, err := sc.Submit([]TaskSpec{specA})
+		hA, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specA})
 		if err != nil {
 			return err
 		}
-		hB, err := sc.Submit([]TaskSpec{specB})
+		hB, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specB})
 		if err != nil {
 			return err
 		}
@@ -222,7 +222,7 @@ func TestSubmitAfterServeFails(t *testing.T) {
 	var leaked *Scheduler
 	err := sys.Serve(InterAdj, SchedOptions{}, Admission{}, func(sc *Scheduler) error {
 		leaked = sc
-		h, err := sc.Submit([]TaskSpec{specA})
+		h, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specA})
 		if err != nil {
 			return err
 		}
@@ -232,7 +232,7 @@ func TestSubmitAfterServeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leaked.Submit([]TaskSpec{specA}); err == nil || !strings.Contains(err.Error(), "drained") {
+	if _, err := leaked.SubmitWith(SubmitOptions{}, []TaskSpec{specA}); err == nil || !strings.Contains(err.Error(), "drained") {
 		t.Fatalf("Submit after Serve returned err=%v; want drained error", err)
 	}
 }
@@ -243,11 +243,11 @@ func TestSubmitTaskIDCollision(t *testing.T) {
 	sys, specA, specB := admissionPair(t, 0, 0)
 	specB.Task.ID = specA.Task.ID
 	err := sys.Serve(InterAdj, SchedOptions{}, Admission{}, func(sc *Scheduler) error {
-		hA, err := sc.Submit([]TaskSpec{specA})
+		hA, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specA})
 		if err != nil {
 			return err
 		}
-		if _, err := sc.Submit([]TaskSpec{specB}); err == nil || !strings.Contains(err.Error(), "already live") {
+		if _, err := sc.SubmitWith(SubmitOptions{}, []TaskSpec{specB}); err == nil || !strings.Contains(err.Error(), "already live") {
 			t.Fatalf("colliding submit err=%v; want already-live error", err)
 		}
 		_, err = hA.Wait()

@@ -98,8 +98,8 @@ type (
 	// Admission configures the scheduler's query admission controller
 	// (memory budget over task working sets, max concurrent queries).
 	Admission = exec.AdmissionConfig
-	// QueryHandle is the ticket returned by Scheduler.Submit; Wait blocks
-	// until the query's Report is ready.
+	// QueryHandle is the ticket returned by Scheduler.SubmitWith; Wait
+	// blocks until the query's Report is ready.
 	QueryHandle = exec.QueryHandle
 	// ShedError is the typed rejection a query's Wait returns when the
 	// admission queue is past Admission.MaxQueued (check with errors.As).
@@ -175,7 +175,6 @@ func DefaultConfig() Config {
 
 // System is one simulated XPRS instance.
 type System struct {
-	cfg    Config
 	clock  *vclock.Virtual
 	store  *storage.Store
 	engine *exec.Engine
@@ -224,7 +223,6 @@ func New(cfg Config) *System {
 		engine.Metrics = observer.Metrics
 	}
 	return &System{
-		cfg:       cfg,
 		clock:     clock,
 		store:     store,
 		engine:    engine,
@@ -462,26 +460,21 @@ func (s *System) PlanTasks(res *OptResult, baseID int) ([]TaskSpec, error) {
 }
 
 // Scheduler is a live scheduling session inside a Serve callback: the
-// long-lived service behind every run. Submit registers queries online
-// (each returns a QueryHandle to Wait on) and Go spawns concurrent
-// drivers on the session's clock. Work that arrives later in virtual
+// long-lived service behind every run. SubmitWith registers queries
+// online (each returns a QueryHandle to Wait on) and Go spawns
+// concurrent drivers on the session's clock. Work that arrives later in virtual
 // time goes through Replay.
 type Scheduler struct {
 	sys   *System
 	inner *exec.Scheduler
 }
 
-// Submit registers one query (a set of dependent task specs) with the
-// session and returns its handle. Admission may delay its start; the
-// handle's Report carries the queue wait.
-func (sc *Scheduler) Submit(specs []TaskSpec) (*QueryHandle, error) {
-	return sc.inner.Submit(specs)
-}
-
-// SubmitWith is Submit with explicit per-query options: the tenant —
-// the unit of Admission.TenantMaxQueries fair-share accounting and of
-// the per-tenant serving metrics — and a response-time deadline the
-// "deadline" admission policy acts on.
+// SubmitWith registers one query (a set of dependent task specs) with
+// the session under per-query options and returns its handle: the
+// tenant — the unit of Admission.TenantMaxQueries fair-share accounting
+// and of the per-tenant serving metrics — and a response-time deadline
+// the "deadline" admission policy acts on. Admission may delay the
+// query's start; the handle's Report carries the queue wait.
 func (sc *Scheduler) SubmitWith(o SubmitOptions, specs []TaskSpec) (*QueryHandle, error) {
 	return sc.inner.SubmitWith(o, specs)
 }
