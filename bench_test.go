@@ -83,9 +83,9 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // pipelineAllocBudget is the CI allocation gate for the executor hot
 // path: the steady-state allocs/op of the canonical pipeline query.
-// Measured at 29 allocs/op once a session stopped building serving
-// telemetry (55 while every session built a timeline and an SLO
-// tracker, ~60 before pooled runtimes kept their intermediates, 84
+// Measured at 27 allocs/op once a runtime kept its aggregate state
+// (29 while each execution built a fresh one and its map, 55 while
+// every session built a serving timeline and an SLO tracker, ~60 before pooled runtimes kept their intermediates, 84
 // before a task's run state was reused from its pooled runtime); the
 // budget keeps the relative headroom the 55-alloc floor had (150), for
 // benign churn, while catching any regression back toward per-tuple or

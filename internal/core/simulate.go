@@ -31,8 +31,9 @@ type TraceEvent struct {
 	Reason Reason
 }
 
-// String implements fmt.Stringer. The prefix matches the historical
-// format exactly; the reason, when present, is appended after a dash.
+// String implements fmt.Stringer. The prefix's format is pinned by the
+// testdata/xprssched_*.golden files; the reason, when present, is
+// appended after a dash.
 func (ev TraceEvent) String() string {
 	s := fmt.Sprintf("t=%8.3fs %-8s task %d", ev.Time, ev.Kind, ev.TaskID)
 	if ev.Degree >= 0 {

@@ -10,38 +10,24 @@ import (
 	"xprs/internal/storage"
 )
 
-// Aggregation executes in the classic parallel two-phase shape: every
-// slave backend folds its partition into a private accumulator table
-// (no coordination on the hot path), and the partials merge into the
-// fragment's shared state when each slave exits. Finalization emits one
-// row per group into the output temp, ordered by group key so results
-// are deterministic.
-
-// aggState is the shared, merge-side aggregation state of a fragment.
+// aggState is a fragment's shared aggregation state. Aggregation runs
+// in the classic parallel two-phase shape: every slave backend folds its
+// partition into a private aggTable (no coordination on the hot path),
+// the partials merge here as the slaves exit, and finalize emits one row
+// per group in key order, so results are deterministic. The runtime
+// builds the state once at compile time and keeps it; reset empties it.
 type aggState struct {
 	groupCol int // -1 for a single global group
 	funcs    []plan.AggFunc
 
-	mu     sync.Mutex
-	groups map[int32][]int64
-	// Dense fast path: group keys inside [denseBase, denseBase+W) fold
-	// into a flat accumulator array instead of the map. The window is
-	// adopted from the first slave that merges one in; keys outside it
-	// fall back to the map, so any key distribution stays correct. The
-	// fragment runtime takes the window back after emit.
-	denseScr  *denseScratch
-	denseBase int32
+	mu sync.Mutex
+	t  aggTable
 }
 
-func newAggState(a *plan.Agg) *aggState {
-	return &aggState{groupCol: a.GroupCol, funcs: a.Funcs, groups: make(map[int32][]int64)}
-}
-
-// aggDenseWindow is the dense accumulator window: keys spanning less
-// than 64K cover the common group-by shapes while the scratch (W
-// accumulators plus a seen bitmap) stays small enough to recycle
-// per-slave.
-const aggDenseWindow = 1 << 16
+// aggWindow is the dense accumulator window: 64K keys cover the
+// common group-by shapes, and the scratch (W accumulators plus a seen
+// bitmap) stays small enough to recycle per slave.
+const aggWindow = 1 << 16
 
 // denseScratch is one dense accumulator window: nf accumulator words
 // per key slot plus a seen bitmap. Accumulator cells are initialized on
@@ -52,13 +38,92 @@ type denseScratch struct {
 	seen []uint64
 }
 
-// popSeen counts the live keys.
-func (d *denseScratch) popSeen() int {
-	n := 0
-	for _, w := range d.seen {
-		n += bits.OnesCount64(w)
+// aggTable is one accumulator table, a slave's partial and the
+// fragment's merged result alike: keys inside the dense window
+// [base, base+aggWindow) fold into win's flat array, every other
+// key into the spill map. A table routes each key by its own base, so a
+// key lives in exactly one of its two stores.
+type aggTable struct {
+	base  int32
+	win   *denseScratch
+	spill map[int32][]int64
+}
+
+// cell returns key k's nf accumulator words and whether k is new to the
+// table; a new cell's contents are undefined until the caller fills it.
+func (t *aggTable) cell(k int32, nf int) ([]int64, bool) {
+	if d := t.win; d != nil {
+		if idx := int(k) - int(t.base); 0 <= idx && idx < aggWindow {
+			w, bit := idx>>6, uint64(1)<<(idx&63)
+			fresh := d.seen[w]&bit == 0
+			d.seen[w] |= bit
+			return d.acc[idx*nf : idx*nf+nf], fresh
+		}
+	}
+	if acc, ok := t.spill[k]; ok {
+		return acc, false
+	}
+	if t.spill == nil {
+		t.spill = make(map[int32][]int64)
+	}
+	acc := make([]int64, nf)
+	t.spill[k] = acc
+	return acc, true
+}
+
+// len counts the table's groups.
+func (t *aggTable) len() int {
+	n := len(t.spill)
+	if t.win != nil {
+		for _, w := range t.win.seen {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
+}
+
+// forEach visits every group in ascending key order, merging the window
+// walk (whose slots ascend in key order by construction) with the
+// sorted spill keys.
+func (t *aggTable) forEach(nf int, fn func(k int32, acc []int64)) {
+	keys := make([]int32, 0, len(t.spill))
+	for k := range t.spill {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	ki := 0
+	if d := t.win; d != nil {
+		for wi, w := range d.seen {
+			for w != 0 {
+				b := bits.TrailingZeros64(w)
+				w &^= 1 << b
+				idx := wi<<6 + b
+				dk := t.base + int32(idx)
+				for ki < len(keys) && keys[ki] < dk {
+					fn(keys[ki], t.spill[keys[ki]])
+					ki++
+				}
+				fn(dk, d.acc[idx*nf:idx*nf+nf])
+			}
+		}
+	}
+	for ; ki < len(keys); ki++ {
+		fn(keys[ki], t.spill[keys[ki]])
+	}
+}
+
+// identity fills acc with the function list's identity accumulator.
+func identity(acc []int64, funcs []plan.AggFunc) {
+	for i, f := range funcs {
+		switch f.Kind {
+		case plan.Min:
+			acc[i] = math.MaxInt64
+		case plan.Max:
+			acc[i] = math.MinInt64
+		default:
+			acc[i] = 0
+		}
+	}
 }
 
 // mergeAcc folds src into dst under the function list.
@@ -79,117 +144,36 @@ func mergeAcc(dst, src []int64, funcs []plan.AggFunc) {
 	}
 }
 
-// mergeOneLocked folds one group into the shared state, routing keys
-// inside the adopted dense window into the flat array so no key ever
-// lives in both stores. owned says acc may be stored directly; callers
-// whose acc aliases recycled scratch pass false to force a copy.
-func (st *aggState) mergeOneLocked(k int32, acc []int64, owned bool) {
-	if d := st.denseScr; d != nil {
-		if idx := int(k) - int(st.denseBase); 0 <= idx && idx < aggDenseWindow {
-			nf := len(st.funcs)
-			cell := d.acc[idx*nf : idx*nf+nf]
-			w, bit := idx>>6, uint64(1)<<(idx&63)
-			if d.seen[w]&bit == 0 {
-				d.seen[w] |= bit
-				copy(cell, acc)
-				return
-			}
-			mergeAcc(cell, acc, st.funcs)
-			return
-		}
-	}
-	dst, ok := st.groups[k]
-	if !ok {
-		if !owned {
-			acc = append([]int64(nil), acc...)
-		}
-		st.groups[k] = acc
-		return
-	}
-	mergeAcc(dst, acc, st.funcs)
-}
-
-// mergeInto folds a partial accumulator table into the shared state.
-func (st *aggState) mergeInto(partial map[int32][]int64) {
-	if len(partial) == 0 {
-		return
-	}
+// merge folds a slave's partial into the shared state and reports
+// whether the state adopted it (the caller must not recycle its window
+// then). The first partial in is adopted whole, window and spill map
+// together — zero merge cost for the common one-window case; each later
+// one is walked and folded key by key.
+func (st *aggState) merge(p *aggTable) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for k, acc := range partial {
-		st.mergeOneLocked(k, acc, true)
-	}
-}
-
-// mergeDense folds one slave's dense window into the shared state and
-// reports whether the scratch was adopted (the caller must not recycle
-// it then). The first window in is adopted wholesale — zero merge cost
-// for the common one-window case — and any map keys that already landed
-// inside it are pulled in to preserve the one-store-per-key invariant.
-// Later windows translate per key, spilling outliers to the map.
-func (st *aggState) mergeDense(base int32, d *denseScratch) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	nf := len(st.funcs)
-	if st.denseScr == nil {
-		st.denseScr, st.denseBase = d, base
-		for k, acc := range st.groups {
-			idx := int(k) - int(base)
-			if idx < 0 || idx >= aggDenseWindow {
-				continue
-			}
-			cell := d.acc[idx*nf : idx*nf+nf]
-			w, bit := idx>>6, uint64(1)<<(idx&63)
-			if d.seen[w]&bit == 0 {
-				d.seen[w] |= bit
-				copy(cell, acc)
-			} else {
-				mergeAcc(cell, acc, st.funcs)
-			}
-			delete(st.groups, k)
-		}
+	if st.t.win == nil && st.t.spill == nil {
+		st.t = *p
 		return true
 	}
-	for wi, w := range d.seen {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			idx := wi<<6 + b
-			st.mergeOneLocked(base+int32(idx), d.acc[idx*nf:idx*nf+nf], false)
+	nf := len(st.funcs)
+	p.forEach(nf, func(k int32, src []int64) {
+		if dst, fresh := st.t.cell(k, nf); fresh {
+			copy(dst, src)
+		} else {
+			mergeAcc(dst, src, st.funcs)
 		}
-	}
+	})
 	return false
 }
 
-// forEachGroupLocked visits every group in ascending key order, merging
-// the dense window walk with the sorted map keys. Dense slots ascend in
-// key order by construction, and no key lives in both stores.
-func (st *aggState) forEachGroupLocked(keys []int32, fn func(k int32, acc []int64)) {
-	d := st.denseScr
-	if d == nil {
-		for _, k := range keys {
-			fn(k, st.groups[k])
-		}
-		return
+// reset empties the state for the runtime's next execution, handing an
+// adopted window back to fr's free list.
+func (st *aggState) reset(fr *fragRun) {
+	if st.t.win != nil {
+		fr.putDense(st.t.win)
 	}
-	nf := len(st.funcs)
-	ki := 0
-	for wi, w := range d.seen {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			idx := wi<<6 + b
-			dk := st.denseBase + int32(idx)
-			for ki < len(keys) && keys[ki] < dk {
-				fn(keys[ki], st.groups[keys[ki]])
-				ki++
-			}
-			fn(dk, d.acc[idx*nf:idx*nf+nf])
-		}
-	}
-	for ; ki < len(keys); ki++ {
-		fn(keys[ki], st.groups[keys[ki]])
-	}
+	st.t = aggTable{}
 }
 
 // emit writes the final per-group rows, ordered by group key. Agg
@@ -199,15 +183,7 @@ func (st *aggState) forEachGroupLocked(keys []int32, fn func(k int32, acc []int6
 func (st *aggState) emit(out *Temp) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	keys := make([]int32, 0, len(st.groups))
-	for k := range st.groups {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	n := len(keys)
-	if st.denseScr != nil {
-		n += st.denseScr.popSeen()
-	}
+	n := st.t.len()
 	if n == 0 {
 		return 0
 	}
@@ -216,7 +192,7 @@ func (st *aggState) emit(out *Temp) int {
 		if st.groupCol >= 0 {
 			gv = 1
 		}
-		st.forEachGroupLocked(keys, func(k int32, acc []int64) {
+		st.t.forEach(len(st.funcs), func(k int32, acc []int64) {
 			if gv == 1 {
 				cb.Vecs[0].Ints = append(cb.Vecs[0].Ints, k)
 			}
@@ -229,12 +205,12 @@ func (st *aggState) emit(out *Temp) int {
 }
 
 // accumulateBatchCols folds the live rows of a columnar batch into the
-// slave's private accumulators. Keys inside a 64K window anchored at the
-// first key seen fold into a flat array — one bounds check and no
-// hashing per row; outliers fall back to the map + slab, so
-// any key distribution stays correct. Accumulator cells initialize on
-// first touch via the seen bitmap, which is what lets recycled scratch
-// skip a 512KB zeroing pass per slave.
+// slave's partial, sc.agg. Its window is anchored at the first key seen;
+// keys inside it fold into the flat array — one bounds check and no
+// hashing per row, tested inline here — and outliers go through cell to
+// the spill map, so any key distribution stays correct. Accumulator
+// cells initialize on first touch via the seen bitmap, which is what
+// lets recycled scratch skip a 512KB zeroing pass per slave.
 func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 	funcs := st.funcs
 	nf := len(funcs)
@@ -258,48 +234,33 @@ func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
 			src[i] = b.Vecs[f.Col].Ints
 		}
 	}
-	if sc.aggDense == nil {
+	t := &sc.agg
+	if t.win == nil {
 		var first int32
 		if keys != nil {
 			first = keys[b.RowAt(0)]
 		}
-		sc.aggBase = first &^ int32(aggDenseWindow-1)
-		sc.aggDense = sc.rt.fr.getDense(nf)
+		t.base = first &^ int32(aggWindow-1)
+		t.win = sc.rt.fr.getDense(nf)
 	}
-	d, base := sc.aggDense, sc.aggBase
+	d, base := t.win, t.base
 	foldRow := func(row int) {
 		var k int32
 		if keys != nil {
 			k = keys[row]
 		}
 		var acc []int64
-		if idx := int(k) - int(base); 0 <= idx && idx < aggDenseWindow {
-			off := idx * nf
-			acc = d.acc[off : off+nf]
+		fresh := false
+		if idx := int(k) - int(base); 0 <= idx && idx < aggWindow {
+			acc = d.acc[idx*nf : idx*nf+nf]
 			w, bit := idx>>6, uint64(1)<<(idx&63)
-			if d.seen[w]&bit == 0 {
-				d.seen[w] |= bit
-				for i, f := range funcs {
-					switch f.Kind {
-					case plan.Min:
-						acc[i] = math.MaxInt64
-					case plan.Max:
-						acc[i] = math.MinInt64
-					default:
-						acc[i] = 0
-					}
-				}
-			}
+			fresh = d.seen[w]&bit == 0
+			d.seen[w] |= bit
 		} else {
-			if sc.aggLocal == nil {
-				sc.aggLocal = make(map[int32][]int64)
-			}
-			a, ok := sc.aggLocal[k]
-			if !ok {
-				a = sc.newAccum(funcs)
-				sc.aggLocal[k] = a
-			}
-			acc = a
+			acc, fresh = t.cell(k, nf)
+		}
+		if fresh {
+			identity(acc, funcs)
 		}
 		for i, f := range funcs {
 			var v int64
@@ -345,7 +306,7 @@ func (fr *fragRun) getDense(nf int) *denseScratch {
 		fr.denseFree = fr.denseFree[:n-1]
 		return d
 	}
-	return &denseScratch{acc: make([]int64, aggDenseWindow*max(nf, 1)), seen: make([]uint64, aggDenseWindow/64)}
+	return &denseScratch{acc: make([]int64, aggWindow*max(nf, 1)), seen: make([]uint64, aggWindow/64)}
 }
 
 // putDense takes back a dense scratch window, clearing its bitmap so the
@@ -355,36 +316,4 @@ func (fr *fragRun) putDense(d *denseScratch) {
 	fr.rt.mu.Lock()
 	fr.denseFree = append(fr.denseFree, d)
 	fr.rt.mu.Unlock()
-}
-
-// aggSlabChunk is the accumulator-slab growth unit (int64 words).
-const aggSlabChunk = 1024
-
-// newAccum carves an identity accumulator out of the slave's slab.
-func (sc *slaveCtx) newAccum(funcs []plan.AggFunc) []int64 {
-	n := len(funcs)
-	if n == 0 {
-		return []int64{}
-	}
-	if len(sc.aggSlab)+n > cap(sc.aggSlab) {
-		c := aggSlabChunk
-		if c < n {
-			c = n
-		}
-		sc.aggSlab = make([]int64, 0, c)
-	}
-	start := len(sc.aggSlab)
-	sc.aggSlab = sc.aggSlab[:start+n]
-	acc := sc.aggSlab[start : start+n : start+n]
-	for i, f := range funcs {
-		switch f.Kind {
-		case plan.Min:
-			acc[i] = math.MaxInt64
-		case plan.Max:
-			acc[i] = math.MinInt64
-		default:
-			acc[i] = 0
-		}
-	}
-	return acc
 }

@@ -69,12 +69,10 @@ type fragRun struct {
 
 	// Rebind ingredients, fixed at compile time: pooled runtimes recreate
 	// the per-run outputs above from these without recompiling (see
-	// rebind). aggNode remembers the root Agg so a fresh accumulator state
-	// can be built per run.
+	// rebind).
 	outSchema storage.Schema
 	hashParts int // HashOut: the hash table's partition count
 	tempRows  int // other outputs: the temp's row hint (tempRowHint)
-	aggNode   *plan.Agg
 
 	// colRoot is the compiled pipeline the drivers feed batches into.
 	colRoot colConsumer
@@ -84,8 +82,8 @@ type fragRun struct {
 	// operators at compile time. Compiled closures are shared by every
 	// slave of the fragment, so their mutable scratch lives in the slave
 	// context under these slot numbers. They are int32 to keep fragRun
-	// at 632 bytes: past that its malloc header takes it to the 704-byte
-	// size class (see outFree).
+	// (624 bytes) within 632: past that its malloc header takes it to the
+	// 704-byte size class (see outFree).
 	nColOuts int32
 	nSels    int32
 	nLoops   int32
@@ -218,7 +216,7 @@ func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
 	}
 	fr.colRoot = root
 	fr.outFree = make([]batchList, fr.nColOuts)
-	if fr.aggNode == nil {
+	if fr.agg == nil {
 		// An Agg's emit knows its exact group count; its estimate (the
 		// grouping column's distinct values before any filter) can be
 		// several times too high.
@@ -232,10 +230,10 @@ func newFragRun(eng *Engine, frag *plan.Fragment) (*fragRun, error) {
 // and zeroed counters. A root that stores its rows gets a fresh temp,
 // since that temp escapes into q's Report; one that counts them gets
 // none, or, at an Agg root, the temp it kept. Any other output the
-// runtime kept from its last execution (see putFragRun) is emptied in
-// place (DESIGN.md §12). The compiled closures need no attention —
-// they read all of this through the fragRun pointer at call time. A
-// missing input fails the launch.
+// runtime kept from its last execution (see putFragRun), its aggregate
+// state included, is emptied in place (DESIGN.md §12). The compiled
+// closures need no attention — they read all of this through the
+// fragRun pointer at call time. A missing input fails the launch.
 func (fr *fragRun) rebind(q *query) error {
 	for i, in := range fr.frag.Inputs {
 		src := q.output(in)
@@ -257,15 +255,15 @@ func (fr *fragRun) rebind(q *query) error {
 		fr.outColHash.init(fr.outSchema, fr.frag.HashCol, fr.frag.OutPrune, fr.hashParts)
 	case root && !fr.counted:
 		fr.outTemp = newTemp(fr.outSchema, fr.tempRows)
-	case fr.counted && fr.aggNode == nil:
+	case fr.counted && fr.agg == nil:
 		fr.outTemp = nil
 	case fr.outTemp != nil:
 		fr.outTemp.reset(fr.tempRows)
 	default:
 		fr.outTemp = newTemp(fr.outSchema, fr.tempRows)
 	}
-	if fr.aggNode != nil {
-		fr.agg = newAggState(fr.aggNode)
+	if fr.agg != nil {
+		fr.agg.reset(fr)
 	}
 	fr.statTuplesIn.Store(0)
 	fr.statTuplesOut.Store(0)
@@ -281,10 +279,7 @@ func (fr *fragRun) rebind(q *query) error {
 func (fr *fragRun) finalize() {
 	if fr.agg != nil {
 		groups := fr.agg.emit(fr.outTemp)
-		if d := fr.agg.denseScr; d != nil {
-			fr.agg.denseScr = nil
-			fr.putDense(d)
-		}
+		fr.agg.reset(fr)
 		fr.statTuplesOut.Add(int64(groups))
 		fr.eng.chargeMasterCPU(float64(groups) * fr.eng.Params.EmitCPU)
 		if fr.counted {
@@ -400,7 +395,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 		if !atRoot {
 			return colConsumer{}, fmt.Errorf("exec: Agg below fragment root")
 		}
-		fr.aggNode = x
+		fr.agg = &aggState{groupCol: x.GroupCol, funcs: x.Funcs}
 		foldCPU := fr.eng.Params.HashInsertCPU
 		acc := colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()

@@ -24,7 +24,8 @@ import (
 const DefaultBatchSize = 256
 
 // Engine is the XPRS parallel executor: one master backend (the
-// goroutine that calls Run) plus slave backends it spawns per task.
+// scheduler's loop goroutine, which NewScheduler spawns) plus slave
+// backends it spawns per task.
 type Engine struct {
 	Clock  vclock.Clock
 	Store  *storage.Store
@@ -179,10 +180,11 @@ func (e *Engine) getFragRun(frag *plan.Fragment, q *query) (*fragRun, error) {
 // putFragRun parks a finished run's compiled runtime for the fragment's
 // next execution. Its output's consumers all ran in the same, now
 // settled, query, so the runtime keeps a non-root temp, a counted Agg
-// root's temp and its hash table (released: the sealed stores go back
-// to the table's free list) for the next rebind to empty in place. A
-// stored root temp escaped into the caller's Report and is dropped, as
-// are the input references (a driver may hold an input temp).
+// root's temp, its aggregate state and its hash table (released: the
+// sealed stores go back to the table's free list) for the next rebind
+// to empty in place. A stored root temp escaped into the caller's
+// Report and is dropped, as are the input references (a driver may
+// hold an input temp).
 func (e *Engine) putFragRun(fr *fragRun) {
 	if fr.outColHash != nil {
 		fr.outColHash.release()
@@ -191,7 +193,6 @@ func (e *Engine) putFragRun(fr *fragRun) {
 	if fr.frag.Out == plan.RootOut && !fr.counted {
 		fr.outTemp = nil
 	}
-	fr.agg = nil
 	fr.rt.task, fr.rt.drv = nil, nil
 	fr.pd.tmp.temp = nil
 	e.frMu.Lock()
@@ -298,7 +299,8 @@ type TraceEvent struct {
 	Reason core.Reason
 }
 
-// String implements fmt.Stringer. The prefix is the historical format;
+// String implements fmt.Stringer. The prefix's format is pinned by
+// testdata/adaptive.golden, multiquery.golden and xprsql_analyze.golden;
 // the reason, when present, is appended after a dash.
 func (ev TraceEvent) String() string {
 	s := fmt.Sprintf("t=%10v %-8s task %d (degree %d)", ev.Time, ev.Kind, ev.TaskID, ev.Degree)

@@ -727,9 +727,9 @@ func TestAggFragmentParallelPartials(t *testing.T) {
 
 // TestAggSparseKeys groups keys lying farther apart than the dense
 // window: half the rows fall in one small window, the other half
-// spread over ±1.7M, so every slave spills to its map partial (aggLocal /
-// newAccum) and, at 3 processors, the partials merge (mergeInto) next
-// to the adopted dense window.
+// spread over ±1.7M, so every slave's partial (sc.agg) spills to its
+// map through aggTable.cell and, at 3 processors, aggState.merge folds
+// the later partials, windows and spill maps, into the adopted one.
 func TestAggSparseKeys(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		v, eng := testEngineWith(0, procs, paramVariants[0])
@@ -737,7 +737,7 @@ func TestAggSparseKeys(t *testing.T) {
 			if i%2 == 0 {
 				return int32(i % 30)
 			}
-			return int32(i%40-20) * 4 * aggDenseWindow / 3
+			return int32(i%40-20) * 4 * aggWindow / 3
 		})
 		root := &plan.Agg{
 			Child:    &plan.SeqScan{Rel: rel},

@@ -214,24 +214,12 @@ func BenchmarkTempFinalize(b *testing.B) {
 // BenchmarkAggEmit measures final-row emission from a populated
 // aggregation state (one group per distinct key, count+sum+min+max).
 func BenchmarkAggEmit(b *testing.B) {
-	a := &plan.Agg{GroupCol: 0, Funcs: []plan.AggFunc{
-		{Kind: plan.CountAll},
-		{Kind: plan.Sum, Col: 0},
-		{Kind: plan.Min, Col: 0},
-		{Kind: plan.Max, Col: 0},
-	}}
-	st := newAggState(a)
-	partial := make(map[int32][]int64, benchKeyMod)
-	for i := 0; i < benchProbeRows; i++ {
-		k := int32(i) % benchKeyMod
-		acc, ok := partial[k]
-		if !ok {
-			acc = initAccum(a.Funcs)
-			partial[k] = acc
-		}
-		fold(acc, a.Funcs, storage.NewTuple(storage.IntVal(k)))
+	st := newAggStateForTest()
+	keys := make([]int32, benchProbeRows)
+	for i := range keys {
+		keys[i] = int32(i) % benchKeyMod
 	}
-	st.mergeInto(partial)
+	st.merge(aggPartialForTest(st, keys))
 	outSchema := storage.NewSchema(
 		storage.Column{Name: "k", Typ: storage.Int4},
 		storage.Column{Name: "count", Typ: storage.Int4},
@@ -246,5 +234,44 @@ func BenchmarkAggEmit(b *testing.B) {
 		if n := st.emit(out); n != benchKeyMod {
 			b.Fatalf("emitted %d groups, want %d", n, benchKeyMod)
 		}
+	}
+}
+
+// BenchmarkAggFold measures one slave context folding 32 batches of 256
+// rows, keys drawn from 4 500 groups (join_agg's shape), into its
+// partial, for count(*) and for count, sum, max; ns/row is the figure.
+// Each iteration hands the window back as flushAll does, so every fold
+// starts from an empty partial.
+func BenchmarkAggFold(b *testing.B) {
+	const batches, rows, groups = 32, 256, 4500
+	rng := rand.New(rand.NewSource(1992))
+	in := make([]*storage.ColBatch, batches)
+	for i := range in {
+		keys, vals := make([]int32, rows), make([]int32, rows)
+		for j := range keys {
+			keys[j], vals[j] = int32(rng.Intn(groups)), int32(rng.Intn(1000))
+		}
+		in[i] = &storage.ColBatch{N: rows, Vecs: []storage.Vec{{Typ: storage.Int4, Ints: keys}, {Typ: storage.Int4, Ints: vals}}}
+	}
+	for _, c := range []struct {
+		name  string
+		funcs []plan.AggFunc
+	}{
+		{"count", []plan.AggFunc{{Kind: plan.CountAll}}},
+		{"count_sum_max", []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 1}, {Kind: plan.Max, Col: 1}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st := &aggState{groupCol: 0, funcs: c.funcs}
+			sc := newAggSlaveForTest()
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, cb := range in {
+					sc.accumulateBatchCols(st, cb)
+				}
+				sc.rt.fr.putDense(sc.agg.win)
+				sc.agg = aggTable{}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*rows), "ns/row")
+		})
 	}
 }

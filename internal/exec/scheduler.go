@@ -14,17 +14,15 @@ import (
 )
 
 // This file is the long-lived scheduler service: the §2.5 "continuous
-// sequence of tasks" execution model. Where the original Engine.Run
-// accepted one pre-declared task set and blocked until it drained, a
-// Scheduler stays alive across queries: clients Submit work at any time
-// (each Submit is one query — a set of dependent task specs), the
-// controller re-solves the IO/CPU balance point on every arrival and
-// completion, and each query's caller Waits on its own QueryHandle. An
-// admission controller (admission.go) sits in front of the §2.5
-// S_io/S_cpu queues: queries that would blow the memory budget (or the
-// concurrent-query cap) wait in its queue, and the time they spend
-// there is reported as Report.QueueWait and as instants on the
-// scheduler's trace lane.
+// sequence of tasks" execution model. A Scheduler stays alive across
+// queries: clients Submit work at any time (each Submit is one query —
+// a set of dependent task specs), the controller re-solves the IO/CPU
+// balance point on every arrival and completion, and each query's
+// caller Waits on its own QueryHandle. An admission controller
+// (admission.go) sits in front of the §2.5 S_io/S_cpu queues: queries
+// that would blow the memory budget (or the concurrent-query cap) wait
+// in its queue, and the time they spend there is reported as
+// Report.QueueWait and as instants on the scheduler's trace lane.
 //
 // Intake is one mutex. Submit claims its task IDs in the live table,
 // stamps the next query ID and appends to the intake queue in a single
@@ -267,9 +265,8 @@ type Scheduler struct {
 
 // NewScheduler starts a scheduler service on the engine. The engine's
 // disk statistics are reset and its observability hooks re-anchored at
-// the session start, exactly as the one-shot Engine.Run used to do per
-// run; a session therefore reports Disk statistics and buffer-pool hits
-// cumulative from its own start.
+// the session start, so a session reports Disk statistics and
+// buffer-pool hits cumulative from its own start.
 func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm AdmissionConfig) *Scheduler {
 	if e.sched != nil {
 		panic("exec: engine already hosts a live scheduler (Drain the previous one first)")
@@ -798,7 +795,7 @@ func (s *Scheduler) abortStart(q *query, t *core.Task, err error) {
 
 // onTaskDone is the completion path: bookkeeping, output publication,
 // controller notification, admission of waiting queries, and new-task
-// submission — in the same order the one-shot loop used. rt is the
+// submission, in that order. rt is the
 // posted task; it is read only up to the controller call, since a query
 // that settles there returns its runtime to the pool.
 func (s *Scheduler) onTaskDone(rt *runningTask) {
@@ -908,13 +905,12 @@ func (s *Scheduler) finishQuery(q *query) {
 }
 
 // wakeAdmitQ admits waiting queries that now fit, in the order
-// admission.next dictates. The default "fifo" order reproduces the
-// historical behavior exactly: strict head-of-line FIFO without
-// per-tenant caps (wake in intake order until the oldest waiter no
-// longer fits), fair-share first-eligible scan with them. Each round
-// re-asks next from fresh state because admitting a degenerate empty
-// query can recursively finish it — and recursively re-enter this wake
-// — mutating the wait queues mid-loop. next may also return a shed
+// admission.next dictates. The default "fifo" order is strict
+// head-of-line FIFO without per-tenant caps (wake in intake order until
+// the oldest waiter no longer fits), fair-share first-eligible scan with
+// them. Each round re-asks next from fresh state because admitting a
+// degenerate empty query can recursively finish it — and recursively
+// re-enter this wake — mutating the wait queues mid-loop. next may also return a shed
 // verdict (the deadline order giving up on a hopeless waiter); the
 // round then continues with the next pick.
 func (s *Scheduler) wakeAdmitQ() {

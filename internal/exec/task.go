@@ -404,13 +404,9 @@ type slaveCtx struct {
 	// prog collects the sleeps of one page cycle so the page driver parks
 	// once per page (stageFlush / stageCPU fill it, serve parks on it).
 	prog vclock.Prog
-	// aggLocal is this slave's private accumulator table when the
-	// fragment root is an Agg (two-phase parallel aggregation).
-	aggLocal map[int32][]int64
-	// aggSlab backs aggLocal's accumulators: groups slice out of shared
-	// chunks instead of allocating per group. Full chunks are simply
-	// abandoned to the live accumulators and a fresh one started.
-	aggSlab []int64
+	// agg is this slave's partial when the fragment root is an Agg
+	// (two-phase parallel aggregation); flushAll merges it.
+	agg aggTable
 
 	// Batch scratch: compiled closures are shared by every slave of the
 	// fragment, so their mutable scratch lives here. colPageBuf is the
@@ -437,11 +433,8 @@ type slaveCtx struct {
 	// the partition-buffer slice).
 	colHb        *ColBuilder
 	colHbScratch ColBuilder
-	// aggDense is this slave's dense aggregation window (with aggBase its
-	// anchor); aggSrc is per-function source-vector scratch.
-	aggDense *denseScratch
-	aggBase  int32
-	aggSrc   [][]int32
+	// aggSrc is the aggregate fold's per-function source-vector scratch.
+	aggSrc [][]int32
 	// inflightQ is the page driver's readahead queue scratch.
 	inflightQ []inflight
 	// matches is the hash-join probes' match-vector scratch, created by
@@ -450,16 +443,13 @@ type slaveCtx struct {
 }
 
 // reset clears the context for pooling: references to the finished run
-// drop, capacity-bearing scratch survives. The aggregation slab must
-// not survive — mergeInto adopts slab-backed accumulator slices into
-// the fragment's shared state.
+// drop, capacity-bearing scratch survives.
 func (sc *slaveCtx) reset() {
 	sc.rt = nil
 	sc.state = slaveState{}
 	sc.cpuDebtPs = 0
 	sc.prog.Reset()
-	sc.aggLocal = nil
-	sc.aggSlab = nil
+	sc.agg = aggTable{}
 	// colPageBuf is retained: pageCols re-Inits it per relation schema.
 	sc.colView = storage.ColBatch{}
 	sc.tempView = storage.ColBatch{}
@@ -470,8 +460,6 @@ func (sc *slaveCtx) reset() {
 	}
 	sc.colHb = nil
 	sc.colHbScratch.ht = nil
-	sc.aggDense = nil
-	sc.aggBase = 0
 	sc.inflightQ = sc.inflightQ[:0]
 }
 
@@ -641,22 +629,17 @@ func (sc *slaveCtx) stageCPU(seconds float64) {
 	}
 }
 
-// flushAll drains all buffers at slave exit, merging aggregation
-// partials into the fragment's shared state and handing the slave's
-// output batches and dense window back to the fragment runtime.
+// flushAll drains all buffers at slave exit, merging the aggregation
+// partial into the fragment's shared state and handing the slave's
+// output batches and a window the state did not adopt back to the
+// fragment runtime.
 func (sc *slaveCtx) flushAll() {
 	fr := sc.rt.fr
 	if fr.agg != nil {
-		if sc.aggLocal != nil {
-			fr.agg.mergeInto(sc.aggLocal)
-			sc.aggLocal = nil
+		if !fr.agg.merge(&sc.agg) && sc.agg.win != nil {
+			fr.putDense(sc.agg.win)
 		}
-		if sc.aggDense != nil {
-			if !fr.agg.mergeDense(sc.aggBase, sc.aggDense) {
-				fr.putDense(sc.aggDense)
-			}
-			sc.aggDense = nil
-		}
+		sc.agg = aggTable{}
 	}
 	if sc.colHb != nil {
 		sc.colHb.Flush()

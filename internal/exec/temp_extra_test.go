@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -95,61 +96,74 @@ func TestPropertyTempChunksPartition(t *testing.T) {
 	}
 }
 
-// Property: two-phase aggregation (arbitrary partitioning into slave
-// partials, then merge) equals single-pass aggregation.
+// Property: two-phase aggregation equals single-pass aggregation. The
+// stream splits into 1–4 slave partials, each folded by
+// accumulateBatchCols into an aggTable anchored at its own first key,
+// and the partials merge in a seeded order. Keys fall in several dense
+// windows, negative ones and both ends of int32 among them, so a merge
+// crosses windows and spill maps. Every group's accumulators, and
+// forEach's ascending key order, must equal the single-pass reference.
 func TestPropertyAggMergeEquivalence(t *testing.T) {
-	f := func(keys []uint8, split uint8) bool {
+	spots := []int32{0, -aggWindow / 2, aggWindow + 7, 3 * aggWindow, -5 * aggWindow, math.MaxInt32 - 15, math.MinInt32}
+	f := func(draws []uint16, seed int64) bool {
 		st := newAggStateForTest()
-		// Single-pass reference.
+		keys := make([]int32, len(draws))
 		ref := map[int32][]int64{}
-		for _, k := range keys {
-			key := int32(k % 7)
-			acc, ok := ref[key]
+		for i, d := range draws {
+			k := spots[int(d)%len(spots)] + int32(d>>8&15)
+			keys[i] = k
+			acc, ok := ref[k]
 			if !ok {
 				acc = initAccum(st.funcs)
-				ref[key] = acc
+				ref[k] = acc
 			}
-			fold(acc, st.funcs, storage.NewTuple(storage.IntVal(key)))
+			fold(acc, st.funcs, storage.NewTuple(storage.IntVal(k)))
 		}
-		// Two-phase: split the stream at an arbitrary point into two
-		// partials, merge both.
-		cut := 0
-		if len(keys) > 0 {
-			cut = int(split) % (len(keys) + 1)
+		rng := rand.New(rand.NewSource(seed))
+		cuts := []int{0, len(keys)}
+		for range rng.Intn(4) {
+			cuts = append(cuts, rng.Intn(len(keys)+1))
 		}
-		for _, part := range [][]uint8{keys[:cut], keys[cut:]} {
-			partial := map[int32][]int64{}
-			for _, k := range part {
-				key := int32(k % 7)
-				acc, ok := partial[key]
-				if !ok {
-					acc = initAccum(st.funcs)
-					partial[key] = acc
-				}
-				fold(acc, st.funcs, storage.NewTuple(storage.IntVal(key)))
-			}
-			st.mergeInto(partial)
+		slices.Sort(cuts)
+		parts := make([]*aggTable, len(cuts)-1)
+		for i := range parts {
+			parts[i] = aggPartialForTest(st, keys[cuts[i]:cuts[i+1]])
 		}
-		if len(st.groups) != len(ref) {
-			return false
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		for _, p := range parts {
+			st.merge(p)
 		}
-		for k, want := range ref {
-			got := st.groups[k]
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
+		var got []int32
+		equal := true
+		st.t.forEach(len(st.funcs), func(k int32, acc []int64) {
+			equal = equal && slices.Equal(acc, ref[k]) && (len(got) == 0 || got[len(got)-1] < k)
+			got = append(got, k)
+		})
+		return equal && len(got) == len(ref) && st.t.len() == len(ref)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// aggPartialForTest folds keys, as one batch, through a fresh slave
+// context and returns its partial.
+func aggPartialForTest(st *aggState, keys []int32) *aggTable {
+	sc := newAggSlaveForTest()
+	sc.accumulateBatchCols(st, &storage.ColBatch{N: len(keys), Vecs: []storage.Vec{{Typ: storage.Int4, Ints: keys}}})
+	return &sc.agg
+}
+
+// newAggSlaveForTest returns a slave context of a bare runtime, enough
+// for accumulateBatchCols to borrow its window from.
+func newAggSlaveForTest() *slaveCtx {
+	fr := &fragRun{}
+	fr.rt.fr = fr
+	return &slaveCtx{rt: &fr.rt}
+}
+
 // initAccum and fold are the tuple-at-a-time reference fold the merge
-// property (and the emit benchmark) build their partials with. initAccum
+// property checks the slave fold against. initAccum
 // returns the identity accumulator for the function list.
 func initAccum(funcs []plan.AggFunc) []int64 {
 	acc := make([]int64, len(funcs))
@@ -193,7 +207,6 @@ func newAggStateForTest() *aggState {
 			{Kind: plan.Min, Col: 0},
 			{Kind: plan.Max, Col: 0},
 		},
-		groups: map[int32][]int64{},
 	}
 }
 
