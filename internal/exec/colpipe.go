@@ -327,13 +327,13 @@ func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
 // instead of storing it moves no virtual time.
 func (fr *fragRun) compileColSink() colConsumer {
 	if fr.frag.Out == plan.HashOut {
-		insertCPU := fr.eng.Params.HashInsertCPU
+		insertPs := picos(fr.eng.Params.HashInsertCPU)
 		return colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
 			if live == 0 {
 				return nil
 			}
-			sc.chargeCPUPer(insertCPU, live)
+			sc.chargePs(insertPs * int64(live))
 			fr.statTuplesOut.Add(int64(live))
 			// Each slave partitions into a private builder — no lock per
 			// batch; flushAll hands the buffers to the shared table once at
@@ -351,6 +351,9 @@ func (fr *fragRun) compileColSink() colConsumer {
 		}
 		fr.statTuplesOut.Add(int64(live))
 		if t := fr.outTemp; t != nil {
+			// Other slaves append to the same temp: the row order is the
+			// order of the appends in virtual time.
+			sc.settle()
 			t.AppendCols(b)
 		} else {
 			fr.rowSum.Add(rowHashSum(b))
@@ -396,13 +399,13 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 			return colConsumer{}, fmt.Errorf("exec: Agg below fragment root")
 		}
 		fr.agg = &aggState{groupCol: x.GroupCol, funcs: x.Funcs}
-		foldCPU := fr.eng.Params.HashInsertCPU
+		foldPs := picos(fr.eng.Params.HashInsertCPU)
 		acc := colConsumer{proc: func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
 			if live == 0 {
 				return nil
 			}
-			sc.chargeCPUPer(foldCPU, live)
+			sc.chargePs(foldPs * int64(live))
 			sc.accumulateBatchCols(fr.agg, b)
 			return nil
 		}}
@@ -425,8 +428,8 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 			return colConsumer{}, err
 		}
 		lcol := x.LCol
-		probeCPU := fr.eng.Params.HashProbeCPU
-		emitCPU := fr.eng.Params.EmitCPU
+		probePs := picos(fr.eng.Params.HashProbeCPU)
+		emitPs := picos(fr.eng.Params.EmitCPU)
 		slot := fr.newColOut()
 		outSchema := x.OutSchema()
 		prune := x.OutPrune
@@ -444,7 +447,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 			if err != nil {
 				return err
 			}
-			sc.chargeCPUPer(probeCPU, live)
+			sc.chargePs(probePs * int64(live))
 			out := sc.colOutBatch(slot, outSchema, prune)
 			// Matches resolve limit at a time into the slave's match
 			// vectors, each output column gathers in one loop, and the
@@ -464,7 +467,7 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 					return nil
 				}
 				for range n {
-					sc.chargeCPU(emitCPU)
+					sc.chargePs(emitPs)
 				}
 				out.AppendJoinedRows(b, m.lrow, cht.stores, m.part, m.brow)
 				if err := flushOut(sc, out, cons); err != nil {

@@ -300,7 +300,7 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 	eng := d.fr.eng
 	tree := d.scan.Index.Tree
 	rel := d.scan.Rel
-	perTuple := eng.Params.TupleCPU(rel.Stats().AvgTupleSize) + eng.Params.IndexProbeCPU
+	perTuplePs := picos(eng.Params.TupleCPU(rel.Stats().AvgTupleSize) + eng.Params.IndexProbeCPU)
 	// page is the heap page under this slave's hand: consecutive TIDs on
 	// the same page (the common case for a clustered index, where key
 	// order equals heap order) cost one IO, not one per tuple.
@@ -340,19 +340,19 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 				// The heap page is already at hand; no further IO.
 				err = checkSlot(rel, page, tid)
 			} else {
-				// Drain the pending batch and CPU debt before the random
-				// read so the clock at the IO point is batch-independent.
+				// Drain the pending batch before the random read (readTID
+				// then settles the CPU debt) so the clock at the IO point is
+				// batch-independent.
 				if err = flush(); err != nil {
 					return 0, false, err
 				}
-				sc.flushCPU()
 				lastPage = tid.Page
 				page, err = sc.readTID(rel, tid, &sc.colPageBuf)
 			}
 			if err != nil {
 				return 0, false, err
 			}
-			sc.chargeCPU(perTuple)
+			sc.chargePs(perTuplePs)
 			batch.AppendRow(page, int(tid.Slot))
 			if batch.N >= bsz {
 				if err := flush(); err != nil {
@@ -426,6 +426,7 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 	lk, rk := d.lk, d.rk
 	cons := d.fr.colRoot
 	limit := d.fr.emitLimit(cons)
+	emitPs := picos(p.EmitCPU)
 	out := sc.colOutBatch(driverSlot, d.join.OutSchema(), nil)
 	// Every row before the cursors has a key <= at, so an interval that
 	// starts above at is reached by seeking forward.
@@ -461,7 +462,7 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		sc.chargeCPU(p.MergeStepCPU * float64(lend-li+rend-ri))
 		for l := li; l < lend; l++ {
 			for r := ri; r < rend; r++ {
-				sc.chargeCPU(p.EmitCPU)
+				sc.chargePs(emitPs)
 				out.AppendJoined(&d.lcols, l, &d.rcols, r)
 				if out.N >= limit {
 					if err := flushOut(sc, out, cons); err != nil {

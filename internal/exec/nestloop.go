@@ -98,8 +98,8 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 		return colConsumer{}, err
 	}
 	chain := expr.CompileColPredChain(x.Pred)
-	emitCPU := fr.eng.Params.EmitCPU
-	rescanCPU := fr.eng.Params.RescanSetupCPU
+	emitPs := picos(fr.eng.Params.EmitCPU)
+	rescanPs := picos(fr.eng.Params.RescanSetupCPU)
 	slot := fr.newColOut()
 	sel := fr.newSel()
 	outSchema := x.OutSchema()
@@ -126,7 +126,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 				if kept != nil {
 					irow = int(kept[i])
 				}
-				sc.chargeCPU(emitCPU)
+				sc.chargePs(emitPs)
 				out.AppendJoined(ob, orow, inner, irow)
 				if out.N >= limit {
 					if err := flushOut(sc, out, cons); err != nil {
@@ -138,7 +138,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 		}
 		for i, live := 0, ob.Live(); i < live; i++ {
 			orow = ob.RowAt(i)
-			sc.chargeCPU(rescanCPU)
+			sc.chargePs(rescanPs)
 			if err := rescan(sc, beforeIO, join); err != nil {
 				return err
 			}
@@ -171,7 +171,8 @@ func (fr *fragRun) compileRescan(n plan.Node, loop int) (rescanFn, error) {
 					return err
 				}
 				sc.flushCPU()
-				eng.Clock.SleepUntil(eng.Store.EnqueuePage(rel, p, false))
+				sc.settle()
+				sc.sleepUntil(eng.Store.EnqueuePage(rel, p, false))
 				page, err := sc.pageCols(rel, p, &ns.page)
 				if err != nil {
 					return err
@@ -199,7 +200,6 @@ func (fr *fragRun) compileRescan(n plan.Node, loop int) (rescanFn, error) {
 				if visitErr = beforeIO(); visitErr != nil {
 					return false
 				}
-				sc.flushCPU()
 				var page *storage.ColBatch
 				if page, visitErr = sc.readTID(rel, tid, &ns.page); visitErr != nil {
 					return false

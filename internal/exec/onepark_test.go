@@ -34,46 +34,88 @@ func widePages(t *testing.T, st *storage.Store) *storage.Relation {
 	return rel
 }
 
+// onePark is one fragment shape TestOneParkPerPage runs: mk builds its
+// relations on eng's store and returns the plan root and the pages its
+// scans read. A run may park once per page plus fixed: per slave of
+// every fragment, the opening YieldOrdered and the closing flush, and
+// for an Agg root the master's charge for emitting the groups. byBatch
+// keys the golden outcome by batch size as well: where the pipeline
+// charges CPU after a page's read, the debt left unslept at the next
+// enqueue depends on how the charges were split, and the disks' queued
+// time with it (the makespan and the rows do not).
+type onePark struct {
+	name    string
+	byBatch bool
+	fixed   func(degree int) int64
+	mk      func(t *testing.T, eng *Engine) (plan.Node, int64)
+}
+
+var oneParkShapes = []onePark{
+	// A filtered scan into a stored temp: nothing but the page cycle
+	// charges the clock.
+	{"", false, func(degree int) int64 { return 2 * int64(degree) }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
+		rel := widePages(t, eng.Store)
+		return &plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 0, 99)}, rel.NPages()
+	}},
+	// A scan into a hash build, then a scan → hash probe → Agg root: the
+	// insert, probe, per-match emit and fold charges all fall between
+	// two page reads.
+	{"join", true, func(degree int) int64 { return 2*2*int64(degree) + 1 }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
+		l := buildRel(t, eng.Store, "pl", 6000, 1000, 100)
+		r := buildRel(t, eng.Store, "pr", 1500, 1000, 100)
+		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l, Filter: expr.ColRange(0, "a", 0, 699)}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
+		agg := &plan.Agg{Child: hj, GroupCol: 0, Funcs: []plan.AggFunc{{Kind: plan.CountAll}}}
+		return agg, l.NPages() + r.NPages()
+	}},
+}
+
 // TestOneParkPerPage is the gate on the page driver's clock traffic: a
-// sequential scan hands its goroutine to the clock once per page read
-// (three times before the sleeps were chained), plus a constant per
-// slave — the opening YieldOrdered and the closing flush. The count is
-// exact run over run, whatever the degree, the batch size and the mix of
-// sleeps the cost parameters produce; the virtual outcome under every
-// variant is the one recorded before the sleeps were chained.
+// slave hands its goroutine to the clock once per page read, the
+// pipeline's charges included, plus the shape's fixed parks. The count
+// is exact run over run, whatever the degree, the batch size and the
+// mix of sleeps the cost parameters produce; the virtual outcome under
+// every variant is the one recorded while every charge slept on its
+// own.
 func TestOneParkPerPage(t *testing.T) {
-	const perSlave = 2
-	for _, pv := range paramVariants {
-		for _, degree := range []int{1, 3, 8} {
-			key := pv.key(fmt.Sprintf("%s/degree=%d", t.Name(), degree))
-			for _, bs := range []int{1, 7, 256} {
-				var first vclock.Counts
-				for run := 0; run < 2; run++ {
-					v, eng := testEngineWith(0, 8, pv)
-					eng.BatchSize = bs
-					rel := widePages(t, eng.Store)
-					root := &plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 0, 99)}
-					fr, err := launchFrag(t, v, eng, root, degree, nil, nil)
-					if err != nil {
-						t.Fatal(err)
+	for _, sh := range oneParkShapes {
+		for _, pv := range paramVariants {
+			for _, degree := range []int{1, 3, 8} {
+				base := t.Name()
+				if sh.name != "" {
+					base += "/" + sh.name
+				}
+				for _, bs := range []int{1, 7, 256} {
+					key := fmt.Sprintf("%s/degree=%d", base, degree)
+					if sh.byBatch {
+						key += fmt.Sprintf("/batch=%d", bs)
 					}
-					label := fmt.Sprintf("%s degree=%d batch=%d", pv.name, degree, bs)
-					checkGolden(t, key, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
-					c := v.Counts()
-					pages := rel.NPages()
-					if limit := pages + perSlave*int64(degree); c.Parks > limit {
-						t.Errorf("%s: %d parks for %d pages, limit %d", label, c.Parks, pages, limit)
-					}
-					if ratio := float64(c.Parks) / float64(pages); ratio > 1.05 {
-						t.Errorf("%s: %.3f parks per page read, limit 1.05", label, ratio)
-					}
-					if c.Stages < 2*pages {
-						t.Errorf("%s: %d timers fired for %d pages: the chained stages did not run", label, c.Stages, pages)
-					}
-					if run == 0 {
-						first = c
-					} else if c != first {
-						t.Errorf("%s: second run counts %+v, first %+v", label, c, first)
+					key = pv.key(key)
+					var first vclock.Counts
+					for run := 0; run < 2; run++ {
+						v, eng := testEngineWith(0, 8, pv)
+						eng.BatchSize = bs
+						root, pages := sh.mk(t, eng)
+						fr, err := launchFrag(t, v, eng, root, degree, nil, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("%s %s degree=%d batch=%d", sh.name, pv.name, degree, bs)
+						checkGolden(t, key, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+						c := v.Counts()
+						if run == 0 {
+							t.Logf("%s: %d parks, %d timers fired, %d pages", label, c.Parks, c.Stages, pages)
+						}
+						if limit := pages + sh.fixed(degree); c.Parks > limit {
+							t.Errorf("%s: %d parks for %d pages, limit %d", label, c.Parks, pages, limit)
+						}
+						if c.Stages < 2*pages {
+							t.Errorf("%s: %d timers fired for %d pages: the chained stages did not run", label, c.Stages, pages)
+						}
+						if run == 0 {
+							first = c
+						} else if c != first {
+							t.Errorf("%s: second run counts %+v, first %+v", label, c, first)
+						}
 					}
 				}
 			}
@@ -110,6 +152,46 @@ func TestOneParkPageErrorFailsTask(t *testing.T) {
 		}, nil)
 		if !errors.Is(err, bad) {
 			t.Fatalf("degree %d: task error = %v, want %v", degree, err, bad)
+		}
+	}
+}
+
+// A pipeline stage that fails part-way through a page fails the task
+// with its error, at the instant and after the timers it did while
+// every charge slept on its own: the charges the page's earlier batches
+// staged are slept off before the slave returns the error. The failing
+// stage sits at the head of a probe → Agg pipeline and fails on its
+// 20th batch of 7 rows: at degree 1 the fourth of the third page's
+// eight.
+func TestOneParkPipelineErrorFailsTask(t *testing.T) {
+	bad := errors.New("exec: stage fails mid-page")
+	// Recorded while every charge slept on its own.
+	want := map[int]string{
+		1: "failed at 2.648724929s after 207 timers, disk {Reads:[31 0 8] Busy:548.159042ms Queued:228.571424ms}",
+		3: "failed at 4.304893919s after 888 timers, disk {Reads:[0 105 8] Busy:1.978571354s Queued:2.479175444s}",
+	}
+	for _, degree := range []int{1, 3} {
+		v, eng := testEngine(0)
+		eng.BatchSize = 7
+		root, _ := oneParkShapes[1].mk(t, eng)
+		calls := 0
+		_, err := launchFrag(t, v, eng, root, degree, func(drv driver) {
+			fr := drv.(*pageDriver).fr
+			next := fr.colRoot.proc
+			fr.colRoot.proc = func(sc *slaveCtx, b *storage.ColBatch) error {
+				if calls++; calls == 20 {
+					return bad
+				}
+				return next(sc, b)
+			}
+		}, nil)
+		if !errors.Is(err, bad) {
+			t.Fatalf("degree %d: task error = %v, want %v", degree, err, bad)
+		}
+		c := v.Counts()
+		got := fmt.Sprintf("failed at %v after %d timers, disk %+v", v.Now(), c.Stages, eng.Store.Disks.Stats())
+		if got != want[degree] {
+			t.Errorf("degree %d: %s\nwant %s", degree, got, want[degree])
 		}
 	}
 }

@@ -325,42 +325,40 @@ type inflight struct {
 }
 
 // serve processes one posted page: settle all simulated work preceding
-// the disk wait (invariant 2 in colpipe.go), block until the page is
+// the disk wait (invariant 2 in colpipe.go), wait until the page is
 // available, pay for reading it, then feed it through the fragment
 // pipeline batch-wise.
 //
-// Nothing the slave does between those sleeps is visible to anyone else
-// — the decode is pure and the debt arithmetic is private — so the page
-// is decoded first and the sleeps run as one program: the residual debt,
-// the wait for the page, and a flush wherever a charge carries the debt
-// past the quantum, each present exactly when flushCPU / chargeCPU would
-// have slept. The pipeline, the checkpoint and the next enqueue, the
-// first shared side effects, come after the park. (The range, nestloop
-// and TID paths enqueue between their flush and their wait, an
-// order-sensitive side effect, and so keep their separate sleeps.)
+// The waits and the charges stage into the slave's sleep program, the
+// pipeline's with them, and the page parks once, at its end: what the
+// slave does in between — the decode, the debt arithmetic, the probes
+// of a sealed hash table, its private hash builder and aggregate
+// partial, a counted root's sum — is its own or commutes, so nothing
+// else can tell when it ran. The checkpoint and the next enqueue, the
+// first shared side effects after the page, come after the park; a
+// stored sink's append settles before it writes (DESIGN.md §7). Every
+// sleep is staged exactly when its charge would have slept it.
 func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 	cb, err := d.src.page(sc, head.page)
 	if err != nil {
 		return err
 	}
-	sc.stageFlush()
-	sc.prog.SleepUntil(head.avail)
+	sc.flushCPU()
+	sc.sleepUntil(head.avail)
 	for _, c := range d.src.charges(sc, cb) {
-		sc.stageCPU(c)
+		sc.chargeCPU(c)
 	}
-	d.fr.eng.Clock.Park(&sc.prog)
 	bsz := d.fr.eng.batchSize()
-	for lo := 0; lo < cb.N; lo += bsz {
+	for lo := 0; lo < cb.N && err == nil; lo += bsz {
 		hi := lo + bsz
 		if hi > cb.N {
 			hi = cb.N
 		}
 		sc.colView, sc.colViewVecs = cb.Slice(lo, hi, sc.colViewVecs)
-		if err := d.fr.processColBatch(sc, &sc.colView); err != nil {
-			return err
-		}
+		err = d.fr.processColBatch(sc, &sc.colView)
 	}
-	return nil
+	sc.settle()
+	return err
 }
 
 // run implements driver: the slave backend's scan loop with readahead.

@@ -401,8 +401,10 @@ type slaveCtx struct {
 	// charge, however the charges were grouped into batches: flushes
 	// sleep whole nanoseconds and carry the sub-nanosecond remainder.
 	cpuDebtPs int64
-	// prog collects the sleeps of one page cycle so the page driver parks
-	// once per page (stageFlush / stageCPU fill it, serve parks on it).
+	// prog is the slave's sleep program: every CPU sleep and every wait
+	// for a posted page is staged here (flushCPU, sleepUntil), and settle
+	// parks on it once per shared side effect — for a page-driven slave,
+	// once per page.
 	prog vclock.Prog
 	// agg is this slave's partial when the fragment root is an Agg
 	// (two-phase parallel aggregation); flushAll merges it.
@@ -520,11 +522,16 @@ func (sc *slaveCtx) pageCols(rel *storage.Relation, p int64, buf **storage.ColBa
 	return rel.PageColsInto(p, *buf)
 }
 
-// readTID charges the IO for the heap page holding tid (one, usually
-// random, read per index entry — §3) and returns that page through
-// pageCols, having checked that tid addresses a row on it.
+// readTID posts the IO for the heap page holding tid (one, usually
+// random, read per index entry — §3), settling everything the slave owes
+// first and staging the wait, and returns that page through pageCols,
+// having checked that tid addresses a row on it.
 func (sc *slaveCtx) readTID(rel *storage.Relation, tid storage.TID, buf **storage.ColBatch) (*storage.ColBatch, error) {
-	sc.rt.eng.Store.ChargeTID(rel, tid)
+	sc.flushCPU()
+	sc.settle()
+	if avail, hit := sc.rt.eng.Store.EnqueueTID(rel, tid); !hit {
+		sc.sleepUntil(avail)
+	}
 	page, err := sc.pageCols(rel, tid.Page, buf)
 	if err != nil {
 		return nil, err
@@ -545,9 +552,12 @@ func checkSlot(rel *storage.Relation, page *storage.ColBatch, tid storage.TID) e
 // publishes progress, and if the master has signalled an adjustment
 // round it reports and blocks until resumed. The return value is the
 // slave's assignment to continue with; nil means the slave was retired
-// (or its work is exhausted) and must exit.
+// (or its work is exhausted) and must exit. The round flag is the
+// master's, raised at a virtual instant, so the slave settles before it
+// looks.
 func (sc *slaveCtx) checkpoint(progress report) assignment {
 	rt := sc.rt
+	sc.settle()
 	rt.mu.Lock()
 	s := &sc.state
 	s.progress = progress
@@ -556,12 +566,13 @@ func (sc *slaveCtx) checkpoint(progress report) assignment {
 		rt.mu.Unlock()
 		return a
 	}
-	// Participate in the round: flush buffered CPU/output first so the
-	// master's view of virtual time is consistent.
+	// Participate in the round: sleep off the whole CPU debt first so
+	// the master's view of virtual time is consistent.
 	s.reported = true
 	rt.mu.Unlock()
 
 	sc.flushCPU()
+	sc.settle()
 	rt.eng.Clock.Signal(sc.reportCh)
 	rt.eng.Clock.WaitSignal(sc.resumeCh)
 	// All participants are released together; park so they reorder
@@ -576,65 +587,71 @@ func (sc *slaveCtx) checkpoint(progress report) assignment {
 	return a
 }
 
-// chargeCPU accrues seconds of CPU work, sleeping when the debt passes
-// the engine's charge quantum (batching keeps the event count low).
 // picosPerSecond converts charge amounts to the integral debt unit.
 const picosPerSecond = 1e12
 
+// picos quantizes a CPU charge to whole picoseconds. Operators charging
+// one constant per tuple or per match quantize it once, at compile time.
+func picos(seconds float64) int64 {
+	return int64(seconds*picosPerSecond + 0.5)
+}
+
+// chargeCPU accrues seconds of CPU work.
 func (sc *slaveCtx) chargeCPU(seconds float64) {
-	sc.addCPUDebt(int64(seconds*picosPerSecond + 0.5))
+	sc.chargePs(picos(seconds))
 }
 
-// chargeCPUPer charges a per-tuple cost n times. The unit is quantized
-// before multiplying, so the total is identical however the n tuples
-// were split into batches.
-func (sc *slaveCtx) chargeCPUPer(seconds float64, n int) {
-	sc.addCPUDebt(int64(seconds*picosPerSecond+0.5) * int64(n))
-}
-
-func (sc *slaveCtx) addCPUDebt(ps int64) {
+// chargePs accrues ps picoseconds of CPU work, staging a sleep of the
+// whole debt when it passes the engine's charge quantum (batching keeps
+// the event count low). Nothing is slept here: see settle.
+func (sc *slaveCtx) chargePs(ps int64) {
 	sc.cpuDebtPs += ps
 	if sc.cpuDebtPs >= sc.rt.eng.cpuQuantumPs {
 		sc.flushCPU()
 	}
 }
 
-// takeCPU removes the whole nanoseconds from the debt and returns them;
-// the sub-nanosecond remainder stays.
-func (sc *slaveCtx) takeCPU() time.Duration {
-	ns := sc.cpuDebtPs / 1000
-	sc.cpuDebtPs -= ns * 1000
-	return time.Duration(ns)
-}
-
+// flushCPU stages a sleep of the debt's whole nanoseconds; the
+// sub-nanosecond remainder stays.
 func (sc *slaveCtx) flushCPU() {
-	if ns := sc.takeCPU(); ns > 0 {
-		sc.rt.eng.Clock.Sleep(ns)
+	ns := sc.cpuDebtPs / 1000
+	if ns == 0 {
+		return
 	}
+	sc.cpuDebtPs -= ns * 1000
+	if sc.prog.Full() {
+		sc.settle()
+	}
+	sc.prog.Sleep(time.Duration(ns))
 }
 
-// stageFlush is flushCPU with the sleep appended to the slave's pending
-// program instead of slept.
-func (sc *slaveCtx) stageFlush() {
-	if ns := sc.takeCPU(); ns > 0 {
-		sc.prog.Sleep(ns)
+// sleepUntil stages a wait until the instant t.
+func (sc *slaveCtx) sleepUntil(t time.Duration) {
+	if sc.prog.Full() {
+		sc.settle()
 	}
+	sc.prog.SleepUntil(t)
 }
 
-// stageCPU is chargeCPU with the flush it may force staged the same way.
-func (sc *slaveCtx) stageCPU(seconds float64) {
-	sc.cpuDebtPs += int64(seconds*picosPerSecond + 0.5)
-	if sc.cpuDebtPs >= sc.rt.eng.cpuQuantumPs {
-		sc.stageFlush()
-	}
+// settle sleeps off the slave's staged program in one park. A slave
+// settles before each of its shared side effects — a disk enqueue, an
+// append into a temp other slaves append to, a clock read, a checkpoint,
+// its exit — so each runs at the instant it would have run had every
+// sleep been slept where it was staged; in between it touches only
+// what is its own or commutes (DESIGN.md §7).
+func (sc *slaveCtx) settle() {
+	sc.rt.eng.Clock.Park(&sc.prog)
 }
 
 // flushAll drains all buffers at slave exit, merging the aggregation
 // partial into the fragment's shared state and handing the slave's
 // output batches and a window the state did not adopt back to the
-// fragment runtime.
+// fragment runtime. The merge and the hash-table flush land in shared
+// state in exit order, so the staged sleeps are settled first; the
+// residual debt is slept last.
 func (sc *slaveCtx) flushAll() {
 	fr := sc.rt.fr
+	sc.settle()
 	if fr.agg != nil {
 		if !fr.agg.merge(&sc.agg) && sc.agg.win != nil {
 			fr.putDense(sc.agg.win)
@@ -646,6 +663,7 @@ func (sc *slaveCtx) flushAll() {
 		sc.colHb = nil
 	}
 	sc.flushCPU()
+	sc.settle()
 	// colPageBuf stays with the context (it re-Inits per schema); the
 	// per-slot output batches are fragment-shaped and go back to the
 	// runtime's lists.

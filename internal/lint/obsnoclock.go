@@ -50,17 +50,17 @@ var clockAdvancingMethods = map[string]bool{
 	"Wait":         true, // Mailbox.Wait
 }
 
-// cpuChargingFuncs are the executor's virtual-CPU accounting helpers;
-// calling one from an observability callback would make tracing change
-// the simulated timeline.
+// cpuChargingFuncs are the executor's virtual-CPU accounting helpers:
+// the charge path, which stages sleeps into a slave's sleep program
+// and parks it when full, and settle, which parks it. Calling one from
+// an observability callback would make tracing change the simulated
+// timeline.
 var cpuChargingFuncs = map[string]bool{
-	"chargeCPU":    true,
-	"chargeCPUPer": true,
-	"addCPUDebt":   true,
-	"flushCPU":     true,
-	"takeCPU":      true,
-	"stageFlush":   true,
-	"stageCPU":     true,
+	"chargeCPU":  true,
+	"chargePs":   true,
+	"flushCPU":   true,
+	"sleepUntil": true,
+	"settle":     true,
 }
 
 func runObsNoClock(pass *Pass) error {

@@ -450,7 +450,9 @@ func TestReadTIDUnclusteredPattern(t *testing.T) {
 		// Jumping between distant pages must be charged as random IO.
 		pages := []int64{0, 2, 0, 2, 1, 0}
 		for _, p := range pages {
-			st.ChargeTID(r, TID{Page: p, Slot: 0})
+			if at, hit := st.EnqueueTID(r, TID{Page: p, Slot: 0}); !hit {
+				v.SleepUntil(at)
+			}
 		}
 	})
 	s := st.Disks.Stats()

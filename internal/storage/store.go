@@ -216,13 +216,15 @@ func (s *Store) EnqueuePage(rel *Relation, p int64, parallel bool) time.Duration
 	return s.Disks.Enqueue(rel.ID, p, parallel)
 }
 
-// ChargeTID charges the IO for the page holding tid (unless the buffer
-// pool holds it) and blocks until it is served; the caller then reads
-// the row out of Relation.PageCols. Unclustered index scans use this:
-// one (usually random) page read per qualifying tuple, which is why such
-// scans are IO-bound (§3).
-func (s *Store) ChargeTID(rel *Relation, tid TID) {
-	if !s.Pool.touch(pageKey{rel: rel.ID, page: tid.Page}) {
-		s.Disks.Read(rel.ID, tid.Page)
+// EnqueueTID reserves the IO for the page holding tid and returns the
+// virtual instant the page is served, without blocking; callers sleep
+// until then before reading the row out of Relation.PageCols. hit
+// reports a buffer-pool hit, which reserves nothing and has nothing to
+// wait for. Unclustered index scans use this: one (usually random) page
+// read per qualifying tuple, which is why such scans are IO-bound (§3).
+func (s *Store) EnqueueTID(rel *Relation, tid TID) (avail time.Duration, hit bool) {
+	if s.Pool.touch(pageKey{rel: rel.ID, page: tid.Page}) {
+		return 0, true
 	}
+	return s.Disks.Enqueue(rel.ID, tid.Page, false), false
 }

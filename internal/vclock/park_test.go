@@ -37,7 +37,9 @@ type parkScript struct {
 	pairs int        // number of signal channels
 }
 
-func genParkScript(rng *rand.Rand) parkScript {
+// genParkScript draws a script whose sleep programs run up to
+// maxStages stages.
+func genParkScript(rng *rand.Rand, maxStages int) parkScript {
 	k := 2 + rng.Intn(5)
 	s := parkScript{ops: make([][]parkOp, k)}
 	durs := []time.Duration{-5, 0, 0, 1, 2, 3, 3, 10}
@@ -48,7 +50,7 @@ func genParkScript(rng *rand.Rand) parkScript {
 				continue
 			}
 			op := parkOp{kind: opProg}
-			for m := rng.Intn(MaxStages + 1); m > 0; m-- {
+			for m := rng.Intn(maxStages + 1); m > 0; m-- {
 				if rng.Intn(3) == 0 {
 					op.stages = append(op.stages, stage{t: time.Duration(rng.Intn(60)), until: true})
 				} else {
@@ -76,9 +78,10 @@ func genParkScript(rng *rand.Rand) parkScript {
 
 // runParkScript executes the script and returns one "goroutine@now"
 // record per completed op in global wake order, the final Now and the
-// clock's counters. Records need no lock of their own: the clock lets
-// one registered goroutine run at a time and orders them through its
-// mutex and wake channels.
+// clock's counters. Fused, a program that is full parks before it takes
+// another stage, and staging goes on into the emptied program. Records
+// need no lock of their own: the clock lets one registered goroutine run
+// at a time and orders them through its mutex and wake channels.
 func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 	v := NewVirtual()
 	var log strings.Builder
@@ -109,6 +112,9 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 						v.YieldOrdered(int64(1000 + g))
 					case opProg:
 						for _, st := range op.stages {
+							if fused && prog.Full() {
+								v.Park(&prog)
+							}
 							switch {
 							case fused && st.until:
 								prog.SleepUntil(st.t)
@@ -136,25 +142,52 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 
 func TestParkMatchesSleeps(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		s := genParkScript(rand.New(rand.NewSource(seed)))
-		wantLog, wantNow, wantC := runParkScript(s, false)
-		gotLog, gotNow, gotC := runParkScript(s, true)
-		if gotLog != wantLog {
-			t.Fatalf("seed %d: wake sequence differs\n park: %s\nsleep: %s", seed, gotLog, wantLog)
+		checkParkScript(t, seed, genParkScript(rand.New(rand.NewSource(seed)), MaxStages))
+	}
+}
+
+// TestParkFullProgramParksEarly runs programs up to three times longer
+// than a Prog holds: each parks whenever it is full and staging goes on,
+// which must still be the plain sleeps.
+func TestParkFullProgramParksEarly(t *testing.T) {
+	early := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		s := genParkScript(rand.New(rand.NewSource(seed)), 3*MaxStages+1)
+		checkParkScript(t, seed, s)
+		for _, ops := range s.ops {
+			for _, op := range ops {
+				if len(op.stages) > MaxStages {
+					early++
+				}
+			}
 		}
-		if gotNow != wantNow {
-			t.Fatalf("seed %d: final Now = %v through Park, %v through Sleep", seed, gotNow, wantNow)
-		}
-		// Same timers fired, in fewer hand-offs; nothing else moved.
-		if gotC.Stages != wantC.Stages || gotC.Signals != wantC.Signals || gotC.Waits != wantC.Waits {
-			t.Fatalf("seed %d: counts %+v through Park, %+v through Sleep", seed, gotC, wantC)
-		}
-		if wantC.Parks != wantC.Stages {
-			t.Fatalf("seed %d: %d parks for %d stages without Park", seed, wantC.Parks, wantC.Stages)
-		}
-		if gotC.Parks > wantC.Parks {
-			t.Fatalf("seed %d: Park added hand-offs: %d > %d", seed, gotC.Parks, wantC.Parks)
-		}
+	}
+	if early == 0 {
+		t.Fatal("no program outgrew MaxStages")
+	}
+}
+
+// checkParkScript runs s stage by stage and through Park and demands the
+// same wake sequence, final instant and timers, in no more hand-offs.
+func checkParkScript(t *testing.T, seed int64, s parkScript) {
+	t.Helper()
+	wantLog, wantNow, wantC := runParkScript(s, false)
+	gotLog, gotNow, gotC := runParkScript(s, true)
+	if gotLog != wantLog {
+		t.Fatalf("seed %d: wake sequence differs\n park: %s\nsleep: %s", seed, gotLog, wantLog)
+	}
+	if gotNow != wantNow {
+		t.Fatalf("seed %d: final Now = %v through Park, %v through Sleep", seed, gotNow, wantNow)
+	}
+	// Same timers fired, in fewer hand-offs; nothing else moved.
+	if gotC.Stages != wantC.Stages || gotC.Signals != wantC.Signals || gotC.Waits != wantC.Waits {
+		t.Fatalf("seed %d: counts %+v through Park, %+v through Sleep", seed, gotC, wantC)
+	}
+	if wantC.Parks != wantC.Stages {
+		t.Fatalf("seed %d: %d parks for %d stages without Park", seed, wantC.Parks, wantC.Stages)
+	}
+	if gotC.Parks > wantC.Parks {
+		t.Fatalf("seed %d: Park added hand-offs: %d > %d", seed, gotC.Parks, wantC.Parks)
 	}
 }
 
@@ -216,10 +249,13 @@ func TestParkAllocatesNothing(t *testing.T) {
 	v.Run(func() {
 		var p Prog
 		allocs := testing.AllocsPerRun(200, func() {
-			p.Sleep(3)
-			p.SleepUntil(v.Now() + 7)
-			p.Sleep(0)
-			p.Sleep(2)
+			for i := 0; !p.Full(); i++ {
+				if i%3 == 1 {
+					p.SleepUntil(v.Now() + 7)
+				} else {
+					p.Sleep(time.Duration(i % 4))
+				}
+			}
 			v.Park(&p)
 		})
 		if allocs != 0 {

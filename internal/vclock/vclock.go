@@ -69,8 +69,12 @@ type Clock interface {
 	Signal(ch chan struct{})
 }
 
-// MaxStages is the longest program Park accepts.
-const MaxStages = 4
+// MaxStages is the longest program Park accepts. An executor slave
+// stages a page's whole cycle — its waits, its read charges and every
+// CPU flush of the pipeline above it — into one program: up to 8 stages
+// per park on the hash-join → aggregate pipeline at the engine's batch
+// size, up to 14 at a batch of one row; a page scan stages 2 to 4.
+const MaxStages = 16
 
 // stage is one sleep of a program: a duration from the instant the stage
 // starts, or (until) an instant on the clock's Now scale.
@@ -94,6 +98,10 @@ func (p *Prog) Sleep(d time.Duration) { p.push(stage{t: d}) }
 
 // SleepUntil appends a stage that sleeps until the instant t.
 func (p *Prog) SleepUntil(t time.Duration) { p.push(stage{t: t, until: true}) }
+
+// Full reports whether the program holds MaxStages stages: a caller
+// with more to stage parks it first.
+func (p *Prog) Full() bool { return p.n == MaxStages }
 
 // Reset empties the program.
 func (p *Prog) Reset() { p.n, p.pc = 0, 0 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"xprs/internal/vclock"
 	"xprs/internal/workload"
 )
 
@@ -328,5 +329,44 @@ func TestStreamExperiment(t *testing.T) {
 func TestStreamValidation(t *testing.T) {
 	if _, err := RunStream(DefaultConfig(), 1, 0, time.Second, SchedOptions{}, Admission{}); err == nil {
 		t.Fatal("0-task stream accepted")
+	}
+}
+
+// TestOneParkPerPageJoin holds the canonical pipeline query (bench/'s
+// join_agg shape: scan → hash build, scan → filter → probe → Agg) to one
+// clock hand-off per page read. A page's hash-probe, emit and fold
+// charges join the page's sleep program, so they add timers but no
+// hand-offs. "Timers fired" is the clock's whole event sequence and is pinned to
+// the count the sleeps produced one by one, and a warm op parks and
+// fires timers the same op after op. (Signals and waits are not
+// compared: the session's master loop starts as the query is submitted,
+// and whether it is already waiting on its mailbox by then is up to the
+// host scheduler.)
+func TestOneParkPerPageJoin(t *testing.T) {
+	const wantStages = 1515
+	s, _, _ := loadPipelineRels(t)
+	var first vclock.Counts
+	for op := 0; op < 3; op++ {
+		before := s.clock.Counts()
+		_, _, rep, err := s.ExecSQLReport(pipelineSQL, InterAdj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.clock.Counts()
+		c := vclock.Counts{Parks: after.Parks - before.Parks, Stages: after.Stages - before.Stages}
+		reads := rep.Disk.TotalReads() + rep.PoolHits
+		ratio := float64(c.Parks) / float64(reads)
+		t.Logf("op %d: %d parks, %d timers fired, %d page reads: %.3f parks per page", op, c.Parks, c.Stages, reads, ratio)
+		if ratio > 1.10 {
+			t.Errorf("op %d: %.3f parks per page read, limit 1.10", op, ratio)
+		}
+		if c.Stages != wantStages {
+			t.Errorf("op %d: %d timers fired, want %d: the virtual schedule moved", op, c.Stages, wantStages)
+		}
+		if op == 0 {
+			first = c
+		} else if c != first {
+			t.Errorf("op %d: counts %+v, op 0 counted %+v", op, c, first)
+		}
 	}
 }
