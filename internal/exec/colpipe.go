@@ -451,11 +451,9 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 			out := sc.colOutBatch(slot, outSchema, prune)
 			// Matches resolve limit at a time into the slave's match
 			// vectors, each output column gathers in one loop, and the
-			// consumer runs — after the same match counts, and the same
-			// one charge per match in match order, as emitting row by row:
-			// nothing else touches the clock in between, so every sleep
-			// falls where it did. The vectors are dead once gathered, which
-			// is what lets a chain of joins share one set per slave.
+			// consumer runs after the same match counts as emitting row by
+			// row. The vectors are dead once gathered, which is what lets a
+			// chain of joins share one set per slave.
 			if sc.matches == nil {
 				sc.matches = &matchVecs{}
 			}
@@ -466,11 +464,8 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 				if n == 0 {
 					return nil
 				}
-				for range n {
-					sc.chargePs(emitPs)
-				}
 				out.AppendJoinedRows(b, m.lrow, cht.stores, m.part, m.brow)
-				if err := flushOut(sc, out, cons); err != nil {
+				if err := flushOut(sc, out, cons, emitPs); err != nil {
 					return err
 				}
 			}
@@ -483,11 +478,14 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colCo
 }
 
 // flushOut delivers an emitting operator's pending output batch to its
-// consumer and empties it.
-func flushOut(sc *slaveCtx, out *storage.ColBatch, cons colConsumer) error {
+// consumer and empties it, charging emitPs per row: an emitter flushes
+// before anything downstream or in its own inputs can settle, so every
+// settle sees the debt of every row emitted before it.
+func flushOut(sc *slaveCtx, out *storage.ColBatch, cons colConsumer, emitPs int64) error {
 	if out.N == 0 {
 		return nil
 	}
+	sc.chargePs(emitPs * int64(out.N))
 	err := cons.proc(sc, out)
 	out.Reset()
 	return err

@@ -33,9 +33,9 @@ type Engine struct {
 	Env    core.Env
 
 	// BatchSize is the number of tuples per pipeline batch; 0 means
-	// DefaultBatchSize. Set before Run. Results and virtual-clock totals
-	// are independent of the value — it is purely a wall-clock
-	// efficiency knob (and a correctness-test lever).
+	// DefaultBatchSize. Set before Run. Results, virtual-clock totals and
+	// disk statistics are independent of the value — it is purely a
+	// wall-clock efficiency knob (and a correctness-test lever).
 	BatchSize int
 
 	// HashPartitions overrides the build-side partition count of every
@@ -55,10 +55,6 @@ type Engine struct {
 	// Metrics receives counters and histograms when set; nil disables
 	// them the same way.
 	Metrics *obs.Registry
-
-	// cpuQuantumPs batches per-tuple CPU charges into clock sleeps
-	// (picoseconds); purely a simulation-efficiency knob.
-	cpuQuantumPs int64
 
 	// scPool recycles slave execution contexts across slaves, tasks and
 	// queries: the capacity-bearing scratch (selection buffers, view
@@ -226,7 +222,6 @@ func New(clock vclock.Clock, store *storage.Store, params cost.Params) *Engine {
 			Br:     params.Br,
 			BrRand: params.BrRand,
 		},
-		cpuQuantumPs: 2e9, // 2 ms
 	}
 }
 

@@ -39,15 +39,12 @@ func (pv paramVariant) key(base string) string {
 	return base + "@" + pv.name
 }
 
-// paramVariants move the page driver's CPU charges across the engine's
-// 2 ms charge quantum, so a page cycle's sleeps come in every
-// combination. Under the defaults the page-service charge (10.3 ms) and
-// the test relations' per-page tuple charge (tens of ms) each force a
-// flush of their own. With a 1 ms page service the first charge no
-// longer does and its debt is carried into the second; with tuple CPU
-// at 1/64 the second no longer does and its debt is carried to the next
-// page's opening flush; with both, debt accumulates across pages and
-// crosses the quantum now at one charge, now at the other.
+// paramVariants scale the page driver's two CPU charges per page — the
+// page service (10.3 ms under the defaults) and the tuple CPU (tens of
+// ms on the test relations) — to a 1 ms service, 1/64 of the tuple CPU,
+// or both. A page's settled debt then runs from tens of ms to about one,
+// now longer and now shorter than the wait for the slave's next read, so
+// the slaves' enqueues meet the disks in a different order.
 var paramVariants = []paramVariant{
 	{"", func(*cost.Params) {}},
 	{"svc1ms", func(p *cost.Params) { p.SeqPageService = 1e-3 }},

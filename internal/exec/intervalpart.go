@@ -231,12 +231,12 @@ func dealIntervals(dist keyDist, all []btree.Interval, k int) [][]btree.Interval
 	return parts
 }
 
-// runIntervals is the slave loop of an interval driver: group scans the
-// first key group of the head interval and returns its key (found is
-// false when the interval holds none, which drops it); the interval then
-// advances past the group and the slave checkpoints, so adjustments
-// pause only between key groups. group must deliver the whole group
-// before returning. It is called, never stored, so the caller's closure
+// runIntervals is the slave loop of an interval driver: group scans one
+// or more key groups from the head of the interval and returns the last
+// one's key (found is false when the interval holds none, which drops
+// it); the interval then advances past the group and the slave
+// checkpoints, so adjustments pause only between key groups. group must
+// deliver every group it scans before returning. It is called, never stored, so the caller's closure
 // and everything it captures stay on the caller's stack.
 func runIntervals(sc *slaveCtx, group func(iv btree.Interval) (key int32, found bool, err error)) error {
 	a, ok := sc.state.assign.(*intervalAssign)
@@ -420,13 +420,19 @@ func newMergeDriver(fr *fragRun, leaf plan.Node) (*mergeDriver, error) {
 // joined rows through the fragment pipeline. Both inputs are sealed and
 // sorted, so the merge walks their key vectors with two cursors; the
 // cursors are re-sought only when the slave moves to another interval.
+//
+// A merge slave does no IO, so only its checkpoints park it. It merges
+// key groups until it has charged a sequential page read's worth of CPU
+// (about one page cycle of a scan slave) and checkpoints at the key
+// boundary after: a checkpoint per key group would hand the clock
+// between the slaves at every key.
 func (d *mergeDriver) run(sc *slaveCtx) error {
 	eng := d.fr.eng
 	p := eng.Params
 	lk, rk := d.lk, d.rk
 	cons := d.fr.colRoot
 	limit := d.fr.emitLimit(cons)
-	emitPs := picos(p.EmitCPU)
+	emitPs, pagePs := picos(p.EmitCPU), picos(p.SeqPageService)
 	out := sc.colOutBatch(driverSlot, d.join.OutSchema(), nil)
 	// Every row before the cursors has a key <= at, so an interval that
 	// starts above at is reached by seeking forward.
@@ -437,41 +443,46 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		}
 		li, ri = seek(lk, li, iv.Lo), seek(rk, ri, iv.Lo)
 		at = iv.Lo
-		// Find the next key group with any tuple in the interval.
-		var key int32
-		switch {
-		case li < len(lk) && lk[li] <= iv.Hi:
-			key = lk[li]
-			if ri < len(rk) && rk[ri] < key {
+		found := false
+		for spent := int64(0); spent < pagePs; {
+			// Find the next key group with any tuple in the interval.
+			var key int32
+			switch {
+			case li < len(lk) && lk[li] <= iv.Hi:
+				key = lk[li]
+				if ri < len(rk) && rk[ri] < key {
+					key = rk[ri]
+				}
+			case ri < len(rk) && rk[ri] <= iv.Hi:
 				key = rk[ri]
+			default:
+				return at, found, flushOut(sc, out, cons, emitPs)
 			}
-		case ri < len(rk) && rk[ri] <= iv.Hi:
-			key = rk[ri]
-		default:
-			return 0, false, nil
-		}
-		// Consume the full group `key` on both sides; key is the smaller
-		// head, so a side whose head is larger contributes nothing.
-		lend, rend := li, ri
-		for lend < len(lk) && lk[lend] == key {
-			lend++
-		}
-		for rend < len(rk) && rk[rend] == key {
-			rend++
-		}
-		sc.chargeCPU(p.MergeStepCPU * float64(lend-li+rend-ri))
-		for l := li; l < lend; l++ {
-			for r := ri; r < rend; r++ {
-				sc.chargePs(emitPs)
-				out.AppendJoined(&d.lcols, l, &d.rcols, r)
-				if out.N >= limit {
-					if err := flushOut(sc, out, cons); err != nil {
-						return 0, false, err
+			// Consume the full group `key` on both sides; key is the
+			// smaller head, so a side whose head is larger contributes
+			// nothing.
+			lend, rend := li, ri
+			for lend < len(lk) && lk[lend] == key {
+				lend++
+			}
+			for rend < len(rk) && rk[rend] == key {
+				rend++
+			}
+			stepPs := picos(p.MergeStepCPU * float64(lend-li+rend-ri))
+			sc.chargePs(stepPs)
+			spent += stepPs + emitPs*int64((lend-li)*(rend-ri))
+			for l := li; l < lend; l++ {
+				for r := ri; r < rend; r++ {
+					out.AppendJoined(&d.lcols, l, &d.rcols, r)
+					if out.N >= limit {
+						if err := flushOut(sc, out, cons, emitPs); err != nil {
+							return 0, false, err
+						}
 					}
 				}
 			}
+			li, ri, at, found = lend, rend, key, true
 		}
-		li, ri, at = lend, rend, key
-		return key, true, flushOut(sc, out, cons)
+		return at, true, flushOut(sc, out, cons, emitPs)
 	})
 }

@@ -108,7 +108,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 		out := sc.colOutBatch(slot, outSchema, nil)
 		ns := sc.loopScratch(loop)
 		orow := 0
-		beforeIO := func() error { return flushOut(sc, out, cons) }
+		beforeIO := func() error { return flushOut(sc, out, cons, emitPs) }
 		join := func(inner *storage.ColBatch) error {
 			kept := inner.Sel
 			if len(chain) > 0 {
@@ -126,10 +126,9 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 				if kept != nil {
 					irow = int(kept[i])
 				}
-				sc.chargePs(emitPs)
 				out.AppendJoined(ob, orow, inner, irow)
 				if out.N >= limit {
-					if err := flushOut(sc, out, cons); err != nil {
+					if err := flushOut(sc, out, cons, emitPs); err != nil {
 						return err
 					}
 				}
@@ -143,7 +142,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsu
 				return err
 			}
 		}
-		return flushOut(sc, out, cons)
+		return flushOut(sc, out, cons, emitPs)
 	}}, nil
 }
 
@@ -170,7 +169,6 @@ func (fr *fragRun) compileRescan(n plan.Node, loop int) (rescanFn, error) {
 				if err := beforeIO(); err != nil {
 					return err
 				}
-				sc.flushCPU()
 				sc.settle()
 				sc.sleepUntil(eng.Store.EnqueuePage(rel, p, false))
 				page, err := sc.pageCols(rel, p, &ns.page)

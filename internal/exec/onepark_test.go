@@ -38,29 +38,24 @@ func widePages(t *testing.T, st *storage.Store) *storage.Relation {
 // relations on eng's store and returns the plan root and the pages its
 // scans read. A run may park once per page plus fixed: per slave of
 // every fragment, the opening YieldOrdered and the closing flush, and
-// for an Agg root the master's charge for emitting the groups. byBatch
-// keys the golden outcome by batch size as well: where the pipeline
-// charges CPU after a page's read, the debt left unslept at the next
-// enqueue depends on how the charges were split, and the disks' queued
-// time with it (the makespan and the rows do not).
+// for an Agg root the master's charge for emitting the groups.
 type onePark struct {
-	name    string
-	byBatch bool
-	fixed   func(degree int) int64
-	mk      func(t *testing.T, eng *Engine) (plan.Node, int64)
+	name  string
+	fixed func(degree int) int64
+	mk    func(t *testing.T, eng *Engine) (plan.Node, int64)
 }
 
 var oneParkShapes = []onePark{
 	// A filtered scan into a stored temp: nothing but the page cycle
 	// charges the clock.
-	{"", false, func(degree int) int64 { return 2 * int64(degree) }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
+	{"", func(degree int) int64 { return 2 * int64(degree) }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
 		rel := widePages(t, eng.Store)
 		return &plan.SeqScan{Rel: rel, Filter: expr.ColRange(0, "a", 0, 99)}, rel.NPages()
 	}},
 	// A scan into a hash build, then a scan → hash probe → Agg root: the
 	// insert, probe, per-match emit and fold charges all fall between
 	// two page reads.
-	{"join", true, func(degree int) int64 { return 2*2*int64(degree) + 1 }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
+	{"join", func(degree int) int64 { return 2*2*int64(degree) + 1 }, func(t *testing.T, eng *Engine) (plan.Node, int64) {
 		l := buildRel(t, eng.Store, "pl", 6000, 1000, 100)
 		r := buildRel(t, eng.Store, "pr", 1500, 1000, 100)
 		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l, Filter: expr.ColRange(0, "a", 0, 699)}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
@@ -73,23 +68,20 @@ var oneParkShapes = []onePark{
 // slave hands its goroutine to the clock once per page read, the
 // pipeline's charges included, plus the shape's fixed parks. The count
 // is exact run over run, whatever the degree, the batch size and the
-// mix of sleeps the cost parameters produce; the virtual outcome under
-// every variant is the one recorded while every charge slept on its
-// own.
+// mix of sleeps the cost parameters produce. The virtual outcome, disk
+// statistics included, is one golden per shape, variant and degree,
+// whatever the batch size: the debt a page's pipeline charges is all
+// settled before the next enqueue, however it was split into batches.
 func TestOneParkPerPage(t *testing.T) {
 	for _, sh := range oneParkShapes {
 		for _, pv := range paramVariants {
 			for _, degree := range []int{1, 3, 8} {
-				base := t.Name()
+				key := t.Name()
 				if sh.name != "" {
-					base += "/" + sh.name
+					key += "/" + sh.name
 				}
-				for _, bs := range []int{1, 7, 256} {
-					key := fmt.Sprintf("%s/degree=%d", base, degree)
-					if sh.byBatch {
-						key += fmt.Sprintf("/batch=%d", bs)
-					}
-					key = pv.key(key)
+				key = pv.key(fmt.Sprintf("%s/degree=%d", key, degree))
+				for _, bs := range splitBatches {
 					var first vclock.Counts
 					for run := 0; run < 2; run++ {
 						v, eng := testEngineWith(0, 8, pv)
@@ -157,18 +149,19 @@ func TestOneParkPageErrorFailsTask(t *testing.T) {
 }
 
 // A pipeline stage that fails part-way through a page fails the task
-// with its error, at the instant and after the timers it did while
-// every charge slept on its own: the charges the page's earlier batches
-// staged are slept off before the slave returns the error. The failing
+// with its error, at the instant it did while every charge slept on its
+// own: the debt the page's earlier batches charged is settled before
+// the slave returns the error. The failing
 // stage sits at the head of a probe → Agg pipeline and fails on its
 // 20th batch of 7 rows: at degree 1 the fourth of the third page's
 // eight.
 func TestOneParkPipelineErrorFailsTask(t *testing.T) {
 	bad := errors.New("exec: stage fails mid-page")
-	// Recorded while every charge slept on its own.
+	// The instants were recorded while every charge slept on its own;
+	// the timers are each page's wait and settled debt.
 	want := map[int]string{
-		1: "failed at 2.648724929s after 207 timers, disk {Reads:[31 0 8] Busy:548.159042ms Queued:228.571424ms}",
-		3: "failed at 4.304893919s after 888 timers, disk {Reads:[0 105 8] Busy:1.978571354s Queued:2.479175444s}",
+		1: "failed at 2.648724929s after 66 timers, disk {Reads:[31 0 8] Busy:548.159042ms Queued:228.571424ms}",
+		3: "failed at 4.304893919s after 218 timers, disk {Reads:[0 105 8] Busy:1.978571354s Queued:2.478075444s}",
 	}
 	for _, degree := range []int{1, 3} {
 		v, eng := testEngine(0)

@@ -324,26 +324,24 @@ type inflight struct {
 	avail time.Duration
 }
 
-// serve processes one posted page: settle all simulated work preceding
-// the disk wait (invariant 2 in colpipe.go), wait until the page is
-// available, pay for reading it, then feed it through the fragment
-// pipeline batch-wise.
+// serve processes one posted page: wait until the page is available
+// (the slave settled all simulated work preceding the wait before it
+// enqueued the read, invariant 2 in colpipe.go), pay for reading it,
+// then feed it through the fragment pipeline batch-wise.
 //
-// The waits and the charges stage into the slave's sleep program, the
-// pipeline's with them, and the page parks once, at its end: what the
-// slave does in between — the decode, the debt arithmetic, the probes
+// The wait stages into the slave's sleep program, every charge —
+// the pipeline's with them — adds to its debt, and the page parks once,
+// at its end: what the slave does in between — the decode, the probes
 // of a sealed hash table, its private hash builder and aggregate
 // partial, a counted root's sum — is its own or commutes, so nothing
 // else can tell when it ran. The checkpoint and the next enqueue, the
 // first shared side effects after the page, come after the park; a
-// stored sink's append settles before it writes (DESIGN.md §7). Every
-// sleep is staged exactly when its charge would have slept it.
+// stored sink's append settles before it writes (DESIGN.md §7).
 func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 	cb, err := d.src.page(sc, head.page)
 	if err != nil {
 		return err
 	}
-	sc.flushCPU()
 	sc.sleepUntil(head.avail)
 	for _, c := range d.src.charges(sc, cb) {
 		sc.chargeCPU(c)

@@ -329,6 +329,12 @@ func adjustAfter(t *testing.T, eng *Engine, d time.Duration, newDeg int) func(*r
 	}
 }
 
+// splitBatches are the batch sizes the clock-sensitive tests run every
+// case at: a slave's charges split three ways, and the virtual outcome —
+// the instant it reads the round flag, its disk enqueues — must be the
+// case's one golden at each.
+var splitBatches = []int{1, 7, 256}
+
 // TestLiveAdjustmentMidScan drives a real page-partitioned scan, launched
 // at degree 3, and issues an adjustment while it runs, then verifies
 // results and IO counts are still exact and the virtual outcome is the
@@ -336,21 +342,24 @@ func adjustAfter(t *testing.T, eng *Engine, d time.Duration, newDeg int) func(*r
 func TestLiveAdjustmentMidScan(t *testing.T) {
 	for _, pv := range paramVariants {
 		for _, newDeg := range []int{1, 2, 6, 8} {
-			v, eng := testEngineWith(0, 8, pv)
-			rel := buildRel(t, eng.Store, "r", 3000, 3000, 400)
-			fr, err := launchFrag(t, v, eng, &plan.SeqScan{Rel: rel}, 3, nil,
-				adjustAfter(t, eng, 500*time.Millisecond, newDeg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("newDeg=%d", newDeg)
-			checkGolden(t, pv.key(t.Name()+"/"+label), pv.name+" "+label,
-				outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
-			if got := fr.outTemp.Len(); got != 3000 {
-				t.Fatalf("newDeg %d: results = %d rows, want 3000", newDeg, got)
-			}
-			if got := eng.Store.Disks.Stats().TotalReads(); got != rel.NPages() {
-				t.Fatalf("newDeg %d: disk reads = %d, want %d (exactly once)", newDeg, got, rel.NPages())
+			for _, bs := range splitBatches {
+				v, eng := testEngineWith(0, 8, pv)
+				eng.BatchSize = bs
+				rel := buildRel(t, eng.Store, "r", 3000, 3000, 400)
+				fr, err := launchFrag(t, v, eng, &plan.SeqScan{Rel: rel}, 3, nil,
+					adjustAfter(t, eng, 500*time.Millisecond, newDeg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("newDeg=%d", newDeg)
+				checkGolden(t, pv.key(t.Name()+"/"+label), fmt.Sprintf("%s %s batch=%d", pv.name, label, bs),
+					outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+				if got := fr.outTemp.Len(); got != 3000 {
+					t.Fatalf("newDeg %d: results = %d rows, want 3000", newDeg, got)
+				}
+				if got := eng.Store.Disks.Stats().TotalReads(); got != rel.NPages() {
+					t.Fatalf("newDeg %d: disk reads = %d, want %d (exactly once)", newDeg, got, rel.NPages())
+				}
 			}
 		}
 	}
@@ -361,26 +370,29 @@ func TestLiveAdjustmentMidScan(t *testing.T) {
 func TestLiveAdjustmentRangeScan(t *testing.T) {
 	for _, pv := range paramVariants {
 		for _, newDeg := range []int{1, 4, 8} {
-			v, eng := testEngineWith(0, 8, pv)
-			rel := buildShuffledRel(t, eng.Store, "r", 2000, 40)
-			ix, err := btree.BuildIndex("r_a", rel, 0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
-			fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 2*time.Second, newDeg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fr.outTemp.Len(); got != 2000 {
-				t.Errorf("newDeg %d: results = %d rows, want 2000", newDeg, got)
-			}
-			label := fmt.Sprintf("newDeg=%d", newDeg)
-			checkGolden(t, pv.key(t.Name()+"/"+label), pv.name+" "+label,
-				outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
-			// Every tuple fetched exactly once through the index.
-			if got := eng.Store.Disks.Stats().TotalReads(); got != 2000 {
-				t.Fatalf("newDeg %d: disk reads = %d, want 2000", newDeg, got)
+			for _, bs := range splitBatches {
+				v, eng := testEngineWith(0, 8, pv)
+				eng.BatchSize = bs
+				rel := buildShuffledRel(t, eng.Store, "r", 2000, 40)
+				ix, err := btree.BuildIndex("r_a", rel, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
+				fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 2*time.Second, newDeg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fr.outTemp.Len(); got != 2000 {
+					t.Errorf("newDeg %d: results = %d rows, want 2000", newDeg, got)
+				}
+				label := fmt.Sprintf("newDeg=%d", newDeg)
+				checkGolden(t, pv.key(t.Name()+"/"+label), fmt.Sprintf("%s %s batch=%d", pv.name, label, bs),
+					outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+				// Every tuple fetched exactly once through the index.
+				if got := eng.Store.Disks.Stats().TotalReads(); got != 2000 {
+					t.Fatalf("newDeg %d: disk reads = %d, want 2000", newDeg, got)
+				}
 			}
 		}
 	}
@@ -389,24 +401,39 @@ func TestLiveAdjustmentRangeScan(t *testing.T) {
 // TestLiveAdjustmentMergeJoin adjusts a merge join mid-merge (Figure 6
 // over a sorted temp's keys): the sorted inputs run to completion first,
 // the merge launches at degree 3, and the remaining key intervals are
-// redealt over the new degree by left-input key counts.
+// redealt over the new degree by left-input key counts. Each of the 60
+// key groups charges more than a page read's worth of CPU, so a slave
+// checkpoints after every one; the fine shape's groups hold one or two
+// rows, so a slave merges dozens between checkpoints.
 func TestLiveAdjustmentMergeJoin(t *testing.T) {
-	for _, newDeg := range []int{1, 4, 8} {
-		v, eng := testEngine(0)
-		l := buildRel(t, eng.Store, "ml", 1200, 60, 20)
-		r := buildRel(t, eng.Store, "mr", 600, 60, 20)
-		root := &plan.MergeJoin{
-			Left:  &plan.Sort{Child: &plan.SeqScan{Rel: l}, Col: 0},
-			Right: &plan.Sort{Child: &plan.SeqScan{Rel: r}, Col: 0},
-			LCol:  0, RCol: 0,
+	shapes := []struct {
+		name         string
+		lrows, rrows int
+		keys         int32
+		after        time.Duration
+	}{{"", 1200, 600, 60, 100 * time.Millisecond}, {"/fine", 1500, 750, 1500, 20 * time.Millisecond}}
+	for _, sh := range shapes {
+		for _, newDeg := range []int{1, 4, 8} {
+			for _, bs := range splitBatches {
+				v, eng := testEngine(0)
+				eng.BatchSize = bs
+				l := buildRel(t, eng.Store, "ml", sh.lrows, sh.keys, 20)
+				r := buildRel(t, eng.Store, "mr", sh.rrows, sh.keys, 20)
+				root := &plan.MergeJoin{
+					Left:  &plan.Sort{Child: &plan.SeqScan{Rel: l}, Col: 0},
+					Right: &plan.Sort{Child: &plan.SeqScan{Rel: r}, Col: 0},
+					LCol:  0, RCol: 0,
+				}
+				fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, sh.after, newDeg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/newDeg=%d", sh.name, newDeg)
+				checkOracle(t, label, root, fr.outTemp)
+				checkGolden(t, t.Name()+label, fmt.Sprintf("%s batch=%d", label, bs),
+					outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
+			}
 		}
-		fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 100*time.Millisecond, newDeg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("newDeg=%d", newDeg)
-		checkOracle(t, label, root, fr.outTemp)
-		checkGolden(t, t.Name()+"/"+label, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
 	}
 }
 
@@ -415,20 +442,24 @@ func TestLiveAdjustmentMergeJoin(t *testing.T) {
 // an aggregate reads the Material's output, launched at degree 3.
 func TestLiveAdjustmentTempScan(t *testing.T) {
 	for _, newDeg := range []int{1, 2, 6} {
-		v, eng := testEngine(0)
-		rel := buildRel(t, eng.Store, "mt", 3000, 50, 20)
-		root := &plan.Agg{
-			Child:    &plan.Material{Child: &plan.SeqScan{Rel: rel}},
-			GroupCol: 0,
-			Funcs:    []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 0}},
+		for _, bs := range splitBatches {
+			v, eng := testEngine(0)
+			eng.BatchSize = bs
+			rel := buildRel(t, eng.Store, "mt", 3000, 50, 20)
+			root := &plan.Agg{
+				Child:    &plan.Material{Child: &plan.SeqScan{Rel: rel}},
+				GroupCol: 0,
+				Funcs:    []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 0}},
+			}
+			fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 20*time.Millisecond, newDeg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("newDeg=%d", newDeg)
+			checkOracle(t, label, root, fr.outTemp)
+			checkGolden(t, t.Name()+"/"+label, fmt.Sprintf("%s batch=%d", label, bs),
+				outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
 		}
-		fr, err := launchFrag(t, v, eng, root, 3, nil, adjustAfter(t, eng, 20*time.Millisecond, newDeg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("newDeg=%d", newDeg)
-		checkOracle(t, label, root, fr.outTemp)
-		checkGolden(t, t.Name()+"/"+label, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
 	}
 }
 

@@ -316,6 +316,11 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	s.mShed = e.Metrics.Counter("sched.shed_total")
 	s.mAging = e.Metrics.Counter("sched.aging_promoted")
 	e.Clock.Go(s.loopFn)
+	// The clock advances only once the master blocks, and it blocks
+	// first on its empty mailbox: yielding here returns, at the same
+	// instant, with the master waiting, so the session's first doorbell
+	// signals it whatever the host scheduler did.
+	e.Clock.YieldOrdered(0)
 	return s
 }
 
@@ -478,8 +483,17 @@ func (s *Scheduler) Drain() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	// A Signal leaves both goroutines running, and whether the other
+	// has blocked yet decides whether a Post signals and a WaitSignal
+	// counts a wait. So the drainer yields — returning at the same
+	// instant, once every other goroutine has blocked — before it posts
+	// (the master, released by the settled query's Signal, is back on
+	// its mailbox) and before it waits (the master has taken drainMsg
+	// and either exited, latching ack, or waits again).
+	s.eng.Clock.YieldOrdered(0)
 	ack := make(chan struct{}, 1)
 	s.events.Post(drainMsg{ack: ack})
+	s.eng.Clock.YieldOrdered(0)
 	s.eng.Clock.WaitSignal(ack)
 	s.eng.sched = nil
 	// The loop goroutine has exited; park the session (maps, mailbox,

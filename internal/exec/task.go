@@ -396,15 +396,15 @@ type slaveCtx struct {
 	// every reuse, so spawning allocates no closure.
 	goFn func()
 
-	// cpuDebtPs is accumulated CPU picoseconds not yet slept. Debt is
-	// integral so that total slept time is a pure function of the total
-	// charge, however the charges were grouped into batches: flushes
-	// sleep whole nanoseconds and carry the sub-nanosecond remainder.
+	// cpuDebtPs is the CPU picoseconds charged since the last settle.
+	// Debt is integral so that total slept time is a pure function of the
+	// total charge, however the charges were grouped into batches: settle
+	// sleeps whole nanoseconds and carries the sub-nanosecond remainder.
 	cpuDebtPs int64
-	// prog is the slave's sleep program: every CPU sleep and every wait
-	// for a posted page is staged here (flushCPU, sleepUntil), and settle
-	// parks on it once per shared side effect — for a page-driven slave,
-	// once per page.
+	// prog is the slave's sleep program: the wait for its posted read
+	// (sleepUntil), then the debt settle stages after it. settle parks
+	// on it once per shared side effect — for a page-driven slave, once
+	// per page.
 	prog vclock.Prog
 	// agg is this slave's partial when the fragment root is an Agg
 	// (two-phase parallel aggregation); flushAll merges it.
@@ -527,7 +527,6 @@ func (sc *slaveCtx) pageCols(rel *storage.Relation, p int64, buf **storage.ColBa
 // first and staging the wait, and returns that page through pageCols,
 // having checked that tid addresses a row on it.
 func (sc *slaveCtx) readTID(rel *storage.Relation, tid storage.TID, buf **storage.ColBatch) (*storage.ColBatch, error) {
-	sc.flushCPU()
 	sc.settle()
 	if avail, hit := sc.rt.eng.Store.EnqueueTID(rel, tid); !hit {
 		sc.sleepUntil(avail)
@@ -553,8 +552,10 @@ func checkSlot(rel *storage.Relation, page *storage.ColBatch, tid storage.TID) e
 // round it reports and blocks until resumed. The return value is the
 // slave's assignment to continue with; nil means the slave was retired
 // (or its work is exhausted) and must exit. The round flag is the
-// master's, raised at a virtual instant, so the slave settles before it
-// looks.
+// master's, raised at a virtual instant, so the slave settles its whole
+// debt before it looks: the instant it reads the flag, and so the
+// master's view of virtual time when it reports, is a pure function of
+// the total charge.
 func (sc *slaveCtx) checkpoint(progress report) assignment {
 	rt := sc.rt
 	sc.settle()
@@ -566,13 +567,9 @@ func (sc *slaveCtx) checkpoint(progress report) assignment {
 		rt.mu.Unlock()
 		return a
 	}
-	// Participate in the round: sleep off the whole CPU debt first so
-	// the master's view of virtual time is consistent.
 	s.reported = true
 	rt.mu.Unlock()
 
-	sc.flushCPU()
-	sc.settle()
 	rt.eng.Clock.Signal(sc.reportCh)
 	rt.eng.Clock.WaitSignal(sc.resumeCh)
 	// All participants are released together; park so they reorder
@@ -601,45 +598,30 @@ func (sc *slaveCtx) chargeCPU(seconds float64) {
 	sc.chargePs(picos(seconds))
 }
 
-// chargePs accrues ps picoseconds of CPU work, staging a sleep of the
-// whole debt when it passes the engine's charge quantum (batching keeps
-// the event count low). Nothing is slept here: see settle.
+// chargePs accrues ps picoseconds of CPU work. Nothing is slept here:
+// see settle.
 func (sc *slaveCtx) chargePs(ps int64) {
 	sc.cpuDebtPs += ps
-	if sc.cpuDebtPs >= sc.rt.eng.cpuQuantumPs {
-		sc.flushCPU()
-	}
 }
 
-// flushCPU stages a sleep of the debt's whole nanoseconds; the
-// sub-nanosecond remainder stays.
-func (sc *slaveCtx) flushCPU() {
-	ns := sc.cpuDebtPs / 1000
-	if ns == 0 {
-		return
-	}
-	sc.cpuDebtPs -= ns * 1000
-	if sc.prog.Full() {
-		sc.settle()
-	}
-	sc.prog.Sleep(time.Duration(ns))
-}
-
-// sleepUntil stages a wait until the instant t.
+// sleepUntil stages a wait until the instant t. The slave has settled
+// since its last charge, so no debt precedes the wait.
 func (sc *slaveCtx) sleepUntil(t time.Duration) {
-	if sc.prog.Full() {
-		sc.settle()
-	}
 	sc.prog.SleepUntil(t)
 }
 
-// settle sleeps off the slave's staged program in one park. A slave
-// settles before each of its shared side effects — a disk enqueue, an
-// append into a temp other slaves append to, a clock read, a checkpoint,
-// its exit — so each runs at the instant it would have run had every
-// sleep been slept where it was staged; in between it touches only
-// what is its own or commutes (DESIGN.md §7).
+// settle stages a sleep of the debt's whole nanoseconds (the
+// sub-nanosecond remainder stays) and sleeps off the program in one
+// park. A slave settles before each of its shared side effects — a disk
+// enqueue, an append into a temp other slaves append to, a clock read, a
+// checkpoint, its exit — so each runs at the instant it would have run
+// had every charge been slept where it was made; in between it touches
+// only what is its own or commutes (DESIGN.md §7).
 func (sc *slaveCtx) settle() {
+	if ns := sc.cpuDebtPs / 1000; ns > 0 {
+		sc.cpuDebtPs -= ns * 1000
+		sc.prog.Sleep(time.Duration(ns))
+	}
 	sc.rt.eng.Clock.Park(&sc.prog)
 }
 
@@ -647,8 +629,7 @@ func (sc *slaveCtx) settle() {
 // partial into the fragment's shared state and handing the slave's
 // output batches and a window the state did not adopt back to the
 // fragment runtime. The merge and the hash-table flush land in shared
-// state in exit order, so the staged sleeps are settled first; the
-// residual debt is slept last.
+// state in exit order, so the slave settles first.
 func (sc *slaveCtx) flushAll() {
 	fr := sc.rt.fr
 	sc.settle()
@@ -662,8 +643,6 @@ func (sc *slaveCtx) flushAll() {
 		sc.colHb.Flush()
 		sc.colHb = nil
 	}
-	sc.flushCPU()
-	sc.settle()
 	// colPageBuf stays with the context (it re-Inits per schema); the
 	// per-slot output batches are fragment-shaped and go back to the
 	// runtime's lists.

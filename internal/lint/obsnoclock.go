@@ -51,14 +51,13 @@ var clockAdvancingMethods = map[string]bool{
 }
 
 // cpuChargingFuncs are the executor's virtual-CPU accounting helpers:
-// the charge path, which stages sleeps into a slave's sleep program
-// and parks it when full, and settle, which parks it. Calling one from
-// an observability callback would make tracing change the simulated
-// timeline.
+// the charge path, which adds to a slave's CPU debt, sleepUntil, which
+// stages a wait into its sleep program, and settle, which stages the
+// debt and parks the program. Calling one from an observability
+// callback would make tracing change the simulated timeline.
 var cpuChargingFuncs = map[string]bool{
 	"chargeCPU":  true,
 	"chargePs":   true,
-	"flushCPU":   true,
 	"sleepUntil": true,
 	"settle":     true,
 }

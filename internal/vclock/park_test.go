@@ -38,8 +38,8 @@ type parkScript struct {
 }
 
 // genParkScript draws a script whose sleep programs run up to
-// maxStages stages.
-func genParkScript(rng *rand.Rand, maxStages int) parkScript {
+// MaxStages stages.
+func genParkScript(rng *rand.Rand) parkScript {
 	k := 2 + rng.Intn(5)
 	s := parkScript{ops: make([][]parkOp, k)}
 	durs := []time.Duration{-5, 0, 0, 1, 2, 3, 3, 10}
@@ -50,7 +50,7 @@ func genParkScript(rng *rand.Rand, maxStages int) parkScript {
 				continue
 			}
 			op := parkOp{kind: opProg}
-			for m := rng.Intn(maxStages + 1); m > 0; m-- {
+			for m := rng.Intn(MaxStages + 1); m > 0; m-- {
 				if rng.Intn(3) == 0 {
 					op.stages = append(op.stages, stage{t: time.Duration(rng.Intn(60)), until: true})
 				} else {
@@ -78,8 +78,7 @@ func genParkScript(rng *rand.Rand, maxStages int) parkScript {
 
 // runParkScript executes the script and returns one "goroutine@now"
 // record per completed op in global wake order, the final Now and the
-// clock's counters. Fused, a program that is full parks before it takes
-// another stage, and staging goes on into the emptied program. Records
+// clock's counters. Fused, each op's stages run as one program. Records
 // need no lock of their own: the clock lets one registered goroutine run
 // at a time and orders them through its mutex and wake channels.
 func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
@@ -112,9 +111,6 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 						v.YieldOrdered(int64(1000 + g))
 					case opProg:
 						for _, st := range op.stages {
-							if fused && prog.Full() {
-								v.Park(&prog)
-							}
 							switch {
 							case fused && st.until:
 								prog.SleepUntil(st.t)
@@ -142,28 +138,7 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 
 func TestParkMatchesSleeps(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		checkParkScript(t, seed, genParkScript(rand.New(rand.NewSource(seed)), MaxStages))
-	}
-}
-
-// TestParkFullProgramParksEarly runs programs up to three times longer
-// than a Prog holds: each parks whenever it is full and staging goes on,
-// which must still be the plain sleeps.
-func TestParkFullProgramParksEarly(t *testing.T) {
-	early := 0
-	for seed := int64(1); seed <= 100; seed++ {
-		s := genParkScript(rand.New(rand.NewSource(seed)), 3*MaxStages+1)
-		checkParkScript(t, seed, s)
-		for _, ops := range s.ops {
-			for _, op := range ops {
-				if len(op.stages) > MaxStages {
-					early++
-				}
-			}
-		}
-	}
-	if early == 0 {
-		t.Fatal("no program outgrew MaxStages")
+		checkParkScript(t, seed, genParkScript(rand.New(rand.NewSource(seed))))
 	}
 }
 
@@ -233,6 +208,7 @@ func TestRealParkRunsStagesInSequence(t *testing.T) {
 	var p Prog
 	p.Sleep(5 * time.Second)
 	p.SleepUntil(15 * time.Second)
+	r.Park(&p)
 	p.SleepUntil(time.Second) // past: returns at once
 	p.Sleep(5 * time.Second)
 	r.Park(&p)
@@ -249,7 +225,7 @@ func TestParkAllocatesNothing(t *testing.T) {
 	v.Run(func() {
 		var p Prog
 		allocs := testing.AllocsPerRun(200, func() {
-			for i := 0; !p.Full(); i++ {
+			for i := 0; i < MaxStages; i++ {
 				if i%3 == 1 {
 					p.SleepUntil(v.Now() + 7)
 				} else {

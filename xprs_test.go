@@ -335,26 +335,16 @@ func TestStreamValidation(t *testing.T) {
 // TestOneParkPerPageJoin holds the canonical pipeline query (bench/'s
 // join_agg shape: scan → hash build, scan → filter → probe → Agg) to one
 // clock hand-off per page read. A page's hash-probe, emit and fold
-// charges join the page's sleep program, so they add timers but no
-// hand-offs. "Timers fired" is the clock's whole event sequence and is pinned to
-// the count the sleeps produced one by one, and a warm op parks and
-// fires timers the same op after op. (Signals and waits are not
-// compared: the session's master loop starts as the query is submitted,
-// and whether it is already waiting on its mailbox by then is up to the
-// host scheduler.)
+// charges add to the slave's debt and are slept in the page's one
+// park. "Timers fired" is the clock's whole event sequence and is
+// pinned, and a warm op's counts, signals and waits included, are the
+// same op after op.
 func TestOneParkPerPageJoin(t *testing.T) {
-	const wantStages = 1515
+	const wantStages = 564
 	s, _, _ := loadPipelineRels(t)
 	var first vclock.Counts
 	for op := 0; op < 3; op++ {
-		before := s.clock.Counts()
-		_, _, rep, err := s.ExecSQLReport(pipelineSQL, InterAdj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := s.clock.Counts()
-		c := vclock.Counts{Parks: after.Parks - before.Parks, Stages: after.Stages - before.Stages}
-		reads := rep.Disk.TotalReads() + rep.PoolHits
+		c, reads := pipelineOp(t, s)
 		ratio := float64(c.Parks) / float64(reads)
 		t.Logf("op %d: %d parks, %d timers fired, %d page reads: %.3f parks per page", op, c.Parks, c.Stages, reads, ratio)
 		if ratio > 1.10 {
@@ -367,6 +357,48 @@ func TestOneParkPerPageJoin(t *testing.T) {
 			first = c
 		} else if c != first {
 			t.Errorf("op %d: counts %+v, op 0 counted %+v", op, c, first)
+		}
+	}
+}
+
+// pipelineOp runs the pipeline query once on s and returns its clock
+// traffic — the counters' growth over the op, and the timer heap's peak
+// depth since s was made — and the pages it read.
+func pipelineOp(t *testing.T, s *System) (vclock.Counts, int64) {
+	t.Helper()
+	before := s.clock.Counts()
+	_, _, rep, err := s.ExecSQLReport(pipelineSQL, InterAdj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.clock.Counts()
+	return vclock.Counts{
+		Parks:      after.Parks - before.Parks,
+		Stages:     after.Stages - before.Stages,
+		Signals:    after.Signals - before.Signals,
+		Waits:      after.Waits - before.Waits,
+		PeakTimers: after.PeakTimers,
+	}, rep.Disk.TotalReads() + rep.PoolHits
+}
+
+// TestServeCountsDeterministic holds every clock counter of a session
+// to one value across fresh systems: the master reaches its first
+// mailbox wait before the session's driver can submit, and the drainer
+// posts and waits only once the master has blocked, so whether a Post
+// signals a waiting master, or a WaitSignal blocks, is not up to the
+// host scheduler.
+func TestServeCountsDeterministic(t *testing.T) {
+	const systems, ops = 100, 3
+	var want [ops]vclock.Counts
+	for i := range systems {
+		s, _, _ := loadPipelineRels(t)
+		for op := range ops {
+			c, _ := pipelineOp(t, s)
+			if i == 0 {
+				want[op] = c
+			} else if c != want[op] {
+				t.Fatalf("system %d op %d: counts %+v, system 0 counted %+v", i, op, c, want[op])
+			}
 		}
 	}
 }
