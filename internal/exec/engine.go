@@ -131,7 +131,7 @@ func (e *Engine) getSlaveCtx() *slaveCtx {
 	if v := e.scPool.Get(); v != nil {
 		return v.(*slaveCtx)
 	}
-	sc := &slaveCtx{}
+	sc := &slaveCtx{readAt: noRead}
 	sc.goFn = sc.run
 	return sc
 }

@@ -95,13 +95,13 @@ func TestOneParkPerPage(t *testing.T) {
 						checkGolden(t, key, label, outcomeOf(v.Now(), nil, eng.Store.Disks.Stats(), fr.outTemp))
 						c := v.Counts()
 						if run == 0 {
-							t.Logf("%s: %d parks, %d timers fired, %d pages", label, c.Parks, c.Stages, pages)
+							t.Logf("%s: %d parks, %d timers fired, %d pages", label, c.Parks, c.Timers, pages)
 						}
 						if limit := pages + sh.fixed(degree); c.Parks > limit {
 							t.Errorf("%s: %d parks for %d pages, limit %d", label, c.Parks, pages, limit)
 						}
-						if c.Stages < 2*pages {
-							t.Errorf("%s: %d timers fired for %d pages: the chained stages did not run", label, c.Stages, pages)
+						if c.Timers < 2*pages {
+							t.Errorf("%s: %d timers fired for %d pages: the parks fired fewer than a wait and a sleep per page", label, c.Timers, pages)
 						}
 						if run == 0 {
 							first = c
@@ -182,9 +182,25 @@ func TestOneParkPipelineErrorFailsTask(t *testing.T) {
 			t.Fatalf("degree %d: task error = %v, want %v", degree, err, bad)
 		}
 		c := v.Counts()
-		got := fmt.Sprintf("failed at %v after %d timers, disk %+v", v.Now(), c.Stages, eng.Store.Disks.Stats())
+		got := fmt.Sprintf("failed at %v after %d timers, disk %+v", v.Now(), c.Timers, eng.Store.Disks.Stats())
 		if got != want[degree] {
 			t.Errorf("degree %d: %s\nwant %s", degree, got, want[degree])
 		}
 	}
+}
+
+// Every disk enqueue follows a settle, so a slave holds at most one
+// staged read wait; a second before the settle is a driver bug and
+// panics rather than losing the first wait.
+func TestSecondReadWaitBeforeSettlePanics(t *testing.T) {
+	_, eng := testEngine(0)
+	sc := eng.getSlaveCtx()
+	sc.sleepUntil(0) // a fresh context stages nothing
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "second read wait") {
+			t.Fatalf("panic %q does not name the second wait", msg)
+		}
+	}()
+	sc.sleepUntil(1)
+	t.Fatal("no panic on a second staged wait")
 }

@@ -100,9 +100,9 @@ type pageSource interface {
 	// ones, a view for temp chunks). It charges nothing and touches no
 	// shared state, so serve may call it ahead of the page's waits.
 	page(sc *slaveCtx, p int64) (*storage.ColBatch, error)
-	// charges returns, in order, the CPU seconds reading the page costs
-	// once it is available; a zero entry charges nothing.
-	charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64
+	// charge adds to the slave's debt the CPU reading the page costs
+	// once it is available.
+	charge(sc *slaveCtx, cb *storage.ColBatch)
 }
 
 // relSource reads a base relation through the store.
@@ -126,8 +126,9 @@ func (s *relSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 // Readahead keeps parallel service-time inflation from stretching that
 // cycle, but never compresses it — so x slaves generate exactly the
 // x·C_i IO demand the balance-point arithmetic assumes.
-func (s *relSource) charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64 {
-	return [2]float64{sc.rt.eng.Params.SeqPageService, s.perTuple * float64(cb.N)}
+func (s *relSource) charge(sc *slaveCtx, cb *storage.ColBatch) {
+	sc.chargeCPU(sc.rt.eng.Params.SeqPageService)
+	sc.chargeCPU(s.perTuple * float64(cb.N))
 }
 
 // tempSource reads a materialized temp chunk-wise; shared memory, so CPU
@@ -150,8 +151,8 @@ func (s *tempSource) page(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 	return &sc.tempView, nil
 }
 
-func (s *tempSource) charges(sc *slaveCtx, cb *storage.ColBatch) [2]float64 {
-	return [2]float64{sc.rt.eng.Params.TempReadCPU * float64(cb.N)}
+func (s *tempSource) charge(sc *slaveCtx, cb *storage.ColBatch) {
+	sc.chargeCPU(sc.rt.eng.Params.TempReadCPU * float64(cb.N))
 }
 
 // prefetchDepth returns how many page reads a slave keeps in flight:
@@ -329,8 +330,8 @@ type inflight struct {
 // enqueued the read, invariant 2 in colpipe.go), pay for reading it,
 // then feed it through the fragment pipeline batch-wise.
 //
-// The wait stages into the slave's sleep program, every charge —
-// the pipeline's with them — adds to its debt, and the page parks once,
+// The wait is staged for the slave's next settle, every charge — the
+// pipeline's with them — adds to its debt, and the page parks once,
 // at its end: what the slave does in between — the decode, the probes
 // of a sealed hash table, its private hash builder and aggregate
 // partial, a counted root's sum — is its own or commutes, so nothing
@@ -343,9 +344,7 @@ func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 		return err
 	}
 	sc.sleepUntil(head.avail)
-	for _, c := range d.src.charges(sc, cb) {
-		sc.chargeCPU(c)
-	}
+	d.src.charge(sc, cb)
 	bsz := d.fr.eng.batchSize()
 	for lo := 0; lo < cb.N && err == nil; lo += bsz {
 		hi := lo + bsz

@@ -186,7 +186,7 @@ func (s *nullSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
 func (s *nullSource) page(*slaveCtx, int64) (*storage.ColBatch, error) {
 	return &storage.ColBatch{}, nil
 }
-func (s *nullSource) charges(*slaveCtx, *storage.ColBatch) [2]float64 { return [2]float64{} }
+func (s *nullSource) charge(*slaveCtx, *storage.ColBatch) {}
 
 func TestPageProtocolExactlyOnceGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -122,9 +122,9 @@ type gatedClock struct {
 	gate chan struct{}
 }
 
-func (c gatedClock) Park(p *vclock.Prog) {
+func (c gatedClock) Park(until, d time.Duration) {
 	<-c.gate
-	c.Real.Park(p)
+	c.Real.Park(until, d)
 }
 
 // TestSubmitCollisionConcurrent pins check-and-claim atomicity under the

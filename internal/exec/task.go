@@ -9,7 +9,6 @@ import (
 	"xprs/internal/core"
 	"xprs/internal/obs"
 	"xprs/internal/storage"
-	"xprs/internal/vclock"
 )
 
 // driver is the partitioning strategy of one fragment's driving scan
@@ -401,11 +400,10 @@ type slaveCtx struct {
 	// total charge, however the charges were grouped into batches: settle
 	// sleeps whole nanoseconds and carries the sub-nanosecond remainder.
 	cpuDebtPs int64
-	// prog is the slave's sleep program: the wait for its posted read
-	// (sleepUntil), then the debt settle stages after it. settle parks
-	// on it once per shared side effect — for a page-driven slave, once
-	// per page.
-	prog vclock.Prog
+	// readAt is the instant the slave's posted read is served, staged by
+	// sleepUntil for the next settle to wait for before it sleeps the
+	// debt; noRead when no wait is staged.
+	readAt time.Duration
 	// agg is this slave's partial when the fragment root is an Agg
 	// (two-phase parallel aggregation); flushAll merges it.
 	agg aggTable
@@ -450,7 +448,7 @@ func (sc *slaveCtx) reset() {
 	sc.rt = nil
 	sc.state = slaveState{}
 	sc.cpuDebtPs = 0
-	sc.prog.Reset()
+	sc.readAt = noRead
 	sc.agg = aggTable{}
 	// colPageBuf is retained: pageCols re-Inits it per relation schema.
 	sc.colView = storage.ColBatch{}
@@ -604,25 +602,37 @@ func (sc *slaveCtx) chargePs(ps int64) {
 	sc.cpuDebtPs += ps
 }
 
-// sleepUntil stages a wait until the instant t. The slave has settled
-// since its last charge, so no debt precedes the wait.
+// noRead is slaveCtx.readAt when no wait is staged. Read instants are
+// never negative.
+const noRead time.Duration = -1
+
+// sleepUntil stages a wait until the instant t, the completion of the
+// read the slave just posted. Every enqueue follows a settle, so no
+// debt precedes the wait and no other wait is staged: a second one
+// panics.
 func (sc *slaveCtx) sleepUntil(t time.Duration) {
-	sc.prog.SleepUntil(t)
+	if sc.readAt != noRead {
+		panic("exec: slave staged a second read wait without settling")
+	}
+	sc.readAt = t
 }
 
-// settle stages a sleep of the debt's whole nanoseconds (the
-// sub-nanosecond remainder stays) and sleeps off the program in one
-// park. A slave settles before each of its shared side effects — a disk
+// settle sleeps off the staged read wait, then the debt's whole
+// nanoseconds (the sub-nanosecond remainder stays), in one park. A
+// slave settles before each of its shared side effects — a disk
 // enqueue, an append into a temp other slaves append to, a clock read, a
 // checkpoint, its exit — so each runs at the instant it would have run
 // had every charge been slept where it was made; in between it touches
 // only what is its own or commutes (DESIGN.md §7).
 func (sc *slaveCtx) settle() {
-	if ns := sc.cpuDebtPs / 1000; ns > 0 {
-		sc.cpuDebtPs -= ns * 1000
-		sc.prog.Sleep(time.Duration(ns))
+	ns := sc.cpuDebtPs / 1000
+	sc.cpuDebtPs -= ns * 1000
+	if until := sc.readAt; until != noRead {
+		sc.readAt = noRead
+		sc.rt.eng.Clock.Park(until, time.Duration(ns))
+	} else if ns > 0 {
+		sc.rt.eng.Clock.Sleep(time.Duration(ns))
 	}
-	sc.rt.eng.Clock.Park(&sc.prog)
 }
 
 // flushAll drains all buffers at slave exit, merging the aggregation

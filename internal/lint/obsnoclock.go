@@ -40,7 +40,7 @@ var enginePackages = []string{
 var clockAdvancingMethods = map[string]bool{
 	"Sleep":        true,
 	"SleepUntil":   true,
-	"Park":         true,
+	"Park":         true, // SleepUntil, then Sleep, in one hand-off
 	"Go":           true,
 	"Run":          true,
 	"YieldOrdered": true,
@@ -52,8 +52,8 @@ var clockAdvancingMethods = map[string]bool{
 
 // cpuChargingFuncs are the executor's virtual-CPU accounting helpers:
 // the charge path, which adds to a slave's CPU debt, sleepUntil, which
-// stages a wait into its sleep program, and settle, which stages the
-// debt and parks the program. Calling one from an observability
+// stages the wait for its posted read, and settle, which parks through
+// that wait and then the debt. Calling one from an observability
 // callback would make tracing change the simulated timeline.
 var cpuChargingFuncs = map[string]bool{
 	"chargeCPU":  true,

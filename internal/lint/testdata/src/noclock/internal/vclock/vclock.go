@@ -6,12 +6,10 @@ import "time"
 
 type Clock struct{ now time.Duration }
 
-func (c *Clock) Now() time.Duration  { return c.now }
-func (c *Clock) Sleep(time.Duration) {}
-func (c *Clock) YieldOrdered(int64)  {}
-func (c *Clock) Park(*Prog)          {}
-
-type Prog struct{}
+func (c *Clock) Now() time.Duration          { return c.now }
+func (c *Clock) Sleep(time.Duration)         {}
+func (c *Clock) YieldOrdered(int64)          {}
+func (c *Clock) Park(until, d time.Duration) {}
 
 type Mailbox struct{}
 

@@ -48,8 +48,8 @@ func (e *engine) register(reg *obs.Registry) {
 }
 
 func (e *engine) watch(tr *obs.Tracer) {
-	tr.OnFlush(func() { e.clock.YieldOrdered(1) })        // want `reaches vclock-advancing API vclock\.Clock\.YieldOrdered`
-	tr.OnFlush(func() { e.clock.Park(new(vclock.Prog)) }) // want `reaches vclock-advancing API vclock\.Clock\.Park`
+	tr.OnFlush(func() { e.clock.YieldOrdered(1) }) // want `reaches vclock-advancing API vclock\.Clock\.YieldOrdered`
+	tr.OnFlush(func() { e.clock.Park(0, 5) })      // want `reaches vclock-advancing API vclock\.Clock\.Park`
 }
 
 func (e *engine) pump() int64 {

@@ -8,14 +8,14 @@ import (
 
 // BenchmarkVirtualSleep prices one park of a registered goroutine on
 // the Virtual clock: b.N parks shared out among 1 or 8 sleepers with
-// staggered periods, each park either one Sleep or one two-stage Park
-// (two Sleeps run as one hand-off). With 8 sleepers a park mostly
+// staggered periods, each park either one Sleep or one Park (a wait
+// and a sleep run as one hand-off). With 8 sleepers a park mostly
 // hands the processor to another goroutine, and a round of all 8 costs
 // eight times ns/op; with 1 the sleeper always wakes itself.
 func BenchmarkVirtualSleep(b *testing.B) {
 	for _, sleepers := range []int{1, 8} {
 		for _, mode := range []string{"sleep", "park2"} {
-			prog := mode == "park2"
+			park := mode == "park2"
 			b.Run(fmt.Sprintf("sleepers=%d/%s", sleepers, mode), func(b *testing.B) {
 				parks := (b.N + sleepers - 1) / sleepers
 				v := NewVirtual()
@@ -25,12 +25,9 @@ func BenchmarkVirtualSleep(b *testing.B) {
 					for g := 0; g < sleepers; g++ {
 						step := time.Duration(g+1) * time.Millisecond
 						v.Go(func() {
-							var p Prog
 							for i := 0; i < parks; i++ {
-								if prog {
-									p.Sleep(step)
-									p.Sleep(step)
-									v.Park(&p)
+								if park {
+									v.Park(v.Now()+step, step)
 								} else {
 									v.Sleep(step)
 								}

@@ -9,27 +9,29 @@ import (
 )
 
 // The differential test below runs one random script twice — every
-// sleep program stage by stage through Sleep / SleepUntil, then through
-// Park — and demands the same global sequence of wake-ups. A script is
-// k goroutines, each a list of ops drawn to collide: a handful of small
-// durations (zero and negative among them), instants from a narrow
-// window that is soon in the past, YieldOrdered keys that tie, and
-// Signal / WaitSignal pairs between goroutines.
+// Park(until, d) as SleepUntil(until) then, when d > 0, Sleep(d), then
+// through Park — and demands the same global sequence of wake-ups. A
+// script is k goroutines, each a list of ops drawn to collide: a handful
+// of small durations (zero and negative among them), instants from a
+// narrow window that is soon in the past, plain Sleeps, YieldOrdered
+// keys that tie, and Signal / WaitSignal pairs between goroutines.
 
 type parkOpKind int
 
 const (
-	opProg parkOpKind = iota
+	opPark parkOpKind = iota
+	opSleep
 	opYield
 	opSignal
 	opWait
 )
 
 type parkOp struct {
-	kind   parkOpKind
-	stages []stage // opProg; may be empty
-	key    int64   // opYield
-	ch     int     // opSignal / opWait: index into the script's channels
+	kind  parkOpKind
+	until time.Duration // opPark
+	d     time.Duration // opPark, opSleep
+	key   int64         // opYield
+	ch    int           // opSignal / opWait: index into the script's channels
 }
 
 type parkScript struct {
@@ -37,25 +39,20 @@ type parkScript struct {
 	pairs int        // number of signal channels
 }
 
-// genParkScript draws a script whose sleep programs run up to
-// MaxStages stages.
 func genParkScript(rng *rand.Rand) parkScript {
 	k := 2 + rng.Intn(5)
 	s := parkScript{ops: make([][]parkOp, k)}
 	durs := []time.Duration{-5, 0, 0, 1, 2, 3, 3, 10}
 	for g := range s.ops {
 		for n := 5 + rng.Intn(20); n > 0; n-- {
-			if rng.Intn(5) == 0 {
-				s.ops[g] = append(s.ops[g], parkOp{kind: opYield, key: int64(rng.Intn(3))})
-				continue
-			}
-			op := parkOp{kind: opProg}
-			for m := rng.Intn(MaxStages + 1); m > 0; m-- {
-				if rng.Intn(3) == 0 {
-					op.stages = append(op.stages, stage{t: time.Duration(rng.Intn(60)), until: true})
-				} else {
-					op.stages = append(op.stages, stage{t: durs[rng.Intn(len(durs))]})
-				}
+			var op parkOp
+			switch rng.Intn(5) {
+			case 0:
+				op = parkOp{kind: opYield, key: int64(rng.Intn(3))}
+			case 1:
+				op = parkOp{kind: opSleep, d: durs[rng.Intn(len(durs))]}
+			default:
+				op = parkOp{kind: opPark, until: time.Duration(rng.Intn(60)), d: durs[rng.Intn(len(durs))]}
 			}
 			s.ops[g] = append(s.ops[g], op)
 		}
@@ -78,7 +75,7 @@ func genParkScript(rng *rand.Rand) parkScript {
 
 // runParkScript executes the script and returns one "goroutine@now"
 // record per completed op in global wake order, the final Now and the
-// clock's counters. Fused, each op's stages run as one program. Records
+// clock's counters. Fused, each Park op runs as one park. Records
 // need no lock of their own: the clock lets one registered goroutine run
 // at a time and orders them through its mutex and wake channels.
 func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
@@ -97,7 +94,6 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 				// Park before the first side effect so the goroutines
 				// start in a fixed order whatever the host scheduler does.
 				v.YieldOrdered(int64(g))
-				var prog Prog
 				for _, op := range s.ops[g] {
 					switch op.kind {
 					case opYield:
@@ -109,20 +105,17 @@ func runParkScript(s parkScript, fused bool) (string, time.Duration, Counts) {
 						// The signaller is still running: park, under a
 						// key no other timer uses, until it has blocked.
 						v.YieldOrdered(int64(1000 + g))
-					case opProg:
-						for _, st := range op.stages {
-							switch {
-							case fused && st.until:
-								prog.SleepUntil(st.t)
-							case fused:
-								prog.Sleep(st.t)
-							case st.until:
-								v.SleepUntil(st.t)
-							default:
-								v.Sleep(st.t)
-							}
+					case opSleep:
+						v.Sleep(op.d)
+					case opPark:
+						if fused {
+							v.Park(op.until, op.d)
+							break
 						}
-						v.Park(&prog) // empty, hence a no-op, when not fused
+						v.SleepUntil(op.until)
+						if op.d > 0 {
+							v.Sleep(op.d)
+						}
 					}
 					fmt.Fprintf(&log, "%d@%d ", g, v.Now())
 				}
@@ -142,7 +135,7 @@ func TestParkMatchesSleeps(t *testing.T) {
 	}
 }
 
-// checkParkScript runs s stage by stage and through Park and demands the
+// checkParkScript runs s call by call and through Park and demands the
 // same wake sequence, final instant and timers, in no more hand-offs.
 func checkParkScript(t *testing.T, seed int64, s parkScript) {
 	t.Helper()
@@ -155,87 +148,60 @@ func checkParkScript(t *testing.T, seed int64, s parkScript) {
 		t.Fatalf("seed %d: final Now = %v through Park, %v through Sleep", seed, gotNow, wantNow)
 	}
 	// Same timers fired, in fewer hand-offs; nothing else moved.
-	if gotC.Stages != wantC.Stages || gotC.Signals != wantC.Signals || gotC.Waits != wantC.Waits {
+	if gotC.Timers != wantC.Timers || gotC.Signals != wantC.Signals || gotC.Waits != wantC.Waits {
 		t.Fatalf("seed %d: counts %+v through Park, %+v through Sleep", seed, gotC, wantC)
 	}
-	if wantC.Parks != wantC.Stages {
-		t.Fatalf("seed %d: %d parks for %d stages without Park", seed, wantC.Parks, wantC.Stages)
+	if wantC.Parks != wantC.Timers {
+		t.Fatalf("seed %d: %d parks for %d timers without Park", seed, wantC.Parks, wantC.Timers)
 	}
 	if gotC.Parks > wantC.Parks {
 		t.Fatalf("seed %d: Park added hand-offs: %d > %d", seed, gotC.Parks, wantC.Parks)
 	}
 }
 
-func TestParkEmptyProgramIsNoop(t *testing.T) {
+func TestParkWaitThenSleep(t *testing.T) {
 	v := NewVirtual()
 	v.Run(func() {
-		var p Prog
-		v.Park(&p)
-		if c := v.Counts(); c.Parks != 0 || c.Stages != 0 {
-			t.Fatalf("empty Park touched the clock: %+v", c)
+		steps := []struct {
+			until, d time.Duration
+			now      time.Duration
+			timers   int64
+		}{
+			{time.Second, 0, time.Second, 1},          // the wait alone
+			{0, 4 * time.Second, 5 * time.Second, 3},  // a past wait, then the sleep
+			{7 * time.Second, -3, 7 * time.Second, 4}, // a negative sleep is none
+			{8 * time.Second, 2, 8*time.Second + 2, 6},
 		}
-		p.Sleep(time.Second)
-		p.SleepUntil(5 * time.Second)
-		v.Park(&p)
-		if got := v.Now(); got != 5*time.Second {
-			t.Fatalf("Now = %v after Sleep(1s); SleepUntil(5s)", got)
-		}
-		if p.n != 0 {
-			t.Fatalf("Park left %d stages in the program", p.n)
-		}
-		if c := v.Counts(); c.Parks != 1 || c.Stages != 2 || c.PeakTimers != 1 {
-			t.Fatalf("counts after one two-stage Park: %+v", c)
+		for i, st := range steps {
+			v.Park(st.until, st.d)
+			c := v.Counts()
+			if got := v.Now(); got != st.now || c.Timers != st.timers || c.Parks != int64(i+1) || c.PeakTimers != 1 {
+				t.Fatalf("Park(%v, %v): Now = %v, counts %+v; want Now %v, %d timers, %d parks",
+					st.until, st.d, got, c, st.now, st.timers, i+1)
+			}
 		}
 	})
 }
 
-func TestParkProgOverflowPanics(t *testing.T) {
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, fmt.Sprint("MaxStages = ", MaxStages)) {
-			t.Fatalf("overflow panic %q does not name the limit", msg)
-		}
-	}()
-	var p Prog
-	for i := 0; i <= MaxStages; i++ {
-		p.Sleep(1)
-	}
-	t.Fatal("no panic on stage", MaxStages+1)
-}
-
 func TestRealParkRunsStagesInSequence(t *testing.T) {
 	r := NewReal(1000) // a virtual second per real millisecond
-	var p Prog
-	p.Sleep(5 * time.Second)
-	p.SleepUntil(15 * time.Second)
-	r.Park(&p)
-	p.SleepUntil(time.Second) // past: returns at once
-	p.Sleep(5 * time.Second)
-	r.Park(&p)
+	r.Park(5*time.Second, 10*time.Second)
+	r.Park(time.Second, 5*time.Second) // a past wait returns at once
 	if got := r.Now(); got < 20*time.Second {
-		t.Fatalf("Now = %v after a program ending at 20s", got)
-	}
-	if p.n != 0 {
-		t.Fatalf("Park left %d stages in the program", p.n)
+		t.Fatalf("Now = %v after parks ending at 20s", got)
 	}
 }
 
 func TestParkAllocatesNothing(t *testing.T) {
 	v := NewVirtual()
 	v.Run(func() {
-		var p Prog
+		i := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			for i := 0; i < MaxStages; i++ {
-				if i%3 == 1 {
-					p.SleepUntil(v.Now() + 7)
-				} else {
-					p.Sleep(time.Duration(i % 4))
-				}
-			}
-			v.Park(&p)
+			i++
+			v.Park(v.Now()+time.Duration(i%3), time.Duration(i%4))
 		})
 		if allocs != 0 {
-			t.Fatalf("a %d-stage Park allocates %v times", MaxStages, allocs)
+			t.Fatalf("a Park allocates %v times", allocs)
 		}
 	})
 }

@@ -45,10 +45,10 @@ type Clock interface {
 	// SleepUntil suspends the caller until the given instant (measured on
 	// the clock's own Now scale); past instants return immediately.
 	SleepUntil(t time.Duration)
-	// Park runs the program's stages in order, exactly as the same
-	// Sleep and SleepUntil calls issued back to back would, and leaves
-	// the program empty. An empty program is a no-op.
-	Park(p *Prog)
+	// Park is SleepUntil(until) followed, when d > 0, by Sleep(d), in
+	// one hand-off: exactly as the two calls issued back to back would
+	// run.
+	Park(until, d time.Duration)
 	// Go starts fn on a new goroutine registered with the clock. The child
 	// is registered before Go returns, so the clock cannot advance past the
 	// spawn instant before the child has run.
@@ -69,53 +69,13 @@ type Clock interface {
 	Signal(ch chan struct{})
 }
 
-// MaxStages is the longest program Park accepts. An executor slave
-// stages at most two sleeps between parks: the wait for its posted read,
-// then the CPU debt it settles after it — a page's whole cycle, the
-// pipeline above it included, in one park.
-const MaxStages = 2
-
-// stage is one sleep of a program: a duration from the instant the stage
-// starts, or (until) an instant on the clock's Now scale.
-type stage struct {
-	t     time.Duration
-	until bool
-}
-
-// Prog is a short program of sleeps: the stages a goroutine would
-// otherwise issue back to back, touching nothing in between. Park runs
-// it as one park. The zero value is an empty program, and a Prog can be
-// refilled after every Park, so it lives in its owner without allocating.
-type Prog struct {
-	n  int // stages appended
-	pc int // next stage to start; the clock advances it while the owner is parked
-	st [MaxStages]stage
-}
-
-// Sleep appends a stage that sleeps for d.
-func (p *Prog) Sleep(d time.Duration) { p.push(stage{t: d}) }
-
-// SleepUntil appends a stage that sleeps until the instant t.
-func (p *Prog) SleepUntil(t time.Duration) { p.push(stage{t: t, until: true}) }
-
-// Reset empties the program.
-func (p *Prog) Reset() { p.n, p.pc = 0, 0 }
-
-func (p *Prog) push(st stage) {
-	if p.n == MaxStages {
-		panic(fmt.Sprintf("vclock: sleep program exceeds MaxStages = %d", MaxStages))
-	}
-	p.st[p.n] = st
-	p.n++
-}
-
 // timer is one pending wake-up in the virtual clock's heap.
 type timer struct {
 	wake time.Duration
 	key  int64  // stable-identity tie-break (0 for plain sleeps)
 	seq  uint64 // FIFO tie-break for equal wake times and keys
 	ch   chan struct{}
-	prog *Prog // stages still to run before ch is signalled (nil for a single sleep)
+	then time.Duration // a Park's sleep still to run before ch is signalled (0: none)
 }
 
 // timerLess is the total order on timers: earliest wake, then smallest
@@ -153,11 +113,11 @@ type Virtual struct {
 type Counts struct {
 	// Parks is the number of goroutine hand-offs through a timer: a
 	// goroutine blocked in Sleep, SleepUntil, YieldOrdered or Park and
-	// was woken again (one per call, however many stages it ran).
+	// was woken again (one per call, however many timers it fired).
 	Parks int64
-	// Stages is the number of timers fired, chained stages included;
-	// Stages - Parks is the number of hand-offs Park saved.
-	Stages int64
+	// Timers is the number of timers fired, a Park's re-armed sleep
+	// included; Timers - Parks is the number of hand-offs Park saved.
+	Timers int64
 	// Signals counts Signal calls; Waits counts the WaitSignal calls
 	// that blocked (a latched signal costs no hand-off).
 	Signals, Waits int64
@@ -242,27 +202,21 @@ func (v *Virtual) unregister() {
 	v.mu.Unlock()
 }
 
-// wakeLocked is the instant a stage starting now fires: never in the
-// past, so non-positive sleeps and past instants wake at the current one.
-func (v *Virtual) wakeLocked(st stage) time.Duration {
-	wake := st.t
-	if !st.until {
+// park blocks the caller on a pooled timer that fires at the instant
+// wake — plus the current one when rel, and never in the past — and,
+// when then > 0, is re-armed then later before the caller is woken (see
+// advanceLocked). Called without the lock held.
+func (v *Virtual) park(wake time.Duration, rel bool, key int64, then time.Duration) {
+	ch := wakePool.Get().(chan struct{})
+	v.mu.Lock()
+	if rel {
 		wake += v.now
 	}
 	if wake < v.now {
 		wake = v.now
 	}
-	return wake
-}
-
-// park blocks the caller on a pooled timer that fires at first's wake
-// instant and then, before the caller is woken, runs the stages rest
-// still holds (see advanceLocked). Called without the lock held.
-func (v *Virtual) park(first stage, key int64, rest *Prog) {
-	ch := wakePool.Get().(chan struct{})
-	v.mu.Lock()
 	v.seq++
-	v.pushTimer(timer{wake: v.wakeLocked(first), key: key, seq: v.seq, ch: ch, prog: rest})
+	v.pushTimer(timer{wake: wake, key: key, seq: v.seq, ch: ch, then: then})
 	v.counts.Parks++
 	v.blocked++
 	v.advanceLocked()
@@ -275,35 +229,31 @@ func (v *Virtual) park(first stage, key int64, rest *Prog) {
 // enqueues a timer at the current instant, which yields the processor to
 // any other goroutine with an earlier or equal pending timer.
 func (v *Virtual) Sleep(d time.Duration) {
-	v.park(stage{t: d}, 0, nil)
+	v.park(d, true, 0, 0)
 }
 
 // YieldOrdered parks the caller at the current instant with a stable
 // tie-break key, so a batch of simultaneously released goroutines
 // resumes in key order regardless of OS scheduling.
 func (v *Virtual) YieldOrdered(key int64) {
-	v.park(stage{}, key, nil)
+	v.park(0, true, key, 0)
 }
 
 // SleepUntil suspends the caller until the given virtual instant. If t is
 // in the past it behaves like Sleep(0).
 func (v *Virtual) SleepUntil(t time.Duration) {
-	v.park(stage{t: t, until: true}, 0, nil)
+	v.park(t, false, 0, 0)
 }
 
-// Park runs the program as one park: the caller blocks once, the clock
-// chains the stages timer to timer (advanceLocked), and the caller wakes
-// when the last stage fires. Every stage is armed at the instant and in
-// the global order its own Sleep or SleepUntil call would have been, so
-// virtual time cannot tell the two apart; only the goroutine switches in
-// between are gone.
-func (v *Virtual) Park(p *Prog) {
-	if p.n == 0 {
-		return
-	}
-	p.pc = 1
-	v.park(p.st[0], 0, p)
-	p.Reset()
+// Park sleeps until the instant until and then, when d > 0, for d, as
+// one park: the caller blocks once, the clock re-arms the timer for the
+// sleep when the wait fires (advanceLocked), and the caller wakes when
+// the sleep fires. Both timers are armed at the instant and in the
+// global order the SleepUntil and Sleep calls would have armed them, so
+// virtual time cannot tell the two apart; only the goroutine switch in
+// between is gone.
+func (v *Virtual) Park(until, d time.Duration) {
+	v.park(until, false, 0, max(d, 0))
 }
 
 // WaitSignal blocks until Signal(ch). The blocked state is accounted to the
@@ -353,15 +303,16 @@ func (v *Virtual) Signal(ch chan struct{}) {
 // blocked. Exactly one sleeper is released per advance; it runs alone until
 // it blocks again, which keeps execution deterministic.
 //
-// A fired timer whose program has stages left is re-armed here instead of
-// waking its goroutine. That goroutine would have been the only runnable
-// one, would have touched nothing, and would have parked again: the next
-// sequence number drawn and the next timer pushed would have been exactly
-// these, at exactly this instant. So the (wake, key, seq) pop sequence —
-// and with it every virtual instant and every queue order downstream — is
-// the one the stage-by-stage calls produce. (Adding the stages' durations
-// into one sleep would not be: the later stages' timers would draw their
-// seq at park time, ahead of timers other goroutines arm in between.)
+// A fired Park wait with a sleep to follow is re-armed here, then after
+// the current instant, instead of waking its goroutine. That goroutine
+// would have been the only runnable one, would have touched nothing, and
+// would have called Sleep: the next sequence number drawn and the next
+// timer pushed would have been exactly these, at exactly this instant.
+// So the (wake, key, seq) pop sequence — and with it every virtual
+// instant and every queue order downstream — is the one SleepUntil then
+// Sleep produce. (One timer at max(until, now) + d would not be: it
+// draws its seq at park time, ahead of timers other goroutines arm
+// while the wait runs.)
 func (v *Virtual) advanceLocked() {
 	if v.registered == 0 || v.blocked != v.registered {
 		return
@@ -380,14 +331,12 @@ func (v *Virtual) advanceLocked() {
 		if t.wake > v.now {
 			v.now = t.wake
 		}
-		v.counts.Stages++
-		p := t.prog
-		if p == nil || p.pc == p.n {
+		v.counts.Timers++
+		if t.then == 0 {
 			break
 		}
 		v.seq++
-		t.wake, t.seq = v.wakeLocked(p.st[p.pc]), v.seq
-		p.pc++
+		t.wake, t.seq, t.then = v.now+t.then, v.seq, 0
 		v.siftDown(0)
 	}
 	t := v.popTimer()
@@ -483,16 +432,10 @@ func (r *Real) SleepUntil(t time.Duration) {
 	r.Sleep(t - r.Now())
 }
 
-// Park sleeps through the program's stages in order.
-func (r *Real) Park(p *Prog) {
-	for _, st := range p.st[:p.n] {
-		if st.until {
-			r.SleepUntil(st.t)
-		} else {
-			r.Sleep(st.t)
-		}
-	}
-	p.Reset()
+// Park sleeps until the instant until, then for d.
+func (r *Real) Park(until, d time.Duration) {
+	r.SleepUntil(until)
+	r.Sleep(d)
 }
 
 // Go runs fn on a plain goroutine.

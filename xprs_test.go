@@ -209,7 +209,7 @@ func TestOneParkPerPageFig7(t *testing.T) {
 			}
 			c, reads := s.clock.Counts(), rep.Disk.TotalReads()
 			ratio := float64(c.Parks) / float64(reads)
-			t.Logf("%v / %v: %d parks, %d timers fired, %d page reads: %.3f parks per page", kind, pol, c.Parks, c.Stages, reads, ratio)
+			t.Logf("%v / %v: %d parks, %d timers fired, %d page reads: %.3f parks per page", kind, pol, c.Parks, c.Timers, reads, ratio)
 			if ratio > 1.05 {
 				t.Errorf("%v / %v: %.3f parks per page read, limit 1.05", kind, pol, ratio)
 			}
@@ -340,18 +340,18 @@ func TestStreamValidation(t *testing.T) {
 // pinned, and a warm op's counts, signals and waits included, are the
 // same op after op.
 func TestOneParkPerPageJoin(t *testing.T) {
-	const wantStages = 564
+	const wantTimers = 564
 	s, _, _ := loadPipelineRels(t)
 	var first vclock.Counts
 	for op := 0; op < 3; op++ {
 		c, reads := pipelineOp(t, s)
 		ratio := float64(c.Parks) / float64(reads)
-		t.Logf("op %d: %d parks, %d timers fired, %d page reads: %.3f parks per page", op, c.Parks, c.Stages, reads, ratio)
+		t.Logf("op %d: %d parks, %d timers fired, %d page reads: %.3f parks per page", op, c.Parks, c.Timers, reads, ratio)
 		if ratio > 1.10 {
 			t.Errorf("op %d: %.3f parks per page read, limit 1.10", op, ratio)
 		}
-		if c.Stages != wantStages {
-			t.Errorf("op %d: %d timers fired, want %d: the virtual schedule moved", op, c.Stages, wantStages)
+		if c.Timers != wantTimers {
+			t.Errorf("op %d: %d timers fired, want %d: the virtual schedule moved", op, c.Timers, wantTimers)
 		}
 		if op == 0 {
 			first = c
@@ -374,7 +374,7 @@ func pipelineOp(t *testing.T, s *System) (vclock.Counts, int64) {
 	after := s.clock.Counts()
 	return vclock.Counts{
 		Parks:      after.Parks - before.Parks,
-		Stages:     after.Stages - before.Stages,
+		Timers:     after.Timers - before.Timers,
 		Signals:    after.Signals - before.Signals,
 		Waits:      after.Waits - before.Waits,
 		PeakTimers: after.PeakTimers,
